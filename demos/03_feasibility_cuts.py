@@ -31,8 +31,8 @@ def main():
     backtracks = sum(r.backtracks for r in result.reports)
     print(f"backtracks during the run: {backtracks}")
     print("\nfeasibility cuts (rows  beta . x_history <= rhs):")
-    for where in sorted(result.pools.feas):
-        for cut in result.pools.feas[where].feasibility:
+    for where in sorted(result.pools.opt):
+        for cut in result.pools.opt[where].feasibility:
             beta = ", ".join(f"{b:+.4f}" for b in cut.beta_tilde)
             print(f"  stage {where}: [{beta}] <= {cut.theta_tilde:+.4f}"
                   f"   (iteration {cut.iteration})")

@@ -25,7 +25,7 @@ from .engine import (ALGORITHMS, CUT_TIMINGS, ConfigError, EngineError,
                      RunConfig, run)
 from .io import IoError, format_float
 from .lp import SimplexError
-from .model import LATTICE, Problem
+from .model import Problem
 from .oracle import OracleError
 
 EXIT_OK = 0
@@ -139,28 +139,20 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _history_box(p: Problem, where: int) -> tuple[np.ndarray, np.ndarray]:
+def _history_box(p: Problem, where) -> tuple[np.ndarray, np.ndarray]:
     """Bounds of the history block a pool's cuts are claimed valid on.
 
-    Lattice pools share cuts across same-stage realizations, so the box is
-    the per-stage intersection of the realization boxes; tree pools follow
-    the node path, where each stage has exactly one box.
+    Stage by stage, the intersection of the boxes of every position on some
+    path into the pool's subproblems: all same-stage realizations on a
+    lattice, whose pools share cuts across them; the one node per stage on
+    a tree's path.
     """
-    if p.form == LATTICE:
-        lbs = [np.max([r.lb for r in p.stages[s - 1].realizations], axis=0)
-               for s in range(1, where)]
-        ubs = [np.min([r.ub for r in p.stages[s - 1].realizations], axis=0)
-               for s in range(1, where)]
-    else:
-        chain = []
-        m = where
-        while p.node(m).parent is not None:
-            chain.append(m)
-            m = p.node(m).parent
-        chain.reverse()
-        lbs = [p.node(m).payload.lb for m in chain]
-        ubs = [p.node(m).payload.ub for m in chain]
-    lo, hi = np.concatenate(lbs), np.concatenate(ubs)
+    topo = p.topology
+    layers = topo.history_positions(where)
+    lo = np.concatenate([np.max([topo.payload(w).lb for w in layer], axis=0)
+                         for layer in layers])
+    hi = np.concatenate([np.min([topo.payload(w).ub for w in layer], axis=0)
+                         for layer in layers])
     if np.any(lo > hi):
         raise IoError(f"pool {where}: empty history box intersection")
     return lo, hi

@@ -111,7 +111,6 @@ class CutPool:
         self.arg_dim = arg_dim
         self.optimality: list[OptimalityCut] = []
         self.feasibility: list[FeasibilityCut] = []
-        self.generation = 0
         self._view_cache: tuple[int, int, int, PoolView] | None = None
 
     def __len__(self) -> int:
@@ -123,7 +122,6 @@ class CutPool:
         if not math.isfinite(cut.theta) or not np.all(np.isfinite(cut.beta)):
             raise CutError("non-finite optimality cut")
         self.optimality.append(cut)
-        self.generation += 1
         check = evaluate_pool(self, cut.anchor)
         if abs(check - cut.theta) > ANCHOR_EQ_TOL:
             raise CutError(
@@ -140,7 +138,6 @@ class CutPool:
                     f"duplicate feasibility cut at stage {cut.stage} "
                     f"(existing index {old.index}): the backtracking loop is not making progress")
         self.feasibility.append(cut)
-        self.generation += 1
 
     def view(self, n: int) -> PoolView:
         """Matrix view with current-decision blocks of width ``n`` (cached)."""
@@ -180,7 +177,6 @@ def zero_terminal_pool(arg_dim: int) -> CutPool:
     pool = CutPool(arg_dim)
     pool.optimality.append(OptimalityCut(theta=0.0, beta=np.zeros(arg_dim),
                                          anchor=np.zeros(arg_dim), iteration=0, stage=0))
-    pool.generation += 1
     return pool
 
 

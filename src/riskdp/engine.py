@@ -10,6 +10,12 @@ Three sampled cutting-plane algorithms over the problems of :mod:`riskdp.model`:
 * ``alg3`` — per-node cut pools on general scenario trees with per-node risk
   measures.
 
+All three run one loop over the problem's :class:`~riskdp.model.Topology`:
+the pool keys are stages on a lattice and nodes on a tree, and one
+:class:`~riskdp.cuts.CutPool` per key holds both cut kinds.  The drivers
+differ only in the algorithm/form check of :func:`run` and in whether the
+forward pass is gated by feasibility cuts.
+
 All three share one subproblem layout.  A stage-t solve has variables
 ``[x_t, w, z]`` with objective ``w + z``: ``w`` is the epigraph of the
 piecewise-linear stage cost, ``z`` under-estimates the risk-adjusted recourse
@@ -131,54 +137,33 @@ class NodeSolution:
 
 
 class PoolSet:
-    """All cut pools of one run.
+    """Every cut pool of one run, one :class:`CutPool` per pool key.
 
-    Lattice form: shared pools keyed by stage; the pool with key ``t`` holds
-    cuts over ``x_{1:t-1}`` (its rows appear in stage-(t-1) subproblems), and
-    key ``T+1`` is the permanent zero pool.  Tree form: pools keyed by node
-    id; node ``m``'s pool holds cuts over ``x_{1:depth(m)}`` aggregating
-    ``m``'s children (leaf pools are permanent zero pools).
+    ``opt`` maps every pool key of the problem's topology to its pool, which
+    holds both the optimality and the feasibility cuts of that key: a stage
+    on a lattice (key ``t`` holds cuts over ``x_{1:t-1}`` whose rows enter
+    every stage-``(t-1)`` subproblem; key ``T+1`` is the permanent zero pool),
+    a node on a tree (node ``m``'s pool holds cuts over ``x_{1:depth(m)}``
+    aggregating ``m``'s children; leaf pools are permanent zero pools).
     """
 
     def __init__(self, problem: Problem):
-        self.problem = problem
-        n, t_end = problem.dim, problem.horizon
-        self.opt: dict[int, CutPool] = {}
-        self.feas: dict[int, CutPool] = {}
-        if problem.form == LATTICE:
-            for t in range(2, t_end + 1):
-                self.opt[t] = CutPool((t - 1) * n)
-                self.feas[t] = CutPool((t - 1) * n)
-            self.opt[t_end + 1] = zero_terminal_pool(t_end * n)
-            self.feas[t_end + 1] = CutPool(t_end * n)
-        else:
-            for node in problem.nodes:
-                if node.parent is None:
-                    continue
-                d = problem.depth(node.id)
-                if d == t_end:
-                    self.opt[node.id] = zero_terminal_pool(d * n)
-                else:
-                    self.opt[node.id] = CutPool(d * n)
-                self.feas[node.id] = CutPool(d * n)
+        self.topology = topo = problem.topology
+        self.opt: dict[object, CutPool] = {}
+        for key in topo.keys:
+            make = zero_terminal_pool if topo.terminal(key) else CutPool
+            self.opt[key] = make(topo.arg_dim(key))
 
-    def rows_for(self, where) -> tuple[CutPool, CutPool]:
-        """Pools whose cuts appear as rows inside the given subproblem."""
-        if self.problem.form == LATTICE:
-            t, _ = where
-            return self.opt[t + 1], self.feas[t + 1]
-        return self.opt[where], self.feas[where]
+    def rows_for(self, where) -> CutPool:
+        """The pool whose cuts appear as rows inside the given subproblem."""
+        return self.opt[self.topology.pool(where)]
 
     def n_optimality_cuts(self) -> int:
-        return sum(len(p.optimality) for p in self.opt.values()) - self._n_zero_pools()
+        return sum(len(pool.optimality) for key, pool in self.opt.items()
+                   if not self.topology.terminal(key))
 
     def n_feasibility_cuts(self) -> int:
-        return sum(len(p.feasibility) for p in self.feas.values())
-
-    def _n_zero_pools(self) -> int:
-        if self.problem.form == LATTICE:
-            return 1
-        return len(self.problem.nodes_at_depth(self.problem.horizon))
+        return sum(len(pool.feasibility) for pool in self.opt.values())
 
 
 # ---------------------------------------------------------------------------
@@ -198,26 +183,20 @@ def _pick(probs: np.ndarray, u: float) -> int:
 
 
 def sample_path(problem: Problem, seed: int, k: int) -> list:
-    """Sampled node path for iteration ``k``; entry ``path[t]`` addresses stage t.
+    """Sampled positions for iteration ``k``; entry ``path[t]`` is the stage-t position.
 
-    Lattice: realization indices (``path[1]`` is always 0).  Tree: node ids,
-    starting from the root's single child.  A pure function of its arguments.
+    Starts at the stage-1 position and draws each next position among the
+    children of the current position's pool.  A pure function of its
+    arguments.
     """
-    t_end = problem.horizon
-    path: list = [None] * (t_end + 1)
-    if problem.form == LATTICE:
-        path[1] = 0
-        for t in range(2, t_end + 1):
-            u = _stage_uniform(seed, k, t)
-            path[t] = _pick(problem.stage_probs(t), u)
-    else:
-        current = problem.children(problem.root_id)[0]
-        path[1] = current
-        for t in range(2, t_end + 1):
-            kids = problem.children(current)
-            u = _stage_uniform(seed, k, t)
-            current = kids[_pick(problem.child_probs(path[t - 1]), u)]
-            path[t] = current
+    topo = problem.topology
+    path: list = [None] * (problem.horizon + 1)
+    path[1] = current = topo.first
+    for t in range(2, problem.horizon + 1):
+        key = topo.pool(current)
+        u = _stage_uniform(seed, k, t)
+        current = topo.children(key)[_pick(topo.probs(key), u)]
+        path[t] = current
     return path
 
 
@@ -259,22 +238,19 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
                z_lo: float | None = None) -> NodeSolution:
     """Solve one stage subproblem and assemble its history subgradient.
 
-    ``where`` is ``(t, j)`` in lattice form or a node id in tree form.  The
-    LP includes the subproblem's optimality- and feasibility-cut rows; ``z``
-    is bounded below by the certified recourse bound for the next stage.
+    ``where`` is a position of the problem's topology.  The LP includes the
+    optimality- and feasibility-cut rows of the position's pool; ``z`` is
+    bounded below by the certified recourse bound for the next stage.
     """
     sub = assemble_subproblem(problem, where, history)
-    opt_pool, feas_pool = pools.rows_for(where)
-    view = opt_pool.view(problem.dim)
-    fview = feas_pool.view(problem.dim)
-    merged = _merge_views(view, fview)
+    view = pools.rows_for(where).view(problem.dim)
     if z_lo is None:
         z_lo = problem.z_lower(sub.t)
-    prob = build_stage_lp(sub, merged, z_lo)
+    prob = build_stage_lp(sub, view, z_lo)
     sol = lp.solve(prob)
     if sol.status == lp.INFEASIBLE:
         raise EngineError(
-            f"stage-{sub.t} subproblem infeasible at realization {sub.realization}: "
+            f"stage-{sub.t} subproblem infeasible at position {sub.where}: "
             "the instance lacks relatively complete recourse (use the feasibility-cut "
             "algorithm) or carries inconsistent data")
     if sol.status == lp.UNBOUNDED:
@@ -282,17 +258,8 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
             f"stage-{sub.t} subproblem unbounded: lower_value_bound for stage "
             f"{sub.t + 1} does not bound the recourse from below")
     n = problem.dim
-    pi = assemble_pi(sub, sol, merged).s
+    pi = assemble_pi(sub, sol, view).s
     return NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol, pi=pi, sub=sub)
-
-
-def _merge_views(opt_view, feas_view):
-    """Combine the optimality-pool and feasibility-pool views of one subproblem."""
-    from .cuts import PoolView
-    return PoolView(opt_beta1=opt_view.opt_beta1, opt_beta2=opt_view.opt_beta2,
-                    opt_rhs_const=opt_view.opt_rhs_const,
-                    feas_beta1=feas_view.feas_beta1, feas_beta2=feas_view.feas_beta2,
-                    feas_rhs_const=feas_view.feas_rhs_const)
 
 
 def phase_one(problem: Problem, where, history, pools: PoolSet):
@@ -307,8 +274,7 @@ def phase_one(problem: Problem, where, history, pools: PoolSet):
     sub, fview)``.
     """
     sub = assemble_subproblem(problem, where, history)
-    _, feas_pool = pools.rows_for(where)
-    fview = feas_pool.view(problem.dim)
+    fview = pools.rows_for(where).view(problem.dim)
     n = sub.lb.shape[0]
     q = sub.eq_rhs.shape[0]
     k_rows = fview.n_feas
@@ -348,6 +314,7 @@ class _Driver:
     def __init__(self, problem: Problem, cfg: RunConfig):
         self.problem = problem
         self.cfg = cfg
+        self.topology = problem.topology
         self.pools = PoolSet(problem)
         self.stage1 : NodeSolution | None = None
         self.pi_norm_max: dict[int, float] = {}
@@ -356,33 +323,9 @@ class _Driver:
 
     # -- small helpers -----------------------------------------------------
 
-    def _stage1_where(self):
-        if self.problem.form == LATTICE:
-            return (1, 0)
-        return self.problem.children(self.problem.root_id)[0]
-
     def _solve_stage1(self) -> NodeSolution:
-        return solve_node(self.problem, self._stage1_where(),
+        return solve_node(self.problem, self.topology.first,
                           self.problem.x0, self.pools)
-
-    def _children_of(self, t: int, path: list):
-        """(where, prob, risk) triples of the stage-t children plus the pool target."""
-        p = self.problem
-        if p.form == LATTICE:
-            probs = p.stage_probs(t)
-            wheres = [(t, j) for j in range(probs.shape[0])]
-            spec = p.stages[t - 1].risk
-            target = self.pools.opt[t]
-            target_key = t
-        else:
-            parent = path[t - 1]
-            kids = p.children(parent)
-            probs = p.child_probs(parent)
-            wheres = kids
-            spec = p.node(parent).risk
-            target = self.pools.opt[parent]
-            target_key = parent
-        return wheres, probs, spec, target, target_key
 
     def _record_pi(self, k: int, t: int, pi: np.ndarray) -> None:
         norm = float(np.linalg.norm(pi))
@@ -392,16 +335,15 @@ class _Driver:
 
     def _build_cut_at(self, t: int, path: list, decisions: list[np.ndarray], k: int,
                       counters: dict[int, int]):
-        """Solve every stage-t child of the path node at t-1 and append the cut.
+        """Solve every child of the pool aggregating ``path[t]`` and append the cut.
 
-        Returns the child addresses and their solutions so the forward timing
+        Returns the child positions and their solutions so the forward timing
         can reuse the sampled child's decision without a second solve.
         """
-        p = self.problem
-        n = p.dim
+        p, topo = self.problem, self.topology
         hist = np.concatenate(decisions[:t])
-        anchor = hist[n:]
-        wheres, probs, spec, target, target_key = self._children_of(t, path)
+        key = topo.parent(path[t])
+        wheres = topo.children(key)
         sols = []
         for where in wheres:
             ns = solve_node(p, where, hist, self.pools)
@@ -414,35 +356,32 @@ class _Driver:
                     "resolve": lambda h, w=where: solve_node(p, w, h, self.pools).value,
                 })
         cut = build_optimality_cut([ns.value for ns in sols], [ns.pi for ns in sols],
-                                   probs, spec, anchor, stage=target_key, iteration=k)
-        target.append_optimality(cut)
+                                   topo.probs(key), topo.risk(key), hist[p.dim:],
+                                   stage=key, iteration=k)
+        self.pools.opt[key].append_optimality(cut)
         counters[t] = counters.get(t, 0) + 1
         return wheres, sols
 
     def _gate(self, t: int, path: list, decisions: list[np.ndarray], k: int,
               counters: dict[int, int]) -> bool:
-        """Run the phase-I gates for every stage-t child; append a cut on failure.
+        """Run the phase-I gates for every sibling of ``path[t]``; append a cut on failure.
 
-        Returns True when all children are feasible at the current history.
+        Returns True when all of them are feasible at the current history.
         """
         p = self.problem
         hist = np.concatenate(decisions[:t])
         anchor = hist[p.dim:]
-        if p.form == LATTICE:
-            wheres = [(t, j) for j in range(p.stage_probs(t).shape[0])]
-        else:  # pragma: no cover - feasibility algorithm is lattice-only
-            wheres = p.children(path[t - 1])
-        for where in wheres:
+        key = self.topology.parent(path[t])
+        for where in self.topology.children(key):
             value, dual_eq, dual_feas, sub, fview = phase_one(p, where, hist, self.pools)
             if value > PHASE1_THRESHOLD:
                 if t == 1:  # nothing earlier to cut; the problem is infeasible
                     return False
-                pool = self.pools.feas[t]
                 self.feas_counter += 1
                 cut = build_feasibility_cut(value, dual_eq, dual_feas, sub.a_hist,
-                                            fview.feas_beta1, anchor, stage=t,
+                                            fview.feas_beta1, anchor, stage=key,
                                             index=self.feas_counter, iteration=k)
-                pool.append_feasibility(cut)
+                self.pools.opt[key].append_feasibility(cut)
                 counters[t] = counters.get(t, 0) + 1
                 logger.debug("iteration %d: feasibility cut %d at stage %d "
                              "(phase-I value %.3e)", k, self.feas_counter, t, value)
@@ -485,13 +424,12 @@ class _Driver:
                 lb_report = ns.value
                 x1_report = ns.x.copy()
             else:
-                sampled = path[s] if p.form != LATTICE else (s, path[s])
                 if forward_cuts:
                     wheres, sols = self._build_cut_at(s, path, decisions, k,
                                                       counters_opt)
-                    ns = sols[wheres.index(sampled)]
+                    ns = sols[wheres.index(path[s])]
                 else:
-                    ns = solve_node(p, sampled,
+                    ns = solve_node(p, path[s],
                                     np.concatenate(decisions[:s]), self.pools)
             decisions.append(ns.x)
             s += 1

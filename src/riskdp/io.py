@@ -27,6 +27,8 @@ horizon are scaffolding, not generated cuts, and are not dumped.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -181,11 +183,8 @@ def problem_from_dict(doc: dict) -> Problem:
             nodes.append(Node(id=nid, parent=None if parent is None else int(parent),
                               prob=float(raw.get("prob", 1.0)), payload=payload,
                               risk=_risk_from(raw, default_risk, f"node {nid}")))
-        try:
-            problem = Problem(horizon=horizon, dim=n, x0=x0, form=TREE,
-                              nodes=nodes, lower_value_bound=lvb)
-        except ModelError as exc:
-            raise IoError(str(exc)) from exc
+        problem = Problem(horizon=horizon, dim=n, x0=x0, form=TREE,
+                          nodes=nodes, lower_value_bound=lvb)
     else:
         raise IoError(f"unknown form {form!r}")
     violations = validate_problem(problem)
@@ -283,18 +282,14 @@ def parse_risk_override(text: str) -> RiskSpec:
 
 
 def apply_risk_override(p: Problem, spec: RiskSpec) -> Problem:
-    """A copy of ``p`` with one risk spec on every risk-bearing stage/node."""
-    if p.form == LATTICE:
-        stages = [Stage(realizations=stage.realizations,
-                        risk=spec if s >= 2 else stage.risk)
-                  for s, stage in enumerate(p.stages, start=1)]
-        return Problem(horizon=p.horizon, dim=p.dim, x0=p.x0, form=LATTICE,
-                       stages=stages, lower_value_bound=p.lower_value_bound)
-    nodes = [Node(id=m.id, parent=m.parent, prob=m.prob, payload=m.payload,
-                  risk=spec if (m.parent is not None and p.children(m.id)) else m.risk)
-             for m in p.nodes]
-    return Problem(horizon=p.horizon, dim=p.dim, x0=p.x0, form=TREE,
-                   nodes=nodes, lower_value_bound=p.lower_value_bound)
+    """A copy of ``p`` with one risk spec at every pool key that aggregates children."""
+    q = dataclasses.replace(p, stages=[copy.copy(stage) for stage in p.stages],
+                            nodes=[copy.copy(node) for node in p.nodes])
+    topo = q.topology
+    for key in topo.keys:
+        if not topo.terminal(key):
+            topo.set_risk(key, spec)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +318,10 @@ def write_iterations_csv(path, result, dim: int) -> None:
     Path(path).write_text(iterations_csv_text(result, dim))
 
 
-def _dump_pool_keys(pools) -> tuple[list[int], list[int]]:
+def _dump_pool_keys(pools) -> tuple[list, list]:
     """Opt/feas pool keys to dump, ascending, permanent zero pools excluded."""
-    p = pools.problem
-    if p.form == LATTICE:
-        skip = {p.horizon + 1}
-    else:
-        skip = {m.id for m in p.nodes
-                if m.parent is not None and p.depth(m.id) == p.horizon}
-    return ([k for k in sorted(pools.opt) if k not in skip],
-            sorted(pools.feas))
+    keys = sorted(pools.opt)
+    return [k for k in keys if not pools.topology.terminal(k)], keys
 
 
 def cuts_csv_text(pools) -> str:
@@ -346,7 +335,7 @@ def cuts_csv_text(pools) -> str:
                                   + [format_float(v) for v in cut.beta]
                                   + [format_float(v) for v in cut.anchor]))
     for key in feas_keys:
-        for fcut in pools.feas[key].feasibility:
+        for fcut in pools.opt[key].feasibility:
             lines.append(",".join([CUT_KIND_FEASIBILITY, str(key), str(fcut.iteration),
                                    format_float(fcut.theta_tilde)]
                                   + [format_float(v) for v in fcut.beta_tilde]))

@@ -25,12 +25,20 @@ stage-s risk spec governs how stage-s realization values are aggregated when
 seen from stage s-1 (stage 1's spec is unused — the first stage is
 deterministic); in tree form a node's risk spec governs how its *children*
 are aggregated (leaf specs are unused).
+
+Everything downstream of the file format sees a problem through its
+:class:`Topology` (the policy-graph view): *positions* address stage
+subproblems, *pool keys* name cost-to-go approximations.  A pool key is a
+stage on a lattice (all nodes of a stage share one cost-to-go) and a node on
+a tree (every node has its own).  The form itself is read only by the file
+format, :func:`validate_problem` and the :class:`Topology` constructor.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,25 +77,6 @@ class PwlConvexCost:
     @property
     def n_pieces(self) -> int:
         return self.pieces_c.shape[0]
-
-
-def evaluate_cost_and_history_subgradient(cost: PwlConvexCost, x) -> tuple[float, np.ndarray]:
-    """Evaluate the cost at ``x = (x_1, ..., x_t)`` and return a history slope.
-
-    Returns
-    -------
-    (value, subgrad)
-        ``value`` is the max over pieces; ``subgrad`` is the ``x_{1:t-1}``
-        block of the lowest-index active piece.  That block is always a valid
-        subgradient of the partial map ``x_{1:t-1} -> cost(x_{1:t-1}, x_t)``.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != cost.pieces_c.shape[1]:
-        raise ModelError(f"cost expects {cost.pieces_c.shape[1]} coordinates, got {x.shape[0]}")
-    vals = cost.pieces_c @ x + cost.pieces_d
-    i = int(np.argmax(vals))  # first maximizer = lowest index
-    hist_len = x.shape[0] - cost.dim
-    return float(vals[i]), cost.pieces_c[i, :hist_len].copy()
 
 
 @dataclass
@@ -178,49 +167,34 @@ class Problem:
     def __post_init__(self) -> None:
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         self.lower_value_bound = np.asarray(self.lower_value_bound, dtype=float).reshape(-1)
-        if self.form == TREE:
-            self._index_tree()
 
-    # -- tree bookkeeping --------------------------------------------------
+    @cached_property
+    def topology(self) -> Topology:
+        """Positions and pool keys of this problem, built on first use.
 
-    def _index_tree(self) -> None:
-        self._by_id = {node.id: node for node in self.nodes}
-        self._children: dict[int, list[int]] = {node.id: [] for node in self.nodes}
-        roots = []
-        for node in self.nodes:
-            if node.parent is None:
-                roots.append(node.id)
-            elif node.parent in self._children:
-                self._children[node.parent].append(node.id)
-        self._roots = roots
-        self._depth: dict[int, int] = {}
-        if len(roots) == 1:
-            frontier = [(roots[0], 0)]
-            while frontier:
-                nid, d = frontier.pop()
-                if nid in self._depth:   # repeated visit: not a tree
-                    self._depth.clear()
-                    return
-                self._depth[nid] = d
-                frontier.extend((c, d + 1) for c in self._children[nid])
+        The stage, realization and node lists must not be replaced after
+        that; edits to their fields are seen.
+        """
+        return Topology(self)
+
+    # -- tree index (tree form) --------------------------------------------
 
     def node(self, node_id: int) -> Node:
-        return self._by_id[node_id]
+        return self.topology.by_id[node_id]
 
     def children(self, node_id: int) -> list[int]:
-        return self._children[node_id]
+        return self.topology.children(node_id)
 
     @property
     def root_id(self) -> int:
-        return self._roots[0]
+        return self.topology.roots[0]
 
     def depth(self, node_id: int) -> int:
-        return self._depth[node_id]
+        return self.topology.depth[node_id]
 
     def nodes_at_depth(self, d: int) -> list[int]:
-        return [nid for nid in sorted(self._depth) if self._depth[nid] == d]
-
-    # -- shared accessors --------------------------------------------------
+        depth = self.topology.depth
+        return [nid for nid in sorted(depth) if depth[nid] == d]
 
     def z_lower(self, t: int) -> float:
         """Certified lower bound on the stage-(t+1) recourse value (0 past the horizon)."""
@@ -228,11 +202,141 @@ class Problem:
             return 0.0
         return float(self.lower_value_bound[t - 1])
 
-    def stage_probs(self, t: int) -> np.ndarray:
-        return np.array([r.prob for r in self.stages[t - 1].realizations])
 
-    def child_probs(self, node_id: int) -> np.ndarray:
-        return np.array([self._by_id[c].prob for c in self._children[node_id]])
+class Topology:
+    """Positions and cut pools of one problem: its policy-graph view.
+
+    A *position* addresses one stage subproblem: ``(t, j)`` (stage ``t``,
+    realization ``j``) on a lattice, a node id on a tree.  A *pool key* names
+    one cost-to-go approximation.  The pool with key ``k`` aggregates its
+    child positions under its risk spec, and its cut rows enter the
+    subproblems of the positions it is the pool of:
+
+    * lattice: key ``t`` aggregates the stage-``t`` realizations and its rows
+      enter every stage-``(t-1)`` subproblem; key ``T+1`` is the terminal
+      zero pool;
+    * tree: key ``m`` aggregates node ``m``'s children and its rows enter
+      node ``m``'s own subproblem; leaf keys are terminal zero pools.
+
+    The root key (``1`` on a lattice, the synthetic root node on a tree)
+    aggregates the single stage-1 position and owns no pool.
+
+    Only structure is stored: probabilities, risk specs and payloads are read
+    from the problem's own realization, stage and node objects on every call,
+    so edits to those fields after construction are seen.
+    """
+
+    def __init__(self, p: Problem):
+        self.dim = p.dim
+        self._stage: dict = {}    # position -> stage
+        self._item: dict = {}     # position -> the object holding its ``prob``
+        self._payload: dict = {}  # position -> its Realization
+        self._pool: dict = {}     # position -> key of the pool its subproblem reads
+        self._kids: dict = {}     # key -> child positions
+        self._risk_of: dict = {}  # key -> the object holding its ``risk``
+        if p.form == TREE:
+            self._index_tree(p.nodes)
+        else:
+            self._index_lattice(p.stages)
+        self._parent = {w: key for key, kids in self._kids.items() for w in kids}
+        self._holders: dict = {}  # key -> positions whose subproblems read it
+        for w, key in self._pool.items():
+            self._holders.setdefault(key, []).append(w)
+        self.keys = list(self._holders)
+
+    def _index_lattice(self, stages: list[Stage]) -> None:
+        self.root = 1
+        for t, stage in enumerate(stages, start=1):
+            self._risk_of[t] = stage
+            self._kids[t] = []
+            for j, real in enumerate(stage.realizations):
+                self._kids[t].append((t, j))
+                self._stage[t, j] = t
+                self._item[t, j] = self._payload[t, j] = real
+                self._pool[t, j] = t + 1
+        self._kids[len(stages) + 1] = []
+
+    def _index_tree(self, nodes: list[Node]) -> None:
+        self.by_id = {node.id: node for node in nodes}
+        self._kids = {node.id: [] for node in nodes}
+        self.roots = []
+        for node in nodes:
+            if node.parent is None:
+                self.roots.append(node.id)
+            elif node.parent in self._kids:
+                self._kids[node.parent].append(node.id)
+        self.root = self.roots[0] if self.roots else None
+        self.depth: dict[int, int] = {}
+        if len(self.roots) == 1:
+            frontier = [(self.root, 0)]
+            while frontier:
+                nid, d = frontier.pop()
+                if nid in self.depth:   # repeated visit: not a tree
+                    self.depth.clear()
+                    return
+                self.depth[nid] = d
+                frontier.extend((c, d + 1) for c in self._kids[nid])
+        for node in nodes:
+            self._risk_of[node.id] = node
+            if node.parent is not None and node.id in self.depth:
+                self._stage[node.id] = self.depth[node.id]
+                self._item[node.id] = node
+                self._payload[node.id] = node.payload
+                self._pool[node.id] = node.id
+
+    # -- positions ---------------------------------------------------------
+
+    @property
+    def first(self):
+        """The stage-1 position."""
+        return self._kids[self.root][0]
+
+    def stage(self, where) -> int:
+        return self._stage[where]
+
+    def payload(self, where) -> Realization:
+        return self._payload[where]
+
+    def pool(self, where):
+        """Key of the pool whose cut rows enter the subproblem at ``where``."""
+        return self._pool[where]
+
+    def parent(self, where):
+        """Key of the pool that aggregates ``where`` (the root key at stage 1)."""
+        return self._parent[where]
+
+    # -- pool keys ---------------------------------------------------------
+
+    def children(self, key) -> list:
+        return self._kids[key]
+
+    def probs(self, key) -> np.ndarray:
+        return np.array([self._item[w].prob for w in self._kids[key]])
+
+    def risk(self, key) -> RiskSpec:
+        return self._risk_of[key].risk
+
+    def set_risk(self, key, spec: RiskSpec) -> None:
+        """Replace the risk spec of ``key`` on the problem's own stage or node."""
+        self._risk_of[key].risk = spec
+
+    def arg_dim(self, key) -> int:
+        """Length of the cut argument ``x_{1:s}`` (s = stage of its subproblems)."""
+        return self._stage[self._holders[key][0]] * self.dim
+
+    def terminal(self, key) -> bool:
+        """True for keys that aggregate nothing; their pools hold the permanent zero cut."""
+        return not self._kids[key]
+
+    def history_positions(self, key) -> list[list]:
+        """Stage by stage, the positions on some path into ``key``'s subproblems."""
+        layers = []
+        layer = self._holders.get(key, [])
+        while layer:
+            layers.append(layer)
+            ups = dict.fromkeys(self._parent[w] for w in layer)
+            layer = [w for up in ups for w in self._holders.get(up, [])]
+        return layers[::-1]
 
 
 @dataclass
@@ -245,7 +349,7 @@ class SubproblemData:
     """
 
     t: int
-    realization: int
+    where: object            # the position this subproblem belongs to
     piece_cur: np.ndarray    # (P, n)
     piece_const: np.ndarray  # (P,)
     piece_hist: np.ndarray   # (P, (t-1)*n)
@@ -261,12 +365,13 @@ class SubproblemData:
 
 
 def assemble_subproblem(p: Problem, where, history) -> SubproblemData:
-    """Fold a fixed history into one realization's data.
+    """Fold a fixed history into one position's data.
 
     Parameters
     ----------
     p : Problem
-    where : tuple (t, j) in lattice form, or a node id in tree form.
+    where : a position of ``p.topology`` (``(t, j)`` on a lattice, a node id
+        on a tree).
     history : array, length ``t * n``
         Full history ``(x_0, x_1, ..., x_{t-1})``.
 
@@ -277,17 +382,8 @@ def assemble_subproblem(p: Problem, where, history) -> SubproblemData:
         inputs).
     """
     n = p.dim
-    if p.form == LATTICE:
-        t, j = where
-        payload = p.stages[t - 1].realizations[j]
-        rid = j
-    else:
-        node = p.node(where)
-        t = p.depth(where)
-        payload = node.payload
-        rid = where
-        if payload is None:
-            raise ModelError("the root node holds no subproblem")
+    t = p.topology.stage(where)
+    payload = p.topology.payload(where)
     history = np.asarray(history, dtype=float).reshape(-1)
     if history.shape[0] != t * n:
         raise ModelError(f"history must have {t * n} coordinates at stage {t}, got {history.shape[0]}")
@@ -316,7 +412,7 @@ def assemble_subproblem(p: Problem, where, history) -> SubproblemData:
     piece_hist = payload.cost.pieces_c[:, :hist_len]
     piece_cur = payload.cost.pieces_c[:, hist_len:]
     piece_const = payload.cost.pieces_d + piece_hist @ dec_hist
-    return SubproblemData(t=t, realization=rid,
+    return SubproblemData(t=t, where=where,
                           piece_cur=piece_cur.copy(), piece_const=piece_const,
                           piece_hist=piece_hist.copy(),
                           a_cur=np.atleast_2d(a_cur), eq_rhs=eq_rhs, a_hist=np.atleast_2d(a_hist),
@@ -381,10 +477,11 @@ def _validate_tree(p: Problem) -> list[str]:
     if len(set(ids)) != len(ids):
         out.append("duplicate node ids")
         return out
-    if len(p._roots) != 1:
-        out.append(f"expected exactly one root, found {len(p._roots)}")
+    topo = p.topology
+    if len(topo.roots) != 1:
+        out.append(f"expected exactly one root, found {len(topo.roots)}")
         return out
-    if not p._depth or len(p._depth) != len(p.nodes):
+    if not topo.depth or len(topo.depth) != len(p.nodes):
         out.append("node set is not a connected acyclic tree")
         return out
     root = p.root_id
@@ -398,7 +495,7 @@ def _validate_tree(p: Problem) -> list[str]:
         if d == p.horizon and kids:
             out.append(f"node {node.id}: children beyond the horizon")
         if kids:
-            probs = p.child_probs(node.id)
+            probs = topo.probs(node.id)
             if np.any(probs <= 0.0):
                 out.append(f"node {node.id}: child probabilities must be strictly positive")
             if abs(probs.sum() - 1.0) > 1e-9:

@@ -19,7 +19,6 @@ infeasible histories report ``+inf``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +27,8 @@ import scipy.optimize
 
 from .cuts import build_optimality_cut
 from .engine import EngineError, PoolSet, solve_node
-from .model import (LATTICE, TREE, ModelError, Node, Problem, PwlConvexCost,
-                    Realization, Stage)
+from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization,
+                    Stage)
 from .risk import RiskSpec, risk_value_and_density
 
 MAX_SWEEPS = 10_000
@@ -54,42 +53,28 @@ class NDResult:
 
 @dataclass
 class _Rec:
-    key: object
-    parent: object
+    """One node of the scenario tree: a path of positions from stage 1."""
+
+    key: tuple          # child ranks along the path; the stage-1 node is (0,)
+    parent: tuple       # the parent node's key; () above stage 1
+    where: object       # the position the path ends at
     depth: int
     payload: Realization
     abs_prob: float
 
 
 def _scenario_records(problem: Problem) -> list[_Rec]:
-    """Explicit node records for either form (lattice paths become nodes)."""
-    records: list[_Rec] = []
-    if problem.form == TREE:
-        for node in problem.nodes:
-            if node.parent is None:
-                continue
-            prob = node.prob
-            cursor = problem.node(node.parent)
-            while cursor.parent is not None:
-                prob *= cursor.prob
-                cursor = problem.node(cursor.parent)
-            records.append(_Rec(key=node.id, parent=node.parent,
-                                depth=problem.depth(node.id),
-                                payload=node.payload, abs_prob=prob))
-        return records
-    root_key = ()
-    for t in range(1, problem.horizon + 1):
-        reals = problem.stages[t - 1].realizations
-        if t == 1:
-            records.append(_Rec(key=(0,), parent=root_key, depth=1,
-                                payload=reals[0], abs_prob=1.0))
-            continue
-        parents = [r for r in records if r.depth == t - 1]
-        for parent in parents:
-            for j, real in enumerate(reals):
-                records.append(_Rec(key=parent.key + (j,), parent=parent.key,
-                                    depth=t, payload=real,
-                                    abs_prob=parent.abs_prob * real.prob))
+    """Every scenario-tree node, breadth first (a lattice expands into its paths)."""
+    topo = problem.topology
+    first = topo.first
+    records = [_Rec(key=(0,), parent=(), where=first, depth=1,
+                    payload=topo.payload(first), abs_prob=1.0)]
+    for rec in records:  # grows while iterated: children follow their parents
+        key = topo.pool(rec.where)
+        for j, (kid, prob) in enumerate(zip(topo.children(key), topo.probs(key))):
+            records.append(_Rec(key=rec.key + (j,), parent=rec.key, where=kid,
+                                depth=rec.depth + 1, payload=topo.payload(kid),
+                                abs_prob=rec.abs_prob * prob))
     return records
 
 
@@ -184,13 +169,10 @@ def _require_expectation(problem: Problem) -> None:
 
 
 def _risk_specs(problem: Problem):
-    if problem.form == LATTICE:
-        for stage in problem.stages[1:]:
-            yield stage.risk
-    else:
-        for node in problem.nodes:
-            if problem.children(node.id) and node.parent is not None:
-                yield node.risk
+    topo = problem.topology
+    for key in topo.keys:
+        if not topo.terminal(key):
+            yield topo.risk(key)
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +197,31 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
     distinct cut.  With finitely many LP bases this terminates at the exact
     value.
     """
+    topo = problem.topology
     pools = PoolSet(problem)
+    records = _scenario_records(problem)
     n = problem.dim
     value_prev = None
     n_cuts = 0
     for sweep in range(1, max_sweeps + 1):
-        histories = _forward_all(problem, pools)
+        histories = _forward_all(problem, pools, records)
         added = 0
         for t in range(problem.horizon, 1, -1):
-            for hist, where_list, probs, spec, target_key in \
-                    _parents_at(problem, t, histories):
-                sols = [solve_node(problem, w, hist, pools) for w in where_list]
+            for rec in records:
+                if rec.depth != t - 1:
+                    continue
+                hist = histories[rec.key]
+                key = topo.pool(rec.where)
+                sols = [solve_node(problem, w, hist, pools) for w in topo.children(key)]
                 cut = build_optimality_cut(
-                    [s.value for s in sols], [s.pi for s in sols], probs, spec,
-                    hist[n:], stage=target_key, iteration=sweep)
-                target = pools.opt[target_key]
+                    [s.value for s in sols], [s.pi for s in sols], topo.probs(key),
+                    topo.risk(key), hist[n:], stage=key, iteration=sweep)
+                target = pools.opt[key]
                 if _distinct(target, cut.theta, cut.beta):
                     target.append_optimality(cut)
                     added += 1
         n_cuts += added
-        value = _first_stage_value(problem, pools)
+        value = solve_node(problem, topo.first, problem.x0, pools).value
         if (value_prev is not None and abs(value - value_prev) <= VALUE_REPEAT_TOL
                 and added == 0):
             return NDResult(value=value, sweeps=sweep, n_cuts=n_cuts)
@@ -242,59 +229,18 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
     raise OracleError(f"nested decomposition did not settle in {max_sweeps} sweeps")
 
 
-def _first_stage_value(problem: Problem, pools: PoolSet) -> float:
-    if problem.form == LATTICE:
-        where: object = (1, 0)
-    else:
-        where = problem.children(problem.root_id)[0]
-    return solve_node(problem, where, problem.x0, pools).value
+def _forward_all(problem: Problem, pools: PoolSet, records: list[_Rec]) -> dict:
+    """Histories of every scenario-tree node after one all-node forward pass.
 
-
-def _forward_all(problem: Problem, pools: PoolSet) -> dict:
-    """Histories of every node after one all-node forward pass.
-
-    Keys are lattice path tuples (realization indices) or tree node ids; the
-    value stored for a node is the history *including* the node's decision.
+    Keyed by record key; the value stored for a node is the history
+    *including* the node's decision.
     """
-    n = problem.dim
-    histories: dict = {}
-    if problem.form == LATTICE:
-        first = solve_node(problem, (1, 0), problem.x0, pools)
-        histories[(0,)] = np.concatenate([problem.x0, first.x])
-        for t in range(2, problem.horizon + 1):
-            reals = range(len(problem.stages[t - 1].realizations))
-            for key in [k for k in histories if len(k) == t - 1]:
-                for j in reals:
-                    ns = solve_node(problem, (t, j), histories[key], pools)
-                    histories[key + (j,)] = np.concatenate([histories[key], ns.x])
-    else:
-        order = sorted((problem.depth(m.id), m.id) for m in problem.nodes
-                       if m.parent is not None)
-        for _, mid in order:
-            parent = problem.node(mid).parent
-            base = (np.asarray(problem.x0, dtype=float)
-                    if parent == problem.root_id else histories[parent])
-            ns = solve_node(problem, mid, base, pools)
-            histories[mid] = np.concatenate([base, ns.x])
+    histories: dict = {(): problem.x0}
+    for rec in records:
+        base = histories[rec.parent]
+        ns = solve_node(problem, rec.where, base, pools)
+        histories[rec.key] = np.concatenate([base, ns.x])
     return histories
-
-
-def _parents_at(problem: Problem, t: int, histories: dict):
-    """(history, children, probs, risk, pool key) per stage-(t-1) node."""
-    if problem.form == LATTICE:
-        probs = problem.stage_probs(t)
-        spec = problem.stages[t - 1].risk
-        wheres = [(t, j) for j in range(probs.shape[0])]
-        for key, hist in histories.items():
-            if len(key) == t - 1:
-                yield hist, wheres, probs, spec, t
-    else:
-        for node in problem.nodes:
-            if node.parent is None or problem.depth(node.id) != t - 1:
-                continue
-            kids = problem.children(node.id)
-            yield (histories[node.id], kids, problem.child_probs(node.id),
-                   node.risk, node.id)
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +275,17 @@ def _conditioned_payload(pay: Realization, t: int, tau: int, n: int,
                        lb=pay.lb.copy(), ub=pay.ub.copy())
 
 
-def conditioned_problem(problem: Problem, t: int, j: int,
-                        history: np.ndarray) -> Problem:
-    """Tail problem started at stage-``t`` realization ``j`` under ``history``.
+def conditioned_problem(problem: Problem, where, history: np.ndarray) -> Problem:
+    """Tail problem started at position ``where`` under ``history``.
 
-    Lattice form only.  The reduced instance has horizon ``T - t + 1``, a
-    deterministic first stage (the chosen realization), and the original
-    deeper stages with the fixed prefix folded into their data.
+    On a lattice (``where = (t, j)``) the reduced instance has horizon
+    ``T - t + 1``, a deterministic first stage (the chosen realization), and
+    the original deeper stages with the fixed prefix folded into their data.
+    On a tree it is the subtree below the node (:func:`conditioned_subtree`).
     """
-    if problem.form != LATTICE:
-        raise OracleError("conditioning on (t, j) applies to lattice form")
+    if problem.form == TREE:
+        return conditioned_subtree(problem, where, history)
+    t, j = where
     n = problem.dim
     history = np.asarray(history, dtype=float).reshape(-1)
     if history.shape[0] != t * n:
@@ -407,32 +354,21 @@ def _tail_value(reduced: Problem) -> float:
 def true_recourse_value(problem: Problem, where, history) -> float:
     """Exact risk-adjusted recourse aggregated at one history.
 
-    Lattice: ``where`` is the child stage ``t`` and ``history`` is
-    ``x_{0:t-1}``; the result is the stage-``t`` risk of the per-realization
-    tail values.  Tree: ``where`` is a node id and ``history`` runs through
-    that node's decision; the result aggregates its children under the
-    node's risk spec.  Infeasible histories report ``+inf``.
+    ``where`` is a pool key (a stage on a lattice, a node id on a tree) and
+    ``history`` is ``x_{0:s}`` for the stage ``s`` of the subproblems that
+    carry its rows; the result is the key's risk of the tail values of its
+    children.  Terminal keys report 0, infeasible histories ``+inf``.
     """
     history = np.asarray(history, dtype=float).reshape(-1)
-    if problem.form == LATTICE:
-        t = where
-        if t > problem.horizon:
-            return 0.0
-        probs = problem.stage_probs(t)
-        spec = problem.stages[t - 1].risk
-        values = [ _tail_value(conditioned_problem(problem, t, j, history))
-                   for j in range(probs.shape[0]) ]
-    else:
-        kids = problem.children(where)
-        if not kids:
-            return 0.0
-        probs = problem.child_probs(where)
-        spec = problem.node(where).risk
-        values = [ _tail_value(conditioned_subtree(problem, kid, history))
-                   for kid in kids ]
+    topo = problem.topology
+    if topo.terminal(where):
+        return 0.0
+    values = [_tail_value(conditioned_problem(problem, kid, history))
+              for kid in topo.children(where)]
     if any(math.isinf(v) for v in values):
         return math.inf
-    value, _ = risk_value_and_density(spec, probs, np.asarray(values))
+    value, _ = risk_value_and_density(topo.risk(where), topo.probs(where),
+                                      np.asarray(values))
     return value
 
 
@@ -442,16 +378,3 @@ def reference_value(problem: Problem) -> float:
         if spec.kind != "expectation":
             return exact_nested_decomposition(problem).value
     return extensive_form_value(problem)
-
-
-def grid_minimum(fun, lb, ub, points: int = 2001) -> float:
-    """Brute-force minimum of a scalar function over a box grid (<= 2 dims)."""
-    lb = np.asarray(lb, dtype=float).reshape(-1)
-    ub = np.asarray(ub, dtype=float).reshape(-1)
-    if lb.shape[0] > 2:
-        raise OracleError("grid search supports at most two dimensions")
-    axes = [np.linspace(lo, hi, points) for lo, hi in zip(lb, ub)]
-    best = math.inf
-    for point in itertools.product(*axes):
-        best = min(best, fun(np.array(point)))
-    return best

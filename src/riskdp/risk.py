@@ -32,7 +32,6 @@ logger = logging.getLogger(__name__)
 RISK_KINDS = ("expectation", "cvar", "mixture", "polytope")
 
 PROB_TOL = 1e-9   # probability vectors must sum to 1 within this
-DENSITY_TOL = 1e-9  # returned densities satisfy the base-set equation within this
 
 
 class RiskConfigError(ValueError):

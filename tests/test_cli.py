@@ -127,24 +127,36 @@ def test_oracle_reports_infeasible(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "infeasible"
 
 
-def test_check_cuts_accepts_a_real_run(newsvendor_file, tmp_path, capsys):
+@pytest.fixture(params=["lattice", "tree"])
+def solved_run(request, tmp_path):
+    """(problem file, cut dump) of a newsvendor solve: alg1 on the lattice,
+    alg3 on its tree twin."""
+    if request.param == "lattice":
+        problem, alg = make_newsvendor(), "alg1"
+    else:
+        problem, alg = make_newsvendor_tree(), "alg3"
+    path = tmp_path / f"{request.param}.json"
+    io.save_problem(problem, path)
     out = tmp_path / "run"
-    assert _run(["solve", newsvendor_file, "--out", out]) == cli.EXIT_OK
-    code = _run(["check-cuts", newsvendor_file, out / "cuts.csv", "--points", "25"])
+    assert _run(["solve", path, "--alg", alg, "--out", out]) == cli.EXIT_OK
+    return path, out / "cuts.csv"
+
+
+def test_check_cuts_accepts_a_real_run(solved_run, capsys):
+    problem_file, cuts_file = solved_run
+    code = _run(["check-cuts", problem_file, cuts_file, "--points", "25"])
     assert code == cli.EXIT_OK
     assert "0 violations" in capsys.readouterr().out
 
 
-def test_check_cuts_flags_a_tampered_dump(newsvendor_file, tmp_path, capsys):
-    out = tmp_path / "run"
-    assert _run(["solve", newsvendor_file, "--out", out]) == cli.EXIT_OK
-    path = out / "cuts.csv"
+def test_check_cuts_flags_a_tampered_dump(solved_run, capsys):
+    problem_file, path = solved_run
     lines = path.read_text().strip().split("\n")
     fields = lines[1].split(",")
     fields[3] = io.format_float(float(fields[3]) + 1.0)  # inflate one theta
     lines[1] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    code = _run(["check-cuts", newsvendor_file, path, "--points", "25"])
+    code = _run(["check-cuts", problem_file, path, "--points", "25"])
     assert code == cli.EXIT_INFEASIBLE
     captured = capsys.readouterr()
     assert "violation" in captured.err

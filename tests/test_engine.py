@@ -140,7 +140,7 @@ def test_feasibility_cut_recovers_hand_instance():
     res = engine.run(_single_feas_instance(), _cfg(algorithm="alg2"))
     assert res.status == engine.STATUS_STALL
     assert res.final_lower_bound == pytest.approx(1.5, abs=1e-9)
-    pool = res.pools.feas[2]
+    pool = res.pools.opt[2]
     assert len(pool.feasibility) == 1
     cut = pool.feasibility[0]
     assert np.allclose(cut.beta_tilde, [-1.0], atol=1e-9)
@@ -178,8 +178,8 @@ def test_backtracking_chains_through_two_stages():
     first = res.reports[0]
     assert first.backtracks == 2
     assert first.cuts_feas == {3: 1, 2: 1}
-    assert len(res.pools.feas[3].feasibility) == 1
-    assert len(res.pools.feas[2].feasibility) == 1
+    assert len(res.pools.opt[3].feasibility) == 1
+    assert len(res.pools.opt[2].feasibility) == 1
 
 
 def test_infeasible_instance_detected_at_first_iteration():
@@ -243,7 +243,7 @@ def test_sample_path_is_pure_and_matches_probabilities():
     first = engine.sample_path(problem, seed=3, k=11)
     again = engine.sample_path(problem, seed=3, k=11)
     assert first == again
-    assert first[1] == 0
+    assert first[1] == (1, 0)
     counts = {0: 0, 1: 0}
     second = [_payload(2, 1, prob=p, pieces=_linear_cost(2, [1.0]),
                        g=np.array([[0.0, -1.0, -1.0]]), h=np.array([-1.0]),
@@ -254,7 +254,7 @@ def test_sample_path_is_pure_and_matches_probabilities():
                            lower_value_bound=np.array([0.0]))
     draws = 2000
     for k in range(1, draws + 1):
-        counts[engine.sample_path(skewed, seed=5, k=k)[2]] += 1
+        counts[engine.sample_path(skewed, seed=5, k=k)[2][1]] += 1
     sigma = np.sqrt(draws * 0.3 * 0.7)
     assert abs(counts[0] - draws * 0.3) <= 3.0 * sigma
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from checks import evaluate_cost_and_history_subgradient
 from riskdp import model
 from riskdp.risk import RiskSpec
 
@@ -22,21 +23,21 @@ def _payload(t, n, *, prob=1.0, pieces=None, a=None, b=None, g=None, h=None, lb=
 
 def test_evaluate_cost_single_piece():
     cost = model.PwlConvexCost([[1.0, 1.0]], [0.0], dim=1)
-    value, sub = model.evaluate_cost_and_history_subgradient(cost, [2.0, 3.0])
+    value, sub = evaluate_cost_and_history_subgradient(cost, [2.0, 3.0])
     assert value == pytest.approx(5.0, abs=1e-12)
     assert np.allclose(sub, [1.0])
 
 
 def test_evaluate_cost_tie_breaks_lowest_index():
     cost = model.PwlConvexCost([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0], dim=1)
-    value, sub = model.evaluate_cost_and_history_subgradient(cost, [0.0, 7.0])
+    value, sub = evaluate_cost_and_history_subgradient(cost, [0.0, 7.0])
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(sub, [1.0])
 
 
 def test_evaluate_cost_two_pieces():
     cost = model.PwlConvexCost([[2.0, 1.0], [0.0, 3.0]], [0.0, -1.0], dim=1)
-    value, sub = model.evaluate_cost_and_history_subgradient(cost, [1.0, 1.0])
+    value, sub = evaluate_cost_and_history_subgradient(cost, [1.0, 1.0])
     assert value == pytest.approx(3.0, abs=1e-12)
     assert np.allclose(sub, [2.0])
 
@@ -46,11 +47,11 @@ def test_cost_partial_subgradient_inequality():
     n, t = 2, 3
     cost = model.PwlConvexCost(rng.normal(size=(4, t * n)), rng.normal(size=4), dim=n)
     x = rng.normal(size=t * n)
-    value, sub = model.evaluate_cost_and_history_subgradient(cost, x)
+    value, sub = evaluate_cost_and_history_subgradient(cost, x)
     for _ in range(100):
         xp = x.copy()
         xp[:(t - 1) * n] = rng.normal(size=(t - 1) * n)  # perturb the history block only
-        vp, _ = model.evaluate_cost_and_history_subgradient(cost, xp)
+        vp, _ = evaluate_cost_and_history_subgradient(cost, xp)
         assert vp >= value + sub @ (xp[:(t - 1) * n] - x[:(t - 1) * n]) - 1e-9
 
 

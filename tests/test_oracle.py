@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from checks import grid_minimum
+from conftest import lattice_to_tree
 from riskdp import model, oracle
 from riskdp.risk import RiskSpec
 
@@ -68,7 +70,7 @@ def test_grid_search_agrees_on_newsvendor():
     def total(x):
         return x[0] + 0.5 * (max(1.0 - x[0], 0.0) + max(2.0 - x[0], 0.0))
 
-    assert oracle.grid_minimum(total, [0.0], [2.0]) == pytest.approx(1.5, abs=1e-3)
+    assert grid_minimum(total, [0.0], [2.0]) == pytest.approx(1.5, abs=1e-3)
 
 
 def test_extensive_form_infeasible_reports_inf():
@@ -165,3 +167,25 @@ def test_nested_decomposition_on_tree_matches_lattice():
     res_t = engine.run(lattice, engine.RunConfig(max_iters=50, seed=1,
                                                  stall_window=3))
     assert res_t.final_lower_bound == pytest.approx(res_l.value, abs=1e-9)
+    twin = lattice_to_tree(lattice)
+    assert oracle.exact_nested_decomposition(twin).value == \
+        pytest.approx(res_l.value, abs=1e-9)
+    # the flattened LP of a risk-neutral lattice and of its explicit tree
+    neutral = _stochastic_three_stage()
+    assert oracle.extensive_form_value(lattice_to_tree(neutral)) == \
+        pytest.approx(oracle.extensive_form_value(neutral), abs=1e-9)
+    # a lattice stage pool carries the recourse of every same-stage tree node
+    averse = _stochastic_three_stage(
+        risk2=RiskSpec(kind="cvar", epsilon=0.5),
+        risk3=RiskSpec(kind="mixture", lam=0.5, epsilon=0.4))
+    averse_twin = lattice_to_tree(averse)
+    rng = np.random.default_rng(5)
+    for t in (2, 3):
+        nodes = averse_twin.nodes_at_depth(t - 1)
+        assert len(nodes) == 2 ** (t - 2)
+        for _ in range(3):
+            history = np.concatenate([averse.x0, rng.uniform(0.0, [2.0, 5.0][:t - 1])])
+            want = oracle.true_recourse_value(averse, t, history)
+            for m in nodes:
+                assert oracle.true_recourse_value(averse_twin, m, history) == \
+                    pytest.approx(want, abs=1e-9)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from checks import (check_subgradient, evaluate_cost_and_history_subgradient,
+                    subgradient_bound)
 from riskdp import engine, lp, model, valuefn
-from riskdp.cuts import OptimalityCut
+from riskdp.cuts import OptimalityCut, zero_terminal_pool
 
 
 def _payload(t, n, *, prob=1.0, pieces=None, a=None, b=None, g=None, h=None,
@@ -45,7 +47,7 @@ def test_static_inequality_contribution():
     assert ns.value == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(ns.pi, [1.0], atol=1e-9)
     # the slope comes entirely from the static inequality rows
-    parts = valuefn.assemble_pi(ns.sub, ns.duals, _merged_view_for(ns))
+    parts = valuefn.assemble_pi(ns.sub, ns.duals, _view_for(ns))
     assert np.allclose(parts.g_term, [1.0], atol=1e-9)
     assert np.allclose(parts.cost_term, [0.0], atol=1e-12)
     assert np.allclose(parts.eq_term, [0.0], atol=1e-12)
@@ -61,18 +63,15 @@ def test_equality_contribution_sign():
     ns = _solve_second_stage(_two_stage(pay), 1.0)
     assert ns.value == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(ns.pi, [-1.0], atol=1e-9)
-    parts = valuefn.assemble_pi(ns.sub, ns.duals, _merged_view_for(ns))
+    parts = valuefn.assemble_pi(ns.sub, ns.duals, _view_for(ns))
     assert np.allclose(parts.eq_term, [-1.0], atol=1e-9)
     assert np.allclose(parts.g_term, [0.0], atol=1e-12)
 
 
-def _merged_view_for(ns):
-    # rebuild the merged cut view the solve used (terminal zero pool, no
-    # feasibility rows) so the assembly can be decomposed term by term
-    from riskdp.cuts import CutPool, zero_terminal_pool
-    opt = zero_terminal_pool(2)
-    feas = CutPool(2)
-    return engine._merge_views(opt.view(1), feas.view(1))
+def _view_for(ns):
+    # rebuild the cut view the solve used (terminal zero pool, no feasibility
+    # rows) so the assembly can be decomposed term by term
+    return zero_terminal_pool(2).view(1)
 
 
 def test_cost_kink_uses_dual_weights():
@@ -85,24 +84,12 @@ def test_cost_kink_uses_dual_weights():
     ns = _solve_second_stage(_two_stage(pay), 1.0)
     assert ns.value == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(ns.pi, [1.0], atol=1e-9)
-    _, active_piece = model.evaluate_cost_and_history_subgradient(
+    _, active_piece = evaluate_cost_and_history_subgradient(
         pieces, np.concatenate([ns.sub.history[1:], ns.x]))
     assert np.allclose(active_piece, [2.0])  # the rule assemble_pi must not use
     for x1p in (0.75, 1.25):
         other = _solve_second_stage(_two_stage(pay), x1p)
         assert other.value >= ns.value + ns.pi @ np.array([x1p - 1.0]) - 1e-9
-
-
-def test_cost_override_passthrough():
-    pay = _payload(2, 1,
-                   pieces=model.PwlConvexCost([[0.0, 1.0]], [0.0], dim=1),
-                   lb=np.zeros(1), ub=np.array([1.0]))
-    ns = _solve_second_stage(_two_stage(pay), 1.0)
-    parts = valuefn.assemble_pi(ns.sub, ns.duals, _merged_view_for(ns),
-                                cost_subgrad=np.array([3.0]))
-    assert np.allclose(parts.cost_term, [3.0])
-    assert np.allclose(parts.s, parts.cost_term + parts.eq_term
-                       + parts.g_term + parts.cut_term)
 
 
 def test_cut_row_contribution():
@@ -122,6 +109,10 @@ def test_cut_row_contribution():
     ns = engine.solve_node(problem, (2, 0), np.array([0.0, 2.0]), pools)
     assert ns.value == pytest.approx(-3.0, abs=1e-9)
     assert np.allclose(ns.pi, [1.0], atol=1e-9)
+    parts = valuefn.assemble_pi(ns.sub, ns.duals, pools.rows_for((2, 0)).view(1))
+    assert np.allclose(parts.cut_term, [1.0], atol=1e-9)
+    assert np.allclose(parts.s, parts.cost_term + parts.eq_term
+                       + parts.g_term + parts.cut_term)
     shifted = engine.solve_node(problem, (2, 0), np.array([0.0, 3.0]), pools)
     assert shifted.value == pytest.approx(-2.0, abs=1e-9)
 
@@ -136,28 +127,28 @@ def test_assemble_pi_rejects_non_optimal():
                         dual_ineq=ns.duals.dual_ineq,
                         binding_ineq=ns.duals.binding_ineq, pivots=0)
     with pytest.raises(ValueError):
-        valuefn.assemble_pi(ns.sub, bad, _merged_view_for(ns))
+        valuefn.assemble_pi(ns.sub, bad, _view_for(ns))
 
 
 def test_subgradient_bound_values():
-    assert valuefn.subgradient_bound(5.0, 5.0, 1.0) == pytest.approx(0.0)
-    assert valuefn.subgradient_bound(10.0, 0.0, 2.0) == pytest.approx(5.0)
-    assert valuefn.subgradient_bound(3.5, 1.0, 0.5) == pytest.approx(5.0)
+    assert subgradient_bound(5.0, 5.0, 1.0) == pytest.approx(0.0)
+    assert subgradient_bound(10.0, 0.0, 2.0) == pytest.approx(5.0)
+    assert subgradient_bound(3.5, 1.0, 0.5) == pytest.approx(5.0)
     with pytest.raises(ValueError):
-        valuefn.subgradient_bound(1.0, 0.0, 0.0)
+        subgradient_bound(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        valuefn.subgradient_bound(0.0, 1.0, 1.0)
+        subgradient_bound(0.0, 1.0, 1.0)
 
 
 def test_check_subgradient_accepts_valid_slope():
-    report = valuefn.check_subgradient(lambda x: abs(x[0]), np.array([0.5]),
-                                       np.array([1.0]), n_samples=200, seed=1)
+    report = check_subgradient(lambda x: abs(x[0]), np.array([0.5]),
+                               np.array([1.0]), n_samples=200, seed=1)
     assert report == []
 
 
 def test_check_subgradient_flags_invalid_slope():
-    report = valuefn.check_subgradient(lambda x: abs(x[0]), np.array([0.5]),
-                                       np.array([2.0]), n_samples=200, seed=1)
+    report = check_subgradient(lambda x: abs(x[0]), np.array([0.5]),
+                               np.array([2.0]), n_samples=200, seed=1)
     assert report
     worst = report[0]
     assert worst["bound"] > worst["value"] + 1e-7
@@ -177,6 +168,6 @@ def test_check_subgradient_on_stage_value():
         except engine.EngineError:
             return math.inf
 
-    report = valuefn.check_subgradient(q_eval, np.array([0.5]), np.array([-1.0]),
-                                       n_samples=60, radius=2.0, seed=4)
+    report = check_subgradient(q_eval, np.array([0.5]), np.array([-1.0]),
+                               n_samples=60, radius=2.0, seed=4)
     assert report == []
