@@ -2,7 +2,8 @@
 
 The sampled cutting-plane solver only ever sees one scenario per iteration,
 yet its lower bound climbs to the exact optimum because every backward pass
-adds a cut that is valid for all scenarios at once.  The instance is tiny, so
+builds a cut that is valid for all scenarios at once (and pools it unless the
+pool already holds the same row).  The instance is tiny, so
 the flattened single LP over all scenarios gives an independent exact answer.
 """
 

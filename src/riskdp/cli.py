@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=".", help="artifact output directory")
     p_solve.add_argument("--risk-override", default=None,
                          help="expectation, cvar:EPS, or mixture:LAMBDA,EPS "
-                              "applied to every stage/node")
+                              "((1-LAMBDA)*E + LAMBDA*CVaR_EPS) applied to every "
+                              "stage/node")
 
     p_val = sub.add_parser("validate", help="parse and validate a problem file")
     p_val.add_argument("input", help="problem JSON file")

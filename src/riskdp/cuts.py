@@ -13,13 +13,22 @@ Two cut families live here:
   an elastic (phase-I) program and cut the anchor off by exactly the phase-I
   infeasibility measure.
 
-Pools are append-only (no pruning, no dedup of optimality cuts): the lower
-approximations they induce are then monotone in the iteration index, which the
-convergence argument and the anchor-equality runtime assertion both rely on.
+Pools are append-only (no pruning): the lower approximations they induce are
+then monotone in the iteration index, which the convergence argument and the
+anchor-equality runtime assertion both rely on.  One dedup rule applies to
+optimality cuts, keyed by the LP row a cut contributes: a cut whose ``beta``
+and intercept ``<beta, anchor> - theta`` both lie within :data:`CUT_ROW_TOL`
+of a pooled cut's is the same affine function as that cut, so it is not
+appended (:meth:`CutPool.append_optimality` returns False).  Skipping it
+leaves the pool's maximum unchanged, so monotonicity holds, and the anchor
+check below still runs on it first.
+
 Every optimality-cut append asserts that the pool evaluated at the new cut's
-anchor equals the new theta to within :data:`ANCHOR_EQ_TOL` — older cuts were
-built from dominated approximations, so none of them may exceed the fresh
-value at its own anchor.
+anchor, the new cut included, equals the new theta to within
+:data:`ANCHOR_EQ_TOL` — older cuts were built from dominated approximations,
+so none of them may exceed the fresh value at its own anchor.  A skipped
+duplicate is held to the same check: its pooled twin attains the same value
+there, so a duplicate that breaks anchor equality still raises.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .risk import RiskSpec, risk_value_and_density
 logger = logging.getLogger(__name__)
 
 ANCHOR_EQ_TOL = 1e-9      # pool-at-anchor must equal the new theta within this
+CUT_ROW_TOL = 1e-11       # optimality cuts whose LP rows agree within this are one cut
 FEAS_DUP_TOL = 1e-12      # two feasibility cuts closer than this are duplicates
 PHASE1_THRESHOLD = 1e-7   # phase-I values above this mean "infeasible history"
 
@@ -60,6 +70,11 @@ class OptimalityCut:
 
     def value_at(self, x: np.ndarray) -> float:
         return self.theta + float(self.beta @ (np.asarray(x, dtype=float) - self.anchor))
+
+    @property
+    def rhs_const(self) -> float:
+        """``<beta, anchor> - theta``: the cut's LP row is ``<beta, x> - z <= rhs_const``."""
+        return float(self.beta @ self.anchor) - self.theta
 
 
 @dataclass
@@ -116,17 +131,28 @@ class CutPool:
     def __len__(self) -> int:
         return len(self.optimality)
 
-    def append_optimality(self, cut: OptimalityCut) -> None:
+    def append_optimality(self, cut: OptimalityCut) -> bool:
+        """Append ``cut`` unless its LP row is already pooled; True when appended.
+
+        Raises :class:`CutError` on a malformed cut or when anchor equality
+        fails, whether or not the cut is a duplicate.
+        """
         if cut.beta.shape[0] != self.arg_dim or cut.anchor.shape[0] != self.arg_dim:
             raise CutError(f"cut dimension {cut.beta.shape[0]} != pool dimension {self.arg_dim}")
         if not math.isfinite(cut.theta) or not np.all(np.isfinite(cut.beta)):
             raise CutError("non-finite optimality cut")
-        self.optimality.append(cut)
-        check = evaluate_pool(self, cut.anchor)
+        check = max(evaluate_pool(self, cut.anchor), cut.theta)
         if abs(check - cut.theta) > ANCHOR_EQ_TOL:
             raise CutError(
                 f"pool-at-anchor mismatch: pool value {check!r} vs new theta {cut.theta!r} "
                 f"(stage {cut.stage}, iteration {cut.iteration})")
+        rhs = cut.rhs_const
+        for old in self.optimality:
+            if (abs(old.rhs_const - rhs) <= CUT_ROW_TOL
+                    and np.max(np.abs(old.beta - cut.beta), initial=0.0) <= CUT_ROW_TOL):
+                return False
+        self.optimality.append(cut)
+        return True
 
     def append_feasibility(self, cut: FeasibilityCut) -> None:
         if cut.beta_tilde.shape[0] != self.arg_dim:
@@ -149,7 +175,7 @@ class CutPool:
         n_f = len(self.feasibility)
         opt_beta = (np.vstack([c.beta for c in self.optimality]) if n_o
                     else np.zeros((0, d)))
-        opt_rhs = np.array([float(c.beta @ c.anchor) - c.theta for c in self.optimality])
+        opt_rhs = np.array([c.rhs_const for c in self.optimality])
         feas_beta = (np.vstack([c.beta_tilde for c in self.feasibility]) if n_f
                      else np.zeros((0, d)))
         feas_rhs = np.array([c.theta_tilde for c in self.feasibility])

@@ -94,18 +94,30 @@ class RunConfig:
 
 @dataclass
 class IterationReport:
+    """One iteration of a run.
+
+    ``cuts_opt`` and ``cuts_feas`` count the cuts that entered a pool, by
+    stage; ``cuts_skipped`` counts, by pool key, the optimality cuts built but
+    not appended because their LP row was already pooled.
+    """
+
     k: int
     path: tuple
     lower_bound: float
     x1: np.ndarray
     cuts_opt: dict[int, int] = field(default_factory=dict)
     cuts_feas: dict[int, int] = field(default_factory=dict)
+    cuts_skipped: dict = field(default_factory=dict)
     backtracks: int = 0
     wall_ms: float = 0.0
 
     @property
     def n_cuts_opt(self) -> int:
         return sum(self.cuts_opt.values())
+
+    @property
+    def n_cuts_skipped(self) -> int:
+        return sum(self.cuts_skipped.values())
 
     @property
     def n_cuts_feas(self) -> int:
@@ -334,8 +346,11 @@ class _Driver:
             self.pi_norm_first[t] = max(self.pi_norm_first.get(t, 0.0), norm)
 
     def _build_cut_at(self, t: int, path: list, decisions: list[np.ndarray], k: int,
-                      counters: dict[int, int]):
+                      counters: dict[int, int], skipped: dict):
         """Solve every child of the pool aggregating ``path[t]`` and append the cut.
+
+        The cut counts in ``counters`` (by stage) when it enters the pool and
+        in ``skipped`` (by pool key) when the pool already holds its LP row.
 
         Returns the child positions and their solutions so the forward timing
         can reuse the sampled child's decision without a second solve.
@@ -358,8 +373,10 @@ class _Driver:
         cut = build_optimality_cut([ns.value for ns in sols], [ns.pi for ns in sols],
                                    topo.probs(key), topo.risk(key), hist[p.dim:],
                                    stage=key, iteration=k)
-        self.pools.opt[key].append_optimality(cut)
-        counters[t] = counters.get(t, 0) + 1
+        if self.pools.opt[key].append_optimality(cut):
+            counters[t] = counters.get(t, 0) + 1
+        else:
+            skipped[key] = skipped.get(key, 0) + 1
         return wheres, sols
 
     def _gate(self, t: int, path: list, decisions: list[np.ndarray], k: int,
@@ -398,6 +415,7 @@ class _Driver:
         path = sample_path(p, cfg.seed, k)
         counters_opt: dict[int, int] = {}
         counters_feas: dict[int, int] = {}
+        skipped: dict = {}
         backtracks = 0
         alg2 = cfg.algorithm == "alg2"
         forward_cuts = cfg.cut_timing == "forward"
@@ -426,7 +444,7 @@ class _Driver:
             else:
                 if forward_cuts:
                     wheres, sols = self._build_cut_at(s, path, decisions, k,
-                                                      counters_opt)
+                                                      counters_opt, skipped)
                     ns = sols[wheres.index(path[s])]
                 else:
                     ns = solve_node(p, path[s],
@@ -435,12 +453,13 @@ class _Driver:
             s += 1
         if not forward_cuts:
             for t in range(t_end, 1, -1):
-                self._build_cut_at(t, path, decisions, k, counters_opt)
+                self._build_cut_at(t, path, decisions, k, counters_opt, skipped)
         self.stage1 = self._solve_stage1()  # fresh bound, handed to iteration k+1
         wall_ms = (time.perf_counter() - started) * 1000.0
         return IterationReport(k=k, path=tuple(path[1:]), lower_bound=lb_report,
                                x1=x1_report, cuts_opt=counters_opt,
-                               cuts_feas=counters_feas, backtracks=backtracks,
+                               cuts_feas=counters_feas, cuts_skipped=skipped,
+                               backtracks=backtracks,
                                wall_ms=wall_ms)
 
 
@@ -523,10 +542,10 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
         reports.append(report)
         fresh = driver.stage1.value
         improvement = fresh - report.lower_bound
-        logger.info("iteration %d: lower bound %.12g (+%.3g), %d optimality / %d "
-                    "feasibility cuts, %d backtracks", k, report.lower_bound,
-                    improvement, report.n_cuts_opt, report.n_cuts_feas,
-                    report.backtracks)
+        logger.info("iteration %d: lower bound %.12g (+%.3g), %d optimality "
+                    "(%d duplicates skipped) / %d feasibility cuts, %d backtracks",
+                    k, report.lower_bound, improvement, report.n_cuts_opt,
+                    report.n_cuts_skipped, report.n_cuts_feas, report.backtracks)
         if mode == "every" and k % every == 0:
             oracle_value = _oracle_value(problem)
             logger.info("iteration %d: oracle %.12g, gap %.3e", k, oracle_value,
@@ -538,9 +557,15 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
                 break
         else:
             stall_run = 0
+    topo = problem.topology
+    skipped = {key: 0 for key in topo.keys if not topo.terminal(key)}
+    for report in reports:
+        for key, count in report.cuts_skipped.items():
+            skipped[key] += count
     diagnostics = {
         "pi_norm_max": dict(sorted(driver.pi_norm_max.items())),
         "pi_norm_first5": dict(sorted(driver.pi_norm_first.items())),
+        "cuts_skipped": skipped,
     }
     for t, total in driver.pi_norm_max.items():
         first = driver.pi_norm_first.get(t, 0.0)

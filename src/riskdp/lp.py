@@ -38,6 +38,7 @@ UNBOUNDED = "unbounded"
 # Numerical tolerances (problems in this package are desk scale, entries O(1e2)).
 RC_TOL = 1e-9           # reduced-cost threshold for optimality
 PIVOT_TOL = 1e-10       # smallest usable pivot element magnitude
+DRIVE_OUT_REL_TOL = 1e-9  # artificial drive-out: pivot floor relative to its column
 RATIO_TIE_TOL = 1e-9    # ratio-test tie window
 STEP_TOL = 1e-12        # steps below this count as degenerate
 PHASE1_TOL = 1e-9       # residual infeasibility above this means infeasible
@@ -233,6 +234,7 @@ class _Simplex:
         self.artificials = np.array(art_cols, dtype=int)
         self.ncols = self.a.shape[1]
         self.allowed = np.ones(self.ncols, dtype=bool)
+        self.redundant = np.zeros(m, dtype=bool)  # rows whose artificial stays basic
         self._refactor()
 
     # -- linear algebra ----------------------------------------------------
@@ -302,8 +304,9 @@ class _Simplex:
             lo = self.lower[bas]
             up = self.upper[bas]
             limits = np.full(self.m, np.inf)
-            dec_ok = (dw > PIVOT_TOL) & np.isfinite(lo)   # basic drops to its lower bound
-            inc_ok = (dw < -PIVOT_TOL) & np.isfinite(up)  # basic rises to its upper bound
+            # a redundant row's tableau entries are rounding noise: it never limits
+            dec_ok = (dw > PIVOT_TOL) & np.isfinite(lo) & ~self.redundant  # drops to lower
+            inc_ok = (dw < -PIVOT_TOL) & np.isfinite(up) & ~self.redundant  # rises to upper
             limits[dec_ok] = (xb[dec_ok] - lo[dec_ok]) / dw[dec_ok]
             limits[inc_ok] = (xb[inc_ok] - up[inc_ok]) / dw[inc_ok]
             limits = np.maximum(limits, 0.0)
@@ -394,18 +397,24 @@ class _Simplex:
                 self._apply_pivot(j, direction, step, leave, leave_to, w)
 
     def _drive_out_artificials(self) -> None:
+        a_real = self.a[:, :self.n_real]
         for row in range(self.m):
             col = self.basis[row]
             if col < self.n_real:
                 continue
-            tab_row = self.b_inv[row, :] @ self.a[:, :self.n_real]
-            cand = np.flatnonzero((np.abs(tab_row) > PIVOT_TOL)
-                                  & (self.status_col[:self.n_real] != _BASIC))
-            if cand.size == 0:
-                # Redundant row: freeze the artificial at zero.
+            tableau = self.b_inv @ a_real
+            tab_row = np.abs(tableau[row])
+            # an entry that is tiny against its own tableau column is rounding
+            # noise of a redundant row, not a pivot
+            noise = DRIVE_OUT_REL_TOL * np.abs(tableau).max(axis=0)
+            size = np.where((tab_row > np.maximum(PIVOT_TOL, noise))
+                            & (self.status_col[:self.n_real] != _BASIC), tab_row, 0.0)
+            if not size.any():
+                # Redundant row: freeze the artificial at zero, basic for good.
                 self.upper[col] = 0.0
+                self.redundant[row] = True
                 continue
-            j = int(cand[0])
+            j = int(np.argmax(size))  # the largest pivot, first index on ties
             w = self.b_inv @ self.a[:, j]
             self.status_col[col] = _AT_LOWER
             self.x[col] = 0.0

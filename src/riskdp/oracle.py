@@ -8,7 +8,7 @@ arithmetic:
   simplex/barrier implementation (the only place the package relies on one);
 * :func:`exact_nested_decomposition` — sweep-based nested decomposition that
   visits *every* node each sweep (no sampling) and stops only when the
-  first-stage value repeats and a full sweep produces no new distinct cut.
+  first-stage value repeats and a full sweep adds no cut to any pool.
   It handles every supported risk spec.
 
 :func:`true_recourse_value` evaluates the exact risk-adjusted
@@ -33,7 +33,6 @@ from .risk import RiskSpec, risk_value_and_density
 
 MAX_SWEEPS = 10_000
 VALUE_REPEAT_TOL = 1e-10
-CUT_DISTINCT_TOL = 1e-11
 
 
 class OracleError(RuntimeError):
@@ -179,23 +178,18 @@ def _risk_specs(problem: Problem):
 # exact nested decomposition
 # ---------------------------------------------------------------------------
 
-def _distinct(pool, theta: float, beta: np.ndarray) -> bool:
-    for cut in pool.optimality:
-        if (abs(cut.theta - theta) <= CUT_DISTINCT_TOL
-                and np.max(np.abs(cut.beta - beta), initial=0.0) <= CUT_DISTINCT_TOL):
-            return False
-    return True
-
-
 def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -> NDResult:
     """Sampling-free nested decomposition to convergence.
 
     Each sweep makes a forward pass visiting every node of the (expanded)
-    tree, then a backward pass appending one cut per visited history.  A cut
-    numerically identical to one already pooled is skipped; the run stops
-    when the first-stage value repeats within ``1e-10`` and a sweep adds no
-    distinct cut.  With finitely many LP bases this terminates at the exact
-    value.
+    tree, then a backward pass building one cut per visited history.  The
+    pool's one dedup rule (:meth:`~riskdp.cuts.CutPool.append_optimality`)
+    skips a cut whose LP row — ``beta`` and ``<beta, anchor> - theta`` within
+    :data:`~riskdp.cuts.CUT_ROW_TOL` — is already pooled, whatever its anchor
+    and ``theta``; the anchor-equality check still runs on every built cut,
+    and pools only grow, so the first-stage value is monotone.  The run stops
+    when that value repeats within ``1e-10`` and a sweep appends no cut.  With
+    finitely many LP bases this terminates at the exact value.
     """
     topo = problem.topology
     pools = PoolSet(problem)
@@ -216,9 +210,7 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
                 cut = build_optimality_cut(
                     [s.value for s in sols], [s.pi for s in sols], topo.probs(key),
                     topo.risk(key), hist[n:], stage=key, iteration=sweep)
-                target = pools.opt[key]
-                if _distinct(target, cut.theta, cut.beta):
-                    target.append_optimality(cut)
+                if pools.opt[key].append_optimality(cut):
                     added += 1
         n_cuts += added
         value = solve_node(problem, topo.first, problem.x0, pools).value

@@ -8,8 +8,9 @@ is the nominal probability vector and P is a subset of the dual base set
 * ``expectation`` — P = {1}.
 * ``cvar`` — P = {p in D : p <= 1/epsilon}; the maximizer is computed
   analytically (sort outcomes by value, fill the density cap greedily).
-* ``mixture`` — lam * expectation + (1 - lam) * cvar, realized as the
-  corresponding convex combination of densities.
+* ``mixture`` — (1 - lam) * expectation + lam * cvar, the convention of the
+  source paper, realized as the corresponding convex combination of
+  densities; ``lam`` is the weight of the tail.
 * ``polytope`` — P = D intersected with user rows ``a . p <= rhs``; the
   maximizer is found by our own simplex solver.
 
@@ -49,7 +50,8 @@ class RiskSpec:
     epsilon : float, optional
         Tail level for ``cvar`` / ``mixture``; must lie in (0, 1].
     lam : float, optional
-        Expectation weight for ``mixture``; must lie in [0, 1].
+        CVaR (tail) weight for ``mixture``, which is
+        ``(1 - lam) * E + lam * CVaR_epsilon``; must lie in [0, 1].
     rows : list of (array, float), optional
         Halfspaces ``a . p <= rhs`` for ``polytope``.
     """
@@ -158,7 +160,7 @@ def risk_value_and_density(spec: RiskSpec, probs, values) -> tuple[float, np.nda
         p = _cvar_density(spec.epsilon, probs, values)
     elif spec.kind == "mixture":
         p_tail = _cvar_density(spec.epsilon, probs, values)
-        p = spec.lam * np.ones_like(probs) + (1.0 - spec.lam) * p_tail
+        p = (1.0 - spec.lam) * np.ones_like(probs) + spec.lam * p_tail
     else:  # polytope
         p = _polytope_density(spec, probs, values)
     value = float((p * probs) @ values)

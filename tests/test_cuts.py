@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from riskdp import cuts, lp
+from conftest import random_lattice_instance
+from riskdp import cuts, engine, lp, model
 from riskdp.risk import RiskSpec
 
 
@@ -169,3 +171,88 @@ def test_append_checks_dimensions():
         pool.append_optimality(_cut(0.0, [1.0], [0.0]))
     with pytest.raises(cuts.CutError):
         pool.append_optimality(_cut(np.nan, [0.0, 0.0], [0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the dedup rule: one LP row, one pooled cut
+# ---------------------------------------------------------------------------
+
+def test_same_lp_row_with_other_theta_and_anchor_is_skipped():
+    pool = cuts.CutPool(1)
+    assert pool.append_optimality(_cut(1.0, [2.0], [0.0]))
+    # 3 + 2 (x - 1) = 1 + 2 x: the same row -2 <= ... with rhs_const -1
+    twin = _cut(3.0, [2.0], [1.0])
+    assert twin.rhs_const == pool.optimality[0].rhs_const
+    assert not pool.append_optimality(twin)
+    assert len(pool.optimality) == 1
+    # within the row tolerance still counts as the same row
+    assert not pool.append_optimality(_cut(1.0 + 0.5 * cuts.CUT_ROW_TOL,
+                                           [2.0], [0.0]))
+    assert len(pool.optimality) == 1
+
+
+def test_parallel_cut_with_a_higher_intercept_is_kept():
+    pool = cuts.CutPool(1)
+    assert pool.append_optimality(_cut(1.0, [1.0], [0.0]))       # 1 + x
+    # same theta and beta, anchor -1: the function 2 + x lies above 1 + x
+    higher = _cut(1.0, [1.0], [-1.0])
+    assert pool.append_optimality(higher)
+    assert len(pool.optimality) == 2
+    assert cuts.evaluate_pool(pool, np.array([0.0])) == pytest.approx(2.0)
+
+
+def test_duplicate_breaking_anchor_equality_still_raises():
+    pool = cuts.CutPool(1)
+    pool.append_optimality(_cut(1.0, [1.0], [0.0]))              # 1 + x
+    pool.append_optimality(_cut(5.0, [0.0], [0.0]))              # 5
+    # 3 + (x - 2) is the row of 1 + x, but the pool reads 5 at x = 2
+    with pytest.raises(cuts.CutError, match="pool-at-anchor mismatch"):
+        pool.append_optimality(_cut(3.0, [1.0], [2.0]))
+    assert len(pool.optimality) == 2
+
+
+def _tangent_cuts(rng, arg_dim, n_pieces, n_cuts):
+    """Cuts of ``max_i <B_i, x> + c_i`` at random anchors: the active piece.
+
+    Every such cut attains the function at its anchor and lies below it
+    elsewhere, so they satisfy anchor equality in any order; anchors that
+    share an active piece give the same LP row.
+    """
+    slopes = rng.uniform(-1.0, 1.0, size=(n_pieces, arg_dim))
+    consts = rng.uniform(-1.0, 1.0, size=n_pieces)
+    out = []
+    for k, anchor in enumerate(rng.uniform(0.0, 3.0, size=(n_cuts, arg_dim))):
+        values = slopes @ anchor + consts
+        i = int(np.argmax(values))
+        out.append(cuts.OptimalityCut(theta=float(values[i]), beta=slopes[i].copy(),
+                                      anchor=anchor, iteration=k + 1, stage=3))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_deduped_pool_matches_the_full_list(seed):
+    rng = np.random.default_rng(seed)
+    problem = random_lattice_instance(rng, 3, 2, 2)
+    n = problem.dim
+    n_pieces = int(rng.integers(1, 5))
+    built = _tangent_cuts(rng, 2 * n, n_pieces, 30)
+    deduped = cuts.CutPool(2 * n)
+    kept = [c for c in built if deduped.append_optimality(c)]
+    assert len(deduped.optimality) == len(kept) <= n_pieces
+    assert all(a is b for a, b in zip(deduped.optimality, kept))
+    full = cuts.CutPool(2 * n)
+    full.optimality.extend(built)           # the unselected path: every cut
+    for x in rng.uniform(-1.0, 4.0, size=(20, 2 * n)):
+        assert cuts.evaluate_pool(deduped, x) == pytest.approx(
+            cuts.evaluate_pool(full, x), abs=1e-9)
+    for j in range(2):
+        x1 = rng.uniform(problem.stages[0].realizations[0].lb,
+                         problem.stages[0].realizations[0].ub)
+        sub = model.assemble_subproblem(problem, (2, j), np.concatenate([problem.x0, x1]))
+        objs = []
+        for pool in (deduped, full):
+            sol = lp.solve(engine.build_stage_lp(sub, pool.view(n), problem.z_lower(2)))
+            assert sol.status == lp.OPTIMAL
+            objs.append(sol.objective)
+        assert objs[0] == pytest.approx(objs[1], abs=1e-9)

@@ -81,15 +81,18 @@ def test_newsvendor_tail_risk_converges():
 
 
 def test_mixture_matches_equivalent_density_polytope():
-    lam, eps = 0.5, 0.5
+    # (1 - lam) * E + lam * CVaR_eps: densities between 1 - lam and
+    # 1 - lam + lam / eps; lam != 1/2 tells the weight of the tail apart
+    lam, eps = 0.3, 0.5
     mix = RiskSpec(kind="mixture", epsilon=eps, lam=lam)
-    cap = lam + (1.0 - lam) / eps
+    floor = 1.0 - lam
+    cap = floor + lam / eps
     rows = []
     for j in range(2):
         e = np.zeros(2)
         e[j] = 1.0
         rows.append((e.copy(), cap))       # density ceiling
-        rows.append((-e, -lam))            # density floor
+        rows.append((-e, -floor))          # density floor
     poly = RiskSpec(kind="polytope", rows=rows)
     res_mix = engine.run(_newsvendor(mix), _cfg())
     res_poly = engine.run(_newsvendor(poly), _cfg())

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (make_chain_instance, make_feasibility_instance,
-                      make_newsvendor, make_newsvendor_tree)
+from conftest import (lattice_to_tree, make_chain_instance,
+                      make_feasibility_instance, make_newsvendor,
+                      make_newsvendor_tree, random_lattice_instance)
 from riskdp import engine, io, model
 from riskdp.risk import RiskSpec
 
@@ -212,6 +213,39 @@ def test_cuts_csv_round_trip_and_zero_pool_exclusion(tmp_path):
         assert rec.theta == cut.theta
         assert np.array_equal(rec.beta, cut.beta)
         assert np.array_equal(rec.anchor, cut.anchor)
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg3"])
+def test_logged_cut_counts_match_the_dump(tmp_path, monkeypatch, algorithm):
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    real_build = engine.build_optimality_cut
+    monkeypatch.setattr(engine, "build_optimality_cut", counting_build)
+    problem = random_lattice_instance(np.random.default_rng(3), 3, 2, 2,
+                                      risk=RiskSpec(kind="cvar", epsilon=0.5))
+    if algorithm == "alg3":
+        problem = lattice_to_tree(problem)
+    res = engine.run(problem, _cfg(algorithm=algorithm, max_iters=30,
+                                   stall_window=30))
+    io.write_iterations_csv(tmp_path / "iterations.csv", res, problem.dim)
+    io.write_cuts_csv(tmp_path / "cuts.csv", res.pools)
+    lines = (tmp_path / "iterations.csv").read_text().strip().split("\n")
+    column = lines[0].split(",").index("cuts_opt_added")
+    added = sum(int(line.split(",")[column]) for line in lines[1:])
+    dumped = [r for r in io.read_cuts_csv(tmp_path / "cuts.csv")
+              if r.kind == io.CUT_KIND_OPTIMALITY]
+    assert added == len(dumped) == res.pools.n_optimality_cuts()
+    skipped = sum(r.n_cuts_skipped for r in res.reports)
+    assert skipped > 0
+    assert added + skipped == len(built)
+    totals = res.diagnostics["cuts_skipped"]
+    assert sum(totals.values()) == skipped
+    for key, count in totals.items():
+        assert count == sum(r.cuts_skipped.get(key, 0) for r in res.reports)
 
 
 def test_cuts_csv_feasibility_rows_lack_anchor(tmp_path):

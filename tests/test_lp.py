@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from riskdp import lp
@@ -214,3 +214,141 @@ def test_validation_errors():
         lp.LpProblem(c=[1.0], a_eq=[[1.0, 2.0]], b_eq=[0.0])
     with pytest.raises(ValueError):
         lp.LpProblem(c=[1.0], lower=[2.0], upper=[1.0])
+
+
+# ---------------------------------------------------------------------------
+# differential fuzzing against tight-tolerance HiGHS on degenerate LPs
+# ---------------------------------------------------------------------------
+
+# HiGHS's presolve reported "infeasible" for a feasible, unbounded LP of this
+# family, so the reference runs its simplex without presolve.
+_HIGHS_TIGHT = {"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10}
+_HIGHS_STATUS = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}
+_SMALL = st.integers(min_value=-2, max_value=2)
+
+
+def _highs(prob: lp.LpProblem):
+    return linprog(prob.c, A_eq=prob.a_eq if prob.a_eq.size else None,
+                   b_eq=prob.b_eq if prob.b_eq.size else None,
+                   A_ub=prob.a_ub if prob.a_ub.size else None,
+                   b_ub=prob.b_ub if prob.b_ub.size else None,
+                   bounds=list(zip(prob.lower, prob.upper)), method="highs",
+                   options=_HIGHS_TIGHT)
+
+
+def _scaled(c, a_eq, b_eq, a_ub, b_ub, lower, upper, e_eq, e_ub, e_col):
+    """The LP with row ``i`` scaled by ``10**e[i]`` and ``x_j = 10**e_col[j] y_j``."""
+    rs_eq, rs_ub, cs = (10.0 ** np.asarray(e, dtype=float) for e in (e_eq, e_ub, e_col))
+    a_eq, a_ub = np.asarray(a_eq, dtype=float), np.asarray(a_ub, dtype=float)
+    return lp.LpProblem(c=np.asarray(c, dtype=float) * cs,
+                        a_eq=(a_eq * cs) * rs_eq[:, None], b_eq=np.asarray(b_eq) * rs_eq,
+                        a_ub=(a_ub * cs) * rs_ub[:, None], b_ub=np.asarray(b_ub) * rs_ub,
+                        lower=np.asarray(lower, dtype=float) / cs,
+                        upper=np.asarray(upper, dtype=float) / cs)
+
+
+@st.composite
+def degenerate_lps(draw):
+    """Small LPs with duplicate rows, redundant equalities, zero costs, every
+    bound type (free, one-sided, boxed, fixed) and power-of-ten scaling.
+
+    Integer data keeps ties and degenerate vertices exact before scaling.
+    Right-hand sides are either planted at an integer point inside the box
+    (feasible) or drawn freely (possibly infeasible).
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    lower, upper = [], []
+    for _ in range(n):
+        lo = draw(_SMALL)
+        kind = draw(st.sampled_from(["free", "lower", "upper", "box", "fixed"]))
+        width = draw(st.integers(min_value=0, max_value=3))
+        lower.append(-np.inf if kind in ("free", "upper") else float(lo))
+        upper.append({"free": np.inf, "lower": np.inf, "upper": float(lo),
+                      "box": float(lo + width), "fixed": float(lo)}[kind])
+    lower, upper = np.array(lower), np.array(upper)
+    c = np.array(draw(st.lists(_SMALL, min_size=n, max_size=n)), dtype=float)
+    point = np.array([draw(_SMALL) for _ in range(n)], dtype=float)
+    point = np.clip(point, lower, upper)
+    planted = draw(st.booleans())
+
+    def rows(count):
+        a = np.array([draw(st.lists(_SMALL, min_size=n, max_size=n))
+                      for _ in range(count)], dtype=float).reshape(count, n)
+        b = (a @ point if planted
+             else np.array([draw(_SMALL) for _ in range(count)], dtype=float))
+        return a, b
+
+    a_eq, b_eq = rows(draw(st.integers(min_value=0, max_value=3)))
+    a_ub, b_ub = rows(draw(st.integers(min_value=0, max_value=3)))
+    if planted:
+        b_ub = b_ub + np.array([draw(st.integers(0, 1)) for _ in b_ub], dtype=float)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        # a copy, a multiple or a sum of existing rows, right-hand side included
+        eq = draw(st.booleans()) and a_eq.shape[0] > 0
+        a, b = (a_eq, b_eq) if eq else (a_ub, b_ub)
+        if a.shape[0] == 0:
+            continue
+        i = draw(st.integers(0, a.shape[0] - 1))
+        j = draw(st.integers(0, a.shape[0] - 1))
+        scale = float(draw(st.integers(1, 2)))
+        row, rhs = scale * a[i] + (a[j] if eq else 0.0), scale * b[i] + (b[j] if eq else 0.0)
+        a, b = np.vstack([a, row]), np.append(b, rhs)
+        if eq:
+            a_eq, b_eq = a, b
+        else:
+            a_ub, b_ub = a, b
+    exponents = st.integers(min_value=-3, max_value=3)
+    e_eq = [draw(exponents) for _ in range(a_eq.shape[0])]
+    e_ub = [draw(exponents) for _ in range(a_ub.shape[0])]
+    e_col = [draw(exponents) for _ in range(n)]
+    return _scaled(c, a_eq, b_eq, a_ub, b_ub, lower, upper, e_eq, e_ub, e_col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_lps())
+def test_degenerate_lp_against_tight_highs(prob):
+    sol = lp.solve(prob)
+    ref = _highs(prob)
+    assume(ref.status in _HIGHS_STATUS)  # HiGHS gave up (status 4): no verdict
+    assert sol.status == _HIGHS_STATUS[ref.status]
+    if sol.status == lp.OPTIMAL:
+        assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+
+
+# Scaled degenerate LPs the fuzzing above turned up.  Each has a redundant
+# equality row whose tableau entries after phase 1 are rounding noise above
+# PIVOT_TOL: pivoting the artificial out on such an entry returned a point
+# violating the equalities (the first two) or hit a singular basis (the third).
+_NOISY_REDUNDANT_ROWS = [
+    dict(c=[-1, 0, 0, -2],
+         a_eq=[[-2, 1, 0, 2], [-1, 2, -2, 2], [2, 2, -1, 0], [-6, 3, 0, 6], [-3, 6, -6, 6]],
+         b_eq=[2, 7, 4, 6, 21],
+         a_ub=[[-1, 1, 2, 1], [-2, -1, 2, 0], [-1, 2, 2, -1]], b_ub=[-2, -3, 3],
+         lower=[-2, 2, -np.inf, -2], upper=[-1, 2, -2, 1],
+         e_eq=[3, 1, 1, 3, 1], e_ub=[0, 0, 1], e_col=[1, 2, 1, -1]),
+    dict(c=[-1, -1, -1, 0, 1],
+         a_eq=[[2, 1, 2, 0, 2], [1, 1, 1, -2, 2], [3, 2, 3, -2, 4], [4, 3, 4, -4, 6]],
+         b_eq=[4, 6, 10, 16],
+         a_ub=[[0, 1, -1, 0, -2], [-1, 2, 2, -2, 2]], b_ub=[-4, 0],
+         lower=[-np.inf, -2, -1, -np.inf, 0], upper=[np.inf, -2, np.inf, -2, 1],
+         e_eq=[3, 3, 1, 3], e_ub=[2, -3], e_col=[-1, -2, 0, -1, -1]),
+    dict(c=[0, 1, -2, 1],
+         a_eq=[[1, 2, 1, 1], [1, 1, -1, -2], [3, 5, 1, 0], [7, 11, 1, -2]],
+         b_eq=[1, -3, -1, -5],
+         a_ub=[[0, -1, -1, -2], [2, 0, 2, 2]], b_ub=[-1, 3],
+         lower=[-np.inf] * 4, upper=[-1, 0, np.inf, 0],
+         e_eq=[3, 3, 0, -2], e_ub=[0, -3], e_col=[-2, 1, -2, 2]),
+]
+
+
+@pytest.mark.parametrize("data", _NOISY_REDUNDANT_ROWS)
+def test_noisy_redundant_row_is_not_a_pivot(data):
+    prob = _scaled(**data)
+    sol = lp.solve(prob)
+    ref = _highs(prob)
+    assert ref.status == 0
+    assert sol.status == lp.OPTIMAL
+    assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+    scale = np.abs(prob.a_eq).max(axis=1)
+    assert np.all(np.abs(prob.a_eq @ sol.x - prob.b_eq) <= 1e-9 * scale)

@@ -7,7 +7,8 @@ import pytest
 
 from checks import grid_minimum
 from conftest import lattice_to_tree
-from riskdp import model, oracle
+from riskdp import engine, model, oracle
+from riskdp.cuts import CUT_ROW_TOL
 from riskdp.risk import RiskSpec
 
 
@@ -97,6 +98,36 @@ def test_nested_decomposition_matches_extensive_form():
     assert swept.sweeps < 100
 
 
+def test_nested_decomposition_pools_one_cut_per_lp_row(monkeypatch):
+    made, built = [], []
+
+    class RecordingPoolSet(engine.PoolSet):
+        def __init__(self, problem):
+            super().__init__(problem)
+            made.append(self)
+
+    def counting_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    real_build = oracle.build_optimality_cut
+    monkeypatch.setattr(oracle, "PoolSet", RecordingPoolSet)
+    monkeypatch.setattr(oracle, "build_optimality_cut", counting_build)
+    problem = _stochastic_three_stage(
+        risk2=RiskSpec(kind="cvar", epsilon=0.5),
+        risk3=RiskSpec(kind="mixture", lam=0.3, epsilon=0.4))
+    res = oracle.exact_nested_decomposition(problem)
+    (pools,) = made
+    assert res.n_cuts == pools.n_optimality_cuts() < len(built)
+    assert len(built) == 3 * res.sweeps  # the stage-1 node and its 2 children
+    for pool in pools.opt.values():
+        rows = [(c.beta, c.rhs_const) for c in pool.optimality]
+        for i, (beta, rhs) in enumerate(rows):
+            for beta2, rhs2 in rows[:i]:
+                assert (abs(rhs - rhs2) > CUT_ROW_TOL
+                        or np.max(np.abs(beta - beta2)) > CUT_ROW_TOL)
+
+
 def test_nested_decomposition_tail_risk_value():
     res = oracle.exact_nested_decomposition(
         _newsvendor(RiskSpec(kind="cvar", epsilon=0.5)))
@@ -160,8 +191,6 @@ def test_tree_conditioning_aggregates_children():
 
 
 def test_nested_decomposition_on_tree_matches_lattice():
-    from riskdp import engine  # engine only builds the instances here
-
     lattice = _newsvendor(RiskSpec(kind="cvar", epsilon=0.5))
     res_l = oracle.exact_nested_decomposition(lattice)
     res_t = engine.run(lattice, engine.RunConfig(max_iters=50, seed=1,

@@ -52,10 +52,11 @@ def test_cvar_matches_minimization_form():
 
 
 def test_mixture():
+    # (1 - lam) * E + lam * CVaR_eps: lam weighs the tail
     spec = risk.RiskSpec(kind="mixture", lam=0.4, epsilon=0.5)
     value, p = risk.risk_value_and_density(spec, QUARTER, VALUES)
-    assert np.allclose(p, 0.4 * np.ones(4) + 0.6 * np.array([0, 0, 2.0, 2.0]), atol=1e-12)
-    assert value == pytest.approx(0.4 * 2.5 + 0.6 * 3.5, abs=1e-12)
+    assert np.allclose(p, 0.6 * np.ones(4) + 0.4 * np.array([0, 0, 2.0, 2.0]), atol=1e-12)
+    assert value == pytest.approx(0.6 * 2.5 + 0.4 * 3.5, abs=1e-12)
 
 
 def test_polytope_recovers_cvar():
