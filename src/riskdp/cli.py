@@ -132,7 +132,7 @@ def _cmd_oracle(args) -> int:
     if args.method == "extensive-form":
         value = oracle.extensive_form_value(problem)
     else:
-        value = oracle.exact_nested_decomposition(problem).value
+        value = oracle.nested_decomposition_value(problem)
     if math.isinf(value):
         print("infeasible")
         return EXIT_INFEASIBLE

@@ -34,12 +34,25 @@ previous-generation pools.  The anchor-equality assertion of
 
 Sampling is counter-based: one uniform draw per (seed, iteration, stage),
 so replay is exact and independent of execution order.
+
+Warm starts: the driver owns one basis cache, the last optimal basis of each
+position's stage LP.  Between two solves of a position only the history
+right-hand side moves and cut rows are appended, so :func:`carry_basis`
+maps the cached basis onto the new row layout with the new rows' slacks
+basic, and :func:`riskdp.lp.solve` skips phase 1 whenever that basis is
+still primal feasible.  Everything else solves cold: the probe's
+``resolve`` (it must not disturb the cache), :func:`phase_one`, and every
+caller of :func:`solve_node` that passes no cache, such as the oracle.  A
+warm solve may stop at another optimal vertex of a degenerate LP than the
+cold one, hence another dual vertex and another valid cut; replay is still
+exact, because the cache evolves deterministically.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +92,8 @@ class RunConfig:
     an optional callable invoked at every cut-construction child solve with a
     dict (keys ``stage``, ``realization``, ``history``, ``value``, ``pi``,
     ``resolve``) — ``resolve(history)`` re-solves the same subproblem against
-    the same pools and must be used before the pools advance.
+    the same pools and must be used before the pools advance; it solves cold
+    and leaves the driver's basis cache unchanged.
     """
 
     algorithm: str = "alg1"
@@ -98,7 +112,10 @@ class IterationReport:
 
     ``cuts_opt`` and ``cuts_feas`` count the cuts that entered a pool, by
     stage; ``cuts_skipped`` counts, by pool key, the optimality cuts built but
-    not appended because their LP row was already pooled.
+    not appended because their LP row was already pooled.  ``lps`` counts the
+    LPs the driver solved (stage LPs and phase-I LPs, not the probe's
+    re-solves), ``lps_warm`` those that ran from a cached basis and skipped
+    phase 1, and ``pivots`` their simplex pivots.
     """
 
     k: int
@@ -109,6 +126,9 @@ class IterationReport:
     cuts_feas: dict[int, int] = field(default_factory=dict)
     cuts_skipped: dict = field(default_factory=dict)
     backtracks: int = 0
+    lps: int = 0
+    lps_warm: int = 0
+    pivots: int = 0
     wall_ms: float = 0.0
 
     @property
@@ -246,20 +266,45 @@ def build_stage_lp(sub: SubproblemData, view, z_lo: float) -> lp.LpProblem:
                         upper=np.concatenate([sub.ub, [np.inf, np.inf]]))
 
 
+def carry_basis(cached, view) -> np.ndarray:
+    """A position's cached stage-LP basis, carried onto the LP built from ``view``.
+
+    ``cached`` is ``(basis, n_opt, n_feas)``: an earlier optimal basis of
+    :func:`build_stage_lp` at the same position and the cut counts of the
+    view it was built from.  Between two solves of one position only the
+    history-dependent right-hand side moves and the pool appends cut rows, so
+    the structural and static-row states carry over unchanged and each new
+    row's slack enters basic.  Feasibility-cut rows follow the
+    optimality-cut rows, so new optimality cuts shift their slacks.
+    """
+    basis, n_opt, n_feas = cached
+    end_opt = basis.shape[0] - n_feas
+    new_opt = np.full(view.n_opt - n_opt, lp.BASIC, dtype=basis.dtype)
+    new_feas = np.full(view.n_feas - n_feas, lp.BASIC, dtype=basis.dtype)
+    return np.concatenate([basis[:end_opt], new_opt, basis[end_opt:], new_feas])
+
+
 def solve_node(problem: Problem, where, history, pools: PoolSet,
-               z_lo: float | None = None) -> NodeSolution:
+               z_lo: float | None = None, bases: dict | None = None) -> NodeSolution:
     """Solve one stage subproblem and assemble its history subgradient.
 
     ``where`` is a position of the problem's topology.  The LP includes the
     optimality- and feasibility-cut rows of the position's pool; ``z`` is
     bounded below by the certified recourse bound for the next stage.
+
+    ``bases`` is an optional basis cache keyed by position.  When given, the
+    solve starts from the position's cached basis (:func:`carry_basis`),
+    which :func:`lp.solve` uses when it is still primal feasible, and the
+    final basis replaces the cached one.  Without it the solve is cold and
+    touches no cache.
     """
     sub = assemble_subproblem(problem, where, history)
     view = pools.rows_for(where).view(problem.dim)
     if z_lo is None:
         z_lo = problem.z_lower(sub.t)
     prob = build_stage_lp(sub, view, z_lo)
-    sol = lp.solve(prob)
+    cached = bases.get(where) if bases is not None else None
+    sol = lp.solve(prob, start=None if cached is None else carry_basis(cached, view))
     if sol.status == lp.INFEASIBLE:
         raise EngineError(
             f"stage-{sub.t} subproblem infeasible at position {sub.where}: "
@@ -269,12 +314,20 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
         raise EngineError(
             f"stage-{sub.t} subproblem unbounded: lower_value_bound for stage "
             f"{sub.t + 1} does not bound the recourse from below")
+    if bases is not None and sol.basis is not None:
+        bases[where] = (sol.basis, view.n_opt, view.n_feas)
     n = problem.dim
     pi = assemble_pi(sub, sol, view).s
     return NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol, pi=pi, sub=sub)
 
 
-def phase_one(problem: Problem, where, history, pools: PoolSet):
+def _count_lp(tally: Counter, sol: lp.LpSolution) -> None:
+    """Add one LP solve to ``tally``: its count, whether it ran warm, its pivots."""
+    tally.update(lps=1, lps_warm=int(sol.warm_start), pivots=sol.pivots)
+
+
+def phase_one(problem: Problem, where, history, pools: PoolSet,
+              tally: Counter | None = None):
     """Elastic feasibility measure of one stage system at a fixed history.
 
     Minimizes the l1 norm of equality violations subject to the box and the
@@ -283,7 +336,8 @@ def phase_one(problem: Problem, where, history, pools: PoolSet):
     excluded yet — the program is re-solved with the cut rows elasticized as
     well, which is always feasible and still yields a positive value with
     valid multipliers for a new cut.  Returns ``(value, dual_eq, dual_feas,
-    sub, fview)``.
+    sub, fview)``.  Its LPs are always solved cold; each one is counted in
+    ``tally`` when given (:func:`_count_lp`).
     """
     sub = assemble_subproblem(problem, where, history)
     fview = pools.rows_for(where).view(problem.dim)
@@ -309,6 +363,8 @@ def phase_one(problem: Problem, where, history, pools: PoolSet):
                             upper=np.concatenate([sub.ub,
                                                   np.full(2 * q + n_extra, np.inf)]))
         sol = lp.solve(prob)
+        if tally is not None:
+            _count_lp(tally, sol)
         if sol.status == lp.OPTIMAL:
             dual_feas = sol.dual_ineq[:k_rows] if k_rows else np.zeros(0)
             return sol.objective, sol.dual_eq, dual_feas, sub, fview
@@ -323,11 +379,22 @@ def phase_one(problem: Problem, where, history, pools: PoolSet):
 # ---------------------------------------------------------------------------
 
 class _Driver:
+    """One run's state: the pools, the basis cache and the LP tally.
+
+    ``bases`` caches the last optimal basis of every position's stage LP;
+    every stage solve of the run starts from it (see :func:`solve_node`).
+    The probe's ``resolve`` and the phase-I LPs of the feasibility gate stay
+    cold and leave the cache alone.  ``tally`` holds the run's running LP
+    totals (:func:`_count_lp`).
+    """
+
     def __init__(self, problem: Problem, cfg: RunConfig):
         self.problem = problem
         self.cfg = cfg
         self.topology = problem.topology
         self.pools = PoolSet(problem)
+        self.bases: dict = {}
+        self.tally: Counter = Counter()
         self.stage1 : NodeSolution | None = None
         self.pi_norm_max: dict[int, float] = {}
         self.pi_norm_first: dict[int, float] = {}
@@ -335,9 +402,14 @@ class _Driver:
 
     # -- small helpers -----------------------------------------------------
 
+    def _solve(self, where, history) -> NodeSolution:
+        """Solve one stage LP from the position's cached basis and tally it."""
+        ns = solve_node(self.problem, where, history, self.pools, bases=self.bases)
+        _count_lp(self.tally, ns.duals)
+        return ns
+
     def _solve_stage1(self) -> NodeSolution:
-        return solve_node(self.problem, self.topology.first,
-                          self.problem.x0, self.pools)
+        return self._solve(self.topology.first, self.problem.x0)
 
     def _record_pi(self, k: int, t: int, pi: np.ndarray) -> None:
         norm = float(np.linalg.norm(pi))
@@ -361,7 +433,7 @@ class _Driver:
         wheres = topo.children(key)
         sols = []
         for where in wheres:
-            ns = solve_node(p, where, hist, self.pools)
+            ns = self._solve(where, hist)
             sols.append(ns)
             self._record_pi(k, t, ns.pi)
             if self.cfg.probe is not None:
@@ -390,7 +462,8 @@ class _Driver:
         anchor = hist[p.dim:]
         key = self.topology.parent(path[t])
         for where in self.topology.children(key):
-            value, dual_eq, dual_feas, sub, fview = phase_one(p, where, hist, self.pools)
+            value, dual_eq, dual_feas, sub, fview = phase_one(p, where, hist, self.pools,
+                                                              self.tally)
             if value > PHASE1_THRESHOLD:
                 if t == 1:  # nothing earlier to cut; the problem is infeasible
                     return False
@@ -412,6 +485,7 @@ class _Driver:
         p, cfg = self.problem, self.cfg
         t_end = p.horizon
         started = time.perf_counter()
+        tally_before = self.tally.copy()
         path = sample_path(p, cfg.seed, k)
         counters_opt: dict[int, int] = {}
         counters_feas: dict[int, int] = {}
@@ -447,8 +521,7 @@ class _Driver:
                                                       counters_opt, skipped)
                     ns = sols[wheres.index(path[s])]
                 else:
-                    ns = solve_node(p, path[s],
-                                    np.concatenate(decisions[:s]), self.pools)
+                    ns = self._solve(path[s], np.concatenate(decisions[:s]))
             decisions.append(ns.x)
             s += 1
         if not forward_cuts:
@@ -456,10 +529,12 @@ class _Driver:
                 self._build_cut_at(t, path, decisions, k, counters_opt, skipped)
         self.stage1 = self._solve_stage1()  # fresh bound, handed to iteration k+1
         wall_ms = (time.perf_counter() - started) * 1000.0
+        tally = self.tally - tally_before
         return IterationReport(k=k, path=tuple(path[1:]), lower_bound=lb_report,
                                x1=x1_report, cuts_opt=counters_opt,
                                cuts_feas=counters_feas, cuts_skipped=skipped,
-                               backtracks=backtracks,
+                               backtracks=backtracks, lps=tally["lps"],
+                               lps_warm=tally["lps_warm"], pivots=tally["pivots"],
                                wall_ms=wall_ms)
 
 
@@ -543,9 +618,11 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
         fresh = driver.stage1.value
         improvement = fresh - report.lower_bound
         logger.info("iteration %d: lower bound %.12g (+%.3g), %d optimality "
-                    "(%d duplicates skipped) / %d feasibility cuts, %d backtracks",
+                    "(%d duplicates skipped) / %d feasibility cuts, %d backtracks, "
+                    "%d LPs (%d warm), %d pivots",
                     k, report.lower_bound, improvement, report.n_cuts_opt,
-                    report.n_cuts_skipped, report.n_cuts_feas, report.backtracks)
+                    report.n_cuts_skipped, report.n_cuts_feas, report.backtracks,
+                    report.lps, report.lps_warm, report.pivots)
         if mode == "every" and k % every == 0:
             oracle_value = _oracle_value(problem)
             logger.info("iteration %d: oracle %.12g, gap %.3e", k, oracle_value,
@@ -566,6 +643,9 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
         "pi_norm_max": dict(sorted(driver.pi_norm_max.items())),
         "pi_norm_first5": dict(sorted(driver.pi_norm_first.items())),
         "cuts_skipped": skipped,
+        "lps": driver.tally["lps"],
+        "lps_warm": driver.tally["lps_warm"],
+        "pivots": driver.tally["pivots"],
     }
     for t, total in driver.pi_norm_max.items():
         first = driver.pi_norm_first.get(t, 0.0)

@@ -18,6 +18,17 @@ Multipliers of the variable box never appear in the returned duals.
 Pricing uses Dantzig's rule and switches permanently to Bland's rule after a
 run of degenerate pivots; :func:`solve_with_bland` uses Bland's rule from the
 start and therefore cannot cycle.
+
+Warm starts: every optimal solve returns its final basis (``LpSolution.basis``,
+one state per structural and slack column).  ``solve(prob, start=basis)``
+installs such a basis, typically one from an earlier solve of a related LP
+whose right-hand side moved and whose new rows have their slacks basic, and
+factorizes it once.  If every basic value lies within its bounds (to
+:data:`PHASE1_TOL`) the basis is primal feasible: the artificials and phase 1
+are skipped and the phase-2 loop runs from it.  Otherwise, and whenever the
+start does not fit the LP or its basis matrix is singular, the start is
+declined and the solve is the cold two-phase solve.  There is no dual simplex:
+a start that lost primal feasibility buys nothing.
 """
 
 from __future__ import annotations
@@ -47,11 +58,11 @@ REFACTOR_EVERY = 64     # pivots between explicit refactorizations
 STALL_SWITCH = 100      # consecutive degenerate pivots before Bland takes over
 MAX_PIVOTS = 200_000    # hard safety limit per solve
 
-# Nonbasic column states.
-_BASIC = 0
-_AT_LOWER = 1
-_AT_UPPER = 2
-_NB_FREE = 3            # nonbasic free variable, parked at value 0
+# Column states; an ``LpSolution.basis`` holds one per structural and slack column.
+BASIC = 0
+AT_LOWER = 1
+AT_UPPER = 2
+NB_FREE = 3            # nonbasic free variable, parked at value 0
 
 
 class SimplexError(RuntimeError):
@@ -138,7 +149,12 @@ class LpSolution:
 
     ``x``, ``objective`` and the dual vectors are only meaningful when
     ``status == "optimal"``.  ``binding_ineq[i]`` flags inequality rows with
-    slack below :data:`BINDING_TOL`.
+    slack below :data:`BINDING_TOL`.  ``basis`` is the final basis as one
+    column state per structural and slack column (:data:`BASIC`,
+    :data:`AT_LOWER`, :data:`AT_UPPER` or :data:`NB_FREE`), ready to be
+    handed back to :func:`solve` as a start; it is None unless the solve is
+    optimal with no artificial column left basic.  ``warm_start`` says
+    whether the solve ran from the supplied start basis.
     """
 
     status: str
@@ -148,6 +164,8 @@ class LpSolution:
     dual_ineq: np.ndarray | None = None
     binding_ineq: np.ndarray | None = None
     pivots: int = 0
+    basis: np.ndarray | None = None
+    warm_start: bool = False
 
 
 class _Simplex:
@@ -189,13 +207,13 @@ class _Simplex:
         for j in range(ncols):
             lo, up = self.lower[j], self.upper[j]
             if np.isfinite(lo):
-                self.status_col[j] = _AT_LOWER
+                self.status_col[j] = AT_LOWER
                 self.x[j] = lo
             elif np.isfinite(up):
-                self.status_col[j] = _AT_UPPER
+                self.status_col[j] = AT_UPPER
                 self.x[j] = up
             else:
-                self.status_col[j] = _NB_FREE
+                self.status_col[j] = NB_FREE
                 self.x[j] = 0.0
 
     def _install_artificials(self) -> None:
@@ -211,7 +229,7 @@ class _Simplex:
                 s = self.n_struct + (i - q)
                 basis[i] = s
                 self.x[s] = resid[i]
-                self.status_col[s] = _BASIC
+                self.status_col[s] = BASIC
             else:
                 sign = 1.0 if resid[i] >= 0.0 else -1.0
                 art_data.append((i, sign, abs(resid[i])))
@@ -222,7 +240,7 @@ class _Simplex:
             self.a = np.hstack([self.a, extra])
             self.lower = np.concatenate([self.lower, np.zeros(len(art_data))])
             self.upper = np.concatenate([self.upper, np.full(len(art_data), np.inf)])
-            add_status = np.full(len(art_data), _BASIC, dtype=np.int8)
+            add_status = np.full(len(art_data), BASIC, dtype=np.int8)
             self.status_col = np.concatenate([self.status_col, add_status])
             vals = np.array([v for (_i, _s, v) in art_data])
             self.x = np.concatenate([self.x, vals])
@@ -236,6 +254,45 @@ class _Simplex:
         self.allowed = np.ones(self.ncols, dtype=bool)
         self.redundant = np.zeros(m, dtype=bool)  # rows whose artificial stays basic
         self._refactor()
+
+    def _install_start(self, start) -> bool:
+        """Install a start basis; True when it is primal feasible, so phase 1 is skipped.
+
+        Returns False, for the cold two-phase solve to take over, when the
+        start does not fit this LP's columns and rows, parks a column at an
+        infinite bound, has a singular basis matrix, or gives a point that
+        misses a row or a basic bound by more than :data:`PHASE1_TOL` (a
+        nearly singular basis shows up as the row residual).
+        """
+        if start is None:
+            return False
+        state = np.asarray(start, dtype=np.int8)
+        if state.shape != (self.n_real,):
+            return False
+        basis = np.flatnonzero(state == BASIC)
+        at_lo, at_up, free = state == AT_LOWER, state == AT_UPPER, state == NB_FREE
+        self.x = np.where(at_lo, self.lower, np.where(at_up, self.upper, 0.0))
+        bounded = np.isfinite(self.lower) | np.isfinite(self.upper)
+        if (basis.size != self.m or not np.isfinite(self.x).all() or (free & bounded).any()
+                or basis.size + np.count_nonzero(at_lo | at_up | free) != self.n_real):
+            return False
+        self.status_col = state.copy()
+        self.basis = basis
+        try:
+            self._refactor()
+        except SimplexError:
+            return False
+        if self.m:
+            xb = self.x[basis]
+            if (np.abs(self.a @ self.x - self.b).max() > PHASE1_TOL
+                    or ((xb < self.lower[basis] - PHASE1_TOL)
+                        | (xb > self.upper[basis] + PHASE1_TOL)).any()):
+                return False
+        self.artificials = np.zeros(0, dtype=int)
+        self.ncols = self.n_real
+        self.allowed = np.ones(self.ncols, dtype=bool)
+        self.redundant = np.zeros(self.m, dtype=bool)
+        return True
 
     # -- linear algebra ----------------------------------------------------
 
@@ -268,9 +325,9 @@ class _Simplex:
             d = cost.copy()
         st = self.status_col
         viol = np.zeros(self.ncols, dtype=float)
-        low_mask = (st == _AT_LOWER) & self.allowed & (d < -RC_TOL)
-        up_mask = (st == _AT_UPPER) & self.allowed & (d > RC_TOL)
-        free_mask = (st == _NB_FREE) & self.allowed & (np.abs(d) > RC_TOL)
+        low_mask = (st == AT_LOWER) & self.allowed & (d < -RC_TOL)
+        up_mask = (st == AT_UPPER) & self.allowed & (d > RC_TOL)
+        free_mask = (st == NB_FREE) & self.allowed & (np.abs(d) > RC_TOL)
         viol[low_mask] = -d[low_mask]
         viol[up_mask] = d[up_mask]
         viol[free_mask] = np.abs(d[free_mask])
@@ -280,9 +337,9 @@ class _Simplex:
             j = int(np.flatnonzero(viol > 0.0)[0])
         else:
             j = int(np.argmax(viol))
-        if st[j] == _AT_LOWER:
+        if st[j] == AT_LOWER:
             direction = 1.0
-        elif st[j] == _AT_UPPER:
+        elif st[j] == AT_UPPER:
             direction = -1.0
         else:
             direction = 1.0 if d[j] < 0.0 else -1.0
@@ -332,7 +389,7 @@ class _Simplex:
             piv = np.abs(dw[cand])
             sub = cand[piv >= piv.max() - 1e-12]
             leave = int(sub[np.argmin(self.basis[sub])])
-        leave_to = _AT_LOWER if dw[leave] > 0 else _AT_UPPER
+        leave_to = AT_LOWER if dw[leave] > 0 else AT_UPPER
         return row_min, leave, leave_to, "pivot", w
 
     def _apply_flip(self, j: int, direction: float, step: float, w: np.ndarray) -> None:
@@ -340,10 +397,10 @@ class _Simplex:
             self.x[self.basis] -= step * direction * w
         if direction > 0:
             self.x[j] = self.upper[j]
-            self.status_col[j] = _AT_UPPER
+            self.status_col[j] = AT_UPPER
         else:
             self.x[j] = self.lower[j]
-            self.status_col[j] = _AT_LOWER
+            self.status_col[j] = AT_LOWER
 
     def _apply_pivot(self, j: int, direction: float, step: float,
                      leave: int, leave_to: int, w: np.ndarray) -> None:
@@ -353,9 +410,9 @@ class _Simplex:
         self.x[j] += direction * step
         out_col = bas[leave]
         # snap the leaving variable exactly onto the bound it reached
-        self.x[out_col] = self.lower[out_col] if leave_to == _AT_LOWER else self.upper[out_col]
+        self.x[out_col] = self.lower[out_col] if leave_to == AT_LOWER else self.upper[out_col]
         self.status_col[out_col] = leave_to
-        self.status_col[j] = _BASIC
+        self.status_col[j] = BASIC
         bas[leave] = j
         piv = w[leave]
         if abs(piv) <= PIVOT_TOL:  # pragma: no cover - guarded by ratio test
@@ -408,7 +465,7 @@ class _Simplex:
             # noise of a redundant row, not a pivot
             noise = DRIVE_OUT_REL_TOL * np.abs(tableau).max(axis=0)
             size = np.where((tab_row > np.maximum(PIVOT_TOL, noise))
-                            & (self.status_col[:self.n_real] != _BASIC), tab_row, 0.0)
+                            & (self.status_col[:self.n_real] != BASIC), tab_row, 0.0)
             if not size.any():
                 # Redundant row: freeze the artificial at zero, basic for good.
                 self.upper[col] = 0.0
@@ -416,9 +473,9 @@ class _Simplex:
                 continue
             j = int(np.argmax(size))  # the largest pivot, first index on ties
             w = self.b_inv @ self.a[:, j]
-            self.status_col[col] = _AT_LOWER
+            self.status_col[col] = AT_LOWER
             self.x[col] = 0.0
-            self.status_col[j] = _BASIC
+            self.status_col[j] = BASIC
             self.basis[row] = j
             piv = w[row]
             self.b_inv[row, :] /= piv
@@ -427,9 +484,11 @@ class _Simplex:
             self.pivots += 1
         self._refactor()
 
-    def run(self) -> LpSolution:
-        self._initial_point()
-        self._install_artificials()
+    def run(self, start=None) -> LpSolution:
+        warm = self._install_start(start)
+        if not warm:
+            self._initial_point()
+            self._install_artificials()
         if self.artificials.size:
             cost1 = np.zeros(self.ncols)
             cost1[self.artificials] = 1.0
@@ -443,15 +502,15 @@ class _Simplex:
             self.allowed[self.artificials] = False
             # Park nonbasic artificials exactly at zero.
             for col in self.artificials:
-                if self.status_col[col] != _BASIC:
+                if self.status_col[col] != BASIC:
                     self.x[col] = 0.0
-                    self.status_col[col] = _AT_LOWER
+                    self.status_col[col] = AT_LOWER
         cost2 = np.zeros(self.ncols)
         cost2[:self.n_struct] = self.prob.c
         self.degenerate_run = 0
         status = self._optimize(cost2, phase=2)
         if status == UNBOUNDED:
-            return LpSolution(status=UNBOUNDED, pivots=self.pivots)
+            return LpSolution(status=UNBOUNDED, pivots=self.pivots, warm_start=warm)
         self._refactor()  # polish: exact basic values off a fresh inverse
         n, q = self.n_struct, self.n_eq
         x = self.x[:n].copy()
@@ -466,13 +525,21 @@ class _Simplex:
             binding = slack <= BINDING_TOL
         else:
             binding = np.zeros(0, dtype=bool)
+        basis = (None if (self.basis >= self.n_real).any()
+                 else self.status_col[:self.n_real].copy())
         return LpSolution(status=OPTIMAL, x=x, objective=float(self.prob.c @ x),
                           dual_eq=dual_eq, dual_ineq=dual_ineq,
-                          binding_ineq=binding, pivots=self.pivots)
+                          binding_ineq=binding, pivots=self.pivots,
+                          basis=basis, warm_start=warm)
 
 
-def solve(prob: LpProblem) -> LpSolution:
+def solve(prob: LpProblem, start: np.ndarray | None = None) -> LpSolution:
     """Solve an :class:`LpProblem` with Dantzig pricing (Bland fallback on stall).
+
+    ``start`` is an optional start basis in the form of
+    :attr:`LpSolution.basis`.  When it is primal feasible for ``prob`` the
+    solve skips phase 1 and runs phase 2 from it; otherwise it is declined
+    and the solve is the cold two-phase solve, bit for bit.
 
     Returns
     -------
@@ -481,7 +548,7 @@ def solve(prob: LpProblem) -> LpSolution:
         Identical inputs produce identical outputs (all tie-breaking is by
         first index).
     """
-    return _Simplex(prob, bland_always=False).run()
+    return _Simplex(prob, bland_always=False).run(start)
 
 
 def solve_with_bland(prob: LpProblem) -> LpSolution:

@@ -14,7 +14,14 @@ arithmetic:
 :func:`true_recourse_value` evaluates the exact risk-adjusted
 recourse function at an arbitrary history by conditioning the tail problem
 on that history and handing the reduced instances to the routes above;
-infeasible histories report ``+inf``.
+infeasible histories report ``+inf``.  Nested decomposition has no
+feasibility cuts, so a risk-averse tail that is feasible but lacks relatively
+complete recourse has no exact reference here: :func:`nested_decomposition_value`
+raises :class:`OracleError` for it rather than calling it infeasible.
+
+Every LP these routes solve through :func:`~riskdp.engine.solve_node` is
+solved cold (no basis cache), so the oracle stays an independent reference
+for the cold simplex path.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import scipy.optimize
 
 from .cuts import build_optimality_cut
 from .engine import EngineError, PoolSet, solve_node
+from .io import apply_risk_override
 from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization,
                     Stage)
 from .risk import RiskSpec, risk_value_and_density
@@ -330,19 +338,6 @@ def conditioned_subtree(problem: Problem, node_id: int,
                    lower_value_bound=problem.lower_value_bound[t - 1:])
 
 
-def _tail_value(reduced: Problem) -> float:
-    """Exact value of a reduced problem; ``+inf`` when infeasible."""
-    try:
-        for spec in _risk_specs(reduced):
-            if spec.kind != "expectation":
-                break
-        else:
-            return extensive_form_value(reduced)
-        return exact_nested_decomposition(reduced).value
-    except EngineError:
-        return math.inf
-
-
 def true_recourse_value(problem: Problem, where, history) -> float:
     """Exact risk-adjusted recourse aggregated at one history.
 
@@ -355,7 +350,7 @@ def true_recourse_value(problem: Problem, where, history) -> float:
     topo = problem.topology
     if topo.terminal(where):
         return 0.0
-    values = [_tail_value(conditioned_problem(problem, kid, history))
+    values = [reference_value(conditioned_problem(problem, kid, history))
               for kid in topo.children(where)]
     if any(math.isinf(v) for v in values):
         return math.inf
@@ -364,9 +359,31 @@ def true_recourse_value(problem: Problem, where, history) -> float:
     return value
 
 
+def nested_decomposition_value(problem: Problem) -> float:
+    """:func:`exact_nested_decomposition`'s value; ``+inf`` when the instance is infeasible.
+
+    Nested decomposition has no feasibility cuts: at a history where some
+    subproblem is infeasible it stops with :class:`EngineError`.  The
+    constraints do not depend on the risk specs, so the risk-neutral extensive
+    form of the same problem then decides.  If it is infeasible too, the value
+    is ``+inf``; otherwise the instance is feasible but lacks relatively
+    complete recourse, which nested decomposition cannot handle, and
+    :class:`OracleError` says so.
+    """
+    try:
+        return exact_nested_decomposition(problem).value
+    except EngineError as exc:
+        if math.isinf(extensive_form_value(apply_risk_override(problem, RiskSpec()))):
+            return math.inf
+        raise OracleError(
+            "nested decomposition has no feasibility cuts: it met an infeasible "
+            "subproblem of a feasible instance that lacks relatively complete "
+            "recourse, so there is no exact reference for it") from exc
+
+
 def reference_value(problem: Problem) -> float:
-    """Ground-truth optimal value by the most direct available route."""
+    """Ground-truth optimal value by the most direct available route; ``+inf`` when infeasible."""
     for spec in _risk_specs(problem):
         if spec.kind != "expectation":
-            return exact_nested_decomposition(problem).value
+            return nested_decomposition_value(problem)
     return extensive_form_value(problem)

@@ -98,6 +98,28 @@ def make_chain_instance(stage1_ub=2.0):
                          lower_value_bound=np.array([0.0, 0.0]))
 
 
+def make_cvar_without_complete_recourse(stage2_ub=2.0):
+    """A CVaR instance whose stage-3 system ``x2 + x3 = 2``, ``x3 in [0, 1]``
+    is infeasible for ``x2 < 1``: stage 2 must pick ``x2 >= 1``.
+
+    Stage 2 costs ``x2``; the two stage-3 realizations cost ``x3`` and
+    ``3 x3`` under ``cvar:0.5``.  With ``stage2_ub = 2`` every stage-1
+    decision has a feasible tail of value 2 (``x2 = 2``, ``x3 = 0``); with
+    ``stage2_ub < 1`` no history has one.
+    """
+    second = model.Stage([payload(2, 1, pieces=linear_cost(2, [1.0]),
+                                  lb=np.zeros(1), ub=np.array([stage2_ub]))])
+    third = model.Stage(
+        [payload(3, 1, prob=0.5, pieces=linear_cost(3, [c]),
+                 a=[np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1))],
+                 b=np.array([2.0]), lb=np.zeros(1), ub=np.ones(1))
+         for c in (1.0, 3.0)],
+        risk=RiskSpec(kind="cvar", epsilon=0.5))
+    return model.Problem(horizon=3, dim=1, x0=np.zeros(1),
+                         stages=[stage1(), second, third],
+                         lower_value_bound=np.array([0.0, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # certified random lattice instances
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_chain_instance, make_newsvendor, make_newsvendor_tree
+from conftest import (make_chain_instance, make_cvar_without_complete_recourse,
+                      make_newsvendor, make_newsvendor_tree)
 from riskdp import cli, io
 from riskdp.risk import RiskSpec
 
@@ -170,6 +171,29 @@ def test_check_cuts_covers_feasibility_rows(tmp_path, capsys):
     code = _run(["check-cuts", path, out / "cuts.csv", "--points", "30"])
     assert code == cli.EXIT_OK
     assert "0 violations" in capsys.readouterr().out
+
+
+def test_check_cuts_fails_loudly_without_an_exact_reference(tmp_path, capsys):
+    # alg2 solves it, but the risk-averse tails have no exact reference:
+    # nested decomposition has no feasibility cuts
+    path = tmp_path / "no_rcr.json"
+    io.save_problem(make_cvar_without_complete_recourse(), path)
+    out = tmp_path / "run"
+    assert _run(["solve", path, "--alg", "alg2", "--out", out]) == cli.EXIT_OK
+    capsys.readouterr()
+    code = _run(["check-cuts", path, out / "cuts.csv", "--points", "10"])
+    assert code == cli.EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert "violations" not in captured.out
+    assert "no feasibility cuts" in captured.err
+    assert _run(["oracle", path, "--method", "nested-decomposition"]) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "no feasibility cuts" in err and "use the feasibility-cut algorithm" not in err
+    hopeless = tmp_path / "hopeless.json"
+    io.save_problem(make_cvar_without_complete_recourse(stage2_ub=0.5), hopeless)
+    assert _run(["oracle", hopeless, "--method", "nested-decomposition"]) == \
+        cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().out.strip() == "infeasible"
 
 
 def test_log_level_env(newsvendor_file, tmp_path, monkeypatch, capsys):

@@ -1,9 +1,16 @@
 """Tests for the sampled decomposition drivers."""
 
+import logging
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from riskdp import engine, model
+from checks import check_subgradient
+from conftest import (lattice_to_tree, make_cvar_without_complete_recourse,
+                      random_lattice_instance)
+from riskdp import engine, lp, model
 from riskdp.risk import RiskSpec
 
 
@@ -302,3 +309,116 @@ def test_config_validation_errors():
                              lower_value_bound=np.array([0.0]))
     with pytest.raises(engine.ConfigError):
         engine.run(problem2, _cfg(algorithm="alg2"))
+
+
+# ---------------------------------------------------------------------------
+# warm starts against the cold path
+# ---------------------------------------------------------------------------
+
+def _run_checking_warm_solves(monkeypatch, problem, cfg):
+    """Run ``cfg`` with every warm stage solve checked against the cold path.
+
+    Each warm ``NodeSolution`` must equal a cold :func:`engine.solve_node` at
+    the same history and pools within 1e-9, and its ``pi`` must pass the
+    subgradient inequality of the cold value function around that history.
+    Returns the run's result and counts of what was checked.
+    """
+    solve_node = engine.solve_node
+    seen = Counter()
+
+    def checked(p, where, history, pools, z_lo=None, bases=None):
+        cached = None if bases is None else bases.get(where)
+        ns = solve_node(p, where, history, pools, z_lo, bases)
+        if not ns.duals.warm_start:
+            return ns
+        seen["warm"] += 1
+        view = pools.rows_for(where).view(p.dim)
+        if cached[2] and view.n_opt > cached[1]:
+            seen["feasibility_rows_shifted"] += 1  # carry_basis moved their slacks
+        cold = solve_node(p, where, history, pools, z_lo)
+        assert not cold.duals.warm_start
+        assert abs(ns.value - cold.value) <= 1e-9
+        n = p.dim
+        if history.shape[0] > n:
+            def cold_value(dec):
+                try:
+                    return solve_node(p, where, np.concatenate([history[:n], dec]),
+                                      pools, z_lo).value
+                except engine.EngineError:  # no feasible decision at that history
+                    return math.inf
+            assert check_subgradient(cold_value, history[n:], ns.pi, n_samples=6,
+                                     radius=0.5, seed=seen["warm"]) == []
+        return ns
+
+    monkeypatch.setattr(engine, "solve_node", checked)
+    return engine.run(problem, cfg), seen
+
+
+def _mixture_lattice():
+    rng = np.random.default_rng(11)
+    return random_lattice_instance(rng, 3, 3, 2,
+                                   risk=RiskSpec(kind="mixture", lam=0.5, epsilon=0.25))
+
+
+def _cvar_tree():
+    rng = np.random.default_rng(12)
+    return lattice_to_tree(random_lattice_instance(rng, 3, 2, 2,
+                                                   risk=RiskSpec(kind="cvar", epsilon=0.5)))
+
+
+@pytest.mark.parametrize("case", ["alg1-lattice", "alg3-tree", "alg2-feasibility-rows"])
+def test_warm_solves_match_cold_solves(monkeypatch, case):
+    if case == "alg1-lattice":
+        problem, cfg = _mixture_lattice(), _cfg(max_iters=12, stall_window=13)
+    elif case == "alg3-tree":
+        problem, cfg = _cvar_tree(), _cfg(algorithm="alg3", max_iters=12, stall_window=13)
+    else:
+        problem, cfg = make_cvar_without_complete_recourse(), _cfg(algorithm="alg2",
+                                                                   max_iters=12)
+    res, seen = _run_checking_warm_solves(monkeypatch, problem, cfg)
+    assert seen["warm"] >= 10, seen
+    if case == "alg2-feasibility-rows":
+        assert res.pools.n_feasibility_cuts() >= 1
+        assert seen["feasibility_rows_shifted"] >= 1
+        assert res.final_lower_bound == pytest.approx(2.0, abs=1e-9)  # x1 = 0, x2 = 2
+
+
+def test_lp_counts_are_reported(caplog):
+    with caplog.at_level(logging.INFO, logger="riskdp.engine"):
+        res = engine.run(_mixture_lattice(), _cfg(max_iters=8, stall_window=9))
+    diag = res.diagnostics
+    for name in ("lps", "lps_warm", "pivots"):
+        assert diag[name] == sum(getattr(r, name) for r in res.reports)
+    assert 0 < diag["lps_warm"] < diag["lps"]  # the first solve of a position is cold
+    # iteration k >= 2 solves the stage-1 LP twice and every stage-t LP it visits
+    assert all(r.lps >= 2 and r.lps_warm <= r.lps for r in res.reports)
+    assert "LPs (" in caplog.text and "warm), " in caplog.text
+
+
+def test_probe_resolve_leaves_the_basis_cache_alone(monkeypatch):
+    solve = lp.solve
+    starts = []
+    resolved = []
+
+    def recording(prob, start=None):
+        starts.append(start)
+        return solve(prob, start)
+
+    def probe(info):
+        before = {w: (b.copy(), n_opt, n_feas)
+                  for w, (b, n_opt, n_feas) in driver.bases.items()}
+        assert info["realization"] in before
+        starts.clear()
+        info["resolve"](info["history"] + 0.1)
+        assert starts == [None]  # the probe's re-solve is cold
+        assert driver.bases.keys() == before.keys()
+        for where, (b, n_opt, n_feas) in driver.bases.items():
+            assert np.array_equal(b, before[where][0])
+            assert (n_opt, n_feas) == before[where][1:]
+        resolved.append(info["realization"])
+
+    monkeypatch.setattr(lp, "solve", recording)
+    driver = engine._Driver(_mixture_lattice(), _cfg(probe=probe))
+    for k in range(1, 5):
+        driver.iterate(k)
+    assert len(resolved) >= 12

@@ -352,3 +352,98 @@ def test_noisy_redundant_row_is_not_a_pivot(data):
     assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
     scale = np.abs(prob.a_eq).max(axis=1)
     assert np.all(np.abs(prob.a_eq @ sol.x - prob.b_eq) <= 1e-9 * scale)
+
+
+# ---------------------------------------------------------------------------
+# warm starts against the cold path
+# ---------------------------------------------------------------------------
+
+def _assert_same_solution(a: lp.LpSolution, b: lp.LpSolution) -> None:
+    assert a.status == b.status and a.pivots == b.pivots
+    for name in ("x", "dual_eq", "dual_ineq", "binding_ineq", "basis"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert (left is None) == (right is None)
+        if left is not None:
+            assert left.tobytes() == right.tobytes()
+    assert a.objective == b.objective or (np.isnan(a.objective) and np.isnan(b.objective))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=3),
+       st.sampled_from([0.0, 0.01, 0.3, 2.0]), st.sampled_from([0.0, 0.0, 1.0]))
+def test_warm_start_agrees_with_cold(seed, n_new, scale, cost_scale):
+    # an LP re-solved after its right-hand side moved and rows were appended,
+    # from the first solve's basis with the new rows' slacks basic; a moved
+    # cost vector (the engine never moves it) makes phase 2 pivot from the start
+    prob = _random_problem(seed)
+    first = lp.solve(prob)
+    assert first.status == lp.OPTIMAL
+    assume(first.basis is not None)
+    rng = np.random.default_rng(seed + 1)
+    n, q, r = prob.n_vars, prob.a_eq.shape[0], prob.a_ub.shape[0]
+    a_new = rng.normal(size=(n_new, n))
+    # new rows sometimes cut the old optimum off
+    b_new = a_new @ rng.uniform(prob.lower, prob.upper) + rng.uniform(-0.5, 1.0, n_new)
+    nxt = lp.LpProblem(c=prob.c + cost_scale * rng.normal(size=n), a_eq=prob.a_eq, b_eq=prob.b_eq + scale * rng.normal(size=q),
+                       a_ub=np.vstack([prob.a_ub, a_new]),
+                       b_ub=np.concatenate([prob.b_ub + scale * rng.normal(size=r), b_new]),
+                       lower=prob.lower, upper=prob.upper)
+    start = np.concatenate([first.basis, np.full(n_new, lp.BASIC, dtype=first.basis.dtype)])
+    warm = lp.solve(nxt, start=start)
+    cold = lp.solve(nxt)
+    assert not cold.warm_start
+    if not warm.warm_start:
+        _assert_same_solution(warm, cold)  # a declined start is the cold solve
+        return
+    assert warm.status == cold.status
+    if cold.status != lp.OPTIMAL:
+        return
+    assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+    x = warm.x
+    assert np.all(nxt.lower - 1e-9 <= x) and np.all(x <= nxt.upper + 1e-9)
+    assert np.all(np.abs(nxt.a_eq @ x - nxt.b_eq) <= 1e-9)
+    assert np.all(nxt.a_ub @ x <= nxt.b_ub + 1e-9)
+
+
+def test_start_basis_is_used_while_primal_feasible():
+    # min -x1 - x2  s.t.  x1 + 2 x2 <= b1,  2 x1 + x2 <= 2,  0 <= x <= 5
+    def make(b1):
+        return lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[b1, 2.0],
+                            lower=[0.0, 0.0], upper=[5.0, 5.0])
+
+    first = lp.solve(make(2.0))
+    assert first.status == lp.OPTIMAL and not first.warm_start
+    assert first.basis.tolist() == [lp.BASIC, lp.BASIC, lp.AT_LOWER, lp.AT_LOWER]
+    # a small move of the right-hand side keeps the basis feasible: zero pivots
+    moved = lp.solve(make(2.1), start=first.basis)
+    assert moved.warm_start and moved.pivots == 0
+    assert moved.objective == pytest.approx(-4.1 / 3.0, abs=1e-12)
+    assert moved.basis.tolist() == first.basis.tolist()
+    # with b1 = 20 that basis puts x1 below 0: declined, the result is the cold one
+    far = make(20.0)
+    _assert_same_solution(lp.solve(far, start=first.basis), lp.solve(far))
+
+
+@pytest.mark.parametrize("start", [
+    [lp.AT_LOWER, lp.BASIC, lp.AT_LOWER],                      # wrong length
+    [lp.BASIC, lp.BASIC, lp.AT_LOWER, lp.BASIC],               # too many basic columns
+    [lp.BASIC, lp.BASIC, lp.AT_LOWER, 7],                      # not a column state
+    [lp.NB_FREE, lp.BASIC, lp.BASIC, lp.AT_LOWER],             # a bounded column parked free
+    [lp.BASIC, lp.BASIC, lp.AT_UPPER, lp.AT_LOWER],            # a slack at its infinite bound
+])
+def test_start_basis_that_does_not_fit_is_declined(start):
+    prob = lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[2.0, 2.0],
+                        lower=[0.0, 0.0], upper=[5.0, 5.0])
+    sol = lp.solve(prob, start=np.array(start))
+    assert not sol.warm_start
+    _assert_same_solution(sol, lp.solve(prob))
+
+
+def test_singular_start_basis_is_declined():
+    # the two structural columns of a duplicated row pair are parallel
+    prob = lp.LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 2.0], [2.0, 4.0]], b_ub=[3.0, 6.0],
+                        lower=[-5.0, -5.0], upper=[5.0, 5.0])
+    start = np.array([lp.BASIC, lp.BASIC, lp.AT_LOWER, lp.AT_LOWER])
+    sol = lp.solve(prob, start=start)
+    assert not sol.warm_start
+    _assert_same_solution(sol, lp.solve(prob))

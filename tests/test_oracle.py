@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from checks import grid_minimum
-from conftest import lattice_to_tree
-from riskdp import engine, model, oracle
+from conftest import lattice_to_tree, make_cvar_without_complete_recourse
+from riskdp import engine, lp, model, oracle
 from riskdp.cuts import CUT_ROW_TOL
 from riskdp.risk import RiskSpec
 
@@ -167,6 +167,35 @@ def test_conditioning_reports_infeasible_history():
     assert math.isinf(bad)
     good = oracle.true_recourse_value(problem, 2, np.array([0.0, 1.6]))
     assert good == pytest.approx(0.1 * 1.6 + 0.1, abs=1e-9)
+
+
+def test_risk_averse_tail_without_complete_recourse_is_not_called_infeasible():
+    # the tail from stage 2 is feasible (x2 = 2, x3 = 0, value 2), but nested
+    # decomposition, which has no feasibility cuts, meets x2 < 1 on its way
+    problem = make_cvar_without_complete_recourse()
+    with pytest.raises(oracle.OracleError, match="no feasibility cuts"):
+        oracle.true_recourse_value(problem, 2, np.array([0.0, 0.5]))
+    with pytest.raises(oracle.OracleError, match="no feasibility cuts"):
+        oracle.nested_decomposition_value(problem)
+    # with x2 <= 0.5 no history has a feasible tail: that is +inf, not an error
+    hopeless = make_cvar_without_complete_recourse(stage2_ub=0.5)
+    assert math.isinf(oracle.true_recourse_value(hopeless, 2, np.array([0.0, 0.5])))
+    assert math.isinf(oracle.nested_decomposition_value(hopeless))
+
+
+def test_oracle_solves_cold(monkeypatch):
+    starts = []
+    solve = lp.solve
+
+    def recording(prob, start=None):
+        starts.append(start)
+        return solve(prob, start)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    problem = _stochastic_three_stage(RiskSpec(kind="cvar", epsilon=0.5))
+    oracle.exact_nested_decomposition(problem)
+    oracle.true_recourse_value(problem, 2, np.array([0.0, 0.5]))
+    assert starts and all(start is None for start in starts)
 
 
 def test_tree_conditioning_aggregates_children():
