@@ -317,7 +317,7 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
     if bases is not None and sol.basis is not None:
         bases[where] = (sol.basis, view.n_opt, view.n_feas)
     n = problem.dim
-    pi = assemble_pi(sub, sol, view).s
+    pi = assemble_pi(sub, sol, view)
     return NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol, pi=pi, sub=sub)
 
 

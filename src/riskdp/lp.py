@@ -50,6 +50,7 @@ UNBOUNDED = "unbounded"
 RC_TOL = 1e-9           # reduced-cost threshold for optimality
 PIVOT_TOL = 1e-10       # smallest usable pivot element magnitude
 DRIVE_OUT_REL_TOL = 1e-9  # artificial drive-out: pivot floor relative to its column
+PIVOT_REL_TOL = 1e-9    # ratio test: pivot floor relative to the products forming it
 RATIO_TIE_TOL = 1e-9    # ratio-test tie window
 STEP_TOL = 1e-12        # steps below this count as degenerate
 PHASE1_TOL = 1e-9       # residual infeasibility above this means infeasible
@@ -353,7 +354,8 @@ class _Simplex:
         ``kind`` is ``"flip"`` (entering variable runs to its other bound),
         ``"pivot"`` (a basic variable leaves first) or ``"unbounded"``.
         """
-        w = self.b_inv @ self.a[:, j] if self.m else np.zeros(0)
+        a_j = self.a[:, j]
+        w = self.b_inv @ a_j if self.m else np.zeros(0)
         dw = direction * w
         if self.m:
             bas = self.basis
@@ -364,6 +366,11 @@ class _Simplex:
             # a redundant row's tableau entries are rounding noise: it never limits
             dec_ok = (dw > PIVOT_TOL) & np.isfinite(lo) & ~self.redundant  # drops to lower
             inc_ok = (dw < -PIVOT_TOL) & np.isfinite(up) & ~self.redundant  # rises to upper
+            # so is an entry that is tiny against the products that formed it
+            rows = np.flatnonzero(dec_ok | inc_ok)
+            formed = np.abs(self.b_inv[rows]) @ np.abs(a_j)
+            noise = rows[np.abs(w[rows]) <= PIVOT_REL_TOL * formed]
+            dec_ok[noise] = inc_ok[noise] = False
             limits[dec_ok] = (xb[dec_ok] - lo[dec_ok]) / dw[dec_ok]
             limits[inc_ok] = (xb[inc_ok] - up[inc_ok]) / dw[inc_ok]
             limits = np.maximum(limits, 0.0)

@@ -21,11 +21,14 @@ raises :class:`OracleError` for it rather than calling it infeasible.
 
 Every LP these routes solve through :func:`~riskdp.engine.solve_node` is
 solved cold (no basis cache), so the oracle stays an independent reference
-for the cold simplex path.
+for the cold simplex path.  Nested decomposition solves each distinct stage
+LP once: a stage LP it meets again, at the same position and history with the
+same pool rows, reuses the earlier cold solve (:class:`_StageSolves`).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -33,11 +36,13 @@ import numpy as np
 import scipy.optimize
 
 from .cuts import build_optimality_cut
-from .engine import EngineError, PoolSet, solve_node
+from .engine import EngineError, NodeSolution, PoolSet, solve_node
 from .io import apply_risk_override
 from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization,
                     Stage)
 from .risk import RiskSpec, risk_value_and_density
+
+logger = logging.getLogger(__name__)
 
 MAX_SWEEPS = 10_000
 VALUE_REPEAT_TOL = 1e-10
@@ -49,9 +54,13 @@ class OracleError(RuntimeError):
 
 @dataclass
 class NDResult:
+    """``lps`` stage LPs solved and ``lps_reused`` repeats answered by an earlier solve."""
+
     value: float
     sweeps: int
     n_cuts: int
+    lps: int
+    lps_reused: int
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +195,44 @@ def _risk_specs(problem: Problem):
 # exact nested decomposition
 # ---------------------------------------------------------------------------
 
+class _StageSolves:
+    """Nested decomposition's stage solves: each distinct stage LP solved once, cold.
+
+    A stage LP is fixed by its position, its history and the rows of its
+    pool; pools only grow, so the pool's optimality and feasibility counts
+    identify those rows.  Asked for an LP it has solved, :meth:`solve`
+    returns that earlier cold solve, which is the solve
+    :func:`~riskdp.engine.solve_node` would return again.  It keeps the
+    solves the current and the previous sweep produced or used
+    (:meth:`next_sweep` ages them), so it does not grow with the sweep count.
+    """
+
+    def __init__(self, problem: Problem, pools: PoolSet):
+        self.problem = problem
+        self.pools = pools
+        self.current: dict = {}
+        self.previous: dict = {}
+        self.lps = 0
+        self.lps_reused = 0
+
+    def solve(self, where, history: np.ndarray) -> NodeSolution:
+        pool = self.pools.rows_for(where)
+        key = (where, history.tobytes(), len(pool.optimality), len(pool.feasibility))
+        ns = self.current.get(key)
+        if ns is None:
+            ns = self.previous.get(key)
+        if ns is None:
+            ns = solve_node(self.problem, where, history, self.pools)
+            self.lps += 1
+        else:
+            self.lps_reused += 1
+        self.current[key] = ns
+        return ns
+
+    def next_sweep(self) -> None:
+        self.previous, self.current = self.current, {}
+
+
 def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -> NDResult:
     """Sampling-free nested decomposition to convergence.
 
@@ -198,15 +245,21 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
     and pools only grow, so the first-stage value is monotone.  The run stops
     when that value repeats within ``1e-10`` and a sweep appends no cut.  With
     finitely many LP bases this terminates at the exact value.
+
+    Each distinct stage LP is solved once and cold (:class:`_StageSolves`):
+    the last-stage backward solves are the forward pass's leaf solves, the
+    first-stage value solve is the next sweep's first forward solve, and a
+    position whose pool gained no cut is met again at an unchanged history.
     """
     topo = problem.topology
     pools = PoolSet(problem)
+    solves = _StageSolves(problem, pools)
     records = _scenario_records(problem)
     n = problem.dim
     value_prev = None
     n_cuts = 0
     for sweep in range(1, max_sweeps + 1):
-        histories = _forward_all(problem, pools, records)
+        histories = _forward_all(problem, solves, records)
         added = 0
         for t in range(problem.horizon, 1, -1):
             for rec in records:
@@ -214,22 +267,27 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
                     continue
                 hist = histories[rec.key]
                 key = topo.pool(rec.where)
-                sols = [solve_node(problem, w, hist, pools) for w in topo.children(key)]
+                sols = [solves.solve(w, hist) for w in topo.children(key)]
                 cut = build_optimality_cut(
                     [s.value for s in sols], [s.pi for s in sols], topo.probs(key),
                     topo.risk(key), hist[n:], stage=key, iteration=sweep)
                 if pools.opt[key].append_optimality(cut):
                     added += 1
         n_cuts += added
-        value = solve_node(problem, topo.first, problem.x0, pools).value
+        value = solves.solve(topo.first, problem.x0).value
         if (value_prev is not None and abs(value - value_prev) <= VALUE_REPEAT_TOL
                 and added == 0):
-            return NDResult(value=value, sweeps=sweep, n_cuts=n_cuts)
+            logger.info("nested decomposition: value %r after %d sweeps, %d cuts, "
+                        "%d LPs solved (%d reused)", value, sweep, n_cuts,
+                        solves.lps, solves.lps_reused)
+            return NDResult(value=value, sweeps=sweep, n_cuts=n_cuts,
+                            lps=solves.lps, lps_reused=solves.lps_reused)
         value_prev = value
+        solves.next_sweep()
     raise OracleError(f"nested decomposition did not settle in {max_sweeps} sweeps")
 
 
-def _forward_all(problem: Problem, pools: PoolSet, records: list[_Rec]) -> dict:
+def _forward_all(problem: Problem, solves: _StageSolves, records: list[_Rec]) -> dict:
     """Histories of every scenario-tree node after one all-node forward pass.
 
     Keyed by record key; the value stored for a node is the history
@@ -238,7 +296,7 @@ def _forward_all(problem: Problem, pools: PoolSet, records: list[_Rec]) -> dict:
     histories: dict = {(): problem.x0}
     for rec in records:
         base = histories[rec.parent]
-        ns = solve_node(problem, rec.where, base, pools)
+        ns = solves.solve(rec.where, base)
         histories[rec.key] = np.concatenate([base, ns.x])
     return histories
 

@@ -22,31 +22,15 @@ assembly so that only rows active at the solution contribute.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lp import LpSolution, OPTIMAL
 from .model import SubproblemData
 
-logger = logging.getLogger(__name__)
-
 MU_ZERO_TOL = 1e-9   # inequality multipliers below this are treated as inactive
 
 
-@dataclass
-class ValueSubgradient:
-    """Assembled history subgradient with its additive components retained."""
-
-    s: np.ndarray
-    cost_term: np.ndarray
-    eq_term: np.ndarray
-    g_term: np.ndarray
-    cut_term: np.ndarray
-
-
-def assemble_pi(sub: SubproblemData, sol: LpSolution, view) -> ValueSubgradient:
+def assemble_pi(sub: SubproblemData, sol: LpSolution, view) -> np.ndarray:
     """Assemble a subgradient of the subproblem value w.r.t. its history.
 
     Parameters
@@ -62,7 +46,7 @@ def assemble_pi(sub: SubproblemData, sol: LpSolution, view) -> ValueSubgradient:
 
     Returns
     -------
-    ValueSubgradient
+    numpy.ndarray
         ``s`` over the decision history ``x_{1:t-1}``; satisfies the
         subgradient inequality for the subproblem value at the anchor history.
     """
@@ -90,6 +74,4 @@ def assemble_pi(sub: SubproblemData, sol: LpSolution, view) -> ValueSubgradient:
         cut_term = cut_term + view.opt_beta1.T @ mu_opt
     if n_feas:
         cut_term = cut_term + view.feas_beta1.T @ mu_feas
-    s = cost_term + eq_term + g_term + cut_term
-    return ValueSubgradient(s=s, cost_term=cost_term, eq_term=eq_term,
-                            g_term=g_term, cut_term=cut_term)
+    return cost_term + eq_term + g_term + cut_term

@@ -1,18 +1,21 @@
 """Brute-force references and sample checks used only by the test suite.
 
 None of these feed the solver: they evaluate a cost directly, bound
-subgradient norms from value bounds, sample-test the subgradient inequality
-and grid-search a small box, so tests can compare the package's answers
-against routes that share none of its arithmetic.
+subgradient norms from value bounds, sample-test the subgradient inequality,
+split an assembled subgradient into its row-block terms and grid-search a
+small box, so tests can compare the package's answers against routes that
+share none of its arithmetic.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from riskdp.model import ModelError, PwlConvexCost
 from riskdp.oracle import OracleError
+from riskdp.valuefn import MU_ZERO_TOL
 
 CHECK_TOL = 1e-7     # default slack in check_subgradient
 
@@ -79,6 +82,32 @@ def check_subgradient(q_eval, x0, s, n_samples: int = 100, radius: float = 1.0,
         if val < bound - tol:
             out.append({"x": x, "value": val, "bound": bound, "gap": bound - val})
     return out
+
+
+@dataclass
+class SubgradientTerms:
+    """The additive terms of ``valuefn.assemble_pi``'s subgradient, one per row block."""
+
+    cost_term: np.ndarray
+    eq_term: np.ndarray
+    g_term: np.ndarray
+    cut_term: np.ndarray
+
+
+def subgradient_terms(sub, sol, view) -> SubgradientTerms:
+    """Split the history subgradient of one optimal stage LP by row block.
+
+    The inequality duals are laid out [g rows][cost-piece rows][optimality-cut
+    rows][feasibility-cut rows]; multipliers below ``MU_ZERO_TOL`` count as
+    inactive, as in ``valuefn.assemble_pi``.
+    """
+    mu = np.where(sol.dual_ineq < MU_ZERO_TOL, 0.0, sol.dual_ineq)
+    n_g, n_p = sub.g_cur.shape[0], sub.piece_cur.shape[0]
+    cut_rows = np.vstack([view.opt_beta1, view.feas_beta1])
+    return SubgradientTerms(cost_term=mu[n_g:n_g + n_p] @ sub.piece_hist,
+                            eq_term=-(sub.a_hist.T @ sol.dual_eq),
+                            g_term=sub.g_hist.T @ mu[:n_g],
+                            cut_term=cut_rows.T @ mu[n_g + n_p:])
 
 
 def grid_minimum(fun, lb, ub, points: int = 2001) -> float:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ def test_oracle_methods(newsvendor_file, tmp_path, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(2.0, abs=1e-8)
     # the extensive form only covers expectation instances
     assert _run(["oracle", cvar_file, "--method", "extensive-form"]) == cli.EXIT_FAILURE
+
+
+def test_oracle_logs_nested_decomposition_lp_counts(newsvendor_file, monkeypatch,
+                                                    caplog, capsys):
+    monkeypatch.setenv("RISKDP_LOG", "info")
+    with caplog.at_level(logging.INFO, logger="riskdp.oracle"):
+        code = _run(["oracle", newsvendor_file, "--method", "nested-decomposition"])
+    assert code == cli.EXIT_OK
+    assert float(capsys.readouterr().out) == pytest.approx(1.5, abs=1e-8)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "riskdp.oracle"]
+    assert "3 sweeps" in line and "9 LPs solved (9 reused)" in line
 
 
 def test_oracle_reports_infeasible(tmp_path, capsys):

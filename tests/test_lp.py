@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from riskdp import lp
@@ -305,8 +305,30 @@ def degenerate_lps(draw):
     return _scaled(c, a_eq, b_eq, a_ub, b_ub, lower, upper, e_eq, e_ub, e_col)
 
 
+# LPs whose ratio test met a tableau entry that is rounding noise above
+# PIVOT_TOL: a near-dependent pair of scaled equality rows (the first
+# two, unbounded and optimal -1) and a pair of parallel inequality rows
+# (optimal -2.75).  Pivoting on the noise returned "optimal" 0, 0 and -3.5.
+_NOISE_ENTRY_LPS = [
+    lp.LpProblem(c=[0, 0, -1000, 0],
+                 a_eq=[[0, 10, -1e4, 0.01], [0, 0, 0, 0], [0, 0.1, -100, 0]], b_eq=[0, 0, 0],
+                 lower=[-np.inf, -np.inf, 0, -np.inf], upper=[np.inf, np.inf, np.inf, 0]),
+    lp.LpProblem(c=[0, 0, -1000, 0],
+                 a_eq=[[0, 10, -1e4, 0.01], [0, 0, 0, 0], [0, 0.1, -100, 0]], b_eq=[0, 0, 0],
+                 a_ub=[[0, 0, 1000, 0]], b_ub=[1],
+                 lower=[-np.inf, -np.inf, 0, -np.inf], upper=[np.inf, np.inf, np.inf, 0]),
+    _scaled(c=[2, 2, -1], a_eq=np.zeros((0, 3)), b_eq=[],
+            a_ub=[[-1, -2, 0], [-1, 1, 2], [-2, -4, 0]], b_ub=[2, 0, 4],
+            lower=[-1, -2, -np.inf], upper=[2, 1, 2], e_eq=[], e_ub=[3, -2, -1],
+            e_col=[3, -1, -3]),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(degenerate_lps())
+@example(_NOISE_ENTRY_LPS[0])
+@example(_NOISE_ENTRY_LPS[1])
+@example(_NOISE_ENTRY_LPS[2])
 def test_degenerate_lp_against_tight_highs(prob):
     sol = lp.solve(prob)
     ref = _highs(prob)
@@ -352,6 +374,20 @@ def test_noisy_redundant_row_is_not_a_pivot(data):
     assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
     scale = np.abs(prob.a_eq).max(axis=1)
     assert np.all(np.abs(prob.a_eq @ sol.x - prob.b_eq) <= 1e-9 * scale)
+
+
+@pytest.mark.parametrize("prob, status, objective", [
+    (_NOISE_ENTRY_LPS[0], lp.UNBOUNDED, None),
+    (_NOISE_ENTRY_LPS[1], lp.OPTIMAL, -1.0),
+    (_NOISE_ENTRY_LPS[2], lp.OPTIMAL, -2.75),
+], ids=["unbounded", "optimal-1", "parallel-rows"])
+def test_noise_entry_is_not_a_ratio_test_pivot(prob, status, objective):
+    sol = lp.solve(prob)
+    ref = _highs(prob)
+    assert sol.status == status == _HIGHS_STATUS[ref.status]
+    if objective is not None:
+        assert sol.objective == pytest.approx(objective, abs=1e-9)
+        assert ref.fun == pytest.approx(objective, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

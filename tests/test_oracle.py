@@ -1,13 +1,15 @@
 """Tests for the reference solvers and history conditioning."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from checks import grid_minimum
-from conftest import lattice_to_tree, make_cvar_without_complete_recourse
-from riskdp import engine, lp, model, oracle
+from conftest import (lattice_to_tree, make_cvar_without_complete_recourse,
+                      random_lattice_instance)
+from riskdp import engine, io, lp, model, oracle
 from riskdp.cuts import CUT_ROW_TOL
 from riskdp.risk import RiskSpec
 
@@ -247,3 +249,100 @@ def test_nested_decomposition_on_tree_matches_lattice():
             for m in nodes:
                 assert oracle.true_recourse_value(averse_twin, m, history) == \
                     pytest.approx(want, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# nested decomposition: pinned results and the stage-solve memo
+# ---------------------------------------------------------------------------
+
+# value, sweeps and pooled cuts of nested decomposition on the criterion-01
+# (c01-i) and criterion-02 (c02-i-j) instances, built as test_acceptance's
+# fixtures build them, and on the demo instances, as recorded when the cut
+# dedup rule became the LP row; solving each distinct stage LP once must not
+# move any of them
+_C01_GRID = ([(t, m, n) for t in (2, 3, 4) for m in (2, 3) for n in (1, 2, 3)]
+             + [(4, 3, 3), (3, 2, 2)])
+_C01_ND = [(0.4873112805, 5, 4), (0.4207392721, 4, 3), (0.5303884378, 3, 2),
+           (1.054442738, 5, 4), (1.128186822, 2, 1), (1.187524672, 3, 2),
+           (0.7379886721, 5, 7), (4.186736998, 2, 2), (2.24726012, 5, 7),
+           (0.5604486654, 4, 8), (4.431111587, 4, 7), (2.685140159, 2, 3),
+           (1.142946997, 3, 6), (2.84816003, 2, 4), (4.909738829, 4, 9),
+           (1.496083533, 6, 21), (2.907172816, 5, 16), (3.562324168, 7, 29),
+           (4.382271127, 5, 21), (4.844087776, 4, 6)]
+_C02_CONFIGS = [(2, 2, 1), (3, 2, 2), (3, 3, 1), (4, 2, 1), (2, 3, 3), (3, 2, 1)]
+_C02_RISKS = [RiskSpec(kind="cvar", epsilon=0.25), RiskSpec(kind="cvar", epsilon=0.5),
+              RiskSpec(kind="mixture", lam=0.3, epsilon=0.25),
+              RiskSpec(kind="mixture", lam=0.6, epsilon=0.5)]
+_C02_ND = [(0.787330661, 5, 4), (0.8186886561, 2, 1), (2.776680511, 4, 6),
+           (2.341229118, 2, 3), (1.311782859, 6, 11), (0.6570039155, 2, 4),
+           (1.485435411, 3, 5), (1.279549862, 2, 5), (2.30793638, 2, 1),
+           (1.265218077, 2, 1), (0.8140457085, 3, 5), (0.8059122066, 4, 6)]
+_DEMO_ND = {"demand_tree": (2.106666667, 3, 4), "inventory_mixture": (1.44, 3, 3),
+            "newsvendor": (1.5, 3, 2)}
+_DEMO_INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
+
+
+def _pinned_nd_cases():
+    for i, (t_end, m, n) in enumerate(_C01_GRID):
+        yield (f"c01-{i}", random_lattice_instance(np.random.default_rng(1000 + i), t_end, m, n),
+               _C01_ND[i])
+    pinned = iter(_C02_ND)
+    for i, (t_end, m, n) in enumerate(_C02_CONFIGS):
+        for j, risk in enumerate(_C02_RISKS[:2] if i % 2 else _C02_RISKS[2:]):
+            rng = np.random.default_rng(5000 + 10 * i + j)
+            yield (f"c02-{i}-{j}", random_lattice_instance(rng, t_end, m, n, risk=risk),
+                   next(pinned))
+    for name, want in _DEMO_ND.items():
+        yield name, io.load_problem(_DEMO_INSTANCES / f"{name}.json"), want
+
+
+def test_nested_decomposition_results_are_pinned():
+    for name, problem, (value, sweeps, n_cuts) in _pinned_nd_cases():
+        res = oracle.exact_nested_decomposition(problem)
+        assert abs(res.value - value) <= 1e-9, name
+        assert (res.sweeps, res.n_cuts) == (sweeps, n_cuts), name
+
+
+def _three_stage_lattice():
+    return random_lattice_instance(np.random.default_rng(9), 3, 3, 2,
+                                   risk=RiskSpec(kind="cvar", epsilon=0.4))
+
+
+@pytest.mark.parametrize("form", ["lattice", "tree"])
+def test_reused_stage_solves_equal_fresh_cold_solves(form, monkeypatch):
+    problem = _three_stage_lattice()
+    if form == "tree":
+        problem = lattice_to_tree(problem)
+    solved, answered = [], []
+    solve_node = oracle.solve_node
+    memo_solve = oracle._StageSolves.solve
+
+    def counting(*args, **kwargs):
+        solved.append(1)
+        return solve_node(*args, **kwargs)
+
+    def checked(self, where, history):
+        # every answer, reused or not, is what a fresh cold solve of the same
+        # LP (position, history, current pool rows) returns, bit for bit
+        ns = memo_solve(self, where, history)
+        fresh = engine.solve_node(self.problem, where, history, self.pools)
+        assert ns.value == fresh.value and ns.duals.pivots == fresh.duals.pivots
+        for got, want in ((ns.x, fresh.x), (ns.pi, fresh.pi),
+                          (ns.duals.dual_eq, fresh.duals.dual_eq),
+                          (ns.duals.dual_ineq, fresh.duals.dual_ineq)):
+            assert got.tobytes() == want.tobytes()
+        answered.append(1)
+        return ns
+
+    monkeypatch.setattr(oracle, "solve_node", counting)
+    monkeypatch.setattr(oracle._StageSolves, "solve", checked)
+    res = oracle.exact_nested_decomposition(problem)
+    # without the memo each sweep solves every scenario-tree node forward,
+    # its children again backward (all nodes but the stage-1 one) and the
+    # stage-1 node once more for the value
+    records = oracle._scenario_records(problem)
+    every = 2 * len(records) * res.sweeps
+    assert res.lps + res.lps_reused == len(answered) == every
+    assert res.lps == len(solved) < every
+    assert res.lps_reused > 0
+

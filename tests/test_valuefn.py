@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from checks import (check_subgradient, evaluate_cost_and_history_subgradient,
-                    subgradient_bound)
+                    subgradient_bound, subgradient_terms)
 from riskdp import engine, lp, model, valuefn
 from riskdp.cuts import OptimalityCut, zero_terminal_pool
 
@@ -47,7 +47,7 @@ def test_static_inequality_contribution():
     assert ns.value == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(ns.pi, [1.0], atol=1e-9)
     # the slope comes entirely from the static inequality rows
-    parts = valuefn.assemble_pi(ns.sub, ns.duals, _view_for(ns))
+    parts = subgradient_terms(ns.sub, ns.duals, _view_for(ns))
     assert np.allclose(parts.g_term, [1.0], atol=1e-9)
     assert np.allclose(parts.cost_term, [0.0], atol=1e-12)
     assert np.allclose(parts.eq_term, [0.0], atol=1e-12)
@@ -63,7 +63,7 @@ def test_equality_contribution_sign():
     ns = _solve_second_stage(_two_stage(pay), 1.0)
     assert ns.value == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(ns.pi, [-1.0], atol=1e-9)
-    parts = valuefn.assemble_pi(ns.sub, ns.duals, _view_for(ns))
+    parts = subgradient_terms(ns.sub, ns.duals, _view_for(ns))
     assert np.allclose(parts.eq_term, [-1.0], atol=1e-9)
     assert np.allclose(parts.g_term, [0.0], atol=1e-12)
 
@@ -109,9 +109,11 @@ def test_cut_row_contribution():
     ns = engine.solve_node(problem, (2, 0), np.array([0.0, 2.0]), pools)
     assert ns.value == pytest.approx(-3.0, abs=1e-9)
     assert np.allclose(ns.pi, [1.0], atol=1e-9)
-    parts = valuefn.assemble_pi(ns.sub, ns.duals, pools.rows_for((2, 0)).view(1))
+    view = pools.rows_for((2, 0)).view(1)
+    parts = subgradient_terms(ns.sub, ns.duals, view)
     assert np.allclose(parts.cut_term, [1.0], atol=1e-9)
-    assert np.allclose(parts.s, parts.cost_term + parts.eq_term
+    s = valuefn.assemble_pi(ns.sub, ns.duals, view)
+    assert np.allclose(s, parts.cost_term + parts.eq_term
                        + parts.g_term + parts.cut_term)
     shifted = engine.solve_node(problem, (2, 0), np.array([0.0, 3.0]), pools)
     assert shifted.value == pytest.approx(-2.0, abs=1e-9)
