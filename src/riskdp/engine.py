@@ -35,24 +35,25 @@ previous-generation pools.  The anchor-equality assertion of
 Sampling is counter-based: one uniform draw per (seed, iteration, stage),
 so replay is exact and independent of execution order.
 
-Warm starts: the driver owns one basis cache, the last optimal basis of each
-position's stage LP.  Between two solves of a position only the history
-right-hand side moves and cut rows are appended, so :func:`carry_basis`
-maps the cached basis onto the new row layout with the new rows' slacks
-basic, and :func:`riskdp.lp.solve` skips phase 1 whenever that basis is
-still primal feasible.  Everything else solves cold: the probe's
-``resolve`` (it must not disturb the cache), :func:`phase_one`, and every
-caller of :func:`solve_node` that passes no cache, such as the oracle.  A
-warm solve may stop at another optimal vertex of a degenerate LP than the
-cold one, hence another dual vertex and another valid cut; replay is still
-exact, because the cache evolves deterministically.
+Persistent stage LPs: the driver keeps one :class:`StageLp` per position,
+built on the position's first solve and kept for the run.  Between two
+solves of a position only the history right-hand side moves and the pool's
+new cut rows are appended, so each later solve inserts the new rows, moves
+the right-hand side and re-solves in place from the held basis whenever it
+is still primal feasible (:class:`riskdp.lp.PersistentLp`).  Everything
+else solves cold: the probe's ``resolve`` (it must not disturb the driver's
+LPs), :func:`phase_one`, and every caller of :func:`solve_node` that passes
+no stage LP, such as the oracle.  A re-solve in place may stop at another
+optimal vertex of a degenerate LP than the cold one, hence another dual
+vertex and another valid cut; replay is still exact, because the stage LPs
+evolve deterministically.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +94,7 @@ class RunConfig:
     dict (keys ``stage``, ``realization``, ``history``, ``value``, ``pi``,
     ``resolve``) — ``resolve(history)`` re-solves the same subproblem against
     the same pools and must be used before the pools advance; it solves cold
-    and leaves the driver's basis cache unchanged.
+    and leaves the driver's stage LPs unchanged.
     """
 
     algorithm: str = "alg1"
@@ -114,8 +115,8 @@ class IterationReport:
     stage; ``cuts_skipped`` counts, by pool key, the optimality cuts built but
     not appended because their LP row was already pooled.  ``lps`` counts the
     LPs the driver solved (stage LPs and phase-I LPs, not the probe's
-    re-solves), ``lps_warm`` those that ran from a cached basis and skipped
-    phase 1, and ``pivots`` their simplex pivots.
+    re-solves), ``lps_warm`` the stage LPs re-solved in place from their held
+    basis, skipping phase 1, and ``pivots`` their simplex pivots.
     """
 
     k: int
@@ -236,75 +237,106 @@ def sample_path(problem: Problem, seed: int, k: int) -> list:
 # subproblem solves
 # ---------------------------------------------------------------------------
 
+def _opt_rows(beta2: np.ndarray) -> np.ndarray:
+    """Optimality-cut rows over ``[x_t, w, z]``: ``beta2 . x_t - z``."""
+    k = beta2.shape[0]
+    return np.hstack([beta2, np.zeros((k, 1)), np.full((k, 1), -1.0)])
+
+
+def _feas_rows(beta2: np.ndarray) -> np.ndarray:
+    """Feasibility-cut rows over ``[x_t, w, z]``: ``beta2 . x_t``."""
+    return np.hstack([beta2, np.zeros((beta2.shape[0], 2))])
+
+
+def _stage_rhs(sub: SubproblemData, view) -> tuple[np.ndarray, np.ndarray]:
+    """The stage LP's right-hand sides ``(b_eq, b_ub)``, the part that moves with the history."""
+    h_dec = sub.history[sub.lb.shape[0]:]
+    rhs = [sub.ineq_rhs, -sub.piece_const]
+    if view.n_opt:
+        rhs.append(view.opt_rhs_const - view.opt_beta1 @ h_dec)
+    if view.n_feas:
+        rhs.append(view.feas_rhs_const - view.feas_beta1 @ h_dec)
+    return sub.eq_rhs, np.concatenate(rhs)
+
+
 def build_stage_lp(sub: SubproblemData, view, z_lo: float) -> lp.LpProblem:
     """Canonical stage LP: variables ``[x_t, w, z]``, objective ``w + z``."""
     n = sub.lb.shape[0]
-    h_dec = sub.history[n:]
     q = sub.eq_rhs.shape[0]
-    a_eq = np.hstack([sub.a_cur, np.zeros((q, 2))]) if q else None
-    b_eq = sub.eq_rhs if q else None
-    blocks, rhs = [], []
     r = sub.ineq_rhs.shape[0]
-    if r:
-        blocks.append(np.hstack([sub.g_cur, np.zeros((r, 2))]))
-        rhs.append(sub.ineq_rhs)
     n_p = sub.piece_cur.shape[0]
-    piece_block = np.hstack([sub.piece_cur, np.full((n_p, 1), -1.0), np.zeros((n_p, 1))])
-    blocks.append(piece_block)
-    rhs.append(-sub.piece_const)
-    if view.n_opt:
-        blocks.append(np.hstack([view.opt_beta2,
-                                 np.zeros((view.n_opt, 1)), np.full((view.n_opt, 1), -1.0)]))
-        rhs.append(view.opt_rhs_const - view.opt_beta1 @ h_dec)
-    if view.n_feas:
-        blocks.append(np.hstack([view.feas_beta2, np.zeros((view.n_feas, 2))]))
-        rhs.append(view.feas_rhs_const - view.feas_beta1 @ h_dec)
+    b_eq, b_ub = _stage_rhs(sub, view)
+    a_ub = np.vstack([np.hstack([sub.g_cur, np.zeros((r, 2))]),
+                      np.hstack([sub.piece_cur, np.full((n_p, 1), -1.0), np.zeros((n_p, 1))]),
+                      _opt_rows(view.opt_beta2), _feas_rows(view.feas_beta2)])
     return lp.LpProblem(c=np.concatenate([np.zeros(n), [1.0, 1.0]]),
-                        a_eq=a_eq, b_eq=b_eq,
-                        a_ub=np.vstack(blocks), b_ub=np.concatenate(rhs),
+                        a_eq=np.hstack([sub.a_cur, np.zeros((q, 2))]), b_eq=b_eq,
+                        a_ub=a_ub, b_ub=b_ub,
                         lower=np.concatenate([sub.lb, [-np.inf, z_lo]]),
                         upper=np.concatenate([sub.ub, [np.inf, np.inf]]))
 
 
-def carry_basis(cached, view) -> np.ndarray:
-    """A position's cached stage-LP basis, carried onto the LP built from ``view``.
+class StageLp:
+    """One position's stage LP, kept across the run's solves of that position.
 
-    ``cached`` is ``(basis, n_opt, n_feas)``: an earlier optimal basis of
-    :func:`build_stage_lp` at the same position and the cut counts of the
-    view it was built from.  Between two solves of one position only the
-    history-dependent right-hand side moves and the pool appends cut rows, so
-    the structural and static-row states carry over unchanged and each new
-    row's slack enters basic.  Feasibility-cut rows follow the
-    optimality-cut rows, so new optimality cuts shift their slacks.
+    A cold solve builds the LP with :func:`build_stage_lp`, solves it with
+    :func:`riskdp.lp.solve` and holds it with its final basis in a
+    :class:`riskdp.lp.PersistentLp`.  Each later solve inserts the pool's new
+    cut rows in the layout of :func:`build_stage_lp` (new optimality rows
+    after the held ones, before the feasibility rows; new feasibility rows at
+    the end), moves the history right-hand side and re-solves in place; when
+    the held basis declines, the solve is cold again.  ``n_opt`` and
+    ``n_feas`` count the cut rows of the held LP.
     """
-    basis, n_opt, n_feas = cached
-    end_opt = basis.shape[0] - n_feas
-    new_opt = np.full(view.n_opt - n_opt, lp.BASIC, dtype=basis.dtype)
-    new_feas = np.full(view.n_feas - n_feas, lp.BASIC, dtype=basis.dtype)
-    return np.concatenate([basis[:end_opt], new_opt, basis[end_opt:], new_feas])
+
+    def __init__(self):
+        self.lp: lp.PersistentLp | None = None
+        self.n_opt = 0
+        self.n_feas = 0
+
+    def solve(self, sub: SubproblemData, view, z_lo: float) -> lp.LpSolution:
+        held = self.lp
+        if held is not None:
+            b_eq, b_ub = _stage_rhs(sub, view)
+            end_opt = b_ub.shape[0] - view.n_feas  # where the optimality rows end
+            if view.n_opt > self.n_opt:
+                at = end_opt - view.n_opt + self.n_opt
+                held.append_rows(_opt_rows(view.opt_beta2[self.n_opt:]), b_ub[at:end_opt], at)
+            if view.n_feas > self.n_feas:
+                at = end_opt + self.n_feas
+                held.append_rows(_feas_rows(view.feas_beta2[self.n_feas:]), b_ub[at:], at)
+            held.set_rhs(b_eq, b_ub)
+        self.n_opt, self.n_feas = view.n_opt, view.n_feas
+        sol = None if held is None else held.resolve()
+        if sol is None:
+            prob = build_stage_lp(sub, view, z_lo)
+            sol = lp.solve(prob)
+            self.lp = None if sol.basis is None else lp.PersistentLp(prob, sol.basis)
+        return sol
 
 
 def solve_node(problem: Problem, where, history, pools: PoolSet,
-               z_lo: float | None = None, bases: dict | None = None) -> NodeSolution:
+               z_lo: float | None = None, stage_lp: StageLp | None = None) -> NodeSolution:
     """Solve one stage subproblem and assemble its history subgradient.
 
     ``where`` is a position of the problem's topology.  The LP includes the
     optimality- and feasibility-cut rows of the position's pool; ``z`` is
     bounded below by the certified recourse bound for the next stage.
 
-    ``bases`` is an optional basis cache keyed by position.  When given, the
-    solve starts from the position's cached basis (:func:`carry_basis`),
-    which :func:`lp.solve` uses when it is still primal feasible, and the
-    final basis replaces the cached one.  Without it the solve is cold and
-    touches no cache.
+    ``stage_lp`` is the position's optional persistent LP.  When given, the
+    solve goes through it (:meth:`StageLp.solve`), re-solving in place
+    whenever its held basis is still primal feasible.  Without it, and
+    whenever the held basis declines, the solve is the cold
+    :func:`riskdp.lp.solve` of :func:`build_stage_lp`.
     """
     sub = assemble_subproblem(problem, where, history)
     view = pools.rows_for(where).view(problem.dim)
     if z_lo is None:
         z_lo = problem.z_lower(sub.t)
-    prob = build_stage_lp(sub, view, z_lo)
-    cached = bases.get(where) if bases is not None else None
-    sol = lp.solve(prob, start=None if cached is None else carry_basis(cached, view))
+    if stage_lp is None:
+        sol = lp.solve(build_stage_lp(sub, view, z_lo))
+    else:
+        sol = stage_lp.solve(sub, view, z_lo)
     if sol.status == lp.INFEASIBLE:
         raise EngineError(
             f"stage-{sub.t} subproblem infeasible at position {sub.where}: "
@@ -314,8 +346,6 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
         raise EngineError(
             f"stage-{sub.t} subproblem unbounded: lower_value_bound for stage "
             f"{sub.t + 1} does not bound the recourse from below")
-    if bases is not None and sol.basis is not None:
-        bases[where] = (sol.basis, view.n_opt, view.n_feas)
     n = problem.dim
     pi = assemble_pi(sub, sol, view)
     return NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol, pi=pi, sub=sub)
@@ -379,13 +409,13 @@ def phase_one(problem: Problem, where, history, pools: PoolSet,
 # ---------------------------------------------------------------------------
 
 class _Driver:
-    """One run's state: the pools, the basis cache and the LP tally.
+    """One run's state: the pools, the stage LPs and the LP tally.
 
-    ``bases`` caches the last optimal basis of every position's stage LP;
-    every stage solve of the run starts from it (see :func:`solve_node`).
-    The probe's ``resolve`` and the phase-I LPs of the feasibility gate stay
-    cold and leave the cache alone.  ``tally`` holds the run's running LP
-    totals (:func:`_count_lp`).
+    ``stage_lps`` holds every position's :class:`StageLp`; every stage solve
+    of the run goes through it (see :func:`solve_node`).  The probe's
+    ``resolve`` and the phase-I LPs of the feasibility gate stay cold and
+    leave the stage LPs alone.  ``tally`` holds the run's running LP totals
+    (:func:`_count_lp`).
     """
 
     def __init__(self, problem: Problem, cfg: RunConfig):
@@ -393,7 +423,7 @@ class _Driver:
         self.cfg = cfg
         self.topology = problem.topology
         self.pools = PoolSet(problem)
-        self.bases: dict = {}
+        self.stage_lps: defaultdict = defaultdict(StageLp)
         self.tally: Counter = Counter()
         self.stage1 : NodeSolution | None = None
         self.pi_norm_max: dict[int, float] = {}
@@ -403,8 +433,9 @@ class _Driver:
     # -- small helpers -----------------------------------------------------
 
     def _solve(self, where, history) -> NodeSolution:
-        """Solve one stage LP from the position's cached basis and tally it."""
-        ns = solve_node(self.problem, where, history, self.pools, bases=self.bases)
+        """Solve one stage LP through the position's stage LP and tally it."""
+        ns = solve_node(self.problem, where, history, self.pools,
+                        stage_lp=self.stage_lps[where])
         _count_lp(self.tally, ns.duals)
         return ns
 

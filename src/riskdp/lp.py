@@ -19,23 +19,23 @@ Pricing uses Dantzig's rule and switches permanently to Bland's rule after a
 run of degenerate pivots; :func:`solve_with_bland` uses Bland's rule from the
 start and therefore cannot cycle.
 
-Warm starts: every optimal solve returns its final basis (``LpSolution.basis``,
-one state per structural and slack column).  ``solve(prob, start=basis)``
-installs such a basis, typically one from an earlier solve of a related LP
-whose right-hand side moved and whose new rows have their slacks basic, and
-factorizes it once.  If every basic value lies within its bounds (to
-:data:`PHASE1_TOL`) the basis is primal feasible: the artificials and phase 1
-are skipped and the phase-2 loop runs from it.  Otherwise, and whenever the
-start does not fit the LP or its basis matrix is singular, the start is
-declined and the solve is the cold two-phase solve.  There is no dual simplex:
-a start that lost primal feasibility buys nothing.
+Persistent LPs: every optimal solve returns its final basis
+(``LpSolution.basis``), and :class:`PersistentLp` holds an LP with such a
+basis and its inverse across re-solves.  Between two re-solves, inequality
+rows can be inserted (each new row's slack enters the basis, so the inverse
+is bordered in closed form) and the right-hand side moved (only the basic
+values are recomputed).  When the held basis is still primal feasible, to
+:data:`PHASE1_TOL` in its bounds and in the row residual, the re-solve runs
+the phase-2 loop in place; otherwise it declines, and the caller solves the
+LP cold with :func:`solve`.  There is no dual simplex: a basis that lost
+primal feasibility buys nothing.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,7 @@ REFACTOR_EVERY = 64     # pivots between explicit refactorizations
 STALL_SWITCH = 100      # consecutive degenerate pivots before Bland takes over
 MAX_PIVOTS = 200_000    # hard safety limit per solve
 
-# Column states; an ``LpSolution.basis`` holds one per structural and slack column.
+# Column states, one per structural, slack and artificial column.
 BASIC = 0
 AT_LOWER = 1
 AT_UPPER = 2
@@ -152,10 +152,11 @@ class LpSolution:
     ``status == "optimal"``.  ``binding_ineq[i]`` flags inequality rows with
     slack below :data:`BINDING_TOL`.  ``basis`` is the final basis as one
     column state per structural and slack column (:data:`BASIC`,
-    :data:`AT_LOWER`, :data:`AT_UPPER` or :data:`NB_FREE`), ready to be
-    handed back to :func:`solve` as a start; it is None unless the solve is
-    optimal with no artificial column left basic.  ``warm_start`` says
-    whether the solve ran from the supplied start basis.
+    :data:`AT_LOWER`, :data:`AT_UPPER` or :data:`NB_FREE`), ready to be held
+    by a :class:`PersistentLp`; it is None unless the solve is optimal with
+    no artificial column left basic.  ``warm_start`` says whether the solve
+    ran in place from a held basis (:meth:`PersistentLp.resolve`), skipping
+    phase 1.
     """
 
     status: str
@@ -170,10 +171,10 @@ class LpSolution:
 
 
 class _Simplex:
-    """One solve; builds the working arrays and runs the two phases."""
+    """The working arrays of one LP and the two phases of the simplex."""
 
     def __init__(self, prob: LpProblem, bland_always: bool):
-        self.prob = prob
+        self.c = prob.c
         self.bland_always = bland_always
         n = prob.n_vars
         q = prob.a_eq.shape[0]
@@ -198,6 +199,7 @@ class _Simplex:
         self.pivots = 0
         self.degenerate_run = 0
         self.bland_mode = bland_always
+        self.moved = False  # a pivot or a bound flip since the last factorization
 
     # -- setup -------------------------------------------------------------
 
@@ -256,45 +258,6 @@ class _Simplex:
         self.redundant = np.zeros(m, dtype=bool)  # rows whose artificial stays basic
         self._refactor()
 
-    def _install_start(self, start) -> bool:
-        """Install a start basis; True when it is primal feasible, so phase 1 is skipped.
-
-        Returns False, for the cold two-phase solve to take over, when the
-        start does not fit this LP's columns and rows, parks a column at an
-        infinite bound, has a singular basis matrix, or gives a point that
-        misses a row or a basic bound by more than :data:`PHASE1_TOL` (a
-        nearly singular basis shows up as the row residual).
-        """
-        if start is None:
-            return False
-        state = np.asarray(start, dtype=np.int8)
-        if state.shape != (self.n_real,):
-            return False
-        basis = np.flatnonzero(state == BASIC)
-        at_lo, at_up, free = state == AT_LOWER, state == AT_UPPER, state == NB_FREE
-        self.x = np.where(at_lo, self.lower, np.where(at_up, self.upper, 0.0))
-        bounded = np.isfinite(self.lower) | np.isfinite(self.upper)
-        if (basis.size != self.m or not np.isfinite(self.x).all() or (free & bounded).any()
-                or basis.size + np.count_nonzero(at_lo | at_up | free) != self.n_real):
-            return False
-        self.status_col = state.copy()
-        self.basis = basis
-        try:
-            self._refactor()
-        except SimplexError:
-            return False
-        if self.m:
-            xb = self.x[basis]
-            if (np.abs(self.a @ self.x - self.b).max() > PHASE1_TOL
-                    or ((xb < self.lower[basis] - PHASE1_TOL)
-                        | (xb > self.upper[basis] + PHASE1_TOL)).any()):
-                return False
-        self.artificials = np.zeros(0, dtype=int)
-        self.ncols = self.n_real
-        self.allowed = np.ones(self.ncols, dtype=bool)
-        self.redundant = np.zeros(self.m, dtype=bool)
-        return True
-
     # -- linear algebra ----------------------------------------------------
 
     def _refactor(self) -> None:
@@ -304,9 +267,15 @@ class _Simplex:
         bmat = self.a[:, self.basis]
         try:
             self.b_inv = np.linalg.inv(bmat)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        except np.linalg.LinAlgError as exc:
             raise SimplexError(f"singular basis {self.basis.tolist()}") from exc
+        self.moved = False
         self._recompute_basic_values()
+
+    def _refresh(self) -> None:
+        """Refactor unless neither the basis nor a nonbasic value moved since the last one."""
+        if self.moved:
+            self._refactor()
 
     def _recompute_basic_values(self) -> None:
         if self.m == 0:
@@ -400,6 +369,7 @@ class _Simplex:
         return row_min, leave, leave_to, "pivot", w
 
     def _apply_flip(self, j: int, direction: float, step: float, w: np.ndarray) -> None:
+        self.moved = True
         if self.m:
             self.x[self.basis] -= step * direction * w
         if direction > 0:
@@ -428,6 +398,7 @@ class _Simplex:
         other = np.arange(self.m) != leave
         self.b_inv[other, :] -= np.outer(w[other], self.b_inv[leave, :])
         self.pivots += 1
+        self.moved = True
         if self.pivots % REFACTOR_EVERY == 0:
             self._refactor()
 
@@ -443,9 +414,13 @@ class _Simplex:
             j, direction = picked
             step, leave, leave_to, kind, w = self._ratio_test(j, direction)
             if kind == "unbounded":
-                if phase == 1:  # pragma: no cover - phase-1 objective is bounded
-                    raise SimplexError("phase-1 reported unbounded")
-                return UNBOUNDED
+                if phase == 2:
+                    return UNBOUNDED
+                # The phase-1 objective is bounded below, so the entries that
+                # would have limited this column were rounding noise, and so is
+                # its reduced cost: it does not improve phase 1.
+                self.allowed[j] = False
+                continue
             if step < STEP_TOL:
                 self.degenerate_run += 1
                 if (not self.bland_always and not self.bland_mode
@@ -468,9 +443,11 @@ class _Simplex:
                 continue
             tableau = self.b_inv @ a_real
             tab_row = np.abs(tableau[row])
-            # an entry that is tiny against its own tableau column is rounding
-            # noise of a redundant row, not a pivot
-            noise = DRIVE_OUT_REL_TOL * np.abs(tableau).max(axis=0)
+            # an entry that is tiny against its own tableau column, or against
+            # the products that formed it, is rounding noise of a redundant
+            # row, not a pivot
+            noise = np.maximum(DRIVE_OUT_REL_TOL * np.abs(tableau).max(axis=0),
+                               PIVOT_REL_TOL * (np.abs(self.b_inv[row]) @ np.abs(a_real)))
             size = np.where((tab_row > np.maximum(PIVOT_TOL, noise))
                             & (self.status_col[:self.n_real] != BASIC), tab_row, 0.0)
             if not size.any():
@@ -489,36 +466,41 @@ class _Simplex:
             other = np.arange(self.m) != row
             self.b_inv[other, :] -= np.outer(w[other], self.b_inv[row, :])
             self.pivots += 1
-        self._refactor()
+            self.moved = True
+        self._refresh()
 
-    def run(self, start=None) -> LpSolution:
-        warm = self._install_start(start)
-        if not warm:
-            self._initial_point()
-            self._install_artificials()
+    def run(self) -> LpSolution:
+        """The cold two-phase solve from a slack-and-artificial basis."""
+        self._initial_point()
+        self._install_artificials()
         if self.artificials.size:
             cost1 = np.zeros(self.ncols)
             cost1[self.artificials] = 1.0
             status = self._optimize(cost1, phase=1)
             assert status == OPTIMAL
-            self._refactor()
+            self._refresh()
             phase1_val = float(cost1 @ self.x)
             if phase1_val > PHASE1_TOL:
                 return LpSolution(status=INFEASIBLE, pivots=self.pivots)
             self._drive_out_artificials()
+            self.allowed[:] = True  # phase 1 may have set noise columns aside
             self.allowed[self.artificials] = False
             # Park nonbasic artificials exactly at zero.
             for col in self.artificials:
                 if self.status_col[col] != BASIC:
                     self.x[col] = 0.0
                     self.status_col[col] = AT_LOWER
+        return self._phase2(warm=False)
+
+    def _phase2(self, warm: bool) -> LpSolution:
+        """Phase 2 from the current primal feasible basis, and the solution it ends at."""
         cost2 = np.zeros(self.ncols)
-        cost2[:self.n_struct] = self.prob.c
+        cost2[:self.n_struct] = self.c
         self.degenerate_run = 0
         status = self._optimize(cost2, phase=2)
         if status == UNBOUNDED:
             return LpSolution(status=UNBOUNDED, pivots=self.pivots, warm_start=warm)
-        self._refactor()  # polish: exact basic values off a fresh inverse
+        self._refresh()  # polish: exact basic values off a fresh inverse
         n, q = self.n_struct, self.n_eq
         x = self.x[:n].copy()
         if self.m:
@@ -527,26 +509,127 @@ class _Simplex:
             y = np.zeros(0)
         dual_eq = y[:q].copy()
         dual_ineq = np.maximum(-y[q:], 0.0)
-        if self.n_ub:
-            slack = self.prob.b_ub - self.prob.a_ub @ x
-            binding = slack <= BINDING_TOL
-        else:
-            binding = np.zeros(0, dtype=bool)
+        slack = self.b[q:] - self.a[q:, :n] @ x
         basis = (None if (self.basis >= self.n_real).any()
                  else self.status_col[:self.n_real].copy())
-        return LpSolution(status=OPTIMAL, x=x, objective=float(self.prob.c @ x),
+        return LpSolution(status=OPTIMAL, x=x, objective=float(self.c @ x),
                           dual_eq=dual_eq, dual_ineq=dual_ineq,
-                          binding_ineq=binding, pivots=self.pivots,
+                          binding_ineq=slack <= BINDING_TOL, pivots=self.pivots,
                           basis=basis, warm_start=warm)
 
 
-def solve(prob: LpProblem, start: np.ndarray | None = None) -> LpSolution:
-    """Solve an :class:`LpProblem` with Dantzig pricing (Bland fallback on stall).
+class PersistentLp(_Simplex):
+    """One LP kept across re-solves, with an optimal basis and its inverse.
 
-    ``start`` is an optional start basis in the form of
-    :attr:`LpSolution.basis`.  When it is primal feasible for ``prob`` the
-    solve skips phase 1 and runs phase 2 from it; otherwise it is declined
-    and the solve is the cold two-phase solve, bit for bit.
+    Built from an :class:`LpProblem` and an optimal basis of it (the
+    ``basis`` of :func:`solve`).  Between two re-solves, inequality rows can
+    be inserted (:meth:`append_rows`) and the right-hand side moved
+    (:meth:`set_rhs`); the cost, the box and the existing rows stay as
+    built.  :meth:`resolve` re-solves in place while the held basis is primal
+    feasible and declines otherwise, leaving the cold solve to the caller.
+    """
+
+    def __init__(self, prob: LpProblem, basis: np.ndarray):
+        super().__init__(prob, bland_always=False)
+        self.status_col = np.array(basis, dtype=np.int8)
+        self.basis = np.flatnonzero(self.status_col == BASIC)
+        self.x = np.where(self.status_col == AT_LOWER, self.lower,
+                          np.where(self.status_col == AT_UPPER, self.upper, 0.0))
+        self.ncols = self.n_real
+        self.allowed = np.ones(self.ncols, dtype=bool)
+        self.redundant = np.zeros(self.m, dtype=bool)
+        self.stale = 0  # rows bordered onto the inverse since it was factorized
+        self._refactor()
+
+    def _refactor(self) -> None:
+        super()._refactor()
+        self.stale = 0
+
+    def append_rows(self, a_rows: np.ndarray, b_rows: np.ndarray, at: int) -> None:
+        """Insert the rows ``a_rows x <= b_rows`` before inequality row ``at``.
+
+        Each new row's slack column enters the basis, at the new row's
+        position.  Up to that placement the basis matrix becomes
+        ``[[B, 0], [r_B, I]]`` (``r_B``: the new rows at the basic columns),
+        so the inverse is bordered in closed form with
+        ``[[B^-1, 0], [-r_B B^-1, I]]``.
+        """
+        k = a_rows.shape[0]
+        n, m = self.n_struct, self.m
+        p, s = self.n_eq + at, n + at  # the first new row and its slack column
+        rows = np.zeros((k, self.n_real + k))
+        rows[:, :n] = a_rows
+        rows[:, s:s + k] = np.eye(k)
+        a = np.hstack([self.a[:, :s], np.zeros((m, k)), self.a[:, s:]])
+        self.a = np.vstack([a[:p], rows, a[p:]])
+        self.b = np.concatenate([self.b[:p], b_rows, self.b[p:]])
+        self.lower = np.concatenate([self.lower[:s], np.zeros(k), self.lower[s:]])
+        self.upper = np.concatenate([self.upper[:s], np.full(k, np.inf), self.upper[s:]])
+        basis = np.where(self.basis >= s, self.basis + k, self.basis)
+        border = -(rows[:, basis] @ self.b_inv)
+        b_inv = np.hstack([self.b_inv[:, :p], np.zeros((m, k)), self.b_inv[:, p:]])
+        border = np.hstack([border[:, :p], np.eye(k), border[:, p:]])
+        self.b_inv = np.vstack([b_inv[:p], border, b_inv[p:]])
+        self.basis = np.concatenate([basis[:p], np.arange(s, s + k), basis[p:]])
+        self.status_col = np.concatenate([self.status_col[:s], np.full(k, BASIC, dtype=np.int8),
+                                          self.status_col[s:]])
+        self.x = np.concatenate([self.x[:s], b_rows - a_rows @ self.x[:n], self.x[s:]])
+        self.stale += k
+        self.m += k
+        self.n_ub += k
+        self.n_real += k
+        self.ncols = self.n_real
+        self.allowed = np.ones(self.ncols, dtype=bool)
+        self.redundant = np.zeros(self.m, dtype=bool)
+
+    def set_rhs(self, b_eq: np.ndarray, b_ub: np.ndarray) -> None:
+        """Move the right-hand side; only the basic values change."""
+        b = np.concatenate([b_eq, b_ub])
+        if b.shape[0] != self.m:
+            raise ValueError(f"right-hand side has {b.shape[0]} entries, the LP {self.m} rows")
+        self.b = b
+        self._recompute_basic_values()
+
+    def resolve(self) -> LpSolution | None:
+        """Re-solve in place from the held basis; None when it is no longer primal feasible.
+
+        The held basis is primal feasible when the row residual and its basic
+        bounds are both within :data:`PHASE1_TOL`; then the phase-2 loop runs
+        from it and the solution's ``warm_start`` is True.  The inverse is
+        refactored on the :data:`REFACTOR_EVERY` schedule, and a check that
+        fails on an inverse updated since its factorization is repeated on a
+        fresh one.  After a None the object is spent: solve the LP cold and
+        hold the new basis in a new :class:`PersistentLp`.
+        """
+        self.pivots = 0
+        self.bland_mode = False
+        if self.stale >= REFACTOR_EVERY and not self._try_refactor():
+            return None
+        if not self._fits() and not (
+                (self.stale or self.moved) and self._try_refactor() and self._fits()):
+            return None
+        return self._phase2(warm=True)
+
+    def _try_refactor(self) -> bool:
+        try:
+            self._refactor()
+        except SimplexError:
+            return False
+        return True
+
+    def _fits(self) -> bool:
+        """Both gates: the row residual and the basic bounds, within :data:`PHASE1_TOL`."""
+        if not self.m:
+            return True
+        bas = self.basis
+        xb = self.x[bas]
+        return bool(np.abs(self.a @ self.x - self.b).max() <= PHASE1_TOL
+                    and ((xb >= self.lower[bas] - PHASE1_TOL)
+                         & (xb <= self.upper[bas] + PHASE1_TOL)).all())
+
+
+def solve(prob: LpProblem) -> LpSolution:
+    """Solve an :class:`LpProblem` cold with Dantzig pricing (Bland fallback on stall).
 
     Returns
     -------
@@ -555,7 +638,7 @@ def solve(prob: LpProblem, start: np.ndarray | None = None) -> LpSolution:
         Identical inputs produce identical outputs (all tie-breaking is by
         first index).
     """
-    return _Simplex(prob, bland_always=False).run(start)
+    return _Simplex(prob, bland_always=False).run()
 
 
 def solve_with_bland(prob: LpProblem) -> LpSolution:

@@ -20,10 +20,11 @@ complete recourse has no exact reference here: :func:`nested_decomposition_value
 raises :class:`OracleError` for it rather than calling it infeasible.
 
 Every LP these routes solve through :func:`~riskdp.engine.solve_node` is
-solved cold (no basis cache), so the oracle stays an independent reference
-for the cold simplex path.  Nested decomposition solves each distinct stage
-LP once: a stage LP it meets again, at the same position and history with the
-same pool rows, reuses the earlier cold solve (:class:`_StageSolves`).
+solved cold (no persistent stage LP), so the oracle stays an independent
+reference for the cold simplex path.  Nested decomposition solves each
+distinct stage LP once: a stage LP it meets again, at the same position and
+history with the same pool rows, reuses the earlier cold solve
+(:class:`_StageSolves`).
 """
 
 from __future__ import annotations
@@ -98,10 +99,14 @@ def extensive_form_value(problem: Problem) -> float:
     """Optimal value of the risk-neutral deterministic equivalent.
 
     Builds one LP with a decision and a cost-epigraph variable per scenario
-    node and solves it with an external implementation.  Only expectation
-    risk specs are supported — any other spec changes the objective in a way
-    a single probability-weighted LP cannot express.  Returns ``+inf`` when
-    the instance is infeasible.
+    node, weighted by the nodes' probabilities, and solves it with an
+    external implementation.  Only expectation risk specs are supported,
+    because this LP is probability weighted.  One LP can still express every
+    spec riskdp supports: a nested epigraph with a value column per node and
+    the one-step risk of its children written as rows (Rockafellar–Uryasev
+    rows for CVaR, their convex combination with the expectation for a
+    mixture, the dual of the density LP for a polytope); riskdp does not
+    build that LP yet.  Returns ``+inf`` when the instance is infeasible.
     """
     _require_expectation(problem)
     n = problem.dim

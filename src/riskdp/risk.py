@@ -183,24 +183,6 @@ def _polytope_density(spec: RiskSpec, probs: np.ndarray, values: np.ndarray) -> 
     return sol.x.copy()
 
 
-def cvar_by_minimization(epsilon: float, probs, values) -> float:
-    """CVaR via its variational form ``min_u u + E[(v - u)+] / epsilon``.
-
-    Independent of the density route: the minimum of the piecewise-linear
-    objective is attained at one of the outcome values, so scanning those
-    breakpoints is exact.  Used as a cross-check oracle in tests.
-    """
-    probs = _check_probs(probs)
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if not (0.0 < epsilon <= 1.0):
-        raise RiskConfigError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    best = np.inf
-    for u in np.unique(values):
-        cand = u + float(probs @ np.maximum(values - u, 0.0)) / epsilon
-        best = min(best, cand)
-    return float(best)
-
-
 def validate_risk_set(spec: RiskSpec, probs) -> None:
     """Validate a spec against a concrete outcome space.
 

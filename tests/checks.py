@@ -2,9 +2,9 @@
 
 None of these feed the solver: they evaluate a cost directly, bound
 subgradient norms from value bounds, sample-test the subgradient inequality,
-split an assembled subgradient into its row-block terms and grid-search a
-small box, so tests can compare the package's answers against routes that
-share none of its arithmetic.
+split an assembled subgradient into its row-block terms, evaluate CVaR by its
+variational form and grid-search a small box, so tests can compare the
+package's answers against routes that share none of its arithmetic.
 """
 
 import itertools
@@ -108,6 +108,21 @@ def subgradient_terms(sub, sol, view) -> SubgradientTerms:
                             eq_term=-(sub.a_hist.T @ sol.dual_eq),
                             g_term=sub.g_hist.T @ mu[:n_g],
                             cut_term=cut_rows.T @ mu[n_g + n_p:])
+
+
+def cvar_by_minimization(epsilon: float, probs, values) -> float:
+    """CVaR via its variational form ``min_u u + E[(v - u)+] / epsilon``.
+
+    Independent of the density route of ``riskdp.risk``: the minimum of the
+    piecewise-linear objective is attained at one of the outcome values, so
+    scanning those breakpoints is exact.
+    """
+    probs = np.asarray(probs, dtype=float).reshape(-1)
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    return float(min(u + float(probs @ np.maximum(values - u, 0.0)) / epsilon
+                     for u in np.unique(values)))
 
 
 def grid_minimum(fun, lb, ub, points: int = 2001) -> float:

@@ -15,12 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from checks import subgradient_bound
+from checks import cvar_by_minimization, subgradient_bound
 from conftest import (lattice_to_tree, make_newsvendor,
                       random_lattice_instance)
 from riskdp import cli, engine, io, model, oracle
 from riskdp.cuts import CutError, CutPool, OptimalityCut, evaluate_pool
-from riskdp.risk import RiskSpec, cvar_by_minimization, risk_value_and_density
+from riskdp.risk import RiskSpec, risk_value_and_density
 
 
 def _verdict(num, ok, label):

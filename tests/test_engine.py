@@ -312,29 +312,35 @@ def test_config_validation_errors():
 
 
 # ---------------------------------------------------------------------------
-# warm starts against the cold path
+# persistent stage LPs against the cold path
 # ---------------------------------------------------------------------------
 
 def _run_checking_warm_solves(monkeypatch, problem, cfg):
-    """Run ``cfg`` with every warm stage solve checked against the cold path.
+    """Run ``cfg`` with every stage solve of the driver checked against the cold path.
 
-    Each warm ``NodeSolution`` must equal a cold :func:`engine.solve_node` at
-    the same history and pools within 1e-9, and its ``pi`` must pass the
-    subgradient inequality of the cold value function around that history.
-    Returns the run's result and counts of what was checked.
+    Each ``NodeSolution`` re-solved in place must equal a cold
+    :func:`engine.solve_node` at the same history and pools within 1e-9, and
+    its ``pi`` must pass the subgradient inequality of the cold value
+    function around that history; every other one must be the cold solve,
+    bit for bit.  Returns the run's result and counts of what was checked.
     """
     solve_node = engine.solve_node
     seen = Counter()
 
-    def checked(p, where, history, pools, z_lo=None, bases=None):
-        cached = None if bases is None else bases.get(where)
-        ns = solve_node(p, where, history, pools, z_lo, bases)
+    def checked(p, where, history, pools, z_lo=None, stage_lp=None):
+        held = None if stage_lp is None else (stage_lp.n_opt, stage_lp.n_feas)
+        ns = solve_node(p, where, history, pools, z_lo, stage_lp)
+        if stage_lp is None:
+            return ns
         if not ns.duals.warm_start:
+            cold = solve_node(p, where, history, pools, z_lo)
+            assert ns.value == cold.value and ns.pi.tobytes() == cold.pi.tobytes()
+            seen["cold"] += 1
             return ns
         seen["warm"] += 1
         view = pools.rows_for(where).view(p.dim)
-        if cached[2] and view.n_opt > cached[1]:
-            seen["feasibility_rows_shifted"] += 1  # carry_basis moved their slacks
+        if held[1] and view.n_opt > held[0]:
+            seen["feasibility_rows_shifted"] += 1  # new optimality rows went before them
         cold = solve_node(p, where, history, pools, z_lo)
         assert not cold.duals.warm_start
         assert abs(ns.value - cold.value) <= 1e-9
@@ -376,7 +382,7 @@ def test_warm_solves_match_cold_solves(monkeypatch, case):
         problem, cfg = make_cvar_without_complete_recourse(), _cfg(algorithm="alg2",
                                                                    max_iters=12)
     res, seen = _run_checking_warm_solves(monkeypatch, problem, cfg)
-    assert seen["warm"] >= 10, seen
+    assert seen["warm"] >= 10 and seen["cold"] >= 1, seen
     if case == "alg2-feasibility-rows":
         assert res.pools.n_feasibility_cuts() >= 1
         assert seen["feasibility_rows_shifted"] >= 1
@@ -395,26 +401,31 @@ def test_lp_counts_are_reported(caplog):
     assert "LPs (" in caplog.text and "warm), " in caplog.text
 
 
+def _stage_lp_state(stage_lp: engine.StageLp) -> tuple:
+    held = stage_lp.lp
+    if held is None:
+        return stage_lp.n_opt, stage_lp.n_feas, None
+    return (stage_lp.n_opt, stage_lp.n_feas, id(held), held.stale,
+            *(getattr(held, name).tobytes()
+              for name in ("a", "b", "basis", "status_col", "x", "b_inv")))
+
+
 def test_probe_resolve_leaves_the_basis_cache_alone(monkeypatch):
     solve = lp.solve
-    starts = []
+    cold = []
     resolved = []
 
-    def recording(prob, start=None):
-        starts.append(start)
-        return solve(prob, start)
+    def recording(prob):
+        cold.append(prob)
+        return solve(prob)
 
     def probe(info):
-        before = {w: (b.copy(), n_opt, n_feas)
-                  for w, (b, n_opt, n_feas) in driver.bases.items()}
+        before = {w: _stage_lp_state(s) for w, s in driver.stage_lps.items()}
         assert info["realization"] in before
-        starts.clear()
+        cold.clear()
         info["resolve"](info["history"] + 0.1)
-        assert starts == [None]  # the probe's re-solve is cold
-        assert driver.bases.keys() == before.keys()
-        for where, (b, n_opt, n_feas) in driver.bases.items():
-            assert np.array_equal(b, before[where][0])
-            assert (n_opt, n_feas) == before[where][1:]
+        assert len(cold) == 1  # the probe's re-solve is one cold solve
+        assert {w: _stage_lp_state(s) for w, s in driver.stage_lps.items()} == before
         resolved.append(info["realization"])
 
     monkeypatch.setattr(lp, "solve", recording)

@@ -324,11 +324,30 @@ _NOISE_ENTRY_LPS = [
 ]
 
 
+# Two LPs of the same family with columns scaled up to 1e4.  The first is a
+# redundant equality pair whose drive-out met an entry that is rounding noise
+# against the products forming it (optimal -3; it divided by a zero pivot and
+# raised "singular basis").  In the second a phase-1 entering column's only
+# limiting entries were noise (unbounded; it raised "phase-1 reported
+# unbounded").
+_DRIVE_OUT_NOISE = dict(c=[0, 2, 1, 0, 2], a_eq=[[-1, 2, 1, 2, 1], [-3, 6, 3, 6, 3]],
+                        b_eq=[-1, -3], a_ub=np.zeros((0, 5)), b_ub=[],
+                        lower=[-1, -np.inf, -np.inf, -1, 1], upper=[-1, 2, np.inf, 1, 1],
+                        e_eq=[3, 3], e_ub=[], e_col=[1, 4, -3, 4, -3])
+_PHASE1_NOISE_RAY = _scaled(c=[-1, 2, -1, 0, 2],
+                            a_eq=[[-1, -1, -2, -1, 2], [-3, -3, -6, -3, 6]], b_eq=[-1, -3],
+                            a_ub=[[-1, 2, 1, 0, 0], [-2, -2, 0, 2, 1]], b_ub=[-2, 1],
+                            lower=[-np.inf, 1, 2, -np.inf, 0], upper=[np.inf, np.inf, np.inf, 0, 0],
+                            e_eq=[3, 2], e_ub=[3, -2], e_col=[-4, 4, -4, -1, 0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(degenerate_lps())
 @example(_NOISE_ENTRY_LPS[0])
 @example(_NOISE_ENTRY_LPS[1])
 @example(_NOISE_ENTRY_LPS[2])
+@example(_scaled(**_DRIVE_OUT_NOISE))
+@example(_PHASE1_NOISE_RAY)
 def test_degenerate_lp_against_tight_highs(prob):
     sol = lp.solve(prob)
     ref = _highs(prob)
@@ -341,7 +360,8 @@ def test_degenerate_lp_against_tight_highs(prob):
 # Scaled degenerate LPs the fuzzing above turned up.  Each has a redundant
 # equality row whose tableau entries after phase 1 are rounding noise above
 # PIVOT_TOL: pivoting the artificial out on such an entry returned a point
-# violating the equalities (the first two) or hit a singular basis (the third).
+# violating the equalities (the first two) or hit a singular basis (the third
+# and the fourth).
 _NOISY_REDUNDANT_ROWS = [
     dict(c=[-1, 0, 0, -2],
          a_eq=[[-2, 1, 0, 2], [-1, 2, -2, 2], [2, 2, -1, 0], [-6, 3, 0, 6], [-3, 6, -6, 6]],
@@ -361,6 +381,7 @@ _NOISY_REDUNDANT_ROWS = [
          a_ub=[[0, -1, -1, -2], [2, 0, 2, 2]], b_ub=[-1, 3],
          lower=[-np.inf] * 4, upper=[-1, 0, np.inf, 0],
          e_eq=[3, 3, 0, -2], e_ub=[0, -3], e_col=[-2, 1, -2, 2]),
+    _DRIVE_OUT_NOISE,
 ]
 
 
@@ -380,7 +401,8 @@ def test_noisy_redundant_row_is_not_a_pivot(data):
     (_NOISE_ENTRY_LPS[0], lp.UNBOUNDED, None),
     (_NOISE_ENTRY_LPS[1], lp.OPTIMAL, -1.0),
     (_NOISE_ENTRY_LPS[2], lp.OPTIMAL, -2.75),
-], ids=["unbounded", "optimal-1", "parallel-rows"])
+    (_PHASE1_NOISE_RAY, lp.UNBOUNDED, None),
+], ids=["unbounded", "optimal-1", "parallel-rows", "phase-1-noise-ray"])
 def test_noise_entry_is_not_a_ratio_test_pivot(prob, status, objective):
     sol = lp.solve(prob)
     ref = _highs(prob)
@@ -391,47 +413,59 @@ def test_noise_entry_is_not_a_ratio_test_pivot(prob, status, objective):
 
 
 # ---------------------------------------------------------------------------
-# warm starts against the cold path
+# persistent LPs against the cold path
 # ---------------------------------------------------------------------------
 
-def _assert_same_solution(a: lp.LpSolution, b: lp.LpSolution) -> None:
-    assert a.status == b.status and a.pivots == b.pivots
-    for name in ("x", "dual_eq", "dual_ineq", "binding_ineq", "basis"):
-        left, right = getattr(a, name), getattr(b, name)
-        assert (left is None) == (right is None)
-        if left is not None:
-            assert left.tobytes() == right.tobytes()
-    assert a.objective == b.objective or (np.isnan(a.objective) and np.isnan(b.objective))
+def _with_rows(prob: lp.LpProblem, a_new, b_new, at: int) -> lp.LpProblem:
+    """``prob`` with the rows ``a_new x <= b_new`` inserted before inequality row ``at``."""
+    return lp.LpProblem(c=prob.c, a_eq=prob.a_eq, b_eq=prob.b_eq,
+                        a_ub=np.vstack([prob.a_ub[:at], a_new, prob.a_ub[at:]]),
+                        b_ub=np.concatenate([prob.b_ub[:at], b_new, prob.b_ub[at:]]),
+                        lower=prob.lower, upper=prob.upper)
+
+
+def _held(prob: lp.LpProblem) -> lp.PersistentLp | None:
+    """``prob`` held with the optimal basis of its cold solve (None: an artificial stayed)."""
+    sol = lp.solve(prob)
+    assert sol.status == lp.OPTIMAL and not sol.warm_start
+    return None if sol.basis is None else lp.PersistentLp(prob, sol.basis)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=3),
        st.sampled_from([0.0, 0.01, 0.3, 2.0]), st.sampled_from([0.0, 0.0, 1.0]))
 def test_warm_start_agrees_with_cold(seed, n_new, scale, cost_scale):
-    # an LP re-solved after its right-hand side moved and rows were appended,
-    # from the first solve's basis with the new rows' slacks basic; a moved
-    # cost vector (the engine never moves it) makes phase 2 pivot from the start
+    # an LP re-solved in place after its right-hand side moved and rows were
+    # inserted with their slacks basic; a moved cost vector (the engine never
+    # moves it) makes phase 2 pivot from the held basis
     prob = _random_problem(seed)
-    first = lp.solve(prob)
-    assert first.status == lp.OPTIMAL
-    assume(first.basis is not None)
+    held = _held(prob)
+    assume(held is not None)
     rng = np.random.default_rng(seed + 1)
     n, q, r = prob.n_vars, prob.a_eq.shape[0], prob.a_ub.shape[0]
+    at = int(rng.integers(0, r + 1))
     a_new = rng.normal(size=(n_new, n))
     # new rows sometimes cut the old optimum off
     b_new = a_new @ rng.uniform(prob.lower, prob.upper) + rng.uniform(-0.5, 1.0, n_new)
-    nxt = lp.LpProblem(c=prob.c + cost_scale * rng.normal(size=n), a_eq=prob.a_eq, b_eq=prob.b_eq + scale * rng.normal(size=q),
-                       a_ub=np.vstack([prob.a_ub, a_new]),
-                       b_ub=np.concatenate([prob.b_ub + scale * rng.normal(size=r), b_new]),
-                       lower=prob.lower, upper=prob.upper)
-    start = np.concatenate([first.basis, np.full(n_new, lp.BASIC, dtype=first.basis.dtype)])
-    warm = lp.solve(nxt, start=start)
+    moved = lp.LpProblem(c=prob.c + cost_scale * rng.normal(size=n), a_eq=prob.a_eq,
+                         b_eq=prob.b_eq + scale * rng.normal(size=q), a_ub=prob.a_ub,
+                         b_ub=prob.b_ub + scale * rng.normal(size=r),
+                         lower=prob.lower, upper=prob.upper)
+    nxt = _with_rows(moved, a_new, b_new, at)
+    held.c = nxt.c
+    held.append_rows(a_new, b_new, at)
+    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    warm = held.resolve()
     cold = lp.solve(nxt)
-    assert not cold.warm_start
-    if not warm.warm_start:
-        _assert_same_solution(warm, cold)  # a declined start is the cold solve
+    if warm is None:  # declined: the held basis really misses a bound of nxt
+        bas, state = held.basis, held.status_col
+        x_n = np.where(state == lp.AT_LOWER, held.lower,
+                       np.where(state == lp.AT_UPPER, held.upper, 0.0))
+        x_n[bas] = 0.0
+        x_b = np.linalg.solve(held.a[:, bas], held.b - held.a @ x_n)
+        assert np.any(x_b < held.lower[bas] - 1e-10) or np.any(x_b > held.upper[bas] + 1e-10)
         return
-    assert warm.status == cold.status
+    assert warm.warm_start and warm.status == cold.status
     if cold.status != lp.OPTIMAL:
         return
     assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
@@ -441,45 +475,101 @@ def test_warm_start_agrees_with_cold(seed, n_new, scale, cost_scale):
     assert np.all(nxt.a_ub @ x <= nxt.b_ub + 1e-9)
 
 
-def test_start_basis_is_used_while_primal_feasible():
-    # min -x1 - x2  s.t.  x1 + 2 x2 <= b1,  2 x1 + x2 <= 2,  0 <= x <= 5
-    def make(b1):
-        return lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[b1, 2.0],
-                            lower=[0.0, 0.0], upper=[5.0, 5.0])
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                          st.floats(min_value=0.0, max_value=1.0), st.booleans()),
+                min_size=1, max_size=6))
+def test_bordered_inverse_matches_a_fresh_inverse(seed, steps):
+    # rows inserted anywhere among the inequality rows, right-hand sides
+    # moved, sometimes a re-solve in between: the held inverse stays the
+    # inverse of the held basis matrix
+    prob = _random_problem(seed)
+    held = _held(prob)
+    assume(held is not None)
+    rng = np.random.default_rng(seed + 2)
+    for n_new, where, resolve in steps:
+        a_new = rng.normal(size=(n_new, prob.n_vars))
+        b_new = a_new @ rng.uniform(prob.lower, prob.upper) + rng.uniform(0.0, 1.0, n_new)
+        held.append_rows(a_new, b_new, int(where * held.n_ub))
+        q = held.n_eq
+        held.set_rhs(held.b[:q] + 0.1 * rng.normal(size=q),
+                     held.b[q:] + 0.1 * rng.normal(size=held.n_ub))
+        fresh = np.linalg.inv(held.a[:, held.basis])
+        scale = max(1.0, np.abs(fresh).max(initial=0.0))
+        assert np.abs(held.b_inv - fresh).max(initial=0.0) <= 1e-9 * scale
+        if resolve and held.resolve() is None:
+            return  # declined: the object is spent
 
-    first = lp.solve(make(2.0))
+
+def _two_rows(b1: float, b2: float = 2.0) -> lp.LpProblem:
+    # min -x1 - x2  s.t.  x1 + 2 x2 <= b1,  2 x1 + x2 <= b2,  0 <= x <= 5
+    return lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[b1, b2],
+                        lower=[0.0, 0.0], upper=[5.0, 5.0])
+
+
+def test_start_basis_is_used_while_primal_feasible():
+    first = lp.solve(_two_rows(2.0))
     assert first.status == lp.OPTIMAL and not first.warm_start
     assert first.basis.tolist() == [lp.BASIC, lp.BASIC, lp.AT_LOWER, lp.AT_LOWER]
+    held = lp.PersistentLp(_two_rows(2.0), first.basis)
     # a small move of the right-hand side keeps the basis feasible: zero pivots
-    moved = lp.solve(make(2.1), start=first.basis)
+    held.set_rhs(np.zeros(0), np.array([2.1, 2.0]))
+    moved = held.resolve()
     assert moved.warm_start and moved.pivots == 0
     assert moved.objective == pytest.approx(-4.1 / 3.0, abs=1e-12)
     assert moved.basis.tolist() == first.basis.tolist()
-    # with b1 = 20 that basis puts x1 below 0: declined, the result is the cold one
-    far = make(20.0)
-    _assert_same_solution(lp.solve(far, start=first.basis), lp.solve(far))
+    # with b1 = 20 that basis puts x1 below 0: declined
+    held.set_rhs(np.zeros(0), np.array([20.0, 2.0]))
+    assert held.resolve() is None
 
 
+# The held basis of _two_rows(2.0) (x1 and x2 basic at 2/3) as the start of
+# a moved LP that it does not fit: new right-hand sides (b1, b2), then rows
+# a_new x <= b_new inserted before inequality row ``at``.
 @pytest.mark.parametrize("start", [
-    [lp.AT_LOWER, lp.BASIC, lp.AT_LOWER],                      # wrong length
-    [lp.BASIC, lp.BASIC, lp.AT_LOWER, lp.BASIC],               # too many basic columns
-    [lp.BASIC, lp.BASIC, lp.AT_LOWER, 7],                      # not a column state
-    [lp.NB_FREE, lp.BASIC, lp.BASIC, lp.AT_LOWER],             # a bounded column parked free
-    [lp.BASIC, lp.BASIC, lp.AT_UPPER, lp.AT_LOWER],            # a slack at its infinite bound
+    ((20.0, 2.0), [], [], 0),                  # x1 below its lower bound
+    ((20.0, 19.0), [], [], 0),                 # x1 and x2 above their upper bounds
+    ((2.0, 2.0), [[1.0, 1.0]], [1.0], 2),      # a new last row cuts the vertex off
+    ((2.0, 2.0), [[1.0, 1.0]], [1.0], 0),      # so does a new first row
+    ((2.1, 2.0), [[-1.0, 0.0]], [-1.0], 1),    # a new middle row, after a feasible move
 ])
 def test_start_basis_that_does_not_fit_is_declined(start):
-    prob = lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[2.0, 2.0],
-                        lower=[0.0, 0.0], upper=[5.0, 5.0])
-    sol = lp.solve(prob, start=np.array(start))
-    assert not sol.warm_start
-    _assert_same_solution(sol, lp.solve(prob))
+    (b1, b2), a_new, b_new, at = start
+    a_new, b_new = np.array(a_new).reshape(-1, 2), np.array(b_new, dtype=float)
+    held = _held(_two_rows(2.0))
+    nxt = _with_rows(_two_rows(b1, b2), a_new, b_new, at)
+    held.append_rows(a_new, b_new, at)
+    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    assert held.resolve() is None
+    assert lp.solve(nxt).status == lp.OPTIMAL  # the LP is fine, the basis misses it
 
 
 def test_singular_start_basis_is_declined():
-    # the two structural columns of a duplicated row pair are parallel
+    # the two structural columns of a duplicated row pair are parallel; a
+    # held basis made of them, with a bordered inverse, fails its check and
+    # its refactorization finds it singular
     prob = lp.LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 2.0], [2.0, 4.0]], b_ub=[3.0, 6.0],
                         lower=[-5.0, -5.0], upper=[5.0, 5.0])
-    start = np.array([lp.BASIC, lp.BASIC, lp.AT_LOWER, lp.AT_LOWER])
-    sol = lp.solve(prob, start=start)
-    assert not sol.warm_start
-    _assert_same_solution(sol, lp.solve(prob))
+    held = _held(prob)
+    held.basis = np.array([0, 1])
+    held.status_col = np.array([lp.BASIC, lp.BASIC, lp.AT_LOWER, lp.AT_LOWER], dtype=np.int8)
+    held.x[2:] = 0.0
+    held.append_rows(np.array([[1.0, 0.0]]), np.array([5.0]), 2)
+    held.set_rhs(np.zeros(0), np.array([3.0, 6.0, 5.0]))
+    assert held.resolve() is None
+    with pytest.raises(lp.SimplexError):  # declined by the refactorization
+        held._refactor()
+
+
+def test_failed_check_on_a_bordered_inverse_refactors_before_declining():
+    # a held inverse off by more than the rounding of a border misses the row
+    # residual; the fresh inverse passes, so the re-solve still runs in place
+    held = _held(_two_rows(2.0))
+    held.append_rows(np.array([[1.0, 1.0]]), np.array([3.0]), 2)
+    held.b_inv *= 1.0 + 1e-6
+    nxt = _with_rows(_two_rows(2.1), [[1.0, 1.0]], [3.0], 2)
+    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    sol = held.resolve()
+    assert sol.warm_start and sol.pivots == 0 and held.stale == 0
+    assert sol.objective == pytest.approx(lp.solve(nxt).objective, abs=1e-12)

@@ -1,6 +1,7 @@
 """Tests for the reference solvers and history conditioning."""
 
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -186,18 +187,21 @@ def test_risk_averse_tail_without_complete_recourse_is_not_called_infeasible():
 
 
 def test_oracle_solves_cold(monkeypatch):
-    starts = []
-    solve = lp.solve
+    solves = Counter()
+    cold, held = lp.solve, lp.PersistentLp.resolve
 
-    def recording(prob, start=None):
-        starts.append(start)
-        return solve(prob, start)
+    def recording(kind, solve):
+        def wrapper(*args):
+            solves[kind] += 1
+            return solve(*args)
+        return wrapper
 
-    monkeypatch.setattr(lp, "solve", recording)
+    monkeypatch.setattr(lp, "solve", recording("cold", cold))
+    monkeypatch.setattr(lp.PersistentLp, "resolve", recording("held", held))
     problem = _stochastic_three_stage(RiskSpec(kind="cvar", epsilon=0.5))
     oracle.exact_nested_decomposition(problem)
     oracle.true_recourse_value(problem, 2, np.array([0.0, 0.5]))
-    assert starts and all(start is None for start in starts)
+    assert solves["cold"] > 0 and solves["held"] == 0
 
 
 def test_tree_conditioning_aggregates_children():
