@@ -1,30 +1,32 @@
 """Independent reference solvers for desk-scale instances.
 
-Two routes compute ground truth without touching the cutting-plane drivers'
-arithmetic:
+Two routes compute ground truth:
 
-* :func:`extensive_form_value` — the deterministic equivalent of a
-  risk-neutral instance as one monolithic LP, solved by an external
-  simplex/barrier implementation (the only place the package relies on one);
-* :func:`exact_nested_decomposition` — sweep-based nested decomposition that
-  visits *every* node each sweep (no sampling) and stops only when the
-  first-stage value repeats and a full sweep adds no cut to any pool.
-  It handles every supported risk spec.
+* :func:`extensive_form_value` — the nested-risk extensive form: the whole
+  scenario tree as one LP, with a value column per node and the one-step
+  risk of its children written as rows, for every supported risk spec.  It
+  shares none of the cutting-plane drivers' arithmetic and is solved by
+  HiGHS (the only place the package relies on an external solver);
+  :func:`reference_value` is this route;
+* :func:`exact_nested_decomposition` — the paper's sampling-free method:
+  sweep-based nested decomposition that visits *every* node each sweep and
+  stops only when the first-stage value repeats and a full sweep adds no cut
+  to any pool.  It runs the engine's own stage solves and cuts.
 
-:func:`true_recourse_value` evaluates the exact risk-adjusted
-recourse function at an arbitrary history by conditioning the tail problem
-on that history and handing the reduced instances to the routes above;
-infeasible histories report ``+inf``.  Nested decomposition has no
-feasibility cuts, so a risk-averse tail that is feasible but lacks relatively
-complete recourse has no exact reference here: :func:`nested_decomposition_value`
-raises :class:`OracleError` for it rather than calling it infeasible.
+:func:`true_recourse_value` evaluates the exact risk-adjusted recourse
+function at an arbitrary history as one LP: the children's tails,
+conditioned on that history (:func:`conditioned_problem`), stacked under the
+pool's risk rows; infeasible histories report ``+inf``.  Nested
+decomposition has no feasibility cuts, so on a feasible instance without
+relatively complete recourse :func:`nested_decomposition_value` raises
+:class:`OracleError` rather than calling it infeasible; the extensive form
+covers that case.
 
-Every LP these routes solve through :func:`~riskdp.engine.solve_node` is
-solved cold (no persistent stage LP), so the oracle stays an independent
-reference for the cold simplex path.  Nested decomposition solves each
-distinct stage LP once: a stage LP it meets again, at the same position and
-history with the same pool rows, reuses the earlier cold solve
-(:class:`_StageSolves`).
+Every LP nested decomposition solves through :func:`~riskdp.engine.solve_node`
+is solved cold (no persistent stage LP), so it stays a reference for the
+cold simplex path.  It solves each distinct stage LP once: a stage LP it
+meets again, at the same position and history with the same pool rows,
+reuses the earlier cold solve (:class:`_StageSolves`).
 """
 
 from __future__ import annotations
@@ -38,15 +40,18 @@ import scipy.optimize
 
 from .cuts import build_optimality_cut
 from .engine import EngineError, NodeSolution, PoolSet, solve_node
-from .io import apply_risk_override
 from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization,
                     Stage)
-from .risk import RiskSpec, risk_value_and_density
+from .risk import RiskSpec
 
 logger = logging.getLogger(__name__)
 
 MAX_SWEEPS = 10_000
 VALUE_REPEAT_TOL = 1e-10
+# HiGHS's default feasibility tolerances (1e-7) are looser than the 1e-6
+# audits and 1e-9 agreements the oracle referees; 1e-10 is their floor
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10}
 
 
 class OracleError(RuntimeError):
@@ -77,7 +82,6 @@ class _Rec:
     where: object       # the position the path ends at
     depth: int
     payload: Realization
-    abs_prob: float
 
 
 def _scenario_records(problem: Problem) -> list[_Rec]:
@@ -85,115 +89,158 @@ def _scenario_records(problem: Problem) -> list[_Rec]:
     topo = problem.topology
     first = topo.first
     records = [_Rec(key=(0,), parent=(), where=first, depth=1,
-                    payload=topo.payload(first), abs_prob=1.0)]
+                    payload=topo.payload(first))]
     for rec in records:  # grows while iterated: children follow their parents
         key = topo.pool(rec.where)
-        for j, (kid, prob) in enumerate(zip(topo.children(key), topo.probs(key))):
+        for j, kid in enumerate(topo.children(key)):
             records.append(_Rec(key=rec.key + (j,), parent=rec.key, where=kid,
-                                depth=rec.depth + 1, payload=topo.payload(kid),
-                                abs_prob=rec.abs_prob * prob))
+                                depth=rec.depth + 1, payload=topo.payload(kid)))
     return records
 
 
-def extensive_form_value(problem: Problem) -> float:
-    """Optimal value of the risk-neutral deterministic equivalent.
+class _NestedRiskLp:
+    """The nested-risk extensive form, assembled block by block and solved by HiGHS.
 
-    Builds one LP with a decision and a cost-epigraph variable per scenario
-    node, weighted by the nodes' probabilities, and solves it with an
-    external implementation.  Only expectation risk specs are supported,
-    because this LP is probability weighted.  One LP can still express every
-    spec riskdp supports: a nested epigraph with a value column per node and
-    the one-step risk of its children written as rows (Rockafellar–Uryasev
-    rows for CVaR, their convex combination with the expectation for a
-    mixture, the dual of the density LP for a polytope); riskdp does not
-    build that LP yet.  Returns ``+inf`` when the instance is infeasible.
+    Columns are appended with :meth:`columns`, inequality (``<=``) and
+    equality rows as dense blocks over chosen columns with :meth:`rows`.
     """
-    _require_expectation(problem)
-    n = problem.dim
-    records = _scenario_records(problem)
-    by_key = {r.key: r for r in records}
-    offset: dict[object, int] = {}
-    ncols = 0
-    for rec in records:
-        offset[rec.key] = ncols
-        ncols += n + 1  # x_m and w_m
-    c = np.zeros(ncols)
-    lower = np.full(ncols, -np.inf)
-    upper = np.full(ncols, np.inf)
-    for rec in records:
-        o = offset[rec.key]
-        c[o + n] = rec.abs_prob
-        lower[o:o + n] = rec.payload.lb
-        upper[o:o + n] = rec.payload.ub
 
-    def path_keys(rec: _Rec) -> list[object]:
-        keys = []
-        cursor: object = rec.key
-        while cursor in by_key:
-            keys.append(cursor)
-            cursor = by_key[cursor].parent
-        keys.reverse()
-        return keys
+    def __init__(self):
+        self.ncols = 0
+        self.lower: list[np.ndarray] = []
+        self.upper: list[np.ndarray] = []
+        self.blocks: dict[bool, list] = {False: [], True: []}  # is-equality -> blocks
 
-    eq_rows, eq_rhs, ub_rows, ub_rhs = [], [], [], []
-    for rec in records:
-        keys = path_keys(rec)
-        pay = rec.payload
-        d = rec.depth
-        q = pay.b.shape[0]
-        if q:
-            rhs = pay.b - pay.a_blocks[0] @ problem.x0
-            for i in range(q):
-                row = np.zeros(ncols)
-                for sigma, key in enumerate(keys, start=1):
-                    row[offset[key]:offset[key] + n] = pay.a_blocks[sigma][i]
-                eq_rows.append(row)
-                eq_rhs.append(rhs[i])
-        r = pay.h.shape[0]
-        if r:
-            rhs = pay.h - pay.g[:, :n] @ problem.x0
-            for i in range(r):
-                row = np.zeros(ncols)
-                for sigma, key in enumerate(keys, start=1):
-                    row[offset[key]:offset[key] + n] = \
-                        pay.g[i, sigma * n:(sigma + 1) * n]
-                ub_rows.append(row)
-                ub_rhs.append(rhs[i])
-        for i in range(pay.cost.n_pieces):
-            row = np.zeros(ncols)
-            for sigma, key in enumerate(keys, start=1):
-                row[offset[key]:offset[key] + n] = \
-                    pay.cost.pieces_c[i, (sigma - 1) * n:sigma * n]
-            row[offset[rec.key] + n] = -1.0
-            ub_rows.append(row)
-            ub_rhs.append(-pay.cost.pieces_d[i])
-    res = scipy.optimize.linprog(
-        c,
-        A_eq=np.vstack(eq_rows) if eq_rows else None,
-        b_eq=np.array(eq_rhs) if eq_rows else None,
-        A_ub=np.vstack(ub_rows) if ub_rows else None,
-        b_ub=np.array(ub_rhs) if ub_rows else None,
-        bounds=list(zip(lower, upper)), method="highs")
-    if res.status == 2:
-        return math.inf
-    if res.status != 0:
-        raise OracleError(f"extensive-form solve failed: {res.message}")
-    return float(res.fun)
+    def columns(self, k: int, lower=-np.inf, upper=np.inf) -> np.ndarray:
+        idx = np.arange(self.ncols, self.ncols + k)
+        self.ncols += k
+        self.lower.append(np.full(k, lower))
+        self.upper.append(np.full(k, upper))
+        return idx
+
+    def rows(self, cols, block, rhs, eq: bool = False) -> None:
+        """Add ``block @ x[cols] <= rhs`` (``==`` with ``eq``); ``cols`` has no repeats."""
+        self.blocks[eq].append((cols, np.atleast_2d(block), np.atleast_1d(rhs)))
+
+    def _matrix(self, eq: bool):
+        blocks = self.blocks[eq]
+        if not blocks:
+            return None, None
+        a = np.zeros((sum(b.shape[0] for _, b, _ in blocks), self.ncols))
+        rhs = np.empty(a.shape[0])
+        i = 0
+        for cols, block, r in blocks:
+            a[i:i + block.shape[0], cols] = block
+            rhs[i:i + block.shape[0]] = r
+            i += block.shape[0]
+        return a, rhs
+
+    def minimize(self, col: int) -> float:
+        """Minimum of column ``col``; ``+inf`` when the rows are infeasible."""
+        c = np.zeros(self.ncols)
+        c[col] = 1.0
+        a_ub, b_ub = self._matrix(False)
+        a_eq, b_eq = self._matrix(True)
+        bounds = np.column_stack([np.concatenate(self.lower), np.concatenate(self.upper)])
+        res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                                     bounds=bounds, method="highs", options=HIGHS_OPTIONS)
+        if res.status == 2:
+            return math.inf
+        if res.status != 0:
+            raise OracleError(f"extensive-form solve failed: {res.message}")
+        return float(res.fun)
+
+    def risk(self, spec: RiskSpec, probs: np.ndarray, values: np.ndarray) -> int:
+        """A column ``R >= rho(V[values])`` for the one-step measure ``spec``.
+
+        Expectation: ``R >= sum_j phi_j V_j``.  CVaR and mixture, by
+        Rockafellar–Uryasev: ``R >= (1-lam) sum_j phi_j V_j + lam (u +
+        sum_j phi_j s_j / eps)`` with ``s_j >= V_j - u``, ``s_j >= 0``
+        (``lam = 1`` for CVaR).  Polytope, by duality of the density LP
+        ``max {sum_j p_j phi_j V_j : sum_j p_j phi_j = 1, A p <= rhs, p >= 0}``:
+        ``R >= mu + rhs . lam`` with ``mu phi_j + (A^T lam)_j >= phi_j V_j``,
+        ``lam >= 0``.  Each is tight at the minimum, where ``R`` is the risk.
+        """
+        m = len(values)
+        r = self.columns(1)
+        if spec.kind == "polytope":
+            a = np.array([np.asarray(row, dtype=float) for row, _ in spec.rows])
+            rhs = np.array([b for _, b in spec.rows])
+            mu = self.columns(1)
+            lam = self.columns(len(rhs), lower=0.0)
+            self.rows(np.concatenate([values, mu, lam]),
+                      np.hstack([np.diag(probs), -probs[:, None], -a.T]), np.zeros(m))
+            self.rows(np.concatenate([mu, lam, r]),
+                      np.concatenate([[1.0], rhs, [-1.0]]), 0.0)
+            return int(r[0])
+        lam = {"expectation": 0.0, "cvar": 1.0, "mixture": spec.lam}[spec.kind]
+        if lam == 0.0:
+            self.rows(np.concatenate([values, r]), np.append(probs, -1.0), 0.0)
+            return int(r[0])
+        u = self.columns(1)
+        s = self.columns(m, lower=0.0)
+        self.rows(np.concatenate([values, u, s]),
+                  np.hstack([np.eye(m), -np.ones((m, 1)), -np.eye(m)]), np.zeros(m))
+        self.rows(np.concatenate([values, u, s, r]),
+                  np.concatenate([(1.0 - lam) * probs, [lam],
+                                  lam * probs / spec.epsilon, [-1.0]]), 0.0)
+        return int(r[0])
+
+    def tail(self, problem: Problem) -> int:
+        """Add ``problem``'s nested epigraph; returns the stage-1 node's value column.
+
+        Every scenario node ``m`` gets its decision columns ``x_m`` and a value
+        column ``V_m >= cost_m(x_{1:m}) + R_m``, one row per cost piece (the
+        cost's epigraph column folded into ``V_m``), where
+        ``R_m`` (:meth:`risk`) is the one-step risk of its children's values
+        under its pool's spec and is absent at a leaf; its equality and
+        inequality rows read the decisions along its path.
+        """
+        topo = problem.topology
+        n = problem.dim
+        records = _scenario_records(problem)
+        x_cols: dict = {(): np.zeros(0, dtype=int)}
+        v_col: dict = {}
+        kids: dict = {}
+        for rec in records:
+            pay = rec.payload
+            x_cols[rec.key] = np.concatenate(
+                [x_cols[rec.parent], self.columns(n, pay.lb, pay.ub)])
+            v_col[rec.key] = int(self.columns(1)[0])
+            kids.setdefault(rec.parent, []).append(v_col[rec.key])
+        for rec in records:
+            pay = rec.payload
+            path = x_cols[rec.key]
+            if pay.b.shape[0]:
+                self.rows(path, np.hstack(pay.a_blocks[1:]),
+                          pay.b - pay.a_blocks[0] @ problem.x0, eq=True)
+            if pay.h.shape[0]:
+                self.rows(path, pay.g[:, n:], pay.h - pay.g[:, :n] @ problem.x0)
+            value = [v_col[rec.key]]
+            pieces = [pay.cost.pieces_c, -np.ones((pay.cost.n_pieces, 1))]
+            if rec.key in kids:
+                key = topo.pool(rec.where)
+                value.append(self.risk(topo.risk(key), topo.probs(key),
+                                       np.array(kids[rec.key])))
+                pieces.append(np.ones((pay.cost.n_pieces, 1)))
+            self.rows(np.concatenate([path, value]), np.hstack(pieces),
+                      -pay.cost.pieces_d)
+        return v_col[(0,)]
 
 
-def _require_expectation(problem: Problem) -> None:
-    for spec in _risk_specs(problem):
-        if spec.kind != "expectation":
-            raise OracleError(
-                "the extensive form covers expectation instances only; use "
-                "exact_nested_decomposition for risk-averse specs")
+def extensive_form_value(problem: Problem) -> float:
+    """Optimal value of the nested-risk extensive form, for every supported risk spec.
 
-
-def _risk_specs(problem: Problem):
-    topo = problem.topology
-    for key in topo.keys:
-        if not topo.terminal(key):
-            yield topo.risk(key)
+    One LP over the whole scenario tree (a lattice expands into its paths):
+    a decision and a value column per node, the value bounded below by the
+    node's cost plus the one-step risk of its children's values, written as
+    rows (:meth:`_NestedRiskLp.risk`).  Coherent measures are monotone, so
+    minimising the stage-1 node's value makes every epigraph tight.  Solved
+    by HiGHS at :data:`HIGHS_OPTIONS`, the only place the package relies on
+    an external solver.  Returns ``+inf`` when the instance is infeasible.
+    """
+    lp = _NestedRiskLp()
+    return lp.minimize(lp.tail(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -402,51 +449,45 @@ def conditioned_subtree(problem: Problem, node_id: int,
 
 
 def true_recourse_value(problem: Problem, where, history) -> float:
-    """Exact risk-adjusted recourse aggregated at one history.
+    """Exact risk-adjusted recourse aggregated at one history, by one LP.
 
     ``where`` is a pool key (a stage on a lattice, a node id on a tree) and
     ``history`` is ``x_{0:s}`` for the stage ``s`` of the subproblems that
     carry its rows; the result is the key's risk of the tail values of its
-    children.  Terminal keys report 0, infeasible histories ``+inf``.
+    children.  The nested epigraphs of the children's conditioned tails
+    (:func:`conditioned_problem`) are stacked with the key's risk rows over
+    their stage-1 value columns, and HiGHS minimises that risk.  Terminal
+    keys report 0, infeasible histories ``+inf``.
     """
     history = np.asarray(history, dtype=float).reshape(-1)
     topo = problem.topology
     if topo.terminal(where):
         return 0.0
-    values = [reference_value(conditioned_problem(problem, kid, history))
+    lp = _NestedRiskLp()
+    values = [lp.tail(conditioned_problem(problem, kid, history))
               for kid in topo.children(where)]
-    if any(math.isinf(v) for v in values):
-        return math.inf
-    value, _ = risk_value_and_density(topo.risk(where), topo.probs(where),
-                                      np.asarray(values))
-    return value
+    return lp.minimize(lp.risk(topo.risk(where), topo.probs(where), np.array(values)))
 
 
 def nested_decomposition_value(problem: Problem) -> float:
     """:func:`exact_nested_decomposition`'s value; ``+inf`` when the instance is infeasible.
 
     Nested decomposition has no feasibility cuts: at a history where some
-    subproblem is infeasible it stops with :class:`EngineError`.  The
-    constraints do not depend on the risk specs, so the risk-neutral extensive
-    form of the same problem then decides.  If it is infeasible too, the value
-    is ``+inf``; otherwise the instance is feasible but lacks relatively
-    complete recourse, which nested decomposition cannot handle, and
-    :class:`OracleError` says so.
+    subproblem is infeasible it stops with :class:`EngineError`.  The extensive
+    form then decides: if it is infeasible too, the value is ``+inf``;
+    otherwise the instance is feasible but lacks relatively complete recourse,
+    which nested decomposition cannot handle, and :class:`OracleError` says so.
     """
     try:
         return exact_nested_decomposition(problem).value
     except EngineError as exc:
-        if math.isinf(extensive_form_value(apply_risk_override(problem, RiskSpec()))):
+        if math.isinf(extensive_form_value(problem)):
             return math.inf
         raise OracleError(
             "nested decomposition has no feasibility cuts: it met an infeasible "
             "subproblem of a feasible instance that lacks relatively complete "
-            "recourse, so there is no exact reference for it") from exc
+            "recourse; --method extensive-form gives its exact value") from exc
 
 
-def reference_value(problem: Problem) -> float:
-    """Ground-truth optimal value by the most direct available route; ``+inf`` when infeasible."""
-    for spec in _risk_specs(problem):
-        if spec.kind != "expectation":
-            return nested_decomposition_value(problem)
-    return extensive_form_value(problem)
+# the ground-truth optimal value (``+inf`` when infeasible) for every instance
+reference_value = extensive_form_value

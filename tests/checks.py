@@ -4,7 +4,10 @@ None of these feed the solver: they evaluate a cost directly, bound
 subgradient norms from value bounds, sample-test the subgradient inequality,
 split an assembled subgradient into its row-block terms, evaluate CVaR by its
 variational form and grid-search a small box, so tests can compare the
-package's answers against routes that share none of its arithmetic.
+package's answers against routes that share none of its arithmetic.  One
+more, :func:`nd_true_recourse_value`, recomputes a pool's exact recourse
+child by child with nested decomposition, a route that shares nothing with
+the extensive form it checks.
 """
 
 import itertools
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskdp.model import ModelError, PwlConvexCost
-from riskdp.oracle import OracleError
+from riskdp.oracle import OracleError, conditioned_problem, exact_nested_decomposition
+from riskdp.risk import risk_value_and_density
 from riskdp.valuefn import MU_ZERO_TOL
 
 CHECK_TOL = 1e-7     # default slack in check_subgradient
@@ -136,3 +140,20 @@ def grid_minimum(fun, lb, ub, points: int = 2001) -> float:
     for point in itertools.product(*axes):
         best = min(best, fun(np.array(point)))
     return best
+
+
+def nd_true_recourse_value(problem, where, history) -> float:
+    """Pool ``where``'s exact recourse at ``history`` by nested decomposition.
+
+    Each child's tail, conditioned on the history, is solved on its own by
+    nested decomposition, and the values are aggregated with the pool's risk
+    measure: the per-child route that the one-LP
+    :func:`riskdp.oracle.true_recourse_value` replaces.  Every tail must have
+    relatively complete recourse.
+    """
+    topo = problem.topology
+    if topo.terminal(where):
+        return 0.0
+    values = [exact_nested_decomposition(conditioned_problem(problem, kid, history)).value
+              for kid in topo.children(where)]
+    return risk_value_and_density(topo.risk(where), topo.probs(where), np.asarray(values))[0]

@@ -2,13 +2,16 @@
 
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import (make_chain_instance, make_cvar_without_complete_recourse,
                       make_newsvendor, make_newsvendor_tree)
-from riskdp import cli, io
+from riskdp import cli, io, oracle
+from riskdp.cli import ORACLE_METHODS
 from riskdp.risk import RiskSpec
 
 
@@ -118,8 +121,8 @@ def test_oracle_methods(newsvendor_file, tmp_path, capsys):
     io.save_problem(make_newsvendor(RiskSpec(kind="cvar", epsilon=0.5)), cvar_file)
     assert _run(["oracle", cvar_file, "--method", "nested-decomposition"]) == cli.EXIT_OK
     assert float(capsys.readouterr().out) == pytest.approx(2.0, abs=1e-8)
-    # the extensive form only covers expectation instances
-    assert _run(["oracle", cvar_file, "--method", "extensive-form"]) == cli.EXIT_FAILURE
+    assert _run(["oracle", cvar_file, "--method", "extensive-form"]) == cli.EXIT_OK
+    assert float(capsys.readouterr().out) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_oracle_logs_nested_decomposition_lp_counts(newsvendor_file, monkeypatch,
@@ -185,27 +188,49 @@ def test_check_cuts_covers_feasibility_rows(tmp_path, capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
-def test_check_cuts_fails_loudly_without_an_exact_reference(tmp_path, capsys):
-    # alg2 solves it, but the risk-averse tails have no exact reference:
-    # nested decomposition has no feasibility cuts
+def test_check_cuts_solves_one_lp_per_pool_and_point(solved_run, monkeypatch, capsys):
+    problem_file, cuts_file = solved_run
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        counting("linprog", scipy.optimize.linprog))
+    monkeypatch.setattr(oracle, "exact_nested_decomposition",
+                        counting("nd", oracle.exact_nested_decomposition))
+    assert _run(["check-cuts", problem_file, cuts_file, "--points", "7"]) == cli.EXIT_OK
+    assert "0 violations" in capsys.readouterr().out
+    topo = io.load_problem(problem_file).topology
+    pools = {rec.where for rec in io.read_cuts_csv(cuts_file)}
+    inner = [key for key in pools if not topo.terminal(key)]
+    assert inner and calls == Counter(linprog=7 * len(inner))
+
+
+def test_check_cuts_audits_a_tail_without_complete_recourse(tmp_path, capsys):
+    # alg2 solves it; nested decomposition, which has no feasibility cuts,
+    # gives no value, and the extensive form gives the exact one
     path = tmp_path / "no_rcr.json"
     io.save_problem(make_cvar_without_complete_recourse(), path)
     out = tmp_path / "run"
     assert _run(["solve", path, "--alg", "alg2", "--out", out]) == cli.EXIT_OK
     capsys.readouterr()
     code = _run(["check-cuts", path, out / "cuts.csv", "--points", "10"])
-    assert code == cli.EXIT_FAILURE
-    captured = capsys.readouterr()
-    assert "violations" not in captured.out
-    assert "no feasibility cuts" in captured.err
+    assert code == cli.EXIT_OK
+    assert "0 violations" in capsys.readouterr().out
+    assert _run(["oracle", path, "--method", "extensive-form"]) == cli.EXIT_OK
+    assert float(capsys.readouterr().out) == pytest.approx(2.0, abs=1e-8)
     assert _run(["oracle", path, "--method", "nested-decomposition"]) == cli.EXIT_FAILURE
     err = capsys.readouterr().err
-    assert "no feasibility cuts" in err and "use the feasibility-cut algorithm" not in err
+    assert "no feasibility cuts" in err and "--method extensive-form" in err
     hopeless = tmp_path / "hopeless.json"
     io.save_problem(make_cvar_without_complete_recourse(stage2_ub=0.5), hopeless)
-    assert _run(["oracle", hopeless, "--method", "nested-decomposition"]) == \
-        cli.EXIT_INFEASIBLE
-    assert capsys.readouterr().out.strip() == "infeasible"
+    for method in ORACLE_METHODS:
+        assert _run(["oracle", hopeless, "--method", method]) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().out.strip() == "infeasible"
 
 
 def test_log_level_env(newsvendor_file, tmp_path, monkeypatch, capsys):

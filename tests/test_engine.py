@@ -389,6 +389,16 @@ def test_warm_solves_match_cold_solves(monkeypatch, case):
         assert res.final_lower_bound == pytest.approx(2.0, abs=1e-9)  # x1 = 0, x2 = 2
 
 
+def test_oracle_check_final_without_complete_recourse():
+    # the reference is the extensive form, which covers a feasible risk-averse
+    # instance that nested decomposition, without feasibility cuts, cannot
+    res = engine.run(make_cvar_without_complete_recourse(),
+                     _cfg(algorithm="alg2", oracle_check="final"))
+    assert res.final_lower_bound == pytest.approx(2.0, abs=1e-9)
+    assert res.oracle_value == pytest.approx(2.0, abs=1e-9)
+    assert abs(res.oracle_gap) <= 1e-9
+
+
 def test_lp_counts_are_reported(caplog):
     with caplog.at_level(logging.INFO, logger="riskdp.engine"):
         res = engine.run(_mixture_lattice(), _cfg(max_iters=8, stall_window=9))

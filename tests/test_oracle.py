@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from checks import grid_minimum
+from checks import grid_minimum, nd_true_recourse_value
 from conftest import (lattice_to_tree, make_cvar_without_complete_recourse,
                       random_lattice_instance)
 from riskdp import engine, io, lp, model, oracle
+from riskdp.cli import _history_box
 from riskdp.cuts import CUT_ROW_TOL
 from riskdp.risk import RiskSpec
 
@@ -88,9 +89,16 @@ def test_extensive_form_infeasible_reports_inf():
     assert math.isinf(oracle.extensive_form_value(problem))
 
 
-def test_extensive_form_rejects_risk_averse_specs():
-    with pytest.raises(oracle.OracleError):
-        oracle.extensive_form_value(_newsvendor(RiskSpec(kind="cvar", epsilon=0.5)))
+def test_extensive_form_covers_risk_averse_specs():
+    # min_x x + rho[(d - x)+], d in {1, 2} equally likely: the worst outcome
+    # alone gives 2; density caps p_2 <= 1.5 and the 0.5-0.5 mixture both
+    # weigh the outcomes 0.25 / 0.75, which gives 1.75 for every x in [0, 1]
+    cases = [(RiskSpec(kind="cvar", epsilon=0.5), 2.0),
+             (RiskSpec(kind="mixture", lam=0.5, epsilon=0.5), 1.75),
+             (RiskSpec(kind="polytope", rows=[(np.array([0.0, 1.0]), 1.5)]), 1.75)]
+    for risk, want in cases:
+        assert oracle.extensive_form_value(_newsvendor(risk)) == \
+            pytest.approx(want, abs=1e-9), risk.kind
 
 
 def test_nested_decomposition_matches_extensive_form():
@@ -173,16 +181,20 @@ def test_conditioning_reports_infeasible_history():
 
 
 def test_risk_averse_tail_without_complete_recourse_is_not_called_infeasible():
-    # the tail from stage 2 is feasible (x2 = 2, x3 = 0, value 2), but nested
-    # decomposition, which has no feasibility cuts, meets x2 < 1 on its way
+    # the tail from stage 2 is feasible (x2 = 2, x3 = 0, value 2): the
+    # extensive form finds it, while nested decomposition, which has no
+    # feasibility cuts, meets x2 < 1 on its way and says so
     problem = make_cvar_without_complete_recourse()
-    with pytest.raises(oracle.OracleError, match="no feasibility cuts"):
-        oracle.true_recourse_value(problem, 2, np.array([0.0, 0.5]))
-    with pytest.raises(oracle.OracleError, match="no feasibility cuts"):
+    assert oracle.true_recourse_value(problem, 2, np.array([0.0, 0.5])) == \
+        pytest.approx(2.0, abs=1e-9)
+    assert oracle.extensive_form_value(problem) == pytest.approx(2.0, abs=1e-9)
+    with pytest.raises(oracle.OracleError,
+                       match="no feasibility cuts.*--method extensive-form"):
         oracle.nested_decomposition_value(problem)
     # with x2 <= 0.5 no history has a feasible tail: that is +inf, not an error
     hopeless = make_cvar_without_complete_recourse(stage2_ub=0.5)
     assert math.isinf(oracle.true_recourse_value(hopeless, 2, np.array([0.0, 0.5])))
+    assert math.isinf(oracle.extensive_form_value(hopeless))
     assert math.isinf(oracle.nested_decomposition_value(hopeless))
 
 
@@ -300,9 +312,15 @@ def _pinned_nd_cases():
         yield name, io.load_problem(_DEMO_INSTANCES / f"{name}.json"), want
 
 
-def test_nested_decomposition_results_are_pinned():
-    for name, problem, (value, sweeps, n_cuts) in _pinned_nd_cases():
-        res = oracle.exact_nested_decomposition(problem)
+@pytest.fixture(scope="module")
+def pinned_nd():
+    """The pinned cases with their nested decomposition results, solved once."""
+    return [(name, problem, want, oracle.exact_nested_decomposition(problem))
+            for name, problem, want in _pinned_nd_cases()]
+
+
+def test_nested_decomposition_results_are_pinned(pinned_nd):
+    for name, _, (value, sweeps, n_cuts), res in pinned_nd:
         assert abs(res.value - value) <= 1e-9, name
         assert (res.sweeps, res.n_cuts) == (sweeps, n_cuts), name
 
@@ -350,3 +368,65 @@ def test_reused_stage_solves_equal_fresh_cold_solves(form, monkeypatch):
     assert res.lps == len(solved) < every
     assert res.lps_reused > 0
 
+
+# ---------------------------------------------------------------------------
+# the nested-risk extensive form against nested decomposition
+# ---------------------------------------------------------------------------
+
+def _node_cvar_tree(rng):
+    """A tree of the perfbench ``tree-cvar`` shape: every inner node its own CVaR level."""
+    tree = lattice_to_tree(random_lattice_instance(rng, 3, 3, 2))
+    for node in tree.nodes:
+        if node.parent is not None and tree.children(node.id):
+            node.risk = RiskSpec(kind="cvar", epsilon=float(rng.uniform(0.3, 0.9)))
+    return tree
+
+
+def _differential_cases():
+    """Instances beyond the pinned ones: perfbench shapes, a polytope spec, tree twins."""
+    mixture = random_lattice_instance(np.random.default_rng(21), 3, 3, 4)
+    mixture.stages[1].risk = RiskSpec(kind="mixture", lam=0.5, epsilon=0.25)
+    polytope = random_lattice_instance(
+        np.random.default_rng(22), 3, 3, 2,
+        risk=RiskSpec(kind="polytope", rows=[(np.array([1.0, 0.0, 0.0]), 1.5),
+                                             (np.array([0.0, 1.0, 1.0]), 2.2)]))
+    averse = _stochastic_three_stage(
+        risk2=RiskSpec(kind="cvar", epsilon=0.5),
+        risk3=RiskSpec(kind="mixture", lam=0.5, epsilon=0.4))
+    return [("lattice-mixture-shape", mixture),
+            ("tree-cvar-shape", _node_cvar_tree(np.random.default_rng(23))),
+            ("polytope", polytope), ("polytope-tree", lattice_to_tree(polytope)),
+            ("averse-tree", lattice_to_tree(averse)),
+            ("c02-1-0-tree", lattice_to_tree(random_lattice_instance(
+                np.random.default_rng(5010), 3, 2, 2, risk=_C02_RISKS[0])))]
+
+
+def _rel_gap(a, b):
+    return abs(a - b) / max(1.0, abs(b))
+
+
+def test_extensive_form_matches_nested_decomposition(pinned_nd):
+    cases = [(name, problem, res.value) for name, problem, _, res in pinned_nd]
+    cases += [(name, problem, oracle.exact_nested_decomposition(problem).value)
+              for name, problem in _differential_cases()]
+    assert len(cases) == 41
+    for name, problem, nd_value in cases:
+        assert _rel_gap(oracle.extensive_form_value(problem), nd_value) <= 1e-9, name
+
+
+def test_true_recourse_value_matches_nested_decomposition_per_child():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for name, problem in _differential_cases():
+        topo = problem.topology
+        for key in topo.keys:
+            if topo.terminal(key):
+                continue
+            lo, hi = _history_box(problem, key)
+            for x in rng.uniform(lo, hi, size=(3, lo.shape[0])):
+                history = np.concatenate([problem.x0, x])
+                want = nd_true_recourse_value(problem, key, history)
+                got = oracle.true_recourse_value(problem, key, history)
+                assert _rel_gap(got, want) <= 1e-9, (name, key)
+                checked += 1
+    assert checked == 54
