@@ -162,9 +162,15 @@ def _history_box(p: Problem, where) -> tuple[np.ndarray, np.ndarray]:
 def _cmd_check_cuts(args) -> int:
     problem = io.load_problem(args.input)
     records = io.read_cuts_csv(args.cuts)
+    topo = problem.topology
     rng = np.random.default_rng(args.seed)
     by_where: dict[int, list[io.CutRecord]] = {}
     for rec in records:
+        if rec.where not in topo.keys:
+            raise IoError(f"{args.cuts}: pool {rec.where} is not a pool of the problem")
+        if rec.beta.shape[0] != topo.arg_dim(rec.where):
+            raise IoError(f"{args.cuts}: pool {rec.where} cuts need {topo.arg_dim(rec.where)} "
+                          f"coefficients, a row has {rec.beta.shape[0]}")
         by_where.setdefault(rec.where, []).append(rec)
     n_violations = 0
     n_checked = 0

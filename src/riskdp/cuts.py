@@ -171,31 +171,23 @@ class CutPool:
         if self._view_cache is not None and self._view_cache[:3] == key:
             return self._view_cache[3]
         d = self.arg_dim
-        n_o = len(self.optimality)
-        n_f = len(self.feasibility)
-        opt_beta = (np.vstack([c.beta for c in self.optimality]) if n_o
-                    else np.zeros((0, d)))
+        opt_beta = np.array([c.beta for c in self.optimality]).reshape(-1, d)
         opt_rhs = np.array([c.rhs_const for c in self.optimality])
-        feas_beta = (np.vstack([c.beta_tilde for c in self.feasibility]) if n_f
-                     else np.zeros((0, d)))
+        feas_beta = np.array([c.beta_tilde for c in self.feasibility]).reshape(-1, d)
         feas_rhs = np.array([c.theta_tilde for c in self.feasibility])
         view = PoolView(opt_beta1=opt_beta[:, :d - n], opt_beta2=opt_beta[:, d - n:],
                         opt_rhs_const=opt_rhs,
                         feas_beta1=feas_beta[:, :d - n], feas_beta2=feas_beta[:, d - n:],
                         feas_rhs_const=feas_rhs)
-        self._view_cache = (n_o, n_f, n, view)
+        self._view_cache = (*key, view)
         return view
 
 
 def evaluate_pool(pool: CutPool, x) -> float:
     """Max over the pool's optimality cuts at ``x``; ``-inf`` when empty."""
-    if not pool.optimality:
-        return -math.inf
     x = np.asarray(x, dtype=float).reshape(-1)
-    best = -math.inf
-    for cut in pool.optimality:
-        best = max(best, cut.theta + float(cut.beta @ (x - cut.anchor)))
-    return best
+    return max((cut.theta + float(cut.beta @ (x - cut.anchor)) for cut in pool.optimality),
+               default=-math.inf)
 
 
 def zero_terminal_pool(arg_dim: int) -> CutPool:
@@ -272,11 +264,7 @@ def build_feasibility_cut(phase1_value: float, dual_eq, dual_feas, a_hist,
     anchor = np.asarray(anchor, dtype=float).reshape(-1)
     dual_eq = np.asarray(dual_eq, dtype=float).reshape(-1)
     dual_feas = np.asarray(dual_feas, dtype=float).reshape(-1)
-    a_hist = np.atleast_2d(np.asarray(a_hist, dtype=float))
-    feas_beta1 = np.atleast_2d(np.asarray(feas_beta1, dtype=float))
-    s = -(a_hist.T @ dual_eq) if a_hist.shape[0] else np.zeros(anchor.shape[0])
-    if feas_beta1.shape[0]:
-        s = s + feas_beta1.T @ dual_feas
+    s = feas_beta1.T @ dual_feas - a_hist.T @ dual_eq
     theta_tilde = -phase1_value + float(s @ anchor)
     return FeasibilityCut(theta_tilde=theta_tilde, beta_tilde=s, stage=stage,
                           index=index, iteration=iteration)

@@ -251,12 +251,9 @@ def _feas_rows(beta2: np.ndarray) -> np.ndarray:
 def _stage_rhs(sub: SubproblemData, view) -> tuple[np.ndarray, np.ndarray]:
     """The stage LP's right-hand sides ``(b_eq, b_ub)``, the part that moves with the history."""
     h_dec = sub.history[sub.lb.shape[0]:]
-    rhs = [sub.ineq_rhs, -sub.piece_const]
-    if view.n_opt:
-        rhs.append(view.opt_rhs_const - view.opt_beta1 @ h_dec)
-    if view.n_feas:
-        rhs.append(view.feas_rhs_const - view.feas_beta1 @ h_dec)
-    return sub.eq_rhs, np.concatenate(rhs)
+    return sub.eq_rhs, np.concatenate([sub.ineq_rhs, -sub.piece_const,
+                                       view.opt_rhs_const - view.opt_beta1 @ h_dec,
+                                       view.feas_rhs_const - view.feas_beta1 @ h_dec])
 
 
 def build_stage_lp(sub: SubproblemData, view, z_lo: float) -> lp.LpProblem:
@@ -374,21 +371,13 @@ def phase_one(problem: Problem, where, history, pools: PoolSet,
     n = sub.lb.shape[0]
     q = sub.eq_rhs.shape[0]
     k_rows = fview.n_feas
-    h_dec = sub.history[n:]
-    feas_rhs = (fview.feas_rhs_const - fview.feas_beta1 @ h_dec
-                if k_rows else np.zeros(0))
+    feas_rhs = fview.feas_rhs_const - fview.feas_beta1 @ sub.history[n:]
     for elastic_rows in (False, True):
         n_extra = k_rows if elastic_rows else 0
         c = np.concatenate([np.zeros(n), np.ones(2 * q + n_extra)])
-        a_eq = (np.hstack([sub.a_cur, np.eye(q), -np.eye(q),
-                           np.zeros((q, n_extra))]) if q else None)
-        a_ub = b_ub = None
-        if k_rows:
-            slack = [-np.eye(k_rows)] if elastic_rows else []
-            a_ub = np.hstack([fview.feas_beta2, np.zeros((k_rows, 2 * q))] + slack)
-            b_ub = feas_rhs
-        prob = lp.LpProblem(c=c, a_eq=a_eq, b_eq=sub.eq_rhs if q else None,
-                            a_ub=a_ub, b_ub=b_ub,
+        a_eq = np.hstack([sub.a_cur, np.eye(q), -np.eye(q), np.zeros((q, n_extra))])
+        a_ub = np.hstack([fview.feas_beta2, np.zeros((k_rows, 2 * q)), -np.eye(k_rows, n_extra)])
+        prob = lp.LpProblem(c=c, a_eq=a_eq, b_eq=sub.eq_rhs, a_ub=a_ub, b_ub=feas_rhs,
                             lower=np.concatenate([sub.lb, np.zeros(2 * q + n_extra)]),
                             upper=np.concatenate([sub.ub,
                                                   np.full(2 * q + n_extra, np.inf)]))
@@ -396,8 +385,7 @@ def phase_one(problem: Problem, where, history, pools: PoolSet,
         if tally is not None:
             _count_lp(tally, sol)
         if sol.status == lp.OPTIMAL:
-            dual_feas = sol.dual_ineq[:k_rows] if k_rows else np.zeros(0)
-            return sol.objective, sol.dual_eq, dual_feas, sub, fview
+            return sol.objective, sol.dual_eq, sol.dual_ineq, sub, fview
         if sol.status == lp.UNBOUNDED:  # pragma: no cover - c >= 0 forbids this
             raise EngineError("phase-I program unbounded")
     raise EngineError(  # pragma: no cover - the elastic program is always feasible

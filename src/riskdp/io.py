@@ -105,20 +105,9 @@ def _parse_payload(raw: dict, t: int, n: int, where: str) -> Realization:
         pieces_c = np.asarray([pc["c"] for pc in pieces], dtype=float)
         pieces_d = np.asarray([pc["d"] for pc in pieces], dtype=float)
         cost = PwlConvexCost(pieces_c=pieces_c, pieces_d=pieces_d, dim=n)
-        a_raw = raw.get("A") or []
-        if a_raw:
-            a_blocks = [np.asarray(blk, dtype=float).reshape(-1, n) for blk in a_raw]
-            if len(a_blocks) != t + 1:
-                raise IoError(f"{where}: A must list {t + 1} blocks (x_0..x_{t})")
-        else:
-            a_blocks = [np.zeros((0, n)) for _ in range(t + 1)]
-        b = np.asarray(raw.get("b") or [], dtype=float)
-        g_raw = raw.get("G") or []
-        g = (np.asarray(g_raw, dtype=float).reshape(-1, (t + 1) * n)
-             if g_raw else np.zeros((0, (t + 1) * n)))
-        h = np.asarray(raw.get("h") or [], dtype=float)
-        return Realization(prob=float(raw.get("prob", 1.0)), cost=cost,
-                           a_blocks=a_blocks, b=b, g=g, h=h,
+        a_blocks = [np.asarray(blk, dtype=float).reshape(-1, n) for blk in raw.get("A") or []]
+        return Realization(prob=float(raw.get("prob", 1.0)), cost=cost, a_blocks=a_blocks,
+                           b=raw.get("b") or [], g=raw.get("G") or [], h=raw.get("h") or [],
                            lb=np.asarray(raw["lb"], dtype=float),
                            ub=np.asarray(raw["ub"], dtype=float))
     except IoError:

@@ -54,7 +54,6 @@ PIVOT_REL_TOL = 1e-9    # ratio test: pivot floor relative to the products formi
 RATIO_TIE_TOL = 1e-9    # ratio-test tie window
 STEP_TOL = 1e-12        # steps below this count as degenerate
 PHASE1_TOL = 1e-9       # residual infeasibility above this means infeasible
-BINDING_TOL = 1e-9      # slack below this marks an inequality row binding
 REFACTOR_EVERY = 64     # pivots between explicit refactorizations
 STALL_SWITCH = 100      # consecutive degenerate pivots before Bland takes over
 MAX_PIVOTS = 200_000    # hard safety limit per solve
@@ -70,7 +69,7 @@ class SimplexError(RuntimeError):
     """Hard numerical failure inside the simplex (not a model status)."""
 
 
-def _as_matrix(a, rows_hint: int, n: int) -> np.ndarray:
+def _as_matrix(a, n: int) -> np.ndarray:
     if a is None:
         return np.zeros((0, n), dtype=float)
     out = np.asarray(a, dtype=float)
@@ -120,9 +119,9 @@ class LpProblem:
         n = self.c.shape[0]
         if n == 0:
             raise ValueError("LpProblem needs at least one variable")
-        self.a_eq = _as_matrix(self.a_eq, 0, n)
+        self.a_eq = _as_matrix(self.a_eq, n)
         self.b_eq = _as_vector(self.b_eq, self.a_eq.shape[0], "b_eq")
-        self.a_ub = _as_matrix(self.a_ub, 0, n)
+        self.a_ub = _as_matrix(self.a_ub, n)
         self.b_ub = _as_vector(self.b_ub, self.a_ub.shape[0], "b_ub")
         self.lower = (np.full(n, -np.inf) if self.lower is None
                       else np.asarray(self.lower, dtype=float).reshape(-1))
@@ -149,8 +148,7 @@ class LpSolution:
     """Result of a simplex solve.
 
     ``x``, ``objective`` and the dual vectors are only meaningful when
-    ``status == "optimal"``.  ``binding_ineq[i]`` flags inequality rows with
-    slack below :data:`BINDING_TOL`.  ``basis`` is the final basis as one
+    ``status == "optimal"``.  ``basis`` is the final basis as one
     column state per structural and slack column (:data:`BASIC`,
     :data:`AT_LOWER`, :data:`AT_UPPER` or :data:`NB_FREE`), ready to be held
     by a :class:`PersistentLp`; it is None unless the solve is optimal with
@@ -164,7 +162,6 @@ class LpSolution:
     objective: float = math.nan
     dual_eq: np.ndarray | None = None
     dual_ineq: np.ndarray | None = None
-    binding_ineq: np.ndarray | None = None
     pivots: int = 0
     basis: np.ndarray | None = None
     warm_start: bool = False
@@ -509,12 +506,10 @@ class _Simplex:
             y = np.zeros(0)
         dual_eq = y[:q].copy()
         dual_ineq = np.maximum(-y[q:], 0.0)
-        slack = self.b[q:] - self.a[q:, :n] @ x
         basis = (None if (self.basis >= self.n_real).any()
                  else self.status_col[:self.n_real].copy())
         return LpSolution(status=OPTIMAL, x=x, objective=float(self.c @ x),
-                          dual_eq=dual_eq, dual_ineq=dual_ineq,
-                          binding_ineq=slack <= BINDING_TOL, pivots=self.pivots,
+                          dual_eq=dual_eq, dual_ineq=dual_ineq, pivots=self.pivots,
                           basis=basis, warm_start=warm)
 
 

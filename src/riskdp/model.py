@@ -18,7 +18,11 @@ deterministic stage-1 node as its only child).
 History vectors throughout this package are the full concatenation
 ``(x_0, x_1, ..., x_{t-1})`` of length ``t * n``; cost pieces exclude the
 ``x_0`` block (their coefficient vectors have length ``t * n`` over
-``x_{1:t}``), while ``G`` includes it (``(t+1) * n`` columns).
+``x_{1:t}``), while ``G`` includes it (``(t+1) * n`` columns).  A payload
+without equality or inequality rows holds that system with zero rows, so
+every payload has one layout, and :meth:`Realization.fold` is the one place
+a history is folded into a payload's rows: the stage subproblems
+(:func:`assemble_subproblem`) and the oracle's extensive forms read it.
 
 Risk attachment conventions (documented in the README): in lattice form the
 stage-s risk spec governs how stage-s realization values are aggregated when
@@ -39,6 +43,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,9 +84,26 @@ class PwlConvexCost:
         return self.pieces_c.shape[0]
 
 
+class Folded(NamedTuple):
+    """A payload's rows over the decisions after a history (folded into b, h and pieces_d)."""
+
+    a: np.ndarray         # (q, m) equality rows
+    b: np.ndarray         # (q,)
+    g: np.ndarray         # (r, m) inequality rows
+    h: np.ndarray         # (r,)
+    pieces_c: np.ndarray  # (P, m) cost-piece rows
+    pieces_d: np.ndarray  # (P,)
+
+
 @dataclass
 class Realization:
-    """One stage-t realization (or tree-node) payload."""
+    """One stage-t realization (or tree-node) payload.
+
+    A missing system is stored empty: with no equality system ``a_blocks``
+    is ``t+1`` blocks of shape ``(0, n)``, with no inequality system ``g``
+    has shape ``(0, (t+1)*n)`` (``t`` read off the cost pieces' width).
+    Every other shape is kept as given, for :meth:`violations` to report.
+    """
 
     prob: float
     cost: PwlConvexCost
@@ -93,33 +115,53 @@ class Realization:
     ub: np.ndarray                      # (n,)
 
     def __post_init__(self) -> None:
+        n = self.cost.dim
+        width = self.cost.pieces_c.shape[1] + n  # columns over x_{0:t}
         self.a_blocks = [np.atleast_2d(np.asarray(a, dtype=float)) for a in self.a_blocks]
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
-        self.g = np.atleast_2d(np.asarray(self.g, dtype=float)) if np.size(self.g) else \
-            np.zeros((0, 0))
         self.h = np.asarray(self.h, dtype=float).reshape(-1)
         self.lb = np.asarray(self.lb, dtype=float).reshape(-1)
         self.ub = np.asarray(self.ub, dtype=float).reshape(-1)
+        if not self.a_blocks and not self.b.size:  # no equality system
+            self.a_blocks = [np.zeros((0, n)) for _ in range(width // max(n, 1))]
+        g = np.asarray(self.g, dtype=float)  # no G and no h: no inequality system
+        self.g = np.atleast_2d(g) if g.size else np.zeros((0, 0 if self.h.size else width))
+
+    @cached_property
+    def a_full(self) -> np.ndarray:
+        """The equality blocks side by side, ``(q, (t+1)*n)``; fixes ``a_blocks`` on first use."""
+        a = np.hstack(self.a_blocks)
+        a.flags.writeable = False
+        return a
+
+    def fold(self, history: np.ndarray) -> Folded:
+        """The rows over the decisions after ``history = (x_0, ..., x_{k-1})``.
+
+        The one history fold: stage subproblems and the oracle's tails read it.
+        Its arrays are views of the payload where no arithmetic was needed.
+        """
+        n, k = self.cost.dim, history.shape[0]
+        a, c = self.a_full, self.cost.pieces_c  # the cost pieces have no x_0 block
+        return Folded(a=a[:, k:], b=self.b - a[:, :k] @ history,
+                      g=self.g[:, k:], h=self.h - self.g[:, :k] @ history,
+                      pieces_c=c[:, k - n:], pieces_d=self.cost.pieces_d + c[:, :k - n] @ history[n:])
 
     def violations(self, t: int, n: int, where: str) -> list[str]:
         out = []
         q = self.b.shape[0]
-        if q == 0 and len(self.a_blocks) == 0:
-            pass  # no equality system at all
-        elif len(self.a_blocks) != t + 1:
+        if len(self.a_blocks) != t + 1:
             out.append(f"{where}: expected {t + 1} equality blocks, found {len(self.a_blocks)}")
         else:
             for tau, a in enumerate(self.a_blocks):
-                if a.shape != (q, n) and not (q == 0 and a.size == 0):
+                if a.shape != (q, n):
                     out.append(f"{where}: equality block {tau} has shape {a.shape}, expected {(q, n)}")
         if self.cost.dim != n or self.cost.pieces_c.shape[1] != t * n:
             out.append(f"{where}: cost pieces must have {t * n} coordinates")
         if not np.all(np.isfinite(self.cost.pieces_c)) or not np.all(np.isfinite(self.cost.pieces_d)):
             out.append(f"{where}: cost pieces contain non-finite entries")
         r = self.h.shape[0]
-        if r or self.g.size:
-            if self.g.shape != (r, (t + 1) * n):
-                out.append(f"{where}: G has shape {self.g.shape}, expected {(r, (t + 1) * n)}")
+        if self.g.shape != (r, (t + 1) * n):
+            out.append(f"{where}: G has shape {self.g.shape}, expected {(r, (t + 1) * n)}")
         if self.lb.shape[0] != n or self.ub.shape[0] != n:
             out.append(f"{where}: box must have {n} coordinates")
         elif not (np.all(np.isfinite(self.lb)) and np.all(np.isfinite(self.ub))):
@@ -191,10 +233,6 @@ class Problem:
 
     def depth(self, node_id: int) -> int:
         return self.topology.depth[node_id]
-
-    def nodes_at_depth(self, d: int) -> list[int]:
-        depth = self.topology.depth
-        return [nid for nid in sorted(depth) if depth[nid] == d]
 
     def z_lower(self, t: int) -> float:
         """Certified lower bound on the stage-(t+1) recourse value (0 past the horizon)."""
@@ -345,7 +383,9 @@ class SubproblemData:
 
     The ``*_hist`` matrices keep the coefficient blocks of the *decision*
     history ``x_{1:t-1}`` (the fixed ``x_0`` block is already absorbed into
-    the constants); they are what cut assembly differentiates against.
+    the constants); they are what cut assembly differentiates against.  The
+    blocks and ``history`` are views of the payload and of the history as
+    supplied: read them, never write them.
     """
 
     t: int
@@ -364,8 +404,16 @@ class SubproblemData:
     history: np.ndarray      # (t*n,) = (x_0, x_1, ..., x_{t-1}) as supplied
 
 
+def history_vector(history, t: int, n: int) -> np.ndarray:
+    """``history`` as a float vector, checked to be ``(x_0, ..., x_{t-1})``."""
+    history = np.asarray(history, dtype=float).reshape(-1)
+    if history.shape[0] != t * n:
+        raise ModelError(f"history must have {t * n} coordinates at stage {t}, got {history.shape[0]}")
+    return history
+
+
 def assemble_subproblem(p: Problem, where, history) -> SubproblemData:
-    """Fold a fixed history into one position's data.
+    """Fold a fixed history into one position's data (:meth:`Realization.fold`).
 
     Parameters
     ----------
@@ -384,40 +432,14 @@ def assemble_subproblem(p: Problem, where, history) -> SubproblemData:
     n = p.dim
     t = p.topology.stage(where)
     payload = p.topology.payload(where)
-    history = np.asarray(history, dtype=float).reshape(-1)
-    if history.shape[0] != t * n:
-        raise ModelError(f"history must have {t * n} coordinates at stage {t}, got {history.shape[0]}")
-    dec_hist = history[n:]                    # x_{1:t-1}
-    q = payload.b.shape[0]
-    a_cur = payload.a_blocks[t] if q else np.zeros((0, n))
-    if q:
-        a_hist_full = (np.hstack(payload.a_blocks[:t]) if t
-                       else np.zeros((q, 0)))
-        eq_rhs = payload.b - a_hist_full @ history
-        a_hist = a_hist_full[:, n:]
-    else:
-        eq_rhs = payload.b
-        a_hist = np.zeros((0, (t - 1) * n))
-    r = payload.h.shape[0]
-    if r:
-        g_full = payload.g
-        g_cur = g_full[:, t * n:]
-        ineq_rhs = payload.h - g_full[:, :t * n] @ history
-        g_hist = g_full[:, n:t * n]
-    else:
-        g_cur = np.zeros((0, n))
-        ineq_rhs = payload.h
-        g_hist = np.zeros((0, (t - 1) * n))
-    hist_len = (t - 1) * n
-    piece_hist = payload.cost.pieces_c[:, :hist_len]
-    piece_cur = payload.cost.pieces_c[:, hist_len:]
-    piece_const = payload.cost.pieces_d + piece_hist @ dec_hist
-    return SubproblemData(t=t, where=where,
-                          piece_cur=piece_cur.copy(), piece_const=piece_const,
-                          piece_hist=piece_hist.copy(),
-                          a_cur=np.atleast_2d(a_cur), eq_rhs=eq_rhs, a_hist=np.atleast_2d(a_hist),
-                          g_cur=np.atleast_2d(g_cur), ineq_rhs=ineq_rhs, g_hist=np.atleast_2d(g_hist),
-                          lb=payload.lb, ub=payload.ub, history=history.copy())
+    history = history_vector(history, t, n)
+    rows = payload.fold(history)
+    dec = slice(n, t * n)  # the x_{1:t-1} columns
+    return SubproblemData(t=t, where=where, piece_cur=rows.pieces_c, piece_const=rows.pieces_d,
+                          piece_hist=payload.cost.pieces_c[:, :(t - 1) * n],
+                          a_cur=rows.a, eq_rhs=rows.b, a_hist=payload.a_full[:, dec],
+                          g_cur=rows.g, ineq_rhs=rows.h, g_hist=payload.g[:, dec],
+                          lb=payload.lb, ub=payload.ub, history=history)
 
 
 def validate_problem(p: Problem) -> list[str]:

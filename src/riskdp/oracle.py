@@ -5,8 +5,9 @@ Two routes compute ground truth:
 * :func:`extensive_form_value` — the nested-risk extensive form: the whole
   scenario tree as one LP, with a value column per node and the one-step
   risk of its children written as rows, for every supported risk spec.  It
-  shares none of the cutting-plane drivers' arithmetic and is solved by
-  HiGHS (the only place the package relies on an external solver);
+  shares with the cutting-plane drivers only the payload's history fold
+  (:meth:`~riskdp.model.Realization.fold`), and is solved by HiGHS (the
+  only place the package relies on an external solver);
   :func:`reference_value` is this route;
 * :func:`exact_nested_decomposition` — the paper's sampling-free method:
   sweep-based nested decomposition that visits *every* node each sweep and
@@ -14,9 +15,10 @@ Two routes compute ground truth:
   to any pool.  It runs the engine's own stage solves and cuts.
 
 :func:`true_recourse_value` evaluates the exact risk-adjusted recourse
-function at an arbitrary history as one LP: the children's tails,
-conditioned on that history (:func:`conditioned_problem`), stacked under the
-pool's risk rows; infeasible histories report ``+inf``.  Nested
+function at an arbitrary history as one LP: the children's tails, each
+folded at that history, stacked under the pool's risk rows; infeasible
+histories report ``+inf``.  :func:`conditioned_problem` builds one such tail
+as a problem of its own, for nested decomposition to solve.  Nested
 decomposition has no feasibility cuts, so on a feasible instance without
 relatively complete recourse :func:`nested_decomposition_value` raises
 :class:`OracleError` rather than calling it infeasible; the extensive form
@@ -40,8 +42,8 @@ import scipy.optimize
 
 from .cuts import build_optimality_cut
 from .engine import EngineError, NodeSolution, PoolSet, solve_node
-from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization,
-                    Stage)
+from .model import (TREE, Node, Problem, PwlConvexCost, Realization, Stage,
+                    history_vector)
 from .risk import RiskSpec
 
 logger = logging.getLogger(__name__)
@@ -84,12 +86,15 @@ class _Rec:
     payload: Realization
 
 
-def _scenario_records(problem: Problem) -> list[_Rec]:
-    """Every scenario-tree node, breadth first (a lattice expands into its paths)."""
+def _scenario_records(problem: Problem, where=None) -> list[_Rec]:
+    """Every scenario-tree node below ``where`` (default stage 1), breadth first.
+
+    A lattice expands into its paths.  The root record is ``where``'s own.
+    """
     topo = problem.topology
-    first = topo.first
-    records = [_Rec(key=(0,), parent=(), where=first, depth=1,
-                    payload=topo.payload(first))]
+    where = topo.first if where is None else where
+    records = [_Rec(key=(0,), parent=(), where=where, depth=topo.stage(where),
+                    payload=topo.payload(where))]
     for rec in records:  # grows while iterated: children follow their parents
         key = topo.pool(rec.where)
         for j, kid in enumerate(topo.children(key)):
@@ -124,8 +129,6 @@ class _NestedRiskLp:
 
     def _matrix(self, eq: bool):
         blocks = self.blocks[eq]
-        if not blocks:
-            return None, None
         a = np.zeros((sum(b.shape[0] for _, b, _ in blocks), self.ncols))
         rhs = np.empty(a.shape[0])
         i = 0
@@ -186,45 +189,43 @@ class _NestedRiskLp:
                                   lam * probs / spec.epsilon, [-1.0]]), 0.0)
         return int(r[0])
 
-    def tail(self, problem: Problem) -> int:
-        """Add ``problem``'s nested epigraph; returns the stage-1 node's value column.
+    def tail(self, problem: Problem, where, history: np.ndarray) -> int:
+        """Add the nested epigraph below position ``where`` at ``history``.
 
-        Every scenario node ``m`` gets its decision columns ``x_m`` and a value
-        column ``V_m >= cost_m(x_{1:m}) + R_m``, one row per cost piece (the
-        cost's epigraph column folded into ``V_m``), where
-        ``R_m`` (:meth:`risk`) is the one-step risk of its children's values
-        under its pool's spec and is absent at a leaf; its equality and
-        inequality rows read the decisions along its path.
+        Returns the value column of ``where``'s node.  Every scenario node
+        ``m`` below it gets its decision columns ``x_m`` and a value column
+        ``V_m >= cost_m(x_{1:m}) + R_m``, one row per cost piece (the cost's
+        epigraph column folded into ``V_m``), where ``R_m`` (:meth:`risk`) is
+        the one-step risk of its children's values under its pool's spec and
+        is absent at a leaf.  Its rows are its payload's, folded at
+        ``history = x_{0:t-1}`` (:meth:`~riskdp.model.Realization.fold`), over
+        the decisions along its path from ``where``.
         """
         topo = problem.topology
-        n = problem.dim
-        records = _scenario_records(problem)
+        records = _scenario_records(problem, where)
         x_cols: dict = {(): np.zeros(0, dtype=int)}
         v_col: dict = {}
         kids: dict = {}
         for rec in records:
             pay = rec.payload
             x_cols[rec.key] = np.concatenate(
-                [x_cols[rec.parent], self.columns(n, pay.lb, pay.ub)])
+                [x_cols[rec.parent], self.columns(problem.dim, pay.lb, pay.ub)])
             v_col[rec.key] = int(self.columns(1)[0])
             kids.setdefault(rec.parent, []).append(v_col[rec.key])
         for rec in records:
-            pay = rec.payload
+            rows = rec.payload.fold(history)
             path = x_cols[rec.key]
-            if pay.b.shape[0]:
-                self.rows(path, np.hstack(pay.a_blocks[1:]),
-                          pay.b - pay.a_blocks[0] @ problem.x0, eq=True)
-            if pay.h.shape[0]:
-                self.rows(path, pay.g[:, n:], pay.h - pay.g[:, :n] @ problem.x0)
+            self.rows(path, rows.a, rows.b, eq=True)
+            self.rows(path, rows.g, rows.h)
+            n_p = rows.pieces_d.shape[0]
             value = [v_col[rec.key]]
-            pieces = [pay.cost.pieces_c, -np.ones((pay.cost.n_pieces, 1))]
+            pieces = [rows.pieces_c, -np.ones((n_p, 1))]
             if rec.key in kids:
                 key = topo.pool(rec.where)
                 value.append(self.risk(topo.risk(key), topo.probs(key),
                                        np.array(kids[rec.key])))
-                pieces.append(np.ones((pay.cost.n_pieces, 1)))
-            self.rows(np.concatenate([path, value]), np.hstack(pieces),
-                      -pay.cost.pieces_d)
+                pieces.append(np.ones((n_p, 1)))
+            self.rows(np.concatenate([path, value]), np.hstack(pieces), -rows.pieces_d)
         return v_col[(0,)]
 
 
@@ -240,7 +241,7 @@ def extensive_form_value(problem: Problem) -> float:
     an external solver.  Returns ``+inf`` when the instance is infeasible.
     """
     lp = _NestedRiskLp()
-    return lp.minimize(lp.tail(problem))
+    return lp.minimize(lp.tail(problem, problem.topology.first, problem.x0))
 
 
 # ---------------------------------------------------------------------------
@@ -357,31 +358,17 @@ def _forward_all(problem: Problem, solves: _StageSolves, records: list[_Rec]) ->
 # conditioning on a history
 # ---------------------------------------------------------------------------
 
-def _conditioned_payload(pay: Realization, t: int, tau: int, n: int,
-                         history: np.ndarray) -> Realization:
-    """Re-root a stage-``tau`` payload at stage ``t``: fold ``x_{0:t-1}`` in.
+def _conditioned_payload(pay: Realization, n: int, history: np.ndarray) -> Realization:
+    """Re-root a payload after ``history = x_{0:t-1}``: :meth:`Realization.fold` it.
 
-    The reduced payload's stage index is ``tau - t + 1`` and its block-0
-    (initial state) columns are zero — the fixed prefix moves into the
-    right-hand sides and cost offsets.
+    The reduced payload's block-0 (initial state) columns are zero — the
+    fixed prefix moves into the right-hand sides and cost offsets.
     """
-    dec_hist = history[n:]
-    q = pay.b.shape[0]
-    if q:
-        a_blocks = [np.zeros((q, n))] + [pay.a_blocks[s] for s in range(t, tau + 1)]
-        b = pay.b - np.hstack(pay.a_blocks[:t]) @ history
-    else:
-        a_blocks, b = [], pay.b
-    r = pay.h.shape[0]
-    if r:
-        g = np.hstack([np.zeros((r, n)), pay.g[:, t * n:]])
-        h = pay.h - pay.g[:, :t * n] @ history
-    else:
-        g, h = np.zeros((0, 0)), pay.h
-    keep = pay.cost.pieces_c[:, (t - 1) * n:]
-    d = pay.cost.pieces_d + pay.cost.pieces_c[:, :(t - 1) * n] @ dec_hist
-    cost = PwlConvexCost(pieces_c=keep, pieces_d=d, dim=n)
-    return Realization(prob=1.0, cost=cost, a_blocks=a_blocks, b=b, g=g, h=h,
+    rows = pay.fold(history)
+    a = np.hstack([np.zeros((rows.a.shape[0], n)), rows.a])
+    return Realization(prob=1.0, cost=PwlConvexCost(rows.pieces_c, rows.pieces_d, dim=n),
+                       a_blocks=np.hsplit(a, a.shape[1] // n), b=rows.b,
+                       g=np.hstack([np.zeros((rows.g.shape[0], n)), rows.g]), h=rows.h,
                        lb=pay.lb.copy(), ub=pay.ub.copy())
 
 
@@ -397,17 +384,14 @@ def conditioned_problem(problem: Problem, where, history: np.ndarray) -> Problem
         return conditioned_subtree(problem, where, history)
     t, j = where
     n = problem.dim
-    history = np.asarray(history, dtype=float).reshape(-1)
-    if history.shape[0] != t * n:
-        raise ModelError(f"history must have {t * n} coordinates at stage {t}")
-    first_pay = _conditioned_payload(problem.stages[t - 1].realizations[j],
-                                     t, t, n, history)
+    history = history_vector(history, t, n)
+    first_pay = _conditioned_payload(problem.stages[t - 1].realizations[j], n, history)
     stages = [Stage([first_pay])]
     for tau in range(t + 1, problem.horizon + 1):
         stage = problem.stages[tau - 1]
         reals = []
         for pay in stage.realizations:
-            reduced = _conditioned_payload(pay, t, tau, n, history)
+            reduced = _conditioned_payload(pay, n, history)
             reduced.prob = pay.prob
             reals.append(reduced)
         stages.append(Stage(reals, risk=stage.risk))
@@ -423,9 +407,7 @@ def conditioned_subtree(problem: Problem, node_id: int,
         raise OracleError("conditioning on a node applies to tree form")
     n = problem.dim
     t = problem.depth(node_id)
-    history = np.asarray(history, dtype=float).reshape(-1)
-    if history.shape[0] != t * n:
-        raise ModelError(f"history must have {t * n} coordinates at depth {t}")
+    history = history_vector(history, t, n)
     nodes = [Node(id=0, parent=None)]
     mapping = {node_id: 1}
     queue = [node_id]
@@ -433,8 +415,7 @@ def conditioned_subtree(problem: Problem, node_id: int,
     while queue:
         mid = queue.pop(0)
         node = problem.node(mid)
-        tau = problem.depth(mid)
-        reduced = _conditioned_payload(node.payload, t, tau, n, history)
+        reduced = _conditioned_payload(node.payload, n, history)
         nodes.append(Node(id=mapping[mid],
                           parent=0 if mid == node_id else mapping[node.parent],
                           prob=1.0 if mid == node_id else node.prob,
@@ -454,18 +435,18 @@ def true_recourse_value(problem: Problem, where, history) -> float:
     ``where`` is a pool key (a stage on a lattice, a node id on a tree) and
     ``history`` is ``x_{0:s}`` for the stage ``s`` of the subproblems that
     carry its rows; the result is the key's risk of the tail values of its
-    children.  The nested epigraphs of the children's conditioned tails
-    (:func:`conditioned_problem`) are stacked with the key's risk rows over
-    their stage-1 value columns, and HiGHS minimises that risk.  Terminal
-    keys report 0, infeasible histories ``+inf``.
+    children.  The nested epigraphs of the children's tails, each folded at
+    that history (:meth:`_NestedRiskLp.tail`), are stacked with the key's
+    risk rows over their value columns, and HiGHS minimises that risk.
+    Terminal keys report 0, infeasible histories ``+inf``.
     """
-    history = np.asarray(history, dtype=float).reshape(-1)
     topo = problem.topology
     if topo.terminal(where):
         return 0.0
+    kids = topo.children(where)
+    history = history_vector(history, topo.stage(kids[0]), problem.dim)
     lp = _NestedRiskLp()
-    values = [lp.tail(conditioned_problem(problem, kid, history))
-              for kid in topo.children(where)]
+    values = [lp.tail(problem, kid, history) for kid in kids]
     return lp.minimize(lp.risk(topo.risk(where), topo.probs(where), np.array(values)))
 
 

@@ -65,13 +65,8 @@ def assemble_pi(sub: SubproblemData, sol: LpSolution, view) -> np.ndarray:
     mu_p = mu[n_g:n_g + n_p]
     mu_opt = mu[n_g + n_p:n_g + n_p + n_opt]
     mu_feas = mu[n_g + n_p + n_opt:]
-    hist_dim = sub.a_hist.shape[1]
     cost_term = mu_p @ sub.piece_hist
-    eq_term = -(sub.a_hist.T @ sol.dual_eq) if sub.a_hist.shape[0] else np.zeros(hist_dim)
-    g_term = sub.g_hist.T @ mu_g if n_g else np.zeros(hist_dim)
-    cut_term = np.zeros(hist_dim)
-    if n_opt:
-        cut_term = cut_term + view.opt_beta1.T @ mu_opt
-    if n_feas:
-        cut_term = cut_term + view.feas_beta1.T @ mu_feas
+    eq_term = -(sub.a_hist.T @ sol.dual_eq)
+    g_term = sub.g_hist.T @ mu_g
+    cut_term = view.opt_beta1.T @ mu_opt + view.feas_beta1.T @ mu_feas
     return cost_term + eq_term + g_term + cut_term

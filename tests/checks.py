@@ -7,7 +7,8 @@ variational form and grid-search a small box, so tests can compare the
 package's answers against routes that share none of its arithmetic.  One
 more, :func:`nd_true_recourse_value`, recomputes a pool's exact recourse
 child by child with nested decomposition, a route that shares nothing with
-the extensive form it checks.
+the extensive form it checks.  :func:`nodes_at_depth` lists a tree's
+nodes at one depth.
 """
 
 import itertools
@@ -140,6 +141,12 @@ def grid_minimum(fun, lb, ub, points: int = 2001) -> float:
     for point in itertools.product(*axes):
         best = min(best, fun(np.array(point)))
     return best
+
+
+def nodes_at_depth(problem, d: int) -> list[int]:
+    """The ids of a tree problem's nodes at depth ``d``, ascending."""
+    depth = problem.topology.depth
+    return [nid for nid in sorted(depth) if depth[nid] == d]
 
 
 def nd_true_recourse_value(problem, where, history) -> float:

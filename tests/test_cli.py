@@ -178,6 +178,18 @@ def test_check_cuts_flags_a_tampered_dump(solved_run, capsys):
     assert "violation" in captured.err
 
 
+@pytest.mark.parametrize("row", [
+    "optimality,99,1,0.0,1.0,0.0",          # pool 99 is not a pool of the problem
+    "optimality,2,1,0.0,1.0,2.0,0.0,0.0",   # pool 2's cuts have 1 coefficient, not 2
+    "feasibility,2,1,0.0,1.0,2.0",
+])
+def test_check_cuts_rejects_a_row_that_fits_no_pool(newsvendor_file, tmp_path, capsys, row):
+    path = tmp_path / "cuts.csv"
+    path.write_text(f"{io.CUTS_CSV_HEADER}\n{row}\n")
+    assert _run(["check-cuts", newsvendor_file, path]) == cli.EXIT_FAILURE
+    assert f"pool {row.split(',')[1]}" in capsys.readouterr().err
+
+
 def test_check_cuts_covers_feasibility_rows(tmp_path, capsys):
     path = tmp_path / "feas.json"
     io.save_problem(make_chain_instance(), path)

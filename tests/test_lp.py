@@ -55,7 +55,6 @@ def test_inequality_duals_sign():
     assert sol.status == lp.OPTIMAL
     assert sol.x[0] == pytest.approx(2.0, abs=ATOL)
     assert sol.dual_ineq[0] == pytest.approx(1.0, abs=ATOL)
-    assert sol.binding_ineq[0]
     # perturbation check: value(b+h) - value(b) = -h = -dual_ineq * h
     h = 0.25
     pert = lp.LpProblem(c=[-1.0], a_ub=[[1.0]], b_ub=[2.0 + h], lower=[0.0], upper=[10.0])

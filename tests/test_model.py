@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from checks import evaluate_cost_and_history_subgradient
+from checks import evaluate_cost_and_history_subgradient, nodes_at_depth
 from riskdp import model
 from riskdp.risk import RiskSpec
 
@@ -122,6 +123,53 @@ def test_assemble_feasible_set_convex_in_history():
         assert np.allclose(sb.a_cur @ [yb], sb.eq_rhs, atol=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(t=st.integers(1, 3), n=st.integers(1, 3), q=st.integers(0, 2), r=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_fold_matches_the_block_formulas(t, n, q, r, seed):
+    # a stage-t payload folded after x_{0:k-1}, at every split point k, against
+    # the block sums written out; q = 0 or r = 0 leaves that system missing
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(size=(q, n)) for _ in range(t + 1)]
+    g = rng.normal(size=(r, (t + 1) * n))
+    cost = model.PwlConvexCost(rng.normal(size=(2, t * n)), rng.normal(size=2), dim=n)
+    pay = _payload(t, n, pieces=cost, a=blocks if q else None, b=rng.normal(size=q),
+                   g=g if r else None, h=rng.normal(size=r))
+    x = rng.normal(size=(t + 1) * n)  # (x_0, ..., x_t)
+    xs = np.split(x, t + 1)
+    g_blocks = np.hsplit(g, t + 1)
+    c_blocks = np.hsplit(cost.pieces_c, t)  # over x_1..x_t
+    for k in range(1, t + 1):
+        rows = pay.fold(x[:k * n])
+        assert rows.a.shape == (q, (t + 1 - k) * n)
+        assert rows.g.shape == (r, (t + 1 - k) * n)
+        assert rows.pieces_c.shape == (2, (t + 1 - k) * n)
+        assert np.array_equal(rows.a, np.hstack(blocks[k:]))
+        assert np.array_equal(rows.g, np.hstack(g_blocks[k:]))
+        assert np.array_equal(rows.pieces_c, np.hstack(c_blocks[k - 1:]))
+        b = pay.b - sum((blocks[tau] @ xs[tau] for tau in range(k)), np.zeros(q))
+        h = pay.h - sum((g_blocks[tau] @ xs[tau] for tau in range(k)), np.zeros(r))
+        d = cost.pieces_d + sum((c_blocks[tau - 1] @ xs[tau] for tau in range(1, k)), np.zeros(2))
+        assert np.allclose(rows.b, b, rtol=1e-12, atol=1e-12)
+        assert np.allclose(rows.h, h, rtol=1e-12, atol=1e-12)
+        assert np.allclose(rows.pieces_d, d, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(g=np.ones((1, 3))), "G has shape (1, 3), expected (0, 3)"),
+    (dict(h=np.ones(1)), "G has shape (0, 0), expected (1, 3)"),
+    (dict(a=[np.ones((1, 1))] * 3), "equality block 0 has shape (1, 1), expected (0, 1)"),
+    (dict(b=np.ones(1)), "expected 3 equality blocks, found 0"),
+    (dict(a=[np.ones((1, 1))] * 2, b=np.ones(1)), "expected 3 equality blocks, found 2"),
+], ids=["G-without-h", "h-without-G", "A-without-b", "b-without-A", "block-count"])
+def test_validate_reports_a_malformed_system(fields, message):
+    bad = _payload(2, 1, **fields)
+    prob = model.Problem(horizon=2, dim=1, x0=[0.0],
+                         stages=[model.Stage([_payload(1, 1)]), model.Stage([bad])],
+                         lower_value_bound=[0.0])
+    assert f"stage 2 realization 0: {message}" in model.validate_problem(prob)
+
+
 def test_validate_good_lattice():
     stage2 = model.Stage([_payload(2, 1, prob=0.5), _payload(2, 1, prob=0.5)],
                          risk=RiskSpec(kind="cvar", epsilon=0.5))
@@ -168,7 +216,7 @@ def test_validate_good_tree():
     assert prob.root_id == 0
     assert prob.children(1) == [2, 3]
     assert prob.depth(3) == 2
-    assert prob.nodes_at_depth(2) == [2, 3]
+    assert nodes_at_depth(prob, 2) == [2, 3]
 
 
 def test_validate_tree_errors():

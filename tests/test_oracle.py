@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from checks import grid_minimum, nd_true_recourse_value
+from checks import grid_minimum, nd_true_recourse_value, nodes_at_depth
 from conftest import (lattice_to_tree, make_cvar_without_complete_recourse,
                       random_lattice_instance)
 from riskdp import engine, io, lp, model, oracle
@@ -161,6 +161,18 @@ def test_true_recourse_values_on_newsvendor():
     assert oracle.true_recourse_value(problem, 3, np.array([0.0, 0.5, 0.5])) == 0.0
 
 
+@pytest.mark.parametrize("form", ["lattice", "tree"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_true_recourse_value_checks_the_history_length(form, length):
+    # pool 2 of the lattice and node 1 of its tree twin read x_{0:1}: two coordinates
+    problem = _newsvendor()
+    key = 2
+    if form == "tree":
+        problem, key = lattice_to_tree(problem), 1
+    with pytest.raises(model.ModelError, match="history must have 2 coordinates"):
+        oracle.true_recourse_value(problem, key, np.zeros(length))
+
+
 def test_conditioning_reports_infeasible_history():
     # x2 = x1 then x3 = x2 - 1.5 with x3 in [0, 0.5]
     second = model.Stage([_payload(
@@ -257,7 +269,7 @@ def test_nested_decomposition_on_tree_matches_lattice():
     averse_twin = lattice_to_tree(averse)
     rng = np.random.default_rng(5)
     for t in (2, 3):
-        nodes = averse_twin.nodes_at_depth(t - 1)
+        nodes = nodes_at_depth(averse_twin, t - 1)
         assert len(nodes) == 2 ** (t - 2)
         for _ in range(3):
             history = np.concatenate([averse.x0, rng.uniform(0.0, [2.0, 5.0][:t - 1])])

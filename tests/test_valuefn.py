@@ -126,8 +126,7 @@ def test_assemble_pi_rejects_non_optimal():
     ns = _solve_second_stage(_two_stage(pay), 1.0)
     bad = lp.LpSolution(status=lp.INFEASIBLE, x=ns.duals.x,
                         objective=math.nan, dual_eq=ns.duals.dual_eq,
-                        dual_ineq=ns.duals.dual_ineq,
-                        binding_ineq=ns.duals.binding_ineq, pivots=0)
+                        dual_ineq=ns.duals.dual_ineq, pivots=0)
     with pytest.raises(ValueError):
         valuefn.assemble_pi(ns.sub, bad, _view_for(ns))
 
