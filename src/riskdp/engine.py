@@ -38,12 +38,14 @@ so replay is exact and independent of execution order.
 Persistent stage LPs: the driver keeps one :class:`StageLp` per position,
 built on the position's first solve and kept for the run.  Between two
 solves of a position only the history right-hand side moves and the pool's
-new cut rows are appended, so each later solve inserts the new rows, moves
-the right-hand side and re-solves in place from the held basis whenever it
-is still primal feasible (:class:`riskdp.lp.PersistentLp`).  Everything
-else solves cold: the probe's ``resolve`` (it must not disturb the driver's
-LPs), :func:`phase_one`, and every caller of :func:`solve_node` that passes
-no stage LP, such as the oracle.  A re-solve in place may stop at another
+new cut rows are appended, so the held basis stays dual feasible: each
+later solve inserts the new rows, moves the right-hand side and re-solves
+in place from the held basis, with dual simplex pivots first when the
+basis lost primal feasibility (:class:`riskdp.lp.PersistentLp`).  Only a
+decline (a primal infeasible LP, or a numerical breakdown) makes a later
+solve cold.  Everything else solves cold: the probe's ``resolve`` (it must
+not disturb the driver's LPs), :func:`phase_one`, and every caller of
+:func:`solve_node` that passes no stage LP, such as the oracle.  A re-solve in place may stop at another
 optimal vertex of a degenerate LP than the cold one, hence another dual
 vertex and another valid cut; replay is still exact, because the stage LPs
 evolve deterministically.
@@ -116,7 +118,9 @@ class IterationReport:
     not appended because their LP row was already pooled.  ``lps`` counts the
     LPs the driver solved (stage LPs and phase-I LPs, not the probe's
     re-solves), ``lps_warm`` the stage LPs re-solved in place from their held
-    basis, skipping phase 1, and ``pivots`` their simplex pivots.
+    basis, skipping phase 1, ``lps_dual`` those of them that first took dual
+    simplex pivots back to primal feasibility, and ``pivots`` the simplex
+    pivots of them all.
     """
 
     k: int
@@ -129,6 +133,7 @@ class IterationReport:
     backtracks: int = 0
     lps: int = 0
     lps_warm: int = 0
+    lps_dual: int = 0
     pivots: int = 0
     wall_ms: float = 0.0
 
@@ -281,8 +286,10 @@ class StageLp:
     :class:`riskdp.lp.PersistentLp`.  Each later solve inserts the pool's new
     cut rows in the layout of :func:`build_stage_lp` (new optimality rows
     after the held ones, before the feasibility rows; new feasibility rows at
-    the end), moves the history right-hand side and re-solves in place; when
-    the held basis declines, the solve is cold again.  ``n_opt`` and
+    the end), moves the history right-hand side and re-solves in place, by
+    dual simplex pivots first when the held basis lost primal feasibility;
+    when :meth:`riskdp.lp.PersistentLp.resolve` declines, the solve is cold
+    again.  ``n_opt`` and
     ``n_feas`` count the cut rows of the held LP.
     """
 
@@ -321,10 +328,10 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
     bounded below by the certified recourse bound for the next stage.
 
     ``stage_lp`` is the position's optional persistent LP.  When given, the
-    solve goes through it (:meth:`StageLp.solve`), re-solving in place
-    whenever its held basis is still primal feasible.  Without it, and
-    whenever the held basis declines, the solve is the cold
-    :func:`riskdp.lp.solve` of :func:`build_stage_lp`.
+    solve goes through it (:meth:`StageLp.solve`), re-solving in place from
+    its held basis (primal or dual simplex).  Without it, and whenever the
+    in-place re-solve declines, the solve is the cold :func:`riskdp.lp.solve`
+    of :func:`build_stage_lp`.
     """
     sub = assemble_subproblem(problem, where, history)
     view = pools.rows_for(where).view(problem.dim)
@@ -349,8 +356,9 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
 
 
 def _count_lp(tally: Counter, sol: lp.LpSolution) -> None:
-    """Add one LP solve to ``tally``: its count, whether it ran warm, its pivots."""
-    tally.update(lps=1, lps_warm=int(sol.warm_start), pivots=sol.pivots)
+    """Add one LP solve to ``tally``: its count, whether it ran warm and dual, its pivots."""
+    tally.update(lps=1, lps_warm=int(sol.warm_start), lps_dual=int(sol.dual_start),
+                 pivots=sol.pivots)
 
 
 def phase_one(problem: Problem, where, history, pools: PoolSet,
@@ -553,7 +561,8 @@ class _Driver:
                                x1=x1_report, cuts_opt=counters_opt,
                                cuts_feas=counters_feas, cuts_skipped=skipped,
                                backtracks=backtracks, lps=tally["lps"],
-                               lps_warm=tally["lps_warm"], pivots=tally["pivots"],
+                               lps_warm=tally["lps_warm"], lps_dual=tally["lps_dual"],
+                               pivots=tally["pivots"],
                                wall_ms=wall_ms)
 
 
@@ -638,10 +647,10 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
         improvement = fresh - report.lower_bound
         logger.info("iteration %d: lower bound %.12g (+%.3g), %d optimality "
                     "(%d duplicates skipped) / %d feasibility cuts, %d backtracks, "
-                    "%d LPs (%d warm), %d pivots",
+                    "%d LPs (%d warm, %d dual), %d pivots",
                     k, report.lower_bound, improvement, report.n_cuts_opt,
                     report.n_cuts_skipped, report.n_cuts_feas, report.backtracks,
-                    report.lps, report.lps_warm, report.pivots)
+                    report.lps, report.lps_warm, report.lps_dual, report.pivots)
         if mode == "every" and k % every == 0:
             oracle_value = _oracle_value(problem)
             logger.info("iteration %d: oracle %.12g, gap %.3e", k, oracle_value,
@@ -664,6 +673,7 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
         "cuts_skipped": skipped,
         "lps": driver.tally["lps"],
         "lps_warm": driver.tally["lps_warm"],
+        "lps_dual": driver.tally["lps_dual"],
         "pivots": driver.tally["pivots"],
     }
     for t, total in driver.pi_norm_max.items():

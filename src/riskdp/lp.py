@@ -24,11 +24,14 @@ Persistent LPs: every optimal solve returns its final basis
 basis and its inverse across re-solves.  Between two re-solves, inequality
 rows can be inserted (each new row's slack enters the basis, so the inverse
 is bordered in closed form) and the right-hand side moved (only the basic
-values are recomputed).  When the held basis is still primal feasible, to
-:data:`PHASE1_TOL` in its bounds and in the row residual, the re-solve runs
-the phase-2 loop in place; otherwise it declines, and the caller solves the
-LP cold with :func:`solve`.  There is no dual simplex: a basis that lost
-primal feasibility buys nothing.
+values are recomputed).  Neither touches the reduced costs, so a held
+optimal basis stays dual feasible.  The re-solve runs in place: while the
+held basis is primal feasible, to :data:`PHASE1_TOL` in its bounds and in
+the row residual, it goes straight to the phase-2 loop; when only its bounds
+fail, dual simplex pivots on the held inverse first restore primal
+feasibility.  It declines when the basis is not dual feasible either, when
+the LP is primal infeasible or when the dual pivots break down, and the
+caller solves the LP cold with :func:`solve`.
 """
 
 from __future__ import annotations
@@ -154,7 +157,8 @@ class LpSolution:
     by a :class:`PersistentLp`; it is None unless the solve is optimal with
     no artificial column left basic.  ``warm_start`` says whether the solve
     ran in place from a held basis (:meth:`PersistentLp.resolve`), skipping
-    phase 1.
+    phase 1, and ``dual_start`` whether such a re-solve first took dual
+    simplex pivots because the held basis had lost primal feasibility.
     """
 
     status: str
@@ -165,6 +169,7 @@ class LpSolution:
     pivots: int = 0
     basis: np.ndarray | None = None
     warm_start: bool = False
+    dual_start: bool = False
 
 
 class _Simplex:
@@ -283,13 +288,14 @@ class _Simplex:
 
     # -- pricing -----------------------------------------------------------
 
+    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        """Reduced costs ``cost - y A``; keeps the duals ``y = cost_B B^-1`` in ``self.y``."""
+        self.y = cost[self.basis] @ self.b_inv
+        return cost - self.y @ self.a
+
     def _price(self, cost: np.ndarray):
         """Return (entering column, direction) or None when optimal."""
-        if self.m:
-            y = cost[self.basis] @ self.b_inv
-            d = cost - y @ self.a
-        else:
-            d = cost.copy()
+        d = self._reduced_costs(cost)
         st = self.status_col
         viol = np.zeros(self.ncols, dtype=float)
         low_mask = (st == AT_LOWER) & self.allowed & (d < -RC_TOL)
@@ -489,28 +495,28 @@ class _Simplex:
                     self.status_col[col] = AT_LOWER
         return self._phase2(warm=False)
 
-    def _phase2(self, warm: bool) -> LpSolution:
+    def _phase2(self, warm: bool, dual: bool = False) -> LpSolution:
         """Phase 2 from the current primal feasible basis, and the solution it ends at."""
         cost2 = np.zeros(self.ncols)
         cost2[:self.n_struct] = self.c
         self.degenerate_run = 0
         status = self._optimize(cost2, phase=2)
         if status == UNBOUNDED:
-            return LpSolution(status=UNBOUNDED, pivots=self.pivots, warm_start=warm)
-        self._refresh()  # polish: exact basic values off a fresh inverse
-        n, q = self.n_struct, self.n_eq
+            return LpSolution(status=UNBOUNDED, pivots=self.pivots, warm_start=warm,
+                              dual_start=dual)
+        if self.moved:  # polish: exact basic values and duals off a fresh inverse
+            self._refactor()
+            self.y = cost2[self.basis] @ self.b_inv
+        # otherwise pricing's duals are already those of this very inverse
+        n, q, y = self.n_struct, self.n_eq, self.y
         x = self.x[:n].copy()
-        if self.m:
-            y = cost2[self.basis] @ self.b_inv
-        else:
-            y = np.zeros(0)
         dual_eq = y[:q].copy()
         dual_ineq = np.maximum(-y[q:], 0.0)
         basis = (None if (self.basis >= self.n_real).any()
                  else self.status_col[:self.n_real].copy())
         return LpSolution(status=OPTIMAL, x=x, objective=float(self.c @ x),
                           dual_eq=dual_eq, dual_ineq=dual_ineq, pivots=self.pivots,
-                          basis=basis, warm_start=warm)
+                          basis=basis, warm_start=warm, dual_start=dual)
 
 
 class PersistentLp(_Simplex):
@@ -520,8 +526,10 @@ class PersistentLp(_Simplex):
     ``basis`` of :func:`solve`).  Between two re-solves, inequality rows can
     be inserted (:meth:`append_rows`) and the right-hand side moved
     (:meth:`set_rhs`); the cost, the box and the existing rows stay as
-    built.  :meth:`resolve` re-solves in place while the held basis is primal
-    feasible and declines otherwise, leaving the cold solve to the caller.
+    built, so the held basis stays dual feasible.  :meth:`resolve` re-solves
+    in place, with dual simplex pivots first when the basis lost primal
+    feasibility, and declines when it cannot, leaving the cold solve to the
+    caller.
     """
 
     def __init__(self, prob: LpProblem, basis: np.ndarray):
@@ -586,24 +594,37 @@ class PersistentLp(_Simplex):
         self._recompute_basic_values()
 
     def resolve(self) -> LpSolution | None:
-        """Re-solve in place from the held basis; None when it is no longer primal feasible.
+        """Re-solve in place from the held basis; None when it declines.
 
-        The held basis is primal feasible when the row residual and its basic
-        bounds are both within :data:`PHASE1_TOL`; then the phase-2 loop runs
-        from it and the solution's ``warm_start`` is True.  The inverse is
-        refactored on the :data:`REFACTOR_EVERY` schedule, and a check that
-        fails on an inverse updated since its factorization is repeated on a
-        fresh one.  After a None the object is spent: solve the LP cold and
-        hold the new basis in a new :class:`PersistentLp`.
+        The row residual of the held basis must be within :data:`PHASE1_TOL`.
+        When its basic values are within :data:`PHASE1_TOL` of their bounds
+        too, the phase-2 loop runs from it; otherwise :meth:`_dual_simplex`
+        first pivots it back to primal feasibility.  Either way the solution's
+        ``warm_start`` is True, and ``dual_start`` says whether dual pivots
+        ran.  The inverse is refactored on the :data:`REFACTOR_EVERY`
+        schedule, and a check that fails on an inverse updated since its
+        factorization is repeated on a fresh one.  After a None the object is
+        spent: solve the LP cold and hold the new basis in a new
+        :class:`PersistentLp`.
         """
         self.pivots = 0
         self.bland_mode = False
         if self.stale >= REFACTOR_EVERY and not self._try_refactor():
             return None
-        if not self._fits() and not (
-                (self.stale or self.moved) and self._try_refactor() and self._fits()):
+        residual_ok, primal_ok = self._fits()
+        if not (residual_ok and primal_ok) and (self.stale or self.moved):
+            if not self._try_refactor():
+                return None
+            residual_ok, primal_ok = self._fits()
+        if not residual_ok:
             return None
-        return self._phase2(warm=True)
+        if not primal_ok:
+            try:
+                if not self._dual_simplex():
+                    return None
+            except SimplexError:
+                return None
+        return self._phase2(warm=True, dual=not primal_ok)
 
     def _try_refactor(self) -> bool:
         try:
@@ -612,15 +633,75 @@ class PersistentLp(_Simplex):
             return False
         return True
 
-    def _fits(self) -> bool:
-        """Both gates: the row residual and the basic bounds, within :data:`PHASE1_TOL`."""
-        if not self.m:
-            return True
+    def _fits(self) -> tuple[bool, bool]:
+        """Whether the row residual, and whether the basic bounds, are within :data:`PHASE1_TOL`."""
         bas = self.basis
         xb = self.x[bas]
-        return bool(np.abs(self.a @ self.x - self.b).max() <= PHASE1_TOL
-                    and ((xb >= self.lower[bas] - PHASE1_TOL)
-                         & (xb <= self.upper[bas] + PHASE1_TOL)).all())
+        return (bool(np.abs(self.a @ self.x - self.b).max(initial=0.0) <= PHASE1_TOL),
+                bool(((xb >= self.lower[bas] - PHASE1_TOL)
+                      & (xb <= self.upper[bas] + PHASE1_TOL)).all()))
+
+    def _dual_simplex(self) -> bool:
+        """Dual simplex pivots until the basis is primal feasible; False to decline.
+
+        Each pivot takes the basic variable with the largest bound violation
+        out to the bound it violates.  On its tableau row
+        ``alpha_r = B^-1[r] A`` the dual ratio test picks the entering column
+        that keeps every reduced cost on its side (within :data:`RC_TOL`),
+        with the ties of the primal ratio test: within
+        :data:`RATIO_TIE_TOL`, the largest ``|alpha_rj|``, then the smallest
+        column index.  Entries at or below :data:`PIVOT_TOL`, or rounding
+        noise against the products that formed them
+        (:data:`PIVOT_REL_TOL`), never enter, and neither does a fixed
+        column, whose reduced cost may take either sign.  The pivots go
+        through :meth:`_apply_pivot`, so the inverse is refactored on its
+        schedule.  Declines when the basis is not dual feasible, when no
+        column can enter (the LP is primal infeasible), after
+        :data:`STALL_SWITCH` dual-degenerate pivots in a row or past
+        :data:`MAX_PIVOTS`.
+        """
+        cost = np.zeros(self.ncols)
+        cost[:self.n_struct] = self.c
+        movable = self.lower < self.upper
+        degenerate_run = 0
+        while True:
+            bas = self.basis
+            xb = self.x[bas]
+            above = xb - self.upper[bas]
+            viol = np.maximum(self.lower[bas] - xb, above)
+            r = int(np.argmax(viol))
+            if viol[r] <= PHASE1_TOL:
+                return True
+            if self.pivots >= MAX_PIVOTS or degenerate_run >= STALL_SWITCH:
+                return False
+            d = self._reduced_costs(cost)
+            st = self.status_col
+            at_lower = (st == AT_LOWER) & movable
+            at_upper = (st == AT_UPPER) & movable
+            free = (st == NB_FREE) & movable
+            if ((at_lower & (d < -RC_TOL)) | (at_upper & (d > RC_TOL))
+                    | (free & (np.abs(d) > RC_TOL))).any():
+                return False
+            sigma = 1.0 if above[r] > 0.0 else -1.0  # +1: x_r leaves for its upper bound
+            alpha = self.b_inv[r] @ self.a
+            s_alpha = sigma * alpha
+            formed = np.abs(self.b_inv[r]) @ np.abs(self.a)
+            big = np.abs(alpha) > np.maximum(PIVOT_TOL, PIVOT_REL_TOL * formed)
+            cand = np.flatnonzero(big & ((at_lower & (s_alpha > 0.0))
+                                         | (at_upper & (s_alpha < 0.0)) | free))
+            if not cand.size:
+                return False
+            ratio = np.maximum(d[cand] / s_alpha[cand], 0.0)
+            step_d = float(ratio.min())
+            ties = cand[ratio <= step_d + RATIO_TIE_TOL]
+            piv = np.abs(alpha[ties])
+            j = int(ties[piv >= piv.max() - 1e-12][0])
+            w = self.b_inv @ self.a[:, j]
+            direction = 1.0 if s_alpha[j] > 0.0 else -1.0
+            target = self.upper[bas[r]] if sigma > 0.0 else self.lower[bas[r]]
+            step = (xb[r] - target) / (direction * w[r])
+            degenerate_run = degenerate_run + 1 if step_d < STEP_TOL else 0
+            self._apply_pivot(j, direction, step, r, AT_UPPER if sigma > 0.0 else AT_LOWER, w)
 
 
 def solve(prob: LpProblem) -> LpSolution:

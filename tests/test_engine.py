@@ -10,7 +10,7 @@ import pytest
 from checks import check_subgradient
 from conftest import (lattice_to_tree, make_cvar_without_complete_recourse,
                       random_lattice_instance)
-from riskdp import engine, lp, model
+from riskdp import engine, io, lp, model, oracle
 from riskdp.risk import RiskSpec
 
 
@@ -318,7 +318,7 @@ def test_config_validation_errors():
 def _run_checking_warm_solves(monkeypatch, problem, cfg):
     """Run ``cfg`` with every stage solve of the driver checked against the cold path.
 
-    Each ``NodeSolution`` re-solved in place must equal a cold
+    Each ``NodeSolution`` re-solved in place (dual pivots included) must equal a cold
     :func:`engine.solve_node` at the same history and pools within 1e-9, and
     its ``pi`` must pass the subgradient inequality of the cold value
     function around that history; every other one must be the cold solve,
@@ -338,6 +338,7 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
             seen["cold"] += 1
             return ns
         seen["warm"] += 1
+        seen["dual"] += ns.duals.dual_start
         view = pools.rows_for(where).view(p.dim)
         if held[1] and view.n_opt > held[0]:
             seen["feasibility_rows_shifted"] += 1  # new optimality rows went before them
@@ -382,11 +383,34 @@ def test_warm_solves_match_cold_solves(monkeypatch, case):
         problem, cfg = make_cvar_without_complete_recourse(), _cfg(algorithm="alg2",
                                                                    max_iters=12)
     res, seen = _run_checking_warm_solves(monkeypatch, problem, cfg)
-    assert seen["warm"] >= 10 and seen["cold"] >= 1, seen
+    assert seen["warm"] >= 10 and seen["dual"] >= 1 and seen["cold"] >= 1, seen
     if case == "alg2-feasibility-rows":
         assert res.pools.n_feasibility_cuts() >= 1
         assert seen["feasibility_rows_shifted"] >= 1
         assert res.final_lower_bound == pytest.approx(2.0, abs=1e-9)  # x1 = 0, x2 = 2
+
+
+def test_dual_started_run_replays_and_reaches_the_reference(tmp_path):
+    # a perfbench-shaped lattice-mixture instance: T=3, M=3, n=4, equally
+    # likely realizations and a mixture at stage 2; its held bases lose
+    # primal feasibility, so the run takes dual pivots, and its dumps replay
+    problem = random_lattice_instance(np.random.default_rng([1101, 0]), 3, 3, 4)
+    for stage in problem.stages[1:]:
+        for realization in stage.realizations:
+            realization.prob = 1.0 / len(stage.realizations)
+    problem.stages[1].risk = RiskSpec(kind="mixture", lam=0.5, epsilon=0.25)
+    cfg = _cfg(max_iters=60, stall_window=61)
+    dumps = []
+    for k in range(2):
+        res = engine.run(problem, cfg)
+        io.write_cuts_csv(tmp_path / f"cuts{k}.csv", res.pools)
+        io.write_summary_json(tmp_path / f"summary{k}.json", res, cfg.seed)
+        dumps.append([(tmp_path / f"{name}{k}.{ext}").read_bytes()
+                      for name, ext in (("cuts", "csv"), ("summary", "json"))])
+    assert dumps[0] == dumps[1]
+    assert res.diagnostics["lps_dual"] > 0
+    ref = oracle.reference_value(problem)
+    assert abs(res.final_lower_bound - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
 def test_oracle_check_final_without_complete_recourse():
@@ -403,12 +427,12 @@ def test_lp_counts_are_reported(caplog):
     with caplog.at_level(logging.INFO, logger="riskdp.engine"):
         res = engine.run(_mixture_lattice(), _cfg(max_iters=8, stall_window=9))
     diag = res.diagnostics
-    for name in ("lps", "lps_warm", "pivots"):
+    for name in ("lps", "lps_warm", "lps_dual", "pivots"):
         assert diag[name] == sum(getattr(r, name) for r in res.reports)
     assert 0 < diag["lps_warm"] < diag["lps"]  # the first solve of a position is cold
     # iteration k >= 2 solves the stage-1 LP twice and every stage-t LP it visits
-    assert all(r.lps >= 2 and r.lps_warm <= r.lps for r in res.reports)
-    assert "LPs (" in caplog.text and "warm), " in caplog.text
+    assert all(r.lps >= 2 and r.lps_dual <= r.lps_warm <= r.lps for r in res.reports)
+    assert "LPs (" in caplog.text and " warm, " in caplog.text and " dual), " in caplog.text
 
 
 def _stage_lp_state(stage_lp: engine.StageLp) -> tuple:

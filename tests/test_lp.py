@@ -1,10 +1,13 @@
 """Tests for the bounded-variable simplex solver."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
+from checks import check_subgradient
 from riskdp import lp
 
 ATOL = 1e-8
@@ -501,10 +504,90 @@ def test_bordered_inverse_matches_a_fresh_inverse(seed, steps):
             return  # declined: the object is spent
 
 
+@st.composite
+def dual_starts(draw):
+    """An LP with an optimal held basis, and the LP moved so that the basis may miss it.
+
+    The LP is a ``_random_problem`` or one of ``degenerate_lps``.  Each
+    right-hand side moves by -1, 0 or 1 times its row's largest entry, and
+    up to two rows ``a_new x <= b_new`` are inserted that cut the held
+    vertex off (or pass through it) by a margin relative to ``|a_new| |x|``.
+    Returns ``(held, nxt, a_new, b_new, at)``.
+    """
+    prob = draw(st.one_of(st.integers(min_value=0, max_value=10_000).map(_random_problem),
+                          degenerate_lps()))
+    sol = lp.solve(prob)
+    assume(sol.status == lp.OPTIMAL and sol.basis is not None)
+    held = lp.PersistentLp(prob, sol.basis)
+
+    def moved(a, b):
+        steps = np.array([draw(st.integers(-1, 1)) for _ in b], dtype=float)
+        return b + steps * np.abs(a).max(axis=1, initial=1.0)
+
+    n = prob.n_vars
+    n_new = draw(st.integers(min_value=0, max_value=2))
+    a_new = np.array([draw(st.lists(_SMALL, min_size=n, max_size=n))
+                      for _ in range(n_new)], dtype=float).reshape(n_new, n)
+    margin = np.array([draw(st.sampled_from([0.0, 0.01, 0.1])) for _ in range(n_new)])
+    b_new = a_new @ sol.x - margin * (1.0 + np.abs(a_new) @ np.abs(sol.x))
+    at = draw(st.integers(min_value=0, max_value=prob.a_ub.shape[0]))
+    nxt = _with_rows(lp.LpProblem(c=prob.c, a_eq=prob.a_eq, b_eq=moved(prob.a_eq, prob.b_eq),
+                                  a_ub=prob.a_ub, b_ub=moved(prob.a_ub, prob.b_ub),
+                                  lower=prob.lower, upper=prob.upper),
+                     a_new, b_new, at)
+    return held, nxt, a_new, b_new, at
+
+
+@settings(max_examples=300, deadline=None)
+@given(dual_starts())
+def test_dual_start_agrees_with_cold_and_highs(start):
+    # the in-place re-solve (dual pivots whenever the held basis lost primal
+    # feasibility), the cold solve and tight HiGHS agree; the in-place duals
+    # are a subgradient of the cold value function of the right-hand side
+    held, nxt, a_new, b_new, at = start
+    held.append_rows(a_new, b_new, at)
+    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    warm = held.resolve()
+    cold = lp.solve(nxt)
+    ref = _highs(nxt)
+    assume(ref.status in _HIGHS_STATUS)  # HiGHS gave up (status 4): no verdict
+    assert cold.status == _HIGHS_STATUS[ref.status]
+    if warm is None:  # a basis that stays dual feasible declines only an infeasible LP
+        assert cold.status == lp.INFEASIBLE
+        return
+    assert warm.warm_start and warm.status == cold.status == lp.OPTIMAL
+    scale = max(1.0, abs(ref.fun))
+    assert abs(warm.objective - cold.objective) <= 1e-9 * scale
+    assert abs(warm.objective - ref.fun) <= 1e-9 * scale
+    q = nxt.a_eq.shape[0]
+
+    def cold_value(b):
+        moved = lp.LpProblem(c=nxt.c, a_eq=nxt.a_eq, b_eq=b[:q], a_ub=nxt.a_ub, b_ub=b[q:],
+                             lower=nxt.lower, upper=nxt.upper)
+        sol = lp.solve(moved)
+        return sol.objective if sol.status == lp.OPTIMAL else math.inf
+
+    b = np.concatenate([nxt.b_eq, nxt.b_ub])
+    slope = np.concatenate([warm.dual_eq, -warm.dual_ineq])
+    assert check_subgradient(cold_value, b, slope, n_samples=4, radius=0.5,
+                             tol=1e-7 * scale) == []
+
+
 def _two_rows(b1: float, b2: float = 2.0) -> lp.LpProblem:
     # min -x1 - x2  s.t.  x1 + 2 x2 <= b1,  2 x1 + x2 <= b2,  0 <= x <= 5
     return lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[b1, b2],
                         lower=[0.0, 0.0], upper=[5.0, 5.0])
+
+
+def _assert_matches_cold(warm: lp.LpSolution, nxt: lp.LpProblem) -> None:
+    """``warm`` agrees with the cold solve of ``nxt`` in status and objective, and is feasible."""
+    cold = lp.solve(nxt)
+    assert warm.status == cold.status == lp.OPTIMAL
+    assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+    x = warm.x
+    assert np.all(nxt.lower - 1e-9 <= x) and np.all(x <= nxt.upper + 1e-9)
+    assert np.all(np.abs(nxt.a_eq @ x - nxt.b_eq) <= 1e-9)
+    assert np.all(nxt.a_ub @ x <= nxt.b_ub + 1e-9)
 
 
 def test_start_basis_is_used_while_primal_feasible():
@@ -515,17 +598,20 @@ def test_start_basis_is_used_while_primal_feasible():
     # a small move of the right-hand side keeps the basis feasible: zero pivots
     held.set_rhs(np.zeros(0), np.array([2.1, 2.0]))
     moved = held.resolve()
-    assert moved.warm_start and moved.pivots == 0
+    assert moved.warm_start and moved.pivots == 0 and not moved.dual_start
     assert moved.objective == pytest.approx(-4.1 / 3.0, abs=1e-12)
     assert moved.basis.tolist() == first.basis.tolist()
-    # with b1 = 20 that basis puts x1 below 0: declined
+    # with b1 = 20 that basis puts x1 below 0: dual pivots re-solve it in place
     held.set_rhs(np.zeros(0), np.array([20.0, 2.0]))
-    assert held.resolve() is None
+    far = held.resolve()
+    assert far.warm_start and far.dual_start and far.pivots >= 1
+    _assert_matches_cold(far, _two_rows(20.0))
 
 
 # The held basis of _two_rows(2.0) (x1 and x2 basic at 2/3) as the start of
 # a moved LP that it does not fit: new right-hand sides (b1, b2), then rows
-# a_new x <= b_new inserted before inequality row ``at``.
+# a_new x <= b_new inserted before inequality row ``at``.  The basis stays
+# dual feasible, so the re-solve runs in place, dual pivots first.
 @pytest.mark.parametrize("start", [
     ((20.0, 2.0), [], [], 0),                  # x1 below its lower bound
     ((20.0, 19.0), [], [], 0),                 # x1 and x2 above their upper bounds
@@ -540,8 +626,32 @@ def test_start_basis_that_does_not_fit_is_declined(start):
     nxt = _with_rows(_two_rows(b1, b2), a_new, b_new, at)
     held.append_rows(a_new, b_new, at)
     held.set_rhs(nxt.b_eq, nxt.b_ub)
+    sol = held.resolve()
+    assert sol.warm_start and sol.dual_start and sol.pivots >= 1
+    _assert_matches_cold(sol, nxt)
+
+
+def test_start_basis_that_is_neither_primal_nor_dual_feasible_is_declined():
+    # a moved cost (min x1 + x2) makes the held basis dual infeasible, and
+    # b1 = 20 makes it primal infeasible: no simplex runs from it in place
+    held = _held(_two_rows(2.0))
+    held.c = np.array([1.0, 1.0])
+    held.set_rhs(np.zeros(0), np.array([20.0, 2.0]))
     assert held.resolve() is None
-    assert lp.solve(nxt).status == lp.OPTIMAL  # the LP is fine, the basis misses it
+    moved = lp.LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[20.0, 2.0],
+                         lower=[0.0, 0.0], upper=[5.0, 5.0])
+    assert lp.solve(moved).status == lp.OPTIMAL  # the LP is fine, the basis misses it
+
+
+def test_start_basis_of_an_infeasible_lp_is_declined():
+    # x1 + x2 >= 11 with x <= 5 and 2 x1 + x2 <= 2: the dual ratio test finds
+    # no entering column (a dual ray), and the cold solve reports the status
+    held = _held(_two_rows(2.0))
+    nxt = _with_rows(_two_rows(2.0), [[-1.0, -1.0]], [-11.0], 2)
+    held.append_rows(np.array([[-1.0, -1.0]]), np.array([-11.0]), 2)
+    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    assert held.resolve() is None
+    assert lp.solve(nxt).status == lp.INFEASIBLE
 
 
 def test_singular_start_basis_is_declined():
