@@ -433,6 +433,17 @@ def _held(prob: lp.LpProblem) -> lp.PersistentLp | None:
     return None if sol.basis is None else lp.PersistentLp(prob, sol.basis)
 
 
+def _assert_matches_cold(warm: lp.LpSolution, nxt: lp.LpProblem) -> None:
+    """``warm`` agrees with the cold solve of ``nxt`` in status and objective, and is feasible."""
+    cold = lp.solve(nxt)
+    assert warm.status == cold.status == lp.OPTIMAL
+    assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+    x = warm.x
+    assert np.all(nxt.lower - 1e-9 <= x) and np.all(x <= nxt.upper + 1e-9)
+    assert np.all(np.abs(nxt.a_eq @ x - nxt.b_eq) <= 1e-9)
+    assert np.all(nxt.a_ub @ x <= nxt.b_ub + 1e-9)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=3),
        st.sampled_from([0.0, 0.01, 0.3, 2.0]), st.sampled_from([0.0, 0.0, 1.0]))
@@ -468,13 +479,8 @@ def test_warm_start_agrees_with_cold(seed, n_new, scale, cost_scale):
         assert np.any(x_b < held.lower[bas] - 1e-10) or np.any(x_b > held.upper[bas] + 1e-10)
         return
     assert warm.warm_start and warm.status == cold.status
-    if cold.status != lp.OPTIMAL:
-        return
-    assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
-    x = warm.x
-    assert np.all(nxt.lower - 1e-9 <= x) and np.all(x <= nxt.upper + 1e-9)
-    assert np.all(np.abs(nxt.a_eq @ x - nxt.b_eq) <= 1e-9)
-    assert np.all(nxt.a_ub @ x <= nxt.b_ub + 1e-9)
+    if cold.status == lp.OPTIMAL:
+        _assert_matches_cold(warm, nxt)
 
 
 @settings(max_examples=100, deadline=None)
@@ -577,17 +583,6 @@ def _two_rows(b1: float, b2: float = 2.0) -> lp.LpProblem:
     # min -x1 - x2  s.t.  x1 + 2 x2 <= b1,  2 x1 + x2 <= b2,  0 <= x <= 5
     return lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[b1, b2],
                         lower=[0.0, 0.0], upper=[5.0, 5.0])
-
-
-def _assert_matches_cold(warm: lp.LpSolution, nxt: lp.LpProblem) -> None:
-    """``warm`` agrees with the cold solve of ``nxt`` in status and objective, and is feasible."""
-    cold = lp.solve(nxt)
-    assert warm.status == cold.status == lp.OPTIMAL
-    assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
-    x = warm.x
-    assert np.all(nxt.lower - 1e-9 <= x) and np.all(x <= nxt.upper + 1e-9)
-    assert np.all(np.abs(nxt.a_eq @ x - nxt.b_eq) <= 1e-9)
-    assert np.all(nxt.a_ub @ x <= nxt.b_ub + 1e-9)
 
 
 def test_start_basis_is_used_while_primal_feasible():
