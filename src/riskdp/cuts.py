@@ -186,8 +186,7 @@ class CutPool:
 def evaluate_pool(pool: CutPool, x) -> float:
     """Max over the pool's optimality cuts at ``x``; ``-inf`` when empty."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    return max((cut.theta + float(cut.beta @ (x - cut.anchor)) for cut in pool.optimality),
-               default=-math.inf)
+    return max((cut.value_at(x) for cut in pool.optimality), default=-math.inf)
 
 
 def zero_terminal_pool(arg_dim: int) -> CutPool:

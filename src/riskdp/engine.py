@@ -35,20 +35,16 @@ previous-generation pools.  The anchor-equality assertion of
 Sampling is counter-based: one uniform draw per (seed, iteration, stage),
 so replay is exact and independent of execution order.
 
-Persistent stage LPs: the driver keeps one :class:`StageLp` per position,
+Persistent stage LPs: the driver holds one :class:`StageLp` per position,
 built on the position's first solve and kept for the run.  Between two
 solves of a position only the history right-hand side moves and the pool's
-new cut rows are appended, so the held basis stays dual feasible: each
-later solve inserts the new rows, moves the right-hand side and re-solves
-in place from the held basis, with dual simplex pivots first when the
-basis lost primal feasibility (:class:`riskdp.lp.PersistentLp`).  Only a
-decline (a primal infeasible LP, or a numerical breakdown) makes a later
-solve cold.  Everything else solves cold: the probe's ``resolve`` (it must
-not disturb the driver's LPs), :func:`phase_one`, and every caller of
-:func:`solve_node` that passes no stage LP, such as the oracle.  A re-solve in place may stop at another
-optimal vertex of a degenerate LP than the cold one, hence another dual
-vertex and another valid cut; replay is still exact, because the stage LPs
-evolve deterministically.
+new cut rows are appended, which is what :class:`riskdp.lp.PersistentLp`
+re-solves in place.  Everything else solves cold: the probe's ``resolve``
+(it must not disturb the driver's LPs), :func:`phase_one`, and every caller
+of :func:`solve_node` that passes no stage LP, such as the oracle.  A
+re-solve in place may stop at another optimal vertex of a degenerate LP than
+the cold one, hence another dual vertex and another valid cut; replay is
+still exact, because the stage LPs evolve deterministically.
 """
 
 from __future__ import annotations
@@ -94,9 +90,14 @@ class RunConfig:
     ``oracle_check`` is ``"off"``, ``"final"`` or ``"every:K"``; ``probe`` is
     an optional callable invoked at every cut-construction child solve with a
     dict (keys ``stage``, ``realization``, ``history``, ``value``, ``pi``,
-    ``resolve``) — ``resolve(history)`` re-solves the same subproblem against
-    the same pools and must be used before the pools advance; it solves cold
-    and leaves the driver's stage LPs unchanged.
+    ``resolve``).  ``resolve(history)`` solves the event's subproblem cold at
+    ``history`` against the run's pools as they are when it is called, and
+    leaves the driver's stage LPs unchanged.  Called inside the probe, those
+    are the event's pools, and ``value + pi . (history - event history)`` is
+    at most its result (``pi`` is a subgradient of that value function).
+    Called later, the pools have only grown, so its result is at least the
+    value against the event's pools: the same inequality holds, but it is
+    implied by the first and checks less.
     """
 
     algorithm: str = "alg1"
@@ -196,13 +197,6 @@ class PoolSet:
         """The pool whose cuts appear as rows inside the given subproblem."""
         return self.opt[self.topology.pool(where)]
 
-    def n_optimality_cuts(self) -> int:
-        return sum(len(pool.optimality) for key, pool in self.opt.items()
-                   if not self.topology.terminal(key))
-
-    def n_feasibility_cuts(self) -> int:
-        return sum(len(pool.feasibility) for pool in self.opt.values())
-
 
 # ---------------------------------------------------------------------------
 # sampling
@@ -286,11 +280,9 @@ class StageLp:
     :class:`riskdp.lp.PersistentLp`.  Each later solve inserts the pool's new
     cut rows in the layout of :func:`build_stage_lp` (new optimality rows
     after the held ones, before the feasibility rows; new feasibility rows at
-    the end), moves the history right-hand side and re-solves in place, by
-    dual simplex pivots first when the held basis lost primal feasibility;
-    when :meth:`riskdp.lp.PersistentLp.resolve` declines, the solve is cold
-    again.  ``n_opt`` and
-    ``n_feas`` count the cut rows of the held LP.
+    the end), moves the history right-hand side and re-solves in place; when
+    :meth:`riskdp.lp.PersistentLp.resolve` declines, the solve is cold again.
+    ``n_opt`` and ``n_feas`` count the cut rows of the held LP.
     """
 
     def __init__(self):
@@ -328,10 +320,8 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
     bounded below by the certified recourse bound for the next stage.
 
     ``stage_lp`` is the position's optional persistent LP.  When given, the
-    solve goes through it (:meth:`StageLp.solve`), re-solving in place from
-    its held basis (primal or dual simplex).  Without it, and whenever the
-    in-place re-solve declines, the solve is the cold :func:`riskdp.lp.solve`
-    of :func:`build_stage_lp`.
+    solve goes through it (:meth:`StageLp.solve`); without it, the solve is
+    the cold :func:`riskdp.lp.solve` of :func:`build_stage_lp`.
     """
     sub = assemble_subproblem(problem, where, history)
     view = pools.rows_for(where).view(problem.dim)

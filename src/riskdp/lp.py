@@ -32,6 +32,28 @@ fail, dual simplex pivots on the held inverse first restore primal
 feasibility.  It declines when the basis is not dual feasible either, when
 the LP is primal infeasible or when the dual pivots break down, and the
 caller solves the LP cold with :func:`solve`.
+
+The cold two-phase solve, the in-place primal re-solve and the dual
+re-solve share one set of simplex rules, each stated once in
+:class:`_Simplex`:
+
+* placement (``_place``): a nonbasic column sits at the bound its state
+  names, a free one at 0;
+* factorization (``_refactor``): a fresh inverse every
+  :data:`REFACTOR_EVERY` pivots and wherever exact values are needed, and
+  between two of them the product-form update of each exchange
+  (``_exchange``);
+* dual feasibility (``_dual_infeasibility``): a reduced cost past
+  :data:`RC_TOL` on a side its column may move to breaks it, a fixed column
+  never moves, and an entering column moves against the sign of its reduced
+  cost;
+* the noise floor (``_noise_floor``): a tableau entry at or below
+  ``max(PIVOT_TOL, PIVOT_REL_TOL * |B^-1[r]| |A_j|)`` is rounding noise and
+  never a pivot, in the primal and dual ratio tests and in the drive-out of
+  artificials;
+* the tie rule (``_largest_pivot``): among ratio-test ties within
+  :data:`RATIO_TIE_TOL`, the largest ``|pivot|`` (within 1e-12), then the
+  smallest index.
 """
 
 from __future__ import annotations
@@ -188,103 +210,97 @@ class _Simplex:
         self.m = m
         # Columns: [structural n][slack r]; artificials appended in phase 1.
         a = np.zeros((m, n + r), dtype=float)
-        if q:
-            a[:q, :n] = prob.a_eq
-        if r:
-            a[q:, :n] = prob.a_ub
-            a[q:, n:n + r] = np.eye(r)
+        a[:q, :n] = prob.a_eq
+        a[q:, :n] = prob.a_ub
+        a[q:, n:] = np.eye(r)
         self.a = a
         self.b = np.concatenate([prob.b_eq, prob.b_ub])
         self.lower = np.concatenate([prob.lower, np.zeros(r)])
         self.upper = np.concatenate([prob.upper, np.full(r, np.inf)])
-        self.n_real = n + r
+        self.n_real = self.ncols = n + r
+        self.status_col = np.empty(n + r, dtype=np.int8)
+        self.x = np.zeros(n + r)
+        self.allowed = np.ones(n + r, dtype=bool)  # phase 1 may set noise columns aside
+        self.redundant = np.zeros(m, dtype=bool)  # rows whose artificial stays basic
         self.pivots = 0
         self.degenerate_run = 0
         self.bland_mode = bland_always
         self.moved = False  # a pivot or a bound flip since the last factorization
+        self.stale = 0  # rows bordered onto the inverse since it was factorized
 
     # -- setup -------------------------------------------------------------
 
-    def _initial_point(self) -> None:
-        ncols = self.n_real
-        self.status_col = np.empty(ncols, dtype=np.int8)
-        self.x = np.zeros(ncols, dtype=float)
-        for j in range(ncols):
-            lo, up = self.lower[j], self.upper[j]
-            if np.isfinite(lo):
-                self.status_col[j] = AT_LOWER
-                self.x[j] = lo
-            elif np.isfinite(up):
-                self.status_col[j] = AT_UPPER
-                self.x[j] = up
-            else:
-                self.status_col[j] = NB_FREE
-                self.x[j] = 0.0
+    def _place(self, j: int, state: int) -> None:
+        """Put column ``j`` in the column ``state``, at the bound it names (free or basic: 0)."""
+        self.status_col[j] = state
+        self.x[j] = (self.lower[j] if state == AT_LOWER
+                     else self.upper[j] if state == AT_UPPER else 0.0)
 
     def _install_artificials(self) -> None:
         """Choose a starting basis: slacks where possible, artificials elsewhere."""
         m, q = self.m, self.n_eq
         resid = self.b - self.a @ self.x
-        basis = np.full(m, -1, dtype=int)
-        art_cols: list[int] = []
-        art_data: list[tuple[int, float, float]] = []  # (row, sign, value)
-        for i in range(m):
-            if i >= q and resid[i] >= 0.0:
-                # Inequality row: its slack can absorb the residual.
-                s = self.n_struct + (i - q)
-                basis[i] = s
-                self.x[s] = resid[i]
-                self.status_col[s] = BASIC
-            else:
-                sign = 1.0 if resid[i] >= 0.0 else -1.0
-                art_data.append((i, sign, abs(resid[i])))
-        if art_data:
-            extra = np.zeros((m, len(art_data)), dtype=float)
-            for k, (i, sign, _val) in enumerate(art_data):
-                extra[i, k] = sign
-            self.a = np.hstack([self.a, extra])
-            self.lower = np.concatenate([self.lower, np.zeros(len(art_data))])
-            self.upper = np.concatenate([self.upper, np.full(len(art_data), np.inf)])
-            add_status = np.full(len(art_data), BASIC, dtype=np.int8)
-            self.status_col = np.concatenate([self.status_col, add_status])
-            vals = np.array([v for (_i, _s, v) in art_data])
-            self.x = np.concatenate([self.x, vals])
-            for k, (i, _sign, _val) in enumerate(art_data):
-                col = self.n_real + k
-                basis[i] = col
-                art_cols.append(col)
-        self.basis = basis
-        self.artificials = np.array(art_cols, dtype=int)
+        # an inequality row's slack can absorb a nonnegative residual
+        art_rows = np.flatnonzero((np.arange(m) < q) | (resid < 0.0))
+        k = art_rows.size
+        extra = np.zeros((m, k), dtype=float)
+        extra[art_rows, np.arange(k)] = np.where(resid[art_rows] >= 0.0, 1.0, -1.0)
+        self.a = np.hstack([self.a, extra])
+        self.lower = np.concatenate([self.lower, np.zeros(k)])
+        self.upper = np.concatenate([self.upper, np.full(k, np.inf)])
+        self.status_col = np.concatenate([self.status_col, np.empty(k, dtype=np.int8)])
+        self.x = np.concatenate([self.x, np.zeros(k)])
+        self.artificials = self.n_real + np.arange(k)
+        self.basis = self.n_struct - q + np.arange(m)  # row i's slack, for i >= q
+        self.basis[art_rows] = self.artificials
+        self.status_col[self.basis] = BASIC
         self.ncols = self.a.shape[1]
         self.allowed = np.ones(self.ncols, dtype=bool)
-        self.redundant = np.zeros(m, dtype=bool)  # rows whose artificial stays basic
         self._refactor()
 
     # -- linear algebra ----------------------------------------------------
 
     def _refactor(self) -> None:
-        if self.m == 0:
-            self.b_inv = np.zeros((0, 0), dtype=float)
-            return
-        bmat = self.a[:, self.basis]
+        """Invert the basis matrix afresh and recompute the basic values from it."""
         try:
-            self.b_inv = np.linalg.inv(bmat)
+            self.b_inv = np.linalg.inv(self.a[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise SimplexError(f"singular basis {self.basis.tolist()}") from exc
         self.moved = False
+        self.stale = 0
         self._recompute_basic_values()
 
-    def _refresh(self) -> None:
-        """Refactor unless neither the basis nor a nonbasic value moved since the last one."""
-        if self.moved:
-            self._refactor()
-
     def _recompute_basic_values(self) -> None:
-        if self.m == 0:
-            return
         xn = self.x.copy()
         xn[self.basis] = 0.0
         self.x[self.basis] = self.b_inv @ (self.b - self.a @ xn)
+
+    def _exchange(self, row: int, j: int, w: np.ndarray) -> None:
+        """Column ``j`` (``w = B^-1 A[:, j]``) replaces the basic column of ``row``.
+
+        The inverse takes the product-form update; the caller places the leaving column.
+        """
+        piv = w[row]
+        if abs(piv) <= PIVOT_TOL:  # pragma: no cover - guarded by the noise floors
+            raise SimplexError(f"pivot element {piv:.3e} too small")
+        self.status_col[j] = BASIC
+        self.basis[row] = j
+        self.b_inv[row, :] /= piv
+        other = np.arange(self.m) != row
+        self.b_inv[other, :] -= np.outer(w[other], self.b_inv[row, :])
+        self.pivots += 1
+        self.moved = True
+
+    def _noise_floor(self, rows, cols) -> np.ndarray:
+        """Entries of ``B^-1[rows] A[:, cols]`` at or below this are rounding noise, not pivots."""
+        formed = np.abs(self.b_inv[rows]) @ np.abs(self.a[:, cols])
+        return np.maximum(PIVOT_TOL, PIVOT_REL_TOL * formed)
+
+    @staticmethod
+    def _largest_pivot(cand: np.ndarray, pivots: np.ndarray, index: np.ndarray) -> int:
+        """The tie rule: the candidate with the largest ``pivots`` (within 1e-12), then the smallest ``index``."""
+        top = pivots >= pivots.max() - 1e-12
+        return int(cand[top][np.argmin(index[top])])
 
     # -- pricing -----------------------------------------------------------
 
@@ -293,30 +309,31 @@ class _Simplex:
         self.y = cost[self.basis] @ self.b_inv
         return cost - self.y @ self.a
 
+    def _dual_infeasibility(self, d: np.ndarray):
+        """``(viol, rise, fall)`` for the reduced costs ``d``.
+
+        ``rise`` and ``fall`` mark the columns that may increase and decrease;
+        a fixed column, or one that phase 1 set aside, does neither.
+        ``viol[j]`` is ``|d_j|`` where moving column ``j`` by ``-sign(d_j)`` is
+        allowed and ``|d_j| > RC_TOL``, and 0 elsewhere.
+        """
+        st = self.status_col
+        movable = self.allowed & (self.lower < self.upper)
+        free = st == NB_FREE
+        rise = movable & ((st == AT_LOWER) | free)
+        fall = movable & ((st == AT_UPPER) | free)
+        viol = np.maximum(-d * rise, d * fall)  # the cost decrease of a unit move
+        viol[viol <= RC_TOL] = 0.0
+        return viol, rise, fall
+
     def _price(self, cost: np.ndarray):
         """Return (entering column, direction) or None when optimal."""
         d = self._reduced_costs(cost)
-        st = self.status_col
-        viol = np.zeros(self.ncols, dtype=float)
-        low_mask = (st == AT_LOWER) & self.allowed & (d < -RC_TOL)
-        up_mask = (st == AT_UPPER) & self.allowed & (d > RC_TOL)
-        free_mask = (st == NB_FREE) & self.allowed & (np.abs(d) > RC_TOL)
-        viol[low_mask] = -d[low_mask]
-        viol[up_mask] = d[up_mask]
-        viol[free_mask] = np.abs(d[free_mask])
+        viol = self._dual_infeasibility(d)[0]
         if not viol.any():
             return None
-        if self.bland_mode:
-            j = int(np.flatnonzero(viol > 0.0)[0])
-        else:
-            j = int(np.argmax(viol))
-        if st[j] == AT_LOWER:
-            direction = 1.0
-        elif st[j] == AT_UPPER:
-            direction = -1.0
-        else:
-            direction = 1.0 if d[j] < 0.0 else -1.0
-        return j, direction
+        j = int(np.flatnonzero(viol)[0]) if self.bland_mode else int(np.argmax(viol))
+        return j, (1.0 if d[j] < 0.0 else -1.0)
 
     # -- ratio test and pivot ---------------------------------------------
 
@@ -326,82 +343,45 @@ class _Simplex:
         ``kind`` is ``"flip"`` (entering variable runs to its other bound),
         ``"pivot"`` (a basic variable leaves first) or ``"unbounded"``.
         """
-        a_j = self.a[:, j]
-        w = self.b_inv @ a_j if self.m else np.zeros(0)
+        w = self.b_inv @ self.a[:, j]
         dw = direction * w
-        if self.m:
-            bas = self.basis
-            xb = self.x[bas]
-            lo = self.lower[bas]
-            up = self.upper[bas]
-            limits = np.full(self.m, np.inf)
-            # a redundant row's tableau entries are rounding noise: it never limits
-            dec_ok = (dw > PIVOT_TOL) & np.isfinite(lo) & ~self.redundant  # drops to lower
-            inc_ok = (dw < -PIVOT_TOL) & np.isfinite(up) & ~self.redundant  # rises to upper
-            # so is an entry that is tiny against the products that formed it
-            rows = np.flatnonzero(dec_ok | inc_ok)
-            formed = np.abs(self.b_inv[rows]) @ np.abs(a_j)
-            noise = rows[np.abs(w[rows]) <= PIVOT_REL_TOL * formed]
-            dec_ok[noise] = inc_ok[noise] = False
-            limits[dec_ok] = (xb[dec_ok] - lo[dec_ok]) / dw[dec_ok]
-            limits[inc_ok] = (xb[inc_ok] - up[inc_ok]) / dw[inc_ok]
-            limits = np.maximum(limits, 0.0)
-            row_min = float(limits.min()) if limits.size else np.inf
-        else:
-            limits = np.zeros(0)
-            row_min = np.inf
-        own = np.inf
-        if np.isfinite(self.lower[j]) and np.isfinite(self.upper[j]):
-            own = self.upper[j] - self.lower[j]
+        bas = self.basis
+        xb, lo, up = self.x[bas], self.lower[bas], self.upper[bas]
+        # a basic variable moving towards a finite bound limits the step, unless
+        # its entry is noise: every entry of a redundant row is
+        rows = np.flatnonzero(((dw > 0.0) & np.isfinite(lo) | (dw < 0.0) & np.isfinite(up))
+                              & ~self.redundant)
+        rows = rows[np.abs(w[rows]) > self._noise_floor(rows, j)]
+        dec, inc = rows[dw[rows] > 0.0], rows[dw[rows] < 0.0]  # drop to lower, rise to upper
+        limits = np.full(self.m, np.inf)
+        limits[dec] = (xb[dec] - lo[dec]) / dw[dec]
+        limits[inc] = (xb[inc] - up[inc]) / dw[inc]
+        limits = np.maximum(limits, 0.0)
+        row_min = float(limits.min(initial=np.inf))
+        own = self.upper[j] - self.lower[j]
         if own <= row_min:
-            if not np.isfinite(own):
-                return np.inf, -1, 0, "unbounded", w
-            return own, -1, 0, "flip", w
-        if not np.isfinite(row_min):
-            return np.inf, -1, 0, "unbounded", w
+            return own, -1, 0, ("flip" if np.isfinite(own) else "unbounded"), w
         cand = np.flatnonzero(limits <= row_min + RATIO_TIE_TOL)
         if self.bland_mode:
             # smallest basis-column index among ties
             leave = int(cand[np.argmin(self.basis[cand])])
         else:
-            # stability: largest |pivot| among ties, then smallest column index
-            piv = np.abs(dw[cand])
-            sub = cand[piv >= piv.max() - 1e-12]
-            leave = int(sub[np.argmin(self.basis[sub])])
+            leave = self._largest_pivot(cand, np.abs(dw[cand]), self.basis[cand])
         leave_to = AT_LOWER if dw[leave] > 0 else AT_UPPER
         return row_min, leave, leave_to, "pivot", w
 
     def _apply_flip(self, j: int, direction: float, step: float, w: np.ndarray) -> None:
+        self.x[self.basis] -= step * direction * w
+        self._place(j, AT_UPPER if direction > 0 else AT_LOWER)
         self.moved = True
-        if self.m:
-            self.x[self.basis] -= step * direction * w
-        if direction > 0:
-            self.x[j] = self.upper[j]
-            self.status_col[j] = AT_UPPER
-        else:
-            self.x[j] = self.lower[j]
-            self.status_col[j] = AT_LOWER
 
     def _apply_pivot(self, j: int, direction: float, step: float,
                      leave: int, leave_to: int, w: np.ndarray) -> None:
-        bas = self.basis
-        if self.m:
-            self.x[bas] -= step * direction * w
+        self.x[self.basis] -= step * direction * w
         self.x[j] += direction * step
-        out_col = bas[leave]
         # snap the leaving variable exactly onto the bound it reached
-        self.x[out_col] = self.lower[out_col] if leave_to == AT_LOWER else self.upper[out_col]
-        self.status_col[out_col] = leave_to
-        self.status_col[j] = BASIC
-        bas[leave] = j
-        piv = w[leave]
-        if abs(piv) <= PIVOT_TOL:  # pragma: no cover - guarded by ratio test
-            raise SimplexError(f"pivot element {piv:.3e} too small")
-        self.b_inv[leave, :] /= piv
-        other = np.arange(self.m) != leave
-        self.b_inv[other, :] -= np.outer(w[other], self.b_inv[leave, :])
-        self.pivots += 1
-        self.moved = True
+        self._place(self.basis[leave], leave_to)
+        self._exchange(leave, j, w)
         if self.pivots % REFACTOR_EVERY == 0:
             self._refactor()
 
@@ -439,60 +419,49 @@ class _Simplex:
                 self._apply_pivot(j, direction, step, leave, leave_to, w)
 
     def _drive_out_artificials(self) -> None:
-        a_real = self.a[:, :self.n_real]
-        for row in range(self.m):
+        real = slice(None, self.n_real)
+        for row in np.flatnonzero(self.basis >= self.n_real):
             col = self.basis[row]
-            if col < self.n_real:
-                continue
-            tableau = self.b_inv @ a_real
+            tableau = self.b_inv @ self.a[:, real]
             tab_row = np.abs(tableau[row])
-            # an entry that is tiny against its own tableau column, or against
-            # the products that formed it, is rounding noise of a redundant
-            # row, not a pivot
-            noise = np.maximum(DRIVE_OUT_REL_TOL * np.abs(tableau).max(axis=0),
-                               PIVOT_REL_TOL * (np.abs(self.b_inv[row]) @ np.abs(a_real)))
-            size = np.where((tab_row > np.maximum(PIVOT_TOL, noise))
-                            & (self.status_col[:self.n_real] != BASIC), tab_row, 0.0)
+            # an entry under the noise floor, or tiny against its own tableau
+            # column, is rounding noise of a redundant row, not a pivot
+            floor = np.maximum(DRIVE_OUT_REL_TOL * np.abs(tableau).max(axis=0),
+                               self._noise_floor(row, real))
+            size = np.where((tab_row > floor) & (self.status_col[real] != BASIC), tab_row, 0.0)
             if not size.any():
                 # Redundant row: freeze the artificial at zero, basic for good.
                 self.upper[col] = 0.0
                 self.redundant[row] = True
                 continue
             j = int(np.argmax(size))  # the largest pivot, first index on ties
-            w = self.b_inv @ self.a[:, j]
-            self.status_col[col] = AT_LOWER
-            self.x[col] = 0.0
-            self.status_col[j] = BASIC
-            self.basis[row] = j
-            piv = w[row]
-            self.b_inv[row, :] /= piv
-            other = np.arange(self.m) != row
-            self.b_inv[other, :] -= np.outer(w[other], self.b_inv[row, :])
-            self.pivots += 1
-            self.moved = True
-        self._refresh()
+            self._place(col, AT_LOWER)
+            self._exchange(row, j, self.b_inv @ self.a[:, j])
+        if self.moved:
+            self._refactor()
 
     def run(self) -> LpSolution:
         """The cold two-phase solve from a slack-and-artificial basis."""
-        self._initial_point()
+        for j in range(self.n_real):
+            self._place(j, AT_LOWER if np.isfinite(self.lower[j])
+                        else AT_UPPER if np.isfinite(self.upper[j]) else NB_FREE)
         self._install_artificials()
         if self.artificials.size:
             cost1 = np.zeros(self.ncols)
             cost1[self.artificials] = 1.0
             status = self._optimize(cost1, phase=1)
             assert status == OPTIMAL
-            self._refresh()
+            if self.moved:
+                self._refactor()
             phase1_val = float(cost1 @ self.x)
             if phase1_val > PHASE1_TOL:
                 return LpSolution(status=INFEASIBLE, pivots=self.pivots)
             self._drive_out_artificials()
             self.allowed[:] = True  # phase 1 may have set noise columns aside
             self.allowed[self.artificials] = False
-            # Park nonbasic artificials exactly at zero.
-            for col in self.artificials:
+            for col in self.artificials:  # park nonbasic artificials exactly at zero
                 if self.status_col[col] != BASIC:
-                    self.x[col] = 0.0
-                    self.status_col[col] = AT_LOWER
+                    self._place(col, AT_LOWER)
         return self._phase2(warm=False)
 
     def _phase2(self, warm: bool, dual: bool = False) -> LpSolution:
@@ -534,19 +503,10 @@ class PersistentLp(_Simplex):
 
     def __init__(self, prob: LpProblem, basis: np.ndarray):
         super().__init__(prob, bland_always=False)
-        self.status_col = np.array(basis, dtype=np.int8)
+        for j, state in enumerate(basis):
+            self._place(j, state)
         self.basis = np.flatnonzero(self.status_col == BASIC)
-        self.x = np.where(self.status_col == AT_LOWER, self.lower,
-                          np.where(self.status_col == AT_UPPER, self.upper, 0.0))
-        self.ncols = self.n_real
-        self.allowed = np.ones(self.ncols, dtype=bool)
-        self.redundant = np.zeros(self.m, dtype=bool)
-        self.stale = 0  # rows bordered onto the inverse since it was factorized
         self._refactor()
-
-    def _refactor(self) -> None:
-        super()._refactor()
-        self.stale = 0
 
     def append_rows(self, a_rows: np.ndarray, b_rows: np.ndarray, at: int) -> None:
         """Insert the rows ``a_rows x <= b_rows`` before inequality row ``at``.
@@ -646,23 +606,17 @@ class PersistentLp(_Simplex):
 
         Each pivot takes the basic variable with the largest bound violation
         out to the bound it violates.  On its tableau row
-        ``alpha_r = B^-1[r] A`` the dual ratio test picks the entering column
-        that keeps every reduced cost on its side (within :data:`RC_TOL`),
-        with the ties of the primal ratio test: within
-        :data:`RATIO_TIE_TOL`, the largest ``|alpha_rj|``, then the smallest
-        column index.  Entries at or below :data:`PIVOT_TOL`, or rounding
-        noise against the products that formed them
-        (:data:`PIVOT_REL_TOL`), never enter, and neither does a fixed
-        column, whose reduced cost may take either sign.  The pivots go
-        through :meth:`_apply_pivot`, so the inverse is refactored on its
-        schedule.  Declines when the basis is not dual feasible, when no
-        column can enter (the LP is primal infeasible), after
-        :data:`STALL_SWITCH` dual-degenerate pivots in a row or past
+        ``alpha_r = B^-1[r] A`` the dual ratio test picks, among the columns
+        that may move and whose entry is above the noise floor, the one that
+        keeps every reduced cost on its side; ties go by the shared tie rule.
+        The pivots go through :meth:`_apply_pivot`, so the inverse is
+        refactored on its schedule.  Declines when the basis is not dual
+        feasible, when no column can enter (the LP is primal infeasible),
+        after :data:`STALL_SWITCH` dual-degenerate pivots in a row or past
         :data:`MAX_PIVOTS`.
         """
         cost = np.zeros(self.ncols)
         cost[:self.n_struct] = self.c
-        movable = self.lower < self.upper
         degenerate_run = 0
         while True:
             bas = self.basis
@@ -675,27 +629,20 @@ class PersistentLp(_Simplex):
             if self.pivots >= MAX_PIVOTS or degenerate_run >= STALL_SWITCH:
                 return False
             d = self._reduced_costs(cost)
-            st = self.status_col
-            at_lower = (st == AT_LOWER) & movable
-            at_upper = (st == AT_UPPER) & movable
-            free = (st == NB_FREE) & movable
-            if ((at_lower & (d < -RC_TOL)) | (at_upper & (d > RC_TOL))
-                    | (free & (np.abs(d) > RC_TOL))).any():
+            infeasible, rise, fall = self._dual_infeasibility(d)
+            if infeasible.any():
                 return False
             sigma = 1.0 if above[r] > 0.0 else -1.0  # +1: x_r leaves for its upper bound
             alpha = self.b_inv[r] @ self.a
             s_alpha = sigma * alpha
-            formed = np.abs(self.b_inv[r]) @ np.abs(self.a)
-            big = np.abs(alpha) > np.maximum(PIVOT_TOL, PIVOT_REL_TOL * formed)
-            cand = np.flatnonzero(big & ((at_lower & (s_alpha > 0.0))
-                                         | (at_upper & (s_alpha < 0.0)) | free))
+            big = np.abs(alpha) > self._noise_floor(r, slice(None))
+            cand = np.flatnonzero(big & ((rise & (s_alpha > 0.0)) | (fall & (s_alpha < 0.0))))
             if not cand.size:
                 return False
             ratio = np.maximum(d[cand] / s_alpha[cand], 0.0)
             step_d = float(ratio.min())
             ties = cand[ratio <= step_d + RATIO_TIE_TOL]
-            piv = np.abs(alpha[ties])
-            j = int(ties[piv >= piv.max() - 1e-12][0])
+            j = self._largest_pivot(ties, np.abs(alpha[ties]), ties)
             w = self.b_inv @ self.a[:, j]
             direction = 1.0 if s_alpha[j] > 0.0 else -1.0
             target = self.upper[bas[r]] if sigma > 0.0 else self.lower[bas[r]]

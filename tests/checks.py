@@ -8,7 +8,8 @@ package's answers against routes that share none of its arithmetic.  One
 more, :func:`nd_true_recourse_value`, recomputes a pool's exact recourse
 child by child with nested decomposition, a route that shares nothing with
 the extensive form it checks.  :func:`nodes_at_depth` lists a tree's
-nodes at one depth.
+nodes at one depth, and :func:`n_optimality_cuts` and
+:func:`n_feasibility_cuts` count the cuts of a run's pools.
 """
 
 import itertools
@@ -147,6 +148,17 @@ def nodes_at_depth(problem, d: int) -> list[int]:
     """The ids of a tree problem's nodes at depth ``d``, ascending."""
     depth = problem.topology.depth
     return [nid for nid in sorted(depth) if depth[nid] == d]
+
+
+def n_optimality_cuts(pools) -> int:
+    """The optimality cuts of an ``engine.PoolSet``, the permanent zero pools left out."""
+    return sum(len(pool.optimality) for key, pool in pools.opt.items()
+               if not pools.topology.terminal(key))
+
+
+def n_feasibility_cuts(pools) -> int:
+    """The feasibility cuts of an ``engine.PoolSet``."""
+    return sum(len(pool.feasibility) for pool in pools.opt.values())
 
 
 def nd_true_recourse_value(problem, where, history) -> float:

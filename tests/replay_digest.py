@@ -1,0 +1,61 @@
+"""Print a digest of every perfbench instance of one seed, to compare two checkouts.
+
+Each instance of each workload is generated and solved the way perfbench
+solves it (``perfbench/workloads.py``, loaded read-only): at the workload's
+iteration budget with the stall rule off.  One line per instance gives the
+workload, the instance index, the SHA-256 of ``cuts.csv`` followed by
+``summary.json``, and the run's ``lps``, ``lps_warm``, ``lps_dual`` and
+``pivots`` counts.  Two checkouts that print the same lines replay the same
+cuts and the same summaries through the same number of LPs and pivots.
+
+    python tests/replay_digest.py --seed 1101 > digest.txt
+
+pytest does not collect this file (no ``test_`` prefix).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def digest_lines(seed: int):
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads as wl
+
+    gen = wl.load_generators(ROOT)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, w in wl.WORKLOADS.items():
+            for index in range(w.instances):
+                problem, engine_seed = wl.make_instance(w, gen, seed, index)
+                result, _seconds = wl.solve(problem, w, engine_seed)
+                outdir = Path(tmp) / name / f"i{index}"
+                wl.write_artifacts(outdir, result, problem, engine_seed)
+                sha = hashlib.sha256()
+                for artifact in ("cuts.csv", "summary.json"):
+                    sha.update((outdir / artifact).read_bytes())
+                counts = " ".join(f"{key}={result.diagnostics[key]}"
+                                  for key in ("lps", "lps_warm", "lps_dual", "pivots"))
+                yield f"{name} {index} {sha.hexdigest()} {counts}"
+
+
+def main(argv=None) -> int:
+    # One BLAS thread, as perfbench runs, set before numpy loads.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True, help="perfbench instance seed")
+    args = parser.parse_args(argv)
+    for line in digest_lines(args.seed):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from checks import cvar_by_minimization, subgradient_bound
+from checks import cvar_by_minimization, n_optimality_cuts, subgradient_bound
 from conftest import (lattice_to_tree, make_newsvendor,
                       random_lattice_instance)
 from riskdp import cli, engine, io, model, oracle
@@ -251,7 +251,7 @@ def test_criterion_04_anchor_equality_assertion(c1_runs, c2_runs, c7_runs, c8_ru
     except CutError:
         armed = True
     n_runs = len(c1_runs[0]) + len(c2_runs) + len(c7_runs) + len(c8_runs)
-    n_cuts = sum(run.result.pools.n_optimality_cuts()
+    n_cuts = sum(n_optimality_cuts(run.result.pools)
                  for run in c1_runs[0] + c2_runs + c7_runs + c8_runs)
     ok = armed and n_runs > 0
     _verdict(4, ok,
@@ -260,6 +260,10 @@ def test_criterion_04_anchor_equality_assertion(c1_runs, c2_runs, c7_runs, c8_ru
 
 
 def test_criterion_05_subgradient_inequality_and_norm_bound(c1_runs, c2_runs):
+    # The runs are over, so each event's ``resolve`` solves against the final
+    # pools.  Pools only grow, so that value bounds the event's own value
+    # function from above: the inequality checked here is implied by the
+    # event-time subgradient inequality, and weaker than it.
     events = [(run, e) for run in c1_runs[0] + c2_runs for e in run.events]
     assert len(events) >= 1000, f"only {len(events)} probe events collected"
     rng = np.random.default_rng(7)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from checks import n_optimality_cuts
 from conftest import (lattice_to_tree, make_chain_instance,
                       make_feasibility_instance, make_newsvendor,
                       make_newsvendor_tree, random_lattice_instance)
@@ -238,7 +239,7 @@ def test_logged_cut_counts_match_the_dump(tmp_path, monkeypatch, algorithm):
     added = sum(int(line.split(",")[column]) for line in lines[1:])
     dumped = [r for r in io.read_cuts_csv(tmp_path / "cuts.csv")
               if r.kind == io.CUT_KIND_OPTIMALITY]
-    assert added == len(dumped) == res.pools.n_optimality_cuts()
+    assert added == len(dumped) == n_optimality_cuts(res.pools)
     skipped = sum(r.n_cuts_skipped for r in res.reports)
     assert skipped > 0
     assert added + skipped == len(built)

@@ -145,8 +145,16 @@ def _random_problem(seed: int) -> lp.LpProblem:
     return lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lower=lo, upper=up)
 
 
+# _random_problem seeds whose LP has no equality rows (29), no inequality
+# rows (2) and no rows at all (3)
+_NO_EQ, _NO_UB, _NO_ROWS = 29, 2, 3
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
+@example(_NO_EQ)
+@example(_NO_UB)
+@example(_NO_ROWS)
 def test_random_lp_against_scipy(seed):
     prob = _random_problem(seed)
     sol = lp.solve(prob)
@@ -342,6 +350,12 @@ _PHASE1_NOISE_RAY = _scaled(c=[-1, 2, -1, 0, 2],
                             lower=[-np.inf, 1, 2, -np.inf, 0], upper=[np.inf, np.inf, np.inf, 0, 0],
                             e_eq=[3, 2], e_ub=[3, -2], e_col=[-4, 4, -4, -1, 0])
 
+# Fixed columns whose costs favour moving them (x1 up, x2 down): pricing
+# never picks a fixed column.
+_FIXED_COLUMNS = lp.LpProblem(c=[-2, 3, 1, 0], a_eq=[[1, 1, 1, 1]], b_eq=[2],
+                              a_ub=[[1, -1, -1, 0]], b_ub=[1],
+                              lower=[1, -1, 0, -np.inf], upper=[1, -1, 4, np.inf])
+
 
 @settings(max_examples=300, deadline=None)
 @given(degenerate_lps())
@@ -350,6 +364,7 @@ _PHASE1_NOISE_RAY = _scaled(c=[-1, 2, -1, 0, 2],
 @example(_NOISE_ENTRY_LPS[2])
 @example(_scaled(**_DRIVE_OUT_NOISE))
 @example(_PHASE1_NOISE_RAY)
+@example(_FIXED_COLUMNS)
 def test_degenerate_lp_against_tight_highs(prob):
     sol = lp.solve(prob)
     ref = _highs(prob)
@@ -447,6 +462,11 @@ def _assert_matches_cold(warm: lp.LpSolution, nxt: lp.LpProblem) -> None:
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=3),
        st.sampled_from([0.0, 0.01, 0.3, 2.0]), st.sampled_from([0.0, 0.0, 1.0]))
+# each of these re-solves takes dual pivots: rows bordered onto an LP without
+# any, an LP without equality rows, and one whose only inequality row is new
+@example(_NO_ROWS, 2, 0.0, 0.0)
+@example(_NO_EQ, 2, 0.3, 0.0)
+@example(8, 1, 0.3, 0.0)
 def test_warm_start_agrees_with_cold(seed, n_new, scale, cost_scale):
     # an LP re-solved in place after its right-hand side moved and rows were
     # inserted with their slacks basic; a moved cost vector (the engine never
@@ -488,6 +508,8 @@ def test_warm_start_agrees_with_cold(seed, n_new, scale, cost_scale):
        st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                           st.floats(min_value=0.0, max_value=1.0), st.booleans()),
                 min_size=1, max_size=6))
+# an LP without rows re-solved in place, bordered from m = 0, then re-solved by dual pivots
+@example(126, [(0, 0.0, True), (2, 0.0, True), (1, 1.0, True)])
 def test_bordered_inverse_matches_a_fresh_inverse(seed, steps):
     # rows inserted anywhere among the inequality rows, right-hand sides
     # moved, sometimes a re-solve in between: the held inverse stays the

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from checks import grid_minimum, nd_true_recourse_value, nodes_at_depth
+from checks import grid_minimum, n_optimality_cuts, nd_true_recourse_value, nodes_at_depth
 from conftest import (lattice_to_tree, make_cvar_without_complete_recourse,
                       random_lattice_instance)
 from riskdp import engine, io, lp, model, oracle
@@ -129,7 +129,7 @@ def test_nested_decomposition_pools_one_cut_per_lp_row(monkeypatch):
         risk3=RiskSpec(kind="mixture", lam=0.3, epsilon=0.4))
     res = oracle.exact_nested_decomposition(problem)
     (pools,) = made
-    assert res.n_cuts == pools.n_optimality_cuts() < len(built)
+    assert res.n_cuts == n_optimality_cuts(pools) < len(built)
     assert len(built) == 3 * res.sweeps  # the stage-1 node and its 2 children
     for pool in pools.opt.values():
         rows = [(c.beta, c.rhs_const) for c in pool.optimality]
