@@ -160,6 +160,10 @@ def _history_box(p: Problem, where) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_check_cuts(args) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
     problem = io.load_problem(args.input)
     records = io.read_cuts_csv(args.cuts)
     topo = problem.topology
@@ -177,9 +181,9 @@ def _cmd_check_cuts(args) -> int:
     for where in sorted(by_where):
         lo, hi = _history_box(problem, where)
         points = rng.uniform(lo, hi, size=(args.points, lo.shape[0]))
-        for x in points:
-            true = oracle.true_recourse_value(
-                problem, where, np.concatenate([problem.x0, x]))
+        trues = oracle.true_recourse_value(
+            problem, where, np.hstack([np.tile(problem.x0, (args.points, 1)), points]))
+        for x, true in zip(points, trues.tolist()):
             for rec in by_where[where]:
                 n_checked += 1
                 if rec.kind == io.CUT_KIND_OPTIMALITY:

@@ -347,8 +347,10 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
 
 def _count_lp(tally: Counter, sol: lp.LpSolution) -> None:
     """Add one LP solve to ``tally``: its count, whether it ran warm and dual, its pivots."""
-    tally.update(lps=1, lps_warm=int(sol.warm_start), lps_dual=int(sol.dual_start),
-                 pivots=sol.pivots)
+    tally["lps"] += 1
+    tally["lps_warm"] += sol.warm_start
+    tally["lps_dual"] += sol.dual_start
+    tally["pivots"] += sol.pivots
 
 
 def phase_one(problem: Problem, where, history, pools: PoolSet,

@@ -27,11 +27,12 @@ is bordered in closed form) and the right-hand side moved (only the basic
 values are recomputed).  Neither touches the reduced costs, so a held
 optimal basis stays dual feasible.  The re-solve runs in place: while the
 held basis is primal feasible, to :data:`PHASE1_TOL` in its bounds and in
-the row residual, it goes straight to the phase-2 loop; when only its bounds
-fail, dual simplex pivots on the held inverse first restore primal
-feasibility.  It declines when the basis is not dual feasible either, when
-the LP is primal infeasible or when the dual pivots break down, and the
-caller solves the LP cold with :func:`solve`.
+the row residual (or, for the residual, to :data:`RESIDUAL_REL_TOL` of the
+products forming each row), it goes straight to the phase-2 loop; when
+only its bounds fail, dual simplex pivots on the held inverse first
+restore primal feasibility.  It declines when the basis is not dual
+feasible either, when the LP is primal infeasible or when the dual pivots
+break down, and the caller solves the LP cold with :func:`solve`.
 
 The cold two-phase solve, the in-place primal re-solve and the dual
 re-solve share one set of simplex rules, each stated once in
@@ -79,6 +80,7 @@ PIVOT_REL_TOL = 1e-9    # ratio test: pivot floor relative to the products formi
 RATIO_TIE_TOL = 1e-9    # ratio-test tie window
 STEP_TOL = 1e-12        # steps below this count as degenerate
 PHASE1_TOL = 1e-9       # residual infeasibility above this means infeasible
+RESIDUAL_REL_TOL = 1e-12  # held-basis row residual: rounding noise relative to |A| |x|
 REFACTOR_EVERY = 64     # pivots between explicit refactorizations
 STALL_SWITCH = 100      # consecutive degenerate pivots before Bland takes over
 MAX_PIVOTS = 200_000    # hard safety limit per solve
@@ -556,7 +558,7 @@ class PersistentLp(_Simplex):
     def resolve(self) -> LpSolution | None:
         """Re-solve in place from the held basis; None when it declines.
 
-        The row residual of the held basis must be within :data:`PHASE1_TOL`.
+        The row residual of the held basis must fit (:meth:`_fits`).
         When its basic values are within :data:`PHASE1_TOL` of their bounds
         too, the phase-2 loop runs from it; otherwise :meth:`_dual_simplex`
         first pivots it back to primal feasibility.  Either way the solution's
@@ -594,12 +596,21 @@ class PersistentLp(_Simplex):
         return True
 
     def _fits(self) -> tuple[bool, bool]:
-        """Whether the row residual, and whether the basic bounds, are within :data:`PHASE1_TOL`."""
+        """Whether the row residual, and whether the basic bounds, are within :data:`PHASE1_TOL`.
+
+        A row's residual also fits within :data:`RESIDUAL_REL_TOL` of the
+        products forming it, ``|A| |x|``: at large basic values the absolute
+        tolerance is below the rounding of ``A x``.
+        """
         bas = self.basis
         xb = self.x[bas]
-        return (bool(np.abs(self.a @ self.x - self.b).max(initial=0.0) <= PHASE1_TOL),
-                bool(((xb >= self.lower[bas] - PHASE1_TOL)
-                      & (xb <= self.upper[bas] + PHASE1_TOL)).all()))
+        resid = np.abs(self.a @ self.x - self.b)
+        residual_ok = resid.max(initial=0.0) <= PHASE1_TOL
+        if not residual_ok:  # |A| |x| is formed only here, off the common path
+            formed = np.abs(self.a) @ np.abs(self.x)
+            residual_ok = (resid <= np.maximum(PHASE1_TOL, RESIDUAL_REL_TOL * formed)).all()
+        return (bool(residual_ok), bool(((xb >= self.lower[bas] - PHASE1_TOL)
+                                         & (xb <= self.upper[bas] + PHASE1_TOL)).all()))
 
     def _dual_simplex(self) -> bool:
         """Dual simplex pivots until the basis is primal feasible; False to decline.

@@ -20,9 +20,11 @@ History vectors throughout this package are the full concatenation
 ``x_0`` block (their coefficient vectors have length ``t * n`` over
 ``x_{1:t}``), while ``G`` includes it (``(t+1) * n`` columns).  A payload
 without equality or inequality rows holds that system with zero rows, so
-every payload has one layout, and :meth:`Realization.fold` is the one place
-a history is folded into a payload's rows: the stage subproblems
-(:func:`assemble_subproblem`) and the oracle's extensive forms read it.
+every payload has one layout, and :meth:`Realization.fold_map` is the one
+place a history is folded into a payload's rows: the stage subproblems
+(:func:`assemble_subproblem`) read it at one history through
+:meth:`Realization.fold`, and the oracle's extensive forms keep the history
+as a parameter.
 
 Risk attachment conventions (documented in the README): in lattice form the
 stage-s risk spec governs how stage-s realization values are aggregated when
@@ -95,6 +97,20 @@ class Folded(NamedTuple):
     pieces_d: np.ndarray  # (P,)
 
 
+class FoldMap(NamedTuple):
+    """A payload's rows after a ``k``-entry history ``x``, as affine maps of it.
+
+    ``rows`` holds the rows at a zero history; at ``x`` the right-hand sides
+    are ``b - b_hist @ x`` and ``h - h_hist @ x``, and the piece offsets
+    ``pieces_d + d_hist @ x[n:]`` (the cost has no ``x_0`` block).
+    """
+
+    rows: Folded
+    b_hist: np.ndarray    # (q, k)
+    h_hist: np.ndarray    # (r, k)
+    d_hist: np.ndarray    # (P, k - n)
+
+
 @dataclass
 class Realization:
     """One stage-t realization (or tree-node) payload.
@@ -134,17 +150,24 @@ class Realization:
         a.flags.writeable = False
         return a
 
-    def fold(self, history: np.ndarray) -> Folded:
-        """The rows over the decisions after ``history = (x_0, ..., x_{k-1})``.
+    def fold_map(self, k: int) -> FoldMap:
+        """The rows over the decisions after a ``k``-entry history, affine in it.
 
-        The one history fold: stage subproblems and the oracle's tails read it.
-        Its arrays are views of the payload where no arithmetic was needed.
+        The one history fold: :meth:`fold` evaluates it for the stage
+        subproblems, and the oracle's tails keep it as a parameter.  Its
+        arrays are views of the payload.
         """
-        n, k = self.cost.dim, history.shape[0]
+        n = self.cost.dim
         a, c = self.a_full, self.cost.pieces_c  # the cost pieces have no x_0 block
-        return Folded(a=a[:, k:], b=self.b - a[:, :k] @ history,
-                      g=self.g[:, k:], h=self.h - self.g[:, :k] @ history,
-                      pieces_c=c[:, k - n:], pieces_d=self.cost.pieces_d + c[:, :k - n] @ history[n:])
+        return FoldMap(Folded(a=a[:, k:], b=self.b, g=self.g[:, k:], h=self.h,
+                              pieces_c=c[:, k - n:], pieces_d=self.cost.pieces_d),
+                       b_hist=a[:, :k], h_hist=self.g[:, :k], d_hist=c[:, :k - n])
+
+    def fold(self, history: np.ndarray) -> Folded:
+        """The rows over the decisions after ``history = (x_0, ..., x_{k-1})``."""
+        rows, b_hist, h_hist, d_hist = self.fold_map(history.shape[0])
+        return Folded(rows.a, rows.b - b_hist @ history, rows.g, rows.h - h_hist @ history,
+                      rows.pieces_c, rows.pieces_d + d_hist @ history[self.cost.dim:])
 
     def violations(self, t: int, n: int, where: str) -> list[str]:
         out = []

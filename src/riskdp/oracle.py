@@ -6,18 +6,21 @@ Two routes compute ground truth:
   scenario tree as one LP, with a value column per node and the one-step
   risk of its children written as rows, for every supported risk spec.  It
   shares with the cutting-plane drivers only the payload's history fold
-  (:meth:`~riskdp.model.Realization.fold`), and is solved by HiGHS (the
-  only place the package relies on an external solver);
-  :func:`reference_value` is this route;
+  (:meth:`~riskdp.model.Realization.fold_map`), and is solved by HiGHS
+  through the binding scipy vendors (``scipy.optimize._highspy``, which
+  ``linprog`` itself calls; the only place the package relies on an
+  external solver); :func:`reference_value` is this route;
 * :func:`exact_nested_decomposition` — the paper's sampling-free method:
   sweep-based nested decomposition that visits *every* node each sweep and
   stops only when the first-stage value repeats and a full sweep adds no cut
   to any pool.  It runs the engine's own stage solves and cuts.
 
 :func:`true_recourse_value` evaluates the exact risk-adjusted recourse
-function at an arbitrary history as one LP: the children's tails, each
-folded at that history, stacked under the pool's risk rows; infeasible
-histories report ``+inf``.  :func:`conditioned_problem` builds one such tail
+function of a pool at a stack of histories: the children's tails, stacked
+under the pool's risk rows with the history as a parameter, make one HiGHS
+model, built and passed once and re-solved per history from its last basis
+with only the moved right-hand sides changed; infeasible histories report
+``+inf``.  :func:`conditioned_problem` builds one such tail
 as a problem of its own, for nested decomposition to solve.  Nested
 decomposition has no feasibility cuts, so on a feasible instance without
 relatively complete recourse :func:`nested_decomposition_value` raises
@@ -38,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
+import scipy.sparse
 
 from .cuts import build_optimality_cut
 from .engine import EngineError, NodeSolution, PoolSet, solve_node
@@ -103,14 +106,28 @@ def _scenario_records(problem: Problem, where=None) -> list[_Rec]:
     return records
 
 
+def _highs_core():
+    """scipy's vendored HiGHS binding, the one ``linprog(method="highs")`` calls itself."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        raise OracleError("the oracle solves through scipy's vendored HiGHS binding "
+                          "scipy.optimize._highspy._core, which this scipy lacks") from exc
+    return _core
+
+
 class _NestedRiskLp:
-    """The nested-risk extensive form, assembled block by block and solved by HiGHS.
+    """A nested-risk LP over a ``k``-entry history parameter, built once and solved by HiGHS.
 
     Columns are appended with :meth:`columns`, inequality (``<=``) and
-    equality rows as dense blocks over chosen columns with :meth:`rows`.
+    equality rows as dense blocks over chosen columns with :meth:`rows`.  A
+    row's right-hand side is ``rhs - hist @ h``, affine in the history
+    ``h``; the matrix, bounds and cost do not depend on it, so
+    :meth:`minimize` passes one HiGHS model and re-solves it per history.
     """
 
-    def __init__(self):
+    def __init__(self, k: int):
+        self.k = k
         self.ncols = 0
         self.lower: list[np.ndarray] = []
         self.upper: list[np.ndarray] = []
@@ -123,35 +140,81 @@ class _NestedRiskLp:
         self.upper.append(np.full(k, upper))
         return idx
 
-    def rows(self, cols, block, rhs, eq: bool = False) -> None:
-        """Add ``block @ x[cols] <= rhs`` (``==`` with ``eq``); ``cols`` has no repeats."""
-        self.blocks[eq].append((cols, np.atleast_2d(block), np.atleast_1d(rhs)))
+    def rows(self, cols, block, rhs, eq: bool = False, hist=None) -> None:
+        """Add ``block @ x[cols] <= rhs - hist @ h`` (``==`` with ``eq``); ``cols`` has no repeats.
 
-    def _matrix(self, eq: bool):
-        blocks = self.blocks[eq]
-        a = np.zeros((sum(b.shape[0] for _, b, _ in blocks), self.ncols))
-        rhs = np.empty(a.shape[0])
+        ``hist`` defaults to zero: a right-hand side that ignores the history.
+        """
+        rhs = np.atleast_1d(rhs)
+        hist = np.zeros((rhs.shape[0], self.k)) if hist is None else hist
+        self.blocks[eq].append((cols, np.atleast_2d(block), rhs, hist))
+
+    def _model(self, core, col: int):
+        """The column-wise ``HighsLp`` minimising ``x[col]`` at a zero history.
+
+        Also returns the count of inequality rows (stacked first), and every
+        row's right-hand side constant and history coefficients.
+        """
+        blocks = self.blocks[False] + self.blocks[True]
+        n_ub = sum(b.shape[0] for _, b, _, _ in self.blocks[False])
+        n_rows = sum(b.shape[0] for _, b, _, _ in blocks)
+        a = np.zeros((n_rows, self.ncols))
+        rhs = np.empty(n_rows)
+        hist = np.empty((n_rows, self.k))
         i = 0
-        for cols, block, r in blocks:
+        for cols, block, r, h in blocks:
             a[i:i + block.shape[0], cols] = block
             rhs[i:i + block.shape[0]] = r
+            hist[i:i + block.shape[0]] = h
             i += block.shape[0]
-        return a, rhs
+        model = core.HighsLp()
+        model.num_col_, model.num_row_ = self.ncols, n_rows
+        cost = np.zeros(self.ncols)
+        cost[col] = 1.0
+        model.col_cost_ = cost
+        model.col_lower_ = np.concatenate(self.lower)
+        model.col_upper_ = np.concatenate(self.upper)
+        model.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), rhs[n_ub:]])
+        model.row_upper_ = rhs
+        matrix = scipy.sparse.csc_array(a)
+        model.a_matrix_.format_ = core.MatrixFormat.kColwise
+        model.a_matrix_.num_col_, model.a_matrix_.num_row_ = self.ncols, n_rows
+        model.a_matrix_.start_ = matrix.indptr
+        model.a_matrix_.index_ = matrix.indices
+        model.a_matrix_.value_ = matrix.data
+        return model, n_ub, rhs, hist
 
-    def minimize(self, col: int) -> float:
-        """Minimum of column ``col``; ``+inf`` when the rows are infeasible."""
-        c = np.zeros(self.ncols)
-        c[col] = 1.0
-        a_ub, b_ub = self._matrix(False)
-        a_eq, b_eq = self._matrix(True)
-        bounds = np.column_stack([np.concatenate(self.lower), np.concatenate(self.upper)])
-        res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                                     bounds=bounds, method="highs", options=HIGHS_OPTIONS)
-        if res.status == 2:
-            return math.inf
-        if res.status != 0:
-            raise OracleError(f"extensive-form solve failed: {res.message}")
-        return float(res.fun)
+    def minimize(self, col: int, histories: np.ndarray) -> np.ndarray:
+        """Minimum of column ``col`` at each history, a row of ``histories``.
+
+        One HiGHS model with its options set once, passed once: each history
+        then changes only the row bounds that moved, and HiGHS re-solves from
+        its last basis.  An infeasible history gives ``+inf``; any other
+        non-optimal status raises :class:`OracleError`.
+        """
+        core = _highs_core()
+        model, n_ub, rhs0, hist = self._model(core, col)
+        highs = core._Highs()
+        for key, value in {**HIGHS_OPTIONS, "output_flag": False, "simplex_strategy":
+                           core.simplex_constants.SimplexStrategy.kSimplexStrategyDual}.items():
+            highs.setOptionValue(key, value)
+        highs.passModel(model)
+        values = np.empty(histories.shape[0])
+        held = rhs0
+        for p, rhs in enumerate(rhs0 - histories @ hist.T):
+            for j in np.flatnonzero(rhs != held).tolist():
+                highs.changeRowBounds(j, -np.inf if j < n_ub else rhs[j], rhs[j])
+            held = rhs
+            highs.run()
+            status = highs.getModelStatus()
+            if status == core.HighsModelStatus.kOptimal:
+                values[p] = highs.getObjectiveValue()
+            elif status == core.HighsModelStatus.kInfeasible:
+                values[p] = math.inf
+            else:
+                raise OracleError("nested-risk LP solve failed: "
+                                  f"{highs.modelStatusToString(status)}")
+        return values
 
     def risk(self, spec: RiskSpec, probs: np.ndarray, values: np.ndarray) -> int:
         """A column ``R >= rho(V[values])`` for the one-step measure ``spec``.
@@ -189,17 +252,18 @@ class _NestedRiskLp:
                                   lam * probs / spec.epsilon, [-1.0]]), 0.0)
         return int(r[0])
 
-    def tail(self, problem: Problem, where, history: np.ndarray) -> int:
-        """Add the nested epigraph below position ``where`` at ``history``.
+    def tail(self, problem: Problem, where) -> int:
+        """Add the nested epigraph below position ``where``, after the history parameter.
 
         Returns the value column of ``where``'s node.  Every scenario node
         ``m`` below it gets its decision columns ``x_m`` and a value column
         ``V_m >= cost_m(x_{1:m}) + R_m``, one row per cost piece (the cost's
         epigraph column folded into ``V_m``), where ``R_m`` (:meth:`risk`) is
         the one-step risk of its children's values under its pool's spec and
-        is absent at a leaf.  Its rows are its payload's, folded at
-        ``history = x_{0:t-1}`` (:meth:`~riskdp.model.Realization.fold`), over
-        the decisions along its path from ``where``.
+        is absent at a leaf.  Its rows are its payload's over the decisions
+        along its path from ``where``, after the ``k``-entry history
+        ``x_{0:t-1}``, which stays a parameter: each right-hand side carries
+        the affine parts of :meth:`~riskdp.model.Realization.fold_map`.
         """
         topo = problem.topology
         records = _scenario_records(problem, where)
@@ -213,10 +277,10 @@ class _NestedRiskLp:
             v_col[rec.key] = int(self.columns(1)[0])
             kids.setdefault(rec.parent, []).append(v_col[rec.key])
         for rec in records:
-            rows = rec.payload.fold(history)
+            rows, b_hist, h_hist, d_hist = rec.payload.fold_map(self.k)
             path = x_cols[rec.key]
-            self.rows(path, rows.a, rows.b, eq=True)
-            self.rows(path, rows.g, rows.h)
+            self.rows(path, rows.a, rows.b, eq=True, hist=b_hist)
+            self.rows(path, rows.g, rows.h, hist=h_hist)
             n_p = rows.pieces_d.shape[0]
             value = [v_col[rec.key]]
             pieces = [rows.pieces_c, -np.ones((n_p, 1))]
@@ -225,7 +289,8 @@ class _NestedRiskLp:
                 value.append(self.risk(topo.risk(key), topo.probs(key),
                                        np.array(kids[rec.key])))
                 pieces.append(np.ones((n_p, 1)))
-            self.rows(np.concatenate([path, value]), np.hstack(pieces), -rows.pieces_d)
+            self.rows(np.concatenate([path, value]), np.hstack(pieces), -rows.pieces_d,
+                      hist=np.hstack([np.zeros((n_p, problem.dim)), d_hist]))
         return v_col[(0,)]
 
 
@@ -236,12 +301,13 @@ def extensive_form_value(problem: Problem) -> float:
     a decision and a value column per node, the value bounded below by the
     node's cost plus the one-step risk of its children's values, written as
     rows (:meth:`_NestedRiskLp.risk`).  Coherent measures are monotone, so
-    minimising the stage-1 node's value makes every epigraph tight.  Solved
-    by HiGHS at :data:`HIGHS_OPTIONS`, the only place the package relies on
-    an external solver.  Returns ``+inf`` when the instance is infeasible.
+    minimising the stage-1 node's value makes every epigraph tight.  One
+    HiGHS solve at :data:`HIGHS_OPTIONS` (:meth:`_NestedRiskLp.minimize`),
+    the only place the package relies on an external solver.  Returns
+    ``+inf`` when the instance is infeasible.
     """
-    lp = _NestedRiskLp()
-    return lp.minimize(lp.tail(problem, problem.topology.first, problem.x0))
+    lp = _NestedRiskLp(problem.dim)
+    return float(lp.minimize(lp.tail(problem, problem.topology.first), problem.x0[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -429,25 +495,32 @@ def conditioned_subtree(problem: Problem, node_id: int,
                    lower_value_bound=problem.lower_value_bound[t - 1:])
 
 
-def true_recourse_value(problem: Problem, where, history) -> float:
-    """Exact risk-adjusted recourse aggregated at one history, by one LP.
+def true_recourse_value(problem: Problem, where, history):
+    """Exact risk-adjusted recourse aggregated at one history, or at each of a stack.
 
     ``where`` is a pool key (a stage on a lattice, a node id on a tree) and
     ``history`` is ``x_{0:s}`` for the stage ``s`` of the subproblems that
-    carry its rows; the result is the key's risk of the tail values of its
-    children.  The nested epigraphs of the children's tails, each folded at
-    that history (:meth:`_NestedRiskLp.tail`), are stacked with the key's
-    risk rows over their value columns, and HiGHS minimises that risk.
-    Terminal keys report 0, infeasible histories ``+inf``.
+    carry its rows, or a ``(p, k)`` stack of such histories; the result is
+    the key's risk of the tail values of its children, a float for one
+    history and ``p`` values for a stack.  The nested epigraphs of the
+    children's tails, with the history as a parameter
+    (:meth:`_NestedRiskLp.tail`), are stacked with the key's risk rows over
+    their value columns: one HiGHS model per pool, re-solved per history
+    from its last basis (:meth:`_NestedRiskLp.minimize`).  Terminal keys
+    report 0, infeasible histories ``+inf``.
     """
     topo = problem.topology
+    points = np.asarray(history, dtype=float)
     if topo.terminal(where):
-        return 0.0
+        return 0.0 if points.ndim == 1 else np.zeros(points.shape[0])
     kids = topo.children(where)
-    history = history_vector(history, topo.stage(kids[0]), problem.dim)
-    lp = _NestedRiskLp()
-    values = [lp.tail(problem, kid, history) for kid in kids]
-    return lp.minimize(lp.risk(topo.risk(where), topo.probs(where), np.array(values)))
+    t, n = topo.stage(kids[0]), problem.dim
+    stack = np.array([history_vector(h, t, n) for h in np.atleast_2d(points)]).reshape(-1, t * n)
+    lp = _NestedRiskLp(t * n)
+    values = [lp.tail(problem, kid) for kid in kids]
+    risk = lp.risk(topo.risk(where), topo.probs(where), np.array(values))
+    out = lp.minimize(risk, stack)
+    return float(out[0]) if points.ndim == 1 else out
 
 
 def nested_decomposition_value(problem: Problem) -> float:

@@ -7,6 +7,11 @@ workload, the instance index, the SHA-256 of ``cuts.csv`` followed by
 ``summary.json``, and the run's ``lps``, ``lps_warm``, ``lps_dual`` and
 ``pivots`` counts.  Two checkouts that print the same lines replay the same
 cuts and the same summaries through the same number of LPs and pivots.
+After each solve line, an audit line gives the workload, the instance index,
+``audit`` and the summary of the in-process ``check-cuts`` perfbench runs on
+that cut dump (``workloads.audit``): ``checked N cuts at P points per pool:
+V violations``, followed by any violation it reports.  Audit lines compare
+the two checkouts' oracle verdicts; every one should read ``0 violations``.
 
     python tests/replay_digest.py --seed 1101 > digest.txt
 
@@ -43,6 +48,11 @@ def digest_lines(seed: int):
                 counts = " ".join(f"{key}={result.diagnostics[key]}"
                                   for key in ("lps", "lps_warm", "lps_dual", "pivots"))
                 yield f"{name} {index} {sha.hexdigest()} {counts}"
+                problem_file = outdir / "problem.json"
+                wl.io.save_problem(problem, problem_file)
+                _passed, _seconds, text = wl.audit(w, problem_file, outdir / "cuts.csv",
+                                                   engine_seed)
+                yield f"{name} {index} audit {text}"
 
 
 def main(argv=None) -> int:

@@ -227,8 +227,9 @@ def test_criterion_03_cut_validity_against_oracle(c1_runs, c2_runs):
                                  for s in range(1, t)])
             hi = np.concatenate([p.stages[s - 1].realizations[0].ub
                                  for s in range(1, t)])
-            for x in rng.uniform(lo, hi, size=(50, lo.shape[0])):
-                true = oracle.true_recourse_value(p, t, np.concatenate([p.x0, x]))
+            xs = rng.uniform(lo, hi, size=(50, lo.shape[0]))
+            trues = oracle.true_recourse_value(p, t, np.hstack([np.tile(p.x0, (50, 1)), xs]))
+            for x, true in zip(xs, trues):
                 approx = evaluate_pool(pool, x)
                 worst = max(worst, approx - true)
                 n_checked += 1

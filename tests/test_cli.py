@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.optimize._highspy import _core as highs_core
 
 from conftest import (make_chain_instance, make_cvar_without_complete_recourse,
                       make_newsvendor, make_newsvendor_tree)
@@ -190,6 +191,20 @@ def test_check_cuts_rejects_a_row_that_fits_no_pool(newsvendor_file, tmp_path, c
     assert f"pool {row.split(',')[1]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--points", "0"),    # would check nothing and report 0 violations
+    ("--points", "-3"),
+    ("--tol", "nan"),     # would pass every cut: each comparison with nan is false
+    ("--tol", "inf"),
+    ("--tol", "-1e-6"),
+])
+def test_check_cuts_rejects_bad_arguments(newsvendor_file, tmp_path, capsys, option, value):
+    path = tmp_path / "cuts.csv"
+    path.write_text(f"{io.CUTS_CSV_HEADER}\n")
+    assert _run(["check-cuts", newsvendor_file, path, option, value]) == cli.EXIT_USAGE
+    assert option in capsys.readouterr().err
+
+
 def test_check_cuts_covers_feasibility_rows(tmp_path, capsys):
     path = tmp_path / "feas.json"
     io.save_problem(make_chain_instance(), path)
@@ -201,6 +216,7 @@ def test_check_cuts_covers_feasibility_rows(tmp_path, capsys):
 
 
 def test_check_cuts_solves_one_lp_per_pool_and_point(solved_run, monkeypatch, capsys):
+    # one HiGHS model per inner pool, re-solved once per point; no linprog, no ND
     problem_file, cuts_file = solved_run
     calls = Counter()
 
@@ -210,6 +226,16 @@ def test_check_cuts_solves_one_lp_per_pool_and_point(solved_run, monkeypatch, ca
             return fn(*args, **kwargs)
         return wrapper
 
+    class CountingHighs(highs_core._Highs):
+        def passModel(self, *args):
+            calls["models"] += 1
+            return super().passModel(*args)
+
+        def run(self):
+            calls["runs"] += 1
+            return super().run()
+
+    monkeypatch.setattr(highs_core, "_Highs", CountingHighs)
     monkeypatch.setattr(scipy.optimize, "linprog",
                         counting("linprog", scipy.optimize.linprog))
     monkeypatch.setattr(oracle, "exact_nested_decomposition",
@@ -219,7 +245,7 @@ def test_check_cuts_solves_one_lp_per_pool_and_point(solved_run, monkeypatch, ca
     topo = io.load_problem(problem_file).topology
     pools = {rec.where for rec in io.read_cuts_csv(cuts_file)}
     inner = [key for key in pools if not topo.terminal(key)]
-    assert inner and calls == Counter(linprog=7 * len(inner))
+    assert inner and calls == Counter(models=len(inner), runs=7 * len(inner))
 
 
 def test_check_cuts_audits_a_tail_without_complete_recourse(tmp_path, capsys):

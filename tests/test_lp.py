@@ -688,6 +688,23 @@ def test_singular_start_basis_is_declined():
         held._refactor()
 
 
+def test_rounding_residual_at_large_basic_values_fits():
+    # a held vertex with basic values in the thousands: A x misses b by
+    # 1.4e-9 of rounding, above the absolute PHASE1_TOL but far below the
+    # rounding of the products forming the row (|A| |x| = 2.6e7), so the
+    # optimal held basis re-solves in place instead of declining
+    prob = lp.LpProblem(c=np.zeros(5), a_eq=[[0.0, 0.0, -1.0, -1.0, -1.0], [1.0, 0.0, 0.0, 1.0, 2.0]],
+                        b_eq=[1.0, -2.0],
+                        a_ub=[[1e3, -1e3, 1e3, 2e3, -1e3], [2e-3, 1e-3, 1e-3, -2e-3, 2e-3],
+                              [-2.0, 0.0, -1.0, 0.0, -1.0]],
+                        b_ub=[1e3, 0.998, 1.0], lower=np.full(5, -np.inf), upper=np.full(5, np.inf))
+    held = lp.PersistentLp(prob, np.array([lp.BASIC] * 5 + [lp.AT_LOWER] * 3, dtype=np.int8))
+    assert np.abs(held.a @ held.x - held.b).max() > lp.PHASE1_TOL
+    sol = held.resolve()
+    assert sol.warm_start and sol.pivots == 0
+    assert sol.objective == lp.solve(prob).objective == 0.0
+
+
 def test_failed_check_on_a_bordered_inverse_refactors_before_declining():
     # a held inverse off by more than the rounding of a border misses the row
     # residual; the fresh inverse passes, so the re-solve still runs in place

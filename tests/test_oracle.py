@@ -1,11 +1,14 @@
 """Tests for the reference solvers and history conditioning."""
 
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize._highspy import _core as highs_core
 
 from checks import grid_minimum, n_optimality_cuts, nd_true_recourse_value, nodes_at_depth
 from conftest import (lattice_to_tree, make_cvar_without_complete_recourse,
@@ -442,3 +445,104 @@ def test_true_recourse_value_matches_nested_decomposition_per_child():
                 assert _rel_gap(got, want) <= 1e-9, (name, key)
                 checked += 1
     assert checked == 54
+
+
+# ---------------------------------------------------------------------------
+# the HiGHS model against scipy's linprog
+# ---------------------------------------------------------------------------
+
+def _linprog_minimize(self, col, histories):
+    """:meth:`oracle._NestedRiskLp.minimize` by one cold ``linprog`` solve per history."""
+    values = []
+    for history in histories:
+        stacked = {}
+        for eq, blocks in self.blocks.items():
+            a = np.zeros((sum(b.shape[0] for _, b, _, _ in blocks), self.ncols))
+            rhs = np.empty(a.shape[0])
+            i = 0
+            for cols, block, r, hist in blocks:
+                a[i:i + block.shape[0], cols] = block
+                rhs[i:i + block.shape[0]] = r - hist @ history
+                i += block.shape[0]
+            stacked[eq] = a, rhs
+        c = np.zeros(self.ncols)
+        c[col] = 1.0
+        bounds = np.column_stack([np.concatenate(self.lower), np.concatenate(self.upper)])
+        res = scipy.optimize.linprog(c, *stacked[False], *stacked[True], bounds=bounds,
+                                     method="highs", options=oracle.HIGHS_OPTIONS)
+        assert res.status in (0, 2), res.message
+        values.append(res.fun if res.status == 0 else math.inf)
+    return np.array(values)
+
+
+def _assert_agree(got, want, name):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isinf(got), np.isinf(want)), name
+    for g, w in zip(got[np.isfinite(want)], want[np.isfinite(want)]):
+        assert _rel_gap(g, w) <= 1e-9, name
+
+
+def _recourse_cases():
+    """Both forms of an instance without complete recourse, and of one with no feasible tail."""
+    cases = []
+    for name, problem in (("no-rcr", make_cvar_without_complete_recourse()),
+                          ("hopeless", make_cvar_without_complete_recourse(stage2_ub=0.5))):
+        cases += [(name, problem), (f"{name}-tree", lattice_to_tree(problem))]
+    return cases
+
+
+def test_highs_model_matches_linprog_on_extensive_forms(monkeypatch):
+    cases = [(name, problem) for name, problem, _ in _pinned_nd_cases()]
+    cases += _differential_cases() + _recourse_cases()
+    got = [oracle.extensive_form_value(problem) for _, problem in cases]
+    monkeypatch.setattr(oracle._NestedRiskLp, "minimize", _linprog_minimize)
+    for (name, problem), value in zip(cases, got):
+        _assert_agree([value], [oracle.extensive_form_value(problem)], name)
+    assert [math.isinf(v) for v in got[-4:]] == [False, False, True, True]
+
+
+def test_highs_model_matches_linprog_on_audited_histories(monkeypatch):
+    # one model per pool, re-solved from its last basis along the stack of
+    # histories, against a cold linprog solve per history.  The stage-2 pool
+    # of the instance without complete recourse has +inf recourse for
+    # x2 < 1, so its last stack alternates between infinite and finite
+    rng = np.random.default_rng(41)
+    stacks = []
+    for name, problem in _differential_cases() + _recourse_cases():
+        topo = problem.topology
+        for key in topo.keys:
+            if not topo.terminal(key):
+                lo, hi = _history_box(problem, key)
+                x = rng.uniform(lo, hi, size=(6, lo.shape[0]))
+                stacks.append((name, problem, key, np.hstack([np.tile(problem.x0, (6, 1)), x])))
+    no_rcr = make_cvar_without_complete_recourse()
+    mixed = np.array([[0.0, 0.3, x2] for x2 in (0.2, 1.5, 0.8, 2.0, 0.99, 1.0)])
+    stacks += [("no-rcr", no_rcr, 3, mixed), ("no-rcr-tree", lattice_to_tree(no_rcr), 2, mixed)]
+    got = [oracle.true_recourse_value(problem, key, h) for _, problem, key, h in stacks]
+    for (name, problem, key, h), values in zip(stacks, got):
+        assert values.shape == (h.shape[0],)
+        _assert_agree(values, [oracle.true_recourse_value(problem, key, x) for x in h],
+                      (name, key))
+        if name.startswith("hopeless"):
+            assert np.isinf(values).all(), (name, key)
+    monkeypatch.setattr(oracle._NestedRiskLp, "minimize", _linprog_minimize)
+    for (name, problem, key, h), values in zip(stacks, got):
+        _assert_agree(values, oracle.true_recourse_value(problem, key, h), (name, key))
+    assert [list(np.isinf(values)) for values in got[-2:]] == [[True, False] * 3] * 2
+
+
+def test_other_highs_statuses_are_oracle_errors(monkeypatch):
+    class OutOfTime(highs_core._Highs):
+        def getModelStatus(self):
+            return highs_core.HighsModelStatus.kTimeLimit
+
+    monkeypatch.setattr(highs_core, "_Highs", OutOfTime)
+    with pytest.raises(oracle.OracleError, match="Time limit reached"):
+        oracle.true_recourse_value(_newsvendor(), 2, np.array([0.0, 0.5]))
+
+
+def test_missing_highs_binding_is_an_oracle_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    monkeypatch.delattr(sys.modules["scipy.optimize._highspy"], "_core")
+    with pytest.raises(oracle.OracleError, match=r"scipy\.optimize\._highspy\._core"):
+        oracle.extensive_form_value(_newsvendor())
