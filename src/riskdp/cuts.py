@@ -231,9 +231,8 @@ def build_optimality_cut(child_values, child_pis, probs, risk_spec: RiskSpec,
                          iteration=iteration, stage=stage)
 
 
-def build_feasibility_cut(phase1_value: float, dual_eq, dual_feas, a_hist,
-                          feas_beta1, anchor, stage: int = 0, index: int = 0,
-                          iteration: int = 0) -> FeasibilityCut:
+def build_feasibility_cut(phase1_value: float, slope, anchor, stage: int = 0,
+                          index: int = 0, iteration: int = 0) -> FeasibilityCut:
     """Turn a positive phase-I solve into a separating cut.
 
     Parameters
@@ -241,29 +240,23 @@ def build_feasibility_cut(phase1_value: float, dual_eq, dual_feas, a_hist,
     phase1_value : float
         Optimal value of the elastic program; must exceed
         :data:`PHASE1_THRESHOLD` (a feasible history needs no cut).
-    dual_eq, dual_feas : arrays
-        Duals of the elastic equality rows and of the hard feasibility-cut
-        rows of the phase-I program.
-    a_hist : (q, d) array
-        History blocks of the stage's equality system (x_0 block excluded).
-    feas_beta1 : (K, d) array
-        History blocks of the feasibility-cut rows present in the program.
+    slope : (d,) array
+        A subgradient of the phase-I value over the history at ``anchor``
+        (:func:`riskdp.valuefn.assemble_pi` on the phase-I rows).
     anchor : (d,) array
         The infeasible history.
 
     Returns
     -------
     FeasibilityCut
-        Violated at the anchor by exactly ``phase1_value``:
-        ``<beta_tilde, anchor> - theta_tilde == phase1_value``.
+        ``beta_tilde = slope``, violated at the anchor by exactly
+        ``phase1_value``: ``<beta_tilde, anchor> - theta_tilde == phase1_value``.
     """
     if phase1_value <= PHASE1_THRESHOLD:
         raise CutError(f"phase-I value {phase1_value!r} is below the infeasibility "
                        "threshold; the history is feasible and needs no cut")
     anchor = np.asarray(anchor, dtype=float).reshape(-1)
-    dual_eq = np.asarray(dual_eq, dtype=float).reshape(-1)
-    dual_feas = np.asarray(dual_feas, dtype=float).reshape(-1)
-    s = feas_beta1.T @ dual_feas - a_hist.T @ dual_eq
+    s = np.asarray(slope, dtype=float).reshape(-1)
     theta_tilde = -phase1_value + float(s @ anchor)
     return FeasibilityCut(theta_tilde=theta_tilde, beta_tilde=s, stage=stage,
                           index=index, iteration=iteration)

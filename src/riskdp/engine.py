@@ -19,11 +19,11 @@ forward pass is gated by feasibility cuts.
 All three share one subproblem layout.  A stage-t solve has variables
 ``[x_t, w, z]`` with objective ``w + z``: ``w`` is the epigraph of the
 piecewise-linear stage cost, ``z`` under-estimates the risk-adjusted recourse
-through the optimality-cut rows.  Inequality rows are ordered
-``[static G rows][cost-piece rows][optimality-cut rows][feasibility-cut
-rows]`` — the order the subgradient assembly of :mod:`riskdp.valuefn` relies
-on.  The final stage is handled uniformly through a permanent zero cut
-(the beyond-horizon value is identically zero).
+through the optimality-cut rows.  Its right-hand side is one affine map
+``b0 - M h`` of the history ``h = x_{0:t-1}`` (:func:`build_stage_lp`), and
+its value's subgradient is ``M[:, n:]^T`` applied to the row duals
+(:mod:`riskdp.valuefn`).  The final stage is handled uniformly through a
+permanent zero cut (the beyond-horizon value is identically zero).
 
 Cut timing is configurable: the default ``backward`` timing builds cuts in a
 separate stage-descending sweep after the forward pass (each stage's cut then
@@ -36,12 +36,13 @@ Sampling is counter-based: one uniform draw per (seed, iteration, stage),
 so replay is exact and independent of execution order.
 
 Persistent stage LPs: the driver holds one :class:`StageLp` per position,
-built on the position's first solve and kept for the run.  Between two
-solves of a position only the history right-hand side moves and the pool's
-new cut rows are appended, which is what :class:`riskdp.lp.PersistentLp`
-re-solves in place.  Everything else solves cold: the probe's ``resolve``
-(it must not disturb the driver's LPs), :func:`phase_one`, and every caller
-of :func:`solve_node` that passes no stage LP, such as the oracle.  A
+built on the position's first solve and kept for the run with its map.
+Between two solves of a position only the right-hand side moves, to
+``b0 - M h``, and the pool's new cut rows are appended, which is what
+:class:`riskdp.lp.PersistentLp` re-solves in place.  Everything else solves
+cold: the probe's ``resolve`` (it must not disturb the driver's LPs),
+:func:`phase_one`, and every caller of :func:`solve_node` that passes no
+stage LP, such as the oracle.  A
 re-solve in place may stop at another optimal vertex of a degenerate LP than
 the cold one, hence another dual vertex and another valid cut; replay is
 still exact, because the stage LPs evolve deterministically.
@@ -50,6 +51,7 @@ still exact, because the stage LPs evolve deterministically.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -60,7 +62,7 @@ from . import lp
 from .cuts import (PHASE1_THRESHOLD, CutPool, build_feasibility_cut,
                    build_optimality_cut, zero_terminal_pool)
 from .model import (LATTICE, TREE, Problem, SubproblemData, assemble_subproblem,
-                    validate_problem)
+                    history_vector, validate_problem)
 from .valuefn import assemble_pi
 
 logger = logging.getLogger(__name__)
@@ -172,7 +174,6 @@ class NodeSolution:
     value: float
     duals: lp.LpSolution
     pi: np.ndarray
-    sub: SubproblemData
 
 
 class PoolSet:
@@ -203,9 +204,13 @@ class PoolSet:
 # ---------------------------------------------------------------------------
 
 def _stage_uniform(seed: int, k: int, t: int) -> float:
-    """One deterministic uniform draw keyed by (seed, iteration, stage)."""
-    bg = np.random.Philox(counter=[0, 0, k, t], key=seed & _UINT64_MASK)
-    return float(np.random.Generator(bg).random())
+    """One deterministic uniform draw keyed by (seed, iteration, stage).
+
+    ``Generator(Philox(...)).random()``, bit for bit, without building the
+    generator: the top 53 bits of the stream's first word, scaled to ``[0, 1)``.
+    """
+    raw = np.random.Philox(counter=[0, 0, k, t], key=seed & _UINT64_MASK).random_raw()
+    return (int(raw) >> 11) * 2.0 ** -53
 
 
 def _pick(probs: np.ndarray, u: float) -> int:
@@ -247,67 +252,92 @@ def _feas_rows(beta2: np.ndarray) -> np.ndarray:
     return np.hstack([beta2, np.zeros((beta2.shape[0], 2))])
 
 
-def _stage_rhs(sub: SubproblemData, view) -> tuple[np.ndarray, np.ndarray]:
-    """The stage LP's right-hand sides ``(b_eq, b_ub)``, the part that moves with the history."""
-    h_dec = sub.history[sub.lb.shape[0]:]
-    return sub.eq_rhs, np.concatenate([sub.ineq_rhs, -sub.piece_const,
-                                       view.opt_rhs_const - view.opt_beta1 @ h_dec,
-                                       view.feas_rhs_const - view.feas_beta1 @ h_dec])
+def _cut_hist(beta1: np.ndarray, n: int) -> np.ndarray:
+    """The history rows ``[0 | beta1]`` of cut rows: a cut has no ``x_0`` block."""
+    return np.hstack([np.zeros((beta1.shape[0], n)), beta1])
 
 
-def build_stage_lp(sub: SubproblemData, view, z_lo: float) -> lp.LpProblem:
-    """Canonical stage LP: variables ``[x_t, w, z]``, objective ``w + z``."""
+def build_stage_lp(sub: SubproblemData, view, z_lo: float,
+                   history: np.ndarray) -> tuple[lp.LpProblem, np.ndarray, np.ndarray]:
+    """Canonical stage LP at ``history`` and its right-hand side map ``(b0, hist)``.
+
+    Variables ``[x_t, w, z]``, objective ``w + z``.  Rows: ``sub``'s, then the
+    view's optimality-cut rows ``beta2 . x_t - z`` and feasibility-cut rows
+    ``beta2 . x_t``, each with its constant and the history row ``[0 | beta1]``.
+    At a history ``h`` the right-hand side is ``b0 - hist @ h``, equality rows first.
+    """
     n = sub.lb.shape[0]
-    q = sub.eq_rhs.shape[0]
-    r = sub.ineq_rhs.shape[0]
+    q = sub.a_cur.shape[0]
+    r = sub.g_cur.shape[0]
     n_p = sub.piece_cur.shape[0]
-    b_eq, b_ub = _stage_rhs(sub, view)
+    b0 = np.concatenate([sub.b0, view.opt_rhs_const, view.feas_rhs_const])
+    hist = np.vstack([sub.hist, _cut_hist(view.opt_beta1, n), _cut_hist(view.feas_beta1, n)])
+    b = b0 - hist @ history
     a_ub = np.vstack([np.hstack([sub.g_cur, np.zeros((r, 2))]),
                       np.hstack([sub.piece_cur, np.full((n_p, 1), -1.0), np.zeros((n_p, 1))]),
                       _opt_rows(view.opt_beta2), _feas_rows(view.feas_beta2)])
-    return lp.LpProblem(c=np.concatenate([np.zeros(n), [1.0, 1.0]]),
-                        a_eq=np.hstack([sub.a_cur, np.zeros((q, 2))]), b_eq=b_eq,
-                        a_ub=a_ub, b_ub=b_ub,
+    prob = lp.LpProblem(c=np.concatenate([np.zeros(n), [1.0, 1.0]]),
+                        a_eq=np.hstack([sub.a_cur, np.zeros((q, 2))]), b_eq=b[:q],
+                        a_ub=a_ub, b_ub=b[q:],
                         lower=np.concatenate([sub.lb, [-np.inf, z_lo]]),
                         upper=np.concatenate([sub.ub, [np.inf, np.inf]]))
+    return prob, b0, hist
 
 
 class StageLp:
-    """One position's stage LP, kept across the run's solves of that position.
+    """One position's stage LP and its right-hand side map, kept across the run's solves.
 
-    A cold solve builds the LP with :func:`build_stage_lp`, solves it with
-    :func:`riskdp.lp.solve` and holds it with its final basis in a
-    :class:`riskdp.lp.PersistentLp`.  Each later solve inserts the pool's new
-    cut rows in the layout of :func:`build_stage_lp` (new optimality rows
-    after the held ones, before the feasibility rows; new feasibility rows at
-    the end), moves the history right-hand side and re-solves in place; when
+    A cold solve builds the LP and its map with :func:`build_stage_lp`,
+    solves it with :func:`riskdp.lp.solve` and holds it with its final basis
+    in a :class:`riskdp.lp.PersistentLp`.  Each later solve inserts the
+    pool's new cut rows, with their map rows, in the layout of
+    :func:`build_stage_lp` (new optimality rows after the held ones, before
+    the feasibility rows; new feasibility rows at the end), sets the
+    right-hand side ``b0 - hist @ h`` and re-solves in place; when
     :meth:`riskdp.lp.PersistentLp.resolve` declines, the solve is cold again.
-    ``n_opt`` and ``n_feas`` count the cut rows of the held LP.
+    ``b0`` and ``hist`` are the map of the LP last solved, ``n_opt`` and
+    ``n_feas`` count its cut rows.
     """
 
     def __init__(self):
         self.lp: lp.PersistentLp | None = None
+        self.b0: np.ndarray | None = None
+        self.hist: np.ndarray | None = None
         self.n_opt = 0
         self.n_feas = 0
 
-    def solve(self, sub: SubproblemData, view, z_lo: float) -> lp.LpSolution:
+    def _insert(self, rows: np.ndarray, b0: np.ndarray, beta1: np.ndarray, before: int,
+                history: np.ndarray) -> None:
+        """Insert cut rows and their map rows ahead of the held LP's last ``before`` rows."""
+        at = self.b0.shape[0] - before
+        hist = _cut_hist(beta1, history.shape[0] - beta1.shape[1])
+        self.b0 = np.insert(self.b0, at, b0)
+        self.hist = np.insert(self.hist, at, hist, axis=0)
+        self.lp.append_rows(rows, b0 - hist @ history, at - self.lp.n_eq)
+
+    def solve(self, problem: Problem, where, history: np.ndarray, view,
+              z_lo: float) -> lp.LpSolution:
         held = self.lp
         if held is not None:
-            b_eq, b_ub = _stage_rhs(sub, view)
-            end_opt = b_ub.shape[0] - view.n_feas  # where the optimality rows end
             if view.n_opt > self.n_opt:
-                at = end_opt - view.n_opt + self.n_opt
-                held.append_rows(_opt_rows(view.opt_beta2[self.n_opt:]), b_ub[at:end_opt], at)
+                new = slice(self.n_opt, None)
+                self._insert(_opt_rows(view.opt_beta2[new]), view.opt_rhs_const[new],
+                             view.opt_beta1[new], self.n_feas, history)
             if view.n_feas > self.n_feas:
-                at = end_opt + self.n_feas
-                held.append_rows(_feas_rows(view.feas_beta2[self.n_feas:]), b_ub[at:], at)
-            held.set_rhs(b_eq, b_ub)
+                new = slice(self.n_feas, None)
+                self._insert(_feas_rows(view.feas_beta2[new]), view.feas_rhs_const[new],
+                             view.feas_beta1[new], 0, history)
+            self.n_opt, self.n_feas = view.n_opt, view.n_feas
+            b = self.b0 - self.hist @ history
+            held.set_rhs(b[:held.n_eq], b[held.n_eq:])
+            sol = held.resolve()
+            if sol is not None:
+                return sol
+        prob, self.b0, self.hist = build_stage_lp(assemble_subproblem(problem, where), view,
+                                                  z_lo, history)
         self.n_opt, self.n_feas = view.n_opt, view.n_feas
-        sol = None if held is None else held.resolve()
-        if sol is None:
-            prob = build_stage_lp(sub, view, z_lo)
-            sol = lp.solve(prob)
-            self.lp = None if sol.basis is None else lp.PersistentLp(prob, sol.basis)
+        sol = lp.solve(prob)
+        self.lp = None if sol.basis is None else lp.PersistentLp(prob, sol.basis)
         return sol
 
 
@@ -321,28 +351,33 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
 
     ``stage_lp`` is the position's optional persistent LP.  When given, the
     solve goes through it (:meth:`StageLp.solve`); without it, the solve is
-    the cold :func:`riskdp.lp.solve` of :func:`build_stage_lp`.
+    the cold :func:`riskdp.lp.solve` of :func:`build_stage_lp`.  Either way
+    ``pi`` is :func:`~riskdp.valuefn.assemble_pi` on the solved LP's map.
     """
-    sub = assemble_subproblem(problem, where, history)
-    view = pools.rows_for(where).view(problem.dim)
+    n = problem.dim
+    t = problem.topology.stage(where)
+    history = history_vector(history, t, n)
+    view = pools.rows_for(where).view(n)
     if z_lo is None:
-        z_lo = problem.z_lower(sub.t)
+        z_lo = problem.z_lower(t)
     if stage_lp is None:
-        sol = lp.solve(build_stage_lp(sub, view, z_lo))
+        prob, _b0, hist = build_stage_lp(assemble_subproblem(problem, where), view, z_lo,
+                                         history)
+        sol = lp.solve(prob)
     else:
-        sol = stage_lp.solve(sub, view, z_lo)
+        sol = stage_lp.solve(problem, where, history, view, z_lo)
+        hist = stage_lp.hist
     if sol.status == lp.INFEASIBLE:
         raise EngineError(
-            f"stage-{sub.t} subproblem infeasible at position {sub.where}: "
+            f"stage-{t} subproblem infeasible at position {where}: "
             "the instance lacks relatively complete recourse (use the feasibility-cut "
             "algorithm) or carries inconsistent data")
     if sol.status == lp.UNBOUNDED:
         raise EngineError(
-            f"stage-{sub.t} subproblem unbounded: lower_value_bound for stage "
-            f"{sub.t + 1} does not bound the recourse from below")
-    n = problem.dim
-    pi = assemble_pi(sub, sol, view)
-    return NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol, pi=pi, sub=sub)
+            f"stage-{t} subproblem unbounded: lower_value_bound for stage "
+            f"{t + 1} does not bound the recourse from below")
+    return NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol,
+                        pi=assemble_pi(hist, sol, n))
 
 
 def _count_lp(tally: Counter, sol: lp.LpSolution) -> None:
@@ -362,22 +397,27 @@ def phase_one(problem: Problem, where, history, pools: PoolSet,
     themselves conflict with the box — possible at a history no cut has
     excluded yet — the program is re-solved with the cut rows elasticized as
     well, which is always feasible and still yields a positive value with
-    valid multipliers for a new cut.  Returns ``(value, dual_eq, dual_feas,
-    sub, fview)``.  Its LPs are always solved cold; each one is counted in
-    ``tally`` when given (:func:`_count_lp`).
+    valid multipliers for a new cut.  The program's right-hand side is the
+    affine map of the stage system's equality rows and of the cut rows, as
+    in :func:`build_stage_lp`.  Returns ``(value, slope)``: the optimal value
+    and its subgradient over the decision history
+    (:func:`~riskdp.valuefn.assemble_pi` on that map).  Its LPs are always
+    solved cold; each one is counted in ``tally`` when given
+    (:func:`_count_lp`).
     """
-    sub = assemble_subproblem(problem, where, history)
-    fview = pools.rows_for(where).view(problem.dim)
-    n = sub.lb.shape[0]
-    q = sub.eq_rhs.shape[0]
+    n = problem.dim
+    sub = assemble_subproblem(problem, where)
+    fview = pools.rows_for(where).view(n)
+    q = sub.a_cur.shape[0]
     k_rows = fview.n_feas
-    feas_rhs = fview.feas_rhs_const - fview.feas_beta1 @ sub.history[n:]
+    hist = np.vstack([sub.hist[:q], _cut_hist(fview.feas_beta1, n)])
+    b = np.concatenate([sub.b0[:q], fview.feas_rhs_const]) - hist @ history
     for elastic_rows in (False, True):
         n_extra = k_rows if elastic_rows else 0
         c = np.concatenate([np.zeros(n), np.ones(2 * q + n_extra)])
         a_eq = np.hstack([sub.a_cur, np.eye(q), -np.eye(q), np.zeros((q, n_extra))])
         a_ub = np.hstack([fview.feas_beta2, np.zeros((k_rows, 2 * q)), -np.eye(k_rows, n_extra)])
-        prob = lp.LpProblem(c=c, a_eq=a_eq, b_eq=sub.eq_rhs, a_ub=a_ub, b_ub=feas_rhs,
+        prob = lp.LpProblem(c=c, a_eq=a_eq, b_eq=b[:q], a_ub=a_ub, b_ub=b[q:],
                             lower=np.concatenate([sub.lb, np.zeros(2 * q + n_extra)]),
                             upper=np.concatenate([sub.ub,
                                                   np.full(2 * q + n_extra, np.inf)]))
@@ -385,7 +425,7 @@ def phase_one(problem: Problem, where, history, pools: PoolSet,
         if tally is not None:
             _count_lp(tally, sol)
         if sol.status == lp.OPTIMAL:
-            return sol.objective, sol.dual_eq, sol.dual_ineq, sub, fview
+            return sol.objective, assemble_pi(hist, sol, n)
         if sol.status == lp.UNBOUNDED:  # pragma: no cover - c >= 0 forbids this
             raise EngineError("phase-I program unbounded")
     raise EngineError(  # pragma: no cover - the elastic program is always feasible
@@ -481,14 +521,12 @@ class _Driver:
         anchor = hist[p.dim:]
         key = self.topology.parent(path[t])
         for where in self.topology.children(key):
-            value, dual_eq, dual_feas, sub, fview = phase_one(p, where, hist, self.pools,
-                                                              self.tally)
+            value, slope = phase_one(p, where, hist, self.pools, self.tally)
             if value > PHASE1_THRESHOLD:
                 if t == 1:  # nothing earlier to cut; the problem is infeasible
                     return False
                 self.feas_counter += 1
-                cut = build_feasibility_cut(value, dual_eq, dual_feas, sub.a_hist,
-                                            fview.feas_beta1, anchor, stage=key,
+                cut = build_feasibility_cut(value, slope, anchor, stage=key,
                                             index=self.feas_counter, iteration=k)
                 self.pools.opt[key].append_feasibility(cut)
                 counters[t] = counters.get(t, 0) + 1
@@ -565,8 +603,8 @@ def _check_config(problem: Problem, cfg: RunConfig) -> None:
         raise ConfigError(f"unknown cut timing {cfg.cut_timing!r}")
     if cfg.max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
-    if cfg.stall_tol < 0.0:
-        raise ConfigError("stall_tol must be >= 0")
+    if not (math.isfinite(cfg.stall_tol) and cfg.stall_tol >= 0.0):
+        raise ConfigError(f"stall_tol must be finite and >= 0, got {cfg.stall_tol}")
     if cfg.stall_window < 1:
         raise ConfigError("stall_window must be >= 1")
     _parse_oracle_check(cfg.oracle_check)

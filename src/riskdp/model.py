@@ -21,10 +21,11 @@ History vectors throughout this package are the full concatenation
 ``x_{1:t}``), while ``G`` includes it (``(t+1) * n`` columns).  A payload
 without equality or inequality rows holds that system with zero rows, so
 every payload has one layout, and :meth:`Realization.fold_map` is the one
-place a history is folded into a payload's rows: the stage subproblems
-(:func:`assemble_subproblem`) read it at one history through
-:meth:`Realization.fold`, and the oracle's extensive forms keep the history
-as a parameter.
+place a history is folded into a payload's rows.  It keeps the history as a
+parameter: the stage subproblems (:func:`assemble_subproblem`) and the
+oracle's extensive forms read their right-hand sides off it as affine maps
+``b0 - M h`` of the history ``h``, and :meth:`Realization.fold` evaluates it
+at one history.
 
 Risk attachment conventions (documented in the README): in lattice form the
 stage-s risk spec governs how stage-s realization values are aggregated when
@@ -153,8 +154,9 @@ class Realization:
     def fold_map(self, k: int) -> FoldMap:
         """The rows over the decisions after a ``k``-entry history, affine in it.
 
-        The one history fold: :meth:`fold` evaluates it for the stage
-        subproblems, and the oracle's tails keep it as a parameter.  Its
+        The one history fold: the stage subproblems
+        (:func:`assemble_subproblem`) and the oracle's tails keep the history
+        as a parameter, and :meth:`fold` evaluates it at one history.  Its
         arrays are views of the payload.
         """
         n = self.cost.dim
@@ -175,23 +177,28 @@ class Realization:
         if len(self.a_blocks) != t + 1:
             out.append(f"{where}: expected {t + 1} equality blocks, found {len(self.a_blocks)}")
         else:
-            for tau, a in enumerate(self.a_blocks):
-                if a.shape != (q, n):
-                    out.append(f"{where}: equality block {tau} has shape {a.shape}, expected {(q, n)}")
+            misshaped = [tau for tau, a in enumerate(self.a_blocks) if a.shape != (q, n)]
+            for tau in misshaped:
+                out.append(f"{where}: equality block {tau} has shape "
+                           f"{self.a_blocks[tau].shape}, expected {(q, n)}")
+            if not (misshaped or np.isfinite(np.hstack(self.a_blocks)).all()):
+                out.append(f"{where}: equality blocks contain non-finite entries")
         if self.cost.dim != n or self.cost.pieces_c.shape[1] != t * n:
             out.append(f"{where}: cost pieces must have {t * n} coordinates")
-        if not np.all(np.isfinite(self.cost.pieces_c)) or not np.all(np.isfinite(self.cost.pieces_d)):
+        if not (np.isfinite(self.cost.pieces_c).all() and np.isfinite(self.cost.pieces_d).all()):
             out.append(f"{where}: cost pieces contain non-finite entries")
         r = self.h.shape[0]
         if self.g.shape != (r, (t + 1) * n):
             out.append(f"{where}: G has shape {self.g.shape}, expected {(r, (t + 1) * n)}")
+        if not np.isfinite(self.g).all():
+            out.append(f"{where}: G contains non-finite entries")
         if self.lb.shape[0] != n or self.ub.shape[0] != n:
             out.append(f"{where}: box must have {n} coordinates")
-        elif not (np.all(np.isfinite(self.lb)) and np.all(np.isfinite(self.ub))):
+        elif not (np.isfinite(self.lb).all() and np.isfinite(self.ub).all()):
             out.append(f"{where}: non-compact decision set (box must be finite)")
-        elif np.any(self.lb > self.ub):
+        elif (self.lb > self.ub).any():
             out.append(f"{where}: box lower exceeds upper")
-        if not np.all(np.isfinite(self.b)) or not np.all(np.isfinite(self.h)):
+        if not (np.isfinite(self.b).all() and np.isfinite(self.h).all()):
             out.append(f"{where}: right-hand sides must be finite")
         if not (self.prob > 0.0):
             out.append(f"{where}: probability must be strictly positive")
@@ -402,29 +409,26 @@ class Topology:
 
 @dataclass
 class SubproblemData:
-    """Stage subproblem with the history folded into right-hand sides.
+    """One position's stage rows over its decision ``x_t``, affine in the history.
 
-    The ``*_hist`` matrices keep the coefficient blocks of the *decision*
-    history ``x_{1:t-1}`` (the fixed ``x_0`` block is already absorbed into
-    the constants); they are what cut assembly differentiates against.  The
-    blocks and ``history`` are views of the payload and of the history as
-    supplied: read them, never write them.
+    The rows are the equality system ``a_cur x_t = .``, then the static
+    inequalities ``g_cur x_t <= .`` and the cost pieces, which the stage LP
+    writes ``piece_cur x_t - w <= .`` with the cost's epigraph column ``w``.
+    At a history ``h = x_{0:t-1}`` their right-hand sides, in that order, are
+    ``b0 - hist @ h``: ``hist`` spans the full history, its ``x_0`` block
+    included (zero on the piece rows, as the cost has no ``x_0`` block).
+    Nothing else in the rows moves with the history.  The ``*_cur`` blocks
+    and the box are views of the payload: read them, never write them.
     """
 
     t: int
-    where: object            # the position this subproblem belongs to
-    piece_cur: np.ndarray    # (P, n)
-    piece_const: np.ndarray  # (P,)
-    piece_hist: np.ndarray   # (P, (t-1)*n)
     a_cur: np.ndarray        # (q, n)
-    eq_rhs: np.ndarray       # (q,)
-    a_hist: np.ndarray       # (q, (t-1)*n)
     g_cur: np.ndarray        # (r, n)
-    ineq_rhs: np.ndarray     # (r,)
-    g_hist: np.ndarray       # (r, (t-1)*n)
+    piece_cur: np.ndarray    # (P, n)
+    b0: np.ndarray           # (q + r + P,)
+    hist: np.ndarray         # (q + r + P, t*n)
     lb: np.ndarray
     ub: np.ndarray
-    history: np.ndarray      # (t*n,) = (x_0, x_1, ..., x_{t-1}) as supplied
 
 
 def history_vector(history, t: int, n: int) -> np.ndarray:
@@ -435,34 +439,23 @@ def history_vector(history, t: int, n: int) -> np.ndarray:
     return history
 
 
-def assemble_subproblem(p: Problem, where, history) -> SubproblemData:
-    """Fold a fixed history into one position's data (:meth:`Realization.fold`).
+def assemble_subproblem(p: Problem, where) -> SubproblemData:
+    """The rows of position ``where`` and their history map, from :meth:`Realization.fold_map`.
 
-    Parameters
-    ----------
-    p : Problem
-    where : a position of ``p.topology`` (``(t, j)`` on a lattice, a node id
-        on a tree).
-    history : array, length ``t * n``
-        Full history ``(x_0, x_1, ..., x_{t-1})``.
-
-    Returns
-    -------
-    SubproblemData
-        Pure function of its inputs (bit-identical outputs for identical
-        inputs).
+    ``where`` is a position of ``p.topology`` (``(t, j)`` on a lattice, a node
+    id on a tree).  A pure function of its inputs: identical inputs give
+    bit-identical outputs.
     """
     n = p.dim
     t = p.topology.stage(where)
     payload = p.topology.payload(where)
-    history = history_vector(history, t, n)
-    rows = payload.fold(history)
-    dec = slice(n, t * n)  # the x_{1:t-1} columns
-    return SubproblemData(t=t, where=where, piece_cur=rows.pieces_c, piece_const=rows.pieces_d,
-                          piece_hist=payload.cost.pieces_c[:, :(t - 1) * n],
-                          a_cur=rows.a, eq_rhs=rows.b, a_hist=payload.a_full[:, dec],
-                          g_cur=rows.g, ineq_rhs=rows.h, g_hist=payload.g[:, dec],
-                          lb=payload.lb, ub=payload.ub, history=history)
+    rows, b_hist, h_hist, d_hist = payload.fold_map(t * n)
+    n_p = rows.pieces_d.shape[0]
+    return SubproblemData(t=t, a_cur=rows.a, g_cur=rows.g, piece_cur=rows.pieces_c,
+                          b0=np.concatenate([rows.b, rows.h, -rows.pieces_d]),
+                          hist=np.vstack([b_hist, h_hist,
+                                          np.hstack([np.zeros((n_p, n)), d_hist])]),
+                          lb=payload.lb, ub=payload.ub)
 
 
 def validate_problem(p: Problem) -> list[str]:
@@ -474,6 +467,8 @@ def validate_problem(p: Problem) -> list[str]:
         out.append("dim must be >= 1")
     if p.x0.shape[0] != p.dim:
         out.append(f"x0 must have {p.dim} coordinates")
+    elif not np.isfinite(p.x0).all():
+        out.append("x0 entries must be finite")
     expected_l = max(p.horizon - 1, 0)
     if p.lower_value_bound.shape[0] != expected_l:
         out.append(f"lower_value_bound must list {expected_l} values (stages 2..T)")

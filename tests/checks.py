@@ -92,7 +92,7 @@ def check_subgradient(q_eval, x0, s, n_samples: int = 100, radius: float = 1.0,
 
 @dataclass
 class SubgradientTerms:
-    """The additive terms of ``valuefn.assemble_pi``'s subgradient, one per row block."""
+    """The additive terms of a stage LP's history subgradient, one per row block."""
 
     cost_term: np.ndarray
     eq_term: np.ndarray
@@ -100,19 +100,26 @@ class SubgradientTerms:
     cut_term: np.ndarray
 
 
-def subgradient_terms(sub, sol, view) -> SubgradientTerms:
+def subgradient_terms(problem, where, sol, view) -> SubgradientTerms:
     """Split the history subgradient of one optimal stage LP by row block.
 
-    The inequality duals are laid out [g rows][cost-piece rows][optimality-cut
+    The block formula ``valuefn.assemble_pi`` replaced, kept as its
+    reference: ``sum_i mu_i c_i,hist - A_hist^T dual_eq + G_hist^T mu_G +
+    beta1^T mu_cut`` over the decision history ``x_{1:t-1}``, with the
+    history blocks read from the payload's ``Realization.fold_map``.  The
+    inequality duals are laid out [g rows][cost-piece rows][optimality-cut
     rows][feasibility-cut rows]; multipliers below ``MU_ZERO_TOL`` count as
-    inactive, as in ``valuefn.assemble_pi``.
+    inactive.
     """
+    topo = problem.topology
+    n = problem.dim
+    _rows, b_hist, h_hist, d_hist = topo.payload(where).fold_map(topo.stage(where) * n)
     mu = np.where(sol.dual_ineq < MU_ZERO_TOL, 0.0, sol.dual_ineq)
-    n_g, n_p = sub.g_cur.shape[0], sub.piece_cur.shape[0]
+    n_g, n_p = h_hist.shape[0], d_hist.shape[0]
     cut_rows = np.vstack([view.opt_beta1, view.feas_beta1])
-    return SubgradientTerms(cost_term=mu[n_g:n_g + n_p] @ sub.piece_hist,
-                            eq_term=-(sub.a_hist.T @ sol.dual_eq),
-                            g_term=sub.g_hist.T @ mu[:n_g],
+    return SubgradientTerms(cost_term=mu[n_g:n_g + n_p] @ d_hist,
+                            eq_term=-(b_hist[:, n:].T @ sol.dual_eq),
+                            g_term=h_hist[:, n:].T @ mu[:n_g],
                             cut_term=cut_rows.T @ mu[n_g + n_p:])
 
 

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.optimize
 from scipy.optimize._highspy import _core as highs_core
 
 from conftest import (make_chain_instance, make_cvar_without_complete_recourse,
-                      make_newsvendor, make_newsvendor_tree)
+                      make_feasibility_instance, make_newsvendor, make_newsvendor_tree)
 from riskdp import cli, io, oracle
 from riskdp.cli import ORACLE_METHODS
 from riskdp.risk import RiskSpec
@@ -95,6 +96,8 @@ def test_usage_errors_exit_two(newsvendor_file, tmp_path):
     assert _run(["oracle", newsvendor_file]) == cli.EXIT_USAGE  # --method required
     assert _run(["solve", newsvendor_file, "--out", tmp_path / "x",
                  "--risk-override", "sideways"]) == cli.EXIT_USAGE
+    assert _run(["solve", newsvendor_file, "--out", tmp_path / "z",
+                 "--stall-tol", "nan"]) == cli.EXIT_USAGE
     # algorithm/form mismatch is an invocation error, not a numerical one
     assert _run(["solve", newsvendor_file, "--alg", "alg3",
                  "--out", tmp_path / "y"]) == cli.EXIT_USAGE
@@ -110,6 +113,32 @@ def test_missing_or_invalid_input_exits_three(tmp_path):
 def test_validate_round_trip(newsvendor_file, capsys):
     assert _run(["validate", newsvendor_file]) == cli.EXIT_OK
     assert capsys.readouterr().out.strip() == "ok"
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("entry, message", [
+    ("A", "equality blocks contain non-finite entries"),
+    ("G", "G contains non-finite entries"),
+    ("x0", "x0 entries must be finite"),
+])
+def test_non_finite_problem_data_is_invalid_input(tmp_path, capsys, command, entry, message):
+    # like a non-finite b, a NaN or inf in A, G or x0 fails validation with
+    # exit 3, rather than passing it and crashing the solve's LP assembly
+    path = tmp_path / "bad.json"
+    io.save_problem(make_feasibility_instance() if entry == "A" else make_newsvendor(), path)
+    doc = json.loads(path.read_text())
+    stage2 = doc["stages"][1]["realizations"][0]
+    if entry == "A":
+        stage2["A"][1][0][0] = math.nan
+    elif entry == "G":
+        stage2["G"][0][1] = -math.inf
+    else:
+        doc["x0"][0] = math.nan
+    path.write_text(json.dumps(doc))
+    argv = [command, path] + (["--out", tmp_path / "out"] if command == "solve" else [])
+    assert _run(argv) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "invalid problem" in err and message in err
 
 
 def test_oracle_methods(newsvendor_file, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_lattice_instance
-from riskdp import cuts, engine, lp, model
+from riskdp import cuts, engine, lp, model, valuefn
 from riskdp.risk import RiskSpec
 
 
@@ -85,10 +85,9 @@ def test_build_optimality_cut_rejects_bad_input():
 
 def test_build_feasibility_cut_worked_example():
     # phase-I value 0.5 at anchor x = 0.5 with equality dual 1 and history
-    # column 1 yields -x <= -1, i.e. the exact condition x >= 1
+    # column 1 has slope -1 and yields -x <= -1, i.e. the exact condition x >= 1
     cut = cuts.build_feasibility_cut(
-        phase1_value=0.5, dual_eq=np.array([1.0]), dual_feas=np.zeros(0),
-        a_hist=np.array([[1.0]]), feas_beta1=np.zeros((0, 1)),
+        phase1_value=0.5, slope=np.array([-1.0]),
         anchor=np.array([0.5]), stage=2, index=1, iteration=1)
     assert np.allclose(cut.beta_tilde, [-1.0])
     assert cut.theta_tilde == pytest.approx(-1.0)
@@ -110,9 +109,10 @@ def test_build_feasibility_cut_two_rows():
     sol = lp.solve(prob)
     assert sol.objective == pytest.approx(2.5, abs=1e-9)
     assert np.allclose(sol.dual_eq, [1.0, 1.0], atol=1e-9)
+    # both equality rows read b0 - (0, 1) . (x0, x1): slope -(1 + 1)
+    slope = valuefn.assemble_pi(np.array([[0.0, 1.0], [0.0, 1.0]]), sol, 1)
     cut = cuts.build_feasibility_cut(
-        phase1_value=sol.objective, dual_eq=sol.dual_eq, dual_feas=np.zeros(0),
-        a_hist=np.array([[1.0], [1.0]]), feas_beta1=np.zeros((0, 1)),
+        phase1_value=sol.objective, slope=slope,
         anchor=np.zeros(1), stage=2, index=1, iteration=1)
     assert np.allclose(cut.beta_tilde, [-2.0])
     assert cut.theta_tilde == pytest.approx(-2.5)
@@ -124,9 +124,7 @@ def test_build_feasibility_cut_two_rows():
 
 def test_build_feasibility_cut_requires_positive_value():
     with pytest.raises(cuts.CutError):
-        cuts.build_feasibility_cut(0.0, np.array([1.0]), np.zeros(0),
-                                   np.array([[1.0]]), np.zeros((0, 1)),
-                                   np.zeros(1))
+        cuts.build_feasibility_cut(0.0, np.array([-1.0]), np.zeros(1))
 
 
 def test_duplicate_feasibility_cut_rejected():
@@ -249,10 +247,13 @@ def test_deduped_pool_matches_the_full_list(seed):
     for j in range(2):
         x1 = rng.uniform(problem.stages[0].realizations[0].lb,
                          problem.stages[0].realizations[0].ub)
-        sub = model.assemble_subproblem(problem, (2, j), np.concatenate([problem.x0, x1]))
+        sub = model.assemble_subproblem(problem, (2, j))
+        history = np.concatenate([problem.x0, x1])
         objs = []
         for pool in (deduped, full):
-            sol = lp.solve(engine.build_stage_lp(sub, pool.view(n), problem.z_lower(2)))
+            prob, _b0, _hist = engine.build_stage_lp(sub, pool.view(n), problem.z_lower(2),
+                                                     history)
+            sol = lp.solve(prob)
             assert sol.status == lp.OPTIMAL
             objs.append(sol.objective)
         assert objs[0] == pytest.approx(objs[1], abs=1e-9)

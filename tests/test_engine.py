@@ -269,6 +269,17 @@ def test_sample_path_is_pure_and_matches_probabilities():
     assert abs(counts[0] - draws * 0.3) <= 3.0 * sigma
 
 
+def test_stage_uniform_is_the_generator_draw():
+    # the draw skips building a Generator; it must keep its bits, so that
+    # sample_path replays the same paths (negative seeds and seeds of 2**63
+    # or more are masked to 64 bits as the key)
+    for seed in (0, 1, 7, 1101, 2**32 + 5, 2**63, 2**64 - 1, -1, -1101):
+        for k in range(1, 11):
+            for t in range(2, 8):
+                bits = np.random.Philox(counter=[0, 0, k, t], key=seed & (2**64 - 1))
+                assert engine._stage_uniform(seed, k, t) == np.random.Generator(bits).random()
+
+
 def test_probe_sees_every_cut_solve():
     seen = []
 
@@ -281,6 +292,14 @@ def test_probe_sees_every_cut_solve():
     engine.run(_newsvendor(), _cfg(max_iters=2, probe=probe))
     assert (2, (2, 0)) in seen and (2, (2, 1)) in seen
     assert len(seen) == 4  # two children per iteration, two iterations
+
+
+@pytest.mark.parametrize("stall_tol", [math.nan, math.inf, -1e-9])
+def test_stall_tol_must_be_finite_and_nonnegative(stall_tol):
+    # nan < 0 is False, so a bare sign check would let nan through and
+    # silently switch the stall rule off
+    with pytest.raises(engine.ConfigError, match="stall_tol"):
+        engine.run(_newsvendor(), _cfg(stall_tol=stall_tol))
 
 
 def test_config_validation_errors():
@@ -423,6 +442,24 @@ def test_oracle_check_final_without_complete_recourse():
     assert abs(res.oracle_gap) <= 1e-9
 
 
+@pytest.mark.parametrize("case", ["alg1-lattice", "alg3-tree"])
+def test_payload_is_folded_once_per_cold_stage_lp(monkeypatch, case):
+    # a warm re-solve only moves the right-hand side along the held map, so
+    # the payload's rows are folded once per cold build, not once per LP
+    fold_map = model.Realization.fold_map
+    folds = Counter()
+
+    def counting(self, k):
+        folds["calls"] += 1
+        return fold_map(self, k)
+
+    monkeypatch.setattr(model.Realization, "fold_map", counting)
+    problem = _mixture_lattice() if case == "alg1-lattice" else _cvar_tree()
+    algorithm = "alg1" if case == "alg1-lattice" else "alg3"
+    diag = engine.run(problem, _cfg(algorithm=algorithm, max_iters=8, stall_window=9)).diagnostics
+    assert 0 < folds["calls"] == diag["lps"] - diag["lps_warm"] < diag["lps"]
+
+
 def test_lp_counts_are_reported(caplog):
     with caplog.at_level(logging.INFO, logger="riskdp.engine"):
         res = engine.run(_mixture_lattice(), _cfg(max_iters=8, stall_window=9))
@@ -440,6 +477,7 @@ def _stage_lp_state(stage_lp: engine.StageLp) -> tuple:
     if held is None:
         return stage_lp.n_opt, stage_lp.n_feas, None
     return (stage_lp.n_opt, stage_lp.n_feas, id(held), held.stale,
+            stage_lp.b0.tobytes(), stage_lp.hist.tobytes(),
             *(getattr(held, name).tobytes()
               for name in ("a", "b", "basis", "status_col", "x", "b_inv")))
 

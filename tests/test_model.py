@@ -60,10 +60,10 @@ def test_assemble_stage1():
     # A_{1,0} = 1, A_{1,1} = 1, b = 2, x0 = 0  ->  x_1 = 2
     pay = _payload(1, 1, a=[np.array([[1.0]]), np.array([[1.0]])], b=np.array([2.0]))
     prob = model.Problem(horizon=1, dim=1, x0=[0.0], stages=[model.Stage([pay])])
-    sub = model.assemble_subproblem(prob, (1, 0), history=[0.0])
+    sub = model.assemble_subproblem(prob, (1, 0))
     assert np.allclose(sub.a_cur, [[1.0]])
-    assert np.allclose(sub.eq_rhs, [2.0])
-    assert sub.a_hist.shape == (1, 0)
+    assert np.allclose(sub.b0 - sub.hist @ [0.0], [2.0, 0.0])  # the equality row, the piece row
+    assert sub.hist.shape == (2, 1)  # stage 1: only the x_0 block
 
 
 def test_assemble_stage2_history_folding():
@@ -73,9 +73,9 @@ def test_assemble_stage2_history_folding():
     prob = model.Problem(horizon=2, dim=1, x0=[0.0],
                          stages=[stage1, model.Stage([pay], risk=RiskSpec())],
                          lower_value_bound=[0.0])
-    sub = model.assemble_subproblem(prob, (2, 0), history=[0.0, 1.0])
-    assert np.allclose(sub.eq_rhs, [2.0])
-    assert np.allclose(sub.a_hist, [[1.0]])
+    sub = model.assemble_subproblem(prob, (2, 0))
+    assert np.allclose((sub.b0 - sub.hist @ [0.0, 1.0])[:1], [2.0])
+    assert np.allclose(sub.hist[:1], [[0.0, 1.0]])  # the x_0 and x_1 blocks
 
 
 def test_assemble_constant_absorption():
@@ -85,10 +85,11 @@ def test_assemble_constant_absorption():
     prob = model.Problem(horizon=2, dim=1, x0=[0.0],
                          stages=[model.Stage([_payload(1, 1)]), model.Stage([pay])],
                          lower_value_bound=[0.0])
-    sub = model.assemble_subproblem(prob, (2, 0), history=[0.0, 5.0])
+    sub = model.assemble_subproblem(prob, (2, 0))
     assert np.allclose(sub.piece_cur, [[2.0]])
-    assert np.allclose(sub.piece_const, [5.0])
-    assert np.allclose(sub.piece_hist, [[1.0]])
+    # the piece row reads 2 x_2 - w <= -d' over the epigraph column w
+    assert np.allclose(sub.b0 - sub.hist @ [0.0, 5.0], [-5.0])
+    assert np.allclose(sub.hist, [[0.0, 1.0]])  # no x_0 block in the cost
 
 
 def test_assemble_is_pure():
@@ -96,11 +97,10 @@ def test_assemble_is_pure():
     prob = model.Problem(horizon=2, dim=2, x0=[0.0, 0.0],
                          stages=[model.Stage([_payload(1, 2)]), model.Stage([pay])],
                          lower_value_bound=[0.0])
-    h = [0.0, 0.0, 1.0, 2.0]
-    s1 = model.assemble_subproblem(prob, (2, 0), h)
-    s2 = model.assemble_subproblem(prob, (2, 0), h)
-    assert s1.eq_rhs.tobytes() == s2.eq_rhs.tobytes()
-    assert s1.piece_const.tobytes() == s2.piece_const.tobytes()
+    s1 = model.assemble_subproblem(prob, (2, 0))
+    s2 = model.assemble_subproblem(prob, (2, 0))
+    assert s1.b0.tobytes() == s2.b0.tobytes()
+    assert s1.hist.tobytes() == s2.hist.tobytes()
 
 
 def test_assemble_feasible_set_convex_in_history():
@@ -112,15 +112,15 @@ def test_assemble_feasible_set_convex_in_history():
     prob = model.Problem(horizon=2, dim=1, x0=[0.0],
                          stages=[model.Stage([_payload(1, 1)]), model.Stage([pay])],
                          lower_value_bound=[0.0])
+    sub = model.assemble_subproblem(prob, (2, 0))
     for _ in range(20):
         h1, h2 = rng.uniform(-3, 3, size=2)
         lam = rng.uniform()
-        s1 = model.assemble_subproblem(prob, (2, 0), [0.0, h1])
-        s2 = model.assemble_subproblem(prob, (2, 0), [0.0, h2])
-        y1, y2 = s1.eq_rhs[0], s2.eq_rhs[0]  # the unique feasible x_2 values
-        sb = model.assemble_subproblem(prob, (2, 0), [0.0, lam * h1 + (1 - lam) * h2])
+        # the unique feasible x_2 values
+        y1, y2 = [(sub.b0 - sub.hist @ [0.0, h])[0] for h in (h1, h2)]
         yb = lam * y1 + (1 - lam) * y2
-        assert np.allclose(sb.a_cur @ [yb], sb.eq_rhs, atol=1e-12)
+        eq_rhs = (sub.b0 - sub.hist @ [0.0, lam * h1 + (1 - lam) * h2])[:1]
+        assert np.allclose(sub.a_cur @ [yb], eq_rhs, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
