@@ -11,7 +11,8 @@ of equality blocks, one per decision ``x_0..x_t``), ``b``, ``G`` (a single
 matrix over the full history), ``h``, ``lb``, ``ub``.  ``A``/``b`` and
 ``G``/``h`` may be omitted when a payload has no such rows.  In tree form
 the root row is a synthetic anchor: ``parent`` is ``null``, it carries no
-payload, and its single child is the stage-1 node.
+payload, and its single child is the stage-1 node.  Tree nodes may come in
+any order; validation checks that they form one rooted tree.
 
 Run artifacts are CSV and JSON files written for byte-stable replay diffs:
 all floats are printed with 17 significant digits, CSV uses ``.`` as the
@@ -97,7 +98,7 @@ def dump_json(obj) -> str:
 # problem files
 # ---------------------------------------------------------------------------
 
-def _parse_payload(raw: dict, t: int, n: int, where: str) -> Realization:
+def _parse_payload(raw: dict, n: int, where: str) -> Realization:
     try:
         pieces = raw["cost_pieces"]
         if not pieces:
@@ -126,6 +127,14 @@ def _risk_from(raw: dict, default: RiskSpec, where: str) -> RiskSpec:
         raise IoError(f"{where}: {exc}") from exc
 
 
+def _list_in(raw, key: str, where: str, default=None) -> list:
+    """``raw[key]`` (``default`` when absent), where ``raw`` must be an object and it a list."""
+    value = raw.get(key, default) if isinstance(raw, dict) else None
+    if not isinstance(value, list):
+        raise IoError(f"malformed {where}: expected an object with a {key!r} list")
+    return value
+
+
 def problem_from_dict(doc: dict) -> Problem:
     """Build a problem from its JSON document (see module docstring)."""
     try:
@@ -138,40 +147,28 @@ def problem_from_dict(doc: dict) -> Problem:
         raise IoError(f"malformed problem document: {exc}") from exc
     default_risk = _risk_from(doc, RiskSpec(), "top-level risk")
     if form == LATTICE:
-        if "stages" not in doc:
-            raise IoError("lattice form requires a 'stages' list")
         stages = []
-        for s, raw_stage in enumerate(doc["stages"], start=1):
-            risk = _risk_from(raw_stage, default_risk, f"stage {s}")
-            reals = [_parse_payload(raw, s, n, f"stage {s} realization {j}")
-                     for j, raw in enumerate(raw_stage.get("realizations", []))]
-            stages.append(Stage(realizations=reals, risk=risk))
+        for s, raw_stage in enumerate(_list_in(doc, "stages", "lattice document"), start=1):
+            where = f"stage {s}"
+            reals = [_parse_payload(raw, n, f"{where} realization {j}")
+                     for j, raw in enumerate(_list_in(raw_stage, "realizations", where, []))]
+            stages.append(Stage(reals, risk=_risk_from(raw_stage, default_risk, where)))
         problem = Problem(horizon=horizon, dim=n, x0=x0, form=LATTICE,
                           stages=stages, lower_value_bound=lvb)
     elif form == TREE:
-        if "nodes" not in doc:
-            raise IoError("tree form requires a 'nodes' list")
-        raw_nodes = doc["nodes"]
-        depth_of: dict[int, int] = {}
-        for raw in raw_nodes:  # depths for payload shapes; full checks come later
-            nid = int(raw["id"])
-            parent = raw.get("parent")
-            if parent is None:
-                depth_of[nid] = 0
-            elif int(parent) in depth_of:
-                depth_of[nid] = depth_of[int(parent)] + 1
-            else:
-                raise IoError(f"node {nid}: parent {parent} must appear earlier")
         nodes = []
-        for raw in raw_nodes:
-            nid = int(raw["id"])
-            parent = raw.get("parent")
-            d = depth_of[nid]
-            payload = (None if parent is None
-                       else _parse_payload(raw, d, n, f"node {nid}"))
-            nodes.append(Node(id=nid, parent=None if parent is None else int(parent),
-                              prob=float(raw.get("prob", 1.0)), payload=payload,
-                              risk=_risk_from(raw, default_risk, f"node {nid}")))
+        for i, raw in enumerate(_list_in(doc, "nodes", "tree document")):
+            try:
+                nid, parent = int(raw["id"]), raw.get("parent")
+                parent = None if parent is None else int(parent)
+                prob = float(raw.get("prob", 1.0))
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise IoError(f"malformed node entry {i}: expected an object with an "
+                              f"integer 'id' and 'parent': {exc!r}") from exc
+            where = f"node {nid}"
+            nodes.append(Node(id=nid, parent=parent, prob=prob,
+                              payload=None if parent is None else _parse_payload(raw, n, where),
+                              risk=_risk_from(raw, default_risk, where)))
         problem = Problem(horizon=horizon, dim=n, x0=x0, form=TREE,
                           nodes=nodes, lower_value_bound=lvb)
     else:
@@ -232,7 +229,7 @@ def problem_to_dict(p: Problem) -> dict:
         rows = []
         for node in p.nodes:
             raw = {"id": node.id, "parent": node.parent, "prob": float(node.prob)}
-            if node.parent is not None and p.depth(node.id) >= 1 and p.children(node.id):
+            if node.parent is not None and p.children(node.id):
                 raw["risk"] = node.risk.to_json_fragment()
             if node.payload is not None:
                 # node.prob is canonical for trees; keep the payload's copy out

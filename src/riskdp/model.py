@@ -37,8 +37,9 @@ Everything downstream of the file format sees a problem through its
 :class:`Topology` (the policy-graph view): *positions* address stage
 subproblems, *pool keys* name cost-to-go approximations.  A pool key is a
 stage on a lattice (all nodes of a stage share one cost-to-go) and a node on
-a tree (every node has its own).  The form itself is read only by the file
-format, :func:`validate_problem` and the :class:`Topology` constructor.
+a tree (every node has its own).  :func:`validate_problem` walks that view
+too, so the form itself is read only by parsing, the :class:`Topology`
+constructor and the algorithm/form check.
 """
 
 from __future__ import annotations
@@ -257,10 +258,6 @@ class Problem:
     def children(self, node_id: int) -> list[int]:
         return self.topology.children(node_id)
 
-    @property
-    def root_id(self) -> int:
-        return self.topology.roots[0]
-
     def depth(self, node_id: int) -> int:
         return self.topology.depth[node_id]
 
@@ -302,6 +299,7 @@ class Topology:
         self._pool: dict = {}     # position -> key of the pool its subproblem reads
         self._kids: dict = {}     # key -> child positions
         self._risk_of: dict = {}  # key -> the object holding its ``risk``
+        self.defects: list[str] = []  # why a node list is not one rooted tree
         if p.form == TREE:
             self._index_tree(p.nodes)
         else:
@@ -311,9 +309,11 @@ class Topology:
         for w, key in self._pool.items():
             self._holders.setdefault(key, []).append(w)
         self.keys = list(self._holders)
+        self.positions = list(self._pool)
 
     def _index_lattice(self, stages: list[Stage]) -> None:
         self.root = 1
+        self._noun = "stage"
         for t, stage in enumerate(stages, start=1):
             self._risk_of[t] = stage
             self._kids[t] = []
@@ -325,25 +325,27 @@ class Topology:
         self._kids[len(stages) + 1] = []
 
     def _index_tree(self, nodes: list[Node]) -> None:
+        self._noun = "node"
         self.by_id = {node.id: node for node in nodes}
         self._kids = {node.id: [] for node in nodes}
-        self.roots = []
+        roots = [node.id for node in nodes if node.parent is None]
         for node in nodes:
-            if node.parent is None:
-                self.roots.append(node.id)
-            elif node.parent in self._kids:
+            if node.parent in self._kids:
                 self._kids[node.parent].append(node.id)
-        self.root = self.roots[0] if self.roots else None
+        self.root = roots[0] if roots else None
         self.depth: dict[int, int] = {}
-        if len(self.roots) == 1:
+        if len(self.by_id) != len(nodes):
+            self.defects.append("duplicate node ids")
+        elif len(roots) != 1:
+            self.defects.append(f"expected exactly one root, found {len(roots)}")
+        else:  # distinct ids and one parent each: every node is met at most once
             frontier = [(self.root, 0)]
             while frontier:
                 nid, d = frontier.pop()
-                if nid in self.depth:   # repeated visit: not a tree
-                    self.depth.clear()
-                    return
                 self.depth[nid] = d
                 frontier.extend((c, d + 1) for c in self._kids[nid])
+            if len(self.depth) != len(nodes):
+                self.defects.append("node set is not a connected acyclic tree")
         for node in nodes:
             self._risk_of[node.id] = node
             if node.parent is not None and node.id in self.depth:
@@ -351,6 +353,12 @@ class Topology:
                 self._item[node.id] = node
                 self._payload[node.id] = node.payload
                 self._pool[node.id] = node.id
+
+    def label(self, x) -> str:
+        """A position or pool key as messages name it (``stage 2 realization 0``, ``node 5``)."""
+        if isinstance(x, tuple):
+            return f"stage {x[0]} realization {x[1]}"
+        return f"{self._noun} {x}"
 
     # -- positions ---------------------------------------------------------
 
@@ -474,81 +482,37 @@ def validate_problem(p: Problem) -> list[str]:
         out.append(f"lower_value_bound must list {expected_l} values (stages 2..T)")
     elif not np.all(np.isfinite(p.lower_value_bound)):
         out.append("lower_value_bound entries must be finite")
-    if p.form == LATTICE:
-        out.extend(_validate_lattice(p))
-    elif p.form == TREE:
-        out.extend(_validate_tree(p))
-    else:
-        out.append(f"unknown form {p.form!r}")
-    return out
-
-
-def _validate_lattice(p: Problem) -> list[str]:
-    out: list[str] = []
-    if len(p.stages) != p.horizon:
-        out.append(f"expected {p.horizon} stages, found {len(p.stages)}")
-        return out
-    if len(p.stages[0].realizations) != 1:
-        out.append("stage 1 must have exactly one realization (deterministic first stage)")
-    for s, stage in enumerate(p.stages, start=1):
-        if not stage.realizations:
-            out.append(f"stage {s}: no realizations")
-            continue
-        probs = np.array([r.prob for r in stage.realizations])
-        if np.any(probs <= 0.0):
-            out.append(f"stage {s}: probabilities must be strictly positive")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            out.append(f"stage {s}: probabilities sum != 1")
-        for j, payload in enumerate(stage.realizations):
-            out.extend(payload.violations(s, p.dim, f"stage {s} realization {j}"))
-        if s >= 2:
-            try:
-                validate_risk_set(stage.risk, probs / probs.sum())
-            except RiskConfigError as exc:
-                out.append(f"stage {s}: risk spec invalid: {exc}")
-    return out
-
-
-def _validate_tree(p: Problem) -> list[str]:
-    out: list[str] = []
-    if not p.nodes:
-        return ["tree form requires nodes"]
-    ids = [node.id for node in p.nodes]
-    if len(set(ids)) != len(ids):
-        out.append("duplicate node ids")
-        return out
+    if p.form not in (LATTICE, TREE):
+        return out + [f"unknown form {p.form!r}"]
     topo = p.topology
-    if len(topo.roots) != 1:
-        out.append(f"expected exactly one root, found {len(topo.roots)}")
-        return out
-    if not topo.depth or len(topo.depth) != len(p.nodes):
-        out.append("node set is not a connected acyclic tree")
-        return out
-    root = p.root_id
-    if len(p.children(root)) != 1:
-        out.append("the root must have exactly one child (deterministic first stage)")
-    for node in p.nodes:
-        d = p.depth(node.id)
-        kids = p.children(node.id)
-        if d < p.horizon and not kids:
-            out.append(f"node {node.id}: leaf at depth {d}, expected all leaves at depth {p.horizon}")
-        if d == p.horizon and kids:
-            out.append(f"node {node.id}: children beyond the horizon")
-        if kids:
-            probs = topo.probs(node.id)
-            if np.any(probs <= 0.0):
-                out.append(f"node {node.id}: child probabilities must be strictly positive")
-            if abs(probs.sum() - 1.0) > 1e-9:
-                out.append(f"node {node.id}: child probabilities sum != 1")
-            elif d >= 1:
-                try:
-                    validate_risk_set(node.risk, probs / probs.sum())
-                except RiskConfigError as exc:
-                    out.append(f"node {node.id}: risk spec invalid: {exc}")
-        if node.id == root:
+    if topo.defects:
+        return out + topo.defects
+    root, horizon = topo.root, p.horizon
+    if len(topo.children(root)) != 1:
+        out.append(f"{topo.label(root)}: must have exactly one child (deterministic first stage)")
+    reader_stage = {root: 0} | {topo.pool(w): topo.stage(w) for w in topo.positions}
+    for key, s in reader_stage.items():  # s: the stage of the subproblems reading key
+        where = topo.label(key)
+        if topo.terminal(key):
+            if s < horizon:
+                out.append(f"{where}: leaf at stage {s}, expected {horizon} stages")
             continue
-        if node.payload is None:
-            out.append(f"node {node.id}: missing payload")
+        if s >= horizon:
+            out.append(f"{where}: children beyond the horizon, expected {horizon} stages")
+        probs = topo.probs(key)
+        if np.any(probs <= 0.0):
+            out.append(f"{where}: probabilities must be strictly positive")
+        if abs(probs.sum() - 1.0) > 1e-9:
+            out.append(f"{where}: probabilities sum != 1")
+        elif key != root:
+            try:
+                validate_risk_set(topo.risk(key), probs / probs.sum())
+            except RiskConfigError as exc:
+                out.append(f"{where}: risk spec invalid: {exc}")
+    for w in topo.positions:
+        payload = topo.payload(w)
+        if payload is None:
+            out.append(f"{topo.label(w)}: missing payload")
         else:
-            out.extend(node.payload.violations(d, p.dim, f"node {node.id}"))
+            out.extend(payload.violations(topo.stage(w), p.dim, topo.label(w)))
     return out

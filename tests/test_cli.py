@@ -110,6 +110,27 @@ def test_missing_or_invalid_input_exits_three(tmp_path):
     assert _run(["validate", bad]) == cli.EXIT_FAILURE
 
 
+@pytest.mark.parametrize("tree, damage", [
+    (True, lambda doc: doc["nodes"][1].pop("id")),
+    (True, lambda doc: doc["nodes"][1].update(parent="root")),
+    (True, lambda doc: doc["nodes"].__setitem__(1, [1, 0])),
+    (True, lambda doc: doc.update(nodes={str(r["id"]): r for r in doc["nodes"]})),
+    (False, lambda doc: doc.update(stages={str(s): r for s, r in enumerate(doc["stages"])})),
+    (False, lambda doc: doc["stages"].__setitem__(1, doc["stages"][1]["realizations"])),
+    (False, lambda doc: doc["stages"][1].update(realizations=2)),
+], ids=["node-without-id", "non-integer-parent", "node-not-an-object", "nodes-not-a-list",
+        "stages-not-a-list", "stage-not-an-object", "realizations-not-a-list"])
+def test_malformed_document_structure_exits_three(tmp_path, capsys, tree, damage):
+    # a document whose nodes or stages have the wrong JSON shape is malformed
+    # input (exit 3), not a crash that exits 1 like a proven infeasibility
+    doc = io.problem_to_dict(make_newsvendor_tree() if tree else make_newsvendor())
+    damage(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert _run(["validate", path]) == cli.EXIT_FAILURE
+    assert "malformed" in capsys.readouterr().err
+
+
 def test_validate_round_trip(newsvendor_file, capsys):
     assert _run(["validate", newsvendor_file]) == cli.EXIT_OK
     assert capsys.readouterr().out.strip() == "ok"

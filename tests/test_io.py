@@ -10,7 +10,7 @@ from checks import n_optimality_cuts
 from conftest import (lattice_to_tree, make_chain_instance,
                       make_feasibility_instance, make_newsvendor,
                       make_newsvendor_tree, random_lattice_instance)
-from riskdp import engine, io, model
+from riskdp import engine, io, model, oracle
 from riskdp.risk import RiskSpec
 
 
@@ -82,6 +82,20 @@ def test_tree_round_trip(tmp_path):
     assert q.form == model.TREE
     assert model.validate_problem(q) == []
     assert io.problem_to_dict(q) == io.problem_to_dict(p)
+
+
+def test_tree_nodes_load_in_any_order():
+    # children listed before their parents: the node list is indexed as a
+    # whole, so it loads, validates and solves to the same value
+    p = make_newsvendor_tree(RiskSpec(kind="cvar", epsilon=0.5))
+    doc = io.problem_to_dict(p)
+    doc["nodes"].reverse()
+    q = io.problem_from_dict(doc)
+    assert [node.id for node in q.nodes] == [3, 2, 1, 0]
+    assert model.validate_problem(q) == []
+    assert q.topology.root == 0 and q.depth(3) == 2 and q.children(1) == [3, 2]
+    assert io.problem_to_dict(q) == doc
+    assert oracle.reference_value(q) == pytest.approx(oracle.reference_value(p), abs=1e-12)
 
 
 def test_polytope_risk_round_trips(tmp_path):

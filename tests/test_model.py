@@ -198,22 +198,43 @@ def test_validate_non_compact_box():
 def test_validate_stage1_must_be_deterministic():
     s1 = model.Stage([_payload(1, 1, prob=0.5), _payload(1, 1, prob=0.5)])
     prob = model.Problem(horizon=1, dim=1, x0=[0.0], stages=[s1])
-    assert any("exactly one realization" in v for v in model.validate_problem(prob))
+    assert any("stage 1: must have exactly one child" in v
+               for v in model.validate_problem(prob))
 
 
-def _tiny_tree():
-    nodes = [model.Node(id=0, parent=None),
-             model.Node(id=1, parent=0, payload=_payload(1, 1)),
-             model.Node(id=2, parent=1, prob=0.5, payload=_payload(2, 1)),
-             model.Node(id=3, parent=1, prob=0.5, payload=_payload(2, 1))]
-    return model.Problem(horizon=2, dim=1, x0=[0.0], form=model.TREE,
-                         nodes=nodes, lower_value_bound=[0.0])
+def _lattice(*stages, horizon=None):
+    """A lattice problem over ``stages`` (``horizon`` defaults to their count)."""
+    horizon = len(stages) if horizon is None else horizon
+    return model.Problem(horizon=horizon, dim=1, x0=[0.0], stages=list(stages),
+                         lower_value_bound=[0.0] * (horizon - 1))
+
+
+def _stage(t, probs=(1.0,), risk=None):
+    return model.Stage([_payload(t, 1, prob=q) for q in probs], risk=risk or RiskSpec())
+
+
+def _tree(*nodes, horizon=2):
+    """A tree problem; each node is ``(id, parent, prob, depth)``, depth None for no payload."""
+    return model.Problem(horizon=horizon, dim=1, x0=[0.0], form=model.TREE,
+                         nodes=[model.Node(id=i, parent=up, prob=q,
+                                           payload=None if d is None else _payload(d, 1))
+                                for i, up, q, d in nodes],
+                         lower_value_bound=[0.0] * (horizon - 1))
+
+
+def _tiny_tree(*extra, horizon=2, kids=(0.5, 0.5), risk=None):
+    """Root 0, stage-1 node 1, its children 2.. with probabilities ``kids``, then ``extra``."""
+    prob = _tree((0, None, 1.0, None), (1, 0, 1.0, 1),
+                 *[(2 + i, 1, q, 2) for i, q in enumerate(kids)], *extra, horizon=horizon)
+    if risk is not None:
+        prob.nodes[1].risk = risk
+    return prob
 
 
 def test_validate_good_tree():
     prob = _tiny_tree()
     assert model.validate_problem(prob) == []
-    assert prob.root_id == 0
+    assert prob.topology.root == 0
     assert prob.children(1) == [2, 3]
     assert prob.depth(3) == 2
     assert nodes_at_depth(prob, 2) == [2, 3]
@@ -232,6 +253,37 @@ def test_validate_tree_errors():
     nodes2 = [model.Node(id=0, parent=None), model.Node(id=1, parent=None)]
     prob2 = model.Problem(horizon=1, dim=1, x0=[0.0], form=model.TREE, nodes=nodes2)
     assert any("one root" in v for v in model.validate_problem(prob2))
+
+
+BAD_CVAR = RiskSpec(kind="cvar", epsilon=1.5)
+
+
+@pytest.mark.parametrize("make, parts", [
+    (lambda: _lattice(_stage(1), _stage(2), horizon=3), ["expected 3 stages"]),
+    (lambda: _lattice(_stage(1), _stage(2), _stage(3), horizon=2), ["expected 2 stages"]),
+    (lambda: _lattice(_stage(1), model.Stage([])), ["stage 2:"]),
+    (lambda: _lattice(model.Stage([]), _stage(2)), ["stage 1", "deterministic first stage"]),
+    (lambda: _lattice(_stage(1), _stage(2, (1.5, -0.5))),
+     ["stage 2:", "probabilities must be strictly positive"]),
+    (lambda: _tiny_tree(kids=(1.5, -0.5)),
+     ["node 1:", "probabilities must be strictly positive"]),
+    (lambda: _lattice(_stage(1), _stage(2, (0.5, 0.5), BAD_CVAR)),
+     ["stage 2:", "risk spec invalid", "epsilon"]),
+    (lambda: _tiny_tree(risk=BAD_CVAR), ["node 1:", "risk spec invalid", "epsilon"]),
+    (lambda: _tiny_tree((3, 1, 0.5, 2)), ["duplicate node ids"]),
+    (lambda: _tree((1, 0, 1.0, 1), (2, 1, 1.0, 2)), ["exactly one root, found 0"]),
+    (lambda: _tiny_tree((4, 9, 1.0, 2)), ["not a connected acyclic tree"]),
+    (lambda: _tiny_tree((4, 5, 1.0, 2), (5, 4, 1.0, 2)), ["not a connected acyclic tree"]),
+    (lambda: _tree((0, None, 1.0, None), (1, 0, 1.0, 1), (2, 1, 1.0, None)),
+     ["node 2: missing payload"]),
+    (lambda: _tiny_tree((4, 2, 1.0, 3), horizon=3), ["node 3: leaf at"]),
+], ids=["lattice-too-few-stages", "lattice-too-many-stages", "lattice-empty-stage",
+        "lattice-empty-stage-1", "lattice-non-positive-prob", "tree-non-positive-prob",
+        "lattice-risk-set", "tree-risk-set", "duplicate-ids", "no-root", "disconnected",
+        "cyclic", "missing-payload", "leaf-before-horizon"])
+def test_validate_rejects_each_defect_on_both_forms(make, parts):
+    violations = model.validate_problem(make())
+    assert any(all(part in v for part in parts) for v in violations), violations
 
 
 def test_z_lower_indexing():
