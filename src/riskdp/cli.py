@@ -181,8 +181,7 @@ def _cmd_check_cuts(args) -> int:
     for where in sorted(by_where):
         lo, hi = _history_box(problem, where)
         points = rng.uniform(lo, hi, size=(args.points, lo.shape[0]))
-        trues = oracle.true_recourse_value(
-            problem, where, np.hstack([np.tile(problem.x0, (args.points, 1)), points]))
+        trues = oracle.true_recourse_value(problem, where, points)
         for x, true in zip(points, trues.tolist()):
             for rec in by_where[where]:
                 n_checked += 1

@@ -128,9 +128,6 @@ class CutPool:
         self.feasibility: list[FeasibilityCut] = []
         self._view_cache: tuple[int, int, int, PoolView] | None = None
 
-    def __len__(self) -> int:
-        return len(self.optimality)
-
     def append_optimality(self, cut: OptimalityCut) -> bool:
         """Append ``cut`` unless its LP row is already pooled; True when appended.
 

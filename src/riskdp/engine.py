@@ -20,8 +20,8 @@ All three share one subproblem layout.  A stage-t solve has variables
 ``[x_t, w, z]`` with objective ``w + z``: ``w`` is the epigraph of the
 piecewise-linear stage cost, ``z`` under-estimates the risk-adjusted recourse
 through the optimality-cut rows.  Its right-hand side is one affine map
-``b0 - M h`` of the history ``h = x_{0:t-1}`` (:func:`build_stage_lp`), and
-its value's subgradient is ``M[:, n:]^T`` applied to the row duals
+``b0 - M h`` of the history ``h = x_{1:t-1}`` (:func:`build_stage_lp`), and
+its value's subgradient is ``M^T`` applied to the row duals
 (:mod:`riskdp.valuefn`).  The final stage is handled uniformly through a
 permanent zero cut (the beyond-horizon value is identically zero).
 
@@ -89,10 +89,12 @@ class ConfigError(ValueError):
 class RunConfig:
     """Run parameters.
 
-    ``oracle_check`` is ``"off"``, ``"final"`` or ``"every:K"``; ``probe`` is
+    ``oracle_check`` is ``"off"``, ``"final"`` or ``"every:K"`` (the reference
+    value is solved once per run, when first needed); ``probe`` is
     an optional callable invoked at every cut-construction child solve with a
     dict (keys ``stage``, ``realization``, ``history``, ``value``, ``pi``,
-    ``resolve``).  ``resolve(history)`` solves the event's subproblem cold at
+    ``resolve``), where ``history`` is the decisions ``x_{1:t-1}`` the child
+    was solved at.  ``resolve(history)`` solves the event's subproblem cold at
     ``history`` against the run's pools as they are when it is called, and
     leaves the driver's stage LPs unchanged.  Called inside the probe, those
     are the event's pools, and ``value + pi . (history - event history)`` is
@@ -252,18 +254,13 @@ def _feas_rows(beta2: np.ndarray) -> np.ndarray:
     return np.hstack([beta2, np.zeros((beta2.shape[0], 2))])
 
 
-def _cut_hist(beta1: np.ndarray, n: int) -> np.ndarray:
-    """The history rows ``[0 | beta1]`` of cut rows: a cut has no ``x_0`` block."""
-    return np.hstack([np.zeros((beta1.shape[0], n)), beta1])
-
-
 def build_stage_lp(sub: SubproblemData, view, z_lo: float,
                    history: np.ndarray) -> tuple[lp.LpProblem, np.ndarray, np.ndarray]:
     """Canonical stage LP at ``history`` and its right-hand side map ``(b0, hist)``.
 
     Variables ``[x_t, w, z]``, objective ``w + z``.  Rows: ``sub``'s, then the
     view's optimality-cut rows ``beta2 . x_t - z`` and feasibility-cut rows
-    ``beta2 . x_t``, each with its constant and the history row ``[0 | beta1]``.
+    ``beta2 . x_t``, each with its constant and the history row ``beta1``.
     At a history ``h`` the right-hand side is ``b0 - hist @ h``, equality rows first.
     """
     n = sub.lb.shape[0]
@@ -271,7 +268,7 @@ def build_stage_lp(sub: SubproblemData, view, z_lo: float,
     r = sub.g_cur.shape[0]
     n_p = sub.piece_cur.shape[0]
     b0 = np.concatenate([sub.b0, view.opt_rhs_const, view.feas_rhs_const])
-    hist = np.vstack([sub.hist, _cut_hist(view.opt_beta1, n), _cut_hist(view.feas_beta1, n)])
+    hist = np.vstack([sub.hist, view.opt_beta1, view.feas_beta1])
     b = b0 - hist @ history
     a_ub = np.vstack([np.hstack([sub.g_cur, np.zeros((r, 2))]),
                       np.hstack([sub.piece_cur, np.full((n_p, 1), -1.0), np.zeros((n_p, 1))]),
@@ -310,10 +307,9 @@ class StageLp:
                 history: np.ndarray) -> None:
         """Insert cut rows and their map rows ahead of the held LP's last ``before`` rows."""
         at = self.b0.shape[0] - before
-        hist = _cut_hist(beta1, history.shape[0] - beta1.shape[1])
         self.b0 = np.insert(self.b0, at, b0)
-        self.hist = np.insert(self.hist, at, hist, axis=0)
-        self.lp.append_rows(rows, b0 - hist @ history, at - self.lp.n_eq)
+        self.hist = np.insert(self.hist, at, beta1, axis=0)
+        self.lp.append_rows(rows, b0 - beta1 @ history, at - self.lp.n_eq)
 
     def solve(self, problem: Problem, where, history: np.ndarray, view,
               z_lo: float) -> lp.LpSolution:
@@ -345,7 +341,8 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
                z_lo: float | None = None, stage_lp: StageLp | None = None) -> NodeSolution:
     """Solve one stage subproblem and assemble its history subgradient.
 
-    ``where`` is a position of the problem's topology.  The LP includes the
+    ``where`` is a position of the problem's topology and ``history`` the
+    decisions ``x_{1:t-1}`` before its stage ``t``.  The LP includes the
     optimality- and feasibility-cut rows of the position's pool; ``z`` is
     bounded below by the certified recourse bound for the next stage.
 
@@ -377,7 +374,7 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
             f"stage-{t} subproblem unbounded: lower_value_bound for stage "
             f"{t + 1} does not bound the recourse from below")
     return NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol,
-                        pi=assemble_pi(hist, sol, n))
+                        pi=assemble_pi(hist, sol))
 
 
 def _count_lp(tally: Counter, sol: lp.LpSolution) -> None:
@@ -410,7 +407,7 @@ def phase_one(problem: Problem, where, history, pools: PoolSet,
     fview = pools.rows_for(where).view(n)
     q = sub.a_cur.shape[0]
     k_rows = fview.n_feas
-    hist = np.vstack([sub.hist[:q], _cut_hist(fview.feas_beta1, n)])
+    hist = np.vstack([sub.hist[:q], fview.feas_beta1])
     b = np.concatenate([sub.b0[:q], fview.feas_rhs_const]) - hist @ history
     for elastic_rows in (False, True):
         n_extra = k_rows if elastic_rows else 0
@@ -425,7 +422,7 @@ def phase_one(problem: Problem, where, history, pools: PoolSet,
         if tally is not None:
             _count_lp(tally, sol)
         if sol.status == lp.OPTIMAL:
-            return sol.objective, assemble_pi(hist, sol, n)
+            return sol.objective, assemble_pi(hist, sol)
         if sol.status == lp.UNBOUNDED:  # pragma: no cover - c >= 0 forbids this
             raise EngineError("phase-I program unbounded")
     raise EngineError(  # pragma: no cover - the elastic program is always feasible
@@ -468,7 +465,7 @@ class _Driver:
         return ns
 
     def _solve_stage1(self) -> NodeSolution:
-        return self._solve(self.topology.first, self.problem.x0)
+        return self._solve(self.topology.first, np.zeros(0))
 
     def _record_pi(self, k: int, t: int, pi: np.ndarray) -> None:
         norm = float(np.linalg.norm(pi))
@@ -476,9 +473,9 @@ class _Driver:
         if k <= 5:
             self.pi_norm_first[t] = max(self.pi_norm_first.get(t, 0.0), norm)
 
-    def _build_cut_at(self, t: int, path: list, decisions: list[np.ndarray], k: int,
+    def _build_cut_at(self, t: int, path: list, hist: np.ndarray, k: int,
                       counters: dict[int, int], skipped: dict):
-        """Solve every child of the pool aggregating ``path[t]`` and append the cut.
+        """Solve every child of the pool aggregating ``path[t]`` at ``hist`` and append the cut.
 
         The cut counts in ``counters`` (by stage) when it enters the pool and
         in ``skipped`` (by pool key) when the pool already holds its LP row.
@@ -487,7 +484,6 @@ class _Driver:
         can reuse the sampled child's decision without a second solve.
         """
         p, topo = self.problem, self.topology
-        hist = np.concatenate(decisions[:t])
         key = topo.parent(path[t])
         wheres = topo.children(key)
         sols = []
@@ -502,7 +498,7 @@ class _Driver:
                     "resolve": lambda h, w=where: solve_node(p, w, h, self.pools).value,
                 })
         cut = build_optimality_cut([ns.value for ns in sols], [ns.pi for ns in sols],
-                                   topo.probs(key), topo.risk(key), hist[p.dim:],
+                                   topo.probs(key), topo.risk(key), hist,
                                    stage=key, iteration=k)
         if self.pools.opt[key].append_optimality(cut):
             counters[t] = counters.get(t, 0) + 1
@@ -510,15 +506,13 @@ class _Driver:
             skipped[key] = skipped.get(key, 0) + 1
         return wheres, sols
 
-    def _gate(self, t: int, path: list, decisions: list[np.ndarray], k: int,
+    def _gate(self, t: int, path: list, hist: np.ndarray, k: int,
               counters: dict[int, int]) -> bool:
         """Run the phase-I gates for every sibling of ``path[t]``; append a cut on failure.
 
-        Returns True when all of them are feasible at the current history.
+        Returns True when all of them are feasible at the history ``hist``.
         """
         p = self.problem
-        hist = np.concatenate(decisions[:t])
-        anchor = hist[p.dim:]
         key = self.topology.parent(path[t])
         for where in self.topology.children(key):
             value, slope = phase_one(p, where, hist, self.pools, self.tally)
@@ -526,7 +520,7 @@ class _Driver:
                 if t == 1:  # nothing earlier to cut; the problem is infeasible
                     return False
                 self.feas_counter += 1
-                cut = build_feasibility_cut(value, slope, anchor, stage=key,
+                cut = build_feasibility_cut(value, slope, hist, stage=key,
                                             index=self.feas_counter, iteration=k)
                 self.pools.opt[key].append_feasibility(cut)
                 counters[t] = counters.get(t, 0) + 1
@@ -552,17 +546,17 @@ class _Driver:
         forward_cuts = cfg.cut_timing == "forward"
         lb_report = None
         x1_report = None
-        decisions: list[np.ndarray] = [self.problem.x0]
+        hist = np.zeros(0)  # the decisions x_{1:s-1}
         s = 1
         while s <= t_end:
-            if alg2 and not self._gate(s, path, decisions, k, counters_feas):
+            if alg2 and not self._gate(s, path, hist, k, counters_feas):
                 if s == 1:
                     return None
                 backtracks += 1
                 if backtracks > MAX_BACKTRACKS_PER_ITERATION:
                     raise EngineError("backtracking loop exceeded its safety limit")
                 s -= 1
-                decisions = decisions[:s]
+                hist = hist[:(s - 1) * p.dim]
                 if s == 1:
                     self.stage1 = None  # its feasible region changed
                 continue
@@ -574,16 +568,16 @@ class _Driver:
                 x1_report = ns.x.copy()
             else:
                 if forward_cuts:
-                    wheres, sols = self._build_cut_at(s, path, decisions, k,
+                    wheres, sols = self._build_cut_at(s, path, hist, k,
                                                       counters_opt, skipped)
                     ns = sols[wheres.index(path[s])]
                 else:
-                    ns = self._solve(path[s], np.concatenate(decisions[:s]))
-            decisions.append(ns.x)
+                    ns = self._solve(path[s], hist)
+            hist = np.concatenate([hist, ns.x])
             s += 1
         if not forward_cuts:
             for t in range(t_end, 1, -1):
-                self._build_cut_at(t, path, decisions, k, counters_opt, skipped)
+                self._build_cut_at(t, path, hist[:(t - 1) * p.dim], k, counters_opt, skipped)
         self.stage1 = self._solve_stage1()  # fresh bound, handed to iteration k+1
         wall_ms = (time.perf_counter() - started) * 1000.0
         tally = self.tally - tally_before
@@ -682,7 +676,8 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
                     report.n_cuts_skipped, report.n_cuts_feas, report.backtracks,
                     report.lps, report.lps_warm, report.lps_dual, report.pivots)
         if mode == "every" and k % every == 0:
-            oracle_value = _oracle_value(problem)
+            if oracle_value is None:  # the problem does not change: solve it once
+                oracle_value = _oracle_value(problem)
             logger.info("iteration %d: oracle %.12g, gap %.3e", k, oracle_value,
                         oracle_value - fresh)
         if improvement <= cfg.stall_tol:
@@ -717,7 +712,8 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
     final = driver.stage1
     gap = None
     if mode in ("final", "every"):
-        oracle_value = _oracle_value(problem)
+        if oracle_value is None:
+            oracle_value = _oracle_value(problem)
         gap = oracle_value - final.value
         logger.info("final lower bound %.12g, oracle %.12g, gap %.3e",
                     final.value, oracle_value, gap)

@@ -304,23 +304,26 @@ def write_iterations_csv(path, result, dim: int) -> None:
     Path(path).write_text(iterations_csv_text(result, dim))
 
 
-def _dump_pool_keys(pools) -> tuple[list, list]:
-    """Opt/feas pool keys to dump, ascending, permanent zero pools excluded."""
-    keys = sorted(pools.opt)
-    return [k for k in keys if not pools.topology.terminal(k)], keys
+def _dump_pool_keys(pools) -> list:
+    """Pool keys to dump, ascending, permanent zero pools excluded.
+
+    Feasibility cuts enter only pools that aggregate children, so both
+    sections of the dump read the same keys.
+    """
+    return [k for k in sorted(pools.opt) if not pools.topology.terminal(k)]
 
 
 def cuts_csv_text(pools) -> str:
     """One generated cut per line: optimality pools first, then feasibility."""
     lines = [CUTS_CSV_HEADER]
-    opt_keys, feas_keys = _dump_pool_keys(pools)
-    for key in opt_keys:
+    keys = _dump_pool_keys(pools)
+    for key in keys:
         for cut in pools.opt[key].optimality:
             lines.append(",".join([CUT_KIND_OPTIMALITY, str(key), str(cut.iteration),
                                    format_float(cut.theta)]
                                   + [format_float(v) for v in cut.beta]
                                   + [format_float(v) for v in cut.anchor]))
-    for key in feas_keys:
+    for key in keys:
         for fcut in pools.opt[key].feasibility:
             lines.append(",".join([CUT_KIND_FEASIBILITY, str(key), str(fcut.iteration),
                                    format_float(fcut.theta_tilde)]

@@ -15,17 +15,19 @@ node sees the same realization list) and ``tree`` (general finite scenario
 tree with per-node data; the root holds ``x_0`` and has the single
 deterministic stage-1 node as its only child).
 
-History vectors throughout this package are the full concatenation
-``(x_0, x_1, ..., x_{t-1})`` of length ``t * n``; cost pieces exclude the
-``x_0`` block (their coefficient vectors have length ``t * n`` over
-``x_{1:t}``), while ``G`` includes it (``(t+1) * n`` columns).  A payload
-without equality or inequality rows holds that system with zero rows, so
-every payload has one layout, and :meth:`Realization.fold_map` is the one
-place a history is folded into a payload's rows.  It keeps the history as a
-parameter: the stage subproblems (:func:`assemble_subproblem`) and the
-oracle's extensive forms read their right-hand sides off it as affine maps
-``b0 - M h`` of the history ``h``, and :meth:`Realization.fold` evaluates it
-at one history.
+The history before stage t is the decisions ``x_{1:t-1}`` (empty at stage
+1), of length ``(t-1) * n``: the same vector as a cut's argument and anchor.
+The initial vector ``x_0`` is fixed data.  A payload's rows are stored over
+``x_{0:t}`` as the file gives them (cost pieces over ``x_{1:t}``, ``G`` and
+the ``A`` blocks over ``x_{0:t}``), and :meth:`Realization.fold_map` is the
+one place that reads the ``x_0`` block: it folds ``A_0 x_0`` and
+``G_0 x_0`` into the constant right-hand sides once, and keeps the rest of
+the history as a parameter.  A payload without equality or inequality rows
+holds that system with zero rows, so every payload has one layout.  The
+stage subproblems (:func:`assemble_subproblem`) and the oracle's extensive
+forms read their right-hand sides off that map as affine maps ``b0 - M h``
+of the history ``h``, and :meth:`Realization.fold` evaluates it at one
+history.
 
 Risk attachment conventions (documented in the README): in lattice form the
 stage-s risk spec governs how stage-s realization values are aggregated when
@@ -51,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .risk import RiskConfigError, RiskSpec, validate_risk_set
+from .risk import PROB_TOL, RiskConfigError, RiskSpec, validate_risk_set
 
 logger = logging.getLogger(__name__)
 
@@ -100,17 +102,17 @@ class Folded(NamedTuple):
 
 
 class FoldMap(NamedTuple):
-    """A payload's rows after a ``k``-entry history ``x``, as affine maps of it.
+    """A payload's rows after ``x_0`` and a ``k``-entry history ``x``, as affine maps of ``x``.
 
-    ``rows`` holds the rows at a zero history; at ``x`` the right-hand sides
-    are ``b - b_hist @ x`` and ``h - h_hist @ x``, and the piece offsets
-    ``pieces_d + d_hist @ x[n:]`` (the cost has no ``x_0`` block).
+    ``rows`` holds the rows at a zero history, ``x_0`` folded in; at ``x``
+    the right-hand sides are ``b - b_hist @ x`` and ``h - h_hist @ x``, and
+    the piece offsets ``pieces_d + d_hist @ x``.
     """
 
     rows: Folded
     b_hist: np.ndarray    # (q, k)
     h_hist: np.ndarray    # (r, k)
-    d_hist: np.ndarray    # (P, k - n)
+    d_hist: np.ndarray    # (P, k)
 
 
 @dataclass
@@ -145,32 +147,27 @@ class Realization:
         g = np.asarray(self.g, dtype=float)  # no G and no h: no inequality system
         self.g = np.atleast_2d(g) if g.size else np.zeros((0, 0 if self.h.size else width))
 
-    @cached_property
-    def a_full(self) -> np.ndarray:
-        """The equality blocks side by side, ``(q, (t+1)*n)``; fixes ``a_blocks`` on first use."""
-        a = np.hstack(self.a_blocks)
-        a.flags.writeable = False
-        return a
+    def fold_map(self, x0: np.ndarray, k: int) -> FoldMap:
+        """The rows over the decisions after ``x0`` and a ``k``-entry history, affine in it.
 
-    def fold_map(self, k: int) -> FoldMap:
-        """The rows over the decisions after a ``k``-entry history, affine in it.
-
-        The one history fold: the stage subproblems
-        (:func:`assemble_subproblem`) and the oracle's tails keep the history
-        as a parameter, and :meth:`fold` evaluates it at one history.  Its
-        arrays are views of the payload.
+        The one history fold and the one reader of the ``x_0`` block:
+        ``A_0 x0`` and ``G_0 x0`` enter the constant right-hand sides, and the
+        stage subproblems (:func:`assemble_subproblem`) and the oracle's tails
+        keep the history ``x_{1:s}`` as a parameter; :meth:`fold` evaluates it
+        at one history.
         """
         n = self.cost.dim
-        a, c = self.a_full, self.cost.pieces_c  # the cost pieces have no x_0 block
-        return FoldMap(Folded(a=a[:, k:], b=self.b, g=self.g[:, k:], h=self.h,
-                              pieces_c=c[:, k - n:], pieces_d=self.cost.pieces_d),
-                       b_hist=a[:, :k], h_hist=self.g[:, :k], d_hist=c[:, :k - n])
+        a, g, c = np.hstack(self.a_blocks), self.g, self.cost.pieces_c
+        return FoldMap(Folded(a=a[:, n + k:], b=self.b - a[:, :n] @ x0, g=g[:, n + k:],
+                              h=self.h - g[:, :n] @ x0, pieces_c=c[:, k:],
+                              pieces_d=self.cost.pieces_d),
+                       b_hist=a[:, n:n + k], h_hist=g[:, n:n + k], d_hist=c[:, :k])
 
-    def fold(self, history: np.ndarray) -> Folded:
-        """The rows over the decisions after ``history = (x_0, ..., x_{k-1})``."""
-        rows, b_hist, h_hist, d_hist = self.fold_map(history.shape[0])
+    def fold(self, x0: np.ndarray, history: np.ndarray) -> Folded:
+        """The rows over the decisions after ``x0`` and ``history = (x_1, ..., x_s)``."""
+        rows, b_hist, h_hist, d_hist = self.fold_map(x0, history.shape[0])
         return Folded(rows.a, rows.b - b_hist @ history, rows.g, rows.h - h_hist @ history,
-                      rows.pieces_c, rows.pieces_d + d_hist @ history[self.cost.dim:])
+                      rows.pieces_c, rows.pieces_d + d_hist @ history)
 
     def violations(self, t: int, n: int, where: str) -> list[str]:
         out = []
@@ -422,11 +419,10 @@ class SubproblemData:
     The rows are the equality system ``a_cur x_t = .``, then the static
     inequalities ``g_cur x_t <= .`` and the cost pieces, which the stage LP
     writes ``piece_cur x_t - w <= .`` with the cost's epigraph column ``w``.
-    At a history ``h = x_{0:t-1}`` their right-hand sides, in that order, are
-    ``b0 - hist @ h``: ``hist`` spans the full history, its ``x_0`` block
-    included (zero on the piece rows, as the cost has no ``x_0`` block).
-    Nothing else in the rows moves with the history.  The ``*_cur`` blocks
-    and the box are views of the payload: read them, never write them.
+    At a history ``h = x_{1:t-1}`` their right-hand sides, in that order, are
+    ``b0 - hist @ h``, with ``x_0`` folded into ``b0``.  Nothing else in the
+    rows moves with the history.  The ``g_cur`` and ``piece_cur`` blocks and
+    the box are views of the payload: read them, never write them.
     """
 
     t: int
@@ -434,16 +430,17 @@ class SubproblemData:
     g_cur: np.ndarray        # (r, n)
     piece_cur: np.ndarray    # (P, n)
     b0: np.ndarray           # (q + r + P,)
-    hist: np.ndarray         # (q + r + P, t*n)
+    hist: np.ndarray         # (q + r + P, (t-1)*n)
     lb: np.ndarray
     ub: np.ndarray
 
 
 def history_vector(history, t: int, n: int) -> np.ndarray:
-    """``history`` as a float vector, checked to be ``(x_0, ..., x_{t-1})``."""
+    """``history`` as a float vector, checked to be the decisions ``(x_1, ..., x_{t-1})``."""
     history = np.asarray(history, dtype=float).reshape(-1)
-    if history.shape[0] != t * n:
-        raise ModelError(f"history must have {t * n} coordinates at stage {t}, got {history.shape[0]}")
+    if history.shape[0] != (t - 1) * n:
+        raise ModelError(f"history must have {(t - 1) * n} coordinates at stage {t}, "
+                         f"got {history.shape[0]}")
     return history
 
 
@@ -457,12 +454,10 @@ def assemble_subproblem(p: Problem, where) -> SubproblemData:
     n = p.dim
     t = p.topology.stage(where)
     payload = p.topology.payload(where)
-    rows, b_hist, h_hist, d_hist = payload.fold_map(t * n)
-    n_p = rows.pieces_d.shape[0]
+    rows, b_hist, h_hist, d_hist = payload.fold_map(p.x0, (t - 1) * n)
     return SubproblemData(t=t, a_cur=rows.a, g_cur=rows.g, piece_cur=rows.pieces_c,
                           b0=np.concatenate([rows.b, rows.h, -rows.pieces_d]),
-                          hist=np.vstack([b_hist, h_hist,
-                                          np.hstack([np.zeros((n_p, n)), d_hist])]),
+                          hist=np.vstack([b_hist, h_hist, d_hist]),
                           lb=payload.lb, ub=payload.ub)
 
 
@@ -502,7 +497,7 @@ def validate_problem(p: Problem) -> list[str]:
         probs = topo.probs(key)
         if np.any(probs <= 0.0):
             out.append(f"{where}: probabilities must be strictly positive")
-        if abs(probs.sum() - 1.0) > 1e-9:
+        if abs(probs.sum() - 1.0) > PROB_TOL:
             out.append(f"{where}: probabilities sum != 1")
         elif key != root:
             try:

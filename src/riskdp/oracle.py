@@ -20,12 +20,12 @@ function of a pool at a stack of histories: the children's tails, stacked
 under the pool's risk rows with the history as a parameter, make one HiGHS
 model, built and passed once and re-solved per history from its last basis
 with only the moved right-hand sides changed; infeasible histories report
-``+inf``.  :func:`conditioned_problem` builds one such tail
-as a problem of its own, for nested decomposition to solve.  Nested
-decomposition has no feasibility cuts, so on a feasible instance without
-relatively complete recourse :func:`nested_decomposition_value` raises
-:class:`OracleError` rather than calling it infeasible; the extensive form
-covers that case.
+``+inf``.  :func:`conditioned_problem` builds one child's tail as a
+problem of its own; only the test suite's per-child nested-decomposition
+reference calls it.  Nested decomposition has no feasibility cuts, so on a
+feasible instance without relatively complete recourse
+:func:`nested_decomposition_value` raises :class:`OracleError` rather than
+calling it infeasible; the extensive form covers that case.
 
 Every LP nested decomposition solves through :func:`~riskdp.engine.solve_node`
 is solved cold (no persistent stage LP), so it stays a reference for the
@@ -261,9 +261,9 @@ class _NestedRiskLp:
         epigraph column folded into ``V_m``), where ``R_m`` (:meth:`risk`) is
         the one-step risk of its children's values under its pool's spec and
         is absent at a leaf.  Its rows are its payload's over the decisions
-        along its path from ``where``, after the ``k``-entry history
-        ``x_{0:t-1}``, which stays a parameter: each right-hand side carries
-        the affine parts of :meth:`~riskdp.model.Realization.fold_map`.
+        along its path from ``where``, after ``x_0`` and the ``k``-entry
+        history ``x_{1:t-1}``, which stays a parameter: each right-hand side
+        carries the affine parts of :meth:`~riskdp.model.Realization.fold_map`.
         """
         topo = problem.topology
         records = _scenario_records(problem, where)
@@ -277,7 +277,7 @@ class _NestedRiskLp:
             v_col[rec.key] = int(self.columns(1)[0])
             kids.setdefault(rec.parent, []).append(v_col[rec.key])
         for rec in records:
-            rows, b_hist, h_hist, d_hist = rec.payload.fold_map(self.k)
+            rows, b_hist, h_hist, d_hist = rec.payload.fold_map(problem.x0, self.k)
             path = x_cols[rec.key]
             self.rows(path, rows.a, rows.b, eq=True, hist=b_hist)
             self.rows(path, rows.g, rows.h, hist=h_hist)
@@ -290,7 +290,7 @@ class _NestedRiskLp:
                                        np.array(kids[rec.key])))
                 pieces.append(np.ones((n_p, 1)))
             self.rows(np.concatenate([path, value]), np.hstack(pieces), -rows.pieces_d,
-                      hist=np.hstack([np.zeros((n_p, problem.dim)), d_hist]))
+                      hist=d_hist)
         return v_col[(0,)]
 
 
@@ -303,11 +303,11 @@ def extensive_form_value(problem: Problem) -> float:
     rows (:meth:`_NestedRiskLp.risk`).  Coherent measures are monotone, so
     minimising the stage-1 node's value makes every epigraph tight.  One
     HiGHS solve at :data:`HIGHS_OPTIONS` (:meth:`_NestedRiskLp.minimize`),
-    the only place the package relies on an external solver.  Returns
-    ``+inf`` when the instance is infeasible.
+    the only place the package relies on an external solver.  Its history
+    parameter is empty.  Returns ``+inf`` when the instance is infeasible.
     """
-    lp = _NestedRiskLp(problem.dim)
-    return float(lp.minimize(lp.tail(problem, problem.topology.first), problem.x0[None])[0])
+    lp = _NestedRiskLp(0)
+    return float(lp.minimize(lp.tail(problem, problem.topology.first), np.zeros((1, 0)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,6 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
     pools = PoolSet(problem)
     solves = _StageSolves(problem, pools)
     records = _scenario_records(problem)
-    n = problem.dim
     value_prev = None
     n_cuts = 0
     for sweep in range(1, max_sweeps + 1):
@@ -389,11 +388,11 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
                 sols = [solves.solve(w, hist) for w in topo.children(key)]
                 cut = build_optimality_cut(
                     [s.value for s in sols], [s.pi for s in sols], topo.probs(key),
-                    topo.risk(key), hist[n:], stage=key, iteration=sweep)
+                    topo.risk(key), hist, stage=key, iteration=sweep)
                 if pools.opt[key].append_optimality(cut):
                     added += 1
         n_cuts += added
-        value = solves.solve(topo.first, problem.x0).value
+        value = solves.solve(topo.first, np.zeros(0)).value
         if (value_prev is not None and abs(value - value_prev) <= VALUE_REPEAT_TOL
                 and added == 0):
             logger.info("nested decomposition: value %r after %d sweeps, %d cuts, "
@@ -410,9 +409,9 @@ def _forward_all(problem: Problem, solves: _StageSolves, records: list[_Rec]) ->
     """Histories of every scenario-tree node after one all-node forward pass.
 
     Keyed by record key; the value stored for a node is the history
-    *including* the node's decision.
+    *including* the node's decision, ``x_{1:t}`` at a stage-t node.
     """
-    histories: dict = {(): problem.x0}
+    histories: dict = {(): np.zeros(0)}
     for rec in records:
         base = histories[rec.parent]
         ns = solves.solve(rec.where, base)
@@ -424,13 +423,14 @@ def _forward_all(problem: Problem, solves: _StageSolves, records: list[_Rec]) ->
 # conditioning on a history
 # ---------------------------------------------------------------------------
 
-def _conditioned_payload(pay: Realization, n: int, history: np.ndarray) -> Realization:
-    """Re-root a payload after ``history = x_{0:t-1}``: :meth:`Realization.fold` it.
+def _conditioned_payload(pay: Realization, x0: np.ndarray, history: np.ndarray) -> Realization:
+    """Re-root a payload after ``x0`` and ``history = x_{1:t-1}``: :meth:`Realization.fold` it.
 
     The reduced payload's block-0 (initial state) columns are zero — the
     fixed prefix moves into the right-hand sides and cost offsets.
     """
-    rows = pay.fold(history)
+    n = pay.cost.dim
+    rows = pay.fold(x0, history)
     a = np.hstack([np.zeros((rows.a.shape[0], n)), rows.a])
     return Realization(prob=1.0, cost=PwlConvexCost(rows.pieces_c, rows.pieces_d, dim=n),
                        a_blocks=np.hsplit(a, a.shape[1] // n), b=rows.b,
@@ -451,13 +451,14 @@ def conditioned_problem(problem: Problem, where, history: np.ndarray) -> Problem
     t, j = where
     n = problem.dim
     history = history_vector(history, t, n)
-    first_pay = _conditioned_payload(problem.stages[t - 1].realizations[j], n, history)
+    first_pay = _conditioned_payload(problem.stages[t - 1].realizations[j], problem.x0,
+                                     history)
     stages = [Stage([first_pay])]
     for tau in range(t + 1, problem.horizon + 1):
         stage = problem.stages[tau - 1]
         reals = []
         for pay in stage.realizations:
-            reduced = _conditioned_payload(pay, n, history)
+            reduced = _conditioned_payload(pay, problem.x0, history)
             reduced.prob = pay.prob
             reals.append(reduced)
         stages.append(Stage(reals, risk=stage.risk))
@@ -481,7 +482,7 @@ def conditioned_subtree(problem: Problem, node_id: int,
     while queue:
         mid = queue.pop(0)
         node = problem.node(mid)
-        reduced = _conditioned_payload(node.payload, n, history)
+        reduced = _conditioned_payload(node.payload, problem.x0, history)
         nodes.append(Node(id=mapping[mid],
                           parent=0 if mid == node_id else mapping[node.parent],
                           prob=1.0 if mid == node_id else node.prob,
@@ -499,8 +500,9 @@ def true_recourse_value(problem: Problem, where, history):
     """Exact risk-adjusted recourse aggregated at one history, or at each of a stack.
 
     ``where`` is a pool key (a stage on a lattice, a node id on a tree) and
-    ``history`` is ``x_{0:s}`` for the stage ``s`` of the subproblems that
-    carry its rows, or a ``(p, k)`` stack of such histories; the result is
+    ``history`` is the decisions ``x_{1:s}`` for the stage ``s`` of the
+    subproblems that carry its rows (a cut's argument), or a ``(p, k)``
+    stack of such histories; the result is
     the key's risk of the tail values of its children, a float for one
     history and ``p`` values for a stack.  The nested epigraphs of the
     children's tails, with the history as a parameter
@@ -515,8 +517,9 @@ def true_recourse_value(problem: Problem, where, history):
         return 0.0 if points.ndim == 1 else np.zeros(points.shape[0])
     kids = topo.children(where)
     t, n = topo.stage(kids[0]), problem.dim
-    stack = np.array([history_vector(h, t, n) for h in np.atleast_2d(points)]).reshape(-1, t * n)
-    lp = _NestedRiskLp(t * n)
+    k = (t - 1) * n
+    stack = np.array([history_vector(h, t, n) for h in np.atleast_2d(points)]).reshape(-1, k)
+    lp = _NestedRiskLp(k)
     values = [lp.tail(problem, kid) for kid in kids]
     risk = lp.risk(topo.risk(where), topo.probs(where), np.array(values))
     out = lp.minimize(risk, stack)

@@ -86,13 +86,17 @@ class RiskSpec:
         """Build a spec from its JSON form, e.g. ``{"type": "cvar", "epsilon": 0.5}``."""
         if not isinstance(frag, dict) or "type" not in frag:
             raise RiskConfigError(f"risk fragment must be an object with a 'type' key: {frag!r}")
-        kind = frag["type"]
-        spec = cls(kind=kind,
-                   epsilon=frag.get("epsilon"),
-                   lam=frag.get("lambda"),
-                   rows=[(np.asarray(r["a"], dtype=float), float(r["rhs"]))
-                         for r in frag.get("rows", [])])
-        spec.validate()
+        try:
+            spec = cls(kind=frag["type"], epsilon=frag.get("epsilon"), lam=frag.get("lambda"),
+                       rows=[(np.asarray(r["a"], dtype=float), float(r["rhs"]))
+                             for r in frag.get("rows", [])])
+            spec.validate()
+        except RiskConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RiskConfigError(
+                f"malformed risk fragment {frag!r}: epsilon and lambda must be numbers and "
+                f"rows a list of {{'a': [...], 'rhs': number}} objects ({exc!r})") from exc
         return spec
 
     def to_json_fragment(self) -> dict:

@@ -112,14 +112,14 @@ def subgradient_terms(problem, where, sol, view) -> SubgradientTerms:
     inactive.
     """
     topo = problem.topology
-    n = problem.dim
-    _rows, b_hist, h_hist, d_hist = topo.payload(where).fold_map(topo.stage(where) * n)
+    k = (topo.stage(where) - 1) * problem.dim
+    _rows, b_hist, h_hist, d_hist = topo.payload(where).fold_map(problem.x0, k)
     mu = np.where(sol.dual_ineq < MU_ZERO_TOL, 0.0, sol.dual_ineq)
     n_g, n_p = h_hist.shape[0], d_hist.shape[0]
     cut_rows = np.vstack([view.opt_beta1, view.feas_beta1])
     return SubgradientTerms(cost_term=mu[n_g:n_g + n_p] @ d_hist,
-                            eq_term=-(b_hist[:, n:].T @ sol.dual_eq),
-                            g_term=h_hist[:, n:].T @ mu[:n_g],
+                            eq_term=-(b_hist.T @ sol.dual_eq),
+                            g_term=h_hist.T @ mu[:n_g],
                             cut_term=cut_rows.T @ mu[n_g + n_p:])
 
 

@@ -13,7 +13,12 @@ that cut dump (``workloads.audit``): ``checked N cuts at P points per pool:
 V violations``, followed by any violation it reports.  Audit lines compare
 the two checkouts' oracle verdicts; every one should read ``0 violations``.
 
+With ``--keep DIR`` each instance's ``cuts.csv``, ``summary.json`` and
+``iterations.csv`` are kept under ``DIR/<workload>-<index>/``, so the dumps
+of two checkouts whose hashes differ can be compared number by number.
+
     python tests/replay_digest.py --seed 1101 > digest.txt
+    python tests/replay_digest.py --seed 1101 --keep dumps > digest.txt
 
 pytest does not collect this file (no ``test_`` prefix).
 """
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -30,7 +36,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def digest_lines(seed: int):
+KEPT = ("cuts.csv", "summary.json", "iterations.csv")
+
+
+def digest_lines(seed: int, keep: Path | None = None):
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads as wl
 
@@ -42,6 +51,11 @@ def digest_lines(seed: int):
                 result, _seconds = wl.solve(problem, w, engine_seed)
                 outdir = Path(tmp) / name / f"i{index}"
                 wl.write_artifacts(outdir, result, problem, engine_seed)
+                if keep is not None:
+                    kept = keep / f"{name}-{index}"
+                    kept.mkdir(parents=True, exist_ok=True)
+                    for artifact in KEPT:
+                        shutil.copyfile(outdir / artifact, kept / artifact)
                 sha = hashlib.sha256()
                 for artifact in ("cuts.csv", "summary.json"):
                     sha.update((outdir / artifact).read_bytes())
@@ -61,8 +75,10 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True, help="perfbench instance seed")
+    parser.add_argument("--keep", type=Path, default=None, metavar="DIR",
+                        help="keep each instance's artifacts under DIR/<workload>-<index>/")
     args = parser.parse_args(argv)
-    for line in digest_lines(args.seed):
+    for line in digest_lines(args.seed, args.keep):
         print(line, flush=True)
     return 0
 

@@ -228,7 +228,7 @@ def test_criterion_03_cut_validity_against_oracle(c1_runs, c2_runs):
             hi = np.concatenate([p.stages[s - 1].realizations[0].ub
                                  for s in range(1, t)])
             xs = rng.uniform(lo, hi, size=(50, lo.shape[0]))
-            trues = oracle.true_recourse_value(p, t, np.hstack([np.tile(p.x0, (50, 1)), xs]))
+            trues = oracle.true_recourse_value(p, t, xs)
             for x, true in zip(xs, trues):
                 approx = evaluate_pool(pool, x)
                 worst = max(worst, approx - true)
@@ -272,9 +272,7 @@ def test_criterion_05_subgradient_inequality_and_norm_bound(c1_runs, c2_runs):
     worst = 0.0
     for idx in chosen:
         run, ev = events[idx]
-        h = ev["history"]
-        n = h.shape[0] // (ev["stage"])  # history is x_{0:t-1}: t blocks of n
-        dec = h[n:]
+        dec = ev["history"]  # the decisions x_{1:t-1}
         # perturb within the history box: half global redraws, half local moves
         p = run.problem
         lo = np.concatenate([p.stages[s - 1].realizations[0].lb
@@ -286,7 +284,7 @@ def test_criterion_05_subgradient_inequality_and_norm_bound(c1_runs, c2_runs):
                 dec2 = rng.uniform(lo, hi)
             else:
                 dec2 = np.clip(dec + rng.uniform(-0.4, 0.4, dec.shape), lo, hi)
-            v2 = ev["resolve"](np.concatenate([h[:n], dec2]))
+            v2 = ev["resolve"](dec2)
             lhs = ev["value"] + float(ev["pi"] @ (dec2 - dec))
             worst = max(worst, lhs - v2)
     ok_ineq = worst <= 1e-7

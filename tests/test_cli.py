@@ -10,9 +10,10 @@ import pytest
 import scipy.optimize
 from scipy.optimize._highspy import _core as highs_core
 
-from conftest import (make_chain_instance, make_cvar_without_complete_recourse,
-                      make_feasibility_instance, make_newsvendor, make_newsvendor_tree)
-from riskdp import cli, io, oracle
+from conftest import (lattice_to_tree, make_chain_instance, make_cvar_without_complete_recourse,
+                      make_feasibility_instance, make_newsvendor, make_newsvendor_tree,
+                      random_lattice_instance)
+from riskdp import cli, io, model, oracle
 from riskdp.cli import ORACLE_METHODS
 from riskdp.risk import RiskSpec
 
@@ -118,11 +119,20 @@ def test_missing_or_invalid_input_exits_three(tmp_path):
     (False, lambda doc: doc.update(stages={str(s): r for s, r in enumerate(doc["stages"])})),
     (False, lambda doc: doc["stages"].__setitem__(1, doc["stages"][1]["realizations"])),
     (False, lambda doc: doc["stages"][1].update(realizations=2)),
+    (False, lambda doc: doc["stages"][1].update(risk={"type": "cvar", "epsilon": "x"})),
+    (False, lambda doc: doc["stages"][1].update(
+        risk={"type": "mixture", "epsilon": 0.5, "lambda": [1]})),
+    (False, lambda doc: doc["stages"][1].update(risk={"type": "polytope", "rows": [1]})),
+    (False, lambda doc: doc["stages"][1].update(
+        risk={"type": "polytope", "rows": [{"a": [1]}]})),
 ], ids=["node-without-id", "non-integer-parent", "node-not-an-object", "nodes-not-a-list",
-        "stages-not-a-list", "stage-not-an-object", "realizations-not-a-list"])
+        "stages-not-a-list", "stage-not-an-object", "realizations-not-a-list",
+        "cvar-epsilon-not-a-number", "mixture-lambda-not-a-number",
+        "polytope-row-not-an-object", "polytope-row-without-rhs"])
 def test_malformed_document_structure_exits_three(tmp_path, capsys, tree, damage):
-    # a document whose nodes or stages have the wrong JSON shape is malformed
-    # input (exit 3), not a crash that exits 1 like a proven infeasibility
+    # a document whose nodes, stages or risk fragments have the wrong JSON
+    # shape is malformed input (exit 3), not a crash that exits 1 like a
+    # proven infeasibility
     doc = io.problem_to_dict(make_newsvendor_tree() if tree else make_newsvendor())
     damage(doc)
     path = tmp_path / "bad.json"
@@ -319,6 +329,73 @@ def test_check_cuts_audits_a_tail_without_complete_recourse(tmp_path, capsys):
     for method in ORACLE_METHODS:
         assert _run(["oracle", hopeless, "--method", method]) == cli.EXIT_INFEASIBLE
         assert capsys.readouterr().out.strip() == "infeasible"
+
+
+X0 = np.array([1.0, -0.5])
+
+
+def _nonzero_x0_twins(seed: int):
+    """A random lattice with ``x0 = X0`` and nonzero ``A_0``/``G_0`` columns, and its twin.
+
+    Every equality and inequality row gets a random ``x_0`` column, and its
+    right-hand side is raised by what that column adds at ``X0``, so the
+    instance keeps the generator's recourse and value bounds; stage 1 gets one
+    such row, ``-x_{1,0} <= 0`` once ``x_0`` is folded.  The twin folds
+    ``A_0 X0`` and ``G_0 X0`` into ``b`` and ``h`` by hand and has ``x0 = 0``.
+    """
+    rng = np.random.default_rng([1401, seed])
+    base = random_lattice_instance(rng, 3, 2, 2, risk=RiskSpec(kind="cvar", epsilon=0.5))
+    n = base.dim
+    stages, twin_stages = [], []
+    for t, stage in enumerate(base.stages, start=1):
+        reals, twins = [], []
+        for r in stage.realizations:
+            g, h = r.g, r.h
+            if t == 1:
+                g, h = np.hstack([np.zeros((1, n)), -np.eye(1, n)]), np.zeros(1)
+            a0 = rng.uniform(0.2, 0.5, (r.b.shape[0], n))
+            g0 = rng.uniform(0.2, 0.5, (h.shape[0], n))
+            g = np.hstack([g0, g[:, n:]])
+            pay = model.Realization(prob=r.prob, cost=r.cost, a_blocks=[a0] + r.a_blocks[1:],
+                                    b=r.b + a0 @ X0, g=g, h=h + g0 @ X0, lb=r.lb, ub=r.ub)
+            reals.append(pay)
+            twins.append(model.Realization(prob=r.prob, cost=r.cost, a_blocks=pay.a_blocks,
+                                           b=pay.b - a0 @ X0, g=g, h=pay.h - g0 @ X0,
+                                           lb=r.lb, ub=r.ub))
+        stages.append(model.Stage(reals, risk=stage.risk))
+        twin_stages.append(model.Stage(twins, risk=stage.risk))
+    problem = model.Problem(horizon=base.horizon, dim=n, x0=X0, stages=stages,
+                            lower_value_bound=base.lower_value_bound)
+    twin = model.Problem(horizon=base.horizon, dim=n, x0=np.zeros(n), stages=twin_stages,
+                         lower_value_bound=base.lower_value_bound)
+    return problem, twin
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nonzero_x0_matches_its_hand_folded_twin(tmp_path, capsys, seed):
+    # x_0 enters only through Realization.fold_map, which the engine and the
+    # oracle both read, so their agreement cannot catch a wrong fold; a twin
+    # folded by hand, with x0 = 0, can
+    lattice, lattice_twin = _nonzero_x0_twins(seed)
+    assert model.validate_problem(lattice) == [] == model.validate_problem(lattice_twin)
+    for alg, problem, twin in (("alg1", lattice, lattice_twin),
+                               ("alg3", lattice_to_tree(lattice), lattice_to_tree(lattice_twin))):
+        value = oracle.extensive_form_value(problem)
+        assert value == pytest.approx(oracle.extensive_form_value(twin), rel=1e-12, abs=1e-12)
+        bounds = {}
+        for name, p in (("x0", problem), ("twin", twin)):
+            io.save_problem(p, tmp_path / f"{alg}-{name}.json")
+            out = tmp_path / f"{alg}-{name}"
+            assert _run(["solve", tmp_path / f"{alg}-{name}.json", "--alg", alg,
+                         "--iters", "30", "--stall-window", "31", "--out", out]) == cli.EXIT_OK
+            bounds[name] = json.loads((out / "summary.json").read_text())["lower_bound"]
+        assert bounds["x0"] == pytest.approx(bounds["twin"], rel=1e-12, abs=1e-12)
+        # each run's cuts, over x_{1:t-1} on both sides, against the other's recourse
+        for name, other in (("x0", "twin"), ("twin", "x0")):
+            capsys.readouterr()
+            assert _run(["check-cuts", tmp_path / f"{alg}-{other}.json",
+                         tmp_path / f"{alg}-{name}" / "cuts.csv", "--points", "20"]) == cli.EXIT_OK
+            assert "0 violations" in capsys.readouterr().out
 
 
 def test_log_level_env(newsvendor_file, tmp_path, monkeypatch, capsys):

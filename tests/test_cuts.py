@@ -109,8 +109,8 @@ def test_build_feasibility_cut_two_rows():
     sol = lp.solve(prob)
     assert sol.objective == pytest.approx(2.5, abs=1e-9)
     assert np.allclose(sol.dual_eq, [1.0, 1.0], atol=1e-9)
-    # both equality rows read b0 - (0, 1) . (x0, x1): slope -(1 + 1)
-    slope = valuefn.assemble_pi(np.array([[0.0, 1.0], [0.0, 1.0]]), sol, 1)
+    # both equality rows read b0 - 1 . x1: slope -(1 + 1)
+    slope = valuefn.assemble_pi(np.array([[1.0], [1.0]]), sol)
     cut = cuts.build_feasibility_cut(
         phase1_value=sol.objective, slope=slope,
         anchor=np.zeros(1), stage=2, index=1, iteration=1)
@@ -248,7 +248,7 @@ def test_deduped_pool_matches_the_full_list(seed):
         x1 = rng.uniform(problem.stages[0].realizations[0].lb,
                          problem.stages[0].realizations[0].ub)
         sub = model.assemble_subproblem(problem, (2, j))
-        history = np.concatenate([problem.x0, x1])
+        history = x1
         objs = []
         for pool in (deduped, full):
             prob, _b0, _hist = engine.build_stage_lp(sub, pool.view(n), problem.z_lower(2),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from checks import check_subgradient, n_feasibility_cuts
-from conftest import (lattice_to_tree, make_cvar_without_complete_recourse,
+from conftest import (lattice_to_tree, make_cvar_without_complete_recourse, make_newsvendor,
                       random_lattice_instance)
 from riskdp import engine, io, lp, model, oracle
 from riskdp.risk import RiskSpec
@@ -364,15 +364,13 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
         cold = solve_node(p, where, history, pools, z_lo)
         assert not cold.duals.warm_start
         assert abs(ns.value - cold.value) <= 1e-9
-        n = p.dim
-        if history.shape[0] > n:
+        if history.shape[0]:
             def cold_value(dec):
                 try:
-                    return solve_node(p, where, np.concatenate([history[:n], dec]),
-                                      pools, z_lo).value
+                    return solve_node(p, where, dec, pools, z_lo).value
                 except engine.EngineError:  # no feasible decision at that history
                     return math.inf
-            assert check_subgradient(cold_value, history[n:], ns.pi, n_samples=6,
+            assert check_subgradient(cold_value, history, ns.pi, n_samples=6,
                                      radius=0.5, seed=seen["warm"]) == []
         return ns
 
@@ -442,6 +440,28 @@ def test_oracle_check_final_without_complete_recourse():
     assert abs(res.oracle_gap) <= 1e-9
 
 
+def test_oracle_check_every_k_solves_the_reference_once(monkeypatch, caplog):
+    # the problem does not change during a run, so neither does its reference
+    # value: one extensive-form solve serves every every:K line and the final one
+    reference = oracle.reference_value
+    calls = Counter()
+
+    def counting(problem):
+        calls["reference"] += 1
+        return reference(problem)
+
+    monkeypatch.setattr(oracle, "reference_value", counting)
+    with caplog.at_level(logging.INFO, logger="riskdp.engine"):
+        res = engine.run(make_newsvendor(),
+                         _cfg(max_iters=12, stall_window=13, oracle_check="every:2"))
+    assert res.iters == 12 and calls["reference"] == 1
+    lines = [r.getMessage() for r in caplog.records if "oracle" in r.getMessage()]
+    assert len(lines) == 7  # iterations 2, 4, ..., 12 and the final line
+    assert all(f"oracle {res.oracle_value:.12g}," in line for line in lines)
+    assert res.oracle_value == pytest.approx(1.5, abs=1e-9)
+    assert res.oracle_gap == res.oracle_value - res.final_lower_bound
+
+
 @pytest.mark.parametrize("case", ["alg1-lattice", "alg3-tree"])
 def test_payload_is_folded_once_per_cold_stage_lp(monkeypatch, case):
     # a warm re-solve only moves the right-hand side along the held map, so
@@ -449,9 +469,9 @@ def test_payload_is_folded_once_per_cold_stage_lp(monkeypatch, case):
     fold_map = model.Realization.fold_map
     folds = Counter()
 
-    def counting(self, k):
+    def counting(self, x0, k):
         folds["calls"] += 1
-        return fold_map(self, k)
+        return fold_map(self, x0, k)
 
     monkeypatch.setattr(model.Realization, "fold_map", counting)
     problem = _mixture_lattice() if case == "alg1-lattice" else _cvar_tree()

@@ -62,8 +62,9 @@ def test_assemble_stage1():
     prob = model.Problem(horizon=1, dim=1, x0=[0.0], stages=[model.Stage([pay])])
     sub = model.assemble_subproblem(prob, (1, 0))
     assert np.allclose(sub.a_cur, [[1.0]])
-    assert np.allclose(sub.b0 - sub.hist @ [0.0], [2.0, 0.0])  # the equality row, the piece row
-    assert sub.hist.shape == (2, 1)  # stage 1: only the x_0 block
+    # the equality row, the piece row
+    assert np.allclose(sub.b0 - sub.hist @ np.zeros(0), [2.0, 0.0])
+    assert sub.hist.shape == (2, 0)  # stage 1: an empty history, x_0 folded into b0
 
 
 def test_assemble_stage2_history_folding():
@@ -74,8 +75,8 @@ def test_assemble_stage2_history_folding():
                          stages=[stage1, model.Stage([pay], risk=RiskSpec())],
                          lower_value_bound=[0.0])
     sub = model.assemble_subproblem(prob, (2, 0))
-    assert np.allclose((sub.b0 - sub.hist @ [0.0, 1.0])[:1], [2.0])
-    assert np.allclose(sub.hist[:1], [[0.0, 1.0]])  # the x_0 and x_1 blocks
+    assert np.allclose((sub.b0 - sub.hist @ [1.0])[:1], [2.0])
+    assert np.allclose(sub.hist[:1], [[1.0]])  # the x_1 block
 
 
 def test_assemble_constant_absorption():
@@ -88,8 +89,8 @@ def test_assemble_constant_absorption():
     sub = model.assemble_subproblem(prob, (2, 0))
     assert np.allclose(sub.piece_cur, [[2.0]])
     # the piece row reads 2 x_2 - w <= -d' over the epigraph column w
-    assert np.allclose(sub.b0 - sub.hist @ [0.0, 5.0], [-5.0])
-    assert np.allclose(sub.hist, [[0.0, 1.0]])  # no x_0 block in the cost
+    assert np.allclose(sub.b0 - sub.hist @ [5.0], [-5.0])
+    assert np.allclose(sub.hist, [[1.0]])  # the x_1 block of the cost
 
 
 def test_assemble_is_pure():
@@ -117,9 +118,9 @@ def test_assemble_feasible_set_convex_in_history():
         h1, h2 = rng.uniform(-3, 3, size=2)
         lam = rng.uniform()
         # the unique feasible x_2 values
-        y1, y2 = [(sub.b0 - sub.hist @ [0.0, h])[0] for h in (h1, h2)]
+        y1, y2 = [(sub.b0 - sub.hist @ [h])[0] for h in (h1, h2)]
         yb = lam * y1 + (1 - lam) * y2
-        eq_rhs = (sub.b0 - sub.hist @ [0.0, lam * h1 + (1 - lam) * h2])[:1]
+        eq_rhs = (sub.b0 - sub.hist @ [lam * h1 + (1 - lam) * h2])[:1]
         assert np.allclose(sub.a_cur @ [yb], eq_rhs, atol=1e-12)
 
 
@@ -127,7 +128,7 @@ def test_assemble_feasible_set_convex_in_history():
 @given(t=st.integers(1, 3), n=st.integers(1, 3), q=st.integers(0, 2), r=st.integers(0, 2),
        seed=st.integers(0, 2**32 - 1))
 def test_fold_matches_the_block_formulas(t, n, q, r, seed):
-    # a stage-t payload folded after x_{0:k-1}, at every split point k, against
+    # a stage-t payload folded after x_0 and x_{1:k-1}, at every split point k, against
     # the block sums written out; q = 0 or r = 0 leaves that system missing
     rng = np.random.default_rng(seed)
     blocks = [rng.normal(size=(q, n)) for _ in range(t + 1)]
@@ -140,7 +141,7 @@ def test_fold_matches_the_block_formulas(t, n, q, r, seed):
     g_blocks = np.hsplit(g, t + 1)
     c_blocks = np.hsplit(cost.pieces_c, t)  # over x_1..x_t
     for k in range(1, t + 1):
-        rows = pay.fold(x[:k * n])
+        rows = pay.fold(x[:n], x[n:k * n])
         assert rows.a.shape == (q, (t + 1 - k) * n)
         assert rows.g.shape == (r, (t + 1 - k) * n)
         assert rows.pieces_c.shape == (2, (t + 1 - k) * n)

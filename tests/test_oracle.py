@@ -156,22 +156,23 @@ def test_reference_value_dispatch():
 
 def test_true_recourse_values_on_newsvendor():
     problem = _newsvendor()
-    value = oracle.true_recourse_value(problem, 2, np.array([0.0, 0.5]))
+    value = oracle.true_recourse_value(problem, 2, np.array([0.5]))
     assert value == pytest.approx(0.5 * 0.5 + 0.5 * 1.5, abs=1e-9)
     averse = _newsvendor(RiskSpec(kind="cvar", epsilon=0.5))
-    assert oracle.true_recourse_value(averse, 2, np.array([0.0, 0.5])) == \
+    assert oracle.true_recourse_value(averse, 2, np.array([0.5])) == \
         pytest.approx(1.5, abs=1e-9)
-    assert oracle.true_recourse_value(problem, 3, np.array([0.0, 0.5, 0.5])) == 0.0
+    assert oracle.true_recourse_value(problem, 3, np.array([0.5, 0.5])) == 0.0
 
 
 @pytest.mark.parametrize("form", ["lattice", "tree"])
 @pytest.mark.parametrize("length", [1, 3])
 def test_true_recourse_value_checks_the_history_length(form, length):
-    # pool 2 of the lattice and node 1 of its tree twin read x_{0:1}: two coordinates
-    problem = _newsvendor()
-    key = 2
+    # pool 3 of a three-stage lattice and node 2 of its tree twin (a stage-2
+    # node) read x_{1:2}: two coordinates
+    problem = _stochastic_three_stage()
+    key = 3
     if form == "tree":
-        problem, key = lattice_to_tree(problem), 1
+        problem, key = lattice_to_tree(problem), 2
     with pytest.raises(model.ModelError, match="history must have 2 coordinates"):
         oracle.true_recourse_value(problem, key, np.zeros(length))
 
@@ -189,9 +190,9 @@ def test_conditioning_reports_infeasible_history():
     problem = model.Problem(horizon=3, dim=1, x0=np.zeros(1),
                             stages=[_stage1(), second, third],
                             lower_value_bound=np.array([0.0, 0.0]))
-    bad = oracle.true_recourse_value(problem, 2, np.array([0.0, 0.7]))
+    bad = oracle.true_recourse_value(problem, 2, np.array([0.7]))
     assert math.isinf(bad)
-    good = oracle.true_recourse_value(problem, 2, np.array([0.0, 1.6]))
+    good = oracle.true_recourse_value(problem, 2, np.array([1.6]))
     assert good == pytest.approx(0.1 * 1.6 + 0.1, abs=1e-9)
 
 
@@ -200,7 +201,7 @@ def test_risk_averse_tail_without_complete_recourse_is_not_called_infeasible():
     # extensive form finds it, while nested decomposition, which has no
     # feasibility cuts, meets x2 < 1 on its way and says so
     problem = make_cvar_without_complete_recourse()
-    assert oracle.true_recourse_value(problem, 2, np.array([0.0, 0.5])) == \
+    assert oracle.true_recourse_value(problem, 2, np.array([0.5])) == \
         pytest.approx(2.0, abs=1e-9)
     assert oracle.extensive_form_value(problem) == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(oracle.OracleError,
@@ -208,7 +209,7 @@ def test_risk_averse_tail_without_complete_recourse_is_not_called_infeasible():
         oracle.nested_decomposition_value(problem)
     # with x2 <= 0.5 no history has a feasible tail: that is +inf, not an error
     hopeless = make_cvar_without_complete_recourse(stage2_ub=0.5)
-    assert math.isinf(oracle.true_recourse_value(hopeless, 2, np.array([0.0, 0.5])))
+    assert math.isinf(oracle.true_recourse_value(hopeless, 2, np.array([0.5])))
     assert math.isinf(oracle.extensive_form_value(hopeless))
     assert math.isinf(oracle.nested_decomposition_value(hopeless))
 
@@ -227,7 +228,7 @@ def test_oracle_solves_cold(monkeypatch):
     monkeypatch.setattr(lp.PersistentLp, "resolve", recording("held", held))
     problem = _stochastic_three_stage(RiskSpec(kind="cvar", epsilon=0.5))
     oracle.exact_nested_decomposition(problem)
-    oracle.true_recourse_value(problem, 2, np.array([0.0, 0.5]))
+    oracle.true_recourse_value(problem, 2, np.array([0.5]))
     assert solves["cold"] > 0 and solves["held"] == 0
 
 
@@ -246,9 +247,9 @@ def test_tree_conditioning_aggregates_children():
                              lb=np.zeros(1), ub=np.array([10.0]))))
     tree = model.Problem(horizon=2, dim=1, x0=np.zeros(1), form=model.TREE,
                          nodes=nodes, lower_value_bound=np.array([0.0]))
-    value = oracle.true_recourse_value(tree, 1, np.array([0.0, 0.0]))
+    value = oracle.true_recourse_value(tree, 1, np.array([0.0]))
     assert value == pytest.approx(2.0, abs=1e-9)  # worst child dominates
-    leaf = oracle.true_recourse_value(tree, 3, np.array([0.0, 0.0, 0.0]))
+    leaf = oracle.true_recourse_value(tree, 3, np.array([0.0, 0.0]))
     assert leaf == 0.0
 
 
@@ -275,7 +276,7 @@ def test_nested_decomposition_on_tree_matches_lattice():
         nodes = nodes_at_depth(averse_twin, t - 1)
         assert len(nodes) == 2 ** (t - 2)
         for _ in range(3):
-            history = np.concatenate([averse.x0, rng.uniform(0.0, [2.0, 5.0][:t - 1])])
+            history = rng.uniform(0.0, [2.0, 5.0][:t - 1])
             want = oracle.true_recourse_value(averse, t, history)
             for m in nodes:
                 assert oracle.true_recourse_value(averse_twin, m, history) == \
@@ -439,9 +440,8 @@ def test_true_recourse_value_matches_nested_decomposition_per_child():
                 continue
             lo, hi = _history_box(problem, key)
             for x in rng.uniform(lo, hi, size=(3, lo.shape[0])):
-                history = np.concatenate([problem.x0, x])
-                want = nd_true_recourse_value(problem, key, history)
-                got = oracle.true_recourse_value(problem, key, history)
+                want = nd_true_recourse_value(problem, key, x)
+                got = oracle.true_recourse_value(problem, key, x)
                 assert _rel_gap(got, want) <= 1e-9, (name, key)
                 checked += 1
     assert checked == 54
@@ -514,9 +514,9 @@ def test_highs_model_matches_linprog_on_audited_histories(monkeypatch):
             if not topo.terminal(key):
                 lo, hi = _history_box(problem, key)
                 x = rng.uniform(lo, hi, size=(6, lo.shape[0]))
-                stacks.append((name, problem, key, np.hstack([np.tile(problem.x0, (6, 1)), x])))
+                stacks.append((name, problem, key, x))
     no_rcr = make_cvar_without_complete_recourse()
-    mixed = np.array([[0.0, 0.3, x2] for x2 in (0.2, 1.5, 0.8, 2.0, 0.99, 1.0)])
+    mixed = np.array([[0.3, x2] for x2 in (0.2, 1.5, 0.8, 2.0, 0.99, 1.0)])
     stacks += [("no-rcr", no_rcr, 3, mixed), ("no-rcr-tree", lattice_to_tree(no_rcr), 2, mixed)]
     got = [oracle.true_recourse_value(problem, key, h) for _, problem, key, h in stacks]
     for (name, problem, key, h), values in zip(stacks, got):
@@ -538,7 +538,7 @@ def test_other_highs_statuses_are_oracle_errors(monkeypatch):
 
     monkeypatch.setattr(highs_core, "_Highs", OutOfTime)
     with pytest.raises(oracle.OracleError, match="Time limit reached"):
-        oracle.true_recourse_value(_newsvendor(), 2, np.array([0.0, 0.5]))
+        oracle.true_recourse_value(_newsvendor(), 2, np.array([0.5]))
 
 
 def test_missing_highs_binding_is_an_oracle_error(monkeypatch):

@@ -37,7 +37,7 @@ def _two_stage(stage2_payload, lower=0.0):
 
 def _solve_second_stage(problem, x1):
     pools = engine.PoolSet(problem)
-    return engine.solve_node(problem, (2, 0), np.array([0.0, x1]), pools)
+    return engine.solve_node(problem, (2, 0), np.array([x1]), pools)
 
 
 def _terms(problem, ns, view=None):
@@ -112,14 +112,14 @@ def test_cut_row_contribution():
         theta=5.0, beta=np.array([1.0, 1.0]), anchor=np.zeros(2),
         iteration=0, stage=3))
     # stage-2 subproblem at x1 = 2: min w + z, z >= x2 + 5 + x1, x2 in [-10, 10]
-    ns = engine.solve_node(problem, (2, 0), np.array([0.0, 2.0]), pools)
+    ns = engine.solve_node(problem, (2, 0), np.array([2.0]), pools)
     assert ns.value == pytest.approx(-3.0, abs=1e-9)
     assert np.allclose(ns.pi, [1.0], atol=1e-9)
     parts = _terms(problem, ns, pools.rows_for((2, 0)).view(1))
     assert np.allclose(parts.cut_term, [1.0], atol=1e-9)
     assert np.allclose(ns.pi, parts.cost_term + parts.eq_term
                        + parts.g_term + parts.cut_term)
-    shifted = engine.solve_node(problem, (2, 0), np.array([0.0, 3.0]), pools)
+    shifted = engine.solve_node(problem, (2, 0), np.array([3.0]), pools)
     assert shifted.value == pytest.approx(-2.0, abs=1e-9)
 
 
@@ -128,18 +128,18 @@ def test_assemble_pi_rejects_non_optimal():
                    pieces=model.PwlConvexCost([[0.0, 1.0]], [0.0], dim=1),
                    lb=np.zeros(1), ub=np.array([1.0]))
     problem = _two_stage(pay)
-    history = np.array([0.0, 1.0])
+    history = np.array([1.0])
     _prob, _b0, hist = engine.build_stage_lp(model.assemble_subproblem(problem, (2, 0)),
                                              zero_terminal_pool(2).view(1), 0.0, history)
     ns = _solve_second_stage(problem, 1.0)
-    assert np.array_equal(valuefn.assemble_pi(hist, ns.duals, 1), ns.pi)
+    assert np.array_equal(valuefn.assemble_pi(hist, ns.duals), ns.pi)
     bad = lp.LpSolution(status=lp.INFEASIBLE, x=ns.duals.x,
                         objective=math.nan, dual_eq=ns.duals.dual_eq,
                         dual_ineq=ns.duals.dual_ineq, pivots=0)
     with pytest.raises(ValueError, match="status"):
-        valuefn.assemble_pi(hist, bad, 1)
+        valuefn.assemble_pi(hist, bad)
     with pytest.raises(ValueError, match="rows"):
-        valuefn.assemble_pi(hist[1:], ns.duals, 1)
+        valuefn.assemble_pi(hist[1:], ns.duals)
 
 
 def _agrees(new, old):
@@ -199,13 +199,13 @@ def test_pi_matches_the_block_formula(monkeypatch, case):
         seen["pi"] += 1
         return ns
 
-    def recording_pi(hist, sol, n_dim):
+    def recording_pi(hist, sol):
         last["sol"] = sol
-        return assemble_pi(hist, sol, n_dim)
+        return assemble_pi(hist, sol)
 
     def checked_phase_one(p, where, history, pools, tally=None):
-        k = topo.stage(where) * n
-        a_hist = topo.payload(where).fold_map(k).b_hist[:, n:]
+        k = (topo.stage(where) - 1) * n
+        a_hist = topo.payload(where).fold_map(p.x0, k).b_hist
         feas_beta1 = pools.rows_for(where).view(n).feas_beta1
         value, slope = phase_one(p, where, history, pools, tally)
         sol = last["sol"]
