@@ -177,14 +177,12 @@ def _cmd_check_cuts(args) -> int:
                           f"coefficients, a row has {rec.beta.shape[0]}")
         by_where.setdefault(rec.where, []).append(rec)
     n_violations = 0
-    n_checked = 0
     for where in sorted(by_where):
         lo, hi = _history_box(problem, where)
         points = rng.uniform(lo, hi, size=(args.points, lo.shape[0]))
         trues = oracle.true_recourse_value(problem, where, points)
         for x, true in zip(points, trues.tolist()):
             for rec in by_where[where]:
-                n_checked += 1
                 if rec.kind == io.CUT_KIND_OPTIMALITY:
                     if math.isinf(true):
                         continue  # any lower bound is valid where recourse is +inf

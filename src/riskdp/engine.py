@@ -39,13 +39,16 @@ Persistent stage LPs: the driver holds one :class:`StageLp` per position,
 built on the position's first solve and kept for the run with its map.
 Between two solves of a position only the right-hand side moves, to
 ``b0 - M h``, and the pool's new cut rows are appended, which is what
-:class:`riskdp.lp.PersistentLp` re-solves in place.  Everything else solves
-cold: the probe's ``resolve`` (it must not disturb the driver's LPs),
+:class:`riskdp.lp.PersistentLp` re-solves in place.  A solve at the history
+of the position's last solve, with no new row in its pool, is that same LP:
+:func:`solve_node` hands back the last solution without touching the LP,
+and the driver counts it as ``lps_reused``, not as an LP.  Everything else
+solves cold: the probe's ``resolve`` (it must not disturb the driver's LPs),
 :func:`phase_one`, and every caller of :func:`solve_node` that passes no
-stage LP, such as the oracle.  A
-re-solve in place may stop at another optimal vertex of a degenerate LP than
-the cold one, hence another dual vertex and another valid cut; replay is
-still exact, because the stage LPs evolve deterministically.
+stage LP, such as the oracle.  A re-solve in place may stop at another
+optimal vertex of a degenerate LP than the cold one, hence another dual
+vertex and another valid cut; replay is still exact, because the stage LPs
+evolve deterministically.
 """
 
 from __future__ import annotations
@@ -94,7 +97,10 @@ class RunConfig:
     an optional callable invoked at every cut-construction child solve with a
     dict (keys ``stage``, ``realization``, ``history``, ``value``, ``pi``,
     ``resolve``), where ``history`` is the decisions ``x_{1:t-1}`` the child
-    was solved at.  ``resolve(history)`` solves the event's subproblem cold at
+    was solved at.  The event's solution may be the position's last one,
+    handed back because the child's LP had not changed (``lps_reused``); the
+    event then carries the same ``value`` and ``pi`` as the earlier event of
+    that solve.  ``resolve(history)`` solves the event's subproblem cold at
     ``history`` against the run's pools as they are when it is called, and
     leaves the driver's stage LPs unchanged.  Called inside the probe, those
     are the event's pools, and ``value + pi . (history - event history)`` is
@@ -125,7 +131,10 @@ class IterationReport:
     re-solves), ``lps_warm`` the stage LPs re-solved in place from their held
     basis, skipping phase 1, ``lps_dual`` those of them that first took dual
     simplex pivots back to primal feasibility, and ``pivots`` the simplex
-    pivots of them all.
+    pivots of them all.  ``lps_reused`` counts the stage solves that were
+    not LPs: the position's last solve, at the same history and pool rows,
+    handed back by :func:`solve_node`.  ``lps + lps_reused`` is the number
+    of stage and phase-I solves the algorithm asked for.
     """
 
     k: int
@@ -139,6 +148,7 @@ class IterationReport:
     lps: int = 0
     lps_warm: int = 0
     lps_dual: int = 0
+    lps_reused: int = 0
     pivots: int = 0
     wall_ms: float = 0.0
 
@@ -282,7 +292,7 @@ def build_stage_lp(sub: SubproblemData, view, z_lo: float,
 
 
 class StageLp:
-    """One position's stage LP and its right-hand side map, kept across the run's solves.
+    """One position's stage LP, its right-hand side map and its last solve, kept for the run.
 
     A cold solve builds the LP and its map with :func:`build_stage_lp`,
     solves it with :func:`riskdp.lp.solve` and holds it with its final basis
@@ -293,7 +303,9 @@ class StageLp:
     right-hand side ``b0 - hist @ h`` and re-solves in place; when
     :meth:`riskdp.lp.PersistentLp.resolve` declines, the solve is cold again.
     ``b0`` and ``hist`` are the map of the LP last solved, ``n_opt`` and
-    ``n_feas`` count its cut rows.
+    ``n_feas`` count its cut rows.  ``history`` (as bytes) and ``solution``
+    are the history of the last solve and the :class:`NodeSolution`
+    :func:`solve_node` made of it, which :meth:`last_solution` hands back.
     """
 
     def __init__(self):
@@ -302,6 +314,21 @@ class StageLp:
         self.hist: np.ndarray | None = None
         self.n_opt = 0
         self.n_feas = 0
+        self.history: bytes | None = None
+        self.solution: NodeSolution | None = None
+
+    def last_solution(self, history: np.ndarray, view) -> NodeSolution | None:
+        """The last solve's solution when a solve at ``history`` and ``view`` is the same LP.
+
+        The LP is fixed by the position, the history and the pool's rows, and
+        pools only grow, so equal cut counts mean equal rows.  Only the last
+        solve is kept: a warm re-solve of a degenerate LP may stop at another
+        vertex, so an older solve is not what the held LP would return.
+        """
+        if (self.solution is not None and view.n_opt == self.n_opt
+                and view.n_feas == self.n_feas and history.tobytes() == self.history):
+            return self.solution
+        return None
 
     def _insert(self, rows: np.ndarray, b0: np.ndarray, beta1: np.ndarray, before: int,
                 history: np.ndarray) -> None:
@@ -313,6 +340,7 @@ class StageLp:
 
     def solve(self, problem: Problem, where, history: np.ndarray, view,
               z_lo: float) -> lp.LpSolution:
+        self.solution = None  # the held LP moves; solve_node holds the new solution
         held = self.lp
         if held is not None:
             if view.n_opt > self.n_opt:
@@ -346,10 +374,14 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
     optimality- and feasibility-cut rows of the position's pool; ``z`` is
     bounded below by the certified recourse bound for the next stage.
 
-    ``stage_lp`` is the position's optional persistent LP.  When given, the
-    solve goes through it (:meth:`StageLp.solve`); without it, the solve is
-    the cold :func:`riskdp.lp.solve` of :func:`build_stage_lp`.  Either way
-    ``pi`` is :func:`~riskdp.valuefn.assemble_pi` on the solved LP's map.
+    ``stage_lp`` is the position's optional persistent LP.  When given and
+    the LP is the one it solved last (:meth:`StageLp.last_solution`: the
+    same history and pool rows), that solve's ``NodeSolution`` is returned
+    as it is and no LP is touched; otherwise the solve goes through it
+    (:meth:`StageLp.solve`) and the result is held for the next call.
+    Without it, the solve is the cold :func:`riskdp.lp.solve` of
+    :func:`build_stage_lp`.  Either way ``pi`` is
+    :func:`~riskdp.valuefn.assemble_pi` on the solved LP's map.
     """
     n = problem.dim
     t = problem.topology.stage(where)
@@ -362,6 +394,9 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
                                          history)
         sol = lp.solve(prob)
     else:
+        last = stage_lp.last_solution(history, view)
+        if last is not None:
+            return last
         sol = stage_lp.solve(problem, where, history, view, z_lo)
         hist = stage_lp.hist
     if sol.status == lp.INFEASIBLE:
@@ -373,8 +408,11 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
         raise EngineError(
             f"stage-{t} subproblem unbounded: lower_value_bound for stage "
             f"{t + 1} does not bound the recourse from below")
-    return NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol,
-                        pi=assemble_pi(hist, sol))
+    ns = NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol,
+                      pi=assemble_pi(hist, sol))
+    if stage_lp is not None:
+        stage_lp.history, stage_lp.solution = history.tobytes(), ns
+    return ns
 
 
 def _count_lp(tally: Counter, sol: lp.LpSolution) -> None:
@@ -440,7 +478,8 @@ class _Driver:
     of the run goes through it (see :func:`solve_node`).  The probe's
     ``resolve`` and the phase-I LPs of the feasibility gate stay cold and
     leave the stage LPs alone.  ``tally`` holds the run's running LP totals
-    (:func:`_count_lp`).
+    (:func:`_count_lp`) and the stage solves that reused the position's last
+    solution (``lps_reused``).
     """
 
     def __init__(self, problem: Problem, cfg: RunConfig):
@@ -458,10 +497,18 @@ class _Driver:
     # -- small helpers -----------------------------------------------------
 
     def _solve(self, where, history) -> NodeSolution:
-        """Solve one stage LP through the position's stage LP and tally it."""
-        ns = solve_node(self.problem, where, history, self.pools,
-                        stage_lp=self.stage_lps[where])
-        _count_lp(self.tally, ns.duals)
+        """Solve one stage LP through the position's stage LP and tally it.
+
+        A solve that returns the position's last solution again counts as
+        ``lps_reused``, not as an LP.
+        """
+        stage_lp = self.stage_lps[where]
+        last = stage_lp.solution
+        ns = solve_node(self.problem, where, history, self.pools, stage_lp=stage_lp)
+        if ns is last:
+            self.tally["lps_reused"] += 1
+        else:
+            _count_lp(self.tally, ns.duals)
         return ns
 
     def _solve_stage1(self) -> NodeSolution:
@@ -586,7 +633,7 @@ class _Driver:
                                cuts_feas=counters_feas, cuts_skipped=skipped,
                                backtracks=backtracks, lps=tally["lps"],
                                lps_warm=tally["lps_warm"], lps_dual=tally["lps_dual"],
-                               pivots=tally["pivots"],
+                               lps_reused=tally["lps_reused"], pivots=tally["pivots"],
                                wall_ms=wall_ms)
 
 
@@ -671,10 +718,11 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
         improvement = fresh - report.lower_bound
         logger.info("iteration %d: lower bound %.12g (+%.3g), %d optimality "
                     "(%d duplicates skipped) / %d feasibility cuts, %d backtracks, "
-                    "%d LPs (%d warm, %d dual), %d pivots",
+                    "%d LPs (%d warm, %d dual), %d reused, %d pivots",
                     k, report.lower_bound, improvement, report.n_cuts_opt,
                     report.n_cuts_skipped, report.n_cuts_feas, report.backtracks,
-                    report.lps, report.lps_warm, report.lps_dual, report.pivots)
+                    report.lps, report.lps_warm, report.lps_dual, report.lps_reused,
+                    report.pivots)
         if mode == "every" and k % every == 0:
             if oracle_value is None:  # the problem does not change: solve it once
                 oracle_value = _oracle_value(problem)
@@ -699,6 +747,7 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
         "lps": driver.tally["lps"],
         "lps_warm": driver.tally["lps_warm"],
         "lps_dual": driver.tally["lps_dual"],
+        "lps_reused": driver.tally["lps_reused"],
         "pivots": driver.tally["pivots"],
     }
     for t, total in driver.pi_norm_max.items():

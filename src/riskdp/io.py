@@ -36,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cuts import CutPool
 from .model import (LATTICE, TREE, ModelError, Node, Problem, PwlConvexCost,
                     Realization, Stage, validate_problem)
 from .risk import RiskConfigError, RiskSpec

@@ -87,8 +87,10 @@ class RiskSpec:
         if not isinstance(frag, dict) or "type" not in frag:
             raise RiskConfigError(f"risk fragment must be an object with a 'type' key: {frag!r}")
         try:
-            spec = cls(kind=frag["type"], epsilon=frag.get("epsilon"), lam=frag.get("lambda"),
-                       rows=[(np.asarray(r["a"], dtype=float), float(r["rhs"]))
+            spec = cls(kind=frag["type"], epsilon=_json_number(frag.get("epsilon"), True),
+                       lam=_json_number(frag.get("lambda"), True),
+                       rows=[(np.array([_json_number(v) for v in r["a"]], dtype=float),
+                              float(_json_number(r["rhs"])))
                              for r in frag.get("rows", [])])
             spec.validate()
         except RiskConfigError:
@@ -108,6 +110,19 @@ class RiskSpec:
         if self.rows:
             out["rows"] = [{"a": list(map(float, a)), "rhs": float(rhs)} for a, rhs in self.rows]
         return out
+
+
+def _json_number(value, absent_ok: bool = False):
+    """``value`` as given when it is a JSON number (``None`` too with ``absent_ok``).
+
+    A bool or a string raises ``TypeError``; Python would otherwise compare
+    and convert both as numbers.
+    """
+    if value is None and absent_ok:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return value
 
 
 def _check_probs(probs: np.ndarray) -> np.ndarray:

@@ -4,9 +4,13 @@ Each instance of each workload is generated and solved the way perfbench
 solves it (``perfbench/workloads.py``, loaded read-only): at the workload's
 iteration budget with the stall rule off.  One line per instance gives the
 workload, the instance index, the SHA-256 of ``cuts.csv`` followed by
-``summary.json``, and the run's ``lps``, ``lps_warm``, ``lps_dual`` and
-``pivots`` counts.  Two checkouts that print the same lines replay the same
-cuts and the same summaries through the same number of LPs and pivots.
+``summary.json``, and the run's ``lps``, ``lps_reused``, ``lps_warm``,
+``lps_dual`` and ``pivots`` counts.  Two checkouts that print the same lines
+replay the same cuts and the same summaries through the same number of LPs
+and pivots.  ``lps_reused`` counts the stage solves that handed back the
+position's last solution instead of solving an LP; ``lps + lps_reused`` is
+every stage and phase-I solve the run asked for, so it can be set against
+the ``lps`` of a checkout that printed no ``lps_reused``.
 After each solve line, an audit line gives the workload, the instance index,
 ``audit`` and the summary of the in-process ``check-cuts`` perfbench runs on
 that cut dump (``workloads.audit``): ``checked N cuts at P points per pool:
@@ -60,7 +64,8 @@ def digest_lines(seed: int, keep: Path | None = None):
                 for artifact in ("cuts.csv", "summary.json"):
                     sha.update((outdir / artifact).read_bytes())
                 counts = " ".join(f"{key}={result.diagnostics[key]}"
-                                  for key in ("lps", "lps_warm", "lps_dual", "pivots"))
+                                  for key in ("lps", "lps_reused", "lps_warm", "lps_dual",
+                                              "pivots"))
                 yield f"{name} {index} {sha.hexdigest()} {counts}"
                 problem_file = outdir / "problem.json"
                 wl.io.save_problem(problem, problem_file)

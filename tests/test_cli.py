@@ -125,10 +125,18 @@ def test_missing_or_invalid_input_exits_three(tmp_path):
     (False, lambda doc: doc["stages"][1].update(risk={"type": "polytope", "rows": [1]})),
     (False, lambda doc: doc["stages"][1].update(
         risk={"type": "polytope", "rows": [{"a": [1]}]})),
+    (False, lambda doc: doc["stages"][1].update(risk={"type": "cvar", "epsilon": True})),
+    (False, lambda doc: doc["stages"][1].update(
+        risk={"type": "expectation", "epsilon": "junk"})),
+    (False, lambda doc: doc["stages"][1].update(
+        risk={"type": "mixture", "epsilon": 0.5, "lambda": True})),
+    (False, lambda doc: doc["stages"][1].update(
+        risk={"type": "polytope", "rows": [{"a": [1, 0], "rhs": "1.5"}]})),
 ], ids=["node-without-id", "non-integer-parent", "node-not-an-object", "nodes-not-a-list",
         "stages-not-a-list", "stage-not-an-object", "realizations-not-a-list",
         "cvar-epsilon-not-a-number", "mixture-lambda-not-a-number",
-        "polytope-row-not-an-object", "polytope-row-without-rhs"])
+        "polytope-row-not-an-object", "polytope-row-without-rhs", "cvar-epsilon-a-bool",
+        "expectation-epsilon-a-string", "mixture-lambda-a-bool", "polytope-rhs-a-string"])
 def test_malformed_document_structure_exits_three(tmp_path, capsys, tree, damage):
     # a document whose nodes, stages or risk fragments have the wrong JSON
     # shape is malformed input (exit 3), not a crash that exits 1 like a

@@ -341,16 +341,20 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
     :func:`engine.solve_node` at the same history and pools within 1e-9, and
     its ``pi`` must pass the subgradient inequality of the cold value
     function around that history; every other one must be the cold solve,
-    bit for bit.  Returns the run's result and counts of what was checked.
+    bit for bit.  A solve that hands back the position's last solution is
+    checked the same way, by the solve it reuses, and also counted as
+    ``reused``.  Returns the run's result and counts of what was checked.
     """
     solve_node = engine.solve_node
     seen = Counter()
 
     def checked(p, where, history, pools, z_lo=None, stage_lp=None):
         held = None if stage_lp is None else (stage_lp.n_opt, stage_lp.n_feas)
+        last = None if stage_lp is None else stage_lp.solution
         ns = solve_node(p, where, history, pools, z_lo, stage_lp)
         if stage_lp is None:
             return ns
+        seen["reused"] += ns is last
         if not ns.duals.warm_start:
             cold = solve_node(p, where, history, pools, z_lo)
             assert ns.value == cold.value and ns.pi.tobytes() == cold.pi.tobytes()
@@ -401,6 +405,7 @@ def test_warm_solves_match_cold_solves(monkeypatch, case):
                                                                    max_iters=12)
     res, seen = _run_checking_warm_solves(monkeypatch, problem, cfg)
     assert seen["warm"] >= 10 and seen["dual"] >= 1 and seen["cold"] >= 1, seen
+    assert seen["reused"] >= 1, seen
     if case == "alg2-feasibility-rows":
         assert n_feasibility_cuts(res.pools) >= 1
         assert seen["feasibility_rows_shifted"] >= 1
@@ -484,12 +489,20 @@ def test_lp_counts_are_reported(caplog):
     with caplog.at_level(logging.INFO, logger="riskdp.engine"):
         res = engine.run(_mixture_lattice(), _cfg(max_iters=8, stall_window=9))
     diag = res.diagnostics
-    for name in ("lps", "lps_warm", "lps_dual", "pivots"):
+    for name in ("lps", "lps_warm", "lps_dual", "lps_reused", "pivots"):
         assert diag[name] == sum(getattr(r, name) for r in res.reports)
     assert 0 < diag["lps_warm"] < diag["lps"]  # the first solve of a position is cold
-    # iteration k >= 2 solves the stage-1 LP twice and every stage-t LP it visits
+    assert diag["lps_reused"] > 0
+    # T=3, M=3, backward timing: every iteration solves the two sampled
+    # positions forward, the three children of stages 3 and 2 backward and
+    # the fresh stage-1 bound; iteration 1 also solves its entering stage-1
+    # bound, later ones are handed the previous fresh bound.  Some of these
+    # solves reuse the position's last solution, and every iteration still
+    # solves at least two LPs afresh
+    assert [r.lps + r.lps_reused for r in res.reports] == [10] + [9] * 7
     assert all(r.lps >= 2 and r.lps_dual <= r.lps_warm <= r.lps for r in res.reports)
     assert "LPs (" in caplog.text and " warm, " in caplog.text and " dual), " in caplog.text
+    assert " reused, " in caplog.text
 
 
 def _stage_lp_state(stage_lp: engine.StageLp) -> tuple:
@@ -500,6 +513,58 @@ def _stage_lp_state(stage_lp: engine.StageLp) -> tuple:
             stage_lp.b0.tobytes(), stage_lp.hist.tobytes(),
             *(getattr(held, name).tobytes()
               for name in ("a", "b", "basis", "status_col", "x", "b_inv")))
+
+
+def _counting_lp_solves(monkeypatch) -> Counter:
+    """Count every cold ``lp.solve`` and every in-place ``PersistentLp.resolve``."""
+    calls = Counter()
+    solve, resolve = lp.solve, lp.PersistentLp.resolve
+
+    def counting_solve(prob):
+        calls["solve"] += 1
+        return solve(prob)
+
+    def counting_resolve(self):
+        calls["resolve"] += 1
+        return resolve(self)
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    monkeypatch.setattr(lp.PersistentLp, "resolve", counting_resolve)
+    return calls
+
+
+def test_a_repeated_stage_solve_hands_back_the_last_solution(monkeypatch):
+    problem = _mixture_lattice()
+    driver = engine._Driver(problem, _cfg())
+    driver.iterate(1)  # pools holding cuts
+    where, x1 = (2, 0), driver.stage1.x.copy()
+    stage_lp = engine.StageLp()
+    first = engine.solve_node(problem, where, x1, driver.pools, stage_lp=stage_lp)
+    calls = _counting_lp_solves(monkeypatch)
+    again = engine.solve_node(problem, where, x1.copy(), driver.pools, stage_lp=stage_lp)
+    assert again is first and calls == Counter()
+    # a solve at another history is an LP again
+    engine.solve_node(problem, where, x1 + 0.25, driver.pools, stage_lp=stage_lp)
+    assert sum(calls.values()) == 1
+
+
+def test_a_new_cut_in_the_pool_makes_the_same_history_a_new_solve(monkeypatch):
+    problem = _mixture_lattice()
+    driver = engine._Driver(problem, _cfg())
+    driver.iterate(1)
+    where, x1 = (2, 0), driver.stage1.x.copy()
+    stage_lp = engine.StageLp()
+    first = engine.solve_node(problem, where, x1, driver.pools, stage_lp=stage_lp)
+    pool = driver.pools.rows_for(where)
+    n_cuts = len(pool.optimality)
+    driver.iterate(2)
+    assert len(pool.optimality) > n_cuts  # the position's LP gained a cut row
+    calls = _counting_lp_solves(monkeypatch)
+    again = engine.solve_node(problem, where, x1, driver.pools, stage_lp=stage_lp)
+    assert again is not first and sum(calls.values()) == 1
+    assert stage_lp.n_opt == len(pool.optimality)
+    cold = engine.solve_node(problem, where, x1, driver.pools)
+    assert abs(again.value - cold.value) <= 1e-9
 
 
 def test_probe_resolve_leaves_the_basis_cache_alone(monkeypatch):
