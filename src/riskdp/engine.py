@@ -305,7 +305,8 @@ class StageLp:
     ``b0`` and ``hist`` are the map of the LP last solved, ``n_opt`` and
     ``n_feas`` count its cut rows.  ``history`` (as bytes) and ``solution``
     are the history of the last solve and the :class:`NodeSolution`
-    :func:`solve_node` made of it, which :meth:`last_solution` hands back.
+    :func:`solve_node` made of it; ``reused`` says whether the latest
+    :func:`solve_node` call handed that solution back instead of solving.
     """
 
     def __init__(self):
@@ -316,19 +317,7 @@ class StageLp:
         self.n_feas = 0
         self.history: bytes | None = None
         self.solution: NodeSolution | None = None
-
-    def last_solution(self, history: np.ndarray, view) -> NodeSolution | None:
-        """The last solve's solution when a solve at ``history`` and ``view`` is the same LP.
-
-        The LP is fixed by the position, the history and the pool's rows, and
-        pools only grow, so equal cut counts mean equal rows.  Only the last
-        solve is kept: a warm re-solve of a degenerate LP may stop at another
-        vertex, so an older solve is not what the held LP would return.
-        """
-        if (self.solution is not None and view.n_opt == self.n_opt
-                and view.n_feas == self.n_feas and history.tobytes() == self.history):
-            return self.solution
-        return None
+        self.reused = False
 
     def _insert(self, rows: np.ndarray, b0: np.ndarray, beta1: np.ndarray, before: int,
                 history: np.ndarray) -> None:
@@ -375,13 +364,17 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
     bounded below by the certified recourse bound for the next stage.
 
     ``stage_lp`` is the position's optional persistent LP.  When given and
-    the LP is the one it solved last (:meth:`StageLp.last_solution`: the
-    same history and pool rows), that solve's ``NodeSolution`` is returned
-    as it is and no LP is touched; otherwise the solve goes through it
-    (:meth:`StageLp.solve`) and the result is held for the next call.
-    Without it, the solve is the cold :func:`riskdp.lp.solve` of
-    :func:`build_stage_lp`.  Either way ``pi`` is
-    :func:`~riskdp.valuefn.assemble_pi` on the solved LP's map.
+    the LP is the one it solved last, that solve's ``NodeSolution`` is
+    returned as it is, no LP is touched and ``stage_lp.reused`` is set;
+    otherwise the solve goes through it (:meth:`StageLp.solve`) and the
+    result is held for the next call.  The LP is fixed by the position, the
+    history and the pool's rows, and pools only grow, so the same history
+    and cut counts mean the same LP.  Only the last solve is kept: a warm
+    re-solve of a degenerate LP may stop at another vertex, so an older
+    solve is not what the held LP would return.  Without ``stage_lp``, the
+    solve is the cold :func:`riskdp.lp.solve` of :func:`build_stage_lp`.
+    Either way ``pi`` is :func:`~riskdp.valuefn.assemble_pi` on the solved
+    LP's map.
     """
     n = problem.dim
     t = problem.topology.stage(where)
@@ -394,9 +387,12 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
                                          history)
         sol = lp.solve(prob)
     else:
-        last = stage_lp.last_solution(history, view)
-        if last is not None:
-            return last
+        key = history.tobytes()
+        stage_lp.reused = (stage_lp.solution is not None and key == stage_lp.history
+                           and view.n_opt == stage_lp.n_opt
+                           and view.n_feas == stage_lp.n_feas)
+        if stage_lp.reused:
+            return stage_lp.solution
         sol = stage_lp.solve(problem, where, history, view, z_lo)
         hist = stage_lp.hist
     if sol.status == lp.INFEASIBLE:
@@ -411,7 +407,7 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
     ns = NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol,
                       pi=assemble_pi(hist, sol))
     if stage_lp is not None:
-        stage_lp.history, stage_lp.solution = history.tobytes(), ns
+        stage_lp.history, stage_lp.solution = key, ns
     return ns
 
 
@@ -503,9 +499,8 @@ class _Driver:
         ``lps_reused``, not as an LP.
         """
         stage_lp = self.stage_lps[where]
-        last = stage_lp.solution
         ns = solve_node(self.problem, where, history, self.pools, stage_lp=stage_lp)
-        if ns is last:
+        if stage_lp.reused:
             self.tally["lps_reused"] += 1
         else:
             _count_lp(self.tally, ns.duals)

@@ -342,30 +342,32 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
     its ``pi`` must pass the subgradient inequality of the cold value
     function around that history; every other one must be the cold solve,
     bit for bit.  A solve that hands back the position's last solution is
-    checked the same way, by the solve it reuses, and also counted as
-    ``reused``.  Returns the run's result and counts of what was checked.
+    checked the same way, by the solve it reuses, but counted only as
+    ``reused``: ``cold``, ``warm`` and ``dual`` count LPs actually solved.
+    Returns the run's result and counts of what was checked.
     """
     solve_node = engine.solve_node
     seen = Counter()
 
     def checked(p, where, history, pools, z_lo=None, stage_lp=None):
         held = None if stage_lp is None else (stage_lp.n_opt, stage_lp.n_feas)
-        last = None if stage_lp is None else stage_lp.solution
         ns = solve_node(p, where, history, pools, z_lo, stage_lp)
         if stage_lp is None:
             return ns
-        seen["reused"] += ns is last
-        if not ns.duals.warm_start:
-            cold = solve_node(p, where, history, pools, z_lo)
-            assert ns.value == cold.value and ns.pi.tobytes() == cold.pi.tobytes()
+        if stage_lp.reused:
+            seen["reused"] += 1
+        elif not ns.duals.warm_start:
             seen["cold"] += 1
-            return ns
-        seen["warm"] += 1
-        seen["dual"] += ns.duals.dual_start
-        view = pools.rows_for(where).view(p.dim)
-        if held[1] and view.n_opt > held[0]:
-            seen["feasibility_rows_shifted"] += 1  # new optimality rows went before them
+        else:
+            seen["warm"] += 1
+            seen["dual"] += ns.duals.dual_start
+            view = pools.rows_for(where).view(p.dim)
+            if held[1] and view.n_opt > held[0]:
+                seen["feasibility_rows_shifted"] += 1  # new optimality rows went before them
         cold = solve_node(p, where, history, pools, z_lo)
+        if not ns.duals.warm_start:
+            assert ns.value == cold.value and ns.pi.tobytes() == cold.pi.tobytes()
+            return ns
         assert not cold.duals.warm_start
         assert abs(ns.value - cold.value) <= 1e-9
         if history.shape[0]:
@@ -378,8 +380,9 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
                                      radius=0.5, seed=seen["warm"]) == []
         return ns
 
-    monkeypatch.setattr(engine, "solve_node", checked)
-    return engine.run(problem, cfg), seen
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "solve_node", checked)
+        return engine.run(problem, cfg), seen
 
 
 def _mixture_lattice():
@@ -397,19 +400,26 @@ def _cvar_tree():
 @pytest.mark.parametrize("case", ["alg1-lattice", "alg3-tree", "alg2-feasibility-rows"])
 def test_warm_solves_match_cold_solves(monkeypatch, case):
     if case == "alg1-lattice":
-        problem, cfg = _mixture_lattice(), _cfg(max_iters=12, stall_window=13)
+        runs = [(_mixture_lattice(), _cfg(max_iters=12, stall_window=13))]
     elif case == "alg3-tree":
-        problem, cfg = _cvar_tree(), _cfg(algorithm="alg3", max_iters=12, stall_window=13)
+        runs = [(_cvar_tree(), _cfg(algorithm="alg3", max_iters=12, stall_window=13))]
     else:
-        problem, cfg = make_cvar_without_complete_recourse(), _cfg(algorithm="alg2",
-                                                                   max_iters=12)
-    res, seen = _run_checking_warm_solves(monkeypatch, problem, cfg)
+        # the instance holds only six or seven distinct warm LPs in a run of
+        # any length (every later solve hands back the position's last
+        # solution), so the case runs it under both cut timings
+        runs = [(make_cvar_without_complete_recourse(),
+                 _cfg(algorithm="alg2", max_iters=12, cut_timing=timing))
+                for timing in engine.CUT_TIMINGS]
+    seen = Counter()
+    for problem, cfg in runs:
+        res, seen_run = _run_checking_warm_solves(monkeypatch, problem, cfg)
+        seen += seen_run
+        if case == "alg2-feasibility-rows":
+            assert n_feasibility_cuts(res.pools) >= 1
+            assert seen_run["feasibility_rows_shifted"] >= 1
+            assert res.final_lower_bound == pytest.approx(2.0, abs=1e-9)  # x1 = 0, x2 = 2
     assert seen["warm"] >= 10 and seen["dual"] >= 1 and seen["cold"] >= 1, seen
     assert seen["reused"] >= 1, seen
-    if case == "alg2-feasibility-rows":
-        assert n_feasibility_cuts(res.pools) >= 1
-        assert seen["feasibility_rows_shifted"] >= 1
-        assert res.final_lower_bound == pytest.approx(2.0, abs=1e-9)  # x1 = 0, x2 = 2
 
 
 def test_dual_started_run_replays_and_reaches_the_reference(tmp_path):
@@ -542,7 +552,7 @@ def test_a_repeated_stage_solve_hands_back_the_last_solution(monkeypatch):
     first = engine.solve_node(problem, where, x1, driver.pools, stage_lp=stage_lp)
     calls = _counting_lp_solves(monkeypatch)
     again = engine.solve_node(problem, where, x1.copy(), driver.pools, stage_lp=stage_lp)
-    assert again is first and calls == Counter()
+    assert again is first and stage_lp.reused and calls == Counter()
     # a solve at another history is an LP again
     engine.solve_node(problem, where, x1 + 0.25, driver.pools, stage_lp=stage_lp)
     assert sum(calls.values()) == 1
@@ -561,7 +571,7 @@ def test_a_new_cut_in_the_pool_makes_the_same_history_a_new_solve(monkeypatch):
     assert len(pool.optimality) > n_cuts  # the position's LP gained a cut row
     calls = _counting_lp_solves(monkeypatch)
     again = engine.solve_node(problem, where, x1, driver.pools, stage_lp=stage_lp)
-    assert again is not first and sum(calls.values()) == 1
+    assert again is not first and not stage_lp.reused and sum(calls.values()) == 1
     assert stage_lp.n_opt == len(pool.optimality)
     cold = engine.solve_node(problem, where, x1, driver.pools)
     assert abs(again.value - cold.value) <= 1e-9
