@@ -125,8 +125,10 @@ class IterationReport:
     """One iteration of a run.
 
     ``cuts_opt`` and ``cuts_feas`` count the cuts that entered a pool, by
-    stage; ``cuts_skipped`` counts, by pool key, the optimality cuts built but
-    not appended because their LP row was already pooled.  ``lps`` counts the
+    stage; ``cuts_skipped`` counts, by pool key, the optimality cuts offered
+    but not appended because their LP row was already pooled, including the
+    repeats of a pool's last cut that the driver does not build again
+    (:meth:`_Driver._build_cut_at`).  ``lps`` counts the
     LPs the driver solved (stage LPs and phase-I LPs, not the probe's
     re-solves), ``lps_warm`` the stage LPs re-solved in place from their held
     basis, skipping phase 1, ``lps_dual`` those of them that first took dual
@@ -215,14 +217,25 @@ class PoolSet:
 # sampling
 # ---------------------------------------------------------------------------
 
+_PHILOX = np.random.Philox(0)  # re-keyed by every draw of _stage_uniform
+
+
 def _stage_uniform(seed: int, k: int, t: int) -> float:
     """One deterministic uniform draw keyed by (seed, iteration, stage).
 
-    ``Generator(Philox(...)).random()``, bit for bit, without building the
-    generator: the top 53 bits of the stream's first word, scaled to ``[0, 1)``.
+    ``Generator(Philox(counter=[0, 0, k, t], key=seed)).random()``, bit for
+    bit, without building either: one held Philox is set to that fresh state
+    (empty buffer), and the top 53 bits of its first word are scaled to
+    ``[0, 1)``.
     """
-    raw = np.random.Philox(counter=[0, 0, k, t], key=seed & _UINT64_MASK).random_raw()
-    return (int(raw) >> 11) * 2.0 ** -53
+    _PHILOX.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, 0, k, t], dtype=np.uint64),
+                  "key": np.array([seed & _UINT64_MASK, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return (int(_PHILOX.random_raw()) >> 11) * 2.0 ** -53
 
 
 def _pick(probs: np.ndarray, u: float) -> int:
@@ -475,7 +488,11 @@ class _Driver:
     ``resolve`` and the phase-I LPs of the feasibility gate stay cold and
     leave the stage LPs alone.  ``tally`` holds the run's running LP totals
     (:func:`_count_lp`) and the stage solves that reused the position's last
-    solution (``lps_reused``).
+    solution (``lps_reused``).  ``pi_recorded`` holds, per position, the
+    solution whose subgradient norm was recorded last (:meth:`_record_pi`),
+    and ``last_cut``, per pool key, the child solutions, the anchor (as
+    bytes) and the pool's optimality-cut count after the last cut offered
+    to that pool (:meth:`_repeats_last_cut`).
     """
 
     def __init__(self, problem: Problem, cfg: RunConfig):
@@ -488,6 +505,8 @@ class _Driver:
         self.stage1 : NodeSolution | None = None
         self.pi_norm_max: dict[int, float] = {}
         self.pi_norm_first: dict[int, float] = {}
+        self.pi_recorded: dict = {}
+        self.last_cut: dict = {}
         self.feas_counter = 0
 
     # -- small helpers -----------------------------------------------------
@@ -509,18 +528,55 @@ class _Driver:
     def _solve_stage1(self) -> NodeSolution:
         return self._solve(self.topology.first, np.zeros(0))
 
-    def _record_pi(self, k: int, t: int, pi: np.ndarray) -> None:
-        norm = float(np.linalg.norm(pi))
+    def _record_pi(self, k: int, t: int, where, ns: NodeSolution) -> None:
+        """Fold ``|ns.pi|`` into stage ``t``'s norm maxima, once per solution.
+
+        ``ns`` may be a solution handed back again (``lps_reused``).  When it
+        is the one last recorded at ``where``, its norm already entered the
+        maxima, at this iteration or an earlier one, which covers every
+        maximum this call can reach.  Under backward cut timing a reused
+        solution may still be new here: the forward pass made it, and it
+        records no norms.
+        """
+        if self.pi_recorded.get(where) is ns:
+            return
+        self.pi_recorded[where] = ns
+        norm = float(np.linalg.norm(ns.pi))
         self.pi_norm_max[t] = max(self.pi_norm_max.get(t, 0.0), norm)
         if k <= 5:
             self.pi_norm_first[t] = max(self.pi_norm_first.get(t, 0.0), norm)
 
+    def _repeats_last_cut(self, key, sols: list, hist: np.ndarray) -> bool:
+        """Whether the cut of ``sols`` at ``hist`` is the last one offered to ``key``'s pool.
+
+        It is when the children's solutions are, by identity, the ones that
+        cut was built from, ``hist`` is byte-equal to its anchor, and the pool
+        holds as many optimality cuts as right after it was offered.  A
+        handed-back solution is the same object (:func:`solve_node`), so
+        identity means every child was reused.  In this driver the identity
+        implies the other two (a solution is handed back only at its own
+        history, and every optimality cut enters a pool here, renewing the
+        record); they keep the rule true on its own terms.
+        """
+        last = self.last_cut.get(key)
+        return (last is not None
+                and len(self.pools.opt[key].optimality) == last[2]
+                and all(ns is old for ns, old in zip(sols, last[0]))
+                and hist.tobytes() == last[1])
+
     def _build_cut_at(self, t: int, path: list, hist: np.ndarray, k: int,
                       counters: dict[int, int], skipped: dict):
-        """Solve every child of the pool aggregating ``path[t]`` at ``hist`` and append the cut.
+        """Solve every child of the pool aggregating ``path[t]`` at ``hist`` and offer the cut.
 
         The cut counts in ``counters`` (by stage) when it enters the pool and
         in ``skipped`` (by pool key) when the pool already holds its LP row.
+        A repeat of the last cut offered to the pool
+        (:meth:`_repeats_last_cut`) is not built again, and it counts as
+        skipped: the build is deterministic, so its cut is that cut, whose
+        row the pool then took or already held.  Its anchor check is known
+        too, since the pool's optimality cuts have not changed since that
+        cut passed it.  The children are still solved (and tallied and
+        probed) as for any cut.
 
         Returns the child positions and their solutions so the forward timing
         can reuse the sampled child's decision without a second solve.
@@ -532,20 +588,25 @@ class _Driver:
         for where in wheres:
             ns = self._solve(where, hist)
             sols.append(ns)
-            self._record_pi(k, t, ns.pi)
+            self._record_pi(k, t, where, ns)
             if self.cfg.probe is not None:
                 self.cfg.probe({
                     "stage": t, "realization": where, "history": hist.copy(),
                     "value": ns.value, "pi": ns.pi.copy(),
                     "resolve": lambda h, w=where: solve_node(p, w, h, self.pools).value,
                 })
+        if self._repeats_last_cut(key, sols, hist):
+            skipped[key] = skipped.get(key, 0) + 1
+            return wheres, sols
+        pool = self.pools.opt[key]
         cut = build_optimality_cut([ns.value for ns in sols], [ns.pi for ns in sols],
                                    topo.probs(key), topo.risk(key), hist,
                                    stage=key, iteration=k)
-        if self.pools.opt[key].append_optimality(cut):
+        if pool.append_optimality(cut):
             counters[t] = counters.get(t, 0) + 1
         else:
             skipped[key] = skipped.get(key, 0) + 1
+        self.last_cut[key] = (sols, hist.tobytes(), len(pool.optimality))
         return wheres, sols
 
     def _gate(self, t: int, path: list, hist: np.ndarray, k: int,

@@ -5,12 +5,15 @@ solves it (``perfbench/workloads.py``, loaded read-only): at the workload's
 iteration budget with the stall rule off.  One line per instance gives the
 workload, the instance index, the SHA-256 of ``cuts.csv`` followed by
 ``summary.json``, and the run's ``lps``, ``lps_reused``, ``lps_warm``,
-``lps_dual`` and ``pivots`` counts.  Two checkouts that print the same lines
-replay the same cuts and the same summaries through the same number of LPs
-and pivots.  ``lps_reused`` counts the stage solves that handed back the
-position's last solution instead of solving an LP; ``lps + lps_reused`` is
-every stage and phase-I solve the run asked for, so it can be set against
-the ``lps`` of a checkout that printed no ``lps_reused``.
+``lps_dual`` and ``pivots`` counts, and ``diag=`` a short SHA-256 of the
+run's ``pi_norm_max``, ``pi_norm_first5`` and ``cuts_skipped`` diagnostics.
+Two checkouts that print the same lines replay the same cuts and the same
+summaries through the same number of LPs and pivots, and report the same
+subgradient norms and skipped cuts.  ``lps_reused`` counts the stage
+solves that handed back the position's last solution instead of solving an
+LP; ``lps + lps_reused`` is every stage and phase-I solve the run asked for,
+so it can be set against the ``lps`` of a checkout that printed no
+``lps_reused``.
 After each solve line, an audit line gives the workload, the instance index,
 ``audit`` and the summary of the in-process ``check-cuts`` perfbench runs on
 that cut dump (``workloads.audit``): ``checked N cuts at P points per pool:
@@ -41,6 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 KEPT = ("cuts.csv", "summary.json", "iterations.csv")
+DIAGNOSTICS = ("pi_norm_max", "pi_norm_first5", "cuts_skipped")
 
 
 def digest_lines(seed: int, keep: Path | None = None):
@@ -66,7 +70,9 @@ def digest_lines(seed: int, keep: Path | None = None):
                 counts = " ".join(f"{key}={result.diagnostics[key]}"
                                   for key in ("lps", "lps_reused", "lps_warm", "lps_dual",
                                               "pivots"))
-                yield f"{name} {index} {sha.hexdigest()} {counts}"
+                diag = hashlib.sha256(repr([result.diagnostics[key] for key in DIAGNOSTICS])
+                                      .encode()).hexdigest()[:12]
+                yield f"{name} {index} {sha.hexdigest()} {counts} diag={diag}"
                 problem_file = outdir / "problem.json"
                 wl.io.save_problem(problem, problem_file)
                 _passed, _seconds, text = wl.audit(w, problem_file, outdir / "cuts.csv",

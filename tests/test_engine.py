@@ -385,14 +385,14 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
         return engine.run(problem, cfg), seen
 
 
-def _mixture_lattice():
-    rng = np.random.default_rng(11)
+def _mixture_lattice(seed=11):
+    rng = np.random.default_rng(seed)
     return random_lattice_instance(rng, 3, 3, 2,
                                    risk=RiskSpec(kind="mixture", lam=0.5, epsilon=0.25))
 
 
-def _cvar_tree():
-    rng = np.random.default_rng(12)
+def _cvar_tree(seed=12):
+    rng = np.random.default_rng(seed)
     return lattice_to_tree(random_lattice_instance(rng, 3, 2, 2,
                                                    risk=RiskSpec(kind="cvar", epsilon=0.5)))
 
@@ -600,3 +600,72 @@ def test_probe_resolve_leaves_the_basis_cache_alone(monkeypatch):
     for k in range(1, 5):
         driver.iterate(k)
     assert len(resolved) >= 12
+
+
+def _diagnostic_case(case, timing, max_iters, **instance):
+    """One of the driver's algorithms on a small instance, run ``max_iters`` iterations."""
+    algorithm = case.split("-")[0]
+    if algorithm == "alg1":
+        problem = _mixture_lattice(**instance)
+    elif algorithm == "alg3":
+        problem = _cvar_tree(**instance)
+    else:
+        problem = make_cvar_without_complete_recourse()
+    return problem, _cfg(algorithm=algorithm, max_iters=max_iters,
+                         stall_window=max_iters + 1, cut_timing=timing)
+
+
+@pytest.mark.parametrize("timing", engine.CUT_TIMINGS)
+@pytest.mark.parametrize("case,seed", [("alg1-lattice", 18), ("alg3-tree", 13)])
+def test_pi_norm_diagnostics_match_the_probe_events(case, seed, timing):
+    # every child solve of a cut reaches the probe, handed back or not, so
+    # the largest |pi| over a stage's events is that stage's pi_norm_max;
+    # the first five iterations of a run are a five-iteration run.  Under
+    # backward timing, these instances hand back stage-3 solutions that the
+    # forward pass made, so a solution may reach the norms first when reused
+    norms: dict = {}
+
+    def probe(info):
+        norms.setdefault(info["stage"], []).append(float(np.linalg.norm(info["pi"])))
+
+    problem, cfg = _diagnostic_case(case, timing, 12, seed=seed)
+    cfg.probe = probe
+    diagnostics = engine.run(problem, cfg).diagnostics
+    assert diagnostics["pi_norm_max"] == {t: max(seen) for t, seen in sorted(norms.items())}
+    problem, cfg = _diagnostic_case(case, timing, 5, seed=seed)
+    first5 = engine.run(problem, cfg).diagnostics
+    assert diagnostics["pi_norm_first5"] == first5["pi_norm_max"]
+    assert diagnostics["pi_norm_first5"] == first5["pi_norm_first5"]
+
+
+@pytest.mark.parametrize("timing", engine.CUT_TIMINGS)
+@pytest.mark.parametrize("case", ["alg1-lattice", "alg2-feasibility-rows", "alg3-tree"])
+def test_skipping_a_repeated_cut_matches_building_it(monkeypatch, case, timing):
+    # the driver skips a repeat of a pool's last cut without building it;
+    # building and offering every cut, as the pools' own dedup allows, must
+    # give the same run
+    def run_digest():
+        problem, cfg = _diagnostic_case(case, timing, 12)
+        res = engine.run(problem, cfg)
+        log = [line.rsplit(",", 1)[0]  # all but wall_ms
+               for line in io.iterations_csv_text(res, problem.dim).splitlines()]
+        return (io.cuts_csv_text(res.pools), log,
+                [r.cuts_skipped for r in res.reports], res.diagnostics)
+
+    repeats = []
+    repeats_last_cut = engine._Driver._repeats_last_cut
+
+    def counting(self, *args):
+        repeats.append(repeats_last_cut(self, *args))
+        return repeats[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine._Driver, "_repeats_last_cut", counting)
+        skipping = run_digest()
+    assert any(repeats)  # the skip fired
+    with monkeypatch.context() as patched:
+        patched.setattr(engine._Driver, "_repeats_last_cut", lambda self, *args: False)
+        building = run_digest()
+    assert skipping == building
+    assert set(skipping[3]) >= {"lps", "lps_reused", "pivots", "pi_norm_max",
+                                "pi_norm_first5", "cuts_skipped"}
