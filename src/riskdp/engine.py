@@ -39,16 +39,18 @@ Persistent stage LPs: the driver holds one :class:`StageLp` per position,
 built on the position's first solve and kept for the run with its map.
 Between two solves of a position only the right-hand side moves, to
 ``b0 - M h``, and the pool's new cut rows are appended, which is what
-:class:`riskdp.lp.PersistentLp` re-solves in place.  A solve at the history
-of the position's last solve, with no new row in its pool, is that same LP:
-:func:`solve_node` hands back the last solution without touching the LP,
-and the driver counts it as ``lps_reused``, not as an LP.  Everything else
-solves cold: the probe's ``resolve`` (it must not disturb the driver's LPs),
-:func:`phase_one`, and every caller of :func:`solve_node` that passes no
-stage LP, such as the oracle.  A re-solve in place may stop at another
-optimal vertex of a degenerate LP than the cold one, hence another dual
-vertex and another valid cut; replay is still exact, because the stage LPs
-evolve deterministically.
+:class:`riskdp.lp.PersistentLp` re-solves in place.  The history and the
+pool's cut counts fix the LP (:func:`stage_lp_key`); a solve at a history
+the position has already solved at, with no new row in its pool since, is
+that same LP, and :func:`solve_node` hands back the earlier solution
+without touching the LP.  The driver counts it as ``lps_reused``, not as an
+LP.  Everything else solves cold: the probe's ``resolve`` (it must not
+disturb the driver's LPs), :func:`phase_one`, and every caller of
+:func:`solve_node` that passes no stage LP, such as the oracle.  A re-solve
+in place, or a solve handed back, may be another optimal vertex of a
+degenerate LP than the cold one, hence another dual vertex and another
+valid cut; replay is still exact, because the stage LPs and their kept
+solves evolve deterministically.
 """
 
 from __future__ import annotations
@@ -97,11 +99,12 @@ class RunConfig:
     an optional callable invoked at every cut-construction child solve with a
     dict (keys ``stage``, ``realization``, ``history``, ``value``, ``pi``,
     ``resolve``), where ``history`` is the decisions ``x_{1:t-1}`` the child
-    was solved at.  The event's solution may be the position's last one,
-    handed back because the child's LP had not changed (``lps_reused``); the
-    event then carries the same ``value`` and ``pi`` as the earlier event of
-    that solve.  ``resolve(history)`` solves the event's subproblem cold at
-    ``history`` against the run's pools as they are when it is called, and
+    was solved at.  The event's solution may be an earlier solve of the same
+    LP, at the same history and pool counts (:func:`stage_lp_key`), handed
+    back without solving (``lps_reused``); the event then carries the same
+    ``value`` and ``pi`` as the earlier event of that solve.
+    ``resolve(history)`` solves the event's subproblem cold at ``history``
+    against the run's pools as they are when it is called, and
     leaves the driver's stage LPs unchanged.  Called inside the probe, those
     are the event's pools, and ``value + pi . (history - event history)`` is
     at most its result (``pi`` is a subgradient of that value function).
@@ -134,9 +137,10 @@ class IterationReport:
     basis, skipping phase 1, ``lps_dual`` those of them that first took dual
     simplex pivots back to primal feasibility, and ``pivots`` the simplex
     pivots of them all.  ``lps_reused`` counts the stage solves that were
-    not LPs: the position's last solve, at the same history and pool rows,
-    handed back by :func:`solve_node`.  ``lps + lps_reused`` is the number
-    of stage and phase-I solves the algorithm asked for.
+    not LPs: an earlier solve of the position at the same history and pool
+    rows (:func:`stage_lp_key`), handed back by :func:`solve_node`.
+    ``lps + lps_reused`` is the number of stage and phase-I solves the
+    algorithm asked for.
     """
 
     k: int
@@ -182,12 +186,13 @@ class RunResult:
 
 @dataclass
 class NodeSolution:
-    """One subproblem solve: decision, value, LP duals, history subgradient."""
+    """One subproblem solve: decision, value, LP duals, history subgradient and its norm."""
 
     x: np.ndarray
     value: float
     duals: lp.LpSolution
     pi: np.ndarray
+    pi_norm: float
 
 
 class PoolSet:
@@ -304,8 +309,23 @@ def build_stage_lp(sub: SubproblemData, view, z_lo: float,
     return prob, b0, hist
 
 
+def stage_lp_key(history: np.ndarray, pool: CutPool) -> tuple:
+    """What fixes a position's stage LP: the history's bytes and the pool's cut counts.
+
+    A stage LP is built from its position's data, the history ``h`` and the
+    cut rows of the position's pool.  Pools only grow, so the pool's
+    optimality and feasibility counts name its rows, and two solves of one
+    position with equal keys solve the same LP.  Any optimal solution of that
+    LP is a valid solve of it: its value is the LP's value, and its duals
+    give a subgradient and hence a valid cut.  :func:`solve_node` and
+    :class:`riskdp.oracle._StageSolves` both hand back earlier solves by
+    this key.
+    """
+    return history.tobytes(), len(pool.optimality), len(pool.feasibility)
+
+
 class StageLp:
-    """One position's stage LP, its right-hand side map and its last solve, kept for the run.
+    """One position's stage LP, its right-hand side map and its solves, kept for the run.
 
     A cold solve builds the LP and its map with :func:`build_stage_lp`,
     solves it with :func:`riskdp.lp.solve` and holds it with its final basis
@@ -316,10 +336,12 @@ class StageLp:
     right-hand side ``b0 - hist @ h`` and re-solves in place; when
     :meth:`riskdp.lp.PersistentLp.resolve` declines, the solve is cold again.
     ``b0`` and ``hist`` are the map of the LP last solved, ``n_opt`` and
-    ``n_feas`` count its cut rows.  ``history`` (as bytes) and ``solution``
-    are the history of the last solve and the :class:`NodeSolution`
-    :func:`solve_node` made of it; ``reused`` says whether the latest
-    :func:`solve_node` call handed that solution back instead of solving.
+    ``n_feas`` count its cut rows.  ``solutions`` maps the
+    :func:`stage_lp_key` of every LP solved since the pool's counts last
+    moved to the :class:`NodeSolution` :func:`solve_node` made of it; it is
+    emptied when they move, so it holds at most one entry per LP solved at
+    the current counts.  ``reused`` says whether the latest
+    :func:`solve_node` call handed one of them back instead of solving.
     """
 
     def __init__(self):
@@ -328,8 +350,7 @@ class StageLp:
         self.hist: np.ndarray | None = None
         self.n_opt = 0
         self.n_feas = 0
-        self.history: bytes | None = None
-        self.solution: NodeSolution | None = None
+        self.solutions: dict[tuple, NodeSolution] = {}
         self.reused = False
 
     def _insert(self, rows: np.ndarray, b0: np.ndarray, beta1: np.ndarray, before: int,
@@ -342,7 +363,8 @@ class StageLp:
 
     def solve(self, problem: Problem, where, history: np.ndarray, view,
               z_lo: float) -> lp.LpSolution:
-        self.solution = None  # the held LP moves; solve_node holds the new solution
+        if (view.n_opt, view.n_feas) != (self.n_opt, self.n_feas):
+            self.solutions.clear()  # solves of LPs with fewer rows never recur
         held = self.lp
         if held is not None:
             if view.n_opt > self.n_opt:
@@ -377,22 +399,22 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
     bounded below by the certified recourse bound for the next stage.
 
     ``stage_lp`` is the position's optional persistent LP.  When given and
-    the LP is the one it solved last, that solve's ``NodeSolution`` is
-    returned as it is, no LP is touched and ``stage_lp.reused`` is set;
-    otherwise the solve goes through it (:meth:`StageLp.solve`) and the
-    result is held for the next call.  The LP is fixed by the position, the
-    history and the pool's rows, and pools only grow, so the same history
-    and cut counts mean the same LP.  Only the last solve is kept: a warm
-    re-solve of a degenerate LP may stop at another vertex, so an older
-    solve is not what the held LP would return.  Without ``stage_lp``, the
-    solve is the cold :func:`riskdp.lp.solve` of :func:`build_stage_lp`.
-    Either way ``pi`` is :func:`~riskdp.valuefn.assemble_pi` on the solved
-    LP's map.
+    it has solved this LP before, at the same :func:`stage_lp_key`, that
+    solve's ``NodeSolution`` is returned as it is, no LP is touched and
+    ``stage_lp.reused`` is set; otherwise the solve goes through it
+    (:meth:`StageLp.solve`) and the result is kept under its key.  The key
+    fixes the LP, so the solve handed back is an optimal solution of it,
+    though a re-solve of a degenerate LP might stop at another vertex; the
+    kept solves are a deterministic function of the run, so replay stays
+    exact.  Without ``stage_lp``, the solve is the cold
+    :func:`riskdp.lp.solve` of :func:`build_stage_lp`.  Either way ``pi`` is
+    :func:`~riskdp.valuefn.assemble_pi` on the solved LP's map.
     """
     n = problem.dim
     t = problem.topology.stage(where)
     history = history_vector(history, t, n)
-    view = pools.rows_for(where).view(n)
+    pool = pools.rows_for(where)
+    view = pool.view(n)
     if z_lo is None:
         z_lo = problem.z_lower(t)
     if stage_lp is None:
@@ -400,12 +422,11 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
                                          history)
         sol = lp.solve(prob)
     else:
-        key = history.tobytes()
-        stage_lp.reused = (stage_lp.solution is not None and key == stage_lp.history
-                           and view.n_opt == stage_lp.n_opt
-                           and view.n_feas == stage_lp.n_feas)
+        key = stage_lp_key(history, pool)
+        held = stage_lp.solutions.get(key)
+        stage_lp.reused = held is not None
         if stage_lp.reused:
-            return stage_lp.solution
+            return held
         sol = stage_lp.solve(problem, where, history, view, z_lo)
         hist = stage_lp.hist
     if sol.status == lp.INFEASIBLE:
@@ -417,10 +438,11 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
         raise EngineError(
             f"stage-{t} subproblem unbounded: lower_value_bound for stage "
             f"{t + 1} does not bound the recourse from below")
-    ns = NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol,
-                      pi=assemble_pi(hist, sol))
+    pi = assemble_pi(hist, sol)
+    ns = NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol, pi=pi,
+                      pi_norm=float(np.linalg.norm(pi)))
     if stage_lp is not None:
-        stage_lp.history, stage_lp.solution = key, ns
+        stage_lp.solutions[key] = ns
     return ns
 
 
@@ -487,12 +509,11 @@ class _Driver:
     of the run goes through it (see :func:`solve_node`).  The probe's
     ``resolve`` and the phase-I LPs of the feasibility gate stay cold and
     leave the stage LPs alone.  ``tally`` holds the run's running LP totals
-    (:func:`_count_lp`) and the stage solves that reused the position's last
-    solution (``lps_reused``).  ``pi_recorded`` holds, per position, the
-    solution whose subgradient norm was recorded last (:meth:`_record_pi`),
-    and ``last_cut``, per pool key, the child solutions, the anchor (as
-    bytes) and the pool's optimality-cut count after the last cut offered
-    to that pool (:meth:`_repeats_last_cut`).
+    (:func:`_count_lp`) and the stage solves that handed back an earlier
+    solve of the same LP (``lps_reused``).  ``last_cut`` holds, per pool
+    key, the child solutions, the anchor (as bytes) and the pool's
+    optimality-cut count after the last cut offered to that pool
+    (:meth:`_repeats_last_cut`).
     """
 
     def __init__(self, problem: Problem, cfg: RunConfig):
@@ -505,7 +526,6 @@ class _Driver:
         self.stage1 : NodeSolution | None = None
         self.pi_norm_max: dict[int, float] = {}
         self.pi_norm_first: dict[int, float] = {}
-        self.pi_recorded: dict = {}
         self.last_cut: dict = {}
         self.feas_counter = 0
 
@@ -514,7 +534,7 @@ class _Driver:
     def _solve(self, where, history) -> NodeSolution:
         """Solve one stage LP through the position's stage LP and tally it.
 
-        A solve that returns the position's last solution again counts as
+        A solve that hands back an earlier solution of the same LP counts as
         ``lps_reused``, not as an LP.
         """
         stage_lp = self.stage_lps[where]
@@ -528,23 +548,15 @@ class _Driver:
     def _solve_stage1(self) -> NodeSolution:
         return self._solve(self.topology.first, np.zeros(0))
 
-    def _record_pi(self, k: int, t: int, where, ns: NodeSolution) -> None:
-        """Fold ``|ns.pi|`` into stage ``t``'s norm maxima, once per solution.
+    def _record_pi(self, k: int, t: int, ns: NodeSolution) -> None:
+        """Fold ``ns.pi_norm`` into stage ``t``'s norm maxima.
 
-        ``ns`` may be a solution handed back again (``lps_reused``).  When it
-        is the one last recorded at ``where``, its norm already entered the
-        maxima, at this iteration or an earlier one, which covers every
-        maximum this call can reach.  Under backward cut timing a reused
-        solution may still be new here: the forward pass made it, and it
-        records no norms.
+        A solution handed back again (``lps_reused``) folds the norm computed
+        at its solve once more, which leaves a maximum as it was.
         """
-        if self.pi_recorded.get(where) is ns:
-            return
-        self.pi_recorded[where] = ns
-        norm = float(np.linalg.norm(ns.pi))
-        self.pi_norm_max[t] = max(self.pi_norm_max.get(t, 0.0), norm)
+        self.pi_norm_max[t] = max(self.pi_norm_max.get(t, 0.0), ns.pi_norm)
         if k <= 5:
-            self.pi_norm_first[t] = max(self.pi_norm_first.get(t, 0.0), norm)
+            self.pi_norm_first[t] = max(self.pi_norm_first.get(t, 0.0), ns.pi_norm)
 
     def _repeats_last_cut(self, key, sols: list, hist: np.ndarray) -> bool:
         """Whether the cut of ``sols`` at ``hist`` is the last one offered to ``key``'s pool.
@@ -555,8 +567,8 @@ class _Driver:
         handed-back solution is the same object (:func:`solve_node`), so
         identity means every child was reused.  In this driver the identity
         implies the other two (a solution is handed back only at its own
-        history, and every optimality cut enters a pool here, renewing the
-        record); they keep the rule true on its own terms.
+        :func:`stage_lp_key`, and every optimality cut enters a pool here,
+        renewing the record); they keep the rule true on its own terms.
         """
         last = self.last_cut.get(key)
         return (last is not None
@@ -588,7 +600,7 @@ class _Driver:
         for where in wheres:
             ns = self._solve(where, hist)
             sols.append(ns)
-            self._record_pi(k, t, where, ns)
+            self._record_pi(k, t, ns)
             if self.cfg.probe is not None:
                 self.cfg.probe({
                     "stage": t, "realization": where, "history": hist.copy(),

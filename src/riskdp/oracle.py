@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse
 
 from .cuts import build_optimality_cut
-from .engine import EngineError, NodeSolution, PoolSet, solve_node
+from .engine import EngineError, NodeSolution, PoolSet, solve_node, stage_lp_key
 from .model import (TREE, Node, Problem, PwlConvexCost, Realization, Stage,
                     history_vector)
 from .risk import RiskSpec
@@ -317,10 +317,9 @@ def extensive_form_value(problem: Problem) -> float:
 class _StageSolves:
     """Nested decomposition's stage solves: each distinct stage LP solved once, cold.
 
-    A stage LP is fixed by its position, its history and the rows of its
-    pool; pools only grow, so the pool's optimality and feasibility counts
-    identify those rows.  Asked for an LP it has solved, :meth:`solve`
-    returns that earlier cold solve, which is the solve
+    A stage LP is fixed by its position and its
+    :func:`~riskdp.engine.stage_lp_key`.  Asked for an LP it has solved,
+    :meth:`solve` returns that earlier cold solve, which is the solve
     :func:`~riskdp.engine.solve_node` would return again.  It keeps the
     solves the current and the previous sweep produced or used
     (:meth:`next_sweep` ages them), so it does not grow with the sweep count.
@@ -335,8 +334,7 @@ class _StageSolves:
         self.lps_reused = 0
 
     def solve(self, where, history: np.ndarray) -> NodeSolution:
-        pool = self.pools.rows_for(where)
-        key = (where, history.tobytes(), len(pool.optimality), len(pool.feasibility))
+        key = (where, *stage_lp_key(history, self.pools.rows_for(where)))
         ns = self.current.get(key)
         if ns is None:
             ns = self.previous.get(key)

@@ -4,16 +4,20 @@ Each instance of each workload is generated and solved the way perfbench
 solves it (``perfbench/workloads.py``, loaded read-only): at the workload's
 iteration budget with the stall rule off.  One line per instance gives the
 workload, the instance index, the SHA-256 of ``cuts.csv`` followed by
-``summary.json``, and the run's ``lps``, ``lps_reused``, ``lps_warm``,
-``lps_dual`` and ``pivots`` counts, and ``diag=`` a short SHA-256 of the
-run's ``pi_norm_max``, ``pi_norm_first5`` and ``cuts_skipped`` diagnostics.
-Two checkouts that print the same lines replay the same cuts and the same
-summaries through the same number of LPs and pivots, and report the same
-subgradient norms and skipped cuts.  ``lps_reused`` counts the stage
-solves that handed back the position's last solution instead of solving an
-LP; ``lps + lps_reused`` is every stage and phase-I solve the run asked for,
-so it can be set against the ``lps`` of a checkout that printed no
-``lps_reused``.
+``summary.json``, the run's ``lps``, ``lps_reused``, ``lps_warm``,
+``lps_dual`` and ``pivots`` counts, ``solves=`` the sum
+``lps + lps_reused``, and ``diag=`` a short SHA-256 of the run's
+``pi_norm_max``, ``pi_norm_first5`` and ``cuts_skipped`` diagnostics.
+``lps_reused`` counts the stage solves that handed back an earlier solve of
+the same LP instead of solving one; ``solves=`` is every stage and phase-I
+solve the run asked for.
+
+Two checkouts that replay the same run must match on the hash, ``diag=``,
+``solves=`` and the audit lines: the same cuts and summaries, the same
+subgradient norms and skipped cuts, the same solves asked for, and the same
+oracle verdicts.  The split of ``solves=`` into ``lps`` and ``lps_reused``,
+and with it ``lps_warm``, ``lps_dual`` and ``pivots``, may move when a
+checkout hands back more or fewer earlier solves.
 After each solve line, an audit line gives the workload, the instance index,
 ``audit`` and the summary of the in-process ``check-cuts`` perfbench runs on
 that cut dump (``workloads.audit``): ``checked N cuts at P points per pool:
@@ -67,12 +71,14 @@ def digest_lines(seed: int, keep: Path | None = None):
                 sha = hashlib.sha256()
                 for artifact in ("cuts.csv", "summary.json"):
                     sha.update((outdir / artifact).read_bytes())
-                counts = " ".join(f"{key}={result.diagnostics[key]}"
+                diagnostics = result.diagnostics
+                counts = " ".join(f"{key}={diagnostics[key]}"
                                   for key in ("lps", "lps_reused", "lps_warm", "lps_dual",
                                               "pivots"))
-                diag = hashlib.sha256(repr([result.diagnostics[key] for key in DIAGNOSTICS])
+                solves = diagnostics["lps"] + diagnostics["lps_reused"]
+                diag = hashlib.sha256(repr([diagnostics[key] for key in DIAGNOSTICS])
                                       .encode()).hexdigest()[:12]
-                yield f"{name} {index} {sha.hexdigest()} {counts} diag={diag}"
+                yield f"{name} {index} {sha.hexdigest()} {counts} solves={solves} diag={diag}"
                 problem_file = outdir / "problem.json"
                 wl.io.save_problem(problem, problem_file)
                 _passed, _seconds, text = wl.audit(w, problem_file, outdir / "cuts.csv",

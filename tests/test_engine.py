@@ -341,8 +341,8 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
     :func:`engine.solve_node` at the same history and pools within 1e-9, and
     its ``pi`` must pass the subgradient inequality of the cold value
     function around that history; every other one must be the cold solve,
-    bit for bit.  A solve that hands back the position's last solution is
-    checked the same way, by the solve it reuses, but counted only as
+    bit for bit.  A solve that hands back an earlier solution of the same LP
+    is checked the same way, by the solve it reuses, but counted only as
     ``reused``: ``cold``, ``warm`` and ``dual`` count LPs actually solved.
     Returns the run's result and counts of what was checked.
     """
@@ -405,8 +405,8 @@ def test_warm_solves_match_cold_solves(monkeypatch, case):
         runs = [(_cvar_tree(), _cfg(algorithm="alg3", max_iters=12, stall_window=13))]
     else:
         # the instance holds only six or seven distinct warm LPs in a run of
-        # any length (every later solve hands back the position's last
-        # solution), so the case runs it under both cut timings
+        # any length (every later solve hands back an earlier solution of
+        # the same LP), so the case runs it under both cut timings
         runs = [(make_cvar_without_complete_recourse(),
                  _cfg(algorithm="alg2", max_iters=12, cut_timing=timing))
                 for timing in engine.CUT_TIMINGS]
@@ -507,7 +507,7 @@ def test_lp_counts_are_reported(caplog):
     # positions forward, the three children of stages 3 and 2 backward and
     # the fresh stage-1 bound; iteration 1 also solves its entering stage-1
     # bound, later ones are handed the previous fresh bound.  Some of these
-    # solves reuse the position's last solution, and every iteration still
+    # solves reuse an earlier solution of the same LP, and every iteration still
     # solves at least two LPs afresh
     assert [r.lps + r.lps_reused for r in res.reports] == [10] + [9] * 7
     assert all(r.lps >= 2 and r.lps_dual <= r.lps_warm <= r.lps for r in res.reports)
@@ -558,6 +558,27 @@ def test_a_repeated_stage_solve_hands_back_the_last_solution(monkeypatch):
     assert sum(calls.values()) == 1
 
 
+def test_a_stage_lp_hands_back_any_earlier_solve_at_its_counts(monkeypatch):
+    # not only the last solve: a position met again at an older history,
+    # with no new row in its pool, is handed that history's solve
+    problem = _mixture_lattice()
+    driver = engine._Driver(problem, _cfg())
+    driver.iterate(1)
+    where, h1 = (2, 0), driver.stage1.x.copy()
+    h2 = h1 + 0.25
+    stage_lp = engine.StageLp()
+    first = engine.solve_node(problem, where, h1, driver.pools, stage_lp=stage_lp)
+    second = engine.solve_node(problem, where, h2, driver.pools, stage_lp=stage_lp)
+    assert second is not first and not stage_lp.reused
+    calls = _counting_lp_solves(monkeypatch)
+    again = engine.solve_node(problem, where, h1.copy(), driver.pools, stage_lp=stage_lp)
+    assert again is first and stage_lp.reused and calls == Counter()
+    assert engine.solve_node(problem, where, h2, driver.pools, stage_lp=stage_lp) is second
+    assert calls == Counter()
+    pool = driver.pools.rows_for(where)
+    assert set(stage_lp.solutions) == {engine.stage_lp_key(h, pool) for h in (h1, h2)}
+
+
 def test_a_new_cut_in_the_pool_makes_the_same_history_a_new_solve(monkeypatch):
     problem = _mixture_lattice()
     driver = engine._Driver(problem, _cfg())
@@ -565,6 +586,8 @@ def test_a_new_cut_in_the_pool_makes_the_same_history_a_new_solve(monkeypatch):
     where, x1 = (2, 0), driver.stage1.x.copy()
     stage_lp = engine.StageLp()
     first = engine.solve_node(problem, where, x1, driver.pools, stage_lp=stage_lp)
+    engine.solve_node(problem, where, x1 + 0.25, driver.pools, stage_lp=stage_lp)
+    assert len(stage_lp.solutions) == 2
     pool = driver.pools.rows_for(where)
     n_cuts = len(pool.optimality)
     driver.iterate(2)
@@ -573,8 +596,46 @@ def test_a_new_cut_in_the_pool_makes_the_same_history_a_new_solve(monkeypatch):
     again = engine.solve_node(problem, where, x1, driver.pools, stage_lp=stage_lp)
     assert again is not first and not stage_lp.reused and sum(calls.values()) == 1
     assert stage_lp.n_opt == len(pool.optimality)
+    # the solves at the old counts are gone: their LPs never recur
+    assert list(stage_lp.solutions) == [engine.stage_lp_key(x1, pool)]
+    assert stage_lp.solutions[engine.stage_lp_key(x1, pool)] is again
     cold = engine.solve_node(problem, where, x1, driver.pools)
     assert abs(again.value - cold.value) <= 1e-9
+
+
+@pytest.mark.parametrize("case,timing", [("alg1-lattice", "backward"),
+                                         ("alg1-lattice", "forward"),
+                                         ("alg2-feasibility-rows", "backward"),
+                                         ("alg3-tree", "backward")])
+def test_keeping_every_solve_asks_for_the_same_solves_as_keeping_the_last(monkeypatch,
+                                                                          case, timing):
+    # a stage LP keeps every solve at its pool's counts; one that keeps only
+    # its last solve asks for the same solves, solves at least as many of
+    # them as LPs, and reaches the same reference.  Twenty iterations run
+    # well past the point where the lattice's bound settles and its nodes
+    # keep being met again at older histories
+    solve_node = engine.solve_node
+
+    def keeping_the_last(p, where, history, pools, z_lo=None, stage_lp=None):
+        ns = solve_node(p, where, history, pools, z_lo, stage_lp)
+        if stage_lp is not None:
+            stage_lp.solutions = {key: old for key, old in stage_lp.solutions.items()
+                                  if old is ns}
+        return ns
+
+    problem, cfg = _diagnostic_case(case, timing, 20)
+    every = engine.run(problem, cfg)
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "solve_node", keeping_the_last)
+        last = engine.run(problem, cfg)
+    assert ([r.lps + r.lps_reused for r in every.reports]
+            == [r.lps + r.lps_reused for r in last.reports])
+    assert all(mine.lps <= theirs.lps for mine, theirs in zip(every.reports, last.reports))
+    if case == "alg1-lattice":  # a lattice node is met at one history per ancestor path
+        assert every.diagnostics["lps"] < last.diagnostics["lps"]
+    ref = oracle.reference_value(problem)
+    for res in (every, last):
+        assert abs(res.final_lower_bound - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
 def test_probe_resolve_leaves_the_basis_cache_alone(monkeypatch):
