@@ -41,9 +41,9 @@ re-solve share one set of simplex rules, each stated once in
 * placement (``_place``): a nonbasic column sits at the bound its state
   names, a free one at 0;
 * factorization (``_refactor``): a fresh inverse every
-  :data:`REFACTOR_EVERY` pivots and wherever exact values are needed, and
-  between two of them the product-form update of each exchange
-  (``_exchange``);
+  :data:`REFACTOR_EVERY` pivots, before optimality is declared and
+  wherever exact values are needed, and between two of them the
+  product-form update of each exchange (``_exchange``);
 * dual feasibility (``_dual_infeasibility``): a reduced cost past
   :data:`RC_TOL` on a side its column may move to breaks it, a fixed column
   never moves, and an entering column moves against the sign of its reduced
@@ -395,7 +395,13 @@ class _Simplex:
                 raise SimplexError(f"pivot limit exceeded (phase {phase})")
             picked = self._price(cost)
             if picked is None:
-                return OPTIMAL
+                if not self.moved:
+                    return OPTIMAL
+                # Optimality is declared on a fresh inverse only: the
+                # product-form updates of an ill-conditioned basis can hide
+                # a reduced cost that a fresh factorization shows.
+                self._refactor()
+                continue
             j, direction = picked
             step, leave, leave_to, kind, w = self._ratio_test(j, direction)
             if kind == "unbounded":
@@ -453,8 +459,6 @@ class _Simplex:
             cost1[self.artificials] = 1.0
             status = self._optimize(cost1, phase=1)
             assert status == OPTIMAL
-            if self.moved:
-                self._refactor()
             phase1_val = float(cost1 @ self.x)
             if phase1_val > PHASE1_TOL:
                 return LpSolution(status=INFEASIBLE, pivots=self.pivots)
@@ -475,10 +479,8 @@ class _Simplex:
         if status == UNBOUNDED:
             return LpSolution(status=UNBOUNDED, pivots=self.pivots, warm_start=warm,
                               dual_start=dual)
-        if self.moved:  # polish: exact basic values and duals off a fresh inverse
-            self._refactor()
-            self.y = cost2[self.basis] @ self.b_inv
-        # otherwise pricing's duals are already those of this very inverse
+        # optimality was declared on a fresh inverse, so the basic values are
+        # exact and pricing's duals are those of this very inverse
         n, q, y = self.n_struct, self.n_eq, self.y
         x = self.x[:n].copy()
         dual_eq = y[:q].copy()

@@ -357,6 +357,17 @@ _FIXED_COLUMNS = lp.LpProblem(c=[-2, 3, 1, 0], a_eq=[[1, 1, 1, 1]], b_eq=[2],
                               lower=[1, -1, 0, -np.inf], upper=[1, -1, 4, np.inf])
 
 
+# A redundant equality pair (the fourth row three times the third) whose
+# scaling leaves the pair 6e-14 apart.  Phase 1 declared optimality on a
+# product-form inverse that hid a reduced cost of 1e-5, stopped at an
+# artificial of 1e-3 and reported "infeasible"; the LP is feasible to 6e-13
+# (optimal 0).
+_HIDDEN_PHASE1_COST = _scaled(c=[0, 0, 0],
+                              a_eq=[[0, 1, 0], [0, 0, 1], [-1, 1, 2], [-3, 3, 6]],
+                              b_eq=[-1, -1, -2, -6], a_ub=np.zeros((2, 3)), b_ub=[0, 0],
+                              lower=[-np.inf] * 3, upper=[np.inf] * 3,
+                              e_eq=[-3, 0, 3, 3], e_ub=[0, 0], e_col=[-2, -1, -2])
+
 @settings(max_examples=300, deadline=None)
 @given(degenerate_lps())
 @example(_NOISE_ENTRY_LPS[0])
@@ -365,6 +376,7 @@ _FIXED_COLUMNS = lp.LpProblem(c=[-2, 3, 1, 0], a_eq=[[1, 1, 1, 1]], b_eq=[2],
 @example(_scaled(**_DRIVE_OUT_NOISE))
 @example(_PHASE1_NOISE_RAY)
 @example(_FIXED_COLUMNS)
+@example(_HIDDEN_PHASE1_COST)
 def test_degenerate_lp_against_tight_highs(prob):
     sol = lp.solve(prob)
     ref = _highs(prob)
