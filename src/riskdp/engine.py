@@ -35,22 +35,23 @@ previous-generation pools.  The anchor-equality assertion of
 Sampling is counter-based: one uniform draw per (seed, iteration, stage),
 so replay is exact and independent of execution order.
 
-Persistent stage LPs: the driver holds one :class:`StageLp` per position,
-built on the position's first solve and kept for the run with its map.
-Between two solves of a position only the right-hand side moves, to
-``b0 - M h``, and the pool's new cut rows are appended, which is what
-:class:`riskdp.lp.PersistentLp` re-solves in place.  The history and the
-pool's cut counts fix the LP (:func:`stage_lp_key`); a solve at a history
-the position has already solved at, with no new row in its pool since, is
-that same LP, and :func:`solve_node` hands back the earlier solution
-without touching the LP.  The driver counts it as ``lps_reused``, not as an
-LP.  Everything else solves cold: the probe's ``resolve`` (it must not
-disturb the driver's LPs), :func:`phase_one`, and every caller of
-:func:`solve_node` that passes no stage LP, such as the oracle.  A re-solve
+Stage solves and cuts: the history and the pool's cut counts fix a
+position's stage LP (:func:`stage_lp_key`).  The driver keeps every solve a
+position made since its pool last grew and hands it back, touching no LP,
+when the same key comes again (``lps_reused``).  One cut step solves every
+child of a pool at one history through that memo and offers their cut
+(:meth:`_Driver._build_cut_at`).  The sampled drivers and the oracle's
+nested decomposition share both; they differ in what a miss solves.  The
+sampled drivers hold one :class:`StageLp` per position, built on its first
+solve and kept for the run with its map: between two solves only the
+right-hand side moves, to ``b0 - M h``, and the pool's new cut rows are
+appended, which is what :class:`riskdp.lp.PersistentLp` re-solves in place.
+Nested decomposition solves every miss cold.  So do the probe's ``resolve``
+(it must not disturb the driver's LPs) and :func:`phase_one`.  A re-solve
 in place, or a solve handed back, may be another optimal vertex of a
 degenerate LP than the cold one, hence another dual vertex and another
-valid cut; replay is still exact, because the stage LPs and their kept
-solves evolve deterministically.
+valid cut; replay is still exact, because the stage LPs and the memo
+evolve deterministically.
 """
 
 from __future__ import annotations
@@ -99,9 +100,8 @@ class RunConfig:
     an optional callable invoked at every cut-construction child solve with a
     dict (keys ``stage``, ``realization``, ``history``, ``value``, ``pi``,
     ``resolve``), where ``history`` is the decisions ``x_{1:t-1}`` the child
-    was solved at.  The event's solution may be an earlier solve of the same
-    LP, at the same history and pool counts (:func:`stage_lp_key`), handed
-    back without solving (``lps_reused``); the event then carries the same
+    was solved at.  The event's solution may be one the driver handed back
+    (``lps_reused``, see :class:`_Driver`); the event then carries the same
     ``value`` and ``pi`` as the earlier event of that solve.
     ``resolve(history)`` solves the event's subproblem cold at ``history``
     against the run's pools as they are when it is called, and
@@ -137,10 +137,9 @@ class IterationReport:
     basis, skipping phase 1, ``lps_dual`` those of them that first took dual
     simplex pivots back to primal feasibility, and ``pivots`` the simplex
     pivots of them all.  ``lps_reused`` counts the stage solves that were
-    not LPs: an earlier solve of the position at the same history and pool
-    rows (:func:`stage_lp_key`), handed back by :func:`solve_node`.
-    ``lps + lps_reused`` is the number of stage and phase-I solves the
-    algorithm asked for.
+    not LPs: earlier solves of the same LP that the driver handed back
+    (:meth:`_Driver._solve`).  ``lps + lps_reused`` is the number of stage
+    and phase-I solves the algorithm asked for.
     """
 
     k: int
@@ -317,15 +316,14 @@ def stage_lp_key(history: np.ndarray, pool: CutPool) -> tuple:
     optimality and feasibility counts name its rows, and two solves of one
     position with equal keys solve the same LP.  Any optimal solution of that
     LP is a valid solve of it: its value is the LP's value, and its duals
-    give a subgradient and hence a valid cut.  :func:`solve_node` and
-    :class:`riskdp.oracle._StageSolves` both hand back earlier solves by
-    this key.
+    give a subgradient and hence a valid cut.  :meth:`_Driver._solve` hands
+    back earlier solves by this key.
     """
     return history.tobytes(), len(pool.optimality), len(pool.feasibility)
 
 
 class StageLp:
-    """One position's stage LP, its right-hand side map and its solves, kept for the run.
+    """One position's stage LP and its right-hand side map, kept for the run.
 
     A cold solve builds the LP and its map with :func:`build_stage_lp`,
     solves it with :func:`riskdp.lp.solve` and holds it with its final basis
@@ -336,12 +334,7 @@ class StageLp:
     right-hand side ``b0 - hist @ h`` and re-solves in place; when
     :meth:`riskdp.lp.PersistentLp.resolve` declines, the solve is cold again.
     ``b0`` and ``hist`` are the map of the LP last solved, ``n_opt`` and
-    ``n_feas`` count its cut rows.  ``solutions`` maps the
-    :func:`stage_lp_key` of every LP solved since the pool's counts last
-    moved to the :class:`NodeSolution` :func:`solve_node` made of it; it is
-    emptied when they move, so it holds at most one entry per LP solved at
-    the current counts.  ``reused`` says whether the latest
-    :func:`solve_node` call handed one of them back instead of solving.
+    ``n_feas`` count its cut rows.
     """
 
     def __init__(self):
@@ -350,8 +343,6 @@ class StageLp:
         self.hist: np.ndarray | None = None
         self.n_opt = 0
         self.n_feas = 0
-        self.solutions: dict[tuple, NodeSolution] = {}
-        self.reused = False
 
     def _insert(self, rows: np.ndarray, b0: np.ndarray, beta1: np.ndarray, before: int,
                 history: np.ndarray) -> None:
@@ -363,8 +354,6 @@ class StageLp:
 
     def solve(self, problem: Problem, where, history: np.ndarray, view,
               z_lo: float) -> lp.LpSolution:
-        if (view.n_opt, view.n_feas) != (self.n_opt, self.n_feas):
-            self.solutions.clear()  # solves of LPs with fewer rows never recur
         held = self.lp
         if held is not None:
             if view.n_opt > self.n_opt:
@@ -398,23 +387,15 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
     optimality- and feasibility-cut rows of the position's pool; ``z`` is
     bounded below by the certified recourse bound for the next stage.
 
-    ``stage_lp`` is the position's optional persistent LP.  When given and
-    it has solved this LP before, at the same :func:`stage_lp_key`, that
-    solve's ``NodeSolution`` is returned as it is, no LP is touched and
-    ``stage_lp.reused`` is set; otherwise the solve goes through it
-    (:meth:`StageLp.solve`) and the result is kept under its key.  The key
-    fixes the LP, so the solve handed back is an optimal solution of it,
-    though a re-solve of a degenerate LP might stop at another vertex; the
-    kept solves are a deterministic function of the run, so replay stays
-    exact.  Without ``stage_lp``, the solve is the cold
-    :func:`riskdp.lp.solve` of :func:`build_stage_lp`.  Either way ``pi`` is
-    :func:`~riskdp.valuefn.assemble_pi` on the solved LP's map.
+    ``stage_lp`` is the position's optional persistent LP: when given, the
+    solve goes through it (:meth:`StageLp.solve`); without it, the solve is
+    the cold :func:`riskdp.lp.solve` of :func:`build_stage_lp`.  Either way
+    ``pi`` is :func:`~riskdp.valuefn.assemble_pi` on the solved LP's map.
     """
     n = problem.dim
     t = problem.topology.stage(where)
     history = history_vector(history, t, n)
-    pool = pools.rows_for(where)
-    view = pool.view(n)
+    view = pools.rows_for(where).view(n)
     if z_lo is None:
         z_lo = problem.z_lower(t)
     if stage_lp is None:
@@ -422,11 +403,6 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
                                          history)
         sol = lp.solve(prob)
     else:
-        key = stage_lp_key(history, pool)
-        held = stage_lp.solutions.get(key)
-        stage_lp.reused = held is not None
-        if stage_lp.reused:
-            return held
         sol = stage_lp.solve(problem, where, history, view, z_lo)
         hist = stage_lp.hist
     if sol.status == lp.INFEASIBLE:
@@ -439,11 +415,8 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
             f"stage-{t} subproblem unbounded: lower_value_bound for stage "
             f"{t + 1} does not bound the recourse from below")
     pi = assemble_pi(hist, sol)
-    ns = NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol, pi=pi,
-                      pi_norm=float(np.linalg.norm(pi)))
-    if stage_lp is not None:
-        stage_lp.solutions[key] = ns
-    return ns
+    return NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol, pi=pi,
+                        pi_norm=float(np.linalg.norm(pi)))
 
 
 def _count_lp(tally: Counter, sol: lp.LpSolution) -> None:
@@ -503,25 +476,29 @@ def phase_one(problem: Problem, where, history, pools: PoolSet,
 # ---------------------------------------------------------------------------
 
 class _Driver:
-    """One run's state: the pools, the stage LPs and the LP tally.
+    """One run's state: the pools, the stage solves and the LP tally.
 
-    ``stage_lps`` holds every position's :class:`StageLp`; every stage solve
-    of the run goes through it (see :func:`solve_node`).  The probe's
-    ``resolve`` and the phase-I LPs of the feasibility gate stay cold and
-    leave the stage LPs alone.  ``tally`` holds the run's running LP totals
-    (:func:`_count_lp`) and the stage solves that handed back an earlier
-    solve of the same LP (``lps_reused``).  ``last_cut`` holds, per pool
-    key, the child solutions, the anchor (as bytes) and the pool's
-    optimality-cut count after the last cut offered to that pool
-    (:meth:`_repeats_last_cut`).
+    Every stage solve goes through :meth:`_solve`.  ``solves`` maps each
+    position to its memo: the :class:`NodeSolution` of every LP it solved
+    since its pool last grew, by :func:`stage_lp_key`.  With ``warm`` (the
+    sampled drivers) a miss goes through the position's :class:`StageLp` in
+    ``stage_lps``; without it (nested decomposition) a miss is the cold
+    :func:`solve_node`.  The probe's ``resolve`` and the phase-I LPs of the
+    feasibility gate stay cold and leave both alone.  ``tally`` holds the
+    running LP totals (:func:`_count_lp`) and the solves handed back
+    (``lps_reused``).  ``last_cut`` holds, per pool key, the child
+    solutions, the anchor (as bytes) and the pool's optimality-cut count
+    after the last cut offered to that pool (:meth:`_repeats_last_cut`).
     """
 
-    def __init__(self, problem: Problem, cfg: RunConfig):
+    def __init__(self, problem: Problem, cfg: RunConfig, warm: bool = True):
         self.problem = problem
         self.cfg = cfg
+        self.warm = warm
         self.topology = problem.topology
         self.pools = PoolSet(problem)
         self.stage_lps: defaultdict = defaultdict(StageLp)
+        self.solves: defaultdict = defaultdict(dict)
         self.tally: Counter = Counter()
         self.stage1 : NodeSolution | None = None
         self.pi_norm_max: dict[int, float] = {}
@@ -531,18 +508,29 @@ class _Driver:
 
     # -- small helpers -----------------------------------------------------
 
-    def _solve(self, where, history) -> NodeSolution:
-        """Solve one stage LP through the position's stage LP and tally it.
+    def _solve(self, where, history: np.ndarray) -> NodeSolution:
+        """Solve one stage LP, or hand back the position's earlier solve of it, and tally it.
 
-        A solve that hands back an earlier solution of the same LP counts as
-        ``lps_reused``, not as an LP.
+        A hit needs an equal :func:`stage_lp_key`, which fixes the LP, so the
+        solve handed back is an optimal solution of it, though a re-solve of
+        a degenerate LP might stop at another vertex; the memo is a
+        deterministic function of the run, so replay stays exact.  A hit
+        counts as ``lps_reused``, a miss as an LP.  A position's memo is
+        emptied when its pool's counts move: pools only grow, so the LPs of
+        older counts never recur.
         """
-        stage_lp = self.stage_lps[where]
-        ns = solve_node(self.problem, where, history, self.pools, stage_lp=stage_lp)
-        if stage_lp.reused:
+        key = stage_lp_key(history, self.pools.rows_for(where))
+        memo = self.solves[where]
+        ns = memo.get(key)
+        if ns is not None:
             self.tally["lps_reused"] += 1
-        else:
-            _count_lp(self.tally, ns.duals)
+            return ns
+        if memo and next(iter(memo))[1:] != key[1:]:
+            memo.clear()
+        ns = solve_node(self.problem, where, history, self.pools,
+                        stage_lp=self.stage_lps[where] if self.warm else None)
+        _count_lp(self.tally, ns.duals)
+        memo[key] = ns
         return ns
 
     def _solve_stage1(self) -> NodeSolution:
@@ -564,7 +552,7 @@ class _Driver:
         It is when the children's solutions are, by identity, the ones that
         cut was built from, ``hist`` is byte-equal to its anchor, and the pool
         holds as many optimality cuts as right after it was offered.  A
-        handed-back solution is the same object (:func:`solve_node`), so
+        handed-back solution is the same object (:meth:`_solve`), so
         identity means every child was reused.  In this driver the identity
         implies the other two (a solution is handed back only at its own
         :func:`stage_lp_key`, and every optimality cut enters a pool here,
@@ -576,12 +564,14 @@ class _Driver:
                 and all(ns is old for ns, old in zip(sols, last[0]))
                 and hist.tobytes() == last[1])
 
-    def _build_cut_at(self, t: int, path: list, hist: np.ndarray, k: int,
-                      counters: dict[int, int], skipped: dict):
-        """Solve every child of the pool aggregating ``path[t]`` at ``hist`` and offer the cut.
+    def _build_cut_at(self, key, hist: np.ndarray, k: int, counters: dict[int, int],
+                      skipped: dict):
+        """Solve every child of pool ``key`` at ``hist`` and offer their cut, of iteration ``k``.
 
-        The cut counts in ``counters`` (by stage) when it enters the pool and
-        in ``skipped`` (by pool key) when the pool already holds its LP row.
+        The one cut step of the sampled drivers and of nested decomposition.
+        The cut counts in ``counters`` (by the children's stage) when it
+        enters the pool and in ``skipped`` (by pool key) when the pool
+        already holds its LP row.
         A repeat of the last cut offered to the pool
         (:meth:`_repeats_last_cut`) is not built again, and it counts as
         skipped: the build is deterministic, so its cut is that cut, whose
@@ -594,8 +584,8 @@ class _Driver:
         can reuse the sampled child's decision without a second solve.
         """
         p, topo = self.problem, self.topology
-        key = topo.parent(path[t])
         wheres = topo.children(key)
+        t = topo.stage(wheres[0])
         sols = []
         for where in wheres:
             ns = self._solve(where, hist)
@@ -683,7 +673,7 @@ class _Driver:
                 x1_report = ns.x.copy()
             else:
                 if forward_cuts:
-                    wheres, sols = self._build_cut_at(s, path, hist, k,
+                    wheres, sols = self._build_cut_at(self.topology.parent(path[s]), hist, k,
                                                       counters_opt, skipped)
                     ns = sols[wheres.index(path[s])]
                 else:
@@ -692,7 +682,8 @@ class _Driver:
             s += 1
         if not forward_cuts:
             for t in range(t_end, 1, -1):
-                self._build_cut_at(t, path, hist[:(t - 1) * p.dim], k, counters_opt, skipped)
+                self._build_cut_at(self.topology.parent(path[t]), hist[:(t - 1) * p.dim], k,
+                                   counters_opt, skipped)
         self.stage1 = self._solve_stage1()  # fresh bound, handed to iteration k+1
         wall_ms = (time.perf_counter() - started) * 1000.0
         tally = self.tally - tally_before

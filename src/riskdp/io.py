@@ -31,6 +31,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .model import (LATTICE, TREE, ModelError, Node, Problem, PwlConvexCost,
                     Realization, Stage, validate_problem)
-from .risk import RiskConfigError, RiskSpec
+from .risk import RiskConfigError, RiskSpec, _json_number
 
 SIG_DIGITS = 17
 
@@ -106,7 +107,8 @@ def _parse_payload(raw: dict, n: int, where: str) -> Realization:
         pieces_d = np.asarray([pc["d"] for pc in pieces], dtype=float)
         cost = PwlConvexCost(pieces_c=pieces_c, pieces_d=pieces_d, dim=n)
         a_blocks = [np.asarray(blk, dtype=float).reshape(-1, n) for blk in raw.get("A") or []]
-        return Realization(prob=float(raw.get("prob", 1.0)), cost=cost, a_blocks=a_blocks,
+        prob = float(_json_number(raw.get("prob", 1.0)))
+        return Realization(prob=prob, cost=cost, a_blocks=a_blocks,
                            b=raw.get("b") or [], g=raw.get("G") or [], h=raw.get("h") or [],
                            lb=np.asarray(raw["lb"], dtype=float),
                            ub=np.asarray(raw["ub"], dtype=float))
@@ -126,6 +128,13 @@ def _risk_from(raw: dict, default: RiskSpec, where: str) -> RiskSpec:
         raise IoError(f"{where}: {exc}") from exc
 
 
+def _json_integer(value) -> int:
+    """``value`` as given when it is a JSON integer; a float, bool or string raises TypeError."""
+    if not isinstance(_json_number(value), int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _list_in(raw, key: str, where: str, default=None) -> list:
     """``raw[key]`` (``default`` when absent), where ``raw`` must be an object and it a list."""
     value = raw.get(key, default) if isinstance(raw, dict) else None
@@ -137,8 +146,8 @@ def _list_in(raw, key: str, where: str, default=None) -> list:
 def problem_from_dict(doc: dict) -> Problem:
     """Build a problem from its JSON document (see module docstring)."""
     try:
-        horizon = int(doc["horizon"])
-        n = int(doc["dim"])
+        horizon = _json_integer(doc["horizon"])
+        n = _json_integer(doc["dim"])
         x0 = np.asarray(doc["x0"], dtype=float)
         form = doc.get("form", LATTICE)
         lvb = np.asarray(doc.get("lower_value_bound") or [], dtype=float)
@@ -158,12 +167,12 @@ def problem_from_dict(doc: dict) -> Problem:
         nodes = []
         for i, raw in enumerate(_list_in(doc, "nodes", "tree document")):
             try:
-                nid, parent = int(raw["id"]), raw.get("parent")
-                parent = None if parent is None else int(parent)
-                prob = float(raw.get("prob", 1.0))
+                nid, parent = _json_integer(raw["id"]), raw.get("parent")
+                parent = None if parent is None else _json_integer(parent)
+                prob = float(_json_number(raw.get("prob", 1.0)))
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise IoError(f"malformed node entry {i}: expected an object with an "
-                              f"integer 'id' and 'parent': {exc!r}") from exc
+                              f"integer 'id' and 'parent' and a number 'prob': {exc!r}") from exc
             where = f"node {nid}"
             nodes.append(Node(id=nid, parent=parent, prob=prob,
                               payload=None if parent is None else _parse_payload(raw, n, where),
@@ -347,6 +356,7 @@ class CutRecord:
 
 
 def read_cuts_csv(path) -> list[CutRecord]:
+    """Parse a cut dump; a malformed row or a non-finite number in it raises :class:`IoError`."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -359,9 +369,11 @@ def read_cuts_csv(path) -> list[CutRecord]:
             continue
         fields = line.split(",")
         try:
-            kind, where, iteration, theta = (fields[0], int(fields[1]),
-                                             int(fields[2]), float(fields[3]))
-            coeffs = np.asarray([float(v) for v in fields[4:]])
+            kind, where, iteration = fields[0], int(fields[1]), int(fields[2])
+            numbers = [float(v) for v in fields[3:]]
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError("theta, beta and anchor entries must be finite")
+            theta, coeffs = numbers[0], np.asarray(numbers[1:])
             if kind == CUT_KIND_OPTIMALITY:
                 if coeffs.shape[0] % 2:
                     raise ValueError("optimality row needs matching beta and anchor")

@@ -13,7 +13,8 @@ Two routes compute ground truth:
 * :func:`exact_nested_decomposition` — the paper's sampling-free method:
   sweep-based nested decomposition that visits *every* node each sweep and
   stops only when the first-stage value repeats and a full sweep adds no cut
-  to any pool.  It runs the engine's own stage solves and cuts.
+  to any pool.  It runs the sampled drivers' own stage-solve memo and cut
+  step, with every miss solved cold.
 
 :func:`true_recourse_value` evaluates the exact risk-adjusted recourse
 function of a pool at a stack of histories: the children's tails, stacked
@@ -27,11 +28,12 @@ feasible instance without relatively complete recourse
 :func:`nested_decomposition_value` raises :class:`OracleError` rather than
 calling it infeasible; the extensive form covers that case.
 
-Every LP nested decomposition solves through :func:`~riskdp.engine.solve_node`
-is solved cold (no persistent stage LP), so it stays a reference for the
-cold simplex path.  It solves each distinct stage LP once: a stage LP it
-meets again, at the same position and history with the same pool rows,
-reuses the earlier cold solve (:class:`_StageSolves`).
+Every LP nested decomposition solves is the cold
+:func:`~riskdp.engine.solve_node` (no persistent stage LP), so it stays a
+reference for the cold simplex path.  A stage LP it meets again, at the
+same position and history with the same pool rows, is handed back from the
+driver's memo (:meth:`~riskdp.engine._Driver._solve`); a cold solve is
+deterministic, so that is the solve a fresh one would return.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .cuts import build_optimality_cut
-from .engine import EngineError, NodeSolution, PoolSet, solve_node, stage_lp_key
+from .engine import EngineError, RunConfig, _Driver
 from .model import (TREE, Node, Problem, PwlConvexCost, Realization, Stage,
                     history_vector)
 from .risk import RiskSpec
@@ -65,7 +66,7 @@ class OracleError(RuntimeError):
 
 @dataclass
 class NDResult:
-    """``lps`` stage LPs solved and ``lps_reused`` repeats answered by an earlier solve."""
+    """``lps`` stage LPs solved and ``lps_reused`` repeats handed back, from the driver's tally."""
 
     value: float
     sweeps: int
@@ -314,42 +315,6 @@ def extensive_form_value(problem: Problem) -> float:
 # exact nested decomposition
 # ---------------------------------------------------------------------------
 
-class _StageSolves:
-    """Nested decomposition's stage solves: each distinct stage LP solved once, cold.
-
-    A stage LP is fixed by its position and its
-    :func:`~riskdp.engine.stage_lp_key`.  Asked for an LP it has solved,
-    :meth:`solve` returns that earlier cold solve, which is the solve
-    :func:`~riskdp.engine.solve_node` would return again.  It keeps the
-    solves the current and the previous sweep produced or used
-    (:meth:`next_sweep` ages them), so it does not grow with the sweep count.
-    """
-
-    def __init__(self, problem: Problem, pools: PoolSet):
-        self.problem = problem
-        self.pools = pools
-        self.current: dict = {}
-        self.previous: dict = {}
-        self.lps = 0
-        self.lps_reused = 0
-
-    def solve(self, where, history: np.ndarray) -> NodeSolution:
-        key = (where, *stage_lp_key(history, self.pools.rows_for(where)))
-        ns = self.current.get(key)
-        if ns is None:
-            ns = self.previous.get(key)
-        if ns is None:
-            ns = solve_node(self.problem, where, history, self.pools)
-            self.lps += 1
-        else:
-            self.lps_reused += 1
-        self.current[key] = ns
-        return ns
-
-    def next_sweep(self) -> None:
-        self.previous, self.current = self.current, {}
-
-
 def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -> NDResult:
     """Sampling-free nested decomposition to convergence.
 
@@ -363,47 +328,42 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
     when that value repeats within ``1e-10`` and a sweep appends no cut.  With
     finitely many LP bases this terminates at the exact value.
 
-    Each distinct stage LP is solved once and cold (:class:`_StageSolves`):
-    the last-stage backward solves are the forward pass's leaf solves, the
+    The stage solves and the cut step are the sampled drivers' own
+    (:meth:`~riskdp.engine._Driver._solve` and
+    :meth:`~riskdp.engine._Driver._build_cut_at`), on a driver whose misses
+    solve cold.  So each distinct stage LP is solved once and cold: the
+    last-stage backward solves are the forward pass's leaf solves, the
     first-stage value solve is the next sweep's first forward solve, and a
     position whose pool gained no cut is met again at an unchanged history.
     """
     topo = problem.topology
-    pools = PoolSet(problem)
-    solves = _StageSolves(problem, pools)
+    driver = _Driver(problem, RunConfig(), warm=False)
     records = _scenario_records(problem)
     value_prev = None
     n_cuts = 0
     for sweep in range(1, max_sweeps + 1):
-        histories = _forward_all(problem, solves, records)
-        added = 0
+        histories = _forward_all(driver, records)
+        counters: dict = {}
         for t in range(problem.horizon, 1, -1):
             for rec in records:
-                if rec.depth != t - 1:
-                    continue
-                hist = histories[rec.key]
-                key = topo.pool(rec.where)
-                sols = [solves.solve(w, hist) for w in topo.children(key)]
-                cut = build_optimality_cut(
-                    [s.value for s in sols], [s.pi for s in sols], topo.probs(key),
-                    topo.risk(key), hist, stage=key, iteration=sweep)
-                if pools.opt[key].append_optimality(cut):
-                    added += 1
+                if rec.depth == t - 1:
+                    driver._build_cut_at(topo.pool(rec.where), histories[rec.key], sweep,
+                                         counters, {})
+        added = sum(counters.values())
         n_cuts += added
-        value = solves.solve(topo.first, np.zeros(0)).value
+        value = driver._solve_stage1().value
         if (value_prev is not None and abs(value - value_prev) <= VALUE_REPEAT_TOL
                 and added == 0):
+            lps, reused = driver.tally["lps"], driver.tally["lps_reused"]
             logger.info("nested decomposition: value %r after %d sweeps, %d cuts, "
-                        "%d LPs solved (%d reused)", value, sweep, n_cuts,
-                        solves.lps, solves.lps_reused)
-            return NDResult(value=value, sweeps=sweep, n_cuts=n_cuts,
-                            lps=solves.lps, lps_reused=solves.lps_reused)
+                        "%d LPs solved (%d reused)", value, sweep, n_cuts, lps, reused)
+            return NDResult(value=value, sweeps=sweep, n_cuts=n_cuts, lps=lps,
+                            lps_reused=reused)
         value_prev = value
-        solves.next_sweep()
     raise OracleError(f"nested decomposition did not settle in {max_sweeps} sweeps")
 
 
-def _forward_all(problem: Problem, solves: _StageSolves, records: list[_Rec]) -> dict:
+def _forward_all(driver: _Driver, records: list[_Rec]) -> dict:
     """Histories of every scenario-tree node after one all-node forward pass.
 
     Keyed by record key; the value stored for a node is the history
@@ -412,7 +372,7 @@ def _forward_all(problem: Problem, solves: _StageSolves, records: list[_Rec]) ->
     histories: dict = {(): np.zeros(0)}
     for rec in records:
         base = histories[rec.parent]
-        ns = solves.solve(rec.where, base)
+        ns = driver._solve(rec.where, base)
         histories[rec.key] = np.concatenate([base, ns.x])
     return histories
 

@@ -202,7 +202,7 @@ def test_oracle_logs_nested_decomposition_lp_counts(newsvendor_file, monkeypatch
     assert code == cli.EXIT_OK
     assert float(capsys.readouterr().out) == pytest.approx(1.5, abs=1e-8)
     (line,) = [r.getMessage() for r in caplog.records if r.name == "riskdp.oracle"]
-    assert "3 sweeps" in line and "9 LPs solved (9 reused)" in line
+    assert "3 sweeps" in line and "7 LPs solved (11 reused)" in line  # 18 solves asked for
 
 
 def test_oracle_reports_infeasible(tmp_path, capsys):
@@ -257,6 +257,18 @@ def test_check_cuts_rejects_a_row_that_fits_no_pool(newsvendor_file, tmp_path, c
     path.write_text(f"{io.CUTS_CSV_HEADER}\n{row}\n")
     assert _run(["check-cuts", newsvendor_file, path]) == cli.EXIT_FAILURE
     assert f"pool {row.split(',')[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "optimality,2,1,nan,1.0,0.0",     # every comparison with a nan theta is false
+    "optimality,2,1,1e300,nan,0.0",   # a nan beta entry hides under a huge theta
+])
+def test_check_cuts_rejects_non_finite_rows(newsvendor_file, tmp_path, capsys, row):
+    path = tmp_path / "cuts.csv"
+    path.write_text(f"{io.CUTS_CSV_HEADER}\n{row}\n")
+    assert _run(["check-cuts", newsvendor_file, path]) == cli.EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err and "violations" not in captured.out
 
 
 @pytest.mark.parametrize("option, value", [

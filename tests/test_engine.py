@@ -346,15 +346,15 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
     ``reused``: ``cold``, ``warm`` and ``dual`` count LPs actually solved.
     Returns the run's result and counts of what was checked.
     """
-    solve_node = engine.solve_node
+    solve, solve_node = engine._Driver._solve, engine.solve_node
     seen = Counter()
 
-    def checked(p, where, history, pools, z_lo=None, stage_lp=None):
-        held = None if stage_lp is None else (stage_lp.n_opt, stage_lp.n_feas)
-        ns = solve_node(p, where, history, pools, z_lo, stage_lp)
-        if stage_lp is None:
-            return ns
-        if stage_lp.reused:
+    def checked(self, where, history):
+        p, pools, stage_lp = self.problem, self.pools, self.stage_lps[where]
+        held = (stage_lp.n_opt, stage_lp.n_feas)
+        reused = self.tally["lps_reused"]
+        ns = solve(self, where, history)
+        if self.tally["lps_reused"] > reused:
             seen["reused"] += 1
         elif not ns.duals.warm_start:
             seen["cold"] += 1
@@ -364,7 +364,7 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
             view = pools.rows_for(where).view(p.dim)
             if held[1] and view.n_opt > held[0]:
                 seen["feasibility_rows_shifted"] += 1  # new optimality rows went before them
-        cold = solve_node(p, where, history, pools, z_lo)
+        cold = solve_node(p, where, history, pools)
         if not ns.duals.warm_start:
             assert ns.value == cold.value and ns.pi.tobytes() == cold.pi.tobytes()
             return ns
@@ -373,7 +373,7 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
         if history.shape[0]:
             def cold_value(dec):
                 try:
-                    return solve_node(p, where, dec, pools, z_lo).value
+                    return solve_node(p, where, dec, pools).value
                 except engine.EngineError:  # no feasible decision at that history
                     return math.inf
             assert check_subgradient(cold_value, history, ns.pi, n_samples=6,
@@ -381,7 +381,7 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
         return ns
 
     with monkeypatch.context() as patched:
-        patched.setattr(engine, "solve_node", checked)
+        patched.setattr(engine._Driver, "_solve", checked)
         return engine.run(problem, cfg), seen
 
 
@@ -543,62 +543,63 @@ def _counting_lp_solves(monkeypatch) -> Counter:
     return calls
 
 
-def test_a_repeated_stage_solve_hands_back_the_last_solution(monkeypatch):
-    problem = _mixture_lattice()
+def _memo_over_a_run(problem):
+    """A driver after one iteration, and a second driver over its pools with an empty memo."""
     driver = engine._Driver(problem, _cfg())
     driver.iterate(1)  # pools holding cuts
+    fresh = engine._Driver(problem, _cfg())
+    fresh.pools = driver.pools
+    return driver, fresh
+
+
+def test_a_repeated_stage_solve_hands_back_the_last_solution(monkeypatch):
+    driver, fresh = _memo_over_a_run(_mixture_lattice())
     where, x1 = (2, 0), driver.stage1.x.copy()
-    stage_lp = engine.StageLp()
-    first = engine.solve_node(problem, where, x1, driver.pools, stage_lp=stage_lp)
+    first = fresh._solve(where, x1)
     calls = _counting_lp_solves(monkeypatch)
-    again = engine.solve_node(problem, where, x1.copy(), driver.pools, stage_lp=stage_lp)
-    assert again is first and stage_lp.reused and calls == Counter()
+    again = fresh._solve(where, x1.copy())
+    assert again is first and calls == Counter()
+    assert fresh.tally["lps_reused"] == 1 and fresh.tally["lps"] == 1
     # a solve at another history is an LP again
-    engine.solve_node(problem, where, x1 + 0.25, driver.pools, stage_lp=stage_lp)
-    assert sum(calls.values()) == 1
+    fresh._solve(where, x1 + 0.25)
+    assert sum(calls.values()) == 1 and fresh.tally["lps"] == 2
 
 
 def test_a_stage_lp_hands_back_any_earlier_solve_at_its_counts(monkeypatch):
     # not only the last solve: a position met again at an older history,
     # with no new row in its pool, is handed that history's solve
-    problem = _mixture_lattice()
-    driver = engine._Driver(problem, _cfg())
-    driver.iterate(1)
+    driver, fresh = _memo_over_a_run(_mixture_lattice())
     where, h1 = (2, 0), driver.stage1.x.copy()
     h2 = h1 + 0.25
-    stage_lp = engine.StageLp()
-    first = engine.solve_node(problem, where, h1, driver.pools, stage_lp=stage_lp)
-    second = engine.solve_node(problem, where, h2, driver.pools, stage_lp=stage_lp)
-    assert second is not first and not stage_lp.reused
+    first = fresh._solve(where, h1)
+    second = fresh._solve(where, h2)
+    assert second is not first and fresh.tally["lps_reused"] == 0
     calls = _counting_lp_solves(monkeypatch)
-    again = engine.solve_node(problem, where, h1.copy(), driver.pools, stage_lp=stage_lp)
-    assert again is first and stage_lp.reused and calls == Counter()
-    assert engine.solve_node(problem, where, h2, driver.pools, stage_lp=stage_lp) is second
+    again = fresh._solve(where, h1.copy())
+    assert again is first and fresh.tally["lps_reused"] == 1 and calls == Counter()
+    assert fresh._solve(where, h2) is second
     assert calls == Counter()
     pool = driver.pools.rows_for(where)
-    assert set(stage_lp.solutions) == {engine.stage_lp_key(h, pool) for h in (h1, h2)}
+    assert set(fresh.solves[where]) == {engine.stage_lp_key(h, pool) for h in (h1, h2)}
 
 
 def test_a_new_cut_in_the_pool_makes_the_same_history_a_new_solve(monkeypatch):
     problem = _mixture_lattice()
-    driver = engine._Driver(problem, _cfg())
-    driver.iterate(1)
+    driver, fresh = _memo_over_a_run(problem)
     where, x1 = (2, 0), driver.stage1.x.copy()
-    stage_lp = engine.StageLp()
-    first = engine.solve_node(problem, where, x1, driver.pools, stage_lp=stage_lp)
-    engine.solve_node(problem, where, x1 + 0.25, driver.pools, stage_lp=stage_lp)
-    assert len(stage_lp.solutions) == 2
+    first = fresh._solve(where, x1)
+    fresh._solve(where, x1 + 0.25)
+    assert len(fresh.solves[where]) == 2
     pool = driver.pools.rows_for(where)
     n_cuts = len(pool.optimality)
     driver.iterate(2)
     assert len(pool.optimality) > n_cuts  # the position's LP gained a cut row
     calls = _counting_lp_solves(monkeypatch)
-    again = engine.solve_node(problem, where, x1, driver.pools, stage_lp=stage_lp)
-    assert again is not first and not stage_lp.reused and sum(calls.values()) == 1
-    assert stage_lp.n_opt == len(pool.optimality)
+    again = fresh._solve(where, x1)
+    assert again is not first and fresh.tally["lps_reused"] == 0 and sum(calls.values()) == 1
+    assert fresh.stage_lps[where].n_opt == len(pool.optimality)
     # the solves at the old counts are gone: their LPs never recur
-    assert list(stage_lp.solutions) == [engine.stage_lp_key(x1, pool)]
-    assert stage_lp.solutions[engine.stage_lp_key(x1, pool)] is again
+    assert fresh.solves[where] == {engine.stage_lp_key(x1, pool): again}
     cold = engine.solve_node(problem, where, x1, driver.pools)
     assert abs(again.value - cold.value) <= 1e-9
 
@@ -609,24 +610,23 @@ def test_a_new_cut_in_the_pool_makes_the_same_history_a_new_solve(monkeypatch):
                                          ("alg3-tree", "backward")])
 def test_keeping_every_solve_asks_for_the_same_solves_as_keeping_the_last(monkeypatch,
                                                                           case, timing):
-    # a stage LP keeps every solve at its pool's counts; one that keeps only
-    # its last solve asks for the same solves, solves at least as many of
-    # them as LPs, and reaches the same reference.  Twenty iterations run
-    # well past the point where the lattice's bound settles and its nodes
-    # keep being met again at older histories
-    solve_node = engine.solve_node
+    # the driver keeps every solve of a position at its pool's counts; one
+    # that keeps only its last solve asks for the same solves, solves at
+    # least as many of them as LPs, and reaches the same reference.  Twenty
+    # iterations run well past the point where the lattice's bound settles
+    # and its nodes keep being met again at older histories
+    solve = engine._Driver._solve
 
-    def keeping_the_last(p, where, history, pools, z_lo=None, stage_lp=None):
-        ns = solve_node(p, where, history, pools, z_lo, stage_lp)
-        if stage_lp is not None:
-            stage_lp.solutions = {key: old for key, old in stage_lp.solutions.items()
-                                  if old is ns}
+    def keeping_the_last(self, where, history):
+        ns = solve(self, where, history)
+        self.solves[where] = {key: old for key, old in self.solves[where].items()
+                              if old is ns}
         return ns
 
     problem, cfg = _diagnostic_case(case, timing, 20)
     every = engine.run(problem, cfg)
     with monkeypatch.context() as patched:
-        patched.setattr(engine, "solve_node", keeping_the_last)
+        patched.setattr(engine._Driver, "_solve", keeping_the_last)
         last = engine.run(problem, cfg)
     assert ([r.lps + r.lps_reused for r in every.reports]
             == [r.lps + r.lps_reused for r in last.reports])

@@ -134,6 +134,26 @@ def test_load_rejects_malformed_documents(tmp_path):
         io.load_problem(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("tree, damage", [
+    (False, lambda doc: doc.update(horizon=2.7)),
+    (False, lambda doc: doc.update(horizon="2")),
+    (False, lambda doc: doc.update(horizon=True)),
+    (False, lambda doc: doc.update(dim=1.9)),
+    (False, lambda doc: doc["stages"][1]["realizations"][0].update(prob="0.5")),
+    (True, lambda doc: doc["nodes"][1].update(id=1.0)),
+    (True, lambda doc: doc["nodes"][2].update(parent=1.5)),
+    (True, lambda doc: doc["nodes"][2].update(prob="0.5")),
+], ids=["float-horizon", "string-horizon", "bool-horizon", "float-dim",
+        "string-realization-prob", "float-node-id", "float-node-parent", "string-node-prob"])
+def test_load_rejects_non_integer_counts_and_non_number_probs(tree, damage):
+    # truncating 2.7 to 2 or reading "0.5" as 0.5 would load another problem
+    # than the document states
+    doc = io.problem_to_dict(make_newsvendor_tree() if tree else make_newsvendor())
+    damage(doc)
+    with pytest.raises(io.IoError, match="is not an integer|is not a number"):
+        io.problem_from_dict(doc)
+
+
 def test_load_rejects_invalid_problems():
     doc = io.problem_to_dict(make_newsvendor())
     doc["stages"][1]["realizations"][0]["prob"] = 0.9  # probabilities no longer sum to 1
@@ -239,7 +259,7 @@ def test_logged_cut_counts_match_the_dump(tmp_path, monkeypatch, algorithm):
         return built[-1]
 
     def counting_offer(self, *args, **kwargs):
-        offers.append(args[0])  # the stage of the cut offered
+        offers.append(args[0])  # the pool key of the cut offered
         return real_offer(self, *args, **kwargs)
 
     real_build = engine.build_optimality_cut

@@ -124,16 +124,25 @@ def test_nested_decomposition_pools_one_cut_per_lp_row(monkeypatch):
         built.append(real_build(*args, **kwargs))
         return built[-1]
 
-    real_build = oracle.build_optimality_cut
-    monkeypatch.setattr(oracle, "PoolSet", RecordingPoolSet)
-    monkeypatch.setattr(oracle, "build_optimality_cut", counting_build)
+    def counting_repeats(self, *args):
+        repeats.append(real_repeats(self, *args))
+        return repeats[-1]
+
+    # nested decomposition builds its pools and cuts through the engine's driver
+    real_build, real_repeats = engine.build_optimality_cut, engine._Driver._repeats_last_cut
+    repeats = []
+    monkeypatch.setattr(engine, "PoolSet", RecordingPoolSet)
+    monkeypatch.setattr(engine, "build_optimality_cut", counting_build)
+    monkeypatch.setattr(engine._Driver, "_repeats_last_cut", counting_repeats)
     problem = _stochastic_three_stage(
         risk2=RiskSpec(kind="cvar", epsilon=0.5),
         risk3=RiskSpec(kind="mixture", lam=0.3, epsilon=0.4))
     res = oracle.exact_nested_decomposition(problem)
     (pools,) = made
     assert res.n_cuts == n_optimality_cuts(pools) < len(built)
-    assert len(built) == 3 * res.sweeps  # the stage-1 node and its 2 children
+    # one offer per sweep at the stage-1 node and each of its 2 children;
+    # a repeat of a pool's last cut is offered without being built again
+    assert len(built) + sum(repeats) == len(repeats) == 3 * res.sweeps
     for pool in pools.opt.values():
         rows = [(c.beta, c.rhs_const) for c in pool.optimality]
         for i, (beta, rhs) in enumerate(rows):
@@ -352,8 +361,8 @@ def test_reused_stage_solves_equal_fresh_cold_solves(form, monkeypatch):
     if form == "tree":
         problem = lattice_to_tree(problem)
     solved, answered = [], []
-    solve_node = oracle.solve_node
-    memo_solve = oracle._StageSolves.solve
+    solve_node = engine.solve_node
+    memo_solve = engine._Driver._solve
 
     def counting(*args, **kwargs):
         solved.append(1)
@@ -363,7 +372,7 @@ def test_reused_stage_solves_equal_fresh_cold_solves(form, monkeypatch):
         # every answer, reused or not, is what a fresh cold solve of the same
         # LP (position, history, current pool rows) returns, bit for bit
         ns = memo_solve(self, where, history)
-        fresh = engine.solve_node(self.problem, where, history, self.pools)
+        fresh = solve_node(self.problem, where, history, self.pools)
         assert ns.value == fresh.value and ns.duals.pivots == fresh.duals.pivots
         for got, want in ((ns.x, fresh.x), (ns.pi, fresh.pi),
                           (ns.duals.dual_eq, fresh.duals.dual_eq),
@@ -372,8 +381,8 @@ def test_reused_stage_solves_equal_fresh_cold_solves(form, monkeypatch):
         answered.append(1)
         return ns
 
-    monkeypatch.setattr(oracle, "solve_node", counting)
-    monkeypatch.setattr(oracle._StageSolves, "solve", checked)
+    monkeypatch.setattr(engine, "solve_node", counting)
+    monkeypatch.setattr(engine._Driver, "_solve", checked)
     res = oracle.exact_nested_decomposition(problem)
     # without the memo each sweep solves every scenario-tree node forward,
     # its children again backward (all nodes but the stage-1 one) and the
