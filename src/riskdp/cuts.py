@@ -29,10 +29,10 @@ anchor, the new cut included, equals the new theta to within
 so none of them may exceed the fresh value at its own anchor.  A skipped
 duplicate is held to the same check: its pooled twin attains the same value
 there, so a duplicate that breaks anchor equality still raises.  The engine
-does not build or offer a repeat of the last cut it offered a pool (the same
-child solutions at the same anchor, the pool's optimality cuts unchanged)
-and counts it as skipped: that cut's check already passed against the same
-cuts, and its row is pooled, as itself or as its twin.
+does not build or offer a repeat of any cut it offered a pool since the
+pool's optimality cuts last changed (the same child solutions at the same
+anchor) and counts it as skipped: that cut's check already passed against
+the same cuts, and its row is pooled, as itself or as its twin.
 """
 
 from __future__ import annotations

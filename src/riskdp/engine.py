@@ -46,12 +46,16 @@ sampled drivers hold one :class:`StageLp` per position, built on its first
 solve and kept for the run with its map: between two solves only the
 right-hand side moves, to ``b0 - M h``, and the pool's new cut rows are
 appended, which is what :class:`riskdp.lp.PersistentLp` re-solves in place.
-Nested decomposition solves every miss cold.  So do the probe's ``resolve``
-(it must not disturb the driver's LPs) and :func:`phase_one`.  A re-solve
-in place, or a solve handed back, may be another optimal vertex of a
-degenerate LP than the cold one, hence another dual vertex and another
-valid cut; replay is still exact, because the stage LPs and the memo
-evolve deterministically.
+The subproblems of one stage share the layout and the objective, so a
+position's first solve starts from the latest optimal basis of a
+same-stage LP of its shape, when one is admissible, instead of from phase
+1; a start that is singular or from which the re-solve declines gives way
+to the cold solve.  Nested decomposition solves every miss cold.  So do the
+probe's ``resolve`` (it must not disturb the driver's LPs) and
+:func:`phase_one`.  A solve in place, or a solve handed back, may be
+another optimal vertex of a degenerate LP than the cold one, hence another
+dual vertex and another valid cut; replay is still exact, because the
+stage LPs, their start bases and the memo evolve deterministically.
 """
 
 from __future__ import annotations
@@ -59,8 +63,11 @@ from __future__ import annotations
 import logging
 import math
 import time
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -130,12 +137,14 @@ class IterationReport:
     ``cuts_opt`` and ``cuts_feas`` count the cuts that entered a pool, by
     stage; ``cuts_skipped`` counts, by pool key, the optimality cuts offered
     but not appended because their LP row was already pooled, including the
-    repeats of a pool's last cut that the driver does not build again
+    repeats of an earlier offer that the driver does not build again
     (:meth:`_Driver._build_cut_at`).  ``lps`` counts the
     LPs the driver solved (stage LPs and phase-I LPs, not the probe's
-    re-solves), ``lps_warm`` the stage LPs re-solved in place from their held
-    basis, skipping phase 1, ``lps_dual`` those of them that first took dual
-    simplex pivots back to primal feasibility, and ``pivots`` the simplex
+    re-solves), ``lps_warm`` the stage LPs solved in place from a basis,
+    skipping phase 1: re-solves from their held basis and first solves
+    started from another position's (:class:`StageLp`).  ``lps_dual`` counts
+    those of them that first took dual simplex pivots to primal
+    feasibility, and ``pivots`` the simplex
     pivots of them all.  ``lps_reused`` counts the stage solves that were
     not LPs: earlier solves of the same LP that the driver handed back
     (:meth:`_Driver._solve`).  ``lps + lps_reused`` is the number of stage
@@ -243,8 +252,12 @@ def _stage_uniform(seed: int, k: int, t: int) -> float:
 
 
 def _pick(probs: np.ndarray, u: float) -> int:
-    edges = np.cumsum(probs)
-    j = int(np.searchsorted(edges, u, side="right"))
+    """The first child whose cumulative probability exceeds ``u``, else the last.
+
+    ``np.searchsorted(np.cumsum(probs), u, side="right")`` bit for bit:
+    the running sums are the same sequential float additions.
+    """
+    j = bisect_right(list(accumulate(probs.tolist())), u)
     return min(j, probs.shape[0] - 1)
 
 
@@ -325,20 +338,30 @@ def stage_lp_key(history: np.ndarray, pool: CutPool) -> tuple:
 class StageLp:
     """One position's stage LP and its right-hand side map, kept for the run.
 
-    A cold solve builds the LP and its map with :func:`build_stage_lp`,
-    solves it with :func:`riskdp.lp.solve` and holds it with its final basis
-    in a :class:`riskdp.lp.PersistentLp`.  Each later solve inserts the
-    pool's new cut rows, with their map rows, in the layout of
-    :func:`build_stage_lp` (new optimality rows after the held ones, before
-    the feasibility rows; new feasibility rows at the end), sets the
-    right-hand side ``b0 - hist @ h`` and re-solves in place; when
-    :meth:`riskdp.lp.PersistentLp.resolve` declines, the solve is cold again.
-    ``b0`` and ``hist`` are the map of the LP last solved, ``n_opt`` and
-    ``n_feas`` count its cut rows.
+    The first solve builds the LP and its map with :func:`build_stage_lp`.
+    When ``starts`` holds a basis of the same stage and shape (equality and
+    inequality row counts), it solves the LP from that basis: it is held in
+    a :class:`riskdp.lp.PersistentLp` and re-solved in place, phase 2 from a
+    primal feasible start and dual simplex pivots first from a dual
+    feasible one.  Otherwise, or when the start is not a basis of this LP
+    (singular, or a state naming an infinite bound) or the re-solve
+    declines, the solve is the cold :func:`riskdp.lp.solve`, and its final
+    basis is held instead.  Each later solve inserts the pool's new cut
+    rows, with their map rows, in the layout of :func:`build_stage_lp` (new
+    optimality rows after the held ones, before the feasibility rows; new
+    feasibility rows at the end), sets the right-hand side ``b0 - hist @ h``
+    and re-solves in place; when :meth:`riskdp.lp.PersistentLp.resolve`
+    declines, the LP is built and solved cold again.  Every solve that
+    leaves a held LP records its optimal basis in ``starts``, a record
+    shared by the run's stage LPs, under ``(stage, n_eq, n_ub)``: a first
+    solve is offered the latest basis of its stage and shape.  ``b0`` and
+    ``hist`` are the map of the LP last solved, ``n_opt`` and ``n_feas``
+    count its cut rows.
     """
 
-    def __init__(self):
+    def __init__(self, starts: dict):
         self.lp: lp.PersistentLp | None = None
+        self.starts = starts
         self.b0: np.ndarray | None = None
         self.hist: np.ndarray | None = None
         self.n_opt = 0
@@ -352,9 +375,21 @@ class StageLp:
         self.hist = np.insert(self.hist, at, beta1, axis=0)
         self.lp.append_rows(rows, b0 - beta1 @ history, at - self.lp.n_eq)
 
+    def _solve_from(self, prob: lp.LpProblem, start: np.ndarray) -> lp.LpSolution | None:
+        """Solve ``prob`` in place from the basis ``start`` and hold it; None when it cannot."""
+        try:
+            started = lp.PersistentLp(prob, start)
+        except lp.SimplexError:
+            return None
+        sol = started.resolve()
+        if sol is not None:
+            self.lp = started
+        return sol
+
     def solve(self, problem: Problem, where, history: np.ndarray, view,
               z_lo: float) -> lp.LpSolution:
-        held = self.lp
+        held, sol = self.lp, None
+        stage = problem.topology.stage(where)
         if held is not None:
             if view.n_opt > self.n_opt:
                 new = slice(self.n_opt, None)
@@ -368,13 +403,19 @@ class StageLp:
             b = self.b0 - self.hist @ history
             held.set_rhs(b[:held.n_eq], b[held.n_eq:])
             sol = held.resolve()
-            if sol is not None:
-                return sol
-        prob, self.b0, self.hist = build_stage_lp(assemble_subproblem(problem, where), view,
-                                                  z_lo, history)
-        self.n_opt, self.n_feas = view.n_opt, view.n_feas
-        sol = lp.solve(prob)
-        self.lp = None if sol.basis is None else lp.PersistentLp(prob, sol.basis)
+        if sol is None:
+            prob, self.b0, self.hist = build_stage_lp(assemble_subproblem(problem, where),
+                                                      view, z_lo, history)
+            self.n_opt, self.n_feas = view.n_opt, view.n_feas
+            start = (self.starts.get((stage, prob.a_eq.shape[0], prob.a_ub.shape[0]))
+                     if held is None else None)
+            if start is not None:
+                sol = self._solve_from(prob, start)
+            if sol is None:
+                sol = lp.solve(prob)
+                self.lp = None if sol.basis is None else lp.PersistentLp(prob, sol.basis)
+        if sol.basis is not None:  # optimal, and held by self.lp
+            self.starts[stage, self.lp.n_eq, self.lp.n_ub] = sol.basis
         return sol
 
 
@@ -483,12 +524,14 @@ class _Driver:
     since its pool last grew, by :func:`stage_lp_key`.  With ``warm`` (the
     sampled drivers) a miss goes through the position's :class:`StageLp` in
     ``stage_lps``; without it (nested decomposition) a miss is the cold
-    :func:`solve_node`.  The probe's ``resolve`` and the phase-I LPs of the
-    feasibility gate stay cold and leave both alone.  ``tally`` holds the
-    running LP totals (:func:`_count_lp`) and the solves handed back
-    (``lps_reused``).  ``last_cut`` holds, per pool key, the child
-    solutions, the anchor (as bytes) and the pool's optimality-cut count
-    after the last cut offered to that pool (:meth:`_repeats_last_cut`).
+    :func:`solve_node`.  The stage LPs share ``starts``, the latest optimal
+    basis of each stage and shape, from which a position's first solve
+    starts.  The probe's ``resolve`` and the phase-I LPs of the
+    feasibility gate stay cold and leave all three alone.  ``tally`` holds
+    the running LP totals (:func:`_count_lp`) and the solves handed back
+    (``lps_reused``).  ``offers`` holds, per pool key, the pool's
+    optimality-cut count and the child solutions of every anchor offered to
+    that pool since the count last moved (:meth:`_offered`).
     """
 
     def __init__(self, problem: Problem, cfg: RunConfig, warm: bool = True):
@@ -497,13 +540,14 @@ class _Driver:
         self.warm = warm
         self.topology = problem.topology
         self.pools = PoolSet(problem)
-        self.stage_lps: defaultdict = defaultdict(StageLp)
+        self.starts: dict = {}
+        self.stage_lps: defaultdict = defaultdict(partial(StageLp, self.starts))
         self.solves: defaultdict = defaultdict(dict)
         self.tally: Counter = Counter()
         self.stage1 : NodeSolution | None = None
         self.pi_norm_max: dict[int, float] = {}
         self.pi_norm_first: dict[int, float] = {}
-        self.last_cut: dict = {}
+        self.offers: dict = {}
         self.feas_counter = 0
 
     # -- small helpers -----------------------------------------------------
@@ -546,23 +590,31 @@ class _Driver:
         if k <= 5:
             self.pi_norm_first[t] = max(self.pi_norm_first.get(t, 0.0), ns.pi_norm)
 
-    def _repeats_last_cut(self, key, sols: list, hist: np.ndarray) -> bool:
-        """Whether the cut of ``sols`` at ``hist`` is the last one offered to ``key``'s pool.
+    def _offered(self, key) -> dict:
+        """The anchors (as bytes) offered to ``key``'s pool since its optimality-cut count
+        last moved, each with the children's solutions its cut was built from."""
+        count = len(self.pools.opt[key].optimality)
+        held, offered = self.offers.get(key, (None, None))
+        if held != count:
+            offered = {}
+            self.offers[key] = (count, offered)
+        return offered
 
-        It is when the children's solutions are, by identity, the ones that
-        cut was built from, ``hist`` is byte-equal to its anchor, and the pool
-        holds as many optimality cuts as right after it was offered.  A
-        handed-back solution is the same object (:meth:`_solve`), so
-        identity means every child was reused.  In this driver the identity
-        implies the other two (a solution is handed back only at its own
-        :func:`stage_lp_key`, and every optimality cut enters a pool here,
-        renewing the record); they keep the rule true on its own terms.
+    def _repeats_offer(self, key, sols: list, anchor: bytes) -> bool:
+        """Whether the cut of ``sols`` at ``anchor`` was offered to ``key``'s pool already.
+
+        It was when :meth:`_offered` holds the anchor with the children's
+        solutions, by identity: some cut offered since the pool's
+        optimality-cut count last moved was built from these very solutions
+        at this anchor.  A handed-back solution is the same object
+        (:meth:`_solve`), so identity means every child was reused.  In this
+        driver the identity implies the rest (a solution is handed back only
+        at its own :func:`stage_lp_key`, and every optimality cut enters a
+        pool here); the count and the anchor keep the rule true on its own
+        terms.
         """
-        last = self.last_cut.get(key)
-        return (last is not None
-                and len(self.pools.opt[key].optimality) == last[2]
-                and all(ns is old for ns, old in zip(sols, last[0]))
-                and hist.tobytes() == last[1])
+        old = self._offered(key).get(anchor)
+        return old is not None and all(ns is was for ns, was in zip(sols, old))
 
     def _build_cut_at(self, key, hist: np.ndarray, k: int, counters: dict[int, int],
                       skipped: dict):
@@ -572,13 +624,13 @@ class _Driver:
         The cut counts in ``counters`` (by the children's stage) when it
         enters the pool and in ``skipped`` (by pool key) when the pool
         already holds its LP row.
-        A repeat of the last cut offered to the pool
-        (:meth:`_repeats_last_cut`) is not built again, and it counts as
-        skipped: the build is deterministic, so its cut is that cut, whose
-        row the pool then took or already held.  Its anchor check is known
-        too, since the pool's optimality cuts have not changed since that
-        cut passed it.  The children are still solved (and tallied and
-        probed) as for any cut.
+        A repeat of any cut offered to the pool since its optimality-cut
+        count last moved (:meth:`_repeats_offer`) is not built again, and it
+        counts as skipped: the build is deterministic, so its cut is that
+        cut, whose row the pool then took or already held.  Its anchor check
+        is known too, since the pool's optimality cuts have not changed
+        since that cut passed it.  The children are still solved (and
+        tallied and probed) as for any cut.
 
         Returns the child positions and their solutions so the forward timing
         can reuse the sampled child's decision without a second solve.
@@ -597,7 +649,8 @@ class _Driver:
                     "value": ns.value, "pi": ns.pi.copy(),
                     "resolve": lambda h, w=where: solve_node(p, w, h, self.pools).value,
                 })
-        if self._repeats_last_cut(key, sols, hist):
+        anchor = hist.tobytes()
+        if self._repeats_offer(key, sols, anchor):
             skipped[key] = skipped.get(key, 0) + 1
             return wheres, sols
         pool = self.pools.opt[key]
@@ -608,7 +661,7 @@ class _Driver:
             counters[t] = counters.get(t, 0) + 1
         else:
             skipped[key] = skipped.get(key, 0) + 1
-        self.last_cut[key] = (sols, hist.tobytes(), len(pool.optimality))
+        self._offered(key)[anchor] = sols
         return wheres, sols
 
     def _gate(self, t: int, path: list, hist: np.ndarray, k: int,

@@ -21,14 +21,16 @@ start and therefore cannot cycle.
 
 Persistent LPs: every optimal solve returns its final basis
 (``LpSolution.basis``), and :class:`PersistentLp` holds an LP with such a
-basis and its inverse across re-solves.  Between two re-solves, inequality
-rows can be inserted (each new row's slack enters the basis, so the inverse
-is bordered in closed form) and the right-hand side moved (only the basic
-values are recomputed).  Neither touches the reduced costs, so a held
-optimal basis stays dual feasible.  The re-solve runs in place: while the
-held basis is primal feasible, to :data:`PHASE1_TOL` in its bounds and in
-the row residual (or, for the residual, to :data:`RESIDUAL_REL_TOL` of the
-products forming each row), it goes straight to the phase-2 loop; when
+basis and its inverse across re-solves; a basis of another LP of the same
+shape serves too, and starts a solve without phase 1.  Between two
+re-solves, inequality rows can be inserted (each new row's slack enters the
+basis, so the inverse is bordered in closed form) and the right-hand side
+moved (only the basic values are recomputed).  Neither touches the
+reduced costs, so a held optimal basis stays dual feasible.  The re-solve
+runs in place: while the held basis is primal feasible, to
+:data:`PHASE1_TOL` in its bounds and in the row residual (or, for the
+residual, to :data:`RESIDUAL_REL_TOL` of the products forming each row),
+it goes straight to the phase-2 loop; when
 only its bounds fail, dual simplex pivots on the held inverse first
 restore primal feasibility.  It declines when the basis is not dual
 feasible either, when the LP is primal infeasible or when the dual pivots
@@ -495,21 +497,32 @@ class _Simplex:
 class PersistentLp(_Simplex):
     """One LP kept across re-solves, with an optimal basis and its inverse.
 
-    Built from an :class:`LpProblem` and an optimal basis of it (the
-    ``basis`` of :func:`solve`).  Between two re-solves, inequality rows can
-    be inserted (:meth:`append_rows`) and the right-hand side moved
-    (:meth:`set_rhs`); the cost, the box and the existing rows stay as
-    built, so the held basis stays dual feasible.  :meth:`resolve` re-solves
-    in place, with dual simplex pivots first when the basis lost primal
-    feasibility, and declines when it cannot, leaving the cold solve to the
-    caller.
+    Built from an :class:`LpProblem` and a basis of it: one column state per
+    structural and slack column, as in ``LpSolution.basis``.  It is usually
+    an optimal basis of that LP (the ``basis`` of :func:`solve`), but any
+    basis will do, such as an optimal basis of another LP of the same shape;
+    construction raises :class:`SimplexError` when ``basis`` is not a basis
+    of this LP: a state names an infinite bound (or :data:`NB_FREE` a column
+    with a finite one), or the basic columns are singular.  Between two
+    re-solves, inequality rows can be inserted (:meth:`append_rows`) and the
+    right-hand side moved (:meth:`set_rhs`); the cost, the box and the
+    existing rows stay as built, so a dual feasible basis stays dual
+    feasible.  :meth:`resolve` re-solves in place, with dual simplex pivots
+    first when the basis is not primal feasible, and declines when it
+    cannot, leaving the cold solve to the caller.
     """
 
     def __init__(self, prob: LpProblem, basis: np.ndarray):
         super().__init__(prob, bland_always=False)
         for j, state in enumerate(basis):
             self._place(j, state)
-        self.basis = np.flatnonzero(self.status_col == BASIC)
+        st = self.status_col
+        lo_inf, up_inf = np.isinf(self.lower), np.isinf(self.upper)
+        if (((st == AT_LOWER) & lo_inf) | ((st == AT_UPPER) & up_inf)
+                | ((st == NB_FREE) & ~(lo_inf & up_inf))).any():
+            raise SimplexError("a column state names an infinite bound or parks a bounded "
+                               "column as free")
+        self.basis = np.flatnonzero(st == BASIC)
         self._refactor()
 
     def append_rows(self, a_rows: np.ndarray, b_rows: np.ndarray, at: int) -> None:

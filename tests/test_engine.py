@@ -280,6 +280,43 @@ def test_stage_uniform_is_the_generator_draw():
                 assert engine._stage_uniform(seed, k, t) == np.random.Generator(bits).random()
 
 
+def _numpy_pick(probs, u):
+    j = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    return min(j, probs.shape[0] - 1)
+
+
+def test_pick_matches_the_numpy_cumulative_search():
+    # the running sums are the same floats as np.cumsum's, so 200,000 draws,
+    # the cumulative edges themselves and the floats just below them
+    # included, pick the same child as _numpy_pick (vectorized here)
+    rng = np.random.default_rng(1919)
+    for _ in range(10_000):
+        probs = rng.dirichlet(np.ones(rng.integers(1, 5)))
+        edges = np.cumsum(probs)
+        draws = np.concatenate([rng.random(20 - 2 * edges.size), edges,
+                                np.nextafter(edges, 0.0)])
+        expected = np.minimum(np.searchsorted(edges, draws, side="right"), probs.size - 1)
+        assert [engine._pick(probs, u) for u in draws.tolist()] == expected.tolist()
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_lattice_instance(rng, 3, 3, 2, max_pieces=3,
+                                        risk=RiskSpec(kind="mixture", lam=0.5, epsilon=0.3)),
+    lambda rng: lattice_to_tree(random_lattice_instance(rng, 3, 2, 2,
+                                                        risk=RiskSpec(kind="cvar", epsilon=0.5))),
+    lambda rng: make_cvar_without_complete_recourse(),
+], ids=["lattice", "tree", "no-rcr"])
+def test_sample_path_is_unchanged_by_the_pick(monkeypatch, make):
+    # the engine's fuzz instances draw the same paths with the numpy pick
+    for case in range(3):
+        problem = make(np.random.default_rng([1201, case]))
+        draws = [(seed, k) for seed in (7, 1101) for k in range(1, 41)]
+        paths = [engine.sample_path(problem, seed, k) for seed, k in draws]
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "_pick", _numpy_pick)
+            assert paths == [engine.sample_path(problem, seed, k) for seed, k in draws]
+
+
 def test_probe_sees_every_cut_solve():
     seen = []
 
@@ -337,7 +374,9 @@ def test_config_validation_errors():
 def _run_checking_warm_solves(monkeypatch, problem, cfg):
     """Run ``cfg`` with every stage solve of the driver checked against the cold path.
 
-    Each ``NodeSolution`` re-solved in place (dual pivots included) must equal a cold
+    Each ``NodeSolution`` solved in place (dual pivots included), from its
+    position's held basis or, on a first solve, from another position's
+    (``started``), must equal a cold
     :func:`engine.solve_node` at the same history and pools within 1e-9, and
     its ``pi`` must pass the subgradient inequality of the cold value
     function around that history; every other one must be the cold solve,
@@ -352,6 +391,7 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
     def checked(self, where, history):
         p, pools, stage_lp = self.problem, self.pools, self.stage_lps[where]
         held = (stage_lp.n_opt, stage_lp.n_feas)
+        first = stage_lp.lp is None
         reused = self.tally["lps_reused"]
         ns = solve(self, where, history)
         if self.tally["lps_reused"] > reused:
@@ -361,6 +401,7 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
         else:
             seen["warm"] += 1
             seen["dual"] += ns.duals.dual_start
+            seen["started"] += first  # a first solve from another position's basis
             view = pools.rows_for(where).view(p.dim)
             if held[1] and view.n_opt > held[0]:
                 seen["feasibility_rows_shifted"] += 1  # new optimality rows went before them
@@ -419,7 +460,7 @@ def test_warm_solves_match_cold_solves(monkeypatch, case):
             assert seen_run["feasibility_rows_shifted"] >= 1
             assert res.final_lower_bound == pytest.approx(2.0, abs=1e-9)  # x1 = 0, x2 = 2
     assert seen["warm"] >= 10 and seen["dual"] >= 1 and seen["cold"] >= 1, seen
-    assert seen["reused"] >= 1, seen
+    assert seen["reused"] >= 1 and seen["started"] >= 1, seen
 
 
 def test_dual_started_run_replays_and_reaches_the_reference(tmp_path):
@@ -478,21 +519,32 @@ def test_oracle_check_every_k_solves_the_reference_once(monkeypatch, caplog):
 
 
 @pytest.mark.parametrize("case", ["alg1-lattice", "alg3-tree"])
-def test_payload_is_folded_once_per_cold_stage_lp(monkeypatch, case):
-    # a warm re-solve only moves the right-hand side along the held map, so
-    # the payload's rows are folded once per cold build, not once per LP
-    fold_map = model.Realization.fold_map
-    folds = Counter()
+def test_payload_is_folded_once_per_built_stage_lp(monkeypatch, case):
+    # a re-solve of a held LP only moves the right-hand side along the held
+    # map, so the payload's rows are folded once per built stage LP: every
+    # first solve of a position (cold, or from another position's basis)
+    # and every rebuild after a held LP declined, not once per LP
+    fold_map, solve = model.Realization.fold_map, engine.StageLp.solve
+    seen = Counter()
 
     def counting(self, x0, k):
-        folds["calls"] += 1
+        seen["folds"] += 1
         return fold_map(self, x0, k)
 
+    def counting_solve(self, *args):
+        held = self.lp
+        sol = solve(self, *args)
+        seen["first"] += held is None
+        seen["rebuilt"] += held is not None and self.lp is not held
+        return sol
+
     monkeypatch.setattr(model.Realization, "fold_map", counting)
+    monkeypatch.setattr(engine.StageLp, "solve", counting_solve)
     problem = _mixture_lattice() if case == "alg1-lattice" else _cvar_tree()
     algorithm = "alg1" if case == "alg1-lattice" else "alg3"
     diag = engine.run(problem, _cfg(algorithm=algorithm, max_iters=8, stall_window=9)).diagnostics
-    assert 0 < folds["calls"] == diag["lps"] - diag["lps_warm"] < diag["lps"]
+    assert 0 < seen["folds"] == seen["first"] + seen["rebuilt"] < diag["lps"]
+    assert diag["lps"] - diag["lps_warm"] <= seen["folds"]  # every cold LP is built
 
 
 def test_lp_counts_are_reported(caplog):
@@ -501,7 +553,8 @@ def test_lp_counts_are_reported(caplog):
     diag = res.diagnostics
     for name in ("lps", "lps_warm", "lps_dual", "lps_reused", "pivots"):
         assert diag[name] == sum(getattr(r, name) for r in res.reports)
-    assert 0 < diag["lps_warm"] < diag["lps"]  # the first solve of a position is cold
+    # stage 1 has one position, so its first solve has no start basis and is cold
+    assert 0 < diag["lps_warm"] < diag["lps"]
     assert diag["lps_reused"] > 0
     # T=3, M=3, backward timing: every iteration solves the two sampled
     # positions forward, the three children of stages 3 and 2 backward and
@@ -663,6 +716,76 @@ def test_probe_resolve_leaves_the_basis_cache_alone(monkeypatch):
     assert len(resolved) >= 12
 
 
+def _first_solve_case():
+    """A stage-2 lattice position after three iterations: its cold solve and its stage LP.
+
+    The LP has one equality row, four inequality rows and the columns
+    ``[x1, x2, w, z]`` followed by the four slacks.
+    """
+    problem = _mixture_lattice()
+    driver = engine._Driver(problem, _cfg())
+    for k in range(1, 4):
+        driver.iterate(k)
+    where, history, pools = (2, 0), driver.stage1.x.copy(), driver.pools
+    cold = engine.solve_node(problem, where, history, pools)
+    view = pools.rows_for(where).view(problem.dim)
+    prob = engine.build_stage_lp(model.assemble_subproblem(problem, where), view,
+                                 problem.z_lower(2), history)[0]
+    assert (prob.a_eq.shape[0], prob.a_ub.shape[0]) == (1, 4)
+    return problem, where, history, pools, cold, prob
+
+
+def _first_solve_from(case, start):
+    """The first solve of ``case``'s position through a StageLp offered ``start``."""
+    problem, where, history, pools, _cold, prob = case
+    stage_lp = engine.StageLp({(2, 1, 4): np.array(start, dtype=np.int8)})
+    return engine.solve_node(problem, where, history, pools, stage_lp=stage_lp), stage_lp
+
+
+def test_a_first_solve_starts_from_an_offered_basis():
+    case = _first_solve_case()
+    cold = case[4]
+    ns, stage_lp = _first_solve_from(case, cold.duals.basis)
+    assert ns.duals.warm_start and ns.duals.pivots == 0 < cold.duals.pivots
+    assert abs(ns.value - cold.value) <= 1e-12
+    # the LP it started is the one held, and its basis is the one recorded
+    assert stage_lp.lp.status_col.tolist() == cold.duals.basis.tolist()
+    assert stage_lp.starts[2, 1, 4] is ns.duals.basis
+
+
+L, U, B = lp.AT_LOWER, lp.AT_UPPER, lp.BASIC
+
+
+@pytest.mark.parametrize("start,why", [
+    # w and the slacks basic: no basic column touches the equality row
+    ([L, L, B, L, B, B, B, B], "singular"),
+    # x1 at its upper bound, x2, w, z and two slacks basic: neither primal
+    # nor dual feasible, so no simplex runs from it in place
+    ([U, B, B, B, B, L, B, L], "declined"),
+    # the optimal basis with a nonbasic slack at its upper bound, +inf
+    ([B, B, B, B, L, U, L, B], "inadmissible"),
+])
+def test_a_first_solve_from_an_unusable_start_is_the_cold_solve(start, why):
+    case = _first_solve_case()
+    prob, cold = case[5], case[4]
+    assert cold.duals.basis.tolist() == [B, B, B, B, L, L, L, B]
+    if why == "declined":
+        assert lp.PersistentLp(prob, np.array(start, dtype=np.int8)).resolve() is None
+    else:
+        with pytest.raises(lp.SimplexError):
+            lp.PersistentLp(prob, np.array(start, dtype=np.int8))
+    ns, stage_lp = _first_solve_from(case, start)
+    assert not ns.duals.warm_start and ns.duals.pivots == cold.duals.pivots
+    assert ns.value == cold.value
+    for name in ("x", "pi"):
+        assert getattr(ns, name).tobytes() == getattr(cold, name).tobytes()
+    for name in ("dual_eq", "dual_ineq", "basis"):
+        assert getattr(ns.duals, name).tobytes() == getattr(cold.duals, name).tobytes()
+    # the cold solve's basis is held, and replaces the unusable start
+    assert stage_lp.lp.status_col.tolist() == cold.duals.basis.tolist()
+    assert stage_lp.starts[2, 1, 4] is ns.duals.basis
+
+
 def _diagnostic_case(case, timing, max_iters, **instance):
     """One of the driver's algorithms on a small instance, run ``max_iters`` iterations."""
     algorithm = case.split("-")[0]
@@ -702,7 +825,7 @@ def test_pi_norm_diagnostics_match_the_probe_events(case, seed, timing):
 @pytest.mark.parametrize("timing", engine.CUT_TIMINGS)
 @pytest.mark.parametrize("case", ["alg1-lattice", "alg2-feasibility-rows", "alg3-tree"])
 def test_skipping_a_repeated_cut_matches_building_it(monkeypatch, case, timing):
-    # the driver skips a repeat of a pool's last cut without building it;
+    # the driver skips a repeat of an earlier offer without building it;
     # building and offering every cut, as the pools' own dedup allows, must
     # give the same run
     def run_digest():
@@ -714,19 +837,42 @@ def test_skipping_a_repeated_cut_matches_building_it(monkeypatch, case, timing):
                 [r.cuts_skipped for r in res.reports], res.diagnostics)
 
     repeats = []
-    repeats_last_cut = engine._Driver._repeats_last_cut
+    repeats_offer = engine._Driver._repeats_offer
 
     def counting(self, *args):
-        repeats.append(repeats_last_cut(self, *args))
+        repeats.append(repeats_offer(self, *args))
         return repeats[-1]
 
     with monkeypatch.context() as patched:
-        patched.setattr(engine._Driver, "_repeats_last_cut", counting)
+        patched.setattr(engine._Driver, "_repeats_offer", counting)
         skipping = run_digest()
     assert any(repeats)  # the skip fired
     with monkeypatch.context() as patched:
-        patched.setattr(engine._Driver, "_repeats_last_cut", lambda self, *args: False)
+        patched.setattr(engine._Driver, "_repeats_offer", lambda self, *args: False)
         building = run_digest()
     assert skipping == building
     assert set(skipping[3]) >= {"lps", "lps_reused", "pivots", "pi_norm_max",
                                 "pi_norm_first5", "cuts_skipped"}
+
+
+def test_a_repeat_of_an_earlier_offer_is_skipped_not_only_of_the_last(monkeypatch):
+    # a lattice pool offered cuts at two anchors in turn, with no new cut in
+    # between: the repeat at h2 follows an offer at h1, yet it is a repeat
+    # of an offer since the pool's count last moved, so it is not built
+    problem = _mixture_lattice()
+    driver = engine._Driver(problem, _cfg())
+    for k in range(1, 4):
+        driver.iterate(k)
+    x1 = driver.stage1.x
+    h1, h2 = (np.concatenate([x1, driver._solve((2, j), x1).x]) for j in (0, 1))
+    assert h1.tobytes() != h2.tobytes()
+    pool, counters, skipped = driver.pools.opt[3], {}, {}
+    for h in (h1, h2, h1):
+        driver._build_cut_at(3, h, 4, counters, skipped)
+    n_cuts, n_skipped = len(pool.optimality), skipped.get(3, 0)
+    built = []
+    build = engine.build_optimality_cut
+    monkeypatch.setattr(engine, "build_optimality_cut",
+                        lambda *args, **kwargs: built.append(1) or build(*args, **kwargs))
+    driver._build_cut_at(3, h2, 4, counters, skipped)
+    assert built == [] and skipped[3] == n_skipped + 1 and len(pool.optimality) == n_cuts

@@ -283,7 +283,7 @@ def test_logged_cut_counts_match_the_dump(tmp_path, monkeypatch, algorithm):
     skipped = sum(r.n_cuts_skipped for r in res.reports)
     assert skipped > 0
     assert added + skipped == len(offers)
-    # a repeat of a pool's last cut counts as skipped without being built
+    # a repeat of an earlier offer counts as skipped without being built
     assert added <= len(built) < len(offers)
     totals = res.diagnostics["cuts_skipped"]
     assert sum(totals.values()) == skipped

@@ -700,6 +700,37 @@ def test_singular_start_basis_is_declined():
         held._refactor()
 
 
+def test_optimal_basis_of_another_lp_of_the_same_shape_starts_a_solve():
+    # the optimal basis of _two_rows(2.0) held by a new PersistentLp of
+    # _two_rows(2.1): primal feasible there, so phase 2 runs from it at once
+    sol = lp.PersistentLp(_two_rows(2.1), lp.solve(_two_rows(2.0)).basis).resolve()
+    assert sol.warm_start and sol.pivots == 0 and not sol.dual_start
+    _assert_matches_cold(sol, _two_rows(2.1))
+
+
+_FREE_X1 = lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[2.0, 2.0],
+                        lower=[-np.inf, 0.0], upper=[np.inf, 5.0])
+
+
+@pytest.mark.parametrize("prob,states", [
+    (_two_rows(2.0), [lp.AT_LOWER, lp.BASIC, lp.AT_UPPER, lp.BASIC]),  # a slack at +inf
+    (_two_rows(2.0), [lp.NB_FREE, lp.BASIC, lp.AT_LOWER, lp.BASIC]),   # a bounded column free
+    (_FREE_X1, [lp.AT_LOWER, lp.BASIC, lp.BASIC, lp.AT_LOWER]),        # x1 at -inf
+])
+def test_start_basis_naming_an_infinite_bound_is_refused(prob, states):
+    with pytest.raises(lp.SimplexError, match="infinite bound"):
+        lp.PersistentLp(prob, np.array(states, dtype=np.int8))
+
+
+def test_singular_start_basis_is_refused():
+    # the two structural columns of a duplicated row pair are parallel
+    prob = lp.LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 2.0], [2.0, 4.0]], b_ub=[3.0, 6.0],
+                        lower=[-5.0, -5.0], upper=[5.0, 5.0])
+    with pytest.raises(lp.SimplexError, match="singular"):
+        lp.PersistentLp(prob, np.array([lp.BASIC, lp.BASIC, lp.AT_LOWER, lp.AT_LOWER],
+                                       dtype=np.int8))
+
+
 def test_rounding_residual_at_large_basic_values_fits():
     # a held vertex with basic values in the thousands: A x misses b by
     # 1.4e-9 of rounding, above the absolute PHASE1_TOL but far below the

@@ -129,11 +129,11 @@ def test_nested_decomposition_pools_one_cut_per_lp_row(monkeypatch):
         return repeats[-1]
 
     # nested decomposition builds its pools and cuts through the engine's driver
-    real_build, real_repeats = engine.build_optimality_cut, engine._Driver._repeats_last_cut
+    real_build, real_repeats = engine.build_optimality_cut, engine._Driver._repeats_offer
     repeats = []
     monkeypatch.setattr(engine, "PoolSet", RecordingPoolSet)
     monkeypatch.setattr(engine, "build_optimality_cut", counting_build)
-    monkeypatch.setattr(engine._Driver, "_repeats_last_cut", counting_repeats)
+    monkeypatch.setattr(engine._Driver, "_repeats_offer", counting_repeats)
     problem = _stochastic_three_stage(
         risk2=RiskSpec(kind="cvar", epsilon=0.5),
         risk3=RiskSpec(kind="mixture", lam=0.3, epsilon=0.4))
@@ -141,7 +141,7 @@ def test_nested_decomposition_pools_one_cut_per_lp_row(monkeypatch):
     (pools,) = made
     assert res.n_cuts == n_optimality_cuts(pools) < len(built)
     # one offer per sweep at the stage-1 node and each of its 2 children;
-    # a repeat of a pool's last cut is offered without being built again
+    # a repeat of a cut offered since the pool last grew is not built again
     assert len(built) + sum(repeats) == len(repeats) == 3 * res.sweeps
     for pool in pools.opt.values():
         rows = [(c.beta, c.rhs_const) for c in pool.optimality]
