@@ -33,7 +33,8 @@ previous-generation pools.  The anchor-equality assertion of
 :mod:`riskdp.cuts` is valid under both orderings because pools only grow.
 
 Sampling is counter-based: one uniform draw per (seed, iteration, stage),
-so replay is exact and independent of execution order.
+so replay is exact and independent of execution order.  The driver sums
+each pool's child probabilities once per run (:func:`pool_edges`).
 
 Stage solves and cuts: the history and the pool's cut counts fix a
 position's stage LP (:func:`stage_lp_key`).  The driver keeps every solve a
@@ -56,6 +57,15 @@ probe's ``resolve`` (it must not disturb the driver's LPs) and
 another optimal vertex of a degenerate LP than the cold one, hence another
 dual vertex and another valid cut; replay is still exact, because the
 stage LPs, their start bases and the memo evolve deterministically.
+
+Iterations: with finitely many scenarios only finitely many cuts are new,
+and an iteration at a path already run, with no cut added to any pool
+since, repeats that run exactly: every solve is handed back and every cut
+offered is a skipped repeat.  The driver records such iterations by path
+and answers the repeat from its record, touching no LP, memo or pool
+(:meth:`_Driver._replay`, ``IterationReport.replayed``).  Under a stall
+rule most runs stop soon after the bound settles, so few iterations are
+replayed; at a fixed iteration budget most of the late ones are.
 """
 
 from __future__ import annotations
@@ -117,7 +127,9 @@ class RunConfig:
     at most its result (``pi`` is a subgradient of that value function).
     Called later, the pools have only grown, so its result is at least the
     value against the event's pools: the same inequality holds, but it is
-    implied by the first and checks less.
+    implied by the first and checks less.  While a probe is set, no
+    iteration is replayed (:meth:`_Driver._replay`): every iteration runs,
+    so that the probe sees every cut-construction solve.
     """
 
     algorithm: str = "alg1"
@@ -148,7 +160,11 @@ class IterationReport:
     pivots of them all.  ``lps_reused`` counts the stage solves that were
     not LPs: earlier solves of the same LP that the driver handed back
     (:meth:`_Driver._solve`).  ``lps + lps_reused`` is the number of stage
-    and phase-I solves the algorithm asked for.
+    and phase-I solves the algorithm asked for.  ``replayed`` is set when
+    the iteration repeated an earlier one at the same path and pools and
+    was answered from its record (:meth:`_Driver._replay`): it solved no
+    LP, its solves count as ``lps_reused`` and its offers as
+    ``cuts_skipped``, as running it again would have counted them.
     """
 
     k: int
@@ -164,6 +180,7 @@ class IterationReport:
     lps_dual: int = 0
     lps_reused: int = 0
     pivots: int = 0
+    replayed: bool = False
     wall_ms: float = 0.0
 
     @property
@@ -251,22 +268,41 @@ def _stage_uniform(seed: int, k: int, t: int) -> float:
     return (int(_PHILOX.random_raw()) >> 11) * 2.0 ** -53
 
 
-def _pick(probs: np.ndarray, u: float) -> int:
+def _edges(probs: np.ndarray) -> list:
+    """The running sums of ``probs``: the same sequential float additions as ``np.cumsum``."""
+    return list(accumulate(probs.tolist()))
+
+
+def _pick(probs: np.ndarray | None, u: float, edges: list | None = None) -> int:
     """The first child whose cumulative probability exceeds ``u``, else the last.
 
-    ``np.searchsorted(np.cumsum(probs), u, side="right")`` bit for bit:
-    the running sums are the same sequential float additions.
+    ``np.searchsorted(np.cumsum(probs), u, side="right")`` bit for bit.
+    ``edges``, when given, is ``_edges(probs)`` computed beforehand, and
+    ``probs`` is not read.
     """
-    j = bisect_right(list(accumulate(probs.tolist())), u)
-    return min(j, probs.shape[0] - 1)
+    if edges is None:
+        edges = _edges(probs)
+    return min(bisect_right(edges, u), len(edges) - 1)
 
 
-def sample_path(problem: Problem, seed: int, k: int) -> list:
+def pool_edges(problem: Problem) -> dict:
+    """Each pool key's cumulative child probabilities (:func:`_edges`), for :func:`sample_path`.
+
+    Read from the problem's probabilities as they are now: a later edit to
+    them is seen only by edges computed after it.
+    """
+    topo = problem.topology
+    return {key: _edges(topo.probs(key)) for key in topo.keys if not topo.terminal(key)}
+
+
+def sample_path(problem: Problem, seed: int, k: int, edges: dict | None = None) -> list:
     """Sampled positions for iteration ``k``; entry ``path[t]`` is the stage-t position.
 
     Starts at the stage-1 position and draws each next position among the
     children of the current position's pool.  A pure function of its
-    arguments.
+    arguments.  ``edges`` is :func:`pool_edges` of the problem, computed
+    once per run by the driver; without it each draw sums its key's
+    probabilities.  The path is the same either way.
     """
     topo = problem.topology
     path: list = [None] * (problem.horizon + 1)
@@ -274,7 +310,8 @@ def sample_path(problem: Problem, seed: int, k: int) -> list:
     for t in range(2, problem.horizon + 1):
         key = topo.pool(current)
         u = _stage_uniform(seed, k, t)
-        current = topo.children(key)[_pick(topo.probs(key), u)]
+        j = _pick(topo.probs(key), u) if edges is None else _pick(None, u, edges[key])
+        current = topo.children(key)[j]
         path[t] = current
     return path
 
@@ -531,7 +568,11 @@ class _Driver:
     the running LP totals (:func:`_count_lp`) and the solves handed back
     (``lps_reused``).  ``offers`` holds, per pool key, the pool's
     optimality-cut count and the child solutions of every anchor offered to
-    that pool since the count last moved (:meth:`_offered`).
+    that pool since the count last moved (:meth:`_offered`).  ``edges`` are
+    the pools' cumulative child probabilities, summed once at the start of
+    the run for :func:`sample_path`.  ``replays`` holds, per sampled path,
+    the record of an iteration that added no cut, emptied whenever a cut
+    enters a pool (:meth:`_replay`).
     """
 
     def __init__(self, problem: Problem, cfg: RunConfig, warm: bool = True):
@@ -549,6 +590,8 @@ class _Driver:
         self.pi_norm_first: dict[int, float] = {}
         self.offers: dict = {}
         self.feas_counter = 0
+        self.edges = pool_edges(problem)
+        self.replays: dict = {}
 
     # -- small helpers -----------------------------------------------------
 
@@ -659,6 +702,7 @@ class _Driver:
                                    stage=key, iteration=k)
         if pool.append_optimality(cut):
             counters[t] = counters.get(t, 0) + 1
+            self.replays.clear()
         else:
             skipped[key] = skipped.get(key, 0) + 1
         self._offered(key)[anchor] = sols
@@ -682,6 +726,7 @@ class _Driver:
                                             index=self.feas_counter, iteration=k)
                 self.pools.opt[key].append_feasibility(cut)
                 counters[t] = counters.get(t, 0) + 1
+                self.replays.clear()
                 logger.debug("iteration %d: feasibility cut %d at stage %d "
                              "(phase-I value %.3e)", k, self.feas_counter, t, value)
                 return False
@@ -689,13 +734,41 @@ class _Driver:
 
     # -- one iteration -----------------------------------------------------
 
+    def _replay(self, k: int, path: tuple, started: float) -> IterationReport | None:
+        """Iteration ``k``'s report from the record of an earlier iteration at ``path``, if any.
+
+        ``replays`` holds, per sampled path, the stage solves asked for and
+        the cuts skipped by an iteration that appended no cut, ran no
+        phase-I gate and called no probe; it is emptied whenever a cut
+        enters a pool.  A record therefore dates from the current pools, and
+        running its iteration again would hand back every one of its solves
+        (each is still in its position's memo), repeat every offer (each is
+        still in ``offers``) and fold the same norms into the maxima, which
+        leaves them as they are: the same report, with every solve reused.
+        So the report is made without touching a memo, an offer, a
+        :class:`StageLp` or a pool; the bound is the current ``stage1``.
+        """
+        record = self.replays.get(path)
+        if record is None:
+            return None
+        solves, skipped = record
+        self.tally["lps_reused"] += solves
+        ns = self.stage1
+        return IterationReport(k=k, path=path, lower_bound=ns.value, x1=ns.x.copy(),
+                               cuts_skipped=dict(skipped), lps_reused=solves, replayed=True,
+                               wall_ms=(time.perf_counter() - started) * 1000.0)
+
     def iterate(self, k: int) -> IterationReport | None:
         """Run iteration k; returns None when alg2 proves infeasibility."""
         p, cfg = self.problem, self.cfg
         t_end = p.horizon
         started = time.perf_counter()
+        path = sample_path(p, cfg.seed, k, self.edges)
+        walk = tuple(path[1:])
+        report = self._replay(k, walk, started)
+        if report is not None:
+            return report
         tally_before = self.tally.copy()
-        path = sample_path(p, cfg.seed, k)
         counters_opt: dict[int, int] = {}
         counters_feas: dict[int, int] = {}
         skipped: dict = {}
@@ -740,7 +813,9 @@ class _Driver:
         self.stage1 = self._solve_stage1()  # fresh bound, handed to iteration k+1
         wall_ms = (time.perf_counter() - started) * 1000.0
         tally = self.tally - tally_before
-        return IterationReport(k=k, path=tuple(path[1:]), lower_bound=lb_report,
+        if not (alg2 or counters_opt or cfg.probe is not None):
+            self.replays[walk] = (tally["lps"] + tally["lps_reused"], skipped)
+        return IterationReport(k=k, path=walk, lower_bound=lb_report,
                                x1=x1_report, cuts_opt=counters_opt,
                                cuts_feas=counters_feas, cuts_skipped=skipped,
                                backtracks=backtracks, lps=tally["lps"],
@@ -830,11 +905,11 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
         improvement = fresh - report.lower_bound
         logger.info("iteration %d: lower bound %.12g (+%.3g), %d optimality "
                     "(%d duplicates skipped) / %d feasibility cuts, %d backtracks, "
-                    "%d LPs (%d warm, %d dual), %d reused, %d pivots",
+                    "%d LPs (%d warm, %d dual), %d reused, %d pivots%s",
                     k, report.lower_bound, improvement, report.n_cuts_opt,
                     report.n_cuts_skipped, report.n_cuts_feas, report.backtracks,
                     report.lps, report.lps_warm, report.lps_dual, report.lps_reused,
-                    report.pivots)
+                    report.pivots, " (replayed)" if report.replayed else "")
         if mode == "every" and k % every == 0:
             if oracle_value is None:  # the problem does not change: solve it once
                 oracle_value = _oracle_value(problem)
@@ -861,6 +936,7 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
         "lps_dual": driver.tally["lps_dual"],
         "lps_reused": driver.tally["lps_reused"],
         "pivots": driver.tally["pivots"],
+        "iterations_replayed": sum(report.replayed for report in reports),
     }
     for t, total in driver.pi_norm_max.items():
         first = driver.pi_norm_first.get(t, 0.0)

@@ -33,6 +33,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -98,20 +99,60 @@ def dump_json(obj) -> str:
 # problem files
 # ---------------------------------------------------------------------------
 
-def _parse_payload(raw: dict, n: int, where: str) -> Realization:
+def _check_numbers(value) -> None:
+    """Raise ``TypeError`` unless ``value`` is a JSON number or a nested list of them.
+
+    Every entry passes :func:`riskdp.risk._json_number`: a bool or a string
+    raises where ``np.asarray(..., dtype=float)`` would convert it to a
+    number.  Checked one nesting level at a time, in one pass over the
+    entries' types when they are plain ``int``, ``float`` or lists.
+    """
+    level = [value]
+    while level:
+        types = set(map(type, level))
+        if not types <= {int, float, list}:
+            for entry in level:
+                if not isinstance(entry, list):
+                    _json_number(entry)
+        if list not in types:
+            return
+        if types != {list}:
+            level = [entry for entry in level if isinstance(entry, list)]
+        level = list(chain.from_iterable(level))
+
+
+def _check_arrays(arrays: list) -> None:
+    """Raise :class:`IoError` unless every ``(what, value)`` of ``arrays`` holds only numbers.
+
+    All of them are checked in one :func:`_check_numbers` pass; only when it
+    fails is each checked alone, to name the one at fault.
+    """
+    try:
+        _check_numbers([value for _what, value in arrays])
+    except TypeError:
+        for what, value in arrays:
+            try:
+                _check_numbers(value)
+            except TypeError as exc:
+                raise IoError(f"{what}: {exc}") from exc
+
+
+def _parse_payload(raw: dict, n: int, where: str, arrays: list) -> Realization:
+    """The payload ``raw`` at ``where``; its number arrays join ``arrays`` (:func:`_check_arrays`)."""
     try:
         pieces = raw["cost_pieces"]
         if not pieces:
             raise IoError(f"{where}: cost_pieces must be non-empty")
-        pieces_c = np.asarray([pc["c"] for pc in pieces], dtype=float)
-        pieces_d = np.asarray([pc["d"] for pc in pieces], dtype=float)
-        cost = PwlConvexCost(pieces_c=pieces_c, pieces_d=pieces_d, dim=n)
-        a_blocks = [np.asarray(blk, dtype=float).reshape(-1, n) for blk in raw.get("A") or []]
+        pieces_c, pieces_d = [pc["c"] for pc in pieces], [pc["d"] for pc in pieces]
+        a, b, g, h = (raw.get(key) or [] for key in ("A", "b", "G", "h"))
+        lb, ub = raw["lb"], raw["ub"]
+        arrays.append((f"{where}: malformed payload", [pieces_c, pieces_d, a, b, g, h, lb, ub]))
+        cost = PwlConvexCost(pieces_c=np.asarray(pieces_c, dtype=float),
+                             pieces_d=np.asarray(pieces_d, dtype=float), dim=n)
+        a_blocks = [np.asarray(blk, dtype=float).reshape(-1, n) for blk in a]
         prob = float(_json_number(raw.get("prob", 1.0)))
-        return Realization(prob=prob, cost=cost, a_blocks=a_blocks,
-                           b=raw.get("b") or [], g=raw.get("G") or [], h=raw.get("h") or [],
-                           lb=np.asarray(raw["lb"], dtype=float),
-                           ub=np.asarray(raw["ub"], dtype=float))
+        return Realization(prob=prob, cost=cost, a_blocks=a_blocks, b=b, g=g, h=h,
+                           lb=np.asarray(lb, dtype=float), ub=np.asarray(ub, dtype=float))
     except IoError:
         raise
     except (KeyError, TypeError, ValueError, ModelError) as exc:
@@ -148,9 +189,10 @@ def problem_from_dict(doc: dict) -> Problem:
     try:
         horizon = _json_integer(doc["horizon"])
         n = _json_integer(doc["dim"])
-        x0 = np.asarray(doc["x0"], dtype=float)
+        x0, lvb = doc["x0"], doc.get("lower_value_bound") or []
+        arrays = [("malformed problem document", [x0, lvb])]
+        x0, lvb = np.asarray(x0, dtype=float), np.asarray(lvb, dtype=float)
         form = doc.get("form", LATTICE)
-        lvb = np.asarray(doc.get("lower_value_bound") or [], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise IoError(f"malformed problem document: {exc}") from exc
     default_risk = _risk_from(doc, RiskSpec(), "top-level risk")
@@ -158,7 +200,7 @@ def problem_from_dict(doc: dict) -> Problem:
         stages = []
         for s, raw_stage in enumerate(_list_in(doc, "stages", "lattice document"), start=1):
             where = f"stage {s}"
-            reals = [_parse_payload(raw, n, f"{where} realization {j}")
+            reals = [_parse_payload(raw, n, f"{where} realization {j}", arrays)
                      for j, raw in enumerate(_list_in(raw_stage, "realizations", where, []))]
             stages.append(Stage(reals, risk=_risk_from(raw_stage, default_risk, where)))
         problem = Problem(horizon=horizon, dim=n, x0=x0, form=LATTICE,
@@ -175,12 +217,14 @@ def problem_from_dict(doc: dict) -> Problem:
                               f"integer 'id' and 'parent' and a number 'prob': {exc!r}") from exc
             where = f"node {nid}"
             nodes.append(Node(id=nid, parent=parent, prob=prob,
-                              payload=None if parent is None else _parse_payload(raw, n, where),
+                              payload=(None if parent is None
+                                       else _parse_payload(raw, n, where, arrays)),
                               risk=_risk_from(raw, default_risk, where)))
         problem = Problem(horizon=horizon, dim=n, x0=x0, form=TREE,
                           nodes=nodes, lower_value_bound=lvb)
     else:
         raise IoError(f"unknown form {form!r}")
+    _check_arrays(arrays)
     violations = validate_problem(problem)
     if violations:
         raise IoError("invalid problem: " + "; ".join(violations))

@@ -149,6 +149,22 @@ def test_malformed_document_structure_exits_three(tmp_path, capsys, tree, damage
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", [
+    lambda doc: doc.update(x0=["0.0"]),
+    lambda doc: doc["stages"][1]["realizations"][0].update(ub=["5"]),
+    lambda doc: doc.update(lower_value_bound=[True]),
+], ids=["x0-a-string", "ub-a-string", "lower-value-bound-a-bool"])
+def test_strings_and_bools_in_problem_arrays_exit_three(tmp_path, capsys, damage):
+    # each of these once loaded silently, the bool as a wrong bound of 1.0
+    doc = io.problem_to_dict(make_newsvendor())
+    damage(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert _run(["validate", path]) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "malformed" in err and "is not a number" in err
+
+
 def test_validate_round_trip(newsvendor_file, capsys):
     assert _run(["validate", newsvendor_file]) == cli.EXIT_OK
     assert capsys.readouterr().out.strip() == "ok"

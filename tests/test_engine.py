@@ -317,6 +317,32 @@ def test_sample_path_is_unchanged_by_the_pick(monkeypatch, make):
             assert paths == [engine.sample_path(problem, seed, k) for seed, k in draws]
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: random_lattice_instance(rng, 3, 3, 2, max_pieces=3),
+    lambda rng: lattice_to_tree(random_lattice_instance(rng, 3, 2, 2)),
+], ids=["lattice", "tree"])
+def test_sample_path_from_run_edges_is_the_same_path(make):
+    # the driver sums each pool's probabilities once per run; its paths are
+    # the paths of sample_path summing them per draw, after an edit to the
+    # probabilities too (pool_edges reads them as they are when called)
+    draws = [(seed, k) for seed in (7, 1101) for k in range(1, 41)]
+    for case in range(3):
+        problem = make(np.random.default_rng([1202, case]))
+        paths = []
+        for edit in (False, True):
+            if edit:  # equally likely siblings, as perfbench sets them
+                for stage in problem.stages:
+                    for real in stage.realizations:
+                        real.prob = 1.0 / len(stage.realizations)
+                for node in problem.nodes:
+                    if node.parent is not None:
+                        node.prob = 1.0 / len(problem.children(node.parent))
+            edges = engine.pool_edges(problem)
+            paths.append([engine.sample_path(problem, seed, k) for seed, k in draws])
+            assert [engine.sample_path(problem, seed, k, edges) for seed, k in draws] == paths[-1]
+        assert paths[0] != paths[1]
+
+
 def test_probe_sees_every_cut_solve():
     seen = []
 
@@ -680,6 +706,8 @@ def test_keeping_every_solve_asks_for_the_same_solves_as_keeping_the_last(monkey
     every = engine.run(problem, cfg)
     with monkeypatch.context() as patched:
         patched.setattr(engine._Driver, "_solve", keeping_the_last)
+        # a replay assumes every solve of its iteration is still kept
+        patched.setattr(engine._Driver, "_replay", lambda self, *args: None)
         last = engine.run(problem, cfg)
     assert ([r.lps + r.lps_reused for r in every.reports]
             == [r.lps + r.lps_reused for r in last.reports])
@@ -876,3 +904,52 @@ def test_a_repeat_of_an_earlier_offer_is_skipped_not_only_of_the_last(monkeypatc
                         lambda *args, **kwargs: built.append(1) or build(*args, **kwargs))
     driver._build_cut_at(3, h2, 4, counters, skipped)
     assert built == [] and skipped[3] == n_skipped + 1 and len(pool.optimality) == n_cuts
+
+
+def _run_digest(res, cfg, outdir):
+    """A run's reports (all but ``wall_ms`` and ``replayed``), diagnostics and dump bytes."""
+    reports = [{name: value.tobytes() if isinstance(value, np.ndarray) else value
+                for name, value in vars(r).items() if name not in ("wall_ms", "replayed")}
+               for r in res.reports]
+    diagnostics = {name: value for name, value in res.diagnostics.items()
+                   if name != "iterations_replayed"}
+    outdir.mkdir()
+    io.write_cuts_csv(outdir / "cuts.csv", res.pools)
+    io.write_summary_json(outdir / "summary.json", res, cfg.seed)
+    return (reports, diagnostics, (outdir / "cuts.csv").read_bytes(),
+            (outdir / "summary.json").read_bytes())
+
+
+@pytest.mark.parametrize("case,timing", [("alg1-lattice", "backward"),
+                                         ("alg1-lattice", "forward"),
+                                         ("alg3-tree", "backward"),
+                                         ("alg2-feasibility-rows", "backward"),
+                                         ("alg1-probe", "backward")])
+def test_replaying_an_iteration_matches_running_it(monkeypatch, tmp_path, case, timing):
+    # an iteration at a path already run at the same pools is answered from
+    # its record; running every iteration in full must give the same run.
+    # alg2 gates every iteration and a probe must see every solve, so
+    # neither replays
+    problem, cfg = _diagnostic_case(case, timing, 20)
+    events = []
+    if case == "alg1-probe":
+        cfg.probe = lambda info: events.append((info["stage"], info["realization"],
+                                                info["value"], info["pi"].tobytes()))
+    replaying = engine.run(problem, cfg)
+    replaying_events = events[:]
+    events.clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(engine._Driver, "_replay", lambda self, *args: None)
+        full = engine.run(problem, cfg)
+    assert (_run_digest(replaying, cfg, tmp_path / "replaying")
+            == _run_digest(full, cfg, tmp_path / "full"))
+    assert replaying_events == events
+    n_replayed = replaying.diagnostics["iterations_replayed"]
+    assert n_replayed == sum(r.replayed for r in replaying.reports)
+    assert full.diagnostics["iterations_replayed"] == 0
+    if case in ("alg1-lattice", "alg3-tree"):
+        assert n_replayed > 0
+        assert all(r.lps == r.lps_warm == r.pivots == r.n_cuts_opt == 0 < r.lps_reused
+                   for r in replaying.reports if r.replayed)
+    else:
+        assert n_replayed == 0
