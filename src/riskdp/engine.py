@@ -49,11 +49,12 @@ right-hand side moves, to ``b0 - M h``, and the pool's new cut rows are
 appended, which is what :class:`riskdp.lp.PersistentLp` re-solves in place.
 The subproblems of one stage share the layout and the objective, so a
 position's first solve starts from the latest optimal basis of a
-same-stage LP of its shape, when one is admissible, instead of from phase
-1; a start that is singular or from which the re-solve declines gives way
-to the cold solve.  Nested decomposition solves every miss cold.  So do the
-probe's ``resolve`` (it must not disturb the driver's LPs) and
-:func:`phase_one`.  A solve in place, or a solve handed back, may be
+same-stage LP of its shape; the first LP of its stage and shape starts from
+a dual feasible crash basis of its own (:func:`epigraph_basis`).  Either
+start skips phase 1; one that is singular or from which the re-solve
+declines gives way to the cold two-phase solve.  Nested decomposition
+solves every miss cold.  So do the probe's ``resolve`` (it must not
+disturb the driver's LPs) and :func:`phase_one`.  A solve in place, or a solve handed back, may be
 another optimal vertex of a degenerate LP than the cold one, hence another
 dual vertex and another valid cut; replay is still exact, because the
 stage LPs, their start bases and the memo evolve deterministically.
@@ -154,7 +155,8 @@ class IterationReport:
     LPs the driver solved (stage LPs and phase-I LPs, not the probe's
     re-solves), ``lps_warm`` the stage LPs solved in place from a basis,
     skipping phase 1: re-solves from their held basis and first solves
-    started from another position's (:class:`StageLp`).  ``lps_dual`` counts
+    started from another position's or from the epigraph basis
+    (:class:`StageLp`).  ``lps_dual`` counts
     those of them that first took dual simplex pivots to primal
     feasibility, and ``pivots`` the simplex
     pivots of them all.  ``lps_reused`` counts the stage solves that were
@@ -248,6 +250,14 @@ class PoolSet:
 # ---------------------------------------------------------------------------
 
 _PHILOX = np.random.Philox(0)  # re-keyed by every draw of _stage_uniform
+_PHILOX_COUNTER = np.zeros(4, dtype=np.uint64)
+_PHILOX_KEY = np.zeros(2, dtype=np.uint64)
+_PHILOX_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": _PHILOX_COUNTER, "key": _PHILOX_KEY},
+    "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+    "has_uint32": 0, "uinteger": 0,
+}
 
 
 def _stage_uniform(seed: int, k: int, t: int) -> float:
@@ -256,15 +266,13 @@ def _stage_uniform(seed: int, k: int, t: int) -> float:
     ``Generator(Philox(counter=[0, 0, k, t], key=seed)).random()``, bit for
     bit, without building either: one held Philox is set to that fresh state
     (empty buffer), and the top 53 bits of its first word are scaled to
-    ``[0, 1)``.
+    ``[0, 1)``.  The state is one held dict whose counter and key arrays are
+    rewritten in place; setting it copies their values into the Philox.
     """
-    _PHILOX.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, 0, k, t], dtype=np.uint64),
-                  "key": np.array([seed & _UINT64_MASK, 0], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0,
-    }
+    _PHILOX_COUNTER[2] = k
+    _PHILOX_COUNTER[3] = t
+    _PHILOX_KEY[0] = seed & _UINT64_MASK
+    _PHILOX.state = _PHILOX_STATE
     return (int(_PHILOX.random_raw()) >> 11) * 2.0 ** -53
 
 
@@ -358,6 +366,71 @@ def build_stage_lp(sub: SubproblemData, view, z_lo: float,
     return prob, b0, hist
 
 
+def _pivot_columns(a: np.ndarray) -> list | None:
+    """Columns ``J``, one per row, with ``a[:, J]`` nonsingular; None when ``a`` has no such set.
+
+    Gaussian elimination with complete pivoting on a copy of ``a``: each
+    step takes the largest remaining entry and eliminates its row and
+    column.  A largest entry at the noise floor (``PIVOT_REL_TOL`` of the
+    largest entry of ``a``, at least ``PIVOT_TOL``) means the remaining rows
+    are dependent, or outnumber the columns.
+    """
+    a = np.array(a, dtype=float)
+    floor = max(lp.PIVOT_TOL, lp.PIVOT_REL_TOL * np.abs(a).max(initial=0.0))
+    cols = []
+    for _ in range(a.shape[0]):
+        i, j = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+        if abs(a[i, j]) <= floor:
+            return None
+        cols.append(int(j))
+        a -= np.outer(a[:, j] / a[i, j], a[i])
+    return cols
+
+
+def epigraph_basis(sub: SubproblemData, view) -> np.ndarray | None:
+    """A dual feasible basis of the stage LP of :func:`build_stage_lp`; None when it has none.
+
+    One column state per structural and slack column of that LP's layout
+    (``[x_t, w, z]``, then the slacks of the ``g_cur``, cost-piece,
+    optimality-cut and feasibility-cut rows):
+
+    * ``w`` is basic and the slack of the first cost-piece row is nonbasic at
+      0, so that row is tight and its dual is -1;
+    * with optimality cuts, ``z`` is basic and the slack of the newest cut
+      row is nonbasic at 0 (dual -1); without them, ``z`` sits at its lower
+      bound, with reduced cost 1;
+    * one ``x_t`` column per equality row is basic (:func:`_pivot_columns`),
+      which fixes the equality duals ``y``; every other ``x_t`` sits at the
+      bound its reduced cost ``d = c_piece + beta_cut - y a_cur`` names (the
+      lower one at ``d >= 0``), and the box is finite (:func:`validate_problem`);
+    * every other slack is basic.
+
+    The basis matrix is block triangular with the block ``a_cur[:, J]``, so
+    it is nonsingular, and every reduced cost is on the side its column may
+    move to: the dual simplex takes the LP from here to its optimum without
+    phase 1 (Bixby's crash basis, ORSA J. Computing 1992, in the dual form).
+    None when the equality rows are dependent or outnumber the columns.
+    """
+    n, r, n_p = sub.lb.shape[0], sub.g_cur.shape[0], sub.piece_cur.shape[0]
+    cols = _pivot_columns(sub.a_cur)
+    if cols is None:
+        return None
+    grad = sub.piece_cur[0].copy()
+    if view.n_opt:
+        grad += view.opt_beta2[-1]
+    y = np.linalg.solve(sub.a_cur[:, cols].T, grad[cols]) if cols else np.zeros(0)
+    states = np.full(n + 2 + r + n_p + view.n_opt + view.n_feas, lp.BASIC, dtype=np.int8)
+    states[:n] = np.where(grad - y @ sub.a_cur < 0.0, lp.AT_UPPER, lp.AT_LOWER)
+    states[cols] = lp.BASIC
+    slack = n + 2 + r  # the first cost-piece row's slack
+    states[slack] = lp.AT_LOWER
+    if view.n_opt:
+        states[slack + n_p + view.n_opt - 1] = lp.AT_LOWER
+    else:
+        states[n + 1] = lp.AT_LOWER
+    return states
+
+
 def stage_lp_key(history: np.ndarray, pool: CutPool) -> tuple:
     """What fixes a position's stage LP: the history's bytes and the pool's cut counts.
 
@@ -375,25 +448,27 @@ def stage_lp_key(history: np.ndarray, pool: CutPool) -> tuple:
 class StageLp:
     """One position's stage LP and its right-hand side map, kept for the run.
 
-    The first solve builds the LP and its map with :func:`build_stage_lp`.
-    When ``starts`` holds a basis of the same stage and shape (equality and
-    inequality row counts), it solves the LP from that basis: it is held in
-    a :class:`riskdp.lp.PersistentLp` and re-solved in place, phase 2 from a
-    primal feasible start and dual simplex pivots first from a dual
-    feasible one.  Otherwise, or when the start is not a basis of this LP
-    (singular, or a state naming an infinite bound) or the re-solve
-    declines, the solve is the cold :func:`riskdp.lp.solve`, and its final
-    basis is held instead.  Each later solve inserts the pool's new cut
-    rows, with their map rows, in the layout of :func:`build_stage_lp` (new
-    optimality rows after the held ones, before the feasibility rows; new
-    feasibility rows at the end), sets the right-hand side ``b0 - hist @ h``
-    and re-solves in place; when :meth:`riskdp.lp.PersistentLp.resolve`
-    declines, the LP is built and solved cold again.  Every solve that
-    leaves a held LP records its optimal basis in ``starts``, a record
-    shared by the run's stage LPs, under ``(stage, n_eq, n_ub)``: a first
-    solve is offered the latest basis of its stage and shape.  ``b0`` and
-    ``hist`` are the map of the LP last solved, ``n_opt`` and ``n_feas``
-    count its cut rows.
+    The first solve builds the LP and its map with :func:`build_stage_lp`
+    and offers :func:`riskdp.lp.solve` one start: the basis ``starts`` holds
+    for the same stage and shape (equality and inequality row counts) when
+    there is one, else the LP's :func:`epigraph_basis`.  The solve from a
+    start runs in place, phase 2 from a primal feasible start and dual
+    simplex pivots first from a dual feasible one, and the
+    :class:`riskdp.lp.PersistentLp` it ran in (``LpSolution.held``) is held.
+    When the start is not a basis of this LP (singular, or a state naming
+    an infinite bound) or the re-solve declines, or there is no start (the
+    equality rows are dependent), the solve is the cold two-phase one, and
+    its final basis is held instead.  Each later solve inserts the pool's
+    new cut rows, with their map rows, in the layout of
+    :func:`build_stage_lp` (new optimality rows after the held ones, before
+    the feasibility rows; new feasibility rows at the end), sets the
+    right-hand side ``b0 - hist @ h`` and re-solves in place; when
+    :meth:`riskdp.lp.PersistentLp.resolve` declines, the LP is built again
+    and solved cold, with no start.  Every solve that leaves a held LP
+    records its optimal basis in ``starts``, a record shared by the run's
+    stage LPs, under ``(stage, n_eq, n_ub)``: a first solve is offered the
+    latest basis of its stage and shape.  ``b0`` and ``hist`` are the map of
+    the LP last solved, ``n_opt`` and ``n_feas`` count its cut rows.
     """
 
     def __init__(self, starts: dict):
@@ -411,17 +486,6 @@ class StageLp:
         self.b0 = np.insert(self.b0, at, b0)
         self.hist = np.insert(self.hist, at, beta1, axis=0)
         self.lp.append_rows(rows, b0 - beta1 @ history, at - self.lp.n_eq)
-
-    def _solve_from(self, prob: lp.LpProblem, start: np.ndarray) -> lp.LpSolution | None:
-        """Solve ``prob`` in place from the basis ``start`` and hold it; None when it cannot."""
-        try:
-            started = lp.PersistentLp(prob, start)
-        except lp.SimplexError:
-            return None
-        sol = started.resolve()
-        if sol is not None:
-            self.lp = started
-        return sol
 
     def solve(self, problem: Problem, where, history: np.ndarray, view,
               z_lo: float) -> lp.LpSolution:
@@ -441,16 +505,18 @@ class StageLp:
             held.set_rhs(b[:held.n_eq], b[held.n_eq:])
             sol = held.resolve()
         if sol is None:
-            prob, self.b0, self.hist = build_stage_lp(assemble_subproblem(problem, where),
-                                                      view, z_lo, history)
+            sub = assemble_subproblem(problem, where)
+            prob, self.b0, self.hist = build_stage_lp(sub, view, z_lo, history)
             self.n_opt, self.n_feas = view.n_opt, view.n_feas
-            start = (self.starts.get((stage, prob.a_eq.shape[0], prob.a_ub.shape[0]))
-                     if held is None else None)
-            if start is not None:
-                sol = self._solve_from(prob, start)
-            if sol is None:
-                sol = lp.solve(prob)
-                self.lp = None if sol.basis is None else lp.PersistentLp(prob, sol.basis)
+            start = None
+            if held is None:
+                start = self.starts.get((stage, prob.a_eq.shape[0], prob.a_ub.shape[0]))
+                if start is None:
+                    start = epigraph_basis(sub, view)
+            sol = lp.solve(prob, start)
+            self.lp = sol.held
+            if sol.held is None and sol.basis is not None:
+                self.lp = lp.PersistentLp(prob, sol.basis)
         if sol.basis is not None:  # optimal, and held by self.lp
             self.starts[stage, self.lp.n_eq, self.lp.n_ub] = sol.basis
         return sol
@@ -563,8 +629,9 @@ class _Driver:
     ``stage_lps``; without it (nested decomposition) a miss is the cold
     :func:`solve_node`.  The stage LPs share ``starts``, the latest optimal
     basis of each stage and shape, from which a position's first solve
-    starts.  The probe's ``resolve`` and the phase-I LPs of the
-    feasibility gate stay cold and leave all three alone.  ``tally`` holds
+    starts (the first of its stage and shape from its
+    :func:`epigraph_basis`).  The probe's ``resolve`` and the phase-I LPs
+    of the feasibility gate stay cold and leave all three alone.  ``tally`` holds
     the running LP totals (:func:`_count_lp`) and the solves handed back
     (``lps_reused``).  ``offers`` holds, per pool key, the pool's
     optimality-cut count and the child solutions of every anchor offered to

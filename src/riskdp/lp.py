@@ -22,7 +22,11 @@ start and therefore cannot cycle.
 Persistent LPs: every optimal solve returns its final basis
 (``LpSolution.basis``), and :class:`PersistentLp` holds an LP with such a
 basis and its inverse across re-solves; a basis of another LP of the same
-shape serves too, and starts a solve without phase 1.  Between two
+shape serves too, as does a crash basis built to be dual feasible, and
+starts a solve without phase 1.  :func:`solve` takes such a start: it
+solves the LP in place from it, hands back the held LP with the solution
+(``LpSolution.held``) and falls back to the cold solve when the start is
+not a basis of the LP or the re-solve declines.  Between two
 re-solves, inequality rows can be inserted (each new row's slack enters the
 basis, so the inverse is bordered in closed form) and the right-hand side
 moved (only the basic values are recomputed).  Neither touches the
@@ -185,6 +189,9 @@ class LpSolution:
     ran in place from a held basis (:meth:`PersistentLp.resolve`), skipping
     phase 1, and ``dual_start`` whether such a re-solve first took dual
     simplex pivots because the held basis had lost primal feasibility.
+    ``held`` is the :class:`PersistentLp` a solve from a start ran in
+    (:func:`solve`), holding the LP at this solution's basis for later
+    re-solves; it is None for every other solve.
     """
 
     status: str
@@ -196,6 +203,7 @@ class LpSolution:
     basis: np.ndarray | None = None
     warm_start: bool = False
     dual_start: bool = False
+    held: PersistentLp | None = None
 
 
 class _Simplex:
@@ -225,6 +233,7 @@ class _Simplex:
         self.status_col = np.empty(n + r, dtype=np.int8)
         self.x = np.zeros(n + r)
         self.allowed = np.ones(n + r, dtype=bool)  # phase 1 may set noise columns aside
+        self._set_movable()
         self.redundant = np.zeros(m, dtype=bool)  # rows whose artificial stays basic
         self.pivots = 0
         self.degenerate_run = 0
@@ -239,6 +248,21 @@ class _Simplex:
         self.status_col[j] = state
         self.x[j] = (self.lower[j] if state == AT_LOWER
                      else self.upper[j] if state == AT_UPPER else 0.0)
+
+    def _place_all(self, states: np.ndarray) -> None:
+        """:meth:`_place` every structural and slack column in one assignment."""
+        k = self.n_real
+        self.status_col[:k] = states
+        self.x[:k] = np.where(states == AT_LOWER, self.lower[:k],
+                              np.where(states == AT_UPPER, self.upper[:k], 0.0))
+
+    def _set_movable(self) -> None:
+        """Recompute ``movable``, the columns that may leave their bound: allowed and not fixed.
+
+        Called wherever ``allowed``, ``lower`` or ``upper`` change as a whole;
+        a change to one column updates its entry in place.
+        """
+        self.movable = self.allowed & (self.lower < self.upper)
 
     def _install_artificials(self) -> None:
         """Choose a starting basis: slacks where possible, artificials elsewhere."""
@@ -260,6 +284,7 @@ class _Simplex:
         self.status_col[self.basis] = BASIC
         self.ncols = self.a.shape[1]
         self.allowed = np.ones(self.ncols, dtype=bool)
+        self._set_movable()
         self._refactor()
 
     # -- linear algebra ----------------------------------------------------
@@ -317,12 +342,12 @@ class _Simplex:
         """``(viol, rise, fall)`` for the reduced costs ``d``.
 
         ``rise`` and ``fall`` mark the columns that may increase and decrease;
-        a fixed column, or one that phase 1 set aside, does neither.
+        a fixed column, or one that phase 1 set aside, does neither
+        (``movable``, kept by :meth:`_set_movable`).
         ``viol[j]`` is ``|d_j|`` where moving column ``j`` by ``-sign(d_j)`` is
         allowed and ``|d_j| > RC_TOL``, and 0 elsewhere.
         """
-        st = self.status_col
-        movable = self.allowed & (self.lower < self.upper)
+        st, movable = self.status_col, self.movable
         free = st == NB_FREE
         rise = movable & ((st == AT_LOWER) | free)
         fall = movable & ((st == AT_UPPER) | free)
@@ -412,7 +437,7 @@ class _Simplex:
                 # The phase-1 objective is bounded below, so the entries that
                 # would have limited this column were rounding noise, and so is
                 # its reduced cost: it does not improve phase 1.
-                self.allowed[j] = False
+                self.allowed[j] = self.movable[j] = False
                 continue
             if step < STEP_TOL:
                 self.degenerate_run += 1
@@ -452,9 +477,8 @@ class _Simplex:
 
     def run(self) -> LpSolution:
         """The cold two-phase solve from a slack-and-artificial basis."""
-        for j in range(self.n_real):
-            self._place(j, AT_LOWER if np.isfinite(self.lower[j])
-                        else AT_UPPER if np.isfinite(self.upper[j]) else NB_FREE)
+        self._place_all(np.where(np.isfinite(self.lower), AT_LOWER,
+                                 np.where(np.isfinite(self.upper), AT_UPPER, NB_FREE)))
         self._install_artificials()
         if self.artificials.size:
             cost1 = np.zeros(self.ncols)
@@ -467,6 +491,7 @@ class _Simplex:
             self._drive_out_artificials()
             self.allowed[:] = True  # phase 1 may have set noise columns aside
             self.allowed[self.artificials] = False
+            self._set_movable()
             for col in self.artificials:  # park nonbasic artificials exactly at zero
                 if self.status_col[col] != BASIC:
                     self._place(col, AT_LOWER)
@@ -500,9 +525,10 @@ class PersistentLp(_Simplex):
     Built from an :class:`LpProblem` and a basis of it: one column state per
     structural and slack column, as in ``LpSolution.basis``.  It is usually
     an optimal basis of that LP (the ``basis`` of :func:`solve`), but any
-    basis will do, such as an optimal basis of another LP of the same shape;
-    construction raises :class:`SimplexError` when ``basis`` is not a basis
-    of this LP: a state names an infinite bound (or :data:`NB_FREE` a column
+    basis will do, such as an optimal basis of another LP of the same shape
+    or a crash basis; construction raises :class:`SimplexError` when
+    ``basis`` is not a basis of this LP: it does not hold one state per
+    column, a state names an infinite bound (or :data:`NB_FREE` a column
     with a finite one), or the basic columns are singular.  Between two
     re-solves, inequality rows can be inserted (:meth:`append_rows`) and the
     right-hand side moved (:meth:`set_rhs`); the cost, the box and the
@@ -514,8 +540,10 @@ class PersistentLp(_Simplex):
 
     def __init__(self, prob: LpProblem, basis: np.ndarray):
         super().__init__(prob, bland_always=False)
-        for j, state in enumerate(basis):
-            self._place(j, state)
+        basis = np.asarray(basis, dtype=np.int8)
+        if basis.shape != (self.n_real,):
+            raise SimplexError(f"{basis.size} column states for {self.n_real} columns")
+        self._place_all(basis)
         st = self.status_col
         lo_inf, up_inf = np.isinf(self.lower), np.isinf(self.upper)
         if (((st == AT_LOWER) & lo_inf) | ((st == AT_UPPER) & up_inf)
@@ -560,6 +588,7 @@ class PersistentLp(_Simplex):
         self.n_real += k
         self.ncols = self.n_real
         self.allowed = np.ones(self.ncols, dtype=bool)
+        self._set_movable()
         self.redundant = np.zeros(self.m, dtype=bool)
 
     def set_rhs(self, b_eq: np.ndarray, b_ub: np.ndarray) -> None:
@@ -677,8 +706,17 @@ class PersistentLp(_Simplex):
             self._apply_pivot(j, direction, step, r, AT_UPPER if sigma > 0.0 else AT_LOWER, w)
 
 
-def solve(prob: LpProblem) -> LpSolution:
-    """Solve an :class:`LpProblem` cold with Dantzig pricing (Bland fallback on stall).
+def solve(prob: LpProblem, start: np.ndarray | None = None) -> LpSolution:
+    """Solve an :class:`LpProblem` with Dantzig pricing (Bland fallback on stall).
+
+    Without ``start`` the solve is the cold two-phase simplex.  ``start`` is
+    a basis of ``prob``, one column state per structural and slack column
+    (as in ``LpSolution.basis``): the LP is held in a :class:`PersistentLp`
+    at that basis and re-solved in place, phase 2 from a primal feasible
+    start and dual simplex pivots first from a dual feasible one.  The
+    solution then carries that LP as ``held``.  When the start is not a
+    basis of ``prob`` (:class:`SimplexError`) or the re-solve declines, the
+    solve is the cold one, as without a start.
 
     Returns
     -------
@@ -687,6 +725,15 @@ def solve(prob: LpProblem) -> LpSolution:
         Identical inputs produce identical outputs (all tie-breaking is by
         first index).
     """
+    if start is not None:
+        try:
+            held = PersistentLp(prob, start)
+            sol = held.resolve()
+        except SimplexError:
+            sol = None
+        if sol is not None:
+            sol.held = held
+            return sol
     return _Simplex(prob, bland_always=False).run()
 
 

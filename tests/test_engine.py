@@ -6,11 +6,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from checks import check_subgradient, n_feasibility_cuts
 from conftest import (lattice_to_tree, make_cvar_without_complete_recourse, make_newsvendor,
                       random_lattice_instance)
-from riskdp import engine, io, lp, model, oracle
+from riskdp import cuts, engine, io, lp, model, oracle
 from riskdp.risk import RiskSpec
 
 
@@ -397,18 +398,20 @@ def test_config_validation_errors():
 # persistent stage LPs against the cold path
 # ---------------------------------------------------------------------------
 
-def _run_checking_warm_solves(monkeypatch, problem, cfg):
+def _run_checking_warm_solves(monkeypatch, problem, cfg, epigraph=True):
     """Run ``cfg`` with every stage solve of the driver checked against the cold path.
 
     Each ``NodeSolution`` solved in place (dual pivots included), from its
-    position's held basis or, on a first solve, from another position's
-    (``started``), must equal a cold
+    position's held basis or, on a first solve, from another position's or
+    the epigraph basis (``started``), must equal a cold
     :func:`engine.solve_node` at the same history and pools within 1e-9, and
     its ``pi`` must pass the subgradient inequality of the cold value
     function around that history; every other one must be the cold solve,
     bit for bit.  A solve that hands back an earlier solution of the same LP
     is checked the same way, by the solve it reuses, but counted only as
     ``reused``: ``cold``, ``warm`` and ``dual`` count LPs actually solved.
+    Without ``epigraph``, :func:`engine.epigraph_basis` offers no basis, so
+    a first solve with no same-shape start is the two-phase solve.
     Returns the run's result and counts of what was checked.
     """
     solve, solve_node = engine._Driver._solve, engine.solve_node
@@ -427,7 +430,7 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
         else:
             seen["warm"] += 1
             seen["dual"] += ns.duals.dual_start
-            seen["started"] += first  # a first solve from another position's basis
+            seen["started"] += first  # a first solve from another position's or the epigraph basis
             view = pools.rows_for(where).view(p.dim)
             if held[1] and view.n_opt > held[0]:
                 seen["feasibility_rows_shifted"] += 1  # new optimality rows went before them
@@ -449,6 +452,8 @@ def _run_checking_warm_solves(monkeypatch, problem, cfg):
 
     with monkeypatch.context() as patched:
         patched.setattr(engine._Driver, "_solve", checked)
+        if not epigraph:
+            patched.setattr(engine, "epigraph_basis", lambda sub, view: None)
         return engine.run(problem, cfg), seen
 
 
@@ -466,20 +471,24 @@ def _cvar_tree(seed=12):
 
 @pytest.mark.parametrize("case", ["alg1-lattice", "alg3-tree", "alg2-feasibility-rows"])
 def test_warm_solves_match_cold_solves(monkeypatch, case):
+    # a run whose every first solve starts from a basis solves no LP with
+    # the two-phase simplex; the tree and alg2 cases reach it in one run
+    # without the epigraph basis
     if case == "alg1-lattice":
-        runs = [(_mixture_lattice(), _cfg(max_iters=12, stall_window=13))]
+        runs = [(_mixture_lattice(), _cfg(max_iters=12, stall_window=13), True)]
     elif case == "alg3-tree":
-        runs = [(_cvar_tree(), _cfg(algorithm="alg3", max_iters=12, stall_window=13))]
+        runs = [(_cvar_tree(), _cfg(algorithm="alg3", max_iters=12, stall_window=13), epigraph)
+                for epigraph in (True, False)]
     else:
         # the instance holds only six or seven distinct warm LPs in a run of
         # any length (every later solve hands back an earlier solution of
         # the same LP), so the case runs it under both cut timings
         runs = [(make_cvar_without_complete_recourse(),
-                 _cfg(algorithm="alg2", max_iters=12, cut_timing=timing))
+                 _cfg(algorithm="alg2", max_iters=12, cut_timing=timing), timing == "backward")
                 for timing in engine.CUT_TIMINGS]
     seen = Counter()
-    for problem, cfg in runs:
-        res, seen_run = _run_checking_warm_solves(monkeypatch, problem, cfg)
+    for problem, cfg, epigraph in runs:
+        res, seen_run = _run_checking_warm_solves(monkeypatch, problem, cfg, epigraph)
         seen += seen_run
         if case == "alg2-feasibility-rows":
             assert n_feasibility_cuts(res.pools) >= 1
@@ -724,16 +733,16 @@ def test_probe_resolve_leaves_the_basis_cache_alone(monkeypatch):
     cold = []
     resolved = []
 
-    def recording(prob):
-        cold.append(prob)
-        return solve(prob)
+    def recording(prob, start=None):
+        cold.append(start)
+        return solve(prob, start)
 
     def probe(info):
         before = {w: _stage_lp_state(s) for w, s in driver.stage_lps.items()}
         assert info["realization"] in before
         cold.clear()
         info["resolve"](info["history"] + 0.1)
-        assert len(cold) == 1  # the probe's re-solve is one cold solve
+        assert cold == [None]  # the probe's re-solve is one cold solve, with no start
         assert {w: _stage_lp_state(s) for w, s in driver.stage_lps.items()} == before
         resolved.append(info["realization"])
 
@@ -778,7 +787,31 @@ def test_a_first_solve_starts_from_an_offered_basis():
     assert abs(ns.value - cold.value) <= 1e-12
     # the LP it started is the one held, and its basis is the one recorded
     assert stage_lp.lp.status_col.tolist() == cold.duals.basis.tolist()
+    assert stage_lp.lp is ns.duals.held
     assert stage_lp.starts[2, 1, 4] is ns.duals.basis
+
+
+def test_a_first_solve_with_no_offered_basis_starts_from_the_epigraph_basis(monkeypatch):
+    problem, where, history, pools, cold, _prob = _first_solve_case()
+    epigraph_basis, offered = engine.epigraph_basis, []
+
+    def recording(sub, view):
+        offered.append(epigraph_basis(sub, view))
+        return offered[-1]
+
+    monkeypatch.setattr(engine, "epigraph_basis", recording)
+    stage_lp = engine.StageLp({})
+    ns = engine.solve_node(problem, where, history, pools, stage_lp=stage_lp)
+    assert len(offered) == 1 and offered[0] is not None
+    assert ns.duals.warm_start and abs(ns.value - cold.value) <= 1e-9 * max(1.0, abs(cold.value))
+    assert ns.duals.pivots < cold.duals.pivots
+    # the LP the solve ran in is held: no second PersistentLp is built
+    assert stage_lp.lp is ns.duals.held
+    assert stage_lp.starts[2, 1, 4] is ns.duals.basis
+    # a later first solve of the same stage and shape is offered that basis instead
+    again = engine.StageLp(stage_lp.starts)
+    engine.solve_node(problem, where, history, pools, stage_lp=again)
+    assert len(offered) == 1
 
 
 L, U, B = lp.AT_LOWER, lp.AT_UPPER, lp.BASIC
@@ -812,6 +845,73 @@ def test_a_first_solve_from_an_unusable_start_is_the_cold_solve(start, why):
     # the cold solve's basis is held, and replaces the unusable start
     assert stage_lp.lp.status_col.tolist() == cold.duals.basis.tolist()
     assert stage_lp.starts[2, 1, 4] is ns.duals.basis
+
+
+@st.composite
+def epigraph_stage_lps(draw):
+    """A stage LP's rows and pool view, as :func:`engine.build_stage_lp` reads them.
+
+    Stage 1 (no history) with ``n`` decisions, ``q`` equality rows (the
+    second one a real multiple of the first when ``dependent``), up to two
+    static rows, one to three cost pieces, up to two optimality cuts and up
+    to two feasibility-cut rows; small integer entries otherwise and a
+    finite box, some of it fixed.  Right-hand sides are drawn wide enough
+    that some LPs are infeasible.  Returns ``(sub, view, dependent)``.
+    """
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(0, 2))
+    dependent = q == 2 and draw(st.booleans())
+    r, n_p = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    n_opt, n_feas = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def ints(*shape, lo=-3, hi=3):
+        return rng.integers(lo, hi + 1, size=shape).astype(float)
+
+    a_cur = ints(q, n)
+    if dependent:
+        # a real multiple: elimination may leave rounding noise, not an exact 0
+        a_cur[1] = rng.uniform(-3.0, 3.0) * a_cur[0]
+    lb = ints(n, lo=-2, hi=0)
+    ub = lb + ints(n, lo=0, hi=3)
+    rows = q + r + n_p
+    sub = model.SubproblemData(t=1, a_cur=a_cur, g_cur=ints(r, n), piece_cur=ints(n_p, n),
+                               b0=ints(rows, lo=-4, hi=4), hist=np.zeros((rows, 0)),
+                               lb=lb, ub=ub)
+    view = cuts.PoolView(opt_beta1=np.zeros((n_opt, 0)), opt_beta2=ints(n_opt, n),
+                         opt_rhs_const=ints(n_opt), feas_beta1=np.zeros((n_feas, 0)),
+                         feas_beta2=ints(n_feas, n), feas_rhs_const=ints(n_feas, lo=-2, hi=6))
+    return sub, view, dependent
+
+
+@settings(max_examples=300, deadline=None)
+@given(epigraph_stage_lps())
+def test_epigraph_basis_is_a_dual_feasible_start_of_the_cold_solve(case):
+    # where the equality rows are independent the epigraph basis is a basis
+    # of the stage LP, dual feasible as built, and the solve from it agrees
+    # with the two-phase solve, infeasible LPs included (the dual simplex
+    # declines them and the solve falls back to two-phase)
+    sub, view, dependent = case
+    basis = engine.epigraph_basis(sub, view)
+    q, n = sub.a_cur.shape
+    independent = q <= n and np.linalg.matrix_rank(sub.a_cur) == q
+    assert (basis is not None) == independent
+    if dependent:
+        assert basis is None
+    if basis is None:
+        return
+    prob = engine.build_stage_lp(sub, view, -5.0, np.zeros(0))[0]
+    held = lp.PersistentLp(prob, basis)
+    cost = np.zeros(held.ncols)
+    cost[:held.n_struct] = prob.c
+    assert not held._dual_infeasibility(held._reduced_costs(cost))[0].any()
+    started, cold = lp.solve(prob, basis), lp.solve(prob)
+    assert started.status == cold.status
+    if cold.status == lp.OPTIMAL:
+        assert started.warm_start and started.held is not None
+        assert abs(started.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+    else:
+        assert not started.warm_start and started.held is None
 
 
 def _diagnostic_case(case, timing, max_iters, **instance):

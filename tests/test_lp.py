@@ -702,10 +702,35 @@ def test_singular_start_basis_is_declined():
 
 def test_optimal_basis_of_another_lp_of_the_same_shape_starts_a_solve():
     # the optimal basis of _two_rows(2.0) held by a new PersistentLp of
-    # _two_rows(2.1): primal feasible there, so phase 2 runs from it at once
-    sol = lp.PersistentLp(_two_rows(2.1), lp.solve(_two_rows(2.0)).basis).resolve()
+    # _two_rows(2.1): primal feasible there, so phase 2 runs from it at once;
+    # solve takes it as a start the same way and hands back the LP it ran in
+    start = lp.solve(_two_rows(2.0)).basis
+    sol = lp.PersistentLp(_two_rows(2.1), start).resolve()
     assert sol.warm_start and sol.pivots == 0 and not sol.dual_start
     _assert_matches_cold(sol, _two_rows(2.1))
+    started = lp.solve(_two_rows(2.1), start)
+    assert started.warm_start and started.pivots == 0 and started.objective == sol.objective
+    assert started.held.status_col.tolist() == started.basis.tolist()
+    assert lp.solve(_two_rows(2.1)).held is None  # a cold solve holds nothing
+
+
+@pytest.mark.parametrize("start", [
+    [lp.AT_LOWER, lp.BASIC, lp.AT_UPPER, lp.BASIC],   # a slack at +inf: SimplexError
+    [lp.BASIC, lp.BASIC],                             # too few states: SimplexError
+    [lp.AT_LOWER, lp.AT_LOWER, lp.BASIC, lp.BASIC],   # neither primal nor dual feasible
+])
+def test_solve_from_an_unusable_start_is_the_cold_solve(start):
+    # the first two are no basis of the LP; the third, x at 0 with both
+    # slacks basic, puts slack 2 at -1 (primal infeasible) and prices both
+    # x columns at -1 from their lower bound (dual infeasible), so the
+    # re-solve declines
+    prob = lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [-2.0, -1.0]], b_ub=[20.0, -1.0],
+                        lower=[0.0, 0.0], upper=[5.0, 5.0])
+    started, cold = lp.solve(prob, np.array(start, dtype=np.int8)), lp.solve(prob)
+    assert not started.warm_start and started.held is None
+    assert started.pivots == cold.pivots and started.objective == cold.objective
+    assert started.x.tobytes() == cold.x.tobytes()
+    assert started.basis.tobytes() == cold.basis.tobytes()
 
 
 _FREE_X1 = lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[2.0, 2.0],
