@@ -12,6 +12,7 @@ variable (``error``, ``info``, or ``debug``; default ``error``).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -159,6 +160,48 @@ def _history_box(p: Problem, where) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _pool_violations(where, recs: list[io.CutRecord], points: np.ndarray,
+                     trues: np.ndarray, tol: float) -> list[str]:
+    """The violation lines of one pool's cuts at its sampled histories, in check order.
+
+    Points in order, and at each point the cuts in dump order.  An
+    optimality cut ``theta + beta . (x - anchor)`` must not exceed the exact
+    recourse at ``x`` by more than ``tol``; a feasibility cut ``beta . x <=
+    theta`` must keep (within ``tol``) every history of finite recourse.  A
+    history of ``+inf`` recourse passes both: any lower bound is valid there,
+    and excluding it is correct.  Every cut is judged at every point at once
+    with arrays.  Their sums may round apart from the scalar dot product, so
+    each cut that comes within a bound on that rounding of its limit is
+    judged again by the scalar expression, whose value is printed: the
+    verdicts are the scalar ones.
+    """
+    opt = np.array([rec.kind == io.CUT_KIND_OPTIMALITY for rec in recs])
+    theta = np.array([rec.theta for rec in recs])
+    zero = np.zeros(points.shape[1])
+    anchor = np.array([zero if rec.anchor is None else rec.anchor for rec in recs])
+    terms = np.array([rec.beta for rec in recs])[:, None, :] * (points - anchor[:, None, :])
+    const = np.where(opt, theta, 0.0)[:, None]
+    lhs = const + terms.sum(axis=2)
+    limit = np.where(opt[:, None], trues + tol, (theta + tol)[:, None])
+    rounding = (4 * (points.shape[1] + 2) * np.finfo(float).eps
+                * (np.abs(const) + np.abs(terms).sum(axis=2)))
+    near = (lhs > limit - rounding) & np.isfinite(trues)
+    lines = []
+    for p, i in zip(*np.nonzero(near.T)):
+        rec, x, true = recs[i], points[p], float(trues[p])
+        if rec.kind == io.CUT_KIND_OPTIMALITY:
+            val = rec.theta + float(rec.beta @ (x - rec.anchor))
+            if val > true + tol:
+                lines.append(f"violation: optimality cut (pool {where}, iteration "
+                             f"{rec.iteration}) claims {format_float(val)} above "
+                             f"exact recourse {format_float(true)}")
+        elif float(rec.beta @ x) > rec.theta + tol:
+            lines.append(f"violation: feasibility cut (pool {where}, iteration "
+                         f"{rec.iteration}) excludes a history with finite "
+                         f"recourse {format_float(true)}")
+    return lines
+
+
 def _cmd_check_cuts(args) -> int:
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
@@ -181,25 +224,9 @@ def _cmd_check_cuts(args) -> int:
         lo, hi = _history_box(problem, where)
         points = rng.uniform(lo, hi, size=(args.points, lo.shape[0]))
         trues = oracle.true_recourse_value(problem, where, points)
-        for x, true in zip(points, trues.tolist()):
-            for rec in by_where[where]:
-                if rec.kind == io.CUT_KIND_OPTIMALITY:
-                    if math.isinf(true):
-                        continue  # any lower bound is valid where recourse is +inf
-                    val = rec.theta + float(rec.beta @ (x - rec.anchor))
-                    if val > true + args.tol:
-                        n_violations += 1
-                        print(f"violation: optimality cut (pool {where}, iteration "
-                              f"{rec.iteration}) claims {format_float(val)} above "
-                              f"exact recourse {format_float(true)}", file=sys.stderr)
-                else:
-                    if math.isinf(true):
-                        continue  # excluding an infeasible history is correct
-                    if float(rec.beta @ x) > rec.theta + args.tol:
-                        n_violations += 1
-                        print(f"violation: feasibility cut (pool {where}, iteration "
-                              f"{rec.iteration}) excludes a history with finite "
-                              f"recourse {format_float(true)}", file=sys.stderr)
+        for line in _pool_violations(where, by_where[where], points, trues, args.tol):
+            n_violations += 1
+            print(line, file=sys.stderr)
     print(f"checked {len(records)} cuts at {args.points} points per pool: "
           f"{n_violations} violations")
     return EXIT_OK if n_violations == 0 else EXIT_INFEASIBLE
@@ -213,11 +240,16 @@ _DISPATCH = {"solve": _cmd_solve, "validate": _cmd_validate,
              "oracle": _cmd_oracle, "check-cuts": _cmd_check_cuts}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one :func:`build_parser` parser; each parse gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse signals usage errors via exit code 2
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -21,12 +21,16 @@ function of a pool at a stack of histories: the children's tails, stacked
 under the pool's risk rows with the history as a parameter, make one HiGHS
 model, built and passed once and re-solved per history from its last basis
 with only the moved right-hand sides changed; infeasible histories report
-``+inf``.  :func:`conditioned_problem` builds one child's tail as a
-problem of its own; only the test suite's per-child nested-decomposition
-reference calls it.  Nested decomposition has no feasibility cuts, so on a
-feasible instance without relatively complete recourse
-:func:`nested_decomposition_value` raises :class:`OracleError` rather than
-calling it infeasible; the extensive form covers that case.
+``+inf``.  This model and the extensive form reach HiGHS the same way
+(:class:`_NestedRiskLp`): the matrix row-wise, the nonzeros of each block
+of rows as it is added, solved by the dual simplex with presolve off
+(:meth:`_NestedRiskLp.minimize` says why).  :func:`conditioned_problem`
+builds one child's tail as a problem of its own; only the test suite's
+per-child nested-decomposition reference calls it.  Nested decomposition
+has no feasibility cuts, so on a feasible instance without relatively
+complete recourse :func:`nested_decomposition_value` raises
+:class:`OracleError` rather than calling it infeasible; the extensive form
+covers that case.
 
 Every LP nested decomposition solves is the cold
 :func:`~riskdp.engine.solve_node` (no persistent stage LP), so it stays a
@@ -43,10 +47,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .engine import EngineError, RunConfig, _Driver
-from .model import (TREE, Node, Problem, PwlConvexCost, Realization, Stage,
+from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization, Stage,
                     history_vector)
 from .risk import RiskSpec
 
@@ -121,68 +124,80 @@ class _NestedRiskLp:
     """A nested-risk LP over a ``k``-entry history parameter, built once and solved by HiGHS.
 
     Columns are appended with :meth:`columns`, inequality (``<=``) and
-    equality rows as dense blocks over chosen columns with :meth:`rows`.  A
-    row's right-hand side is ``rhs - hist @ h``, affine in the history
-    ``h``; the matrix, bounds and cost do not depend on it, so
-    :meth:`minimize` passes one HiGHS model and re-solves it per history.
+    equality rows as dense blocks over chosen columns with :meth:`rows`,
+    which keeps only each block's nonzeros, row by row, for the row-wise
+    matrix of :meth:`_model`.  A row's right-hand side is ``rhs - hist @ h``,
+    affine in the history ``h``; the matrix, bounds and cost do not depend
+    on it, so :meth:`minimize` passes one HiGHS model and re-solves it per
+    history.
     """
 
     def __init__(self, k: int):
         self.k = k
         self.ncols = 0
-        self.lower: list[np.ndarray] = []
-        self.upper: list[np.ndarray] = []
-        self.blocks: dict[bool, list] = {False: [], True: []}  # is-equality -> blocks
+        self.bounds: list = []  # (first column, end column, lower, upper)
+        # is-equality -> blocks: (nonzeros per row, their columns and values
+        # row by row, right-hand side, history coefficients or None)
+        self.blocks: dict[bool, list] = {False: [], True: []}
 
-    def columns(self, k: int, lower=-np.inf, upper=np.inf) -> np.ndarray:
-        idx = np.arange(self.ncols, self.ncols + k)
+    def columns(self, k: int, lower=None, upper=None) -> np.ndarray:
+        """``k`` new columns; ``lower`` and ``upper`` (scalars or ``k``-vectors) default to free."""
+        if lower is not None or upper is not None:
+            self.bounds.append((self.ncols, self.ncols + k, lower, upper))
         self.ncols += k
-        self.lower.append(np.full(k, lower))
-        self.upper.append(np.full(k, upper))
-        return idx
+        return np.arange(self.ncols - k, self.ncols)
 
     def rows(self, cols, block, rhs, eq: bool = False, hist=None) -> None:
         """Add ``block @ x[cols] <= rhs - hist @ h`` (``==`` with ``eq``); ``cols`` has no repeats.
 
         ``hist`` defaults to zero: a right-hand side that ignores the history.
+        The block's zeros are dropped; its nonzeros are kept row by row.
         """
-        rhs = np.atleast_1d(rhs)
-        hist = np.zeros((rhs.shape[0], self.k)) if hist is None else hist
-        self.blocks[eq].append((cols, np.atleast_2d(block), rhs, hist))
+        block = np.atleast_2d(block)
+        r, c = block.nonzero()
+        self.blocks[eq].append((np.bincount(r, minlength=block.shape[0]), cols[c], block[r, c],
+                                np.atleast_1d(rhs), hist))
 
     def _model(self, core, col: int):
-        """The column-wise ``HighsLp`` minimising ``x[col]`` at a zero history.
+        """The ``HighsLp`` minimising ``x[col]`` at a zero history, its matrix row-wise.
 
         Also returns the count of inequality rows (stacked first), and every
         row's right-hand side constant and history coefficients.
         """
         blocks = self.blocks[False] + self.blocks[True]
-        n_ub = sum(b.shape[0] for _, b, _, _ in self.blocks[False])
-        n_rows = sum(b.shape[0] for _, b, _, _ in blocks)
-        a = np.zeros((n_rows, self.ncols))
-        rhs = np.empty(n_rows)
-        hist = np.empty((n_rows, self.k))
+        n_ub = sum(b[0].shape[0] for b in self.blocks[False])
+        counts = np.concatenate([b[0] for b in blocks])
+        n_rows = counts.shape[0]
+        start = np.zeros(n_rows + 1, dtype=int)
+        np.cumsum(counts, out=start[1:])
+        rhs = np.concatenate([b[3] for b in blocks])
+        hist = np.zeros((n_rows, self.k))
         i = 0
-        for cols, block, r, h in blocks:
-            a[i:i + block.shape[0], cols] = block
-            rhs[i:i + block.shape[0]] = r
-            hist[i:i + block.shape[0]] = h
-            i += block.shape[0]
+        for per_row, _, _, _, h in blocks:
+            if h is not None:
+                hist[i:i + per_row.shape[0]] = h
+            i += per_row.shape[0]
+        lower, upper = np.full(self.ncols, -np.inf), np.full(self.ncols, np.inf)
+        for first, end, lo, hi in self.bounds:
+            if lo is not None:
+                lower[first:end] = lo
+            if hi is not None:
+                upper[first:end] = hi
         model = core.HighsLp()
         model.num_col_, model.num_row_ = self.ncols, n_rows
         cost = np.zeros(self.ncols)
         cost[col] = 1.0
         model.col_cost_ = cost
-        model.col_lower_ = np.concatenate(self.lower)
-        model.col_upper_ = np.concatenate(self.upper)
+        model.col_lower_, model.col_upper_ = lower, upper
         model.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), rhs[n_ub:]])
         model.row_upper_ = rhs
-        matrix = scipy.sparse.csc_array(a)
-        model.a_matrix_.format_ = core.MatrixFormat.kColwise
-        model.a_matrix_.num_col_, model.a_matrix_.num_row_ = self.ncols, n_rows
-        model.a_matrix_.start_ = matrix.indptr
-        model.a_matrix_.index_ = matrix.indices
-        model.a_matrix_.value_ = matrix.data
+        matrix = model.a_matrix_
+        matrix.format_ = core.MatrixFormat.kRowwise
+        matrix.num_col_, matrix.num_row_ = self.ncols, n_rows
+        # the binding copies these three element by element, from a list fastest
+        matrix.start_ = start.tolist()
+        matrix.index_ = np.concatenate([b[1] for b in blocks]).tolist()
+        matrix.value_ = np.concatenate([b[2] for b in blocks]).tolist()
         return model, n_ub, rhs, hist
 
     def minimize(self, col: int, histories: np.ndarray) -> np.ndarray:
@@ -190,13 +205,19 @@ class _NestedRiskLp:
 
         One HiGHS model with its options set once, passed once: each history
         then changes only the row bounds that moved, and HiGHS re-solves from
-        its last basis.  An infeasible history gives ``+inf``; any other
-        non-optimal status raises :class:`OracleError`.
+        its last basis.  Presolve is off: only the first solve would run it,
+        since every later one starts from a basis, and on models this small
+        it costs that solve more than it saves.  It is a native option, kept
+        apart from the linprog-compatible :data:`HIGHS_OPTIONS`, since
+        linprog reads ``presolve`` as a boolean and warns at ``"off"``.  An
+        infeasible history gives ``+inf``; any other non-optimal status
+        raises :class:`OracleError`.
         """
         core = _highs_core()
         model, n_ub, rhs0, hist = self._model(core, col)
         highs = core._Highs()
-        for key, value in {**HIGHS_OPTIONS, "output_flag": False, "simplex_strategy":
+        for key, value in {**HIGHS_OPTIONS, "output_flag": False, "presolve": "off",
+                           "simplex_strategy":
                            core.simplex_constants.SimplexStrategy.kSimplexStrategyDual}.items():
             highs.setOptionValue(key, value)
         highs.passModel(model)
@@ -476,7 +497,11 @@ def true_recourse_value(problem: Problem, where, history):
     kids = topo.children(where)
     t, n = topo.stage(kids[0]), problem.dim
     k = (t - 1) * n
-    stack = np.array([history_vector(h, t, n) for h in np.atleast_2d(points)]).reshape(-1, k)
+    stack = np.atleast_2d(points)
+    width = math.prod(stack.shape[1:])
+    if width != k:  # history_vector's check, once for the whole stack
+        raise ModelError(f"history must have {k} coordinates at stage {t}, got {width}")
+    stack = stack.reshape(stack.shape[0], k)
     lp = _NestedRiskLp(k)
     values = [lp.tail(problem, kid) for kid in kids]
     risk = lp.risk(topo.risk(where), topo.probs(where), np.array(values))

@@ -7,9 +7,12 @@ variational form and grid-search a small box, so tests can compare the
 package's answers against routes that share none of its arithmetic.  One
 more, :func:`nd_true_recourse_value`, recomputes a pool's exact recourse
 child by child with nested decomposition, a route that shares nothing with
-the extensive form it checks.  :func:`nodes_at_depth` lists a tree's
-nodes at one depth, and :func:`n_optimality_cuts` and
-:func:`n_feasibility_cuts` count the cuts of a run's pools.
+the extensive form it checks.  :func:`check_cuts_by_loop` and
+:func:`pool_violations_by_loop` judge a cut dump the way ``riskdp
+check-cuts`` did before its array check, one cut at one point at a time.
+:func:`nodes_at_depth` lists a tree's nodes at one depth, and
+:func:`n_optimality_cuts` and :func:`n_feasibility_cuts` count the cuts of
+a run's pools.
 """
 
 import itertools
@@ -18,8 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from riskdp import io
+from riskdp.cli import _history_box
 from riskdp.model import ModelError, PwlConvexCost
-from riskdp.oracle import OracleError, conditioned_problem, exact_nested_decomposition
+from riskdp.oracle import (OracleError, conditioned_problem, exact_nested_decomposition,
+                           true_recourse_value)
 from riskdp.risk import risk_value_and_density
 from riskdp.valuefn import MU_ZERO_TOL
 
@@ -183,3 +189,53 @@ def nd_true_recourse_value(problem, where, history) -> float:
     values = [exact_nested_decomposition(conditioned_problem(problem, kid, history)).value
               for kid in topo.children(where)]
     return risk_value_and_density(topo.risk(where), topo.probs(where), np.asarray(values))[0]
+
+
+def check_cuts_by_loop(problem, records, points: int, seed: int,
+                       tol: float) -> tuple[list[str], int]:
+    """``riskdp check-cuts``'s violation lines for a cut dump, by its per-record loop.
+
+    The same pools in the same order, the same sampled histories and exact
+    recourse values as the command, each pool judged by
+    :func:`pool_violations_by_loop`.  Returns the violation lines in print
+    order and the count of sampled histories whose recourse is ``+inf``.
+    """
+    rng = np.random.default_rng(seed)
+    by_where: dict = {}
+    for rec in records:
+        by_where.setdefault(rec.where, []).append(rec)
+    lines, n_infinite = [], 0
+    for where in sorted(by_where):
+        lo, hi = _history_box(problem, where)
+        xs = rng.uniform(lo, hi, size=(points, lo.shape[0]))
+        trues = true_recourse_value(problem, where, xs)
+        n_infinite += int(np.isinf(trues).sum())
+        lines += pool_violations_by_loop(where, by_where[where], xs, trues, tol)
+    return lines, n_infinite
+
+
+def pool_violations_by_loop(where, recs, xs, trues, tol: float) -> list[str]:
+    """One pool's violation lines, judging one cut at one point at a time.
+
+    The scalar loop that ``cli._pool_violations`` replaced, kept as its
+    reference.
+    """
+    lines = []
+    for x, true in zip(xs, trues.tolist()):
+        for rec in recs:
+            if rec.kind == io.CUT_KIND_OPTIMALITY:
+                if math.isinf(true):
+                    continue  # any lower bound is valid where recourse is +inf
+                val = rec.theta + float(rec.beta @ (x - rec.anchor))
+                if val > true + tol:
+                    lines.append(f"violation: optimality cut (pool {where}, iteration "
+                                 f"{rec.iteration}) claims {io.format_float(val)} above "
+                                 f"exact recourse {io.format_float(true)}")
+            else:
+                if math.isinf(true):
+                    continue  # excluding an infeasible history is correct
+                if float(rec.beta @ x) > rec.theta + tol:
+                    lines.append(f"violation: feasibility cut (pool {where}, iteration "
+                                 f"{rec.iteration}) excludes a history with finite "
+                                 f"recourse {io.format_float(true)}")
+    return lines

@@ -10,6 +10,7 @@ import pytest
 import scipy.optimize
 from scipy.optimize._highspy import _core as highs_core
 
+from checks import check_cuts_by_loop, nodes_at_depth, pool_violations_by_loop
 from conftest import (lattice_to_tree, make_chain_instance, make_cvar_without_complete_recourse,
                       make_feasibility_instance, make_newsvendor, make_newsvendor_tree,
                       random_lattice_instance)
@@ -365,6 +366,118 @@ def test_check_cuts_audits_a_tail_without_complete_recourse(tmp_path, capsys):
     for method in ORACLE_METHODS:
         assert _run(["oracle", hopeless, "--method", method]) == cli.EXIT_INFEASIBLE
         assert capsys.readouterr().out.strip() == "infeasible"
+
+
+def _plant_violations(path):
+    """Raise the first optimality row's ``theta`` by 1 and lower the first feasibility row's."""
+    lines = path.read_text().strip().split("\n")
+    planted = set()
+    for n, line in enumerate(lines[1:], 1):
+        fields = line.split(",")
+        if fields[0] not in planted:
+            planted.add(fields[0])
+            step = 1.0 if fields[0] == io.CUT_KIND_OPTIMALITY else -1.0
+            fields[3] = io.format_float(float(fields[3]) + step)
+            lines[n] = ",".join(fields)
+    assert planted == {io.CUT_KIND_OPTIMALITY, io.CUT_KIND_FEASIBILITY}
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("case", ["chain", "no-rcr", "no-rcr-tree"])
+def test_array_cut_check_agrees_with_the_loop(tmp_path, capsys, case):
+    # alg2 dumps with feasibility rows, as written and with a violation of
+    # each kind planted; both instances lack complete recourse, so some
+    # sampled histories have +inf recourse.  The tree twin takes the
+    # lattice's dump with each stage-t pool's rows moved to the depth t - 1
+    # node
+    lattice = make_chain_instance() if case == "chain" else make_cvar_without_complete_recourse()
+    lattice_file = tmp_path / "lattice.json"
+    io.save_problem(lattice, lattice_file)
+    assert _run(["solve", lattice_file, "--alg", "alg2", "--out", tmp_path]) == cli.EXIT_OK
+    problem, path, dump = lattice, lattice_file, tmp_path / "cuts.csv"
+    if case == "no-rcr-tree":
+        problem, path = lattice_to_tree(lattice), tmp_path / "tree.json"
+        io.save_problem(problem, path)
+        rows = [line.split(",") for line in dump.read_text().strip().split("\n")]
+        for fields in rows[1:]:
+            fields[1] = str(nodes_at_depth(problem, int(fields[1]) - 1)[0])
+        dump.write_text("\n".join(",".join(fields) for fields in rows) + "\n")
+    capsys.readouterr()
+    seen = Counter()
+    for planted in (False, True):
+        if planted:
+            _plant_violations(dump)
+        records = io.read_cuts_csv(dump)
+        for seed in (0, 1, 2):
+            code = _run(["check-cuts", path, dump, "--points", "25", "--seed", seed])
+            out, err = capsys.readouterr()
+            want, n_infinite = check_cuts_by_loop(problem, records, 25, seed, 1e-6)
+            assert err.splitlines() == want
+            assert out.strip() == (f"checked {len(records)} cuts at 25 points per pool: "
+                                   f"{len(want)} violations")
+            assert code == (cli.EXIT_INFEASIBLE if want else cli.EXIT_OK)
+            seen.update(line.split()[1] for line in want)
+            seen["planted" if planted else "as written"] += len(want)
+            seen["+inf"] += n_infinite
+    assert seen["as written"] == 0
+    assert seen["optimality"] > 0 and seen["feasibility"] > 0
+    assert seen["+inf"] > 0
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_array_cut_check_agrees_with_the_loop_at_the_limit(k):
+    # cuts placed within a few ulps of their limit, where a sum in another
+    # order may round to the other side: the verdicts and printed values are
+    # the scalar loop's
+    rng = np.random.default_rng(k)
+    checked = 0
+    for trial in range(200):
+        xs = rng.uniform(-1.0, 1.0, size=(5, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+        trues = rng.uniform(-50.0, 50.0, size=5)
+        trues[rng.random(5) < 0.2] = math.inf
+        tol = float(rng.choice([0.0, 1e-6]))
+        recs = []
+        for i in range(6):
+            beta = rng.normal(size=k) * 10.0 ** rng.integers(-3, 4, size=k)
+            p = int(rng.integers(5))
+            if i % 2 == 0:
+                anchor = rng.uniform(-1.0, 1.0, size=k)
+                theta = trues[p] + tol - float(beta @ (xs[p] - anchor))
+                kind = io.CUT_KIND_OPTIMALITY
+            else:
+                anchor, theta, kind = None, float(beta @ xs[p]) - tol, io.CUT_KIND_FEASIBILITY
+            if not math.isfinite(theta):
+                theta = 0.0
+            theta = float(np.nextafter(theta, math.inf * rng.choice([-1, 1]))) \
+                if rng.random() < 0.5 else theta
+            recs.append(io.CutRecord(kind=kind, where=2, iteration=i, theta=theta,
+                                     beta=beta, anchor=anchor))
+        want = pool_violations_by_loop(2, recs, xs, trues, tol)
+        assert cli._pool_violations(2, recs, xs, trues, tol) == want, trial
+        checked += len(want)
+    assert checked > 0
+
+
+def test_successive_main_calls_do_not_share_flags(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; a second call that leaves out
+    # the first call's flags gets the defaults back
+    path = tmp_path / "cuts.csv"
+    path.write_text(f"{io.CUTS_CSV_HEADER}\n")
+    seen = []
+    monkeypatch.setitem(cli._DISPATCH, "check-cuts", lambda args: seen.append(vars(args)) or 0)
+    problem_file = tmp_path / "newsvendor.json"
+    assert _run(["check-cuts", problem_file, path, "--points", "7", "--seed", "5",
+                 "--tol", "0.5"]) == cli.EXIT_OK
+    assert _run(["check-cuts", problem_file, path]) == cli.EXIT_OK
+    assert _run(["check-cuts", "other.json", path, "--seed", "3"]) == cli.EXIT_OK
+    assert seen == [
+        {"cmd": "check-cuts", "input": str(problem_file), "cuts": str(path), "points": 7,
+         "seed": 5, "tol": 0.5},
+        {"cmd": "check-cuts", "input": str(problem_file), "cuts": str(path), "points": 100,
+         "seed": 0, "tol": 1e-6},
+        {"cmd": "check-cuts", "input": "other.json", "cuts": str(path), "points": 100,
+         "seed": 3, "tol": 1e-6}]
+    assert cli._parser() is cli._parser()
 
 
 X0 = np.array([1.0, -0.5])

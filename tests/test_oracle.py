@@ -186,6 +186,29 @@ def test_true_recourse_value_checks_the_history_length(form, length):
         oracle.true_recourse_value(problem, key, np.zeros(length))
 
 
+@pytest.mark.parametrize("form", ["lattice", "tree"])
+def test_true_recourse_value_checks_a_stack_of_histories_once(form):
+    # a 1-D history gives a float and a (p, 2) stack p values; a stack whose
+    # rows have the wrong width, even one with no rows, raises the 1-D
+    # history's error, naming the width of its rows
+    problem = _stochastic_three_stage()
+    key = 3
+    if form == "tree":
+        problem, key = lattice_to_tree(problem), 2
+    one = oracle.true_recourse_value(problem, key, np.array([0.5, 1.0]))
+    assert isinstance(one, float)
+    stack = np.array([[0.5, 1.0], [1.0, 0.5], [0.5, 1.0]])
+    many = oracle.true_recourse_value(problem, key, stack)
+    assert many.shape == (3,) and many[0] == many[2] == one
+    assert oracle.true_recourse_value(problem, key, stack.reshape(3, 1, 2)).tolist() == \
+        many.tolist()
+    for bad, width in ((np.zeros((4, 3)), 3), (np.zeros((2, 1)), 1), (np.zeros((4, 0)), 0),
+                       (np.zeros((0, 3)), 3)):
+        with pytest.raises(model.ModelError,
+                           match=f"^history must have 2 coordinates at stage 3, got {width}$"):
+            oracle.true_recourse_value(problem, key, bad)
+
+
 def test_conditioning_reports_infeasible_history():
     # x2 = x1 then x3 = x2 - 1.5 with x3 in [0, 0.5]
     second = model.Stage([_payload(
@@ -460,23 +483,61 @@ def test_true_recourse_value_matches_nested_decomposition_per_child():
 # the HiGHS model against scipy's linprog
 # ---------------------------------------------------------------------------
 
+@pytest.fixture()
+def dense_blocks(monkeypatch):
+    """Record each ``_NestedRiskLp``'s column bounds and dense row blocks as they are added.
+
+    The record, ``lp.dense``, is what the oracle asks for, before
+    :meth:`oracle._NestedRiskLp.rows` drops any zero: the references below
+    build their matrices from it.
+    """
+    columns, rows = oracle._NestedRiskLp.columns, oracle._NestedRiskLp.rows
+
+    def record(lp):
+        return lp.__dict__.setdefault("dense", {"lower": [], "upper": [], False: [], True: []})
+
+    def recording_columns(self, k, lower=None, upper=None):
+        record(self)["lower"].append(np.full(k, -np.inf if lower is None else lower))
+        record(self)["upper"].append(np.full(k, np.inf if upper is None else upper))
+        return columns(self, k, lower, upper)
+
+    def recording_rows(self, cols, block, rhs, eq=False, hist=None):
+        rhs = np.atleast_1d(rhs)
+        record(self)[eq].append((cols, np.atleast_2d(block), rhs,
+                                 np.zeros((rhs.shape[0], self.k)) if hist is None else hist))
+        return rows(self, cols, block, rhs, eq, hist)
+
+    monkeypatch.setattr(oracle._NestedRiskLp, "columns", recording_columns)
+    monkeypatch.setattr(oracle._NestedRiskLp, "rows", recording_rows)
+
+
+def _dense_rows(lp, eq):
+    """The dense matrix, right-hand side and history coefficients of one row kind of ``lp``."""
+    blocks = lp.dense[eq]
+    a = np.zeros((sum(b.shape[0] for _, b, _, _ in blocks), lp.ncols))
+    rhs = np.empty(a.shape[0])
+    hist = np.empty((a.shape[0], lp.k))
+    i = 0
+    for cols, block, r, h in blocks:
+        a[i:i + block.shape[0], cols] = block
+        rhs[i:i + block.shape[0]] = r
+        hist[i:i + block.shape[0]] = h
+        i += block.shape[0]
+    return a, rhs, hist
+
+
 def _linprog_minimize(self, col, histories):
     """:meth:`oracle._NestedRiskLp.minimize` by one cold ``linprog`` solve per history."""
     values = []
     for history in histories:
         stacked = {}
-        for eq, blocks in self.blocks.items():
-            a = np.zeros((sum(b.shape[0] for _, b, _, _ in blocks), self.ncols))
-            rhs = np.empty(a.shape[0])
-            i = 0
-            for cols, block, r, hist in blocks:
-                a[i:i + block.shape[0], cols] = block
-                rhs[i:i + block.shape[0]] = r - hist @ history
-                i += block.shape[0]
-            stacked[eq] = a, rhs
+        for eq in (False, True):
+            a, rhs, hist = _dense_rows(self, eq)
+            stacked[eq] = a, rhs - hist @ history
         c = np.zeros(self.ncols)
         c[col] = 1.0
-        bounds = np.column_stack([np.concatenate(self.lower), np.concatenate(self.upper)])
+        bounds = np.column_stack([np.concatenate(self.dense["lower"]),
+                                  np.concatenate(self.dense["upper"])])
         res = scipy.optimize.linprog(c, *stacked[False], *stacked[True], bounds=bounds,
                                      method="highs", options=oracle.HIGHS_OPTIONS)
         assert res.status in (0, 2), res.message
@@ -500,7 +561,8 @@ def _recourse_cases():
     return cases
 
 
-def test_highs_model_matches_linprog_on_extensive_forms(monkeypatch):
+@pytest.mark.filterwarnings("error")
+def test_highs_model_matches_linprog_on_extensive_forms(dense_blocks, monkeypatch):
     cases = [(name, problem) for name, problem, _ in _pinned_nd_cases()]
     cases += _differential_cases() + _recourse_cases()
     got = [oracle.extensive_form_value(problem) for _, problem in cases]
@@ -510,7 +572,8 @@ def test_highs_model_matches_linprog_on_extensive_forms(monkeypatch):
     assert [math.isinf(v) for v in got[-4:]] == [False, False, True, True]
 
 
-def test_highs_model_matches_linprog_on_audited_histories(monkeypatch):
+@pytest.mark.filterwarnings("error")
+def test_highs_model_matches_linprog_on_audited_histories(dense_blocks, monkeypatch):
     # one model per pool, re-solved from its last basis along the stack of
     # histories, against a cold linprog solve per history.  The stage-2 pool
     # of the instance without complete recourse has +inf recourse for
@@ -540,6 +603,25 @@ def test_highs_model_matches_linprog_on_audited_histories(monkeypatch):
     assert [list(np.isinf(values)) for values in got[-2:]] == [[True, False] * 3] * 2
 
 
+def test_highs_runs_the_dual_simplex_without_presolve_at_tight_tolerances(monkeypatch):
+    # one model, re-solved per history: presolve off, the dual simplex, and
+    # feasibility tolerances of 1e-10, on the extensive form and an audit
+    seen = []
+
+    class Recording(highs_core._Highs):
+        def run(self):
+            seen.append(tuple(self.getOptionValue(key)[1] for key in (
+                "presolve", "simplex_strategy", "primal_feasibility_tolerance",
+                "dual_feasibility_tolerance", "output_flag")))
+            return super().run()
+
+    monkeypatch.setattr(highs_core, "_Highs", Recording)
+    oracle.extensive_form_value(_newsvendor())
+    oracle.true_recourse_value(_newsvendor(), 2, np.array([[0.5], [0.7]]))
+    dual = int(highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    assert seen == [("off", dual, 1e-10, 1e-10, False)] * 3
+
+
 def test_other_highs_statuses_are_oracle_errors(monkeypatch):
     class OutOfTime(highs_core._Highs):
         def getModelStatus(self):
@@ -555,3 +637,73 @@ def test_missing_highs_binding_is_an_oracle_error(monkeypatch):
     monkeypatch.delattr(sys.modules["scipy.optimize._highspy"], "_core")
     with pytest.raises(oracle.OracleError, match=r"scipy\.optimize\._highspy\._core"):
         oracle.extensive_form_value(_newsvendor())
+
+
+def _rowwise_dense(matrix):
+    """The dense matrix a row-wise ``HighsSparseMatrix``'s ``start_``/``index_``/``value_`` hold."""
+    start, index, value = (np.asarray(matrix.start_), np.asarray(matrix.index_),
+                           np.asarray(matrix.value_))
+    assert start.shape == (matrix.num_row_ + 1,) and start[0] == 0
+    assert np.all(np.diff(start) >= 0) and start[-1] == index.shape[0] == value.shape[0]
+    a = np.zeros((matrix.num_row_, matrix.num_col_))
+    for i in range(matrix.num_row_):
+        cols = index[start[i]:start[i + 1]]
+        assert np.unique(cols).shape == cols.shape  # no entry given twice
+        a[i, cols] = value[start[i]:start[i + 1]]
+    assert np.count_nonzero(value) == value.shape[0]  # no explicit zero
+    return a
+
+
+def test_rowwise_highs_model_is_the_block_matrix(dense_blocks, monkeypatch):
+    # the model handed to HiGHS, read back entry for entry, against the dense
+    # matrix that stacking the blocks gives: an extensive form and every
+    # inner pool model of the differential cases, and a small LP with an
+    # empty row and an empty column
+    built = []
+    model_of = oracle._NestedRiskLp._model
+
+    def recording(self, core, col):
+        out = model_of(self, core, col)
+        built.append((self, col, out))
+        return out
+
+    monkeypatch.setattr(oracle._NestedRiskLp, "_model", recording)
+    small = oracle._NestedRiskLp(1)
+    cols = small.columns(3, lower=0.0)
+    small.rows(cols[[2, 0]], [[1.0, -2.0], [0.0, 0.0]], [1.0, 2.0], hist=np.array([[1.0], [0.5]]))
+    small.rows(cols[:1], [[2.0]], 3.0, eq=True)
+    small.minimize(int(cols[0]), np.zeros((1, 1)))
+    rng = np.random.default_rng(43)
+    cases = _differential_cases()
+    oracle.extensive_form_value(cases[0][1])
+    pools = 0
+    for _, problem in cases:
+        topo = problem.topology
+        for key in topo.keys:
+            if not topo.terminal(key):
+                lo, hi = _history_box(problem, key)
+                oracle.true_recourse_value(problem, key, rng.uniform(lo, hi, lo.shape[0]))
+                pools += 1
+    assert len(built) == 2 + pools
+    for lp, col, (model, n_ub, rhs, hist) in built:
+        a_ub, rhs_ub, hist_ub = _dense_rows(lp, False)
+        a_eq, rhs_eq, hist_eq = _dense_rows(lp, True)
+        want = np.vstack([a_ub, a_eq])
+        matrix = model.a_matrix_
+        assert matrix.format_ == highs_core.MatrixFormat.kRowwise
+        assert (matrix.num_row_, matrix.num_col_) == (model.num_row_, model.num_col_)
+        assert (model.num_row_, model.num_col_) == want.shape
+        assert np.array_equal(_rowwise_dense(matrix), want)
+        assert n_ub == a_ub.shape[0]
+        assert np.array_equal(rhs, np.concatenate([rhs_ub, rhs_eq]))
+        assert np.array_equal(hist, np.vstack([hist_ub, hist_eq]))
+        assert np.array_equal(model.row_upper_, rhs)
+        assert np.array_equal(model.row_lower_, np.concatenate([np.full(n_ub, -np.inf),
+                                                                rhs_eq]))
+        assert np.array_equal(model.col_lower_, np.concatenate(lp.dense["lower"]))
+        assert np.array_equal(model.col_upper_, np.concatenate(lp.dense["upper"]))
+        assert np.array_equal(model.col_cost_, np.eye(lp.ncols)[col])
+    a = _rowwise_dense(built[0][2][0].a_matrix_)
+    assert built[0][0] is small and a.shape == (3, 3)
+    assert np.flatnonzero(~a.any(axis=1)).tolist() == [1]  # a zero row
+    assert np.flatnonzero(~a.any(axis=0)).tolist() == [1]  # a column in no row
