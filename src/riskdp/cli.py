@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when the problem is proven infeasible (or a
 cut-dump check finds violations), 2 on usage errors, 3 on numerical or I/O
-failures.  ``solve`` writes three artifacts into the output directory: the
+failures: every other error the package raises, a ``CutError`` included.
+``solve`` writes three artifacts into the output directory: the
 per-iteration log ``iterations.csv``, the cut dump ``cuts.csv``, and
 ``summary.json`` (whose ``lower_bound`` equals the last log row's value
 exactly).  Logging verbosity is controlled by the ``RISKDP_LOG`` environment
@@ -22,12 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import io, oracle
+from .cuts import CutError
 from .engine import (ALGORITHMS, CUT_TIMINGS, ConfigError, EngineError,
                      RunConfig, run)
 from .io import IoError, format_float
 from .lp import SimplexError
-from .model import Problem
+from .model import ModelError, Problem
 from .oracle import OracleError
+from .risk import RiskConfigError
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -257,7 +260,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IoError, OracleError, EngineError, SimplexError, OSError) as exc:
+    except (IoError, OracleError, EngineError, SimplexError, CutError, ModelError,
+            RiskConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -162,14 +162,21 @@ class LpProblem:
                       else np.asarray(self.upper, dtype=float).reshape(-1))
         if self.lower.shape[0] != n or self.upper.shape[0] != n:
             raise ValueError("bound vectors must match the number of variables")
+        # One pass over the data, which NaN bounds fail too; only a fault
+        # runs the checks one array at a time, to name the first at fault.
+        if not (np.isfinite(np.concatenate([self.c, self.a_eq.ravel(), self.b_eq,
+                                            self.a_ub.ravel(), self.b_ub])).all()
+                and (self.lower <= self.upper + 1e-12).all()):
+            self._raise_fault()
+
+    def _raise_fault(self) -> None:
         for name, arr in (("c", self.c), ("a_eq", self.a_eq), ("b_eq", self.b_eq),
                           ("a_ub", self.a_ub), ("b_ub", self.b_ub)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise ValueError("bounds contain NaN")
-        if np.any(self.lower > self.upper + 1e-12):
-            raise ValueError("lower bound exceeds upper bound")
+        raise ValueError("lower bound exceeds upper bound")
 
     @property
     def n_vars(self) -> int:

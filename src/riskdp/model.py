@@ -42,6 +42,11 @@ stage on a lattice (all nodes of a stage share one cost-to-go) and a node on
 a tree (every node has its own).  :func:`validate_problem` walks that view
 too, so the form itself is read only by parsing, the :class:`Topology`
 constructor and the algorithm/form check.
+
+Every problem is validated on each load and again by each run, so
+:func:`validate_problem` checks all payloads in one array pass and reads
+them one at a time only to word the messages of a faulty one; the payload
+constructors convert each field to a float array once.
 """
 
 from __future__ import annotations
@@ -65,6 +70,18 @@ class ModelError(ValueError):
     """Structural problem-data error raised by assembly helpers."""
 
 
+def _matrix(a) -> np.ndarray:
+    """``a`` as a float array of at least two dimensions, converted once."""
+    a = np.asarray(a, dtype=float)
+    return a if a.ndim >= 2 else a.reshape(1, -1)
+
+
+def _vector(v) -> np.ndarray:
+    """``v`` as a flat float vector, converted once."""
+    v = np.asarray(v, dtype=float)
+    return v if v.ndim == 1 else v.reshape(-1)
+
+
 @dataclass
 class PwlConvexCost:
     """Max-of-affine cost ``max_i <c_i, x_{1:t}> + d_i``.
@@ -78,8 +95,8 @@ class PwlConvexCost:
     dim: int
 
     def __post_init__(self) -> None:
-        self.pieces_c = np.atleast_2d(np.asarray(self.pieces_c, dtype=float))
-        self.pieces_d = np.asarray(self.pieces_d, dtype=float).reshape(-1)
+        self.pieces_c = _matrix(self.pieces_c)
+        self.pieces_d = _vector(self.pieces_d)
         if self.pieces_c.shape[0] == 0:
             raise ModelError("cost needs at least one piece")
         if self.pieces_c.shape[0] != self.pieces_d.shape[0]:
@@ -137,15 +154,15 @@ class Realization:
     def __post_init__(self) -> None:
         n = self.cost.dim
         width = self.cost.pieces_c.shape[1] + n  # columns over x_{0:t}
-        self.a_blocks = [np.atleast_2d(np.asarray(a, dtype=float)) for a in self.a_blocks]
-        self.b = np.asarray(self.b, dtype=float).reshape(-1)
-        self.h = np.asarray(self.h, dtype=float).reshape(-1)
-        self.lb = np.asarray(self.lb, dtype=float).reshape(-1)
-        self.ub = np.asarray(self.ub, dtype=float).reshape(-1)
+        self.a_blocks = [_matrix(a) for a in self.a_blocks]
+        self.lb, self.ub = _vector(self.lb), _vector(self.ub)
+        self.b, self.h = _vector(self.b), _vector(self.h)
         if not self.a_blocks and not self.b.size:  # no equality system
             self.a_blocks = [np.zeros((0, n)) for _ in range(width // max(n, 1))]
-        g = np.asarray(self.g, dtype=float)  # no G and no h: no inequality system
-        self.g = np.atleast_2d(g) if g.size else np.zeros((0, 0 if self.h.size else width))
+        g = np.asarray(self.g, dtype=float)
+        if not g.size:  # no G and no h: no inequality system
+            g = np.zeros((0, 0 if self.h.size else width))
+        self.g = g if g.ndim >= 2 else g.reshape(1, -1)
 
     def fold_map(self, x0: np.ndarray, k: int) -> FoldMap:
         """The rows over the decisions after ``x0`` and a ``k``-entry history, affine in it.
@@ -462,7 +479,17 @@ def assemble_subproblem(p: Problem, where) -> SubproblemData:
 
 
 def validate_problem(p: Problem) -> list[str]:
-    """Return a list of violation messages (empty list = valid problem)."""
+    """Return a list of violation messages (empty list = valid problem).
+
+    The checks follow the paper's standing assumptions: finitely many
+    realizations with strictly positive probabilities (a NaN fails), compact
+    boxes and finite data.  The top level and every pool key are checked on
+    their own; the payloads are checked in one pass over all of them
+    (:func:`_payloads_sound`), and only when that pass finds a fault does
+    each payload run :meth:`Realization.violations`, so a valid problem
+    costs a few numpy calls in all and a faulty one gets every message, in
+    position order.
+    """
     out: list[str] = []
     if p.horizon < 1:
         out.append("horizon must be >= 1")
@@ -495,19 +522,51 @@ def validate_problem(p: Problem) -> list[str]:
         if s >= horizon:
             out.append(f"{where}: children beyond the horizon, expected {horizon} stages")
         probs = topo.probs(key)
-        if np.any(probs <= 0.0):
+        total = probs.sum()
+        if not (probs > 0.0).all():  # written so that NaN fails both checks
             out.append(f"{where}: probabilities must be strictly positive")
-        if abs(probs.sum() - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             out.append(f"{where}: probabilities sum != 1")
         elif key != root:
             try:
-                validate_risk_set(topo.risk(key), probs / probs.sum())
+                validate_risk_set(topo.risk(key), probs / total)
             except RiskConfigError as exc:
                 out.append(f"{where}: risk spec invalid: {exc}")
-    for w in topo.positions:
-        payload = topo.payload(w)
-        if payload is None:
-            out.append(f"{topo.label(w)}: missing payload")
-        else:
-            out.extend(payload.violations(topo.stage(w), p.dim, topo.label(w)))
+    if not _payloads_sound(p):
+        for w in topo.positions:
+            payload = topo.payload(w)
+            if payload is None:
+                out.append(f"{topo.label(w)}: missing payload")
+            else:
+                out.extend(payload.violations(topo.stage(w), p.dim, topo.label(w)))
     return out
+
+
+def _payloads_sound(p: Problem) -> bool:
+    """True when every position has a payload and no :meth:`Realization.violations` entry.
+
+    One pass for all payloads, with the checks of ``violations``: their
+    structure in plain Python on shape tuples and ``prob``, their numbers
+    with one ``isfinite`` over the concatenation, and their boxes with one
+    ``lb <= ub``.
+    """
+    topo, n = p.topology, p.dim
+    numbers, lbs, ubs = [], [], []
+    for w in topo.positions:
+        pay, t = topo.payload(w), topo.stage(w)
+        if pay is None or not pay.prob > 0.0:
+            return False
+        q, r, a, c = pay.b.shape[0], pay.h.shape[0], pay.a_blocks, pay.cost.pieces_c
+        if (len(a) != t + 1 or any(blk.shape != (q, n) for blk in a)
+                or pay.cost.dim != n or c.shape[1] != t * n
+                or pay.g.shape != (r, (t + 1) * n)
+                or pay.lb.shape[0] != n or pay.ub.shape[0] != n):
+            return False
+        numbers += [blk.ravel() for blk in a]
+        numbers += [c.ravel(), pay.cost.pieces_d, pay.g.ravel(), pay.b, pay.h]
+        lbs.append(pay.lb)
+        ubs.append(pay.ub)
+    if not lbs:
+        return True
+    lb, ub = np.concatenate(lbs), np.concatenate(ubs)
+    return bool(np.isfinite(np.concatenate(numbers + [lb, ub])).all() and (lb <= ub).all())

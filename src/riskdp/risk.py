@@ -129,9 +129,9 @@ def _check_probs(probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=float).reshape(-1)
     if probs.size == 0:
         raise RiskConfigError("empty outcome space")
-    if np.any(probs <= 0.0):
+    if not (probs > 0.0).all():  # written so that NaN fails both checks
         raise RiskConfigError("outcome probabilities must be strictly positive")
-    if abs(probs.sum() - 1.0) > PROB_TOL:
+    if not abs(probs.sum() - 1.0) <= PROB_TOL:
         raise RiskConfigError(f"probabilities sum to {probs.sum()!r}, not 1")
     return probs
 

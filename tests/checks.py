@@ -10,7 +10,10 @@ child by child with nested decomposition, a route that shares nothing with
 the extensive form it checks.  :func:`check_cuts_by_loop` and
 :func:`pool_violations_by_loop` judge a cut dump the way ``riskdp
 check-cuts`` did before its array check, one cut at one point at a time.
-:func:`nodes_at_depth` lists a tree's nodes at one depth, and
+:func:`validate_problem_by_loop` validates a problem the way
+``riskdp.model.validate_problem`` did before its one-pass payload check,
+one payload at a time.  :func:`nodes_at_depth` lists a tree's nodes at one
+depth, and
 :func:`n_optimality_cuts` and :func:`n_feasibility_cuts` count the cuts of
 a run's pools.
 """
@@ -23,10 +26,10 @@ import numpy as np
 
 from riskdp import io
 from riskdp.cli import _history_box
-from riskdp.model import ModelError, PwlConvexCost
+from riskdp.model import LATTICE, TREE, ModelError, PwlConvexCost
 from riskdp.oracle import (OracleError, conditioned_problem, exact_nested_decomposition,
                            true_recourse_value)
-from riskdp.risk import risk_value_and_density
+from riskdp.risk import PROB_TOL, RiskConfigError, risk_value_and_density, validate_risk_set
 from riskdp.valuefn import MU_ZERO_TOL
 
 CHECK_TOL = 1e-7     # default slack in check_subgradient
@@ -239,3 +242,60 @@ def pool_violations_by_loop(where, recs, xs, trues, tol: float) -> list[str]:
                                  f"{rec.iteration}) excludes a history with finite "
                                  f"recourse {io.format_float(true)}")
     return lines
+
+
+def validate_problem_by_loop(p) -> list[str]:
+    """``riskdp.model.validate_problem``'s messages, each payload judged on its own.
+
+    The form that the one-pass payload check replaced, kept as its
+    reference: every payload runs ``Realization.violations`` (a dozen numpy
+    reductions), whether or not the problem has a fault.
+    """
+    out: list[str] = []
+    if p.horizon < 1:
+        out.append("horizon must be >= 1")
+    if p.dim < 1:
+        out.append("dim must be >= 1")
+    if p.x0.shape[0] != p.dim:
+        out.append(f"x0 must have {p.dim} coordinates")
+    elif not np.isfinite(p.x0).all():
+        out.append("x0 entries must be finite")
+    expected_l = max(p.horizon - 1, 0)
+    if p.lower_value_bound.shape[0] != expected_l:
+        out.append(f"lower_value_bound must list {expected_l} values (stages 2..T)")
+    elif not np.all(np.isfinite(p.lower_value_bound)):
+        out.append("lower_value_bound entries must be finite")
+    if p.form not in (LATTICE, TREE):
+        return out + [f"unknown form {p.form!r}"]
+    topo = p.topology
+    if topo.defects:
+        return out + topo.defects
+    root, horizon = topo.root, p.horizon
+    if len(topo.children(root)) != 1:
+        out.append(f"{topo.label(root)}: must have exactly one child (deterministic first stage)")
+    reader_stage = {root: 0} | {topo.pool(w): topo.stage(w) for w in topo.positions}
+    for key, s in reader_stage.items():
+        where = topo.label(key)
+        if topo.terminal(key):
+            if s < horizon:
+                out.append(f"{where}: leaf at stage {s}, expected {horizon} stages")
+            continue
+        if s >= horizon:
+            out.append(f"{where}: children beyond the horizon, expected {horizon} stages")
+        probs = topo.probs(key)
+        if not (probs > 0.0).all():
+            out.append(f"{where}: probabilities must be strictly positive")
+        if not abs(probs.sum() - 1.0) <= PROB_TOL:
+            out.append(f"{where}: probabilities sum != 1")
+        elif key != root:
+            try:
+                validate_risk_set(topo.risk(key), probs / probs.sum())
+            except RiskConfigError as exc:
+                out.append(f"{where}: risk spec invalid: {exc}")
+    for w in topo.positions:
+        payload = topo.payload(w)
+        if payload is None:
+            out.append(f"{topo.label(w)}: missing payload")
+        else:
+            out.extend(payload.violations(topo.stage(w), p.dim, topo.label(w)))
+    return out

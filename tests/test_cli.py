@@ -14,9 +14,9 @@ from checks import check_cuts_by_loop, nodes_at_depth, pool_violations_by_loop
 from conftest import (lattice_to_tree, make_chain_instance, make_cvar_without_complete_recourse,
                       make_feasibility_instance, make_newsvendor, make_newsvendor_tree,
                       random_lattice_instance)
-from riskdp import cli, io, model, oracle
+from riskdp import cli, cuts, io, model, oracle
 from riskdp.cli import ORACLE_METHODS
-from riskdp.risk import RiskSpec
+from riskdp.risk import RiskConfigError, RiskSpec
 
 
 @pytest.fixture()
@@ -110,6 +110,23 @@ def test_missing_or_invalid_input_exits_three(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert _run(["validate", bad]) == cli.EXIT_FAILURE
+
+
+@pytest.mark.parametrize("error", [
+    cuts.CutError("pool 2 at its anchor disagrees with the solve"),
+    model.ModelError("history must have 2 coordinates at stage 2, got 1"),
+    RiskConfigError("outcome probabilities must be strictly positive"),
+], ids=["CutError", "ModelError", "RiskConfigError"])
+def test_package_errors_in_a_solve_exit_three(newsvendor_file, tmp_path, monkeypatch, capsys,
+                                              error):
+    # uncaught, a numerical breakdown ended with a traceback and Python's
+    # status 1, which reads as "proven infeasible"
+    def breaks(problem, cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "run", breaks)
+    assert _run(["solve", newsvendor_file, "--out", tmp_path / "out"]) == cli.EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("tree, damage", [

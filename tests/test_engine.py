@@ -366,6 +366,14 @@ def test_stall_tol_must_be_finite_and_nonnegative(stall_tol):
         engine.run(_newsvendor(), _cfg(stall_tol=stall_tol))
 
 
+def test_nan_node_probability_is_a_config_error():
+    # it once validated, and the run failed at its first cut with a CutError
+    tree = _newsvendor_tree()
+    tree.nodes[3].prob = math.nan
+    with pytest.raises(engine.ConfigError, match="node 1: probabilities must be strictly positive"):
+        engine.run(tree, _cfg(algorithm="alg3"))
+
+
 def test_config_validation_errors():
     problem = _newsvendor()
     with pytest.raises(engine.ConfigError):

@@ -84,6 +84,46 @@ def test_tree_round_trip(tmp_path):
     assert io.problem_to_dict(q) == io.problem_to_dict(p)
 
 
+def _same_array(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("drop", [(), ("A", "b"), ("G", "h"), ("A", "b", "G", "h")],
+                         ids=["full", "no-equalities", "no-inequalities", "neither"])
+def test_loaded_payload_arrays_are_the_file_numbers(drop):
+    # every field is converted once; the arrays are those of converting each
+    # field on its own, and a missing system is held with zero rows
+    p = random_lattice_instance(np.random.default_rng(5), 3, 2, 2)
+    doc = io.problem_to_dict(p)
+    for raw_stage in doc["stages"]:
+        for raw in raw_stage["realizations"]:
+            for key in drop:
+                raw.pop(key, None)
+    q = io.problem_from_dict(doc)
+    n = q.dim
+    for t, (raw_stage, stage) in enumerate(zip(doc["stages"], q.stages), start=1):
+        for raw, pay in zip(raw_stage["realizations"], stage.realizations):
+            pieces = raw["cost_pieces"]
+            assert _same_array(pay.cost.pieces_c, np.asarray([pc["c"] for pc in pieces]))
+            assert _same_array(pay.cost.pieces_d, np.asarray([pc["d"] for pc in pieces]))
+            for key in ("lb", "ub"):
+                assert _same_array(getattr(pay, key), np.asarray(raw[key]))
+            if "A" in raw:
+                assert len(pay.a_blocks) == len(raw["A"]) == t + 1
+                for blk, want in zip(pay.a_blocks, raw["A"]):
+                    assert _same_array(blk, np.asarray(want).reshape(-1, n))
+                assert _same_array(pay.b, np.asarray(raw["b"]))
+            else:
+                assert [blk.shape for blk in pay.a_blocks] == [(0, n)] * (t + 1)
+                assert pay.b.shape == (0,)
+            if "G" in raw:
+                assert _same_array(pay.g, np.asarray(raw["G"]))
+                assert _same_array(pay.h, np.asarray(raw["h"]))
+            else:
+                assert pay.g.shape == (0, (t + 1) * n) and pay.h.shape == (0,)
+    assert model.validate_problem(q) == []
+
+
 def test_tree_nodes_load_in_any_order():
     # children listed before their parents: the node list is indexed as a
     # whole, so it loads, validates and solves to the same value

@@ -226,6 +226,34 @@ def test_validation_errors():
         lp.LpProblem(c=[1.0], lower=[2.0], upper=[1.0])
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(c=[1.0, np.nan]), "c contains non-finite entries"),
+    (dict(a_eq=[[1.0, np.inf]], b_eq=[0.0]), "a_eq contains non-finite entries"),
+    (dict(a_eq=[[1.0, 1.0]], b_eq=[-np.inf]), "b_eq contains non-finite entries"),
+    (dict(a_ub=[[np.nan, 1.0]], b_ub=[0.0]), "a_ub contains non-finite entries"),
+    (dict(a_ub=[[1.0, 1.0]], b_ub=[np.inf]), "b_ub contains non-finite entries"),
+    (dict(c=[np.inf, 1.0], a_ub=[[1.0, 1.0]], b_ub=[np.nan]), "c contains non-finite entries"),
+    (dict(b_ub=[np.nan], a_ub=[[1.0, 1.0]], lower=[np.nan, 0.0]),
+     "b_ub contains non-finite entries"),
+    (dict(lower=[np.nan, 0.0]), "bounds contain NaN"),
+    (dict(upper=[1.0, np.nan]), "bounds contain NaN"),
+    (dict(lower=[np.nan, 2.0], upper=[1.0, 1.0]), "bounds contain NaN"),
+    (dict(lower=[0.0, 2.0], upper=[1.0, 1.0]), "lower bound exceeds upper bound"),
+], ids=["c", "a_eq", "b_eq", "a_ub", "b_ub", "c-before-b_ub", "b_ub-before-bounds",
+        "nan-lower", "nan-upper", "nan-before-crossed", "crossed"])
+def test_validation_names_the_first_fault(fields, message):
+    # one pass checks every array; a fault is then named as the checks one
+    # array at a time name it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lp.LpProblem(**{"c": [1.0, 1.0], **fields})
+
+
+def test_validation_accepts_infinite_and_touching_bounds():
+    prob = lp.LpProblem(c=[1.0, 1.0, 1.0], lower=[-np.inf, 1.0, -np.inf],
+                        upper=[np.inf, 1.0 - 1e-13, -np.inf])
+    assert prob.lower.shape == prob.upper.shape == (3,)
+
+
 # ---------------------------------------------------------------------------
 # differential fuzzing against tight-tolerance HiGHS on degenerate LPs
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from checks import evaluate_cost_and_history_subgradient, nodes_at_depth
+from checks import evaluate_cost_and_history_subgradient, nodes_at_depth, validate_problem_by_loop
 from riskdp import model
 from riskdp.risk import RiskSpec
 
@@ -285,6 +285,121 @@ BAD_CVAR = RiskSpec(kind="cvar", epsilon=1.5)
 def test_validate_rejects_each_defect_on_both_forms(make, parts):
     violations = model.validate_problem(make())
     assert any(all(part in v for part in parts) for v in violations), violations
+
+
+def test_nan_probability_fails_both_checks_of_its_key():
+    # nan <= 0 and |nan - 1| > tol are both False: written that way, both
+    # checks let a NaN probability through
+    violations = model.validate_problem(_tiny_tree(kids=(0.5, np.nan)))
+    assert "node 1: probabilities must be strictly positive" in violations
+    assert "node 1: probabilities sum != 1" in violations
+
+
+def _random_payload(rng, t, n, q, r, prob):
+    pieces = model.PwlConvexCost(rng.normal(size=(2, t * n)), rng.normal(size=2), dim=n)
+    return _payload(t, n, prob=prob, pieces=pieces,
+                    a=[rng.normal(size=(q, n)) for _ in range(t + 1)] if q else None,
+                    b=rng.normal(size=q) if q else None,
+                    g=rng.normal(size=(r, (t + 1) * n)) if r else None,
+                    h=rng.normal(size=r) if r else None,
+                    lb=-rng.uniform(size=n), ub=rng.uniform(size=n))
+
+
+def _random_problem(seed, tree, horizon=3, n=2):
+    """A sound problem whose every position has a payload of its own.
+
+    Stage 1 has one realization, later stages two equally likely ones;
+    ``q`` equality and ``r`` inequality rows (zero included) per payload.
+    """
+    rng = np.random.default_rng(seed)
+    q, r = (int(k) for k in rng.integers(0, 3, size=2))
+
+    def make(t):
+        return _random_payload(rng, t, n, q, r, 1.0 if t == 1 else 0.5)
+
+    lvb = np.zeros(horizon - 1)
+    if not tree:
+        stages = [model.Stage([make(t) for _ in range(1 if t == 1 else 2)])
+                  for t in range(1, horizon + 1)]
+        return model.Problem(horizon=horizon, dim=n, x0=rng.normal(size=n), stages=stages,
+                             lower_value_bound=lvb)
+    nodes, frontier = [model.Node(id=0, parent=None)], [0]
+    for t in range(1, horizon + 1):
+        kids = []
+        for parent in frontier:
+            for _ in range(1 if t == 1 else 2):
+                pay = make(t)
+                nodes.append(model.Node(id=len(nodes), parent=parent, prob=pay.prob,
+                                        payload=pay))
+                kids.append(nodes[-1].id)
+        frontier = kids
+    return model.Problem(horizon=horizon, dim=n, x0=rng.normal(size=n), form=model.TREE,
+                         nodes=nodes, lower_value_bound=lvb)
+
+
+DEFECTS = ("none", "nan", "inf", "-inf", "shape", "box", "prob", "missing", "blocks")
+
+
+def _plant(draw, p, defect):
+    """Plant ``defect`` in one field of one payload of ``p`` (before its topology is built)."""
+    tree = p.form == model.TREE
+    if tree:
+        node = draw(st.sampled_from([node for node in p.nodes if node.payload is not None]))
+        pay = node.payload
+    else:
+        pay = draw(st.sampled_from([r for stage in p.stages for r in stage.realizations]))
+    n = p.dim
+    if defect == "missing":
+        node.payload = None
+    elif defect == "prob":
+        pay.prob = draw(st.sampled_from([0.0, -0.25, np.nan]))
+        if tree:
+            node.prob = pay.prob
+    elif defect == "blocks":
+        pay.a_blocks = draw(st.sampled_from([pay.a_blocks[:-1],
+                                             pay.a_blocks + pay.a_blocks[-1:]]))
+    elif defect == "box":
+        i = draw(st.integers(0, n - 1))
+        pay.lb = pay.lb.copy()
+        pay.lb[i] = pay.ub[i] + 1.0
+    elif defect == "shape":
+        field = draw(st.sampled_from(["a", "pieces_c", "g", "b", "h", "lb", "ub"]))
+        if field == "a":
+            k = draw(st.integers(0, len(pay.a_blocks) - 1))
+            pay.a_blocks[k] = np.zeros((pay.b.shape[0], n + 1))
+        elif field in ("pieces_c", "g"):
+            owner = pay.cost if field == "pieces_c" else pay
+            arr = getattr(owner, field)
+            setattr(owner, field, np.hstack([arr, np.zeros((arr.shape[0], 1))]))
+        else:
+            setattr(pay, field, np.append(getattr(pay, field), 0.0))
+    else:  # a non-finite entry
+        fields = [(pay, "a_blocks", k) for k, blk in enumerate(pay.a_blocks) if blk.size]
+        fields += [(owner, name, None) for owner, name in
+                   ((pay.cost, "pieces_c"), (pay.cost, "pieces_d"), (pay, "g"), (pay, "b"),
+                    (pay, "h"), (pay, "lb"), (pay, "ub")) if getattr(owner, name).size]
+        owner, name, k = draw(st.sampled_from(fields))
+        arr = (getattr(owner, name) if k is None else getattr(owner, name)[k]).copy()
+        arr.flat[draw(st.integers(0, arr.size - 1))] = {"nan": np.nan, "inf": np.inf,
+                                                          "-inf": -np.inf}[defect]
+        if k is None:
+            setattr(owner, name, arr)
+        else:
+            getattr(owner, name)[k] = arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_validation_matches_the_per_payload_loop(data):
+    tree = data.draw(st.booleans())
+    p = _random_problem(data.draw(st.integers(0, 10_000)), tree)
+    # a lattice holds realizations, not optional payloads: none can be missing
+    defect = data.draw(st.sampled_from([d for d in DEFECTS if tree or d != "missing"]))
+    if defect != "none":
+        _plant(data.draw, p, defect)
+    want = validate_problem_by_loop(p)
+    assert model.validate_problem(p) == want
+    assert (want == []) == (defect == "none"), (defect, want)
 
 
 def test_z_lower_indexing():

@@ -90,6 +90,16 @@ def test_config_errors():
         risk.risk_value_and_density(risk.RiskSpec(), np.array([0.5, 0.6]), np.zeros(2))
 
 
+@pytest.mark.parametrize("probs", [[0.5, np.nan], [np.nan], [np.nan, 1.0]])
+def test_nan_probabilities_are_rejected(probs):
+    # nan <= 0 and |sum - 1| > tol are both False for a NaN: written that
+    # way, the checks pass it
+    with pytest.raises(risk.RiskConfigError, match="strictly positive"):
+        risk.risk_value_and_density(risk.RiskSpec(), np.array(probs), np.zeros(len(probs)))
+    with pytest.raises(risk.RiskConfigError, match="strictly positive"):
+        risk.validate_risk_set(risk.RiskSpec(kind="cvar", epsilon=0.5), probs)
+
+
 def test_json_round_trip():
     frag = {"type": "mixture", "lambda": 0.4, "epsilon": 0.1}
     spec = risk.RiskSpec.from_json_fragment(frag)
