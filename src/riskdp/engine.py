@@ -523,7 +523,7 @@ class StageLp:
 
 
 def solve_node(problem: Problem, where, history, pools: PoolSet,
-               z_lo: float | None = None, stage_lp: StageLp | None = None) -> NodeSolution:
+               stage_lp: StageLp | None = None) -> NodeSolution:
     """Solve one stage subproblem and assemble its history subgradient.
 
     ``where`` is a position of the problem's topology and ``history`` the
@@ -540,8 +540,7 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
     t = problem.topology.stage(where)
     history = history_vector(history, t, n)
     view = pools.rows_for(where).view(n)
-    if z_lo is None:
-        z_lo = problem.z_lower(t)
+    z_lo = problem.z_lower(t)
     if stage_lp is None:
         prob, _b0, hist = build_stage_lp(assemble_subproblem(problem, where), view, z_lo,
                                          history)

@@ -148,9 +148,8 @@ def _parse_payload(raw: dict, n: int, where: str, arrays: list) -> Realization:
         lb, ub = raw["lb"], raw["ub"]
         arrays.append((f"{where}: malformed payload", [pieces_c, pieces_d, a, b, g, h, lb, ub]))
         cost = PwlConvexCost(pieces_c=pieces_c, pieces_d=pieces_d, dim=n)
-        a_blocks = [np.asarray(blk, dtype=float).reshape(-1, n) for blk in a]
         prob = float(_json_number(raw.get("prob", 1.0)))
-        return Realization(prob=prob, cost=cost, a_blocks=a_blocks, b=b, g=g, h=h, lb=lb, ub=ub)
+        return Realization(prob=prob, cost=cost, a_blocks=a, b=b, g=g, h=h, lb=lb, ub=ub)
     except IoError:
         raise
     except (KeyError, TypeError, ValueError, ModelError) as exc:

@@ -39,9 +39,11 @@ Everything downstream of the file format sees a problem through its
 :class:`Topology` (the policy-graph view): *positions* address stage
 subproblems, *pool keys* name cost-to-go approximations.  A pool key is a
 stage on a lattice (all nodes of a stage share one cost-to-go) and a node on
-a tree (every node has its own).  :func:`validate_problem` walks that view
-too, so the form itself is read only by parsing, the :class:`Topology`
-constructor and the algorithm/form check.
+a tree (every node has its own).  :meth:`Topology.scenarios` is the one walk
+of the scenario tree, a lattice's expanded into its paths, for the oracle's
+exact references.  :func:`validate_problem` walks that view too, so the form
+itself is read only by parsing, the :class:`Topology` constructor, the
+algorithm/form check and the oracle's tails, which are trees on both forms.
 
 Every problem is validated on each load and again by each run, so
 :func:`validate_problem` checks all payloads in one array pass and reads
@@ -154,7 +156,8 @@ class Realization:
     def __post_init__(self) -> None:
         n = self.cost.dim
         width = self.cost.pieces_c.shape[1] + n  # columns over x_{0:t}
-        self.a_blocks = [_matrix(a) for a in self.a_blocks]
+        # a block with no rows (``[]`` in a file) spans the n columns of its decision
+        self.a_blocks = [_matrix(a) if len(a) else np.zeros((0, n)) for a in self.a_blocks]
         self.lb, self.ub = _vector(self.lb), _vector(self.ub)
         self.b, self.h = _vector(self.b), _vector(self.h)
         if not self.a_blocks and not self.b.size:  # no equality system
@@ -282,6 +285,15 @@ class Problem:
         return float(self.lower_value_bound[t - 1])
 
 
+class ScenarioNode(NamedTuple):
+    """One node of the scenario tree: a path of positions from the walk's start."""
+
+    key: tuple    # child ranks along the path; the start's node is (0,)
+    parent: tuple  # the parent node's key; () above the start
+    where: object  # the position the path ends at
+    depth: int     # its stage
+
+
 class Topology:
     """Positions and cut pools of one problem: its policy-graph view.
 
@@ -298,7 +310,10 @@ class Topology:
       node ``m``'s own subproblem; leaf keys are terminal zero pools.
 
     The root key (``1`` on a lattice, the synthetic root node on a tree)
-    aggregates the single stage-1 position and owns no pool.
+    aggregates the single stage-1 position and owns no pool.  Every key has
+    a risk spec; a terminal one's is unused (the default expectation on a
+    lattice).  :meth:`scenarios` walks the scenario tree these positions
+    span: a tree's own nodes, a lattice's paths.
 
     Only structure is stored: probabilities, risk specs and payloads are read
     from the problem's own realization, stage and node objects on every call,
@@ -337,6 +352,7 @@ class Topology:
                 self._item[t, j] = self._payload[t, j] = real
                 self._pool[t, j] = t + 1
         self._kids[len(stages) + 1] = []
+        self._risk_of[len(stages) + 1] = Stage([])  # the terminal key: the default spec
 
     def _index_tree(self, nodes: list[Node]) -> None:
         self._noun = "node"
@@ -394,6 +410,20 @@ class Topology:
     def parent(self, where):
         """Key of the pool that aggregates ``where`` (the root key at stage 1)."""
         return self._parent[where]
+
+    def scenarios(self, where=None) -> list[ScenarioNode]:
+        """Every scenario-tree node below ``where`` (default stage 1), breadth first.
+
+        A lattice expands into its paths: a stage-``t`` position is met once
+        per path into it.  The first node is ``where``'s own.
+        """
+        where = self.first if where is None else where
+        nodes = [ScenarioNode(key=(0,), parent=(), where=where, depth=self._stage[where])]
+        for node in nodes:  # grows while iterated: children follow their parents
+            for j, kid in enumerate(self._kids[self._pool[node.where]]):
+                nodes.append(ScenarioNode(key=node.key + (j,), parent=node.key, where=kid,
+                                          depth=node.depth + 1))
+        return nodes
 
     # -- pool keys ---------------------------------------------------------
 
@@ -513,6 +543,8 @@ def validate_problem(p: Problem) -> list[str]:
     if len(topo.children(root)) != 1:
         out.append(f"{topo.label(root)}: must have exactly one child (deterministic first stage)")
     reader_stage = {root: 0} | {topo.pool(w): topo.stage(w) for w in topo.positions}
+    # keys with a child that has no payload: a lattice reads its probabilities there
+    bare = {topo.parent(w) for w in topo.positions if topo.payload(w) is None}
     for key, s in reader_stage.items():  # s: the stage of the subproblems reading key
         where = topo.label(key)
         if topo.terminal(key):
@@ -521,6 +553,8 @@ def validate_problem(p: Problem) -> list[str]:
             continue
         if s >= horizon:
             out.append(f"{where}: children beyond the horizon, expected {horizon} stages")
+        if key in bare:  # the missing payloads are reported below
+            continue
         probs = topo.probs(key)
         total = probs.sum()
         if not (probs > 0.0).all():  # written so that NaN fails both checks

@@ -25,12 +25,15 @@ with only the moved right-hand sides changed; infeasible histories report
 (:class:`_NestedRiskLp`): the matrix row-wise, the nonzeros of each block
 of rows as it is added, solved by the dual simplex with presolve off
 (:meth:`_NestedRiskLp.minimize` says why).  :func:`conditioned_problem`
-builds one child's tail as a problem of its own; only the test suite's
-per-child nested-decomposition reference calls it.  Nested decomposition
-has no feasibility cuts, so on a feasible instance without relatively
-complete recourse :func:`nested_decomposition_value` raises
-:class:`OracleError` rather than calling it infeasible; the extensive form
-covers that case.
+builds one child's tail as a tree problem of its own, on lattices and trees
+alike; only the test suite's per-child nested-decomposition reference calls
+it.  Every route walks the scenario tree by
+:meth:`~riskdp.model.Topology.scenarios`, which expands a lattice into its
+paths: the nested epigraphs, nested decomposition's all-node forward pass
+and the conditioned tails.  Nested decomposition has no feasibility cuts,
+so on a feasible instance without relatively complete recourse
+:func:`nested_decomposition_value` raises :class:`OracleError` rather than
+calling it infeasible; the extensive form covers that case.
 
 Every LP nested decomposition solves is the cold
 :func:`~riskdp.engine.solve_node` (no persistent stage LP), so it stays a
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EngineError, RunConfig, _Driver
-from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization, Stage,
+from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization, ScenarioNode,
                     history_vector)
 from .risk import RiskSpec
 
@@ -81,34 +84,6 @@ class NDResult:
 # ---------------------------------------------------------------------------
 # extensive form
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _Rec:
-    """One node of the scenario tree: a path of positions from stage 1."""
-
-    key: tuple          # child ranks along the path; the stage-1 node is (0,)
-    parent: tuple       # the parent node's key; () above stage 1
-    where: object       # the position the path ends at
-    depth: int
-    payload: Realization
-
-
-def _scenario_records(problem: Problem, where=None) -> list[_Rec]:
-    """Every scenario-tree node below ``where`` (default stage 1), breadth first.
-
-    A lattice expands into its paths.  The root record is ``where``'s own.
-    """
-    topo = problem.topology
-    where = topo.first if where is None else where
-    records = [_Rec(key=(0,), parent=(), where=where, depth=topo.stage(where),
-                    payload=topo.payload(where))]
-    for rec in records:  # grows while iterated: children follow their parents
-        key = topo.pool(rec.where)
-        for j, kid in enumerate(topo.children(key)):
-            records.append(_Rec(key=rec.key + (j,), parent=rec.key, where=kid,
-                                depth=rec.depth + 1, payload=topo.payload(kid)))
-    return records
-
 
 def _highs_core():
     """scipy's vendored HiGHS binding, the one ``linprog(method="highs")`` calls itself."""
@@ -288,28 +263,28 @@ class _NestedRiskLp:
         carries the affine parts of :meth:`~riskdp.model.Realization.fold_map`.
         """
         topo = problem.topology
-        records = _scenario_records(problem, where)
+        nodes = topo.scenarios(where)
         x_cols: dict = {(): np.zeros(0, dtype=int)}
         v_col: dict = {}
         kids: dict = {}
-        for rec in records:
-            pay = rec.payload
-            x_cols[rec.key] = np.concatenate(
-                [x_cols[rec.parent], self.columns(problem.dim, pay.lb, pay.ub)])
-            v_col[rec.key] = int(self.columns(1)[0])
-            kids.setdefault(rec.parent, []).append(v_col[rec.key])
-        for rec in records:
-            rows, b_hist, h_hist, d_hist = rec.payload.fold_map(problem.x0, self.k)
-            path = x_cols[rec.key]
+        for node in nodes:
+            pay = topo.payload(node.where)
+            x_cols[node.key] = np.concatenate(
+                [x_cols[node.parent], self.columns(problem.dim, pay.lb, pay.ub)])
+            v_col[node.key] = int(self.columns(1)[0])
+            kids.setdefault(node.parent, []).append(v_col[node.key])
+        for node in nodes:
+            rows, b_hist, h_hist, d_hist = topo.payload(node.where).fold_map(problem.x0, self.k)
+            path = x_cols[node.key]
             self.rows(path, rows.a, rows.b, eq=True, hist=b_hist)
             self.rows(path, rows.g, rows.h, hist=h_hist)
             n_p = rows.pieces_d.shape[0]
-            value = [v_col[rec.key]]
+            value = [v_col[node.key]]
             pieces = [rows.pieces_c, -np.ones((n_p, 1))]
-            if rec.key in kids:
-                key = topo.pool(rec.where)
+            if node.key in kids:
+                key = topo.pool(node.where)
                 value.append(self.risk(topo.risk(key), topo.probs(key),
-                                       np.array(kids[rec.key])))
+                                       np.array(kids[node.key])))
                 pieces.append(np.ones((n_p, 1)))
             self.rows(np.concatenate([path, value]), np.hstack(pieces), -rows.pieces_d,
                       hist=d_hist)
@@ -359,16 +334,16 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
     """
     topo = problem.topology
     driver = _Driver(problem, RunConfig(), warm=False)
-    records = _scenario_records(problem)
+    nodes = topo.scenarios()
     value_prev = None
     n_cuts = 0
     for sweep in range(1, max_sweeps + 1):
-        histories = _forward_all(driver, records)
+        histories = _forward_all(driver, nodes)
         counters: dict = {}
         for t in range(problem.horizon, 1, -1):
-            for rec in records:
-                if rec.depth == t - 1:
-                    driver._build_cut_at(topo.pool(rec.where), histories[rec.key], sweep,
+            for node in nodes:
+                if node.depth == t - 1:
+                    driver._build_cut_at(topo.pool(node.where), histories[node.key], sweep,
                                          counters, {})
         added = sum(counters.values())
         n_cuts += added
@@ -384,17 +359,17 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
     raise OracleError(f"nested decomposition did not settle in {max_sweeps} sweeps")
 
 
-def _forward_all(driver: _Driver, records: list[_Rec]) -> dict:
+def _forward_all(driver: _Driver, nodes: list[ScenarioNode]) -> dict:
     """Histories of every scenario-tree node after one all-node forward pass.
 
-    Keyed by record key; the value stored for a node is the history
+    Keyed by node key; the value stored for a node is the history
     *including* the node's decision, ``x_{1:t}`` at a stage-t node.
     """
     histories: dict = {(): np.zeros(0)}
-    for rec in records:
-        base = histories[rec.parent]
-        ns = driver._solve(rec.where, base)
-        histories[rec.key] = np.concatenate([base, ns.x])
+    for node in nodes:
+        base = histories[node.parent]
+        ns = driver._solve(node.where, base)
+        histories[node.key] = np.concatenate([base, ns.x])
     return histories
 
 
@@ -418,61 +393,39 @@ def _conditioned_payload(pay: Realization, x0: np.ndarray, history: np.ndarray) 
 
 
 def conditioned_problem(problem: Problem, where, history: np.ndarray) -> Problem:
-    """Tail problem started at position ``where`` under ``history``.
+    """Tail problem started at position ``where`` under ``history``, in tree form.
 
-    On a lattice (``where = (t, j)``) the reduced instance has horizon
-    ``T - t + 1``, a deterministic first stage (the chosen realization), and
-    the original deeper stages with the fixed prefix folded into their data.
-    On a tree it is the subtree below the node (:func:`conditioned_subtree`).
+    Its nodes are the scenario-tree nodes below ``where``
+    (:meth:`~riskdp.model.Topology.scenarios`), numbered in that
+    breadth-first order after a synthetic root ``0``: ``where``'s own node
+    ``1`` is the deterministic first stage, and the horizon is ``T - t + 1``.
+    Each node keeps its probability and its pool's risk spec, with the fixed
+    prefix folded into its payload.  On a tree that is the subtree below the
+    node; on a lattice, the scenario tree of the paths from ``where``.
     """
-    if problem.form == TREE:
-        return conditioned_subtree(problem, where, history)
-    t, j = where
+    topo = problem.topology
     n = problem.dim
+    t = topo.stage(where)
     history = history_vector(history, t, n)
-    first_pay = _conditioned_payload(problem.stages[t - 1].realizations[j], problem.x0,
-                                     history)
-    stages = [Stage([first_pay])]
-    for tau in range(t + 1, problem.horizon + 1):
-        stage = problem.stages[tau - 1]
-        reals = []
-        for pay in stage.realizations:
-            reduced = _conditioned_payload(pay, problem.x0, history)
-            reduced.prob = pay.prob
-            reals.append(reduced)
-        stages.append(Stage(reals, risk=stage.risk))
-    return Problem(horizon=problem.horizon - t + 1, dim=n, x0=np.zeros(n),
-                   stages=stages,
-                   lower_value_bound=problem.lower_value_bound[t - 1:])
+    nodes = topo.scenarios(where)
+    ids = {node.key: i for i, node in enumerate(nodes, start=1)} | {(): 0}
+    tail = [Node(id=0, parent=None)]
+    for node in nodes:
+        prob = float(topo.probs(topo.parent(node.where))[node.key[-1]]) if node.parent else 1.0
+        tail.append(Node(id=ids[node.key], parent=ids[node.parent], prob=prob,
+                         payload=_conditioned_payload(topo.payload(node.where), problem.x0,
+                                                      history),
+                         risk=topo.risk(topo.pool(node.where))))
+    return Problem(horizon=problem.horizon - t + 1, dim=n, x0=np.zeros(n), form=TREE,
+                   nodes=tail, lower_value_bound=problem.lower_value_bound[t - 1:])
 
 
 def conditioned_subtree(problem: Problem, node_id: int,
                         history: np.ndarray) -> Problem:
-    """Tail problem rooted at one tree node under ``history`` (tree form)."""
+    """Tail problem rooted at one tree node under ``history``: :func:`conditioned_problem`."""
     if problem.form != TREE:
         raise OracleError("conditioning on a node applies to tree form")
-    n = problem.dim
-    t = problem.depth(node_id)
-    history = history_vector(history, t, n)
-    nodes = [Node(id=0, parent=None)]
-    mapping = {node_id: 1}
-    queue = [node_id]
-    next_id = 1
-    while queue:
-        mid = queue.pop(0)
-        node = problem.node(mid)
-        reduced = _conditioned_payload(node.payload, problem.x0, history)
-        nodes.append(Node(id=mapping[mid],
-                          parent=0 if mid == node_id else mapping[node.parent],
-                          prob=1.0 if mid == node_id else node.prob,
-                          payload=reduced, risk=node.risk))
-        for kid in problem.children(mid):
-            next_id += 1
-            mapping[kid] = next_id
-            queue.append(kid)
-    return Problem(horizon=problem.horizon - t + 1, dim=n, x0=np.zeros(n),
-                   form=TREE, nodes=nodes,
-                   lower_value_bound=problem.lower_value_bound[t - 1:])
+    return conditioned_problem(problem, node_id, history)
 
 
 def true_recourse_value(problem: Problem, where, history):

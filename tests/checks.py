@@ -282,6 +282,8 @@ def validate_problem_by_loop(p) -> list[str]:
             continue
         if s >= horizon:
             out.append(f"{where}: children beyond the horizon, expected {horizon} stages")
+        if any(topo.payload(w) is None for w in topo.children(key)):
+            continue  # reported as a missing payload; a lattice keeps its probability there
         probs = topo.probs(key)
         if not (probs > 0.0).all():
             out.append(f"{where}: probabilities must be strictly positive")

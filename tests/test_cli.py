@@ -214,6 +214,18 @@ def test_non_finite_problem_data_is_invalid_input(tmp_path, capsys, command, ent
     assert "invalid problem" in err and message in err
 
 
+def test_column_written_equality_block_is_invalid_input(tmp_path, capsys):
+    # a 1 x 2 block written 2 x 1 is reported, not reshaped into a row
+    path = tmp_path / "column.json"
+    io.save_problem(random_lattice_instance(np.random.default_rng(5), 3, 2, 2), path)
+    doc = json.loads(path.read_text())
+    blocks = doc["stages"][1]["realizations"][0]["A"]
+    blocks[1] = [[v] for v in blocks[1][0]]
+    path.write_text(json.dumps(doc))
+    assert _run(["validate", path]) == cli.EXIT_FAILURE
+    assert "equality block 1 has shape (2, 1), expected (1, 2)" in capsys.readouterr().err
+
+
 def test_oracle_methods(newsvendor_file, tmp_path, capsys):
     assert _run(["oracle", newsvendor_file, "--method", "extensive-form"]) == cli.EXIT_OK
     assert float(capsys.readouterr().out) == pytest.approx(1.5, abs=1e-8)

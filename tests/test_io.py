@@ -111,7 +111,7 @@ def test_loaded_payload_arrays_are_the_file_numbers(drop):
             if "A" in raw:
                 assert len(pay.a_blocks) == len(raw["A"]) == t + 1
                 for blk, want in zip(pay.a_blocks, raw["A"]):
-                    assert _same_array(blk, np.asarray(want).reshape(-1, n))
+                    assert _same_array(blk, np.asarray(want))
                 assert _same_array(pay.b, np.asarray(raw["b"]))
             else:
                 assert [blk.shape for blk in pay.a_blocks] == [(0, n)] * (t + 1)
@@ -216,6 +216,42 @@ def test_load_rejects_non_number_array_entries(feasibility, damage):
     damage(doc)
     with pytest.raises(io.IoError, match="is not a number"):
         io.problem_from_dict(doc)
+
+
+def _payload_from_lists(raw, n):
+    """The payload that the constructor builds from one document payload's own lists."""
+    pieces = raw["cost_pieces"]
+    return model.Realization(
+        prob=raw["prob"], cost=model.PwlConvexCost([pc["c"] for pc in pieces],
+                                                   [pc["d"] for pc in pieces], dim=n),
+        a_blocks=raw.get("A", []), b=raw.get("b", []), g=raw.get("G", []),
+        h=raw.get("h", []), lb=raw["lb"], ub=raw["ub"])
+
+
+@pytest.mark.parametrize("written", ["column", "empty"])
+def test_loaded_equality_blocks_get_the_constructors_verdict(tmp_path, written):
+    # an A block loads as written, as the constructor reads the same lists: a
+    # block written as a column is reported, not re-read as a row, and blocks
+    # written as [] are equality systems with no rows
+    doc = io.problem_to_dict(random_lattice_instance(np.random.default_rng(5), 3, 2, 2))
+    raw = _stage2(doc)
+    if written == "column":
+        raw["A"][1] = [[v] for v in raw["A"][1][0]]
+    else:
+        raw["A"], raw["b"] = [[] for _ in raw["A"]], []
+    verdict = _payload_from_lists(raw, 2).violations(2, 2, "stage 2 realization 0")
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    if written == "column":
+        assert verdict == ["stage 2 realization 0: equality block 1 has shape (2, 1), "
+                           "expected (1, 2)"]
+        with pytest.raises(io.IoError) as err:
+            io.load_problem(path)
+        assert str(err.value) == "invalid problem: " + verdict[0]
+    else:
+        assert verdict == []
+        pay = io.load_problem(path).stages[1].realizations[0]
+        assert [blk.shape for blk in pay.a_blocks] == [(0, 2)] * 3
 
 
 def test_load_rejects_invalid_problems():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from checks import evaluate_cost_and_history_subgradient, nodes_at_depth, validate_problem_by_loop
+from conftest import (lattice_to_tree, make_newsvendor, make_newsvendor_tree,
+                      random_lattice_instance)
 from riskdp import model
 from riskdp.risk import RiskSpec
 
@@ -277,11 +279,13 @@ BAD_CVAR = RiskSpec(kind="cvar", epsilon=1.5)
     (lambda: _tiny_tree((4, 5, 1.0, 2), (5, 4, 1.0, 2)), ["not a connected acyclic tree"]),
     (lambda: _tree((0, None, 1.0, None), (1, 0, 1.0, 1), (2, 1, 1.0, None)),
      ["node 2: missing payload"]),
+    (lambda: _lattice(_stage(1), model.Stage([None])),
+     ["stage 2 realization 0: missing payload"]),
     (lambda: _tiny_tree((4, 2, 1.0, 3), horizon=3), ["node 3: leaf at"]),
 ], ids=["lattice-too-few-stages", "lattice-too-many-stages", "lattice-empty-stage",
         "lattice-empty-stage-1", "lattice-non-positive-prob", "tree-non-positive-prob",
         "lattice-risk-set", "tree-risk-set", "duplicate-ids", "no-root", "disconnected",
-        "cyclic", "missing-payload", "leaf-before-horizon"])
+        "cyclic", "missing-payload", "lattice-missing-payload", "leaf-before-horizon"])
 def test_validate_rejects_each_defect_on_both_forms(make, parts):
     violations = model.validate_problem(make())
     assert any(all(part in v for part in parts) for v in violations), violations
@@ -347,10 +351,15 @@ def _plant(draw, p, defect):
         node = draw(st.sampled_from([node for node in p.nodes if node.payload is not None]))
         pay = node.payload
     else:
-        pay = draw(st.sampled_from([r for stage in p.stages for r in stage.realizations]))
+        stage, j = draw(st.sampled_from([(stage, j) for stage in p.stages
+                                         for j in range(len(stage.realizations))]))
+        pay = stage.realizations[j]
     n = p.dim
     if defect == "missing":
-        node.payload = None
+        if tree:
+            node.payload = None
+        else:
+            stage.realizations[j] = None
     elif defect == "prob":
         pay.prob = draw(st.sampled_from([0.0, -0.25, np.nan]))
         if tree:
@@ -393,8 +402,7 @@ def _plant(draw, p, defect):
 def test_one_pass_validation_matches_the_per_payload_loop(data):
     tree = data.draw(st.booleans())
     p = _random_problem(data.draw(st.integers(0, 10_000)), tree)
-    # a lattice holds realizations, not optional payloads: none can be missing
-    defect = data.draw(st.sampled_from([d for d in DEFECTS if tree or d != "missing"]))
+    defect = data.draw(st.sampled_from(DEFECTS))
     if defect != "none":
         _plant(data.draw, p, defect)
     want = validate_problem_by_loop(p)
@@ -407,3 +415,44 @@ def test_z_lower_indexing():
     assert prob.z_lower(1) == -5.0   # bound on the stage-2 recourse
     assert prob.z_lower(2) == -2.0
     assert prob.z_lower(3) == 0.0    # beyond the horizon
+
+
+# ---------------------------------------------------------------------------
+# the topology's scenario-tree walk and risk specs
+# ---------------------------------------------------------------------------
+
+def test_scenario_walk_of_a_lattice_is_the_order_of_its_tree():
+    # breadth first, children in rank order: the walk meets a lattice's paths
+    # in the order lattice_to_tree numbers its nodes, and walks that tree alike
+    lattice = random_lattice_instance(np.random.default_rng(3), 4, 3, 2)
+    tree = lattice_to_tree(lattice)
+    paths, nodes = lattice.topology.scenarios(), tree.topology.scenarios()
+    assert len(paths) == len(nodes) == len(tree.nodes) - 1 == 1 + 3 + 9 + 27
+    for i, (path, node) in enumerate(zip(paths, nodes), start=1):
+        assert (path.key, path.parent, path.depth) == (node.key, node.parent, node.depth)
+        assert node.where == i and tree.depth(i) == node.depth == path.where[0]
+        assert tree.node(i).payload is lattice.topology.payload(path.where)
+        assert path.key[-1] == path.where[1] and len(path.key) == path.depth
+
+
+def test_scenario_walk_starts_at_any_position():
+    lattice = random_lattice_instance(np.random.default_rng(3), 3, 2, 1)
+    below = lattice.topology.scenarios((2, 1))
+    assert [(s.key, s.parent, s.where) for s in below] == [
+        ((0,), (), (2, 1)), ((0, 0), (0,), (3, 0)), ((0, 1), (0,), (3, 1))]
+    tree = lattice_to_tree(lattice)
+    assert [s.where for s in tree.topology.scenarios(3)] == [3, 6, 7]
+
+
+@pytest.mark.parametrize("make", [make_newsvendor, make_newsvendor_tree],
+                         ids=["lattice", "tree"])
+def test_every_key_has_a_risk_spec(make):
+    # a terminal key's spec is the default expectation on both forms, as
+    # lattice_to_tree gives its leaves; an inner key's is its stage's or node's
+    spec = RiskSpec(kind="cvar", epsilon=0.5)
+    topo = make(spec).topology
+    inner = [key for key in topo.keys if not topo.terminal(key)]
+    terminal = [key for key in topo.keys if topo.terminal(key)]
+    assert len(inner) == 1 and len(terminal) == (1 if topo.root == 1 else 2)
+    assert topo.risk(inner[0]) is spec
+    assert all(topo.risk(key) == RiskSpec() for key in terminal)

@@ -16,7 +16,7 @@ from conftest import (lattice_to_tree, make_cvar_without_complete_recourse,
 from riskdp import engine, io, lp, model, oracle
 from riskdp.cli import _history_box
 from riskdp.cuts import CUT_ROW_TOL
-from riskdp.risk import RiskSpec
+from riskdp.risk import RiskSpec, risk_value_and_density
 
 
 def _payload(t, n, *, prob=1.0, pieces=None, a=None, b=None, g=None, h=None,
@@ -285,6 +285,48 @@ def test_tree_conditioning_aggregates_children():
     assert leaf == 0.0
 
 
+def _same_node(a, b):
+    pa, pb = a.payload, b.payload
+    return ((a.id, a.parent, a.prob, a.risk) == (b.id, b.parent, b.prob, b.risk)
+            and all(np.array_equal(x, y) for x, y in zip(
+                [*pa.a_blocks, pa.b, pa.g, pa.h, pa.cost.pieces_c, pa.cost.pieces_d],
+                [*pb.a_blocks, pb.b, pb.g, pb.h, pb.cost.pieces_c, pb.cost.pieces_d])))
+
+
+def test_lattice_tails_are_the_trees_of_their_recourse():
+    # a lattice position's tail is its scenario tree: a valid tree problem,
+    # node for node the tail of the position's node in lattice_to_tree's
+    # twin, and the extensive forms of a pool's children's tails, aggregated
+    # with the pool's risk, are its exact recourse
+    rng = np.random.default_rng(41)
+    lattice = random_lattice_instance(rng, 4, 2, 2,
+                                      risk=RiskSpec(kind="mixture", lam=0.5, epsilon=0.4))
+    twin = lattice_to_tree(lattice)
+    topo = lattice.topology
+    for key in (2, 3, 4):
+        lo, hi = _history_box(lattice, key)
+        x = rng.uniform(lo, hi)
+        values = []
+        for kid in topo.children(key):
+            tail = oracle.conditioned_problem(lattice, kid, x)
+            assert tail.form == model.TREE and model.validate_problem(tail) == []
+            # the root, then 2^d nodes at each depth d of a binary tail
+            assert len(tail.nodes) == 1 + sum(2 ** d for d in range(5 - key))
+            values.append(oracle.extensive_form_value(tail))
+            if key == 2:
+                twin_tail = oracle.conditioned_subtree(twin, 2 + kid[1], x)
+                assert len(tail.nodes) == len(twin_tail.nodes)
+                assert all(_same_node(a, b) for a, b in zip(tail.nodes[1:], twin_tail.nodes[1:]))
+        want = risk_value_and_density(topo.risk(key), topo.probs(key), np.array(values))[0]
+        assert _rel_gap(oracle.true_recourse_value(lattice, key, x), want) <= 1e-9, key
+
+
+def test_conditioning_on_a_node_applies_to_trees_only():
+    lattice = random_lattice_instance(np.random.default_rng(41), 3, 2, 1)
+    with pytest.raises(oracle.OracleError, match="tree form"):
+        oracle.conditioned_subtree(lattice, (2, 0), np.zeros(1))
+
+
 def test_nested_decomposition_on_tree_matches_lattice():
     lattice = _newsvendor(RiskSpec(kind="cvar", epsilon=0.5))
     res_l = oracle.exact_nested_decomposition(lattice)
@@ -410,8 +452,7 @@ def test_reused_stage_solves_equal_fresh_cold_solves(form, monkeypatch):
     # without the memo each sweep solves every scenario-tree node forward,
     # its children again backward (all nodes but the stage-1 one) and the
     # stage-1 node once more for the value
-    records = oracle._scenario_records(problem)
-    every = 2 * len(records) * res.sweeps
+    every = 2 * len(problem.topology.scenarios()) * res.sweeps
     assert res.lps + res.lps_reused == len(answered) == every
     assert res.lps == len(solved) < every
     assert res.lps_reused > 0

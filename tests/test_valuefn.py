@@ -189,8 +189,8 @@ def test_pi_matches_the_block_formula(monkeypatch, case):
     seen = Counter()
     last = {}
 
-    def checked_solve(p, where, history, pools, z_lo=None, stage_lp=None):
-        ns = solve_node(p, where, history, pools, z_lo, stage_lp)
+    def checked_solve(p, where, history, pools, stage_lp=None):
+        ns = solve_node(p, where, history, pools, stage_lp)
         parts = subgradient_terms(p, where, ns.duals, pools.rows_for(where).view(n))
         assert _agrees(ns.pi, parts.cost_term + parts.eq_term + parts.g_term + parts.cut_term)
         seen["pieces"] += topo.payload(where).cost.n_pieces - 1
