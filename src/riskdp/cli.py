@@ -222,12 +222,14 @@ def _cmd_check_cuts(args) -> int:
             raise IoError(f"{args.cuts}: pool {rec.where} cuts need {topo.arg_dim(rec.where)} "
                           f"coefficients, a row has {rec.beta.shape[0]}")
         by_where.setdefault(rec.where, []).append(rec)
-    n_violations = 0
+    points = {}
     for where in sorted(by_where):
         lo, hi = _history_box(problem, where)
-        points = rng.uniform(lo, hi, size=(args.points, lo.shape[0]))
-        trues = oracle.true_recourse_value(problem, where, points)
-        for line in _pool_violations(where, by_where[where], points, trues, args.tol):
+        points[where] = rng.uniform(lo, hi, size=(args.points, lo.shape[0]))
+    trues = oracle.true_recourse_values(problem, points)
+    n_violations = 0
+    for where, xs in points.items():
+        for line in _pool_violations(where, by_where[where], xs, trues[where], args.tol):
             n_violations += 1
             print(line, file=sys.stderr)
     print(f"checked {len(records)} cuts at {args.points} points per pool: "

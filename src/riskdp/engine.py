@@ -449,16 +449,17 @@ class StageLp:
     """One position's stage LP and its right-hand side map, kept for the run.
 
     The first solve builds the LP and its map with :func:`build_stage_lp`
-    and offers :func:`riskdp.lp.solve` one start: the basis ``starts`` holds
-    for the same stage and shape (equality and inequality row counts) when
-    there is one, else the LP's :func:`epigraph_basis`.  The solve from a
-    start runs in place, phase 2 from a primal feasible start and dual
-    simplex pivots first from a dual feasible one, and the
-    :class:`riskdp.lp.PersistentLp` it ran in (``LpSolution.held``) is held.
-    When the start is not a basis of this LP (singular, or a state naming
-    an infinite bound) or the re-solve declines, or there is no start (the
-    equality rows are dependent), the solve is the cold two-phase one, and
-    its final basis is held instead.  Each later solve inserts the pool's
+    and offers :func:`riskdp.lp.solve` its starts in order: the basis
+    ``starts`` holds for the same stage and shape (equality and inequality
+    row counts) when there is one, then the LP's :func:`epigraph_basis`,
+    computed only when no earlier start served.  The solve from a start runs
+    in place, phase 2 from a primal feasible start and dual simplex pivots
+    first from a dual feasible one, and the :class:`riskdp.lp.PersistentLp`
+    it ran in (``LpSolution.held``) is held.  When no start is a basis of
+    this LP (singular, or a state naming an infinite bound) whose re-solve
+    does not decline, or there is none (the equality rows are dependent),
+    the solve is the cold two-phase one, and its final basis is held
+    instead.  Each later solve inserts the pool's
     new cut rows, with their map rows, in the layout of
     :func:`build_stage_lp` (new optimality rows after the held ones, before
     the feasibility rows; new feasibility rows at the end), sets the
@@ -487,6 +488,11 @@ class StageLp:
         self.hist = np.insert(self.hist, at, beta1, axis=0)
         self.lp.append_rows(rows, b0 - beta1 @ history, at - self.lp.n_eq)
 
+    def _first_starts(self, shape: tuple, sub: SubproblemData, view):
+        """A first solve's starts: the basis held for its ``shape``, then its epigraph basis."""
+        yield self.starts.get(shape)
+        yield epigraph_basis(sub, view)
+
     def solve(self, problem: Problem, where, history: np.ndarray, view,
               z_lo: float) -> lp.LpSolution:
         held, sol = self.lp, None
@@ -508,12 +514,11 @@ class StageLp:
             sub = assemble_subproblem(problem, where)
             prob, self.b0, self.hist = build_stage_lp(sub, view, z_lo, history)
             self.n_opt, self.n_feas = view.n_opt, view.n_feas
-            start = None
+            starts = ()
             if held is None:
-                start = self.starts.get((stage, prob.a_eq.shape[0], prob.a_ub.shape[0]))
-                if start is None:
-                    start = epigraph_basis(sub, view)
-            sol = lp.solve(prob, start)
+                starts = self._first_starts((stage, prob.a_eq.shape[0], prob.a_ub.shape[0]),
+                                            sub, view)
+            sol = lp.solve(prob, starts)
             self.lp = sol.held
             if sol.held is None and sol.basis is not None:
                 self.lp = lp.PersistentLp(prob, sol.basis)

@@ -713,16 +713,18 @@ class PersistentLp(_Simplex):
             self._apply_pivot(j, direction, step, r, AT_UPPER if sigma > 0.0 else AT_LOWER, w)
 
 
-def solve(prob: LpProblem, start: np.ndarray | None = None) -> LpSolution:
+def solve(prob: LpProblem, starts=()) -> LpSolution:
     """Solve an :class:`LpProblem` with Dantzig pricing (Bland fallback on stall).
 
-    Without ``start`` the solve is the cold two-phase simplex.  ``start`` is
-    a basis of ``prob``, one column state per structural and slack column
-    (as in ``LpSolution.basis``): the LP is held in a :class:`PersistentLp`
-    at that basis and re-solved in place, phase 2 from a primal feasible
-    start and dual simplex pivots first from a dual feasible one.  The
-    solution then carries that LP as ``held``.  When the start is not a
-    basis of ``prob`` (:class:`SimplexError`) or the re-solve declines, the
+    Without ``starts`` the solve is the cold two-phase simplex.  ``starts``
+    is an iterable of bases of ``prob``, each one column state per
+    structural and slack column (as in ``LpSolution.basis``), tried in order
+    and only as far as needed; a None entry is skipped.  The LP is held in a
+    :class:`PersistentLp` at a start and re-solved in place, phase 2 from a
+    primal feasible start and dual simplex pivots first from a dual feasible
+    one; the first start whose re-solve does not decline gives the solution,
+    which then carries that LP as ``held``.  When no start is a basis of
+    ``prob`` (:class:`SimplexError`) whose re-solve does not decline, the
     solve is the cold one, as without a start.
 
     Returns
@@ -732,12 +734,14 @@ def solve(prob: LpProblem, start: np.ndarray | None = None) -> LpSolution:
         Identical inputs produce identical outputs (all tie-breaking is by
         first index).
     """
-    if start is not None:
+    for start in starts:
+        if start is None:
+            continue
         try:
             held = PersistentLp(prob, start)
             sol = held.resolve()
         except SimplexError:
-            sol = None
+            continue
         if sol is not None:
             sol.held = held
             return sol

@@ -16,12 +16,15 @@ Two routes compute ground truth:
   to any pool.  It runs the sampled drivers' own stage-solve memo and cut
   step, with every miss solved cold.
 
-:func:`true_recourse_value` evaluates the exact risk-adjusted recourse
-function of a pool at a stack of histories: the children's tails, stacked
-under the pool's risk rows with the history as a parameter, make one HiGHS
-model, built and passed once and re-solved per history from its last basis
-with only the moved right-hand sides changed; infeasible histories report
-``+inf``.  This model and the extensive form reach HiGHS the same way
+:func:`true_recourse_values` evaluates the exact risk-adjusted recourse
+functions of several pools, each at a stack of histories: each pool's
+children's tails, stacked under its risk rows with its history as its own
+slice of one parameter, lie side by side in one HiGHS model, built and
+passed once and re-solved per point from its last basis with only the
+moved right-hand sides changed; infeasible histories report ``+inf``, and
+a point where the joint model is infeasible is solved again pool by pool.
+:func:`true_recourse_value` is its one-pool case, the model of one pool.
+These models and the extensive form reach HiGHS the same way
 (:class:`_NestedRiskLp`): the matrix row-wise, the nonzeros of each block
 of rows as it is added, solved by the dual simplex with presolve off
 (:meth:`_NestedRiskLp.minimize` says why).  :func:`conditioned_problem`
@@ -101,18 +104,21 @@ class _NestedRiskLp:
     Columns are appended with :meth:`columns`, inequality (``<=``) and
     equality rows as dense blocks over chosen columns with :meth:`rows`,
     which keeps only each block's nonzeros, row by row, for the row-wise
-    matrix of :meth:`_model`.  A row's right-hand side is ``rhs - hist @ h``,
-    affine in the history ``h``; the matrix, bounds and cost do not depend
-    on it, so :meth:`minimize` passes one HiGHS model and re-solves it per
-    history.
+    matrix of :meth:`_model`.  A row's right-hand side is ``rhs - hist @
+    h[first:]``, affine in the history ``h``; the matrix, bounds and cost do
+    not depend on it, so :meth:`minimize` passes one HiGHS model and
+    re-solves it per history.  The parameter grows with each pool's
+    :meth:`recourse`, which reads a slice of its own, so the recourse LPs of
+    several pools lie side by side in one model.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, k: int = 0):
         self.k = k
         self.ncols = 0
         self.bounds: list = []  # (first column, end column, lower, upper)
         # is-equality -> blocks: (nonzeros per row, their columns and values
-        # row by row, right-hand side, history coefficients or None)
+        # row by row, right-hand side, history coefficients or None, and the
+        # parameter entry they start at)
         self.blocks: dict[bool, list] = {False: [], True: []}
 
     def columns(self, k: int, lower=None, upper=None) -> np.ndarray:
@@ -122,19 +128,21 @@ class _NestedRiskLp:
         self.ncols += k
         return np.arange(self.ncols - k, self.ncols)
 
-    def rows(self, cols, block, rhs, eq: bool = False, hist=None) -> None:
-        """Add ``block @ x[cols] <= rhs - hist @ h`` (``==`` with ``eq``); ``cols`` has no repeats.
+    def rows(self, cols, block, rhs, eq: bool = False, hist=None, first: int = 0) -> None:
+        """Add ``block @ x[cols] <= rhs - hist @ h[first:]`` (``==`` with ``eq``).
 
-        ``hist`` defaults to zero: a right-hand side that ignores the history.
-        The block's zeros are dropped; its nonzeros are kept row by row.
+        ``cols`` has no repeats.  ``hist`` defaults to zero: a right-hand side
+        that ignores the history; otherwise it reads the ``hist.shape[1]``
+        parameter entries from ``first`` on.  The block's zeros are dropped;
+        its nonzeros are kept row by row.
         """
         block = np.atleast_2d(block)
         r, c = block.nonzero()
         self.blocks[eq].append((np.bincount(r, minlength=block.shape[0]), cols[c], block[r, c],
-                                np.atleast_1d(rhs), hist))
+                                np.atleast_1d(rhs), hist, first))
 
-    def _model(self, core, col: int):
-        """The ``HighsLp`` minimising ``x[col]`` at a zero history, its matrix row-wise.
+    def _model(self, core, cols):
+        """The ``HighsLp`` minimising the sum of ``x[cols]`` at a zero history, its matrix row-wise.
 
         Also returns the count of inequality rows (stacked first), and every
         row's right-hand side constant and history coefficients.
@@ -148,9 +156,9 @@ class _NestedRiskLp:
         rhs = np.concatenate([b[3] for b in blocks])
         hist = np.zeros((n_rows, self.k))
         i = 0
-        for per_row, _, _, _, h in blocks:
+        for per_row, _, _, _, h, first in blocks:
             if h is not None:
-                hist[i:i + per_row.shape[0]] = h
+                hist[i:i + per_row.shape[0], first:first + h.shape[1]] = h
             i += per_row.shape[0]
         lower, upper = np.full(self.ncols, -np.inf), np.full(self.ncols, np.inf)
         for first, end, lo, hi in self.bounds:
@@ -161,7 +169,7 @@ class _NestedRiskLp:
         model = core.HighsLp()
         model.num_col_, model.num_row_ = self.ncols, n_rows
         cost = np.zeros(self.ncols)
-        cost[col] = 1.0
+        cost[cols] = 1.0
         model.col_cost_ = cost
         model.col_lower_, model.col_upper_ = lower, upper
         model.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), rhs[n_ub:]])
@@ -175,28 +183,31 @@ class _NestedRiskLp:
         matrix.value_ = np.concatenate([b[2] for b in blocks]).tolist()
         return model, n_ub, rhs, hist
 
-    def minimize(self, col: int, histories: np.ndarray) -> np.ndarray:
-        """Minimum of column ``col`` at each history, a row of ``histories``.
+    def minimize(self, cols, histories: np.ndarray) -> np.ndarray:
+        """Each of the columns ``cols`` at the minimum of their sum, at each history.
 
-        One HiGHS model with its options set once, passed once: each history
-        then changes only the row bounds that moved, and HiGHS re-solves from
-        its last basis.  Presolve is off: only the first solve would run it,
-        since every later one starts from a basis, and on models this small
-        it costs that solve more than it saves.  It is a native option, kept
-        apart from the linprog-compatible :data:`HIGHS_OPTIONS`, since
-        linprog reads ``presolve`` as a boolean and warns at ``"off"``.  An
-        infeasible history gives ``+inf``; any other non-optimal status
-        raises :class:`OracleError`.
+        ``histories`` holds one history per row; the result is a ``(p,
+        len(cols))`` array.  One HiGHS model with its options set once,
+        passed once: each history then changes only the row bounds that
+        moved, and HiGHS re-solves from its last basis.  A column's value is
+        read from the primal solution.  Presolve is off: only the first solve
+        would run it, since every later one starts from a basis, and on
+        models this small it costs that solve more than it saves.  It is a
+        native option, kept apart from the linprog-compatible
+        :data:`HIGHS_OPTIONS`, since linprog reads ``presolve`` as a boolean
+        and warns at ``"off"``.  An infeasible history gives ``+inf`` in
+        every column; any other non-optimal status raises
+        :class:`OracleError`.
         """
         core = _highs_core()
-        model, n_ub, rhs0, hist = self._model(core, col)
+        model, n_ub, rhs0, hist = self._model(core, cols)
         highs = core._Highs()
         for key, value in {**HIGHS_OPTIONS, "output_flag": False, "presolve": "off",
                            "simplex_strategy":
                            core.simplex_constants.SimplexStrategy.kSimplexStrategyDual}.items():
             highs.setOptionValue(key, value)
         highs.passModel(model)
-        values = np.empty(histories.shape[0])
+        values = np.empty((histories.shape[0], len(cols)))
         held = rhs0
         for p, rhs in enumerate(rhs0 - histories @ hist.T):
             for j in np.flatnonzero(rhs != held).tolist():
@@ -205,7 +216,9 @@ class _NestedRiskLp:
             highs.run()
             status = highs.getModelStatus()
             if status == core.HighsModelStatus.kOptimal:
-                values[p] = highs.getObjectiveValue()
+                solution = highs.getSolution().col_value
+                # + 0.0 as in HiGHS's objective sum: a column at -0.0 reads 0.0
+                values[p] = [solution[col] + 0.0 for col in cols]
             elif status == core.HighsModelStatus.kInfeasible:
                 values[p] = math.inf
             else:
@@ -249,7 +262,7 @@ class _NestedRiskLp:
                                   lam * probs / spec.epsilon, [-1.0]]), 0.0)
         return int(r[0])
 
-    def tail(self, problem: Problem, where) -> int:
+    def tail(self, problem: Problem, where, first: int = 0) -> int:
         """Add the nested epigraph below position ``where``, after the history parameter.
 
         Returns the value column of ``where``'s node.  Every scenario node
@@ -258,11 +271,13 @@ class _NestedRiskLp:
         epigraph column folded into ``V_m``), where ``R_m`` (:meth:`risk`) is
         the one-step risk of its children's values under its pool's spec and
         is absent at a leaf.  Its rows are its payload's over the decisions
-        along its path from ``where``, after ``x_0`` and the ``k``-entry
-        history ``x_{1:t-1}``, which stays a parameter: each right-hand side
-        carries the affine parts of :meth:`~riskdp.model.Realization.fold_map`.
+        along its path from ``where``, after ``x_0`` and the history
+        ``x_{1:t-1}`` of ``where``'s stage ``t``, which stays a parameter,
+        read from entry ``first`` on: each right-hand side carries the affine
+        parts of :meth:`~riskdp.model.Realization.fold_map`.
         """
         topo = problem.topology
+        k = (topo.stage(where) - 1) * problem.dim
         nodes = topo.scenarios(where)
         x_cols: dict = {(): np.zeros(0, dtype=int)}
         v_col: dict = {}
@@ -274,10 +289,10 @@ class _NestedRiskLp:
             v_col[node.key] = int(self.columns(1)[0])
             kids.setdefault(node.parent, []).append(v_col[node.key])
         for node in nodes:
-            rows, b_hist, h_hist, d_hist = topo.payload(node.where).fold_map(problem.x0, self.k)
+            rows, b_hist, h_hist, d_hist = topo.payload(node.where).fold_map(problem.x0, k)
             path = x_cols[node.key]
-            self.rows(path, rows.a, rows.b, eq=True, hist=b_hist)
-            self.rows(path, rows.g, rows.h, hist=h_hist)
+            self.rows(path, rows.a, rows.b, eq=True, hist=b_hist, first=first)
+            self.rows(path, rows.g, rows.h, hist=h_hist, first=first)
             n_p = rows.pieces_d.shape[0]
             value = [v_col[node.key]]
             pieces = [rows.pieces_c, -np.ones((n_p, 1))]
@@ -287,8 +302,21 @@ class _NestedRiskLp:
                                        np.array(kids[node.key])))
                 pieces.append(np.ones((n_p, 1)))
             self.rows(np.concatenate([path, value]), np.hstack(pieces), -rows.pieces_d,
-                      hist=d_hist)
+                      hist=d_hist, first=first)
         return v_col[(0,)]
+
+    def recourse(self, problem: Problem, where) -> int:
+        """Add pool ``where``'s recourse over a new slice of the history parameter.
+
+        The nested epigraphs of the key's children's tails (:meth:`tail`),
+        all reading the slice's ``x_{1:s}``, under the key's risk rows over
+        their value columns (:meth:`risk`).  Returns the risk column.
+        """
+        topo = problem.topology
+        first = self.k
+        self.k += topo.arg_dim(where)
+        values = [self.tail(problem, kid, first) for kid in topo.children(where)]
+        return self.risk(topo.risk(where), topo.probs(where), np.array(values))
 
 
 def extensive_form_value(problem: Problem) -> float:
@@ -303,8 +331,8 @@ def extensive_form_value(problem: Problem) -> float:
     the only place the package relies on an external solver.  Its history
     parameter is empty.  Returns ``+inf`` when the instance is infeasible.
     """
-    lp = _NestedRiskLp(0)
-    return float(lp.minimize(lp.tail(problem, problem.topology.first), np.zeros((1, 0)))[0])
+    lp = _NestedRiskLp()
+    return float(lp.minimize([lp.tail(problem, problem.topology.first)], np.zeros((1, 0)))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -428,37 +456,73 @@ def conditioned_subtree(problem: Problem, node_id: int,
     return conditioned_problem(problem, node_id, history)
 
 
-def true_recourse_value(problem: Problem, where, history):
-    """Exact risk-adjusted recourse aggregated at one history, or at each of a stack.
+def _history_stack(problem: Problem, where, history) -> np.ndarray:
+    """``history`` as a ``(p, k)`` stack of pool ``where``'s cut arguments ``x_{1:s}``.
 
-    ``where`` is a pool key (a stage on a lattice, a node id on a tree) and
-    ``history`` is the decisions ``x_{1:s}`` for the stage ``s`` of the
-    subproblems that carry its rows (a cut's argument), or a ``(p, k)``
-    stack of such histories; the result is
-    the key's risk of the tail values of its children, a float for one
-    history and ``p`` values for a stack.  The nested epigraphs of the
-    children's tails, with the history as a parameter
-    (:meth:`_NestedRiskLp.tail`), are stacked with the key's risk rows over
-    their value columns: one HiGHS model per pool, re-solved per history
-    from its last basis (:meth:`_NestedRiskLp.minimize`).  Terminal keys
-    report 0, infeasible histories ``+inf``.
+    A single history is a stack of one.  The width is checked once for the
+    whole stack, with :func:`~riskdp.model.history_vector`'s message.
+    """
+    k = problem.topology.arg_dim(where)
+    stack = np.atleast_2d(np.asarray(history, dtype=float))
+    width = math.prod(stack.shape[1:])
+    if width != k:
+        raise ModelError(f"history must have {k} coordinates at stage "
+                         f"{k // problem.dim + 1}, got {width}")
+    return stack.reshape(stack.shape[0], k)
+
+
+def true_recourse_values(problem: Problem, stacks: dict) -> dict:
+    """Exact risk-adjusted recourse of several pools, each at every history of its stack.
+
+    ``stacks`` maps a pool key (a stage on a lattice, a node id on a tree)
+    to a ``(p, k)`` stack of histories, the decisions ``x_{1:s}`` for the
+    stage ``s`` of the subproblems that carry its rows (a cut's argument),
+    with the same ``p`` for every key.  Returns each key's ``p`` values: its
+    risk of the tail values of its children, ``0`` at a terminal key.  The
+    recourse LPs of all inner keys lie side by side in one HiGHS model
+    (:meth:`_NestedRiskLp.recourse`), each reading its own slice of the
+    history parameter, which minimises the sum of their risk columns and is
+    re-solved from its last basis at each point index
+    (:meth:`_NestedRiskLp.minimize`); the LPs share no column or row, so
+    each risk column sits at its own pool's minimum.  Where that model is
+    infeasible, which needs some pool without relatively complete
+    recourse, each pool is solved again on its own at those points, so a
+    pool reads ``+inf`` exactly where its own LP is infeasible.
     """
     topo = problem.topology
+    stacks = {key: (np.atleast_2d(h) if topo.terminal(key) else _history_stack(problem, key, h))
+              for key, h in stacks.items()}
+    if len({stack.shape[0] for stack in stacks.values()}) > 1:
+        raise OracleError("every pool's stack must hold the same number of histories")
+    inner = [key for key in stacks if not topo.terminal(key)]
+    out = {key: np.zeros(stack.shape[0]) for key, stack in stacks.items()}
+    if not inner:
+        return out
+    lp = _NestedRiskLp()
+    cols = [lp.recourse(problem, key) for key in inner]
+    values = lp.minimize(cols, np.hstack([stacks[key] for key in inner]))
+    infeasible = np.isinf(values[:, 0])
+    if len(inner) > 1 and infeasible.any():
+        for j, key in enumerate(inner):
+            one = _NestedRiskLp()
+            values[infeasible, j] = one.minimize([one.recourse(problem, key)],
+                                                 stacks[key][infeasible])[:, 0]
+    return out | {key: values[:, j] for j, key in enumerate(inner)}
+
+
+def true_recourse_value(problem: Problem, where, history):
+    """Exact risk-adjusted recourse of one pool at one history, or at each of a stack.
+
+    ``where`` is a pool key and ``history`` one cut argument or a ``(p,
+    k)`` stack of them, as in :func:`true_recourse_values`, whose one-pool
+    case this is: the result is a float for one history and ``p`` values
+    for a stack.  The nested epigraphs of the children's tails, with the
+    history as a parameter, are stacked with the key's risk rows over their
+    value columns: one HiGHS model, re-solved per history from its last
+    basis.  Terminal keys report 0, infeasible histories ``+inf``.
+    """
     points = np.asarray(history, dtype=float)
-    if topo.terminal(where):
-        return 0.0 if points.ndim == 1 else np.zeros(points.shape[0])
-    kids = topo.children(where)
-    t, n = topo.stage(kids[0]), problem.dim
-    k = (t - 1) * n
-    stack = np.atleast_2d(points)
-    width = math.prod(stack.shape[1:])
-    if width != k:  # history_vector's check, once for the whole stack
-        raise ModelError(f"history must have {k} coordinates at stage {t}, got {width}")
-    stack = stack.reshape(stack.shape[0], k)
-    lp = _NestedRiskLp(k)
-    values = [lp.tail(problem, kid) for kid in kids]
-    risk = lp.risk(topo.risk(where), topo.probs(where), np.array(values))
-    out = lp.minimize(risk, stack)
+    out = true_recourse_values(problem, {where: points})[where]
     return float(out[0]) if points.ndim == 1 else out
 
 

@@ -9,7 +9,8 @@ more, :func:`nd_true_recourse_value`, recomputes a pool's exact recourse
 child by child with nested decomposition, a route that shares nothing with
 the extensive form it checks.  :func:`check_cuts_by_loop` and
 :func:`pool_violations_by_loop` judge a cut dump the way ``riskdp
-check-cuts`` did before its array check, one cut at one point at a time.
+check-cuts`` did before its joint oracle and its array check: one model
+per pool, one cut at one point at a time.
 :func:`validate_problem_by_loop` validates a problem the way
 ``riskdp.model.validate_problem`` did before its one-pass payload check,
 one payload at a time.  :func:`nodes_at_depth` lists a tree's nodes at one
@@ -196,10 +197,12 @@ def nd_true_recourse_value(problem, where, history) -> float:
 
 def check_cuts_by_loop(problem, records, points: int, seed: int,
                        tol: float) -> tuple[list[str], int]:
-    """``riskdp check-cuts``'s violation lines for a cut dump, by its per-record loop.
+    """``riskdp check-cuts``'s violation lines for a cut dump, pool by pool.
 
-    The same pools in the same order, the same sampled histories and exact
-    recourse values as the command, each pool judged by
+    The same pools in the same order and the same sampled histories as the
+    command; each pool's exact recourse from its own model
+    (:func:`riskdp.oracle.true_recourse_value`), where the command solves
+    every pool in one, and each pool judged by
     :func:`pool_violations_by_loop`.  Returns the violation lines in print
     order and the count of sampled histories whose recourse is ``+inf``.
     """

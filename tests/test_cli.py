@@ -341,9 +341,30 @@ def test_check_cuts_covers_feasibility_rows(tmp_path, capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
-def test_check_cuts_solves_one_lp_per_pool_and_point(solved_run, monkeypatch, capsys):
-    # one HiGHS model per inner pool, re-solved once per point; no linprog, no ND
-    problem_file, cuts_file = solved_run
+@pytest.fixture(params=["lattice", "tree"])
+def multi_pool_run(request, tmp_path):
+    """(problem file, cut dump) of a three-stage solve with several inner pools.
+
+    alg1 on a lattice (two inner pools, one per stage key) and alg3 on its
+    tree twin with CVaR at every node (three inner pools, one per non-leaf
+    node), the shape of perfbench's ``tree-cvar`` workload.
+    """
+    problem = random_lattice_instance(np.random.default_rng(5), 3, 2, 2,
+                                      risk=RiskSpec(kind="cvar", epsilon=0.5))
+    alg = "alg1"
+    if request.param == "tree":
+        problem, alg = lattice_to_tree(problem), "alg3"
+    path = tmp_path / f"{request.param}.json"
+    io.save_problem(problem, path)
+    out = tmp_path / "run"
+    assert _run(["solve", path, "--alg", alg, "--iters", "20", "--out", out]) == cli.EXIT_OK
+    return path, out / "cuts.csv"
+
+
+def test_check_cuts_solves_one_lp_per_pool_and_point(multi_pool_run, monkeypatch, capsys):
+    # every inner pool of the dump in one HiGHS model, passed once and
+    # re-solved once per point; no linprog, no ND, no other model
+    problem_file, cuts_file = multi_pool_run
     calls = Counter()
 
     def counting(name, fn):
@@ -353,6 +374,10 @@ def test_check_cuts_solves_one_lp_per_pool_and_point(solved_run, monkeypatch, ca
         return wrapper
 
     class CountingHighs(highs_core._Highs):
+        def __init__(self):
+            calls["highs"] += 1
+            super().__init__()
+
         def passModel(self, *args):
             calls["models"] += 1
             return super().passModel(*args)
@@ -371,7 +396,7 @@ def test_check_cuts_solves_one_lp_per_pool_and_point(solved_run, monkeypatch, ca
     topo = io.load_problem(problem_file).topology
     pools = {rec.where for rec in io.read_cuts_csv(cuts_file)}
     inner = [key for key in pools if not topo.terminal(key)]
-    assert inner and calls == Counter(models=len(inner), runs=7 * len(inner))
+    assert len(inner) >= 2 and calls == Counter(highs=1, models=1, runs=7)
 
 
 def test_check_cuts_audits_a_tail_without_complete_recourse(tmp_path, capsys):
@@ -416,9 +441,10 @@ def _plant_violations(path):
 def test_array_cut_check_agrees_with_the_loop(tmp_path, capsys, case):
     # alg2 dumps with feasibility rows, as written and with a violation of
     # each kind planted; both instances lack complete recourse, so some
-    # sampled histories have +inf recourse.  The tree twin takes the
-    # lattice's dump with each stage-t pool's rows moved to the depth t - 1
-    # node
+    # sampled histories have +inf recourse, where the command's one model of
+    # every pool is infeasible and each pool is solved alone, as the loop
+    # solves it everywhere.  The tree twin takes the lattice's dump with
+    # each stage-t pool's rows moved to the depth t - 1 node
     lattice = make_chain_instance() if case == "chain" else make_cvar_without_complete_recourse()
     lattice_file = tmp_path / "lattice.json"
     io.save_problem(lattice, lattice_file)

@@ -479,11 +479,12 @@ def _cvar_tree(seed=12):
 
 @pytest.mark.parametrize("case", ["alg1-lattice", "alg3-tree", "alg2-feasibility-rows"])
 def test_warm_solves_match_cold_solves(monkeypatch, case):
-    # a run whose every first solve starts from a basis solves no LP with
-    # the two-phase simplex; the tree and alg2 cases reach it in one run
-    # without the epigraph basis
+    # a first solve whose same-shape start fails falls back to the epigraph
+    # basis, so a run with it solves no LP with the two-phase simplex; each
+    # case reaches the two-phase solve in one run without the epigraph basis
     if case == "alg1-lattice":
-        runs = [(_mixture_lattice(), _cfg(max_iters=12, stall_window=13), True)]
+        runs = [(_mixture_lattice(), _cfg(max_iters=12, stall_window=13), epigraph)
+                for epigraph in (True, False)]
     elif case == "alg3-tree":
         runs = [(_cvar_tree(), _cfg(algorithm="alg3", max_iters=12, stall_window=13), epigraph)
                 for epigraph in (True, False)]
@@ -596,8 +597,9 @@ def test_lp_counts_are_reported(caplog):
     diag = res.diagnostics
     for name in ("lps", "lps_warm", "lps_dual", "lps_reused", "pivots"):
         assert diag[name] == sum(getattr(r, name) for r in res.reports)
-    # stage 1 has one position, so its first solve has no start basis and is cold
-    assert 0 < diag["lps_warm"] < diag["lps"]
+    # every first solve starts from a basis: its shape's, else or after that
+    # one fails the epigraph basis, so every LP solved runs warm
+    assert 0 < diag["lps_warm"] == diag["lps"]
     assert diag["lps_reused"] > 0
     # T=3, M=3, backward timing: every iteration solves the two sampled
     # positions forward, the three children of stages 3 and 2 backward and
@@ -741,16 +743,17 @@ def test_probe_resolve_leaves_the_basis_cache_alone(monkeypatch):
     cold = []
     resolved = []
 
-    def recording(prob, start=None):
-        cold.append(start)
-        return solve(prob, start)
+    def recording(prob, starts=()):
+        starts = list(starts)
+        cold.append(starts)
+        return solve(prob, starts)
 
     def probe(info):
         before = {w: _stage_lp_state(s) for w, s in driver.stage_lps.items()}
         assert info["realization"] in before
         cold.clear()
         info["resolve"](info["history"] + 0.1)
-        assert cold == [None]  # the probe's re-solve is one cold solve, with no start
+        assert cold == [[]]  # the probe's re-solve is one cold solve, with no start
         assert {w: _stage_lp_state(s) for w, s in driver.stage_lps.items()} == before
         resolved.append(info["realization"])
 
@@ -825,7 +828,7 @@ def test_a_first_solve_with_no_offered_basis_starts_from_the_epigraph_basis(monk
 L, U, B = lp.AT_LOWER, lp.AT_UPPER, lp.BASIC
 
 
-@pytest.mark.parametrize("start,why", [
+_UNUSABLE_STARTS = [
     # w and the slacks basic: no basic column touches the equality row
     ([L, L, B, L, B, B, B, B], "singular"),
     # x1 at its upper bound, x2, w, z and two slacks basic: neither primal
@@ -833,8 +836,14 @@ L, U, B = lp.AT_LOWER, lp.AT_UPPER, lp.BASIC
     ([U, B, B, B, B, L, B, L], "declined"),
     # the optimal basis with a nonbasic slack at its upper bound, +inf
     ([B, B, B, B, L, U, L, B], "inadmissible"),
-])
-def test_a_first_solve_from_an_unusable_start_is_the_cold_solve(start, why):
+]
+
+
+@pytest.mark.parametrize("start,why", _UNUSABLE_STARTS)
+def test_a_first_solve_from_an_unusable_start_is_the_cold_solve(start, why, monkeypatch):
+    # with no epigraph basis to try next (as when the equality rows are
+    # dependent), an unusable same-shape start leaves the cold solve
+    monkeypatch.setattr(engine, "epigraph_basis", lambda sub, view: None)
     case = _first_solve_case()
     prob, cold = case[5], case[4]
     assert cold.duals.basis.tolist() == [B, B, B, B, L, L, L, B]
@@ -853,6 +862,33 @@ def test_a_first_solve_from_an_unusable_start_is_the_cold_solve(start, why):
     # the cold solve's basis is held, and replaces the unusable start
     assert stage_lp.lp.status_col.tolist() == cold.duals.basis.tolist()
     assert stage_lp.starts[2, 1, 4] is ns.duals.basis
+
+
+@pytest.mark.parametrize("start", [start for start, _ in _UNUSABLE_STARTS])
+def test_a_declined_start_is_followed_by_the_epigraph_start(start, monkeypatch):
+    # the epigraph basis is computed only once the same-shape start fails,
+    # and the solve from it runs warm: the two-phase simplex never runs
+    case = _first_solve_case()
+    problem, where, history, pools, cold, _prob = case
+    epigraph_basis, offered = engine.epigraph_basis, []
+
+    def recording(sub, view):
+        offered.append(epigraph_basis(sub, view))
+        return offered[-1]
+
+    def no_two_phase(self):
+        raise AssertionError("the two-phase simplex ran")
+
+    monkeypatch.setattr(engine, "epigraph_basis", recording)
+    monkeypatch.setattr(lp._Simplex, "run", no_two_phase)
+    ns, stage_lp = _first_solve_from(case, start)
+    assert len(offered) == 1 and offered[0] is not None
+    assert ns.duals.warm_start and ns.duals.held is stage_lp.lp
+    assert abs(ns.value - cold.value) <= 1e-9 * max(1.0, abs(cold.value))
+    assert stage_lp.starts[2, 1, 4] is ns.duals.basis
+    # a usable same-shape start is taken without computing the epigraph basis
+    _first_solve_from(case, cold.duals.basis)
+    assert len(offered) == 1
 
 
 @st.composite
@@ -913,7 +949,7 @@ def test_epigraph_basis_is_a_dual_feasible_start_of_the_cold_solve(case):
     cost = np.zeros(held.ncols)
     cost[:held.n_struct] = prob.c
     assert not held._dual_infeasibility(held._reduced_costs(cost))[0].any()
-    started, cold = lp.solve(prob, basis), lp.solve(prob)
+    started, cold = lp.solve(prob, [basis]), lp.solve(prob)
     assert started.status == cold.status
     if cold.status == lp.OPTIMAL:
         assert started.warm_start and started.held is not None

@@ -469,6 +469,21 @@ def test_noise_entry_is_not_a_ratio_test_pivot(prob, status, objective):
         assert ref.fun == pytest.approx(objective, abs=1e-9)
 
 
+@pytest.mark.xfail(strict=True, raises=lp.SimplexError,
+                   reason="open fault: phase 2 pivots on a 1.7e-10 entry of rounding residue "
+                          "and lands on a singular basis")
+def test_phase_two_pivot_on_rounding_residue_keeps_the_basis_regular():
+    # HiGHS calls this LP unbounded.  The last phase-2 pivot enters column 2
+    # on a tableau entry just above PIVOT_TOL, with a step of 6e12, and the
+    # final refactor finds the basis singular.  A mend shows as a strict XPASS
+    inf = np.inf
+    prob = lp.LpProblem(c=[-2e-3, -2e3, 0.0], a_eq=[[2e-2, 0.0, 0.0], [2.0, -2e6, -2e6]],
+                        b_eq=[0.0, 4000.0], a_ub=[[-2e-4, -2e2, 1e2], [-1e-2, 0.0, 0.0]],
+                        b_ub=[0.5, 0.0], lower=[-2000.0, -inf, -inf], upper=[1000.0, inf, 0.0])
+    assert _HIGHS_STATUS[_highs(prob).status] == lp.UNBOUNDED
+    assert lp.solve(prob).status == lp.UNBOUNDED
+
+
 # ---------------------------------------------------------------------------
 # persistent LPs against the cold path
 # ---------------------------------------------------------------------------
@@ -736,7 +751,7 @@ def test_optimal_basis_of_another_lp_of_the_same_shape_starts_a_solve():
     sol = lp.PersistentLp(_two_rows(2.1), start).resolve()
     assert sol.warm_start and sol.pivots == 0 and not sol.dual_start
     _assert_matches_cold(sol, _two_rows(2.1))
-    started = lp.solve(_two_rows(2.1), start)
+    started = lp.solve(_two_rows(2.1), [start])
     assert started.warm_start and started.pivots == 0 and started.objective == sol.objective
     assert started.held.status_col.tolist() == started.basis.tolist()
     assert lp.solve(_two_rows(2.1)).held is None  # a cold solve holds nothing
@@ -754,7 +769,7 @@ def test_solve_from_an_unusable_start_is_the_cold_solve(start):
     # re-solve declines
     prob = lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [-2.0, -1.0]], b_ub=[20.0, -1.0],
                         lower=[0.0, 0.0], upper=[5.0, 5.0])
-    started, cold = lp.solve(prob, np.array(start, dtype=np.int8)), lp.solve(prob)
+    started, cold = lp.solve(prob, [np.array(start, dtype=np.int8)]), lp.solve(prob)
     assert not started.warm_start and started.held is None
     assert started.pivots == cold.pivots and started.objective == cold.objective
     assert started.x.tobytes() == cold.x.tobytes()

@@ -542,33 +542,41 @@ def dense_blocks(monkeypatch):
         record(self)["upper"].append(np.full(k, np.inf if upper is None else upper))
         return columns(self, k, lower, upper)
 
-    def recording_rows(self, cols, block, rhs, eq=False, hist=None):
+    def recording_rows(self, cols, block, rhs, eq=False, hist=None, first=0):
         rhs = np.atleast_1d(rhs)
         record(self)[eq].append((cols, np.atleast_2d(block), rhs,
-                                 np.zeros((rhs.shape[0], self.k)) if hist is None else hist))
-        return rows(self, cols, block, rhs, eq, hist)
+                                 np.zeros((rhs.shape[0], 0)) if hist is None else hist, first))
+        return rows(self, cols, block, rhs, eq, hist, first)
 
     monkeypatch.setattr(oracle._NestedRiskLp, "columns", recording_columns)
     monkeypatch.setattr(oracle._NestedRiskLp, "rows", recording_rows)
 
 
 def _dense_rows(lp, eq):
-    """The dense matrix, right-hand side and history coefficients of one row kind of ``lp``."""
+    """The dense matrix, right-hand side and history coefficients of one row kind of ``lp``.
+
+    A block's history coefficients sit in the parameter entries from its
+    ``first`` on; every other entry is zero.
+    """
     blocks = lp.dense[eq]
-    a = np.zeros((sum(b.shape[0] for _, b, _, _ in blocks), lp.ncols))
+    a = np.zeros((sum(b.shape[0] for _, b, _, _, _ in blocks), lp.ncols))
     rhs = np.empty(a.shape[0])
-    hist = np.empty((a.shape[0], lp.k))
+    hist = np.zeros((a.shape[0], lp.k))
     i = 0
-    for cols, block, r, h in blocks:
+    for cols, block, r, h, first in blocks:
         a[i:i + block.shape[0], cols] = block
         rhs[i:i + block.shape[0]] = r
-        hist[i:i + block.shape[0]] = h
+        hist[i:i + block.shape[0], first:first + h.shape[1]] = h
         i += block.shape[0]
     return a, rhs, hist
 
 
-def _linprog_minimize(self, col, histories):
-    """:meth:`oracle._NestedRiskLp.minimize` by one cold ``linprog`` solve per history."""
+def _linprog_minimize(self, cols, histories):
+    """:meth:`oracle._NestedRiskLp.minimize` by one cold ``linprog`` solve per history.
+
+    Each solve minimises the sum of the columns ``cols`` and reads each
+    column's value; an infeasible history gives ``+inf`` in every column.
+    """
     values = []
     for history in histories:
         stacked = {}
@@ -576,14 +584,14 @@ def _linprog_minimize(self, col, histories):
             a, rhs, hist = _dense_rows(self, eq)
             stacked[eq] = a, rhs - hist @ history
         c = np.zeros(self.ncols)
-        c[col] = 1.0
+        c[cols] = 1.0
         bounds = np.column_stack([np.concatenate(self.dense["lower"]),
                                   np.concatenate(self.dense["upper"])])
         res = scipy.optimize.linprog(c, *stacked[False], *stacked[True], bounds=bounds,
                                      method="highs", options=oracle.HIGHS_OPTIONS)
         assert res.status in (0, 2), res.message
-        values.append(res.fun if res.status == 0 else math.inf)
-    return np.array(values)
+        values.append(res.x[cols] if res.status == 0 else np.full(len(cols), math.inf))
+    return np.array(values).reshape(len(values), len(cols))
 
 
 def _assert_agree(got, want, name):
@@ -644,6 +652,63 @@ def test_highs_model_matches_linprog_on_audited_histories(dense_blocks, monkeypa
     assert [list(np.isinf(values)) for values in got[-2:]] == [[True, False] * 3] * 2
 
 
+def test_joint_recourse_values_match_each_pool_alone(monkeypatch):
+    # every pool of an instance in one model against each pool's own model,
+    # at six histories per pool.  On the instances without complete recourse
+    # the pool that reads x2 also gets the stack that alternates between
+    # x2 < 1 (+inf) and x2 >= 1; there the joint model is infeasible and each
+    # pool is solved again on its own, so the stage-1 pool stays finite on
+    # "no-rcr" and the stage-2 pool turns finite on "hopeless", whose
+    # stage-1 pool is +inf at every history
+    models = Counter()
+
+    class Counting(highs_core._Highs):
+        def passModel(self, *args):
+            models["passed"] += 1
+            return super().passModel(*args)
+
+    monkeypatch.setattr(highs_core, "_Highs", Counting)
+    rng = np.random.default_rng(47)
+    mixed = np.array([[0.3, x2] for x2 in (0.2, 1.5, 0.8, 2.0, 0.99, 1.0)])
+    checked = Counter()
+    for name, problem in _differential_cases() + _recourse_cases():
+        topo = problem.topology
+        stacks = {}
+        for key in topo.keys:
+            lo, hi = _history_box(problem, key)
+            stacks[key] = rng.uniform(lo, hi, size=(6, lo.shape[0]))
+        runs = [stacks]
+        if name.startswith(("no-rcr", "hopeless")):
+            x2_key, = [key for key in topo.keys if topo.arg_dim(key) == 2]
+            runs.append(stacks | {x2_key: mixed})
+        for run in runs:
+            models.clear()
+            joint = oracle.true_recourse_values(problem, run)
+            inner = [key for key in run if not topo.terminal(key)]
+            fallback = models["passed"] > 1
+            assert models["passed"] == 1 + len(inner) * fallback
+            assert list(joint) == list(run)
+            for key, h in run.items():
+                assert joint[key].shape == (6,)
+                _assert_agree(joint[key], oracle.true_recourse_value(problem, key, h), (name, key))
+                checked["finite" if np.isfinite(joint[key]).all() else "+inf"] += 1
+            checked["fallback"] += fallback
+            if run is not stacks:
+                other, = (key for key in inner if key != x2_key)
+                assert np.isinf(joint[x2_key]).tolist() == [True, False] * 3, name
+                assert np.isinf(joint[other]).tolist() == [name.startswith("hopeless")] * 6, name
+    assert checked["fallback"] >= 6 and checked["+inf"] >= 8 and checked["finite"] >= 50, checked
+
+
+def test_joint_recourse_values_need_one_stack_size():
+    problem = _stochastic_three_stage()
+    with pytest.raises(oracle.OracleError, match="same number of histories"):
+        oracle.true_recourse_values(problem, {2: np.zeros((3, 1)), 3: np.zeros((2, 2))})
+    with pytest.raises(model.ModelError, match="history must have 2 coordinates at stage 3"):
+        oracle.true_recourse_values(problem, {2: np.zeros((3, 1)), 3: np.zeros((3, 1))})
+    assert oracle.true_recourse_values(problem, {}) == {}
+
+
 def test_highs_runs_the_dual_simplex_without_presolve_at_tight_tolerances(monkeypatch):
     # one model, re-solved per history: presolve off, the dual simplex, and
     # feasibility tolerances of 1e-10, on the extensive form and an audit
@@ -697,15 +762,16 @@ def _rowwise_dense(matrix):
 
 def test_rowwise_highs_model_is_the_block_matrix(dense_blocks, monkeypatch):
     # the model handed to HiGHS, read back entry for entry, against the dense
-    # matrix that stacking the blocks gives: an extensive form and every
-    # inner pool model of the differential cases, and a small LP with an
-    # empty row and an empty column
+    # matrix that stacking the blocks gives: an extensive form, every inner
+    # pool model of the differential cases and each case's joint model of
+    # all its pools, each pool's rows reading its own slice of the history,
+    # and a small LP with an empty row and an empty column
     built = []
     model_of = oracle._NestedRiskLp._model
 
-    def recording(self, core, col):
-        out = model_of(self, core, col)
-        built.append((self, col, out))
+    def recording(self, core, cols):
+        out = model_of(self, core, cols)
+        built.append((self, cols, out))
         return out
 
     monkeypatch.setattr(oracle._NestedRiskLp, "_model", recording)
@@ -713,19 +779,22 @@ def test_rowwise_highs_model_is_the_block_matrix(dense_blocks, monkeypatch):
     cols = small.columns(3, lower=0.0)
     small.rows(cols[[2, 0]], [[1.0, -2.0], [0.0, 0.0]], [1.0, 2.0], hist=np.array([[1.0], [0.5]]))
     small.rows(cols[:1], [[2.0]], 3.0, eq=True)
-    small.minimize(int(cols[0]), np.zeros((1, 1)))
+    small.minimize([int(cols[0])], np.zeros((1, 1)))
     rng = np.random.default_rng(43)
     cases = _differential_cases()
     oracle.extensive_form_value(cases[0][1])
     pools = 0
     for _, problem in cases:
         topo = problem.topology
+        stacks = {}
         for key in topo.keys:
             if not topo.terminal(key):
                 lo, hi = _history_box(problem, key)
-                oracle.true_recourse_value(problem, key, rng.uniform(lo, hi, lo.shape[0]))
+                stacks[key] = rng.uniform(lo, hi, size=(1, lo.shape[0]))
+                oracle.true_recourse_value(problem, key, stacks[key][0])
                 pools += 1
-    assert len(built) == 2 + pools
+        oracle.true_recourse_values(problem, stacks)  # every pool side by side
+    assert len(built) == 2 + pools + len(cases)
     for lp, col, (model, n_ub, rhs, hist) in built:
         a_ub, rhs_ub, hist_ub = _dense_rows(lp, False)
         a_eq, rhs_eq, hist_eq = _dense_rows(lp, True)
@@ -743,7 +812,7 @@ def test_rowwise_highs_model_is_the_block_matrix(dense_blocks, monkeypatch):
                                                                 rhs_eq]))
         assert np.array_equal(model.col_lower_, np.concatenate(lp.dense["lower"]))
         assert np.array_equal(model.col_upper_, np.concatenate(lp.dense["upper"]))
-        assert np.array_equal(model.col_cost_, np.eye(lp.ncols)[col])
+        assert np.array_equal(model.col_cost_, np.eye(lp.ncols)[col].sum(axis=0))
     a = _rowwise_dense(built[0][2][0].a_matrix_)
     assert built[0][0] is small and a.shape == (3, 3)
     assert np.flatnonzero(~a.any(axis=1)).tolist() == [1]  # a zero row
