@@ -99,7 +99,7 @@ def _highs_core():
 
 
 class _NestedRiskLp:
-    """A nested-risk LP over a ``k``-entry history parameter, built once and solved by HiGHS.
+    """A nested-risk LP over a history parameter of ``k`` entries, built once and solved by HiGHS.
 
     Columns are appended with :meth:`columns`, inequality (``<=``) and
     equality rows as dense blocks over chosen columns with :meth:`rows`,
@@ -107,13 +107,13 @@ class _NestedRiskLp:
     matrix of :meth:`_model`.  A row's right-hand side is ``rhs - hist @
     h[first:]``, affine in the history ``h``; the matrix, bounds and cost do
     not depend on it, so :meth:`minimize` passes one HiGHS model and
-    re-solves it per history.  The parameter grows with each pool's
-    :meth:`recourse`, which reads a slice of its own, so the recourse LPs of
-    several pools lie side by side in one model.
+    re-solves it per history.  The parameter is empty at first and grows
+    with each pool's :meth:`recourse`, which reads a slice of its own, so
+    the recourse LPs of several pools lie side by side in one model.
     """
 
-    def __init__(self, k: int = 0):
-        self.k = k
+    def __init__(self):
+        self.k = 0
         self.ncols = 0
         self.bounds: list = []  # (first column, end column, lower, upper)
         # is-equality -> blocks: (nonzeros per row, their columns and values
@@ -142,7 +142,7 @@ class _NestedRiskLp:
                                 np.atleast_1d(rhs), hist, first))
 
     def _model(self, core, cols):
-        """The ``HighsLp`` minimising the sum of ``x[cols]`` at a zero history, its matrix row-wise.
+        """The ``HighsLp`` minimising ``sum(x[cols])`` at a zero history, its matrix row-wise.
 
         Also returns the count of inequality rows (stacked first), and every
         row's right-hand side constant and history coefficients.
@@ -456,21 +456,6 @@ def conditioned_subtree(problem: Problem, node_id: int,
     return conditioned_problem(problem, node_id, history)
 
 
-def _history_stack(problem: Problem, where, history) -> np.ndarray:
-    """``history`` as a ``(p, k)`` stack of pool ``where``'s cut arguments ``x_{1:s}``.
-
-    A single history is a stack of one.  The width is checked once for the
-    whole stack, with :func:`~riskdp.model.history_vector`'s message.
-    """
-    k = problem.topology.arg_dim(where)
-    stack = np.atleast_2d(np.asarray(history, dtype=float))
-    width = math.prod(stack.shape[1:])
-    if width != k:
-        raise ModelError(f"history must have {k} coordinates at stage "
-                         f"{k // problem.dim + 1}, got {width}")
-    return stack.reshape(stack.shape[0], k)
-
-
 def true_recourse_values(problem: Problem, stacks: dict) -> dict:
     """Exact risk-adjusted recourse of several pools, each at every history of its stack.
 
@@ -490,23 +475,28 @@ def true_recourse_values(problem: Problem, stacks: dict) -> dict:
     pool reads ``+inf`` exactly where its own LP is infeasible.
     """
     topo = problem.topology
-    stacks = {key: (np.atleast_2d(h) if topo.terminal(key) else _history_stack(problem, key, h))
-              for key, h in stacks.items()}
-    if len({stack.shape[0] for stack in stacks.values()}) > 1:
-        raise OracleError("every pool's stack must hold the same number of histories")
-    inner = [key for key in stacks if not topo.terminal(key)]
-    out = {key: np.zeros(stack.shape[0]) for key, stack in stacks.items()}
+    out, inner = {}, {}
+    for key, history in stacks.items():
+        stack = np.atleast_2d(np.asarray(history, dtype=float))
+        out[key] = np.zeros(stack.shape[0])
+        if topo.terminal(key):
+            continue
+        k, width = topo.arg_dim(key), math.prod(stack.shape[1:])
+        if width != k:  # history_vector's check, once for the whole stack
+            raise ModelError(f"history must have {k} coordinates at stage "
+                             f"{k // problem.dim + 1}, got {width}")
+        inner[key] = stack.reshape(stack.shape[0], k)
     if not inner:
         return out
     lp = _NestedRiskLp()
     cols = [lp.recourse(problem, key) for key in inner]
-    values = lp.minimize(cols, np.hstack([stacks[key] for key in inner]))
+    values = lp.minimize(cols, np.hstack(list(inner.values())))
     infeasible = np.isinf(values[:, 0])
     if len(inner) > 1 and infeasible.any():
-        for j, key in enumerate(inner):
+        for j, (key, stack) in enumerate(inner.items()):
             one = _NestedRiskLp()
             values[infeasible, j] = one.minimize([one.recourse(problem, key)],
-                                                 stacks[key][infeasible])[:, 0]
+                                                 stack[infeasible])[:, 0]
     return out | {key: values[:, j] for j, key in enumerate(inner)}
 
 

@@ -657,9 +657,9 @@ def test_joint_recourse_values_match_each_pool_alone(monkeypatch):
     # at six histories per pool.  On the instances without complete recourse
     # the pool that reads x2 also gets the stack that alternates between
     # x2 < 1 (+inf) and x2 >= 1; there the joint model is infeasible and each
-    # pool is solved again on its own, so the stage-1 pool stays finite on
-    # "no-rcr" and the stage-2 pool turns finite on "hopeless", whose
-    # stage-1 pool is +inf at every history
+    # pool is solved again on its own, so the pool that reads x1 stays
+    # finite on "no-rcr", and the x2 pool turns finite on "hopeless", whose
+    # x1 pool is +inf at every history
     models = Counter()
 
     class Counting(highs_core._Highs):
@@ -698,15 +698,6 @@ def test_joint_recourse_values_match_each_pool_alone(monkeypatch):
                 assert np.isinf(joint[x2_key]).tolist() == [True, False] * 3, name
                 assert np.isinf(joint[other]).tolist() == [name.startswith("hopeless")] * 6, name
     assert checked["fallback"] >= 6 and checked["+inf"] >= 8 and checked["finite"] >= 50, checked
-
-
-def test_joint_recourse_values_need_one_stack_size():
-    problem = _stochastic_three_stage()
-    with pytest.raises(oracle.OracleError, match="same number of histories"):
-        oracle.true_recourse_values(problem, {2: np.zeros((3, 1)), 3: np.zeros((2, 2))})
-    with pytest.raises(model.ModelError, match="history must have 2 coordinates at stage 3"):
-        oracle.true_recourse_values(problem, {2: np.zeros((3, 1)), 3: np.zeros((3, 1))})
-    assert oracle.true_recourse_values(problem, {}) == {}
 
 
 def test_highs_runs_the_dual_simplex_without_presolve_at_tight_tolerances(monkeypatch):
@@ -775,7 +766,8 @@ def test_rowwise_highs_model_is_the_block_matrix(dense_blocks, monkeypatch):
         return out
 
     monkeypatch.setattr(oracle._NestedRiskLp, "_model", recording)
-    small = oracle._NestedRiskLp(1)
+    small = oracle._NestedRiskLp()
+    small.k = 1  # a one-entry history parameter
     cols = small.columns(3, lower=0.0)
     small.rows(cols[[2, 0]], [[1.0, -2.0], [0.0, 0.0]], [1.0, 2.0], hist=np.array([[1.0], [0.5]]))
     small.rows(cols[:1], [[2.0]], 3.0, eq=True)
