@@ -484,8 +484,8 @@ class StageLp:
                 history: np.ndarray) -> None:
         """Insert cut rows and their map rows ahead of the held LP's last ``before`` rows."""
         at = self.b0.shape[0] - before
-        self.b0 = np.insert(self.b0, at, b0)
-        self.hist = np.insert(self.hist, at, beta1, axis=0)
+        self.b0 = np.concatenate([self.b0[:at], b0, self.b0[at:]])
+        self.hist = np.concatenate([self.hist[:at], beta1, self.hist[at:]])
         self.lp.append_rows(rows, b0 - beta1 @ history, at - self.lp.n_eq)
 
     def _first_starts(self, shape: tuple, sub: SubproblemData, view):

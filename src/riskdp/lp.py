@@ -35,10 +35,22 @@ runs in place: while the held basis is primal feasible, to
 :data:`PHASE1_TOL` in its bounds and in the row residual (or, for the
 residual, to :data:`RESIDUAL_REL_TOL` of the products forming each row),
 it goes straight to the phase-2 loop; when
-only its bounds fail, dual simplex pivots on the held inverse first
-restore primal feasibility.  It declines when the basis is not dual
+only its bounds fail, dual simplex pivots on the held inverse, bordered or
+not, first restore primal feasibility.  Only a failed row residual makes
+the re-solve factorize a bordered inverse afresh before it goes on.  It
+declines when the basis is not dual
 feasible either, when the LP is primal infeasible or when the dual pivots
 break down, and the caller solves the LP cold with :func:`solve`.
+
+A held LP's re-solve costs what its pivots cost.  Pricing is done once
+per inverse (``_pricing``): the LP holds the duals ``y`` and reduced costs
+``d`` of its last phase-2 pricing until the next exchange, factorization,
+row insert or cost move, so a re-solve that only moved the right-hand side
+and stays primal feasible reads its solution from them.  The dual simplex
+prices on entry and then carries ``d`` along the tableau row of each pivot
+(``d -= (d_j / alpha_j) alpha``, ``d_j = 0``), pricing afresh only after a
+scheduled factorization; phase 2 then factorizes the moved basis once and
+prices it once.
 
 The cold two-phase solve, the in-place primal re-solve and the dual
 re-solve share one set of simplex rules, each stated once in
@@ -47,7 +59,8 @@ re-solve share one set of simplex rules, each stated once in
 * placement (``_place``): a nonbasic column sits at the bound its state
   names, a free one at 0;
 * factorization (``_refactor``): a fresh inverse every
-  :data:`REFACTOR_EVERY` pivots, before optimality is declared and
+  :data:`REFACTOR_EVERY` pivots, before optimality is declared (a bordered
+  inverse counts as fresh: only pivots and bound flips move a basis) and
   wherever exact values are needed, and between two of them the
   product-form update of each exchange (``_exchange``);
 * dual feasibility (``_dual_infeasibility``): a reduced cost past
@@ -217,7 +230,6 @@ class _Simplex:
     """The working arrays of one LP and the two phases of the simplex."""
 
     def __init__(self, prob: LpProblem, bland_always: bool):
-        self.c = prob.c
         self.bland_always = bland_always
         n = prob.n_vars
         q = prob.a_eq.shape[0]
@@ -236,6 +248,8 @@ class _Simplex:
         self.b = np.concatenate([prob.b_eq, prob.b_ub])
         self.lower = np.concatenate([prob.lower, np.zeros(r)])
         self.upper = np.concatenate([prob.upper, np.full(r, np.inf)])
+        self.cost = np.concatenate([prob.c, np.zeros(r)])  # phase 2's, one entry per column
+        self.d = None  # the held pricing: phase 2's reduced costs at this inverse (_pricing)
         self.n_real = self.ncols = n + r
         self.status_col = np.empty(n + r, dtype=np.int8)
         self.x = np.zeros(n + r)
@@ -247,6 +261,17 @@ class _Simplex:
         self.bland_mode = bland_always
         self.moved = False  # a pivot or a bound flip since the last factorization
         self.stale = 0  # rows bordered onto the inverse since it was factorized
+
+    @property
+    def c(self) -> np.ndarray:
+        """The objective: the structural part of the phase-2 cost ``cost``."""
+        return self.cost[:self.n_struct]
+
+    @c.setter
+    def c(self, c) -> None:
+        """Move the objective; the held pricing is dropped."""
+        self.cost = np.concatenate([np.asarray(c, dtype=float), self.cost[self.n_struct:]])
+        self.d = None
 
     # -- setup -------------------------------------------------------------
 
@@ -283,6 +308,7 @@ class _Simplex:
         self.a = np.hstack([self.a, extra])
         self.lower = np.concatenate([self.lower, np.zeros(k)])
         self.upper = np.concatenate([self.upper, np.full(k, np.inf)])
+        self.cost = np.concatenate([self.cost, np.zeros(k)])
         self.status_col = np.concatenate([self.status_col, np.empty(k, dtype=np.int8)])
         self.x = np.concatenate([self.x, np.zeros(k)])
         self.artificials = self.n_real + np.arange(k)
@@ -304,6 +330,7 @@ class _Simplex:
             raise SimplexError(f"singular basis {self.basis.tolist()}") from exc
         self.moved = False
         self.stale = 0
+        self.d = None
         self._recompute_basic_values()
 
     def _recompute_basic_values(self) -> None:
@@ -326,6 +353,7 @@ class _Simplex:
         self.b_inv[other, :] -= np.outer(w[other], self.b_inv[row, :])
         self.pivots += 1
         self.moved = True
+        self.d = None
 
     def _noise_floor(self, rows, cols) -> np.ndarray:
         """Entries of ``B^-1[rows] A[:, cols]`` at or below this are rounding noise, not pivots."""
@@ -345,6 +373,18 @@ class _Simplex:
         self.y = cost[self.basis] @ self.b_inv
         return cost - self.y @ self.a
 
+    def _pricing(self) -> np.ndarray:
+        """The reduced costs of the phase-2 cost at this inverse, priced once per inverse.
+
+        The pricing (``d``, with its duals in ``y``) is held until the next
+        exchange, factorization, row insert or cost move, which drop it:
+        until then the basis and its inverse, and so ``y`` and ``d``, are
+        unchanged.  A bound flip or a new right-hand side moves neither.
+        """
+        if self.d is None:
+            self.d = self._reduced_costs(self.cost)
+        return self.d
+
     def _dual_infeasibility(self, d: np.ndarray):
         """``(viol, rise, fall)`` for the reduced costs ``d``.
 
@@ -362,9 +402,8 @@ class _Simplex:
         viol[viol <= RC_TOL] = 0.0
         return viol, rise, fall
 
-    def _price(self, cost: np.ndarray):
-        """Return (entering column, direction) or None when optimal."""
-        d = self._reduced_costs(cost)
+    def _price(self, d: np.ndarray):
+        """Return (entering column, direction) at the reduced costs ``d``, or None when optimal."""
         viol = self._dual_infeasibility(d)[0]
         if not viol.any():
             return None
@@ -423,11 +462,12 @@ class _Simplex:
 
     # -- main loop ---------------------------------------------------------
 
-    def _optimize(self, cost: np.ndarray, phase: int) -> str:
+    def _optimize(self, phase: int, cost1: np.ndarray | None = None) -> str:
+        """Primal simplex pivots to optimality: phase 1 on ``cost1``, phase 2 on ``cost``."""
         while True:
             if self.pivots > MAX_PIVOTS:
                 raise SimplexError(f"pivot limit exceeded (phase {phase})")
-            picked = self._price(cost)
+            picked = self._price(self._reduced_costs(cost1) if phase == 1 else self._pricing())
             if picked is None:
                 if not self.moved:
                     return OPTIMAL
@@ -490,7 +530,7 @@ class _Simplex:
         if self.artificials.size:
             cost1 = np.zeros(self.ncols)
             cost1[self.artificials] = 1.0
-            status = self._optimize(cost1, phase=1)
+            status = self._optimize(1, cost1)
             assert status == OPTIMAL
             phase1_val = float(cost1 @ self.x)
             if phase1_val > PHASE1_TOL:
@@ -505,16 +545,20 @@ class _Simplex:
         return self._phase2(warm=False)
 
     def _phase2(self, warm: bool, dual: bool = False) -> LpSolution:
-        """Phase 2 from the current primal feasible basis, and the solution it ends at."""
-        cost2 = np.zeros(self.ncols)
-        cost2[:self.n_struct] = self.c
+        """Phase 2 from the current primal feasible basis, and the solution it ends at.
+
+        A basis that pivots moved since its factorization (the dual pivots of
+        a re-solve) is factorized afresh first, and then priced.
+        """
+        if self.moved:
+            self._refactor()
         self.degenerate_run = 0
-        status = self._optimize(cost2, phase=2)
+        status = self._optimize(2)
         if status == UNBOUNDED:
             return LpSolution(status=UNBOUNDED, pivots=self.pivots, warm_start=warm,
                               dual_start=dual)
         # optimality was declared on a fresh inverse, so the basic values are
-        # exact and pricing's duals are those of this very inverse
+        # exact and the held pricing's duals are those of this very inverse
         n, q, y = self.n_struct, self.n_eq, self.y
         x = self.x[:n].copy()
         dual_eq = y[:q].copy()
@@ -543,6 +587,12 @@ class PersistentLp(_Simplex):
     feasible.  :meth:`resolve` re-solves in place, with dual simplex pivots
     first when the basis is not primal feasible, and declines when it
     cannot, leaving the cold solve to the caller.
+
+    The LP holds the pricing of its last optimal re-solve: the duals ``y``
+    and reduced costs ``d`` of the phase-2 cost ``cost`` (structural ``c``,
+    zero on the slacks) at the held inverse.  :meth:`set_rhs` keeps them;
+    :meth:`append_rows`, a pivot, a factorization and a new ``c`` drop
+    them (``d`` is None), and the next pricing computes them again.
     """
 
     def __init__(self, prob: LpProblem, basis: np.ndarray):
@@ -580,6 +630,8 @@ class PersistentLp(_Simplex):
         self.b = np.concatenate([self.b[:p], b_rows, self.b[p:]])
         self.lower = np.concatenate([self.lower[:s], np.zeros(k), self.lower[s:]])
         self.upper = np.concatenate([self.upper[:s], np.full(k, np.inf), self.upper[s:]])
+        self.cost = np.concatenate([self.cost[:s], np.zeros(k), self.cost[s:]])
+        self.d = None
         basis = np.where(self.basis >= s, self.basis + k, self.basis)
         border = -(rows[:, basis] @ self.b_inv)
         b_inv = np.hstack([self.b_inv[:, :p], np.zeros((m, k)), self.b_inv[:, p:]])
@@ -611,21 +663,24 @@ class PersistentLp(_Simplex):
 
         The row residual of the held basis must fit (:meth:`_fits`).
         When its basic values are within :data:`PHASE1_TOL` of their bounds
-        too, the phase-2 loop runs from it; otherwise :meth:`_dual_simplex`
-        first pivots it back to primal feasibility.  Either way the solution's
-        ``warm_start`` is True, and ``dual_start`` says whether dual pivots
-        ran.  The inverse is refactored on the :data:`REFACTOR_EVERY`
-        schedule, and a check that fails on an inverse updated since its
-        factorization is repeated on a fresh one.  After a None the object is
-        spent: solve the LP cold and hold the new basis in a new
-        :class:`PersistentLp`.
+        too, the phase-2 loop runs from it, and with the held pricing when
+        only the right-hand side moved: a re-solve with no pivot prices
+        nothing.  Otherwise :meth:`_dual_simplex` first pivots it back to
+        primal feasibility, starting on the held inverse as it is, bordered
+        or not, and phase 2 factorizes the moved basis once, then prices it.
+        Either way the solution's ``warm_start`` is True, and ``dual_start``
+        says whether dual pivots ran.  The inverse is refactored on the
+        :data:`REFACTOR_EVERY` schedule, and a row residual that fails on an
+        inverse bordered or updated since its factorization is checked again
+        on a fresh one.  After a None the object is spent: solve the LP cold
+        and hold the new basis in a new :class:`PersistentLp`.
         """
         self.pivots = 0
         self.bland_mode = False
         if self.stale >= REFACTOR_EVERY and not self._try_refactor():
             return None
         residual_ok, primal_ok = self._fits()
-        if not (residual_ok and primal_ok) and (self.stale or self.moved):
+        if not residual_ok and (self.stale or self.moved):
             if not self._try_refactor():
                 return None
             residual_ok, primal_ok = self._fits()
@@ -671,14 +726,18 @@ class PersistentLp(_Simplex):
         ``alpha_r = B^-1[r] A`` the dual ratio test picks, among the columns
         that may move and whose entry is above the noise floor, the one that
         keeps every reduced cost on its side; ties go by the shared tie rule.
-        The pivots go through :meth:`_apply_pivot`, so the inverse is
-        refactored on its schedule.  Declines when the basis is not dual
-        feasible, when no column can enter (the LP is primal infeasible),
-        after :data:`STALL_SWITCH` dual-degenerate pivots in a row or past
+        The reduced costs ``d`` are priced once on entry (the held pricing
+        when there is one) and then updated along that same row, the
+        standard dual update: ``d -= (d_j / alpha_j) alpha`` with ``d_j = 0``
+        for the entering column ``j``.  The pivots go through
+        :meth:`_apply_pivot`, so the inverse is refactored on its schedule,
+        and ``d`` is priced afresh after each factorization.  Declines when
+        the basis is not dual feasible (checked on ``d`` before every pivot),
+        when no column can enter (the LP is primal infeasible), after
+        :data:`STALL_SWITCH` dual-degenerate pivots in a row or past
         :data:`MAX_PIVOTS`.
         """
-        cost = np.zeros(self.ncols)
-        cost[:self.n_struct] = self.c
+        d = self._pricing()
         degenerate_run = 0
         while True:
             bas = self.basis
@@ -690,7 +749,6 @@ class PersistentLp(_Simplex):
                 return True
             if self.pivots >= MAX_PIVOTS or degenerate_run >= STALL_SWITCH:
                 return False
-            d = self._reduced_costs(cost)
             infeasible, rise, fall = self._dual_infeasibility(d)
             if infeasible.any():
                 return False
@@ -711,6 +769,11 @@ class PersistentLp(_Simplex):
             step = (xb[r] - target) / (direction * w[r])
             degenerate_run = degenerate_run + 1 if step_d < STEP_TOL else 0
             self._apply_pivot(j, direction, step, r, AT_UPPER if sigma > 0.0 else AT_LOWER, w)
+            if self.moved:  # the update of d along the tableau row: d_j becomes 0
+                d -= (d[j] / alpha[j]) * alpha
+                d[j] = 0.0
+            else:  # refactored on its schedule: price afresh
+                d = self._pricing()
 
 
 def solve(prob: LpProblem, starts=()) -> LpSolution:

@@ -1,6 +1,7 @@
 """Tests for the bounded-variable simplex solver."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -654,6 +655,136 @@ def test_dual_start_agrees_with_cold_and_highs(start):
     slope = np.concatenate([warm.dual_eq, -warm.dual_ineq])
     assert check_subgradient(cold_value, b, slope, n_samples=4, radius=0.5,
                              tol=1e-7 * scale) == []
+
+
+def _counting(monkeypatch, *names) -> Counter:
+    """Count the calls of the named ``_Simplex`` methods."""
+    calls = Counter()
+    for name in names:
+        method = getattr(lp._Simplex, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(lp._Simplex, name, counted)
+    return calls
+
+
+def _resolve_checking_updates(held: lp.PersistentLp) -> tuple[lp.LpSolution | None, int]:
+    """``held.resolve()``, checking every reduced-cost vector the simplex reads.
+
+    Each vector handed to ``_dual_infeasibility`` (in the dual loop, the
+    reduced costs updated along the tableau rows of the pivots so far) must
+    match a fresh pricing of the inverse within ``1e-9 (1 + |d|)`` on the
+    nonbasic columns.  Returns the solution and the number of vectors checked.
+    """
+    checked = 0
+    infeasibility = held._dual_infeasibility
+
+    def checking(d):
+        nonlocal checked
+        fresh = held.cost - (held.cost[held.basis] @ held.b_inv) @ held.a
+        nonbasic = held.status_col != lp.BASIC
+        gap = np.abs(d - fresh)[nonbasic]
+        assert np.all(gap <= 1e-9 * (1.0 + np.abs(d[nonbasic])))
+        checked += 1
+        return infeasibility(d)
+
+    held._dual_infeasibility = checking
+    return held.resolve(), checked
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual_starts())
+def test_reduced_cost_update_matches_a_fresh_pricing(start):
+    # the dual pivots carry the reduced costs along each tableau row instead
+    # of pricing afresh; the carried vector stays the fresh one to rounding
+    held, nxt, a_new, b_new, at = start
+    held.append_rows(a_new, b_new, at)
+    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    _resolve_checking_updates(held)
+
+
+def test_reduced_cost_update_survives_a_refactor_mid_dual(monkeypatch):
+    # min -sum x over the unit box with rows x_i <= 2: every x at its upper
+    # bound; moving each row to x_i <= 0.5 cuts that vertex off, and each
+    # takes one dual pivot, so the inverse is refactored on its schedule
+    # inside the dual loop
+    n = lp.REFACTOR_EVERY + 6
+    prob = lp.LpProblem(c=-np.ones(n), a_ub=np.eye(n), b_ub=np.full(n, 2.0),
+                        lower=np.zeros(n), upper=np.ones(n))
+    held = _held(prob)
+    nxt = lp.LpProblem(c=prob.c, a_ub=prob.a_ub, b_ub=np.full(n, 0.5), lower=prob.lower,
+                       upper=prob.upper)
+    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    calls = _counting(monkeypatch, "_refactor")
+    sol, checked = _resolve_checking_updates(held)
+    assert sol.dual_start and sol.pivots == n and checked > n
+    assert calls["_refactor"] == 2  # on the schedule mid-dual, then once before optimality
+    _assert_matches_cold(sol, nxt)
+    assert np.all(sol.x == 0.5)
+
+
+@pytest.mark.parametrize("seed", [_NO_EQ, _NO_UB, 0, 1, 4])
+def test_no_pivot_resolve_returns_the_held_pricing(seed, monkeypatch):
+    # a re-solve that only moved the right-hand side and stays primal
+    # feasible prices nothing: its duals are the last pricing of the
+    # unchanged inverse, bit for bit
+    prob = _random_problem(seed)
+    held = _held(prob)
+    assert held.resolve().pivots == 0 and held.d is not None
+    held.set_rhs(held.b[:held.n_eq].copy(), held.b[held.n_eq:].copy())
+    calls = _counting(monkeypatch, "_reduced_costs", "_refactor")
+    sol = held.resolve()
+    assert sol.pivots == 0 and not sol.dual_start and not calls
+    y = held.cost[held.basis] @ held.b_inv
+    q = held.n_eq
+    assert sol.dual_eq.tobytes() == y[:q].tobytes()
+    assert sol.dual_ineq.tobytes() == np.maximum(-y[q:], 0.0).tobytes()
+
+
+def test_rows_pivots_and_refactors_drop_the_held_pricing(monkeypatch):
+    held = _held(_two_rows(2.0))
+    held.resolve()
+    assert held.d is not None
+    # a row the held vertex (2/3, 2/3) satisfies: a primal feasible
+    # re-solve with no pivot, which prices the bordered inverse once
+    held.append_rows(np.array([[1.0, 1.0]]), np.array([3.0]), 2)
+    assert held.d is None
+    calls = _counting(monkeypatch, "_reduced_costs")
+    sol = held.resolve()
+    assert sol.pivots == 0 and not sol.dual_start and calls["_reduced_costs"] == 1
+    assert held.d is not None
+    held._refactor()
+    assert held.d is None
+    held.resolve()
+    # every exchange of a dual re-solve drops the pricing it read
+    dropped = []
+    exchange = lp._Simplex._exchange
+
+    def recording(self, *args):
+        exchange(self, *args)
+        dropped.append(self.d is None)
+
+    monkeypatch.setattr(lp._Simplex, "_exchange", recording)
+    held.set_rhs(np.zeros(0), np.array([20.0, 2.0, 3.0]))
+    sol = held.resolve()
+    assert sol.dual_start and dropped and all(dropped)
+    _assert_matches_cold(sol, _with_rows(_two_rows(20.0), [[1.0, 1.0]], [3.0], 2))
+
+
+def test_dual_resolve_after_a_violated_row_refactors_once(monkeypatch):
+    # the bordered inverse of a row that cuts the vertex off is exact enough
+    # for the dual pivots: one factorization, after them, before optimality
+    held = _held(_two_rows(2.0))
+    held.append_rows(np.array([[1.0, 1.0]]), np.array([1.0]), 2)
+    nxt = _with_rows(_two_rows(2.0), [[1.0, 1.0]], [1.0], 2)
+    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    calls = _counting(monkeypatch, "_refactor")
+    sol = held.resolve()
+    assert sol.dual_start and sol.pivots >= 1 and calls["_refactor"] == 1
+    _assert_matches_cold(sol, nxt)
 
 
 def _two_rows(b1: float, b2: float = 2.0) -> lp.LpProblem:
