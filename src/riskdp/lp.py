@@ -66,7 +66,8 @@ re-solve share one set of simplex rules, each stated once in
 * dual feasibility (``_dual_infeasibility``): a reduced cost past
   :data:`RC_TOL` on a side its column may move to breaks it, a fixed column
   never moves, and an entering column moves against the sign of its reduced
-  cost;
+  cost (the masks of the columns that may rise and fall are held across
+  pivots, each placement or exchange updating its column's entries);
 * the noise floor (``_noise_floor``): a tableau entry at or below
   ``max(PIVOT_TOL, PIVOT_REL_TOL * |B^-1[r]| |A_j|)`` is rounding noise and
   never a pivot, in the primal and dual ratio tests and in the drive-out of
@@ -252,6 +253,7 @@ class _Simplex:
         self.d = None  # the held pricing: phase 2's reduced costs at this inverse (_pricing)
         self.n_real = self.ncols = n + r
         self.status_col = np.empty(n + r, dtype=np.int8)
+        self.moves = None  # the held (rise, fall) masks of _dual_infeasibility
         self.x = np.zeros(n + r)
         self.allowed = np.ones(n + r, dtype=bool)  # phase 1 may set noise columns aside
         self._set_movable()
@@ -278,6 +280,7 @@ class _Simplex:
     def _place(self, j: int, state: int) -> None:
         """Put column ``j`` in the column ``state``, at the bound it names (free or basic: 0)."""
         self.status_col[j] = state
+        self._remask(j)
         self.x[j] = (self.lower[j] if state == AT_LOWER
                      else self.upper[j] if state == AT_UPPER else 0.0)
 
@@ -285,16 +288,27 @@ class _Simplex:
         """:meth:`_place` every structural and slack column in one assignment."""
         k = self.n_real
         self.status_col[:k] = states
+        self.moves = None
         self.x[:k] = np.where(states == AT_LOWER, self.lower[:k],
                               np.where(states == AT_UPPER, self.upper[:k], 0.0))
+
+    def _remask(self, j: int) -> None:
+        """Bring column ``j``'s entries of the held masks of :meth:`_dual_infeasibility` up to date."""
+        if self.moves is not None:
+            state, movable = self.status_col[j], self.movable[j]
+            self.moves[0][j] = movable and state in (AT_LOWER, NB_FREE)
+            self.moves[1][j] = movable and state in (AT_UPPER, NB_FREE)
 
     def _set_movable(self) -> None:
         """Recompute ``movable``, the columns that may leave their bound: allowed and not fixed.
 
-        Called wherever ``allowed``, ``lower`` or ``upper`` change as a whole;
-        a change to one column updates its entry in place.
+        Called wherever ``allowed``, ``lower`` or ``upper`` change as a whole,
+        and drops the held masks of :meth:`_dual_infeasibility`; a change to
+        one column updates its entry in place, and the masks' with
+        :meth:`_remask`.
         """
         self.movable = self.allowed & (self.lower < self.upper)
+        self.moves = None
 
     def _install_artificials(self) -> None:
         """Choose a starting basis: slacks where possible, artificials elsewhere."""
@@ -347,6 +361,7 @@ class _Simplex:
         if abs(piv) <= PIVOT_TOL:  # pragma: no cover - guarded by the noise floors
             raise SimplexError(f"pivot element {piv:.3e} too small")
         self.status_col[j] = BASIC
+        self._remask(j)
         self.basis[row] = j
         self.b_inv[row, :] /= piv
         other = np.arange(self.m) != row
@@ -392,12 +407,18 @@ class _Simplex:
         a fixed column, or one that phase 1 set aside, does neither
         (``movable``, kept by :meth:`_set_movable`).
         ``viol[j]`` is ``|d_j|`` where moving column ``j`` by ``-sign(d_j)`` is
-        allowed and ``|d_j| > RC_TOL``, and 0 elsewhere.
+        allowed and ``|d_j| > RC_TOL``, and 0 elsewhere.  The masks are held
+        in ``moves`` across calls: a write to one column's state or
+        ``movable`` entry updates that column's entries (:meth:`_remask`),
+        so pivots keep them, and a write to either array as a whole drops
+        them.
         """
-        st, movable = self.status_col, self.movable
-        free = st == NB_FREE
-        rise = movable & ((st == AT_LOWER) | free)
-        fall = movable & ((st == AT_UPPER) | free)
+        if self.moves is None:
+            st, movable = self.status_col, self.movable
+            free = st == NB_FREE
+            self.moves = (movable & ((st == AT_LOWER) | free),
+                          movable & ((st == AT_UPPER) | free))
+        rise, fall = self.moves
         viol = np.maximum(-d * rise, d * fall)  # the cost decrease of a unit move
         viol[viol <= RC_TOL] = 0.0
         return viol, rise, fall
@@ -485,6 +506,7 @@ class _Simplex:
                 # would have limited this column were rounding noise, and so is
                 # its reduced cost: it does not improve phase 1.
                 self.allowed[j] = self.movable[j] = False
+                self._remask(j)
                 continue
             if step < STEP_TOL:
                 self.degenerate_run += 1

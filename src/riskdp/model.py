@@ -19,15 +19,16 @@ The history before stage t is the decisions ``x_{1:t-1}`` (empty at stage
 1), of length ``(t-1) * n``: the same vector as a cut's argument and anchor.
 The initial vector ``x_0`` is fixed data.  A payload's rows are stored over
 ``x_{0:t}`` as the file gives them (cost pieces over ``x_{1:t}``, ``G`` and
-the ``A`` blocks over ``x_{0:t}``), and :meth:`Realization.fold_map` is the
-one place that reads the ``x_0`` block: it folds ``A_0 x_0`` and
-``G_0 x_0`` into the constant right-hand sides once, and keeps the rest of
-the history as a parameter.  A payload without equality or inequality rows
-holds that system with zero rows, so every payload has one layout.  The
-stage subproblems (:func:`assemble_subproblem`) and the oracle's extensive
-forms read their right-hand sides off that map as affine maps ``b0 - M h``
-of the history ``h``, and :meth:`Realization.fold` evaluates it at one
-history.
+the ``A`` blocks over ``x_{0:t}``), and :func:`fold_rows` is the one place
+that reads the ``x_0`` block: it folds ``A_0 x_0`` and ``G_0 x_0`` into the
+constant right-hand sides once, and keeps the rest of the history as a
+parameter.  A payload without equality or inequality rows holds that
+system with zero rows, so every payload has one layout.  The stage
+subproblems (:func:`assemble_subproblem`, through
+:meth:`Realization.fold_map`) and the oracle's extensive forms (on the
+stacked rows of the payloads of one stage) read their right-hand sides off
+that map as affine maps ``b0 - M h`` of the history ``h``, and
+:meth:`Realization.fold` evaluates it at one history.
 
 Risk attachment conventions (documented in the README): in lattice form the
 stage-s risk spec governs how stage-s realization values are aggregated when
@@ -134,6 +135,23 @@ class FoldMap(NamedTuple):
     d_hist: np.ndarray    # (P, k)
 
 
+def fold_rows(a: np.ndarray, b: np.ndarray, g: np.ndarray, h: np.ndarray, pieces_c: np.ndarray,
+              pieces_d: np.ndarray, x0: np.ndarray, k: int) -> FoldMap:
+    """Payload rows after ``x0`` and a ``k``-entry history, as affine maps of the history.
+
+    The one history fold and the one reader of the ``x_0`` block: ``a`` and
+    ``g`` are rows over ``x_{0:t}``, ``pieces_c`` over ``x_{1:t}``; ``A_0
+    x0`` and ``G_0 x0`` enter the constant right-hand sides, and the next
+    ``k`` columns become the history maps.  The rows may be one payload's
+    (:meth:`Realization.fold_map`) or the stacked rows of several payloads
+    of one stage (the oracle's nested-risk models).
+    """
+    n = x0.shape[0]
+    return FoldMap(Folded(a=a[:, n + k:], b=b - a[:, :n] @ x0, g=g[:, n + k:],
+                          h=h - g[:, :n] @ x0, pieces_c=pieces_c[:, k:], pieces_d=pieces_d),
+                   b_hist=a[:, n:n + k], h_hist=g[:, n:n + k], d_hist=pieces_c[:, :k])
+
+
 @dataclass
 class Realization:
     """One stage-t realization (or tree-node) payload.
@@ -170,18 +188,12 @@ class Realization:
     def fold_map(self, x0: np.ndarray, k: int) -> FoldMap:
         """The rows over the decisions after ``x0`` and a ``k``-entry history, affine in it.
 
-        The one history fold and the one reader of the ``x_0`` block:
-        ``A_0 x0`` and ``G_0 x0`` enter the constant right-hand sides, and the
-        stage subproblems (:func:`assemble_subproblem`) and the oracle's tails
-        keep the history ``x_{1:s}`` as a parameter; :meth:`fold` evaluates it
-        at one history.
+        :func:`fold_rows` of this payload's rows: the stage subproblems
+        (:func:`assemble_subproblem`) keep the history ``x_{1:s}`` as a
+        parameter through it, and :meth:`fold` evaluates it at one history.
         """
-        n = self.cost.dim
-        a, g, c = np.hstack(self.a_blocks), self.g, self.cost.pieces_c
-        return FoldMap(Folded(a=a[:, n + k:], b=self.b - a[:, :n] @ x0, g=g[:, n + k:],
-                              h=self.h - g[:, :n] @ x0, pieces_c=c[:, k:],
-                              pieces_d=self.cost.pieces_d),
-                       b_hist=a[:, n:n + k], h_hist=g[:, n:n + k], d_hist=c[:, :k])
+        return fold_rows(np.hstack(self.a_blocks), self.b, self.g, self.h,
+                         self.cost.pieces_c, self.cost.pieces_d, x0, k)
 
     def fold(self, x0: np.ndarray, history: np.ndarray) -> Folded:
         """The rows over the decisions after ``x0`` and ``history = (x_1, ..., x_s)``."""

@@ -5,11 +5,11 @@ Two routes compute ground truth:
 * :func:`extensive_form_value` — the nested-risk extensive form: the whole
   scenario tree as one LP, with a value column per node and the one-step
   risk of its children written as rows, for every supported risk spec.  It
-  shares with the cutting-plane drivers only the payload's history fold
-  (:meth:`~riskdp.model.Realization.fold_map`), and is solved by HiGHS
-  through the binding scipy vendors (``scipy.optimize._highspy``, which
-  ``linprog`` itself calls; the only place the package relies on an
-  external solver); :func:`reference_value` is this route;
+  shares with the cutting-plane drivers only the history fold
+  (:func:`~riskdp.model.fold_rows`), and is solved by HiGHS through the
+  binding scipy vendors (``scipy.optimize._highspy``, which ``linprog``
+  itself calls; the only place the package relies on an external solver);
+  :func:`reference_value` is this route;
 * :func:`exact_nested_decomposition` — the paper's sampling-free method:
   sweep-based nested decomposition that visits *every* node each sweep and
   stops only when the first-stage value repeats and a full sweep adds no cut
@@ -24,13 +24,20 @@ passed once and re-solved per point from its last basis with only the
 moved right-hand sides changed; infeasible histories report ``+inf``, and
 a point where the joint model is infeasible is solved again pool by pool.
 :func:`true_recourse_value` is its one-pool case, the model of one pool.
-These models and the extensive form reach HiGHS the same way
-(:class:`_NestedRiskLp`): the matrix row-wise, the nonzeros of each block
-of rows as it is added, solved by the dual simplex with presolve off
-(:meth:`_NestedRiskLp.minimize` says why).  :func:`conditioned_problem`
-builds one child's tail as a tree problem of its own, on lattices and trees
-alike; only the test suite's per-child nested-decomposition reference calls
-it.  Every route walks the scenario tree by
+These models and the extensive form are built by one builder
+(:meth:`_NestedRiskLp.nested`) one layer at a time, not one scenario node
+at a time: the nodes of every tail that share a fold length and a path
+length are one group, whose payloads are stacked and folded once and whose
+equality, inequality and cost-piece rows are one block each, each row
+naming its own columns and its own history offset; the risk rows of every
+node and pool are one block per kind of measure and outcome count.  So the
+numpy calls of a build grow with the layers of the tails, not with their
+nodes.  The models reach HiGHS the same way: the matrix row-wise, the
+nonzeros of each block of rows as it is added, solved by the dual simplex
+with presolve off (:meth:`_NestedRiskLp.minimize` says why).
+:func:`conditioned_problem` builds one child's tail as a tree problem of
+its own, on lattices and trees alike; only the test suite's per-child
+nested-decomposition reference calls it.  Every route walks the scenario tree by
 :meth:`~riskdp.model.Topology.scenarios`, which expands a lattice into its
 paths: the nested epigraphs, nested decomposition's all-node forward pass
 and the conditioned tails.  Nested decomposition has no feasibility cuts,
@@ -56,7 +63,7 @@ import numpy as np
 
 from .engine import EngineError, RunConfig, _Driver
 from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization, ScenarioNode,
-                    history_vector)
+                    fold_rows, history_vector)
 from .risk import RiskSpec
 
 logger = logging.getLogger(__name__)
@@ -102,14 +109,23 @@ class _NestedRiskLp:
     """A nested-risk LP over a history parameter of ``k`` entries, built once and solved by HiGHS.
 
     Columns are appended with :meth:`columns`, inequality (``<=``) and
-    equality rows as dense blocks over chosen columns with :meth:`rows`,
-    which keeps only each block's nonzeros, row by row, for the row-wise
-    matrix of :meth:`_model`.  A row's right-hand side is ``rhs - hist @
-    h[first:]``, affine in the history ``h``; the matrix, bounds and cost do
-    not depend on it, so :meth:`minimize` passes one HiGHS model and
-    re-solves it per history.  The parameter is empty at first and grows
-    with each pool's :meth:`recourse`, which reads a slice of its own, so
-    the recourse LPs of several pools lie side by side in one model.
+    equality rows as dense blocks with :meth:`rows`, over columns that the
+    block's rows share or that each row names for itself; it keeps only each
+    block's nonzeros, row by row, for the row-wise matrix of :meth:`_model`.
+    A row's right-hand side is ``rhs - hist @ h[first:]``, affine in the
+    history ``h``, and each row may read the parameter from an entry
+    ``first`` of its own; the matrix, bounds and cost do not depend on it, so
+    :meth:`minimize` passes one HiGHS model and re-solves it per history.
+    The parameter is empty at first and grows with each pool that
+    :meth:`nested` adds, which reads a slice of its own, so the recourse LPs
+    of several pools lie side by side in one model.
+
+    :meth:`nested` builds the model one layer at a time, not one scenario
+    node at a time: the nodes of every tail that share a fold length and a
+    path length get one block of rows per kind (:meth:`_layer`), and the
+    risk rows of every node and pool one block per kind of measure and
+    outcome count (:meth:`_risks`), so the count of numpy calls grows with
+    the layers of the tails, not with their nodes.
     """
 
     def __init__(self):
@@ -118,7 +134,7 @@ class _NestedRiskLp:
         self.bounds: list = []  # (first column, end column, lower, upper)
         # is-equality -> blocks: (nonzeros per row, their columns and values
         # row by row, right-hand side, history coefficients or None, and the
-        # parameter entry they start at)
+        # parameter entry they start at: one for the block or one per row)
         self.blocks: dict[bool, list] = {False: [], True: []}
 
     def columns(self, k: int, lower=None, upper=None) -> np.ndarray:
@@ -128,24 +144,30 @@ class _NestedRiskLp:
         self.ncols += k
         return np.arange(self.ncols - k, self.ncols)
 
-    def rows(self, cols, block, rhs, eq: bool = False, hist=None, first: int = 0) -> None:
-        """Add ``block @ x[cols] <= rhs - hist @ h[first:]`` (``==`` with ``eq``).
+    def rows(self, cols, block, rhs, eq: bool = False, hist=None, first=0) -> None:
+        """Add ``block @ x[cols] <= rhs - hist @ h[first:]`` (``==`` with ``eq``), row by row.
 
-        ``cols`` has no repeats.  ``hist`` defaults to zero: a right-hand side
-        that ignores the history; otherwise it reads the ``hist.shape[1]``
-        parameter entries from ``first`` on.  The block's zeros are dropped;
-        its nonzeros are kept row by row.
+        ``cols`` is one column list for every row of ``block`` or, 2-D, a
+        list per row; no row names a column twice.  ``hist`` defaults to
+        zero: a right-hand side that ignores the history; otherwise each row
+        reads ``hist.shape[1]`` parameter entries from ``first`` on, an
+        ``int`` for the whole block or an array with one entry per row.  The
+        block's zeros are dropped; its nonzeros are kept row by row.
         """
         block = np.atleast_2d(block)
+        cols = np.asarray(cols)
         r, c = block.nonzero()
-        self.blocks[eq].append((np.bincount(r, minlength=block.shape[0]), cols[c], block[r, c],
+        self.blocks[eq].append((np.bincount(r, minlength=block.shape[0]),
+                                cols[r, c] if cols.ndim == 2 else cols[c], block[r, c],
                                 np.atleast_1d(rhs), hist, first))
 
     def _model(self, core, cols):
         """The ``HighsLp`` minimising ``sum(x[cols])`` at a zero history, its matrix row-wise.
 
         Also returns the count of inequality rows (stacked first), and every
-        row's right-hand side constant and history coefficients.
+        row's right-hand side constant and history coefficients: a block's
+        coefficients are placed row by row from its ``first`` on, the
+        block's one offset or each row's own.
         """
         blocks = self.blocks[False] + self.blocks[True]
         n_ub = sum(b[0].shape[0] for b in self.blocks[False])
@@ -157,9 +179,11 @@ class _NestedRiskLp:
         hist = np.zeros((n_rows, self.k))
         i = 0
         for per_row, _, _, _, h, first in blocks:
-            if h is not None:
-                hist[i:i + per_row.shape[0], first:first + h.shape[1]] = h
-            i += per_row.shape[0]
+            end = i + per_row.shape[0]
+            if h is not None and h.shape[1]:
+                hist[np.arange(i, end)[:, None],
+                     np.reshape(first, (-1, 1)) + np.arange(h.shape[1])] = h
+            i = end
         lower, upper = np.full(self.ncols, -np.inf), np.full(self.ncols, np.inf)
         for first, end, lo, hi in self.bounds:
             if lo is not None:
@@ -226,97 +250,193 @@ class _NestedRiskLp:
                                   f"{highs.modelStatusToString(status)}")
         return values
 
-    def risk(self, spec: RiskSpec, probs: np.ndarray, values: np.ndarray) -> int:
-        """A column ``R >= rho(V[values])`` for the one-step measure ``spec``.
+    def nested(self, problem: Problem, keys=None) -> list[int]:
+        """Add the recourse of each pool of ``keys``, or the whole tree; return their columns.
+
+        With ``keys``, each pool reads a new slice of the history parameter,
+        its cut argument ``x_{1:s}``, and gets the nested epigraphs of its
+        children's tails under its risk rows over their value columns; its
+        risk column is returned.  With none, the history is empty and the one
+        tail is the stage-1 position's: the extensive form, whose value
+        column is returned.
+
+        Every scenario node ``m`` of a tail
+        (:meth:`~riskdp.model.Topology.scenarios`) gets its decision columns
+        ``x_m`` and a value column ``V_m >= cost_m(x_{1:m}) + R_m``, one row
+        per cost piece (the cost's epigraph column folded into ``V_m``),
+        where ``R_m`` is the one-step risk of its children's values under
+        its pool's spec and is absent at a leaf.  Its rows are its payload's
+        over the decisions along its path from the tail's first node, after
+        ``x_0`` and that node's history ``x_{1:t-1}``, which stays the
+        parameter: each right-hand side carries the affine parts of the
+        history fold (:func:`~riskdp.model.fold_rows`).
+
+        The build goes by layers, not by nodes.  One walk lists every node of
+        every tail; the decision and value columns of all of them are two
+        :meth:`columns` calls; the risk rows of every inner node and every
+        pool are batched by kind of measure and outcome count
+        (:meth:`_risks`); and the nodes that share a fold length and a path
+        length, whatever their pool, are one group whose payload rows are
+        one block per kind (:meth:`_layer`).
+        """
+        topo, n = problem.topology, problem.dim
+        tails = []  # per pool, or for the whole tree: its tails' first positions, its offset
+        if keys is None:
+            tails.append(([topo.first], 0))
+        for key in keys or ():
+            tails.append((topo.children(key), self.k))
+            self.k += topo.arg_dim(key)
+        # every node of every tail: its position, the nodes on its path from
+        # the tail's first node, its children, its history length and offset
+        where, path, kids, fold, first, roots = [], [], [], [], [], []
+        for starts, offset in tails:
+            roots.append([])
+            for start in starts:
+                k = (topo.stage(start) - 1) * n
+                index: dict = {}
+                for node in topo.scenarios(start):
+                    m = index[node.key] = len(where)
+                    if node.parent:
+                        up = index[node.parent]
+                        path.append(path[up] + (m,))
+                        kids[up].append(m)
+                    else:
+                        path.append((m,))
+                        roots[-1].append(m)
+                    where.append(node.where)
+                    kids.append([])
+                    fold.append(k)
+                    first.append(offset)
+        pays = [topo.payload(w) for w in where]
+        x = self.columns(len(where) * n, np.concatenate([p.lb for p in pays]),
+                         np.concatenate([p.ub for p in pays])).reshape(-1, n)
+        v0 = int(self.columns(len(where))[0])  # node m's value column is v0 + m
+        inner = [m for m in range(len(where)) if kids[m]]
+        risk = self._risks(topo, [(topo.pool(where[m]), [v0 + j for j in kids[m]]) for m in inner]
+                           + [(key, [v0 + j for j in ms]) for key, ms in zip(keys or (), roots)])
+        risk_of = dict(zip(inner, risk))
+        groups: dict = {}
+        for m in range(len(where)):
+            groups.setdefault((fold[m], len(path[m]), bool(kids[m])), []).append(m)
+        first = np.array(first)
+        for (k, _, has_kids), ms in groups.items():
+            value = [[v0 + m] + ([risk_of[m]] if has_kids else []) for m in ms]
+            self._layer(problem, k, [where[m] for m in ms],
+                        x[np.array([path[m] for m in ms])].reshape(len(ms), -1),
+                        np.array(value), first[ms])
+        return [v0] if keys is None else risk[len(inner):]
+
+    def _layer(self, problem: Problem, k: int, where: list, cols: np.ndarray, value: np.ndarray,
+               first: np.ndarray) -> None:
+        """The payload rows of scenario nodes at positions ``where``, one block per kind.
+
+        The nodes share the history length ``k`` and the path length, so
+        their payloads, all of one stage, give rows of one width: each
+        distinct position's rows are stacked once (a lattice meets a position
+        once per path into it), ``x_0`` is folded into each stack in one
+        product, and on a lattice each node's rows are indexed out of its
+        position's.  A node's rows read its path's decision columns (its row
+        of ``cols``) and the history from its ``first`` on; its cost pieces
+        also read its value column and, when it has children, its risk
+        column (its row of ``value``), with the coefficients ``-1`` and
+        ``+1``.
+        """
+        topo, n, x0 = problem.topology, problem.dim, problem.x0
+        slot: dict = {}
+        of = [slot.setdefault(w, len(slot)) for w in where]
+        pays = [topo.payload(w) for w in slot]
+        a = np.concatenate([p.a_blocks for p in pays], axis=1)  # (t + 1, rows, n)
+        rows, b_hist, h_hist, d_hist = fold_rows(
+            a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * n),
+            np.concatenate([p.b for p in pays]), np.concatenate([p.g for p in pays]),
+            np.concatenate([p.h for p in pays]), np.concatenate([p.cost.pieces_c for p in pays]),
+            np.concatenate([p.cost.pieces_d for p in pays]), x0, k)
+        # per kind: is-equality, rows per position, the stacked rows and
+        # their right-hand sides and history maps, and the coefficients of
+        # the value and risk columns (the cost pieces' V_m >= piece + R_m)
+        kinds = ((True, [p.b.shape[0] for p in pays], rows.a, rows.b, b_hist, None),
+                 (False, [p.h.shape[0] for p in pays], rows.g, rows.h, h_hist, None),
+                 (False, [p.cost.pieces_d.shape[0] for p in pays], rows.pieces_c,
+                  -rows.pieces_d, d_hist, [-1.0, 1.0][:value.shape[1]]))
+        nodes = np.arange(len(where))
+        for eq, counts, block, rhs, hist, coef in kinds:
+            counts = np.array(counts)
+            if len(slot) < len(where):  # a node's j-th row is its position's j-th row
+                per_node = counts[of]
+                ends = np.cumsum(per_node)
+                src = np.arange(ends[-1]) + np.repeat(
+                    (np.cumsum(counts) - counts)[of] - (ends - per_node), per_node)
+                block, rhs, hist, counts = block[src], rhs[src], hist[src], per_node
+            node = np.repeat(nodes, counts)
+            row_cols = cols[node]
+            if coef is not None:
+                row_cols = np.hstack([row_cols, value[node]])
+                block = np.hstack([block, np.broadcast_to(coef, (node.shape[0], len(coef)))])
+            self.rows(row_cols, block, rhs, eq=eq, hist=hist, first=first[node])
+
+    def _risks(self, topo, aggregates: list) -> list[int]:
+        """A column ``R >= rho(V[values])`` for each ``(key, values)``, with pool ``key``'s measure.
 
         Expectation: ``R >= sum_j phi_j V_j``.  CVaR and mixture, by
         Rockafellar–Uryasev: ``R >= (1-lam) sum_j phi_j V_j + lam (u +
         sum_j phi_j s_j / eps)`` with ``s_j >= V_j - u``, ``s_j >= 0``
-        (``lam = 1`` for CVaR).  Polytope, by duality of the density LP
-        ``max {sum_j p_j phi_j V_j : sum_j p_j phi_j = 1, A p <= rhs, p >= 0}``:
-        ``R >= mu + rhs . lam`` with ``mu phi_j + (A^T lam)_j >= phi_j V_j``,
-        ``lam >= 0``.  Each is tight at the minimum, where ``R`` is the risk.
+        (``lam = 1`` for CVaR).  The expectation rows of every aggregate
+        with ``m`` outcomes are one block, and so are the tail rows of
+        every CVaR and mixture with ``m`` outcomes, with ``lam`` and ``eps``
+        read row by row.  A polytope spec gets its rows one aggregate at a
+        time (:meth:`_polytope`).  Each is tight at the minimum, where ``R``
+        is the risk.
+        """
+        out = [0] * len(aggregates)
+        batches: dict = {}
+        probs: dict = {}
+        for i, (key, values) in enumerate(aggregates):
+            spec = topo.risk(key)
+            if key not in probs:
+                probs[key] = topo.probs(key)
+            if spec.kind == "polytope":
+                out[i] = self._polytope(spec, probs[key], np.array(values))
+                continue
+            lam = {"expectation": 0.0, "cvar": 1.0, "mixture": spec.lam}[spec.kind]
+            batches.setdefault((lam != 0.0, len(values)), []).append(
+                (i, values, probs[key], lam, spec.epsilon))
+        for (tail, m), batch in batches.items():
+            which, values, phi, lam, eps = zip(*batch)
+            values, phi, b = np.array(values), np.array(phi), len(batch)
+            r = self.columns(b)
+            minus = np.full((b, 1), -1.0)
+            if not tail:
+                self.rows(np.hstack([values, r[:, None]]), np.hstack([phi, minus]), np.zeros(b))
+            else:
+                lam, eps = np.array(lam)[:, None], np.array(eps, dtype=float)[:, None]
+                u = self.columns(b)
+                s = self.columns(b * m, lower=0.0).reshape(b, m)
+                self.rows(np.column_stack([values.ravel(), np.repeat(u, m), s.ravel()]),
+                          np.tile([1.0, -1.0, -1.0], (b * m, 1)), np.zeros(b * m))
+                self.rows(np.hstack([values, u[:, None], s, r[:, None]]),
+                          np.hstack([(1.0 - lam) * phi, lam, lam * phi / eps, minus]),
+                          np.zeros(b))
+            for i, col in zip(which, r.tolist()):
+                out[i] = col
+        return out
+
+    def _polytope(self, spec: RiskSpec, probs: np.ndarray, values: np.ndarray) -> int:
+        """A column ``R >= rho(V[values])`` for one polytope spec, by duality of its density LP.
+
+        The density LP ``max {sum_j p_j phi_j V_j : sum_j p_j phi_j = 1, A p
+        <= rhs, p >= 0}`` gives ``R >= mu + rhs . lam`` with ``mu phi_j +
+        (A^T lam)_j >= phi_j V_j``, ``lam >= 0``, tight at the minimum.
         """
         m = len(values)
         r = self.columns(1)
-        if spec.kind == "polytope":
-            a = np.array([np.asarray(row, dtype=float) for row, _ in spec.rows])
-            rhs = np.array([b for _, b in spec.rows])
-            mu = self.columns(1)
-            lam = self.columns(len(rhs), lower=0.0)
-            self.rows(np.concatenate([values, mu, lam]),
-                      np.hstack([np.diag(probs), -probs[:, None], -a.T]), np.zeros(m))
-            self.rows(np.concatenate([mu, lam, r]),
-                      np.concatenate([[1.0], rhs, [-1.0]]), 0.0)
-            return int(r[0])
-        lam = {"expectation": 0.0, "cvar": 1.0, "mixture": spec.lam}[spec.kind]
-        if lam == 0.0:
-            self.rows(np.concatenate([values, r]), np.append(probs, -1.0), 0.0)
-            return int(r[0])
-        u = self.columns(1)
-        s = self.columns(m, lower=0.0)
-        self.rows(np.concatenate([values, u, s]),
-                  np.hstack([np.eye(m), -np.ones((m, 1)), -np.eye(m)]), np.zeros(m))
-        self.rows(np.concatenate([values, u, s, r]),
-                  np.concatenate([(1.0 - lam) * probs, [lam],
-                                  lam * probs / spec.epsilon, [-1.0]]), 0.0)
+        a = np.array([np.asarray(row, dtype=float) for row, _ in spec.rows])
+        rhs = np.array([b for _, b in spec.rows])
+        mu = self.columns(1)
+        lam = self.columns(len(rhs), lower=0.0)
+        self.rows(np.concatenate([values, mu, lam]),
+                  np.hstack([np.diag(probs), -probs[:, None], -a.T]), np.zeros(m))
+        self.rows(np.concatenate([mu, lam, r]), np.concatenate([[1.0], rhs, [-1.0]]), 0.0)
         return int(r[0])
-
-    def tail(self, problem: Problem, where, first: int = 0) -> int:
-        """Add the nested epigraph below position ``where``, after the history parameter.
-
-        Returns the value column of ``where``'s node.  Every scenario node
-        ``m`` below it gets its decision columns ``x_m`` and a value column
-        ``V_m >= cost_m(x_{1:m}) + R_m``, one row per cost piece (the cost's
-        epigraph column folded into ``V_m``), where ``R_m`` (:meth:`risk`) is
-        the one-step risk of its children's values under its pool's spec and
-        is absent at a leaf.  Its rows are its payload's over the decisions
-        along its path from ``where``, after ``x_0`` and the history
-        ``x_{1:t-1}`` of ``where``'s stage ``t``, which stays a parameter,
-        read from entry ``first`` on: each right-hand side carries the affine
-        parts of :meth:`~riskdp.model.Realization.fold_map`.
-        """
-        topo = problem.topology
-        k = (topo.stage(where) - 1) * problem.dim
-        nodes = topo.scenarios(where)
-        x_cols: dict = {(): np.zeros(0, dtype=int)}
-        v_col: dict = {}
-        kids: dict = {}
-        for node in nodes:
-            pay = topo.payload(node.where)
-            x_cols[node.key] = np.concatenate(
-                [x_cols[node.parent], self.columns(problem.dim, pay.lb, pay.ub)])
-            v_col[node.key] = int(self.columns(1)[0])
-            kids.setdefault(node.parent, []).append(v_col[node.key])
-        for node in nodes:
-            rows, b_hist, h_hist, d_hist = topo.payload(node.where).fold_map(problem.x0, k)
-            path = x_cols[node.key]
-            self.rows(path, rows.a, rows.b, eq=True, hist=b_hist, first=first)
-            self.rows(path, rows.g, rows.h, hist=h_hist, first=first)
-            n_p = rows.pieces_d.shape[0]
-            value = [v_col[node.key]]
-            pieces = [rows.pieces_c, -np.ones((n_p, 1))]
-            if node.key in kids:
-                key = topo.pool(node.where)
-                value.append(self.risk(topo.risk(key), topo.probs(key),
-                                       np.array(kids[node.key])))
-                pieces.append(np.ones((n_p, 1)))
-            self.rows(np.concatenate([path, value]), np.hstack(pieces), -rows.pieces_d,
-                      hist=d_hist, first=first)
-        return v_col[(0,)]
-
-    def recourse(self, problem: Problem, where) -> int:
-        """Add pool ``where``'s recourse over a new slice of the history parameter.
-
-        The nested epigraphs of the key's children's tails (:meth:`tail`),
-        all reading the slice's ``x_{1:s}``, under the key's risk rows over
-        their value columns (:meth:`risk`).  Returns the risk column.
-        """
-        topo = problem.topology
-        first = self.k
-        self.k += topo.arg_dim(where)
-        values = [self.tail(problem, kid, first) for kid in topo.children(where)]
-        return self.risk(topo.risk(where), topo.probs(where), np.array(values))
 
 
 def extensive_form_value(problem: Problem) -> float:
@@ -325,14 +445,14 @@ def extensive_form_value(problem: Problem) -> float:
     One LP over the whole scenario tree (a lattice expands into its paths):
     a decision and a value column per node, the value bounded below by the
     node's cost plus the one-step risk of its children's values, written as
-    rows (:meth:`_NestedRiskLp.risk`).  Coherent measures are monotone, so
+    rows (:meth:`_NestedRiskLp.nested`).  Coherent measures are monotone, so
     minimising the stage-1 node's value makes every epigraph tight.  One
     HiGHS solve at :data:`HIGHS_OPTIONS` (:meth:`_NestedRiskLp.minimize`),
     the only place the package relies on an external solver.  Its history
     parameter is empty.  Returns ``+inf`` when the instance is infeasible.
     """
     lp = _NestedRiskLp()
-    return float(lp.minimize([lp.tail(problem, problem.topology.first)], np.zeros((1, 0)))[0, 0])
+    return float(lp.minimize(lp.nested(problem), np.zeros((1, 0)))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +585,7 @@ def true_recourse_values(problem: Problem, stacks: dict) -> dict:
     with the same ``p`` for every key.  Returns each key's ``p`` values: its
     risk of the tail values of its children, ``0`` at a terminal key.  The
     recourse LPs of all inner keys lie side by side in one HiGHS model
-    (:meth:`_NestedRiskLp.recourse`), each reading its own slice of the
+    (:meth:`_NestedRiskLp.nested`), each reading its own slice of the
     history parameter, which minimises the sum of their risk columns and is
     re-solved from its last basis at each point index
     (:meth:`_NestedRiskLp.minimize`); the LPs share no column or row, so
@@ -489,13 +609,12 @@ def true_recourse_values(problem: Problem, stacks: dict) -> dict:
     if not inner:
         return out
     lp = _NestedRiskLp()
-    cols = [lp.recourse(problem, key) for key in inner]
-    values = lp.minimize(cols, np.hstack(list(inner.values())))
+    values = lp.minimize(lp.nested(problem, list(inner)), np.hstack(list(inner.values())))
     infeasible = np.isinf(values[:, 0])
     if len(inner) > 1 and infeasible.any():
         for j, (key, stack) in enumerate(inner.items()):
             one = _NestedRiskLp()
-            values[infeasible, j] = one.minimize([one.recourse(problem, key)],
+            values[infeasible, j] = one.minimize(one.nested(problem, [key]),
                                                  stack[infeasible])[:, 0]
     return out | {key: values[:, j] for j, key in enumerate(inner)}
 

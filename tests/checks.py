@@ -7,7 +7,11 @@ variational form and grid-search a small box, so tests can compare the
 package's answers against routes that share none of its arithmetic.  One
 more, :func:`nd_true_recourse_value`, recomputes a pool's exact recourse
 child by child with nested decomposition, a route that shares nothing with
-the extensive form it checks.  :func:`check_cuts_by_loop` and
+the extensive form it checks.  :func:`per_node_extensive_form_value` and
+:func:`per_node_recourse_value` build the oracle's nested-risk models the
+way ``riskdp.oracle`` did before its layered build, one scenario node and
+one risk measure at a time (:func:`per_node_tail`, :func:`per_node_risk`),
+on the same ``_NestedRiskLp``.  :func:`check_cuts_by_loop` and
 :func:`pool_violations_by_loop` judge a cut dump the way ``riskdp
 check-cuts`` did before its joint oracle and its array check: one model
 per pool, one cut at one point at a time.
@@ -28,8 +32,8 @@ import numpy as np
 from riskdp import io
 from riskdp.cli import _history_box
 from riskdp.model import LATTICE, TREE, ModelError, PwlConvexCost
-from riskdp.oracle import (OracleError, conditioned_problem, exact_nested_decomposition,
-                           true_recourse_value)
+from riskdp.oracle import (OracleError, _NestedRiskLp, conditioned_problem,
+                           exact_nested_decomposition, true_recourse_value)
 from riskdp.risk import PROB_TOL, RiskConfigError, risk_value_and_density, validate_risk_set
 from riskdp.valuefn import MU_ZERO_TOL
 
@@ -193,6 +197,104 @@ def nd_true_recourse_value(problem, where, history) -> float:
     values = [exact_nested_decomposition(conditioned_problem(problem, kid, history)).value
               for kid in topo.children(where)]
     return risk_value_and_density(topo.risk(where), topo.probs(where), np.asarray(values))[0]
+
+
+def per_node_risk(lp, spec, probs: np.ndarray, values: np.ndarray) -> int:
+    """A column ``R >= rho(V[values])`` for the one-step measure ``spec``, rows of its own.
+
+    Expectation: ``R >= sum_j phi_j V_j``.  CVaR and mixture, by
+    Rockafellar–Uryasev: ``R >= (1-lam) sum_j phi_j V_j + lam (u + sum_j
+    phi_j s_j / eps)`` with ``s_j >= V_j - u``, ``s_j >= 0`` (``lam = 1``
+    for CVaR).  Polytope, by duality of the density LP: ``R >= mu + rhs .
+    lam`` with ``mu phi_j + (A^T lam)_j >= phi_j V_j``, ``lam >= 0``.
+    """
+    m = len(values)
+    r = lp.columns(1)
+    if spec.kind == "polytope":
+        a = np.array([np.asarray(row, dtype=float) for row, _ in spec.rows])
+        rhs = np.array([b for _, b in spec.rows])
+        mu = lp.columns(1)
+        lam = lp.columns(len(rhs), lower=0.0)
+        lp.rows(np.concatenate([values, mu, lam]),
+                np.hstack([np.diag(probs), -probs[:, None], -a.T]), np.zeros(m))
+        lp.rows(np.concatenate([mu, lam, r]), np.concatenate([[1.0], rhs, [-1.0]]), 0.0)
+        return int(r[0])
+    lam = {"expectation": 0.0, "cvar": 1.0, "mixture": spec.lam}[spec.kind]
+    if lam == 0.0:
+        lp.rows(np.concatenate([values, r]), np.append(probs, -1.0), 0.0)
+        return int(r[0])
+    u = lp.columns(1)
+    s = lp.columns(m, lower=0.0)
+    lp.rows(np.concatenate([values, u, s]),
+            np.hstack([np.eye(m), -np.ones((m, 1)), -np.eye(m)]), np.zeros(m))
+    lp.rows(np.concatenate([values, u, s, r]),
+            np.concatenate([(1.0 - lam) * probs, [lam], lam * probs / spec.epsilon, [-1.0]]), 0.0)
+    return int(r[0])
+
+
+def per_node_tail(lp, problem, where, first: int = 0) -> int:
+    """Add the nested epigraph below position ``where`` node by node; return its value column.
+
+    Every scenario node ``m`` below ``where`` gets its decision columns, a
+    value column ``V_m >= cost_m(x_{1:m}) + R_m`` (one row per cost piece)
+    and, when it has children, the risk rows of ``R_m``
+    (:func:`per_node_risk`); its payload's rows come from one
+    ``Realization.fold_map`` over the history of ``where``'s stage, read
+    from parameter entry ``first`` on.
+    """
+    topo = problem.topology
+    k = (topo.stage(where) - 1) * problem.dim
+    nodes = topo.scenarios(where)
+    x_cols: dict = {(): np.zeros(0, dtype=int)}
+    v_col: dict = {}
+    kids: dict = {}
+    for node in nodes:
+        pay = topo.payload(node.where)
+        x_cols[node.key] = np.concatenate(
+            [x_cols[node.parent], lp.columns(problem.dim, pay.lb, pay.ub)])
+        v_col[node.key] = int(lp.columns(1)[0])
+        kids.setdefault(node.parent, []).append(v_col[node.key])
+    for node in nodes:
+        rows, b_hist, h_hist, d_hist = topo.payload(node.where).fold_map(problem.x0, k)
+        path = x_cols[node.key]
+        lp.rows(path, rows.a, rows.b, eq=True, hist=b_hist, first=first)
+        lp.rows(path, rows.g, rows.h, hist=h_hist, first=first)
+        n_p = rows.pieces_d.shape[0]
+        value = [v_col[node.key]]
+        pieces = [rows.pieces_c, -np.ones((n_p, 1))]
+        if node.key in kids:
+            key = topo.pool(node.where)
+            value.append(per_node_risk(lp, topo.risk(key), topo.probs(key),
+                                       np.array(kids[node.key])))
+            pieces.append(np.ones((n_p, 1)))
+        lp.rows(np.concatenate([path, value]), np.hstack(pieces), -rows.pieces_d,
+                hist=d_hist, first=first)
+    return v_col[(0,)]
+
+
+def per_node_extensive_form_value(problem) -> float:
+    """``riskdp.oracle.extensive_form_value`` from the per-node model of the stage-1 tail."""
+    lp = _NestedRiskLp()
+    return float(lp.minimize([per_node_tail(lp, problem, problem.topology.first)],
+                             np.zeros((1, 0)))[0, 0])
+
+
+def per_node_recourse_value(problem, where, stack) -> np.ndarray:
+    """Pool ``where``'s exact recourse at each history of ``stack``, from its per-node model.
+
+    The pool's own model: its children's tails (:func:`per_node_tail`)
+    under its risk rows (:func:`per_node_risk`), so a history reads ``+inf``
+    exactly where this pool's LP is infeasible; 0 at a terminal key.
+    """
+    topo = problem.topology
+    stack = np.atleast_2d(stack)
+    if topo.terminal(where):
+        return np.zeros(stack.shape[0])
+    lp = _NestedRiskLp()
+    lp.k = topo.arg_dim(where)
+    values = [per_node_tail(lp, problem, kid) for kid in topo.children(where)]
+    col = per_node_risk(lp, topo.risk(where), topo.probs(where), np.array(values))
+    return lp.minimize([col], stack)[:, 0]
 
 
 def check_cuts_by_loop(problem, records, points: int, seed: int,

@@ -774,6 +774,42 @@ def test_rows_pivots_and_refactors_drop_the_held_pricing(monkeypatch):
     _assert_matches_cold(sol, _with_rows(_two_rows(20.0), [[1.0, 1.0]], [3.0], 2))
 
 
+def test_held_move_masks_are_those_of_the_column_states(monkeypatch):
+    # _dual_infeasibility holds its rise/fall masks across calls, updated
+    # column by column through pivots and bound moves and dropped by a write
+    # to the column states or to movable as a whole: at every call, held or
+    # built, they are the masks the states give, through cold two-phase
+    # solves, no-pivot re-solves, dual re-solves after a moved right-hand
+    # side and re-solves after a row insert
+    seen = Counter()
+    infeasibility = lp._Simplex._dual_infeasibility
+
+    def checking(self, d):
+        seen["held" if self.moves is not None else "built"] += 1
+        viol, rise, fall = infeasibility(self, d)
+        st, free = self.status_col, self.status_col == lp.NB_FREE
+        assert np.array_equal(rise, self.movable & ((st == lp.AT_LOWER) | free))
+        assert np.array_equal(fall, self.movable & ((st == lp.AT_UPPER) | free))
+        return viol, rise, fall
+
+    monkeypatch.setattr(lp._Simplex, "_dual_infeasibility", checking)
+    dual = 0
+    for seed in range(40):
+        prob = _random_problem(seed)
+        held = _held(prob)
+        if held is None:
+            continue
+        held.resolve()
+        held.set_rhs(prob.b_eq, prob.b_ub - 0.5 * np.abs(prob.b_ub))
+        sol = held.resolve()
+        dual += sol is not None and sol.dual_start
+        x = held.x[:prob.n_vars]
+        held.append_rows(np.ones((1, prob.n_vars)), np.array([x.sum() - 0.1]), 0)
+        held.resolve()
+    # most calls find the masks held: pivots do not drop them
+    assert dual >= 5 and seen["held"] > seen["built"] >= 100, (dual, seen)
+
+
 def test_dual_resolve_after_a_violated_row_refactors_once(monkeypatch):
     # the bordered inverse of a row that cuts the vertex off is exact enough
     # for the dual pivots: one factorization, after them, before optimality

@@ -10,7 +10,8 @@ import pytest
 import scipy.optimize
 from scipy.optimize._highspy import _core as highs_core
 
-from checks import grid_minimum, n_optimality_cuts, nd_true_recourse_value, nodes_at_depth
+from checks import (grid_minimum, n_optimality_cuts, nd_true_recourse_value, nodes_at_depth,
+                    per_node_extensive_form_value, per_node_recourse_value)
 from conftest import (lattice_to_tree, make_cvar_without_complete_recourse,
                       random_lattice_instance)
 from riskdp import engine, io, lp, model, oracle
@@ -462,9 +463,9 @@ def test_reused_stage_solves_equal_fresh_cold_solves(form, monkeypatch):
 # the nested-risk extensive form against nested decomposition
 # ---------------------------------------------------------------------------
 
-def _node_cvar_tree(rng):
+def _node_cvar_tree(rng, branching=3):
     """A tree of the perfbench ``tree-cvar`` shape: every inner node its own CVaR level."""
-    tree = lattice_to_tree(random_lattice_instance(rng, 3, 3, 2))
+    tree = lattice_to_tree(random_lattice_instance(rng, 3, branching, 2))
     for node in tree.nodes:
         if node.parent is not None and tree.children(node.id):
             node.risk = RiskSpec(kind="cvar", epsilon=float(rng.uniform(0.3, 0.9)))
@@ -530,7 +531,10 @@ def dense_blocks(monkeypatch):
 
     The record, ``lp.dense``, is what the oracle asks for, before
     :meth:`oracle._NestedRiskLp.rows` drops any zero: the references below
-    build their matrices from it.
+    build their matrices from it.  Each block is kept row by row: its
+    column map, shared by every row or one row per block row, is stored as
+    one column list per row, and its ``first``, one for the block or one
+    per row, as one parameter offset per row.
     """
     columns, rows = oracle._NestedRiskLp.columns, oracle._NestedRiskLp.rows
 
@@ -543,9 +547,10 @@ def dense_blocks(monkeypatch):
         return columns(self, k, lower, upper)
 
     def recording_rows(self, cols, block, rhs, eq=False, hist=None, first=0):
-        rhs = np.atleast_1d(rhs)
-        record(self)[eq].append((cols, np.atleast_2d(block), rhs,
-                                 np.zeros((rhs.shape[0], 0)) if hist is None else hist, first))
+        block, rhs = np.atleast_2d(block), np.atleast_1d(rhs)
+        record(self)[eq].append((np.broadcast_to(cols, block.shape), block, rhs,
+                                 np.zeros((rhs.shape[0], 0)) if hist is None else hist,
+                                 np.broadcast_to(first, rhs.shape)))
         return rows(self, cols, block, rhs, eq, hist, first)
 
     monkeypatch.setattr(oracle._NestedRiskLp, "columns", recording_columns)
@@ -555,8 +560,9 @@ def dense_blocks(monkeypatch):
 def _dense_rows(lp, eq):
     """The dense matrix, right-hand side and history coefficients of one row kind of ``lp``.
 
-    A block's history coefficients sit in the parameter entries from its
-    ``first`` on; every other entry is zero.
+    Each row's entries sit in the columns of its own column list, and its
+    history coefficients in the parameter entries from its own ``first``
+    on; every other entry is zero.
     """
     blocks = lp.dense[eq]
     a = np.zeros((sum(b.shape[0] for _, b, _, _, _ in blocks), lp.ncols))
@@ -564,9 +570,11 @@ def _dense_rows(lp, eq):
     hist = np.zeros((a.shape[0], lp.k))
     i = 0
     for cols, block, r, h, first in blocks:
-        a[i:i + block.shape[0], cols] = block
+        for row, (c, values, offset, coeffs) in enumerate(zip(cols, block, first, h), start=i):
+            assert np.unique(c).shape == c.shape  # no column named twice in a row
+            a[row, c] = values
+            hist[row, offset:offset + h.shape[1]] = coeffs
         rhs[i:i + block.shape[0]] = r
-        hist[i:i + block.shape[0], first:first + h.shape[1]] = h
         i += block.shape[0]
     return a, rhs, hist
 
@@ -608,6 +616,66 @@ def _recourse_cases():
                           ("hopeless", make_cvar_without_complete_recourse(stage2_ub=0.5))):
         cases += [(name, problem), (f"{name}-tree", lattice_to_tree(problem))]
     return cases
+
+
+def test_layered_models_match_the_per_node_models():
+    # the layered build against the per-node one it replaced (tests/checks.py),
+    # on the extensive form and on every pool at six histories, all pools of
+    # an instance in one model.  The four-stage lattice and its tree give one
+    # model three fold lengths and pools at three parameter offsets; the
+    # instances without complete recourse give +inf points and the pool by
+    # pool fallback
+    four = random_lattice_instance(np.random.default_rng(71), 4, 2, 2,
+                                   risk=RiskSpec(kind="mixture", lam=0.5, epsilon=0.4))
+    cases = [(name, problem) for name, problem, _ in _pinned_nd_cases()]
+    cases += _differential_cases() + _recourse_cases()
+    cases += [("four-stage", four), ("four-stage-tree", lattice_to_tree(four))]
+    rng = np.random.default_rng(73)
+    checked = Counter()
+    for name, problem in cases:
+        _assert_agree([oracle.extensive_form_value(problem)],
+                      [per_node_extensive_form_value(problem)], name)
+        topo = problem.topology
+        stacks = {}
+        for key in topo.keys:
+            lo, hi = _history_box(problem, key)
+            stacks[key] = rng.uniform(lo, hi, size=(6, lo.shape[0]))
+        joint = oracle.true_recourse_values(problem, stacks)
+        for key, h in stacks.items():
+            _assert_agree(joint[key], per_node_recourse_value(problem, key, h), (name, key))
+            checked["+inf" if np.isinf(joint[key]).any() else "finite"] += 1
+    assert len(cases) == 47
+    assert checked["+inf"] >= 4 and checked["finite"] >= 150, checked
+
+
+def test_layered_model_grows_with_layers_not_nodes(monkeypatch):
+    # the all-pool model of a three-stage node-CVaR tree has as many row
+    # blocks at 2, 3 and 4 branches (7, 13 and 21 tree nodes): one per kind
+    # of row for each of its three groups of nodes, and the CVaR rows of
+    # every node and pool as one batch
+    built = []
+    minimize = oracle._NestedRiskLp.minimize
+
+    def recording(self, cols, histories):
+        built.append(self)
+        return minimize(self, cols, histories)
+
+    monkeypatch.setattr(oracle._NestedRiskLp, "minimize", recording)
+    n_blocks, n_cols = [], []
+    for branching in (2, 3, 4):
+        tree = _node_cvar_tree(np.random.default_rng(81), branching)
+        topo = tree.topology
+        stacks = {}
+        for key in topo.keys:
+            lo, hi = _history_box(tree, key)
+            stacks[key] = np.atleast_2d((lo + hi) / 2)
+        built.clear()
+        oracle.true_recourse_values(tree, stacks)
+        (lp,) = built
+        n_blocks.append(len(lp.blocks[False]) + len(lp.blocks[True]))
+        n_cols.append(lp.ncols)
+    assert n_blocks == [n_blocks[0]] * 3
+    assert n_cols[0] < n_cols[1] < n_cols[2]
 
 
 @pytest.mark.filterwarnings("error")
