@@ -20,12 +20,18 @@ per pool, one cut at one point at a time.
 one payload at a time.  :func:`nodes_at_depth` lists a tree's nodes at one
 depth, and
 :func:`n_optimality_cuts` and :func:`n_feasibility_cuts` count the cuts of
-a run's pools.
+a run's pools.  :func:`run_fresh` runs a snippet in a new interpreter, for
+the tests of what riskdp imports: the test process itself has imported
+``scipy.optimize`` by the time they run.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +44,7 @@ from riskdp.risk import PROB_TOL, RiskConfigError, risk_value_and_density, valid
 from riskdp.valuefn import MU_ZERO_TOL
 
 CHECK_TOL = 1e-7     # default slack in check_subgradient
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def evaluate_cost_and_history_subgradient(cost: PwlConvexCost, x) -> tuple[float, np.ndarray]:
@@ -406,3 +413,17 @@ def validate_problem_by_loop(p) -> list[str]:
         else:
             out.extend(payload.violations(topo.stage(w), p.dim, topo.label(w)))
     return out
+
+
+def run_fresh(code: str, *args) -> str:
+    """Run ``code`` in a new interpreter with ``args`` as ``sys.argv[1:]``; return its stdout.
+
+    The package's ``src`` is put first on the child's path; a nonzero exit
+    fails the calling test with the child's output.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout

@@ -10,7 +10,7 @@ import pytest
 import scipy.optimize
 from scipy.optimize._highspy import _core as highs_core
 
-from checks import check_cuts_by_loop, nodes_at_depth, pool_violations_by_loop
+from checks import check_cuts_by_loop, nodes_at_depth, pool_violations_by_loop, run_fresh
 from conftest import (lattice_to_tree, make_chain_instance, make_cvar_without_complete_recourse,
                       make_feasibility_instance, make_newsvendor, make_newsvendor_tree,
                       random_lattice_instance)
@@ -238,6 +238,87 @@ def test_oracle_methods(newsvendor_file, tmp_path, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(2.0, abs=1e-8)
     assert _run(["oracle", cvar_file, "--method", "extensive-form"]) == cli.EXIT_OK
     assert float(capsys.readouterr().out) == pytest.approx(2.0, abs=1e-8)
+
+
+# Each command in a new interpreter: this process imported scipy.optimize
+# while pytest collected the tests, so only a new one shows what riskdp loads
+FOOTPRINT = """
+import os, sys
+from riskdp import cli, oracle
+
+problem, out = sys.argv[1:]
+assert cli.main(["validate", problem]) == cli.EXIT_OK
+assert cli.main(["solve", problem, "--out", out, "--iters", "40"]) == cli.EXIT_OK
+assert [name for name in sys.modules if name.split(".")[0] == "scipy"] == []
+assert cli.main(["check-cuts", problem, os.path.join(out, "cuts.csv"),
+                 "--points", "10"]) == cli.EXIT_OK
+assert cli.main(["oracle", problem, "--method", "extensive-form"]) == cli.EXIT_OK
+assert "scipy.optimize" not in sys.modules
+core = oracle._highs_core()
+assert core is sys.modules["scipy.optimize._highspy._core"]
+
+import scipy.optimize
+from scipy.optimize._highspy import _core
+assert _core is core is oracle._highs_core()
+built = []
+
+class Counting(core._Highs):
+    def __init__(self):
+        super().__init__()
+        built.append(self)
+
+core._Highs = Counting
+res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+assert res.status == 0 and res.fun == 1.0 and len(built) == 1
+print("ok")
+"""
+
+
+def test_commands_load_only_the_highs_binding(newsvendor_file, tmp_path):
+    # validate and solve import no scipy; check-cuts and oracle load the
+    # HiGHS binding without scipy.optimize, and a later scipy.optimize
+    # import, linprog included, runs on that same module object
+    assert run_fresh(FOOTPRINT, newsvendor_file, tmp_path / "run").splitlines()[-1] == "ok"
+
+
+MISSING_BINDING = """
+import importlib.machinery, os, sys, sysconfig
+from riskdp import cli, io, oracle
+
+problem, cuts, how, folder = sys.argv[1:]
+find_spec = importlib.machinery.PathFinder.find_spec
+if how == "unloadable":
+    with open(os.path.join(folder, "_core" + sysconfig.get_config_var("EXT_SUFFIX")), "w") as f:
+        f.write("not a shared object")
+
+def finder(name, path=None, target=None):
+    if name != oracle.HIGHS_BINDING:
+        return find_spec(name, path, target)
+    return None if how == "hidden" else find_spec(name, [folder], target)
+
+importlib.machinery.PathFinder.find_spec = finder
+try:
+    oracle.extensive_form_value(io.load_problem(problem))
+except oracle.OracleError as exc:
+    assert isinstance(exc.__cause__, ImportError) == (how == "unloadable")
+    print(exc)
+print(cli.main(["check-cuts", problem, cuts, "--points", "10"]))
+assert oracle.HIGHS_BINDING not in sys.modules
+"""
+
+
+@pytest.mark.parametrize("how", ["hidden", "unloadable"])
+def test_a_binding_that_is_not_found_or_not_loaded_is_an_oracle_error(newsvendor_file, tmp_path,
+                                                                      how):
+    # the finder returns no spec, or a spec for a file that is no extension
+    # module: both are the missing binding, and check-cuts exits with 3
+    out = tmp_path / "run"
+    assert _run(["solve", newsvendor_file, "--out", out, "--iters", "40"]) == cli.EXIT_OK
+    message, code = run_fresh(MISSING_BINDING, newsvendor_file, out / "cuts.csv", how,
+                              tmp_path).splitlines()
+    assert message == ("the oracle solves through scipy's vendored HiGHS binding "
+                       "scipy.optimize._highspy._core, which this scipy lacks")
+    assert int(code) == cli.EXIT_FAILURE
 
 
 def test_oracle_logs_nested_decomposition_lp_counts(newsvendor_file, monkeypatch,

@@ -11,7 +11,7 @@ import scipy.optimize
 from scipy.optimize._highspy import _core as highs_core
 
 from checks import (grid_minimum, n_optimality_cuts, nd_true_recourse_value, nodes_at_depth,
-                    per_node_extensive_form_value, per_node_recourse_value)
+                    per_node_extensive_form_value, per_node_recourse_value, run_fresh)
 from conftest import (lattice_to_tree, make_cvar_without_complete_recourse,
                       random_lattice_instance)
 from riskdp import engine, io, lp, model, oracle
@@ -646,6 +646,49 @@ def test_layered_models_match_the_per_node_models():
             checked["+inf" if np.isinf(joint[key]).any() else "finite"] += 1
     assert len(cases) == 47
     assert checked["+inf"] >= 4 and checked["finite"] >= 150, checked
+
+
+ORACLE_VALUES = """
+import sys
+import numpy as np
+from riskdp import io, oracle
+
+for path in sys.argv[1:]:
+    problem = io.load_problem(path)
+    stacks = {int(key): stack for key, stack in np.load(path + ".npz").items()}
+    values = oracle.true_recourse_values(problem, stacks)
+    print(repr(oracle.extensive_form_value(problem)),
+          repr({key: values[key].tolist() for key in sorted(values)}))
+assert "scipy.optimize" not in sys.modules
+"""
+
+
+def test_directly_loaded_binding_gives_the_same_values(tmp_path):
+    # a new interpreter loads the HiGHS binding on its own; this one reached
+    # it through scipy.optimize.  Both must print the same values, digit for
+    # digit, from the same files
+    rng = np.random.default_rng(75)
+    paths = []
+    for name, problem in _differential_cases()[:4] + _recourse_cases():
+        path = tmp_path / f"{name}.json"
+        io.save_problem(problem, path)
+        stacks = {}
+        for key in problem.topology.keys:
+            lo, hi = _history_box(problem, key)
+            stacks[str(key)] = rng.uniform(lo, hi, size=(4, lo.shape[0]))
+        np.savez(f"{path}.npz", **stacks)
+        paths.append(str(path))
+    assert "scipy.optimize" in sys.modules
+    fresh = run_fresh(ORACLE_VALUES, *paths)
+    here = []
+    for path in paths:
+        problem = io.load_problem(path)
+        stacks = {int(key): stack for key, stack in np.load(path + ".npz").items()}
+        values = oracle.true_recourse_values(problem, stacks)
+        values = {key: values[key].tolist() for key in sorted(values)}
+        here.append(f"{oracle.extensive_form_value(problem)!r} {values!r}")
+    assert fresh.splitlines() == here
+    assert "inf" in fresh
 
 
 def test_layered_model_grows_with_layers_not_nodes(monkeypatch):
