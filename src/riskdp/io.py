@@ -9,10 +9,21 @@ default ``risk`` fragment, and either ``stages`` (lattice form) or
 ``prob``, ``cost_pieces`` (objects ``{"c": [...], "d": f}``), ``A`` (a list
 of equality blocks, one per decision ``x_0..x_t``), ``b``, ``G`` (a single
 matrix over the full history), ``h``, ``lb``, ``ub``.  ``A``/``b`` and
-``G``/``h`` may be omitted when a payload has no such rows.  In tree form
+``G``/``h`` may be omitted when a payload has no such rows, and
+``lower_value_bound`` when the horizon is 1; only a missing key or ``null``
+means absent, and any other non-list value there is an error.  In tree form
 the root row is a synthetic anchor: ``parent`` is ``null``, it carries no
 payload, and its single child is the stage-1 node.  Tree nodes may come in
 any order; validation checks that they form one rooted tree.
+
+Problem files and cut dumps are read as UTF-8.  A document is read in one
+walk: each payload's lists go to its constructors, which convert every
+field to its own float array, and the entry types of all the document's
+lists are checked together, one nesting depth at a time
+(:func:`_check_arrays`), before :func:`riskdp.model.validate_problem`.  A
+cut dump's numbers are converted in one pass and checked finite in one.
+Only a fault makes either reader walk its input piece by piece, to name
+the first piece at fault.
 
 Run artifacts are CSV and JSON files written for byte-stable replay diffs:
 all floats are printed with 17 significant digits, CSV uses ``.`` as the
@@ -31,7 +42,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -122,37 +132,59 @@ def _check_numbers(value) -> None:
 
 
 def _check_arrays(arrays: list) -> None:
-    """Raise :class:`IoError` unless every ``(what, value)`` of ``arrays`` holds only numbers.
+    """Raise :class:`IoError` unless each ``(what, vectors, matrices)`` of ``arrays`` is numbers.
 
-    All of them are checked in one :func:`_check_numbers` pass; only when it
-    fails is each checked alone, to name the one at fault.
+    Each of ``vectors`` must be a list of JSON numbers and each of
+    ``matrices`` a list of such lists.  The format fixes each field's depth,
+    so the fields of a whole document are checked in two ``set(map(type,
+    ...))`` passes: one over the lists, one over their entries (a bool's
+    type is ``bool``, not ``int``).  Only when that fails does
+    :func:`_check_numbers` walk each entry's fields, to name the one at
+    fault or to accept lists nested deeper than the format writes.
     """
+    vectors = list(chain.from_iterable(entry[1] for entry in arrays))
+    matrices = list(chain.from_iterable(entry[2] for entry in arrays))
     try:
-        _check_numbers([value for _what, value in arrays])
-    except TypeError:
-        for what, value in arrays:
-            try:
-                _check_numbers(value)
-            except TypeError as exc:
-                raise IoError(f"{what}: {exc}") from exc
+        lists = vectors + list(chain.from_iterable(matrices))
+        if (set(map(type, lists + matrices)) <= {list}
+                and set(map(type, chain.from_iterable(lists))) <= {int, float}):
+            return
+    except TypeError:  # a matrix that is not a list
+        pass
+    for what, vectors, matrices in arrays:
+        try:
+            _check_numbers(vectors + matrices)
+        except TypeError as exc:
+            raise IoError(f"{what}: {exc}") from exc
+
+
+def _list_field(raw: dict, key: str) -> list:
+    """``raw[key]``, ``[]`` when the key is missing or null; another non-list raises TypeError."""
+    value = raw.get(key)
+    if value is None:
+        return []
+    if type(value) is not list:
+        raise TypeError(f"{key!r} must be a list, not {value!r}")
+    return value
 
 
 def _parse_payload(raw: dict, n: int, where: str, arrays: list) -> Realization:
-    """The payload ``raw`` at ``where``; its number arrays join ``arrays`` (:func:`_check_arrays`)."""
+    """The payload ``raw`` at ``where``; its lists join ``arrays`` (:func:`_check_arrays`)."""
     try:
         pieces = raw["cost_pieces"]
         if not pieces:
             raise IoError(f"{where}: cost_pieces must be non-empty")
         pieces_c, pieces_d = [pc["c"] for pc in pieces], [pc["d"] for pc in pieces]
-        a, b, g, h = (raw.get(key) or [] for key in ("A", "b", "G", "h"))
+        a, b, g, h = (_list_field(raw, "A"), _list_field(raw, "b"), _list_field(raw, "G"),
+                      _list_field(raw, "h"))
         lb, ub = raw["lb"], raw["ub"]
-        arrays.append((f"{where}: malformed payload", [pieces_c, pieces_d, a, b, g, h, lb, ub]))
+        arrays.append((f"{where}: malformed payload", [pieces_d, b, h, lb, ub], [pieces_c, g, *a]))
         cost = PwlConvexCost(pieces_c=pieces_c, pieces_d=pieces_d, dim=n)
         prob = float(_json_number(raw.get("prob", 1.0)))
         return Realization(prob=prob, cost=cost, a_blocks=a, b=b, g=g, h=h, lb=lb, ub=ub)
     except IoError:
         raise
-    except (KeyError, TypeError, ValueError, ModelError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ModelError) as exc:
         raise IoError(f"{where}: malformed payload: {exc}") from exc
 
 
@@ -186,11 +218,11 @@ def problem_from_dict(doc: dict) -> Problem:
     try:
         horizon = _json_integer(doc["horizon"])
         n = _json_integer(doc["dim"])
-        x0, lvb = doc["x0"], doc.get("lower_value_bound") or []
-        arrays = [("malformed problem document", [x0, lvb])]
+        x0, lvb = doc["x0"], _list_field(doc, "lower_value_bound")
+        arrays = [("malformed problem document", [x0, lvb], [])]
         x0, lvb = np.asarray(x0, dtype=float), np.asarray(lvb, dtype=float)
         form = doc.get("form", LATTICE)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IoError(f"malformed problem document: {exc}") from exc
     default_risk = _risk_from(doc, RiskSpec(), "top-level risk")
     if form == LATTICE:
@@ -209,7 +241,7 @@ def problem_from_dict(doc: dict) -> Problem:
                 nid, parent = _json_integer(raw["id"]), raw.get("parent")
                 parent = None if parent is None else _json_integer(parent)
                 prob = float(_json_number(raw.get("prob", 1.0)))
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
                 raise IoError(f"malformed node entry {i}: expected an object with an "
                               f"integer 'id' and 'parent' and a number 'prob': {exc!r}") from exc
             where = f"node {nid}"
@@ -228,14 +260,22 @@ def problem_from_dict(doc: dict) -> Problem:
     return problem
 
 
+def _read_text(path) -> str:
+    """The file at ``path`` decoded as UTF-8; a read or decode failure raises :class:`IoError`."""
+    try:
+        with open(path, "rb") as file:
+            return file.read().decode("utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_problem(source) -> Problem:
     """Load and validate a problem from a JSON file path or an already-parsed dict."""
     if isinstance(source, dict):
         return problem_from_dict(source)
-    try:
-        text = Path(source).read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read {source}: {exc}") from exc
+    text = _read_text(source)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -397,36 +437,58 @@ class CutRecord:
 
 
 def read_cuts_csv(path) -> list[CutRecord]:
-    """Parse a cut dump; a malformed row or a non-finite number in it raises :class:`IoError`."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    """Parse a cut dump; a malformed row or a non-finite number in it raises :class:`IoError`.
+
+    The whole dump is read by one :func:`_cut_records` call; only when that
+    fails is each row read alone, to name the first one at fault.
+    """
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] != CUTS_CSV_HEADER:
         raise IoError(f"{path}: missing cut dump header")
-    out = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        try:
-            kind, where, iteration = fields[0], int(fields[1]), int(fields[2])
-            numbers = [float(v) for v in fields[3:]]
-            if not all(map(math.isfinite, numbers)):
-                raise ValueError("theta, beta and anchor entries must be finite")
-            theta, coeffs = numbers[0], np.asarray(numbers[1:])
-            if kind == CUT_KIND_OPTIMALITY:
-                if coeffs.shape[0] % 2:
-                    raise ValueError("optimality row needs matching beta and anchor")
-                d = coeffs.shape[0] // 2
-                rec = CutRecord(kind, where, iteration, theta, coeffs[:d], coeffs[d:])
-            elif kind == CUT_KIND_FEASIBILITY:
-                rec = CutRecord(kind, where, iteration, theta, coeffs, None)
-            else:
-                raise ValueError(f"unknown cut kind {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise IoError(f"{path}:{ln}: malformed cut row: {exc}") from exc
-        out.append(rec)
+    rows = [(ln, line.split(",")) for ln, line in enumerate(lines[1:], start=2) if line]
+    try:
+        return _cut_records([fields for _ln, fields in rows])
+    except (IndexError, ValueError):
+        for ln, fields in rows:
+            try:
+                _cut_records([fields])
+            except (IndexError, ValueError) as exc:
+                raise IoError(f"{path}:{ln}: malformed cut row: {exc}") from exc
+        raise  # not reached: a dump that fails has a row that fails alone
+
+
+def _cut_records(rows: list[list[str]]) -> list[CutRecord]:
+    """The records of the split rows ``rows`` of a cut dump.
+
+    Every number of the rows is converted in one pass (``theta`` is kept as
+    ``float`` reads it) and checked finite in one; ``beta`` and ``anchor``
+    are slices of the one array of them.  A malformed row raises
+    ``IndexError`` or ``ValueError``; for a single row, that is the error of
+    its first fault, in the order kind and counters, numbers, finiteness,
+    ``theta``, then the kind's entry count.
+    """
+    heads = [(row[0], int(row[1]), int(row[2])) for row in rows]
+    numbers = list(map(float, chain.from_iterable(row[3:] for row in rows)))
+    values = np.array(numbers)
+    if not np.isfinite(values).all():
+        raise ValueError("theta, beta and anchor entries must be finite")
+    out, i = [], 0
+    for (kind, where, iteration), row in zip(heads, rows):
+        m = len(row) - 4  # beta and anchor entries
+        if m < 0:
+            raise IndexError("list index out of range")  # no theta
+        if kind == CUT_KIND_OPTIMALITY:
+            if m % 2:
+                raise ValueError("optimality row needs matching beta and anchor")
+            d = i + 1 + m // 2
+            out.append(CutRecord(kind, where, iteration, numbers[i], values[i + 1:d],
+                                 values[d:i + 1 + m]))
+        elif kind == CUT_KIND_FEASIBILITY:
+            out.append(CutRecord(kind, where, iteration, numbers[i], values[i + 1:i + 1 + m],
+                                 None))
+        else:
+            raise ValueError(f"unknown cut kind {kind!r}")
+        i += m + 1
     return out
 
 

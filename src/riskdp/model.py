@@ -47,14 +47,18 @@ itself is read only by parsing, the :class:`Topology` constructor, the
 algorithm/form check and the oracle's tails, which are trees on both forms.
 
 Every problem is validated on each load and again by each run, so
-:func:`validate_problem` checks all payloads in one array pass and reads
-them one at a time only to word the messages of a faulty one; the payload
-constructors convert each field to a float array once.
+:func:`validate_problem` checks all payloads in one array pass and the
+probabilities of all pool keys in one pass over Python floats, and reads a
+payload or a key on its own only to word the messages of a fault.  The
+payload constructors convert each field to its own float array; the file
+reader (:mod:`riskdp.io`) hands them a document's lists and checks the
+entry types of all of them in one pass of its own.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -213,7 +217,7 @@ class Realization:
                            f"{self.a_blocks[tau].shape}, expected {(q, n)}")
             if not (misshaped or np.isfinite(np.hstack(self.a_blocks)).all()):
                 out.append(f"{where}: equality blocks contain non-finite entries")
-        if self.cost.dim != n or self.cost.pieces_c.shape[1] != t * n:
+        if self.cost.dim != n or self.cost.pieces_c.shape[1:] != (t * n,):
             out.append(f"{where}: cost pieces must have {t * n} coordinates")
         if not (np.isfinite(self.cost.pieces_c).all() and np.isfinite(self.cost.pieces_d).all()):
             out.append(f"{where}: cost pieces contain non-finite entries")
@@ -525,12 +529,13 @@ def validate_problem(p: Problem) -> list[str]:
 
     The checks follow the paper's standing assumptions: finitely many
     realizations with strictly positive probabilities (a NaN fails), compact
-    boxes and finite data.  The top level and every pool key are checked on
-    their own; the payloads are checked in one pass over all of them
-    (:func:`_payloads_sound`), and only when that pass finds a fault does
-    each payload run :meth:`Realization.violations`, so a valid problem
-    costs a few numpy calls in all and a faulty one gets every message, in
-    position order.
+    boxes and finite data.  The top level and the stages of the pool keys
+    are checked on their own.  The probabilities and risk specs of all pool
+    keys are checked in one pass (:func:`_probabilities_sound`), and so are
+    the payloads (:func:`_payloads_sound`); only when such a pass finds a
+    fault does each key, or each payload (:meth:`Realization.violations`),
+    run its own checks.  So a valid problem costs a few numpy calls in all
+    and a faulty one gets every message, in key and position order.
     """
     out: list[str] = []
     if p.horizon < 1:
@@ -557,15 +562,17 @@ def validate_problem(p: Problem) -> list[str]:
     reader_stage = {root: 0} | {topo.pool(w): topo.stage(w) for w in topo.positions}
     # keys with a child that has no payload: a lattice reads its probabilities there
     bare = {topo.parent(w) for w in topo.positions if topo.payload(w) is None}
+    sound = _probabilities_sound(topo, [key for key in reader_stage
+                                        if not (topo.terminal(key) or key in bare)])
     for key, s in reader_stage.items():  # s: the stage of the subproblems reading key
-        where = topo.label(key)
         if topo.terminal(key):
             if s < horizon:
-                out.append(f"{where}: leaf at stage {s}, expected {horizon} stages")
+                out.append(f"{topo.label(key)}: leaf at stage {s}, expected {horizon} stages")
             continue
+        where = topo.label(key)
         if s >= horizon:
             out.append(f"{where}: children beyond the horizon, expected {horizon} stages")
-        if key in bare:  # the missing payloads are reported below
+        if sound or key in bare:  # the missing payloads are reported below
             continue
         probs = topo.probs(key)
         total = probs.sum()
@@ -588,31 +595,67 @@ def validate_problem(p: Problem) -> list[str]:
     return out
 
 
+def _probabilities_sound(topo: Topology, keys: list) -> bool:
+    """True when :func:`validate_problem` finds no probability or risk fault at any of ``keys``.
+
+    Each key's probabilities are read as Python floats: their least must be
+    positive and their exact sum (``math.fsum``; a NaN makes it NaN) within
+    half of ``PROB_TOL`` of 1, so that the rounding of the key's own
+    ``probs.sum()`` cannot fail it.  A risk spec other than a polytope
+    depends on the probabilities only through those checks, so
+    :meth:`RiskSpec.validate` stands in for :func:`validate_risk_set`; a
+    polytope's dual set is tested on its key's own probabilities.  Any doubt
+    returns False, and the per-key checks then word the messages.
+    """
+    item = topo._item
+    try:
+        for key in keys:
+            probs = [item[w].prob for w in topo.children(key)]
+            if not (min(probs) > 0.0 and abs(math.fsum(probs) - 1.0) <= 0.5 * PROB_TOL):
+                return False
+            if key == topo.root:
+                continue
+            spec = topo.risk(key)
+            if spec.kind == "polytope":
+                probs = topo.probs(key)
+                validate_risk_set(spec, probs / probs.sum())
+            else:
+                spec.validate()
+    except (RiskConfigError, OverflowError):  # fsum overflows on huge probabilities
+        return False
+    return True
+
+
 def _payloads_sound(p: Problem) -> bool:
     """True when every position has a payload and no :meth:`Realization.violations` entry.
 
     One pass for all payloads, with the checks of ``violations``: their
     structure in plain Python on shape tuples and ``prob``, their numbers
-    with one ``isfinite`` over the concatenation, and their boxes with one
-    ``lb <= ub``.
+    with one ``isfinite`` over one concatenation, and their boxes with one
+    ``lb <= ub``.  The equality blocks, all ``(q, n)`` once the shapes pass,
+    are stacked into one array first, so that they need no ``ravel`` each.
     """
     topo, n = p.topology, p.dim
-    numbers, lbs, ubs = [], [], []
+    blocks, numbers, lbs, ubs = [], [], [], []
     for w in topo.positions:
         pay, t = topo.payload(w), topo.stage(w)
         if pay is None or not pay.prob > 0.0:
             return False
-        q, r, a, c = pay.b.shape[0], pay.h.shape[0], pay.a_blocks, pay.cost.pieces_c
-        if (len(a) != t + 1 or any(blk.shape != (q, n) for blk in a)
-                or pay.cost.dim != n or c.shape[1] != t * n
-                or pay.g.shape != (r, (t + 1) * n)
+        a, cost, g = pay.a_blocks, pay.cost, pay.g
+        if (cost.dim != n or cost.pieces_c.shape[1:] != (t * n,) or len(a) != t + 1
+                or g.shape != (pay.h.shape[0], (t + 1) * n)
                 or pay.lb.shape[0] != n or pay.ub.shape[0] != n):
             return False
-        numbers += [blk.ravel() for blk in a]
-        numbers += [c.ravel(), pay.cost.pieces_d, pay.g.ravel(), pay.b, pay.h]
+        qn = (pay.b.shape[0], n)
+        for blk in a:
+            if blk.shape != qn:
+                return False
+        blocks += a
+        numbers += (cost.pieces_c.ravel(), cost.pieces_d, g.ravel(), pay.b, pay.h)
         lbs.append(pay.lb)
         ubs.append(pay.ub)
     if not lbs:
         return True
     lb, ub = np.concatenate(lbs), np.concatenate(ubs)
-    return bool(np.isfinite(np.concatenate(numbers + [lb, ub])).all() and (lb <= ub).all())
+    numbers += (np.concatenate(blocks).ravel(), lb, ub)
+    return bool(np.isfinite(np.concatenate(numbers)).all() and (lb <= ub).all())

@@ -95,7 +95,7 @@ class RiskSpec:
             spec.validate()
         except RiskConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RiskConfigError(
                 f"malformed risk fragment {frag!r}: epsilon and lambda must be numbers and "
                 f"rows a list of {{'a': [...], 'rhs': number}} objects ({exc!r})") from exc

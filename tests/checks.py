@@ -17,14 +17,20 @@ check-cuts`` did before its joint oracle and its array check: one model
 per pool, one cut at one point at a time.
 :func:`validate_problem_by_loop` validates a problem the way
 ``riskdp.model.validate_problem`` did before its one-pass payload check,
-one payload at a time.  :func:`nodes_at_depth` lists a tree's nodes at one
-depth, and
+one payload at a time.  :func:`problem_from_dict_by_walk` and
+:func:`read_cuts_csv_by_row` read a problem document and a cut dump the way
+``riskdp.io`` did before its one-pass reader: the payload constructors
+convert each field, one level-by-level walk checks every entry's type, and
+a dump is parsed row by row.  :func:`nodes_at_depth` lists a tree's nodes
+at one depth, and
 :func:`n_optimality_cuts` and :func:`n_feasibility_cuts` count the cuts of
 a run's pools.  :func:`run_fresh` runs a snippet in a new interpreter, for
 the tests of what riskdp imports: the test process itself has imported
-``scipy.optimize`` by the time they run.
+``scipy.optimize`` by the time they run.  :func:`perfbench_module` loads a
+benchmark module read-only, for the tests that run its workloads.
 """
 
+import importlib.util
 import itertools
 import math
 import os
@@ -37,14 +43,17 @@ import numpy as np
 
 from riskdp import io
 from riskdp.cli import _history_box
-from riskdp.model import LATTICE, TREE, ModelError, PwlConvexCost
+from riskdp.model import (LATTICE, TREE, ModelError, Node, Problem, PwlConvexCost,
+                          Realization, Stage)
 from riskdp.oracle import (OracleError, _NestedRiskLp, conditioned_problem,
                            exact_nested_decomposition, true_recourse_value)
-from riskdp.risk import PROB_TOL, RiskConfigError, risk_value_and_density, validate_risk_set
+from riskdp.risk import (PROB_TOL, RiskConfigError, RiskSpec, _json_number,
+                         risk_value_and_density, validate_risk_set)
 from riskdp.valuefn import MU_ZERO_TOL
 
 CHECK_TOL = 1e-7     # default slack in check_subgradient
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def evaluate_cost_and_history_subgradient(cost: PwlConvexCost, x) -> tuple[float, np.ndarray]:
@@ -413,6 +422,134 @@ def validate_problem_by_loop(p) -> list[str]:
         else:
             out.extend(payload.violations(topo.stage(w), p.dim, topo.label(w)))
     return out
+
+
+def _parse_payload_by_walk(raw: dict, n: int, where: str, arrays: list) -> Realization:
+    """The payload ``raw`` at ``where``; its number fields join ``arrays`` as written."""
+    try:
+        pieces = raw["cost_pieces"]
+        if not pieces:
+            raise io.IoError(f"{where}: cost_pieces must be non-empty")
+        pieces_c, pieces_d = [pc["c"] for pc in pieces], [pc["d"] for pc in pieces]
+        a, b, g, h = (raw.get(key) or [] for key in ("A", "b", "G", "h"))
+        lb, ub = raw["lb"], raw["ub"]
+        arrays.append((f"{where}: malformed payload", [pieces_c, pieces_d, a, b, g, h, lb, ub]))
+        cost = PwlConvexCost(pieces_c=pieces_c, pieces_d=pieces_d, dim=n)
+        prob = float(_json_number(raw.get("prob", 1.0)))
+        return Realization(prob=prob, cost=cost, a_blocks=a, b=b, g=g, h=h, lb=lb, ub=ub)
+    except io.IoError:
+        raise
+    except (KeyError, TypeError, ValueError, ModelError) as exc:
+        raise io.IoError(f"{where}: malformed payload: {exc}") from exc
+
+
+def problem_from_dict_by_walk(doc: dict) -> Problem:
+    """``riskdp.io.problem_from_dict`` as it was before its one-pass reader, kept as its reference.
+
+    A falsy ``A``, ``b``, ``G``, ``h`` or ``lower_value_bound`` reads as
+    absent, as it did then.  The payload constructors convert every field;
+    one ``io._check_numbers`` walk then checks the entry types of all of
+    them, each entry alone only on a fault; and the problem is validated
+    payload by payload (:func:`validate_problem_by_loop`).
+    """
+    try:
+        horizon = io._json_integer(doc["horizon"])
+        n = io._json_integer(doc["dim"])
+        x0, lvb = doc["x0"], doc.get("lower_value_bound") or []
+        arrays = [("malformed problem document", [x0, lvb])]
+        x0, lvb = np.asarray(x0, dtype=float), np.asarray(lvb, dtype=float)
+        form = doc.get("form", LATTICE)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise io.IoError(f"malformed problem document: {exc}") from exc
+    default_risk = io._risk_from(doc, RiskSpec(), "top-level risk")
+    if form == LATTICE:
+        stages = []
+        for s, raw_stage in enumerate(io._list_in(doc, "stages", "lattice document"), start=1):
+            where = f"stage {s}"
+            reals = [_parse_payload_by_walk(raw, n, f"{where} realization {j}", arrays)
+                     for j, raw in enumerate(io._list_in(raw_stage, "realizations", where, []))]
+            stages.append(Stage(reals, risk=io._risk_from(raw_stage, default_risk, where)))
+        problem = Problem(horizon=horizon, dim=n, x0=x0, form=LATTICE,
+                          stages=stages, lower_value_bound=lvb)
+    elif form == TREE:
+        nodes = []
+        for i, raw in enumerate(io._list_in(doc, "nodes", "tree document")):
+            try:
+                nid, parent = io._json_integer(raw["id"]), raw.get("parent")
+                parent = None if parent is None else io._json_integer(parent)
+                prob = float(_json_number(raw.get("prob", 1.0)))
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise io.IoError(f"malformed node entry {i}: expected an object with an "
+                                 f"integer 'id' and 'parent' and a number 'prob': {exc!r}") from exc
+            where = f"node {nid}"
+            nodes.append(Node(id=nid, parent=parent, prob=prob,
+                              payload=(None if parent is None
+                                       else _parse_payload_by_walk(raw, n, where, arrays)),
+                              risk=io._risk_from(raw, default_risk, where)))
+        problem = Problem(horizon=horizon, dim=n, x0=x0, form=TREE,
+                          nodes=nodes, lower_value_bound=lvb)
+    else:
+        raise io.IoError(f"unknown form {form!r}")
+    try:
+        io._check_numbers([value for _what, value in arrays])
+    except TypeError:
+        for what, value in arrays:
+            try:
+                io._check_numbers(value)
+            except TypeError as exc:
+                raise io.IoError(f"{what}: {exc}") from exc
+    violations = validate_problem_by_loop(problem)
+    if violations:
+        raise io.IoError("invalid problem: " + "; ".join(violations))
+    return problem
+
+
+def read_cuts_csv_by_row(path) -> list:
+    """``riskdp.io.read_cuts_csv`` as it was before its one-pass reader: row by row."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise io.IoError(f"cannot read {path}: {exc}") from exc
+    if not lines or lines[0] != io.CUTS_CSV_HEADER:
+        raise io.IoError(f"{path}: missing cut dump header")
+    out = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            kind, where, iteration = fields[0], int(fields[1]), int(fields[2])
+            numbers = [float(v) for v in fields[3:]]
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError("theta, beta and anchor entries must be finite")
+            theta, coeffs = numbers[0], np.asarray(numbers[1:])
+            if kind == io.CUT_KIND_OPTIMALITY:
+                if coeffs.shape[0] % 2:
+                    raise ValueError("optimality row needs matching beta and anchor")
+                d = coeffs.shape[0] // 2
+                rec = io.CutRecord(kind, where, iteration, theta, coeffs[:d], coeffs[d:])
+            elif kind == io.CUT_KIND_FEASIBILITY:
+                rec = io.CutRecord(kind, where, iteration, theta, coeffs, None)
+            else:
+                raise ValueError(f"unknown cut kind {kind!r}")
+        except (IndexError, ValueError) as exc:
+            raise io.IoError(f"{path}:{ln}: malformed cut row: {exc}") from exc
+        out.append(rec)
+    return out
+
+
+def perfbench_module(stem: str):
+    """``perfbench/<stem>.py`` as a module, loaded read-only: no bytecode is written."""
+    spec = importlib.util.spec_from_file_location(f"riskdp_perfbench_{stem}",
+                                                  PERFBENCH / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up while it is built
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 def run_fresh(code: str, *args) -> str:

@@ -1,21 +1,26 @@
 """Print a digest of every perfbench instance of one seed, to compare two checkouts.
 
-Each instance of each workload is generated and solved the way perfbench
-solves it (``perfbench/workloads.py``, loaded read-only): at the workload's
-iteration budget with the stall rule off.  One line per instance gives the
-workload, the instance index, the SHA-256 of ``cuts.csv`` followed by
+Each instance of each workload is generated, written, loaded back and
+solved the way perfbench solves it (``perfbench/workloads.py``, loaded
+read-only): the problem the run sees is the one ``io.load_problem`` reads
+from the instance's file, and it is solved at the workload's iteration
+budget with the stall rule off.  One line per instance gives the workload,
+the instance index, the SHA-256 of ``cuts.csv`` followed by
 ``summary.json``, the run's ``lps``, ``lps_reused``, ``lps_warm``,
 ``lps_dual`` and ``pivots`` counts, ``solves=`` the sum
-``lps + lps_reused``, and ``diag=`` a short SHA-256 of the run's
-``pi_norm_max``, ``pi_norm_first5`` and ``cuts_skipped`` diagnostics.
+``lps + lps_reused``, ``diag=`` a short SHA-256 of the run's
+``pi_norm_max``, ``pi_norm_first5`` and ``cuts_skipped`` diagnostics, and
+``load=`` a short SHA-256 of every array of the loaded problem: its shape,
+dtype and bytes, ``x0`` and ``lower_value_bound`` first, then each
+payload's fields, payloads in position order.
 ``lps_reused`` counts the stage solves that handed back an earlier solve of
 the same LP instead of solving one; ``solves=`` is every stage and phase-I
 solve the run asked for.
 
 Two checkouts that replay the same run must match on the hash, ``diag=``,
-``solves=`` and the audit lines: the same cuts and summaries, the same
-subgradient norms and skipped cuts, the same solves asked for, and the same
-oracle verdicts.  The split of ``solves=`` into ``lps`` and ``lps_reused``,
+``solves=``, ``load=`` and the audit lines: the same cuts and summaries,
+the same subgradient norms and skipped cuts, the same solves asked for, the
+same arrays read from the same files, and the same oracle verdicts.  The split of ``solves=`` into ``lps`` and ``lps_reused``,
 and with it ``lps_warm``, ``lps_dual`` and ``pivots``, may move when a
 checkout hands back more or fewer earlier solves.
 After each solve line, an audit line gives the workload, the instance index,
@@ -51,6 +56,20 @@ KEPT = ("cuts.csv", "summary.json", "iterations.csv")
 DIAGNOSTICS = ("pi_norm_max", "pi_norm_first5", "cuts_skipped")
 
 
+def load_digest(problem) -> str:
+    """A short SHA-256 of every array of ``problem``: shape, dtype and bytes, in position order."""
+    arrays = [problem.x0, problem.lower_value_bound]
+    for where in problem.topology.positions:
+        pay = problem.topology.payload(where)
+        arrays += [pay.cost.pieces_c, pay.cost.pieces_d, *pay.a_blocks, pay.b, pay.g, pay.h,
+                   pay.lb, pay.ub]
+    sha = hashlib.sha256()
+    for arr in arrays:
+        sha.update(repr((arr.shape, arr.dtype.str)).encode())
+        sha.update(arr.tobytes())
+    return sha.hexdigest()[:12]
+
+
 def digest_lines(seed: int, keep: Path | None = None):
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads as wl
@@ -59,9 +78,13 @@ def digest_lines(seed: int, keep: Path | None = None):
     with tempfile.TemporaryDirectory() as tmp:
         for name, w in wl.WORKLOADS.items():
             for index in range(w.instances):
-                problem, engine_seed = wl.make_instance(w, gen, seed, index)
-                result, _seconds = wl.solve(problem, w, engine_seed)
+                generated, engine_seed = wl.make_instance(w, gen, seed, index)
                 outdir = Path(tmp) / name / f"i{index}"
+                outdir.mkdir(parents=True)
+                problem_file = outdir / "problem.json"
+                wl.io.save_problem(generated, problem_file)
+                problem = wl.io.load_problem(problem_file)
+                result, _seconds = wl.solve(problem, w, engine_seed)
                 wl.write_artifacts(outdir, result, problem, engine_seed)
                 if keep is not None:
                     kept = keep / f"{name}-{index}"
@@ -78,9 +101,8 @@ def digest_lines(seed: int, keep: Path | None = None):
                 solves = diagnostics["lps"] + diagnostics["lps_reused"]
                 diag = hashlib.sha256(repr([diagnostics[key] for key in DIAGNOSTICS])
                                       .encode()).hexdigest()[:12]
-                yield f"{name} {index} {sha.hexdigest()} {counts} solves={solves} diag={diag}"
-                problem_file = outdir / "problem.json"
-                wl.io.save_problem(problem, problem_file)
+                yield (f"{name} {index} {sha.hexdigest()} {counts} solves={solves} diag={diag} "
+                       f"load={load_digest(problem)}")
                 _passed, _seconds, text = wl.audit(w, problem_file, outdir / "cuts.csv",
                                                    engine_seed)
                 yield f"{name} {index} audit {text}"

@@ -112,6 +112,17 @@ def test_missing_or_invalid_input_exits_three(tmp_path):
     assert _run(["validate", bad]) == cli.EXIT_FAILURE
 
 
+@pytest.mark.parametrize("reader", ["validate", "check-cuts"])
+def test_a_file_that_is_not_utf8_exits_three(newsvendor_file, tmp_path, capsys, reader):
+    # bytes ff fe 00 open a UTF-16 file; read in the locale's encoding they
+    # ended with a UnicodeDecodeError traceback and status 1, "proven infeasible"
+    path = tmp_path / "not-utf8"
+    path.write_bytes(b"\xff\xfe\x00" + io.CUTS_CSV_HEADER.encode("utf-16-le"))
+    argv = ["validate", path] if reader == "validate" else ["check-cuts", newsvendor_file, path]
+    assert _run(argv) == cli.EXIT_FAILURE
+    assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
 @pytest.mark.parametrize("error", [
     cuts.CutError("pool 2 at its anchor disagrees with the solve"),
     model.ModelError("history must have 2 coordinates at stage 2, got 1"),

@@ -1,17 +1,23 @@
 """Tests for problem files, run artifacts, and numeric formatting."""
 
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from checks import n_optimality_cuts
+import conftest
+from checks import (n_optimality_cuts, perfbench_module, problem_from_dict_by_walk,
+                    read_cuts_csv_by_row)
 from conftest import (lattice_to_tree, make_chain_instance,
                       make_feasibility_instance, make_newsvendor,
                       make_newsvendor_tree, random_lattice_instance)
-from riskdp import engine, io, model, oracle
+from riskdp import cli, engine, io, model, oracle
 from riskdp.risk import RiskSpec
+
+DEMO_INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
 
 def _cfg(**kw):
@@ -254,6 +260,21 @@ def test_loaded_equality_blocks_get_the_constructors_verdict(tmp_path, written):
         assert [blk.shape for blk in pay.a_blocks] == [(0, 2)] * 3
 
 
+def test_a_cost_piece_written_as_a_column_is_reported(tmp_path):
+    # its pieces load as a (P, t*n, 1) array: once accepted, the solve then
+    # failed with a numpy traceback and status 1, "proven infeasible"
+    doc = io.problem_to_dict(make_newsvendor())
+    piece = _stage2(doc)["cost_pieces"][0]
+    piece["c"] = [[v] for v in piece["c"]]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(io.IoError) as err:
+        io.load_problem(path)
+    assert str(err.value) == ("invalid problem: stage 2 realization 0: cost pieces must have "
+                              "2 coordinates")
+    assert cli.main(["solve", str(path), "--out", str(tmp_path / "run")]) == cli.EXIT_FAILURE
+
+
 def test_load_rejects_invalid_problems():
     doc = io.problem_to_dict(make_newsvendor())
     doc["stages"][1]["realizations"][0]["prob"] = 0.9  # probabilities no longer sum to 1
@@ -438,11 +459,325 @@ def test_summary_json_file(tmp_path):
 def test_shipped_instances_round_trip():
     """Every instance file shipped under demos/ survives parse -> serialize
     -> parse with no validation violations and a stable document form."""
-    instance_dir = Path(__file__).resolve().parent.parent / "demos" / "instances"
-    paths = sorted(instance_dir.glob("*.json"))
+    paths = sorted(DEMO_INSTANCES.glob("*.json"))
     assert len(paths) >= 4
     for path in paths:
         problem = io.load_problem(path)          # validates on load
         doc = io.problem_to_dict(problem)
         again = io.problem_from_dict(doc)        # validates again
         assert io.problem_to_dict(again) == doc, path.name
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reader against the reference reader (tests/checks.py)
+# ---------------------------------------------------------------------------
+
+def _assert_same_array(got, want, what):
+    assert (got.dtype, got.shape, got.flags.c_contiguous) == \
+        (want.dtype, want.shape, want.flags.c_contiguous), what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def _payloads(p):
+    if p.form == model.TREE:
+        return [(f"node {node.id}", node.payload) for node in p.nodes if node.payload is not None]
+    return [(f"stage {s} realization {j}", real) for s, stage in enumerate(p.stages, start=1)
+            for j, real in enumerate(stage.realizations)]
+
+
+def _assert_same_problem(got, want):
+    """Every array of ``got`` equals ``want``'s bit for bit, in shape, dtype and contiguity."""
+    assert io.problem_to_dict(got) == io.problem_to_dict(want)
+    _assert_same_array(got.x0, want.x0, "x0")
+    _assert_same_array(got.lower_value_bound, want.lower_value_bound, "lower_value_bound")
+    got_payloads, want_payloads = _payloads(got), _payloads(want)
+    assert len(got_payloads) == len(want_payloads)
+    for (where, pay), (_where, ref) in zip(got_payloads, want_payloads):
+        assert (pay.prob, pay.cost.dim) == (ref.prob, ref.cost.dim), where
+        for name, field in (("pieces_c", pay.cost.pieces_c), ("pieces_d", pay.cost.pieces_d),
+                            ("b", pay.b), ("g", pay.g), ("h", pay.h), ("lb", pay.lb),
+                            ("ub", pay.ub)):
+            _assert_same_array(field, getattr(ref.cost if name.startswith("pieces") else ref,
+                                              name), f"{where} {name}")
+        assert len(pay.a_blocks) == len(ref.a_blocks), where
+        for tau, (blk, ref_blk) in enumerate(zip(pay.a_blocks, ref.a_blocks)):
+            _assert_same_array(blk, ref_blk, f"{where} A block {tau}")
+
+
+def _file_doc(p) -> dict:
+    """The document of ``p`` as its problem file reads back."""
+    return json.loads(io.dump_json(io.problem_to_dict(p)))
+
+
+def test_demo_instances_load_as_the_reference_reads_them():
+    paths = sorted(DEMO_INSTANCES.glob("*.json"))
+    assert len(paths) >= 4
+    for path in paths:
+        _assert_same_problem(io.load_problem(path),
+                             problem_from_dict_by_walk(json.loads(path.read_text())))
+
+
+@pytest.mark.parametrize("name", ["lattice-mixture", "tree-cvar"])
+def test_benchmark_instances_load_as_the_reference_reads_them(tmp_path, name):
+    # the first 8 instances of the workload's seed-1101 stream, through their files
+    wl = perfbench_module("workloads")
+    w = wl.WORKLOADS[name]
+    for index in range(8):
+        problem, _engine_seed = wl.make_instance(w, conftest, 1101, index)
+        path = tmp_path / f"i{index}.json"
+        io.save_problem(problem, path)
+        _assert_same_problem(io.load_problem(path),
+                             problem_from_dict_by_walk(json.loads(path.read_text())))
+
+
+def _drawn_problem(draw):
+    """A random certified lattice instance or its tree, under a drawn risk measure."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    risk = draw(st.sampled_from([None, RiskSpec(kind="cvar", epsilon=0.5),
+                                 RiskSpec(kind="mixture", lam=0.3, epsilon=0.25)]))
+    p = random_lattice_instance(rng, draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                                draw(st.integers(1, 3)), risk=risk)
+    return lattice_to_tree(p) if draw(st.booleans()) else p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_drawn_instances_load_as_the_reference_reads_them(data):
+    doc = _file_doc(_drawn_problem(data.draw))
+    for raw in _payload_docs(doc):
+        for pair in (("A", "b"), ("G", "h")):
+            if data.draw(st.booleans()):
+                for key in pair:
+                    raw.pop(key, None)
+    _assert_same_problem(io.problem_from_dict(doc),
+                         problem_from_dict_by_walk(json.loads(json.dumps(doc))))
+
+
+def _payload_docs(doc) -> list:
+    if doc["form"] == model.TREE:
+        return [raw for raw in doc["nodes"] if raw["parent"] is not None]
+    return [raw for stage in doc["stages"] for raw in stage["realizations"]]
+
+
+def _paths(value, path=()):
+    """Every (path, value) below ``value``, containers and leaves, parents first."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, path + (i,))
+
+
+def _owner(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _is_matrix(value) -> bool:
+    return (isinstance(value, list) and value
+            and all(isinstance(row, list) and row
+                    and all(isinstance(v, (int, float)) for v in row) for row in value))
+
+
+BAD_LEAVES = (True, "1", None, float("nan"), float("inf"))  # float("inf") is how 1e999 reads
+
+
+def _damage(draw, doc) -> str:
+    """Damage ``doc`` in place, once: a leaf, a row, a block, a list or a key; return which."""
+    found = list(_paths(doc))[1:]
+    spots = {
+        "leaf": [path for path, value in found if not isinstance(value, (dict, list))],
+        "ragged": [path for path, value in found if _is_matrix(value)],
+        "column": [path for path, value in found if _is_matrix(value)],
+        "empty": [path for path, value in found if isinstance(value, list) and value],
+        "drop": [path for path, _value in found if isinstance(_owner(doc, path), dict)],
+    }
+    damage = draw(st.sampled_from([name for name, paths in spots.items() if paths]))
+    path = draw(st.sampled_from(spots[damage]))
+    owner, key = _owner(doc, path), path[-1]
+    if damage == "leaf":
+        owner[key] = draw(st.sampled_from(BAD_LEAVES))
+    elif damage == "ragged":  # one row loses or gains an entry
+        row = owner[key][draw(st.integers(0, len(owner[key]) - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(0.5)
+    elif damage == "column":  # a matrix written transposed: a one-row block becomes a column
+        owner[key] = [list(col) for col in zip(*owner[key])]
+    elif damage == "empty":
+        owner[key] = []
+    else:
+        del owner[key]
+    return damage
+
+
+def _read(read, arg):
+    """``(result, None)`` or ``(None, the IoError text)``."""
+    try:
+        return read(arg), None
+    except io.IoError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_damaged_documents_get_the_reference_verdict(data):
+    # one damage per document: the same problem or the same error text
+    base = data.draw(st.sampled_from(["newsvendor", "newsvendor-tree", "chain", "feasibility",
+                                      "drawn"]))
+    p = {"newsvendor": make_newsvendor, "newsvendor-tree": make_newsvendor_tree,
+         "chain": make_chain_instance, "feasibility": make_feasibility_instance,
+         "drawn": lambda: _drawn_problem(data.draw)}[base]()
+    doc = _file_doc(p)
+    damage = _damage(data.draw, doc)
+    got, error = _read(io.problem_from_dict, json.loads(json.dumps(doc)))
+    want, want_error = _read(problem_from_dict_by_walk, json.loads(json.dumps(doc)))
+    assert error == want_error, damage
+    if want is not None:
+        _assert_same_problem(got, want)
+
+
+@functools.cache
+def _cut_dumps() -> tuple:
+    """Cut dumps with optimality rows, feasibility rows and both, as text."""
+    runs = [(make_feasibility_instance(), "alg2"), (make_newsvendor(), "alg1"),
+            (lattice_to_tree(random_lattice_instance(np.random.default_rng(4), 3, 2, 2)),
+             "alg3")]
+    return tuple(io.cuts_csv_text(engine.run(problem, _cfg(algorithm=alg, max_iters=12,
+                                                            stall_window=12)).pools)
+                 for problem, alg in runs)
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for rec, ref in zip(got, want):
+        assert (rec.kind, rec.where, rec.iteration) == (ref.kind, ref.where, ref.iteration)
+        assert type(rec.theta) is type(ref.theta) and rec.theta == ref.theta
+        _assert_same_array(rec.beta, ref.beta, "beta")
+        if ref.anchor is None:
+            assert rec.anchor is None
+        else:
+            _assert_same_array(rec.anchor, ref.anchor, "anchor")
+
+
+CSV_DAMAGES = ("none", "field", "drop-field", "add-field", "no-numbers", "blank-line")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_damaged_cut_dumps_get_the_reference_verdict(tmp_path_factory, data):
+    text = data.draw(st.sampled_from(_cut_dumps()))
+    lines = text.splitlines()
+    assert len(lines) > 1
+    damage = data.draw(st.sampled_from(CSV_DAMAGES))
+    ln = data.draw(st.integers(1, len(lines) - 1))
+    fields = lines[ln].split(",")
+    if damage == "field":
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+            st.sampled_from(["true", "1", "null", "NaN", "1e999", "", "x"]))
+    elif damage == "drop-field":
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+    elif damage == "add-field":
+        fields.insert(data.draw(st.integers(0, len(fields))), "0.5")
+    elif damage == "no-numbers":
+        fields = fields[:3]
+    lines[ln] = ",".join(fields)
+    if damage == "blank-line":
+        lines.insert(ln, "")
+    path = tmp_path_factory.mktemp("dump") / "cuts.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got, error = _read(io.read_cuts_csv, path)
+    want, want_error = _read(read_cuts_csv_by_row, path)
+    assert error == want_error, damage
+    if want is not None:
+        _assert_same_records(got, want)
+
+
+def test_cut_dumps_read_as_the_reference_reads_them(tmp_path):
+    for i, text in enumerate(_cut_dumps()):
+        path = tmp_path / f"cuts{i}.csv"
+        path.write_text(text)
+        records = io.read_cuts_csv(path)
+        assert {rec.kind for rec in records} <= {io.CUT_KIND_OPTIMALITY, io.CUT_KIND_FEASIBILITY}
+        _assert_same_records(records, read_cuts_csv_by_row(path))
+    assert any(rec.kind == io.CUT_KIND_FEASIBILITY
+               for rec in read_cuts_csv_by_row(tmp_path / "cuts0.csv"))
+
+
+# ---------------------------------------------------------------------------
+# fields that are present but not lists, and files that are not UTF-8
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fields", [{"G": False, "h": 0}, {"A": 0, "b": False},
+                                    {"G": {}, "h": ""}, {"G": False}, {"h": 0.0}],
+                         ids=["G-false-h-0", "A-0-b-false", "G-object-h-empty-string",
+                              "G-false", "h-0"])
+def test_a_falsy_system_field_is_not_read_as_absent(fields):
+    # stage 2 of the shipped newsvendor has inequality rows; "G": false once
+    # dropped them silently and the problem loaded without them
+    doc = json.loads((DEMO_INSTANCES / "newsvendor.json").read_text())
+    raw = doc["stages"][1]["realizations"][0]
+    assert raw["G"] and raw["h"]
+    raw.update(fields)
+    with pytest.raises(io.IoError) as err:
+        io.problem_from_dict(doc)
+    key = next(iter(fields))
+    assert str(err.value) == (f"stage 2 realization 0: malformed payload: {key!r} must be a "
+                              f"list, not {fields[key]!r}")
+
+
+@pytest.mark.parametrize("value", [0, False, "", {}, 0.0])
+def test_a_falsy_lower_value_bound_is_not_read_as_absent(value):
+    doc = io.problem_to_dict(make_newsvendor())
+    doc["lower_value_bound"] = value
+    with pytest.raises(io.IoError) as err:
+        io.problem_from_dict(doc)
+    assert str(err.value) == ("malformed problem document: 'lower_value_bound' must be a "
+                              f"list, not {value!r}")
+
+
+@pytest.mark.parametrize("key", ["A", "b", "G", "h", "lower_value_bound"])
+def test_a_missing_or_null_field_is_absent(key):
+    # a payload without a system and a one-stage problem's bound list load
+    # the same whether the key is missing or null
+    p = make_chain_instance() if key in ("A", "b") else make_newsvendor()
+    doc = io.problem_to_dict(p)
+    owner = doc if key == "lower_value_bound" else doc["stages"][1]["realizations"][0]
+    if key == "lower_value_bound":
+        doc["horizon"] = 1
+        doc["stages"] = doc["stages"][:1]
+    partner = {"A": "b", "b": "A", "G": "h", "h": "G"}.get(key)
+    for name in (key, partner):
+        owner.pop(name, None)
+    missing = io.problem_from_dict(json.loads(json.dumps(doc)))
+    for name in (key, partner):
+        if name is not None:
+            owner[name] = None
+    _assert_same_problem(io.problem_from_dict(doc), missing)
+
+
+@pytest.mark.parametrize("where", ["x0", "lb", "cost-d", "node-prob", "risk-rhs"])
+def test_an_integer_too_large_for_a_float_is_an_io_error(where):
+    # a JSON integer literal of 400 digits: float() overflows on it
+    huge = 10 ** 400
+    if where == "node-prob":
+        doc = io.problem_to_dict(make_newsvendor_tree())
+        doc["nodes"][2]["prob"] = huge
+    else:
+        rows = [(np.array([1.0, 0.0]), 2.0), (np.array([0.0, 1.0]), 2.0)]
+        doc = io.problem_to_dict(make_newsvendor(RiskSpec(kind="polytope", rows=rows)))
+        raw = _stage2(doc)
+        if where == "x0":
+            doc["x0"] = [huge]
+        elif where == "lb":
+            raw["lb"] = [huge]
+        elif where == "cost-d":
+            raw["cost_pieces"][0]["d"] = huge
+        else:
+            doc["stages"][1]["risk"]["rows"][0]["rhs"] = huge
+    with pytest.raises(io.IoError, match="too large to convert to float"):
+        io.problem_from_dict(doc)

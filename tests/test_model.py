@@ -8,7 +8,7 @@ from checks import evaluate_cost_and_history_subgradient, nodes_at_depth, valida
 from conftest import (lattice_to_tree, make_newsvendor, make_newsvendor_tree,
                       random_lattice_instance)
 from riskdp import model
-from riskdp.risk import RiskSpec
+from riskdp.risk import PROB_TOL, RiskSpec
 
 
 def _payload(t, n, *, prob=1.0, pieces=None, a=None, b=None, g=None, h=None, lb=None, ub=None):
@@ -297,6 +297,26 @@ def test_nan_probability_fails_both_checks_of_its_key():
     violations = model.validate_problem(_tiny_tree(kids=(0.5, np.nan)))
     assert "node 1: probabilities must be strictly positive" in violations
     assert "node 1: probabilities sum != 1" in violations
+
+
+POLYTOPE = RiskSpec(kind="polytope", rows=[(np.array([1.0, 0.0]), 2.0)])
+EMPTY_POLYTOPE = RiskSpec(kind="polytope", rows=[(np.array([1.0, 0.0]), 0.5),
+                                                 (np.array([0.0, 1.0]), 0.5)])
+
+
+@pytest.mark.parametrize("risk", [None, BAD_CVAR, POLYTOPE, EMPTY_POLYTOPE],
+                         ids=["expectation", "bad-cvar", "polytope", "empty-polytope"])
+@pytest.mark.parametrize("excess", [0.0, 0.4, 0.6, -0.6, 1.5, -1.5])
+def test_probabilities_near_the_tolerance_get_the_per_key_verdict(excess, risk):
+    # the one-pass check passes a key only when its sum is within half of
+    # PROB_TOL; between that and PROB_TOL, and whenever a spec fails, the
+    # per-key checks word the messages
+    p = _tiny_tree(kids=(0.5, 0.5 + excess * PROB_TOL), risk=risk)
+    violations = model.validate_problem(p)
+    assert violations == validate_problem_by_loop(p)
+    assert ("node 1: probabilities sum != 1" in violations) == (abs(excess) > 1.0)
+    invalid = risk in (BAD_CVAR, EMPTY_POLYTOPE) and abs(excess) <= 1.0
+    assert any("node 1: risk spec invalid" in v for v in violations) == invalid
 
 
 def _random_payload(rng, t, n, q, r, prob):

@@ -14,36 +14,18 @@ nothing is written under ``perfbench/``.
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
 import conftest
+from checks import perfbench_module
 from riskdp import oracle
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+WORKLOADS = perfbench_module("workloads")
 
 
-def _load(stem: str):
-    """``perfbench/<stem>.py`` as a module, without writing its bytecode."""
-    spec = importlib.util.spec_from_file_location(f"riskdp_perfbench_{stem}",
-                                                  PERFBENCH / f"{stem}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # a dataclass looks its module up while it is built
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
-
-
-WORKLOADS = _load("workloads")
-
-
-@pytest.mark.parametrize("span, target", sorted(_load("tracing").TRACED.items()))
+@pytest.mark.parametrize("span, target", sorted(perfbench_module("tracing").TRACED.items()))
 def test_traced_name_resolves(span, target):
     module_name, path = target
     owner = importlib.import_module(module_name)
