@@ -10,11 +10,19 @@ Three sampled cutting-plane algorithms over the problems of :mod:`riskdp.model`:
 * ``alg3`` — per-node cut pools on general scenario trees with per-node risk
   measures.
 
-All three run one loop over the problem's :class:`~riskdp.model.Topology`:
-the pool keys are stages on a lattice and nodes on a tree, and one
-:class:`~riskdp.cuts.CutPool` per key holds both cut kinds.  The drivers
-differ only in the algorithm/form check of :func:`run` and in whether the
-forward pass is gated by feasibility cuts.
+All three work on the problem's :class:`~riskdp.model.Topology`: the pool
+keys are stages on a lattice and nodes on a tree, and one
+:class:`~riskdp.cuts.CutPool` per key holds both cut kinds.  Each iteration
+is one sweep over a list of scenario nodes
+(:class:`~riskdp.model.ScenarioNode`), parents before children, in two
+halves: the forward half solves each node at its parent's history
+(:meth:`_Driver._forward`), the backward half builds the cut of every inner
+node at the node's history, deepest stage first, and solves stage 1 afresh
+(:meth:`_Driver._backward`).  An iteration sweeps its sampled path, written
+as a chain of nodes; the oracle's nested decomposition sweeps every node of
+the scenario tree with the same two halves.  The drivers differ only in the
+algorithm/form check of :func:`run` and in whether the forward half is
+gated by feasibility cuts.
 
 All three share one subproblem layout.  A stage-t solve has variables
 ``[x_t, w, z]`` with objective ``w + z``: ``w`` is the epigraph of the
@@ -25,11 +33,11 @@ its value's subgradient is ``M^T`` applied to the row duals
 (:mod:`riskdp.valuefn`).  The final stage is handled uniformly through a
 permanent zero cut (the beyond-horizon value is identically zero).
 
-Cut timing is configurable: the default ``backward`` timing builds cuts in a
-separate stage-descending sweep after the forward pass (each stage's cut then
-sees the next stage's pool already updated this iteration); the ``forward``
-timing builds each cut inline during the ascending pass from the
-previous-generation pools.  The anchor-equality assertion of
+Cut timing is configurable: the default ``backward`` timing builds cuts in
+the backward half, stage by stage descending (each stage's cut then sees the
+next stage's pool already updated this iteration); the ``forward`` timing
+builds each cut inline during the forward half from the previous-generation
+pools.  The anchor-equality assertion of
 :mod:`riskdp.cuts` is valid under both orderings because pools only grow.
 
 Sampling is counter-based: one uniform draw per (seed, iteration, stage),
@@ -85,7 +93,7 @@ import numpy as np
 from . import lp
 from .cuts import (PHASE1_THRESHOLD, CutPool, build_feasibility_cut,
                    build_optimality_cut, zero_terminal_pool)
-from .model import (LATTICE, TREE, Problem, SubproblemData, assemble_subproblem,
+from .model import (LATTICE, TREE, Problem, ScenarioNode, SubproblemData, assemble_subproblem,
                     history_vector, validate_problem)
 from .valuefn import assemble_pi
 
@@ -626,6 +634,8 @@ def phase_one(problem: Problem, where, history, pools: PoolSet,
 class _Driver:
     """One run's state: the pools, the stage solves and the LP tally.
 
+    Its drivers run sweeps: :meth:`_forward`, then :meth:`_backward`, which
+    leaves in ``stage1`` the stage-1 solve the next sweep starts from.
     Every stage solve goes through :meth:`_solve`.  ``solves`` maps each
     position to its memo: the :class:`NodeSolution` of every LP it solved
     since its pool last grew, by :func:`stage_lp_key`.  With ``warm`` (the
@@ -690,9 +700,6 @@ class _Driver:
         _count_lp(self.tally, ns.duals)
         memo[key] = ns
         return ns
-
-    def _solve_stage1(self) -> NodeSolution:
-        return self._solve(self.topology.first, np.zeros(0))
 
     def _record_pi(self, k: int, t: int, ns: NodeSolution) -> None:
         """Fold ``ns.pi_norm`` into stage ``t``'s norm maxima.
@@ -779,16 +786,15 @@ class _Driver:
         self._offered(key)[anchor] = sols
         return wheres, sols
 
-    def _gate(self, t: int, path: list, hist: np.ndarray, k: int,
-              counters: dict[int, int]) -> bool:
-        """Run the phase-I gates for every sibling of ``path[t]``; append a cut on failure.
+    def _gate(self, where, hist: np.ndarray, k: int, counters: dict[int, int]) -> bool:
+        """Run the phase-I gates for every sibling of ``where``; append a cut on failure.
 
         Returns True when all of them are feasible at the history ``hist``.
         """
-        p = self.problem
-        key = self.topology.parent(path[t])
-        for where in self.topology.children(key):
-            value, slope = phase_one(p, where, hist, self.pools, self.tally)
+        t = self.topology.stage(where)
+        key = self.topology.parent(where)
+        for sibling in self.topology.children(key):
+            value, slope = phase_one(self.problem, sibling, hist, self.pools, self.tally)
             if value > PHASE1_THRESHOLD:
                 if t == 1:  # nothing earlier to cut; the problem is infeasible
                     return False
@@ -802,6 +808,69 @@ class _Driver:
                              "(phase-I value %.3e)", k, self.feas_counter, t, value)
                 return False
         return True
+
+    # -- one sweep ---------------------------------------------------------
+
+    def _forward(self, nodes: list[ScenarioNode], k: int, opt: dict, feas: dict,
+                 skipped: dict) -> dict | None:
+        """Solve each of ``nodes``, parents before children, at its parent's history.
+
+        Returns, by node key, the node's history through its decision and
+        its :class:`NodeSolution` (with ``()``, above the first node, the
+        empty history); None when alg2 proves stage 1 infeasible.  The
+        stage-1 node's solve is ``stage1`` when that is held.  With forward
+        cut timing, a later node's solve comes from its parent's cut
+        (:meth:`_build_cut_at`, counted in ``opt`` and ``skipped``).  Under
+        alg2 each node's siblings are gated first (:meth:`_gate`, counted in
+        ``feas``, which starts empty); a failed gate appends one feasibility
+        cut and returns to the parent node, resetting ``stage1`` when that
+        is at stage 1, so a sweep's backtracks are its feasibility cuts.
+        """
+        alg2, forward_cuts = self.cfg.algorithm == "alg2", self.cfg.cut_timing == "forward"
+        out: dict = {(): (np.zeros(0), None)}
+        i = 0
+        while i < len(nodes):
+            node = nodes[i]
+            hist = out[node.parent][0]
+            if alg2 and not self._gate(node.where, hist, k, feas):
+                if node.depth == 1:
+                    return None
+                if sum(feas.values()) > MAX_BACKTRACKS_PER_ITERATION:
+                    raise EngineError("backtracking loop exceeded its safety limit")
+                i = [m.key for m in nodes].index(node.parent)
+                if nodes[i].depth == 1:
+                    self.stage1 = None  # its feasible region changed
+                continue
+            if node.depth == 1:
+                if self.stage1 is None:
+                    self.stage1 = self._solve(node.where, hist)
+                ns = self.stage1
+            elif forward_cuts:
+                wheres, sols = self._build_cut_at(self.topology.parent(node.where), hist, k,
+                                                  opt, skipped)
+                ns = sols[wheres.index(node.where)]
+            else:
+                ns = self._solve(node.where, hist)
+            out[node.key] = (np.concatenate([hist, ns.x]), ns)
+            i += 1
+        return out
+
+    def _backward(self, nodes: list[ScenarioNode], out: dict, k: int, opt: dict,
+                  skipped: dict) -> None:
+        """Build the cuts of a :meth:`_forward` pass, then solve stage 1 afresh into ``stage1``.
+
+        With backward cut timing, every inner node's pool gets the cut of
+        its children at the node's history, deepest stage first and, within
+        a stage, in the order of ``nodes``.  The fresh stage-1 solve is the
+        bound the next sweep starts from.
+        """
+        if self.cfg.cut_timing == "backward":
+            horizon = self.problem.horizon
+            for node in sorted(nodes, key=lambda node: -node.depth):
+                if node.depth < horizon:
+                    self._build_cut_at(self.topology.pool(node.where), out[node.key][0], k,
+                                       opt, skipped)
+        self.stage1 = self._solve(self.topology.first, np.zeros(0))
 
     # -- one iteration -----------------------------------------------------
 
@@ -830,69 +899,32 @@ class _Driver:
                                wall_ms=(time.perf_counter() - started) * 1000.0)
 
     def iterate(self, k: int) -> IterationReport | None:
-        """Run iteration k; returns None when alg2 proves infeasibility."""
-        p, cfg = self.problem, self.cfg
-        t_end = p.horizon
+        """Run iteration k: one sweep over its sampled path; None when alg2 proves infeasibility."""
+        cfg = self.cfg
         started = time.perf_counter()
-        path = sample_path(p, cfg.seed, k, self.edges)
-        walk = tuple(path[1:])
+        walk = tuple(sample_path(self.problem, cfg.seed, k, self.edges)[1:])
         report = self._replay(k, walk, started)
         if report is not None:
             return report
         tally_before = self.tally.copy()
-        counters_opt: dict[int, int] = {}
-        counters_feas: dict[int, int] = {}
-        skipped: dict = {}
-        backtracks = 0
-        alg2 = cfg.algorithm == "alg2"
-        forward_cuts = cfg.cut_timing == "forward"
-        lb_report = None
-        x1_report = None
-        hist = np.zeros(0)  # the decisions x_{1:s-1}
-        s = 1
-        while s <= t_end:
-            if alg2 and not self._gate(s, path, hist, k, counters_feas):
-                if s == 1:
-                    return None
-                backtracks += 1
-                if backtracks > MAX_BACKTRACKS_PER_ITERATION:
-                    raise EngineError("backtracking loop exceeded its safety limit")
-                s -= 1
-                hist = hist[:(s - 1) * p.dim]
-                if s == 1:
-                    self.stage1 = None  # its feasible region changed
-                continue
-            if s == 1:
-                if self.stage1 is None:
-                    self.stage1 = self._solve_stage1()
-                ns = self.stage1
-                lb_report = ns.value
-                x1_report = ns.x.copy()
-            else:
-                if forward_cuts:
-                    wheres, sols = self._build_cut_at(self.topology.parent(path[s]), hist, k,
-                                                      counters_opt, skipped)
-                    ns = sols[wheres.index(path[s])]
-                else:
-                    ns = self._solve(path[s], hist)
-            hist = np.concatenate([hist, ns.x])
-            s += 1
-        if not forward_cuts:
-            for t in range(t_end, 1, -1):
-                self._build_cut_at(self.topology.parent(path[t]), hist[:(t - 1) * p.dim], k,
-                                   counters_opt, skipped)
-        self.stage1 = self._solve_stage1()  # fresh bound, handed to iteration k+1
-        wall_ms = (time.perf_counter() - started) * 1000.0
+        opt, feas, skipped = {}, {}, {}
+        # the path as a chain of scenario nodes, each keyed by the walk up to it
+        path = [ScenarioNode(key=walk[:t], parent=walk[:t - 1], where=walk[t - 1], depth=t)
+                for t in range(1, len(walk) + 1)]
+        out = self._forward(path, k, opt, feas, skipped)
+        if out is None:
+            return None
+        first = out[path[0].key][1]
+        self._backward(path, out, k, opt, skipped)
         tally = self.tally - tally_before
-        if not (alg2 or counters_opt or cfg.probe is not None):
+        if not (cfg.algorithm == "alg2" or opt or cfg.probe is not None):
             self.replays[walk] = (tally["lps"] + tally["lps_reused"], skipped)
-        return IterationReport(k=k, path=walk, lower_bound=lb_report,
-                               x1=x1_report, cuts_opt=counters_opt,
-                               cuts_feas=counters_feas, cuts_skipped=skipped,
-                               backtracks=backtracks, lps=tally["lps"],
+        return IterationReport(k=k, path=walk, lower_bound=first.value, x1=first.x.copy(),
+                               cuts_opt=opt, cuts_feas=feas, cuts_skipped=skipped,
+                               backtracks=sum(feas.values()), lps=tally["lps"],
                                lps_warm=tally["lps_warm"], lps_dual=tally["lps_dual"],
                                lps_reused=tally["lps_reused"], pivots=tally["pivots"],
-                               wall_ms=wall_ms)
+                               wall_ms=(time.perf_counter() - started) * 1000.0)
 
 
 def _check_config(problem: Problem, cfg: RunConfig) -> None:

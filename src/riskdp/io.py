@@ -20,7 +20,10 @@ Problem files and cut dumps are read as UTF-8.  A document is read in one
 walk: each payload's lists go to its constructors, which convert every
 field to its own float array, and the entry types of all the document's
 lists are checked together, one nesting depth at a time
-(:func:`_check_arrays`), before :func:`riskdp.model.validate_problem`.  A
+(:func:`_check_arrays`), before :func:`riskdp.model.validate_problem`.
+Every number field must sit at the depth the format writes it at: a bare
+number where a list belongs, or a list where a number belongs or nested
+deeper, is an error that names the field (:func:`_check_depths`).  A
 cut dump's numbers are converted in one pass and checked finite in one.
 Only a fault makes either reader walk its input piece by piece, to name
 the first piece at fault.
@@ -109,38 +112,48 @@ def dump_json(obj) -> str:
 # problem files
 # ---------------------------------------------------------------------------
 
-def _check_numbers(value) -> None:
-    """Raise ``TypeError`` unless ``value`` is a JSON number or a nested list of them.
+# what the format writes each number field as; a payload's cost pieces
+# each hold one "c" and one "d", and its "A" holds one matrix per decision
+FIELD_FORMS = {"x0": "a list of numbers", "lower_value_bound": "a list of numbers",
+               "c": "a list of numbers", "d": "a number", "A": "a list of matrices",
+               "b": "a list of numbers", "G": "a matrix", "h": "a list of numbers",
+               "lb": "a list of numbers", "ub": "a list of numbers"}
+_PAYLOAD_FIELDS = ("d", "b", "h", "lb", "ub", "c", "G")  # then "A", once per block
 
-    Every entry passes :func:`riskdp.risk._json_number`: a bool or a string
-    raises where ``np.asarray(..., dtype=float)`` would convert it to a
-    number.  Checked one nesting level at a time, in one pass over the
-    entries' types when they are plain ``int``, ``float`` or lists.
+
+def _is_vector(value) -> bool:
+    """Whether ``value`` is a list that holds no list."""
+    return type(value) is list and list not in map(type, value)
+
+
+def _check_depths(what: str, vectors: list, matrices: list, names: tuple) -> None:
+    """Raise :class:`IoError` naming the first field not written at the format's depth.
+
+    Each of ``vectors`` must be a list that holds no list (:func:`_is_vector`),
+    and each of ``matrices`` a list of such lists: a matrix is a list of
+    rows, and the fields gathered over a payload's cost pieces or ``A``
+    blocks are lists of their entries.  ``names`` names each of ``vectors +
+    matrices`` by its key in :data:`FIELD_FORMS`.  An empty list is at any
+    depth.  The entries' types are not checked.
     """
-    level = [value]
-    while level:
-        types = set(map(type, level))
-        if not types <= {int, float, list}:
-            for entry in level:
-                if not isinstance(entry, list):
-                    _json_number(entry)
-        if list not in types:
-            return
-        if types != {list}:
-            level = [entry for entry in level if isinstance(entry, list)]
-        level = list(chain.from_iterable(level))
+    fits = ([_is_vector(vector) for vector in vectors]
+            + [type(matrix) is list and all(map(_is_vector, matrix)) for matrix in matrices])
+    for name, fit in zip(names, fits):
+        if not fit:
+            raise IoError(f"{what}: {name!r} must be {FIELD_FORMS[name]}")
 
 
 def _check_arrays(arrays: list) -> None:
-    """Raise :class:`IoError` unless each ``(what, vectors, matrices)`` of ``arrays`` is numbers.
+    """Raise :class:`IoError` unless every ``(what, vectors, matrices, names)`` is numbers.
 
     Each of ``vectors`` must be a list of JSON numbers and each of
     ``matrices`` a list of such lists.  The format fixes each field's depth,
     so the fields of a whole document are checked in two ``set(map(type,
     ...))`` passes: one over the lists, one over their entries (a bool's
-    type is ``bool``, not ``int``).  Only when that fails does
-    :func:`_check_numbers` walk each entry's fields, to name the one at
-    fault or to accept lists nested deeper than the format writes.
+    type is ``bool``, not ``int``).  Only when that fails are the entries
+    walked one by one, to name the one at fault: first each field's depth
+    (:func:`_check_depths`), then each number
+    (:func:`riskdp.risk._json_number`).
     """
     vectors = list(chain.from_iterable(entry[1] for entry in arrays))
     matrices = list(chain.from_iterable(entry[2] for entry in arrays))
@@ -151,9 +164,12 @@ def _check_arrays(arrays: list) -> None:
             return
     except TypeError:  # a matrix that is not a list
         pass
-    for what, vectors, matrices in arrays:
+    for what, vectors, matrices, names in arrays:
+        _check_depths(what, vectors, matrices, names)
+        rows = chain.from_iterable(matrices)
         try:
-            _check_numbers(vectors + matrices)
+            for entry in chain(chain.from_iterable(vectors), chain.from_iterable(rows)):
+                _json_number(entry)
         except TypeError as exc:
             raise IoError(f"{what}: {exc}") from exc
 
@@ -169,7 +185,12 @@ def _list_field(raw: dict, key: str) -> list:
 
 
 def _parse_payload(raw: dict, n: int, where: str, arrays: list) -> Realization:
-    """The payload ``raw`` at ``where``; its lists join ``arrays`` (:func:`_check_arrays`)."""
+    """The payload ``raw`` at ``where``; its lists join ``arrays`` (:func:`_check_arrays`).
+
+    When the constructors fail on a payload whose lists are all gathered, a
+    field at the wrong depth is named first (:func:`_check_depths`).
+    """
+    what, entry = f"{where}: malformed payload", None
     try:
         pieces = raw["cost_pieces"]
         if not pieces:
@@ -178,14 +199,18 @@ def _parse_payload(raw: dict, n: int, where: str, arrays: list) -> Realization:
         a, b, g, h = (_list_field(raw, "A"), _list_field(raw, "b"), _list_field(raw, "G"),
                       _list_field(raw, "h"))
         lb, ub = raw["lb"], raw["ub"]
-        arrays.append((f"{where}: malformed payload", [pieces_d, b, h, lb, ub], [pieces_c, g, *a]))
+        entry = (what, [pieces_d, b, h, lb, ub], [pieces_c, g, *a],
+                 _PAYLOAD_FIELDS + ("A",) * len(a))
+        arrays.append(entry)
         cost = PwlConvexCost(pieces_c=pieces_c, pieces_d=pieces_d, dim=n)
         prob = float(_json_number(raw.get("prob", 1.0)))
         return Realization(prob=prob, cost=cost, a_blocks=a, b=b, g=g, h=h, lb=lb, ub=ub)
     except IoError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError, ModelError) as exc:
-        raise IoError(f"{where}: malformed payload: {exc}") from exc
+        if entry is not None:
+            _check_depths(*entry)
+        raise IoError(f"{what}: {exc}") from exc
 
 
 def _risk_from(raw: dict, default: RiskSpec, where: str) -> RiskSpec:
@@ -215,15 +240,18 @@ def _list_in(raw, key: str, where: str, default=None) -> list:
 
 def problem_from_dict(doc: dict) -> Problem:
     """Build a problem from its JSON document (see module docstring)."""
+    what, arrays = "malformed problem document", []
     try:
         horizon = _json_integer(doc["horizon"])
         n = _json_integer(doc["dim"])
         x0, lvb = doc["x0"], _list_field(doc, "lower_value_bound")
-        arrays = [("malformed problem document", [x0, lvb], [])]
+        arrays.append((what, [x0, lvb], [], ("x0", "lower_value_bound")))
         x0, lvb = np.asarray(x0, dtype=float), np.asarray(lvb, dtype=float)
         form = doc.get("form", LATTICE)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise IoError(f"malformed problem document: {exc}") from exc
+        if arrays:
+            _check_depths(*arrays[0])
+        raise IoError(f"{what}: {exc}") from exc
     default_risk = _risk_from(doc, RiskSpec(), "top-level risk")
     if form == LATTICE:
         stages = []

@@ -18,8 +18,10 @@ Two routes compute ground truth:
 * :func:`exact_nested_decomposition` — the paper's sampling-free method:
   sweep-based nested decomposition that visits *every* node each sweep and
   stops only when the first-stage value repeats and a full sweep adds no cut
-  to any pool.  It runs the sampled drivers' own stage-solve memo and cut
-  step, with every miss solved cold.
+  to any pool.  Each sweep is the sampled drivers' own
+  (:meth:`~riskdp.engine._Driver._forward` and
+  :meth:`~riskdp.engine._Driver._backward`) over every scenario node, with
+  every miss solved cold.
 
 :func:`true_recourse_values` evaluates the exact risk-adjusted recourse
 functions of several pools, each at a stack of histories: each pool's
@@ -71,8 +73,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EngineError, RunConfig, _Driver
-from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization, ScenarioNode,
-                    fold_rows, history_vector)
+from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization, fold_rows,
+                    history_vector)
 from .risk import RiskSpec
 
 logger = logging.getLogger(__name__)
@@ -512,30 +514,30 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
     when that value repeats within ``1e-10`` and a sweep appends no cut.  With
     finitely many LP bases this terminates at the exact value.
 
-    The stage solves and the cut step are the sampled drivers' own
-    (:meth:`~riskdp.engine._Driver._solve` and
-    :meth:`~riskdp.engine._Driver._build_cut_at`), on a driver whose misses
-    solve cold.  So each distinct stage LP is solved once and cold: the
-    last-stage backward solves are the forward pass's leaf solves, the
-    first-stage value solve is the next sweep's first forward solve, and a
-    position whose pool gained no cut is met again at an unchanged history.
+    Each sweep is the sampled drivers' own, run over every node of
+    :meth:`~riskdp.model.Topology.scenarios` instead of a sampled path: the
+    forward half (:meth:`~riskdp.engine._Driver._forward`) and the backward
+    half (:meth:`~riskdp.engine._Driver._backward`), whose fresh stage-1
+    solve gives the sweep's value, on a driver whose misses solve cold.
+    Its stage-1 solve is dropped before each sweep, so the forward half
+    solves stage 1 through the memo, as it does every node.  So each
+    distinct stage LP is solved once and cold: the last-stage backward
+    solves are the forward pass's leaf solves, the first-stage value solve
+    is the next sweep's first forward solve, and a position whose pool
+    gained no cut is met again at an unchanged history.
     """
-    topo = problem.topology
     driver = _Driver(problem, RunConfig(), warm=False)
-    nodes = topo.scenarios()
+    nodes = problem.topology.scenarios()
     value_prev = None
     n_cuts = 0
     for sweep in range(1, max_sweeps + 1):
-        histories = _forward_all(driver, nodes)
         counters: dict = {}
-        for t in range(problem.horizon, 1, -1):
-            for node in nodes:
-                if node.depth == t - 1:
-                    driver._build_cut_at(topo.pool(node.where), histories[node.key], sweep,
-                                         counters, {})
+        driver.stage1 = None  # solved through the memo, as every node is
+        out = driver._forward(nodes, sweep, counters, {}, {})
+        driver._backward(nodes, out, sweep, counters, {})
         added = sum(counters.values())
         n_cuts += added
-        value = driver._solve_stage1().value
+        value = driver.stage1.value
         if (value_prev is not None and abs(value - value_prev) <= VALUE_REPEAT_TOL
                 and added == 0):
             lps, reused = driver.tally["lps"], driver.tally["lps_reused"]
@@ -545,20 +547,6 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
                             lps_reused=reused)
         value_prev = value
     raise OracleError(f"nested decomposition did not settle in {max_sweeps} sweeps")
-
-
-def _forward_all(driver: _Driver, nodes: list[ScenarioNode]) -> dict:
-    """Histories of every scenario-tree node after one all-node forward pass.
-
-    Keyed by node key; the value stored for a node is the history
-    *including* the node's decision, ``x_{1:t}`` at a stage-t node.
-    """
-    histories: dict = {(): np.zeros(0)}
-    for node in nodes:
-        base = histories[node.parent]
-        ns = driver._solve(node.where, base)
-        histories[node.key] = np.concatenate([base, ns.x])
-    return histories
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,11 @@ one payload at a time.  :func:`problem_from_dict_by_walk` and
 :func:`read_cuts_csv_by_row` read a problem document and a cut dump the way
 ``riskdp.io`` did before its one-pass reader: the payload constructors
 convert each field, one level-by-level walk checks every entry's type, and
-a dump is parsed row by row.  :func:`nodes_at_depth` lists a tree's nodes
+a dump is parsed row by row.  :func:`iterate_by_loop` and
+:func:`nested_decomposition_by_loop` run the sampled drivers' iteration and
+nested decomposition the way ``riskdp.engine`` and ``riskdp.oracle`` did
+before the driver's one forward and backward sweep, each with a loop of
+its own.  :func:`nodes_at_depth` lists a tree's nodes
 at one depth, and
 :func:`n_optimality_cuts` and :func:`n_feasibility_cuts` count the cuts of
 a run's pools.  :func:`run_fresh` runs a snippet in a new interpreter, for
@@ -36,12 +40,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from riskdp import io
+from riskdp import engine, io, oracle
 from riskdp.cli import _history_box
 from riskdp.model import (LATTICE, TREE, ModelError, Node, Problem, PwlConvexCost,
                           Realization, Stage)
@@ -424,8 +429,48 @@ def validate_problem_by_loop(p) -> list[str]:
     return out
 
 
+def _check_numbers(value) -> None:
+    """Raise ``TypeError`` unless ``value`` is a JSON number or a nested list of them.
+
+    ``riskdp.io``'s level-by-level walk before its one-pass reader: every
+    entry passes ``riskdp.risk._json_number``, one nesting level at a time.
+    """
+    level = [value]
+    while level:
+        types = set(map(type, level))
+        if not types <= {int, float, list}:
+            for entry in level:
+                if not isinstance(entry, list):
+                    _json_number(entry)
+        if list not in types:
+            return
+        if types != {list}:
+            level = [entry for entry in level if isinstance(entry, list)]
+        level = list(itertools.chain.from_iterable(level))
+
+
+def _off_depth(value, depth: int) -> bool:
+    """Whether ``value`` is not ``depth`` nested lists around entries that are not lists."""
+    if depth == 0:
+        return type(value) is list
+    return type(value) is not list or any(_off_depth(entry, depth - 1) for entry in value)
+
+
+def _check_depths_by_walk(what: str, fields: list) -> None:
+    """Raise the ``IoError`` naming the first ``(name, value, depth)`` of ``fields`` off its depth."""
+    for name, value, depth in fields:
+        if _off_depth(value, depth):
+            raise io.IoError(f"{what}: {name!r} must be {io.FIELD_FORMS[name]}")
+
+
 def _parse_payload_by_walk(raw: dict, n: int, where: str, arrays: list) -> Realization:
-    """The payload ``raw`` at ``where``; its number fields join ``arrays`` as written."""
+    """The payload ``raw`` at ``where``; its number fields join ``arrays`` as written.
+
+    Each field joins with its name and its depth in the format; the fields
+    gathered over the cost pieces are one list each, ``A`` is one list of
+    matrices.
+    """
+    what, fields = f"{where}: malformed payload", None
     try:
         pieces = raw["cost_pieces"]
         if not pieces:
@@ -433,14 +478,18 @@ def _parse_payload_by_walk(raw: dict, n: int, where: str, arrays: list) -> Reali
         pieces_c, pieces_d = [pc["c"] for pc in pieces], [pc["d"] for pc in pieces]
         a, b, g, h = (raw.get(key) or [] for key in ("A", "b", "G", "h"))
         lb, ub = raw["lb"], raw["ub"]
-        arrays.append((f"{where}: malformed payload", [pieces_c, pieces_d, a, b, g, h, lb, ub]))
+        fields = [("c", pieces_c, 2), ("d", pieces_d, 1), ("A", a, 3), ("b", b, 1),
+                  ("G", g, 2), ("h", h, 1), ("lb", lb, 1), ("ub", ub, 1)]
+        arrays.append((what, fields))
         cost = PwlConvexCost(pieces_c=pieces_c, pieces_d=pieces_d, dim=n)
         prob = float(_json_number(raw.get("prob", 1.0)))
         return Realization(prob=prob, cost=cost, a_blocks=a, b=b, g=g, h=h, lb=lb, ub=ub)
     except io.IoError:
         raise
     except (KeyError, TypeError, ValueError, ModelError) as exc:
-        raise io.IoError(f"{where}: malformed payload: {exc}") from exc
+        if fields is not None:
+            _check_depths_by_walk(what, fields)
+        raise io.IoError(f"{what}: {exc}") from exc
 
 
 def problem_from_dict_by_walk(doc: dict) -> Problem:
@@ -448,19 +497,24 @@ def problem_from_dict_by_walk(doc: dict) -> Problem:
 
     A falsy ``A``, ``b``, ``G``, ``h`` or ``lower_value_bound`` reads as
     absent, as it did then.  The payload constructors convert every field;
-    one ``io._check_numbers`` walk then checks the entry types of all of
-    them, each entry alone only on a fault; and the problem is validated
-    payload by payload (:func:`validate_problem_by_loop`).
+    each field's depth in the format is then checked by a recursive walk
+    (:func:`_off_depth`), on a constructor's failure and again before one
+    level-by-level walk (:func:`_check_numbers`) checks the entry types of
+    all of them, each entry alone only on a fault; and the problem is
+    validated payload by payload (:func:`validate_problem_by_loop`).
     """
+    what, arrays = "malformed problem document", []
     try:
         horizon = io._json_integer(doc["horizon"])
         n = io._json_integer(doc["dim"])
         x0, lvb = doc["x0"], doc.get("lower_value_bound") or []
-        arrays = [("malformed problem document", [x0, lvb])]
+        arrays.append((what, [("x0", x0, 1), ("lower_value_bound", lvb, 1)]))
         x0, lvb = np.asarray(x0, dtype=float), np.asarray(lvb, dtype=float)
         form = doc.get("form", LATTICE)
     except (KeyError, TypeError, ValueError) as exc:
-        raise io.IoError(f"malformed problem document: {exc}") from exc
+        if arrays:
+            _check_depths_by_walk(*arrays[0])
+        raise io.IoError(f"{what}: {exc}") from exc
     default_risk = io._risk_from(doc, RiskSpec(), "top-level risk")
     if form == LATTICE:
         stages = []
@@ -490,12 +544,14 @@ def problem_from_dict_by_walk(doc: dict) -> Problem:
                           nodes=nodes, lower_value_bound=lvb)
     else:
         raise io.IoError(f"unknown form {form!r}")
+    for what, fields in arrays:
+        _check_depths_by_walk(what, fields)
     try:
-        io._check_numbers([value for _what, value in arrays])
+        _check_numbers([[value for _name, value, _depth in fields] for _what, fields in arrays])
     except TypeError:
-        for what, value in arrays:
+        for what, fields in arrays:
             try:
-                io._check_numbers(value)
+                _check_numbers([value for _name, value, _depth in fields])
             except TypeError as exc:
                 raise io.IoError(f"{what}: {exc}") from exc
     violations = validate_problem_by_loop(problem)
@@ -536,6 +592,103 @@ def read_cuts_csv_by_row(path) -> list:
             raise io.IoError(f"{path}:{ln}: malformed cut row: {exc}") from exc
         out.append(rec)
     return out
+
+
+def iterate_by_loop(driver, k: int):
+    """``riskdp.engine._Driver.iterate`` as it was before its one sweep, kept as its reference.
+
+    One ``while`` loop walks the sampled path, slicing the history on a
+    backtrack, and a stage-descending loop builds the backward cuts.
+    """
+    p, cfg = driver.problem, driver.cfg
+    t_end = p.horizon
+    started = time.perf_counter()
+    path = engine.sample_path(p, cfg.seed, k, driver.edges)
+    walk = tuple(path[1:])
+    report = driver._replay(k, walk, started)
+    if report is not None:
+        return report
+    tally_before = driver.tally.copy()
+    counters_opt, counters_feas, skipped = {}, {}, {}
+    backtracks = 0
+    alg2 = cfg.algorithm == "alg2"
+    forward_cuts = cfg.cut_timing == "forward"
+    lb_report = x1_report = None
+    hist = np.zeros(0)
+    s = 1
+    while s <= t_end:
+        if alg2 and not driver._gate(path[s], hist, k, counters_feas):
+            if s == 1:
+                return None
+            backtracks += 1
+            if backtracks > engine.MAX_BACKTRACKS_PER_ITERATION:
+                raise engine.EngineError("backtracking loop exceeded its safety limit")
+            s -= 1
+            hist = hist[:(s - 1) * p.dim]
+            if s == 1:
+                driver.stage1 = None
+            continue
+        if s == 1:
+            if driver.stage1 is None:
+                driver.stage1 = driver._solve(driver.topology.first, np.zeros(0))
+            ns = driver.stage1
+            lb_report, x1_report = ns.value, ns.x.copy()
+        elif forward_cuts:
+            wheres, sols = driver._build_cut_at(driver.topology.parent(path[s]), hist, k,
+                                                counters_opt, skipped)
+            ns = sols[wheres.index(path[s])]
+        else:
+            ns = driver._solve(path[s], hist)
+        hist = np.concatenate([hist, ns.x])
+        s += 1
+    if not forward_cuts:
+        for t in range(t_end, 1, -1):
+            driver._build_cut_at(driver.topology.parent(path[t]), hist[:(t - 1) * p.dim], k,
+                                 counters_opt, skipped)
+    driver.stage1 = driver._solve(driver.topology.first, np.zeros(0))
+    tally = driver.tally - tally_before
+    if not (alg2 or counters_opt or cfg.probe is not None):
+        driver.replays[walk] = (tally["lps"] + tally["lps_reused"], skipped)
+    return engine.IterationReport(
+        k=k, path=walk, lower_bound=lb_report, x1=x1_report, cuts_opt=counters_opt,
+        cuts_feas=counters_feas, cuts_skipped=skipped, backtracks=backtracks,
+        lps=tally["lps"], lps_warm=tally["lps_warm"], lps_dual=tally["lps_dual"],
+        lps_reused=tally["lps_reused"], pivots=tally["pivots"],
+        wall_ms=(time.perf_counter() - started) * 1000.0)
+
+
+def nested_decomposition_by_loop(problem, max_sweeps: int = oracle.MAX_SWEEPS):
+    """``riskdp.oracle.exact_nested_decomposition`` as it was before the driver's one sweep.
+
+    Its own all-node forward loop, then a backward loop that rescans every
+    node once per stage; kept as its reference.
+    """
+    topo = problem.topology
+    driver = engine._Driver(problem, engine.RunConfig(), warm=False)
+    nodes = topo.scenarios()
+    value_prev = None
+    n_cuts = 0
+    for sweep in range(1, max_sweeps + 1):
+        histories = {(): np.zeros(0)}
+        for node in nodes:
+            base = histories[node.parent]
+            histories[node.key] = np.concatenate([base, driver._solve(node.where, base).x])
+        counters: dict = {}
+        for t in range(problem.horizon, 1, -1):
+            for node in nodes:
+                if node.depth == t - 1:
+                    driver._build_cut_at(topo.pool(node.where), histories[node.key], sweep,
+                                         counters, {})
+        added = sum(counters.values())
+        n_cuts += added
+        value = driver._solve(topo.first, np.zeros(0)).value
+        if (value_prev is not None and abs(value - value_prev) <= oracle.VALUE_REPEAT_TOL
+                and added == 0):
+            return oracle.NDResult(value=value, sweeps=sweep, n_cuts=n_cuts,
+                                   lps=driver.tally["lps"],
+                                   lps_reused=driver.tally["lps_reused"])
+        value_prev = value
+    raise OracleError(f"nested decomposition did not settle in {max_sweeps} sweeps")
 
 
 def perfbench_module(stem: str):

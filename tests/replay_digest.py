@@ -17,17 +17,33 @@ payload's fields, payloads in position order.
 the same LP instead of solving one; ``solves=`` is every stage and phase-I
 solve the run asked for.
 
-Two checkouts that replay the same run must match on the hash, ``diag=``,
-``solves=``, ``load=`` and the audit lines: the same cuts and summaries,
-the same subgradient norms and skipped cuts, the same solves asked for, the
-same arrays read from the same files, and the same oracle verdicts.  The split of ``solves=`` into ``lps`` and ``lps_reused``,
-and with it ``lps_warm``, ``lps_dual`` and ``pivots``, may move when a
-checkout hands back more or fewer earlier solves.
 After each solve line, an audit line gives the workload, the instance index,
 ``audit`` and the summary of the in-process ``check-cuts`` perfbench runs on
 that cut dump (``workloads.audit``): ``checked N cuts at P points per pool:
 V violations``, followed by any violation it reports.  Audit lines compare
 the two checkouts' oracle verdicts; every one should read ``0 violations``.
+An ``nd`` line then gives the instance's exact nested decomposition
+(``oracle.exact_nested_decomposition``): ``repr`` of its value, its sweeps,
+its cuts and its ``lps`` and ``lps_reused`` counts.
+
+Perfbench runs only alg1 and alg3 at backward cut timing, so the last
+lines cover the rest: one per demo instance (``demos/instances``), per
+algorithm whose form and cost checks it passes and per cut timing, run at
+``engine.RunConfig``'s defaults with the given seed.  Each gives ``demo``,
+the instance, the algorithm, the timing, the SHA-256 of ``cuts.csv``
+followed by ``summary.json``, the status, the iteration count, the ``lps``
+and ``lps_reused`` counts and the backtracks summed over the iterations;
+a run that stops with an ``EngineError`` (alg1 on an instance without
+relatively complete recourse) gives ``error`` and its message instead.
+
+Two checkouts that replay the same runs must match on every hash,
+``diag=``, ``solves=``, ``load=``, audit line, ``nd`` line and demo line:
+the same cuts and summaries, the same subgradient norms and skipped cuts,
+the same solves asked for, the same arrays read from the same files, the
+same oracle verdicts and the same sweeps of every driver.  On a perfbench
+solve line the split of ``solves=`` into ``lps`` and ``lps_reused``, and
+with it ``lps_warm``, ``lps_dual`` and ``pivots``, may move when a
+checkout hands back more or fewer earlier solves.
 
 With ``--keep DIR`` each instance's ``cuts.csv``, ``summary.json`` and
 ``iterations.csv`` are kept under ``DIR/<workload>-<index>/``, so the dumps
@@ -106,6 +122,40 @@ def digest_lines(seed: int, keep: Path | None = None):
                 _passed, _seconds, text = wl.audit(w, problem_file, outdir / "cuts.csv",
                                                    engine_seed)
                 yield f"{name} {index} audit {text}"
+                nd = wl.oracle.exact_nested_decomposition(problem)
+                yield (f"{name} {index} nd {nd.value!r} sweeps={nd.sweeps} cuts={nd.n_cuts} "
+                       f"lps={nd.lps} lps_reused={nd.lps_reused}")
+        yield from demo_lines(seed, Path(tmp) / "demos")
+
+
+def demo_lines(seed: int, tmp: Path):
+    """One line per demo instance, algorithm that fits it and cut timing (see the docstring)."""
+    from riskdp import engine, io
+
+    for path in sorted((ROOT / "demos" / "instances").glob("*.json")):
+        problem = io.load_problem(path)
+        for algorithm in engine.ALGORITHMS:
+            for timing in engine.CUT_TIMINGS:
+                head = f"demo {path.stem} {algorithm} {timing}"
+                cfg = engine.RunConfig(algorithm=algorithm, seed=seed, cut_timing=timing)
+                try:
+                    result = engine.run(problem, cfg)
+                except engine.ConfigError:
+                    continue
+                except engine.EngineError as exc:
+                    yield f"{head} error {exc}"
+                    continue
+                outdir = tmp / f"{path.stem}-{algorithm}-{timing}"
+                outdir.mkdir(parents=True)
+                io.write_cuts_csv(outdir / "cuts.csv", result.pools)
+                io.write_summary_json(outdir / "summary.json", result, seed)
+                sha = hashlib.sha256()
+                for artifact in ("cuts.csv", "summary.json"):
+                    sha.update((outdir / artifact).read_bytes())
+                diagnostics = result.diagnostics
+                yield (f"{head} {sha.hexdigest()} status={result.status} iters={result.iters} "
+                       f"lps={diagnostics['lps']} lps_reused={diagnostics['lps_reused']} "
+                       f"backtracks={sum(r.backtracks for r in result.reports)}")
 
 
 def main(argv=None) -> int:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from checks import check_subgradient, n_feasibility_cuts
-from conftest import (lattice_to_tree, make_cvar_without_complete_recourse, make_newsvendor,
-                      random_lattice_instance)
+from checks import (check_subgradient, iterate_by_loop, n_feasibility_cuts,
+                    nested_decomposition_by_loop)
+from conftest import (lattice_to_tree, make_chain_instance, make_cvar_without_complete_recourse,
+                      make_feasibility_instance, make_newsvendor, random_lattice_instance)
 from riskdp import cuts, engine, io, lp, model, oracle
 from riskdp.risk import RiskSpec
 
@@ -1097,3 +1098,116 @@ def test_replaying_an_iteration_matches_running_it(monkeypatch, tmp_path, case, 
                    for r in replaying.reports if r.replayed)
     else:
         assert n_replayed == 0
+
+
+# ---------------------------------------------------------------------------
+# the one sweep: its forward half's contract, and the loops it replaced
+# ---------------------------------------------------------------------------
+
+def _as_bytes(ns):
+    return np.float64(ns.value).tobytes(), ns.x.tobytes(), ns.pi.tobytes()
+
+
+@pytest.mark.parametrize("form", ["lattice", "tree"])
+def test_the_forward_half_solves_every_node_at_its_parents_history(form):
+    # over every scenario node, after some iterations: each node's history
+    # is its parent's followed by its decision, and its solve is the cold
+    # solve at its parent's history against the same pools.  The half runs
+    # on a cold driver, as nested decomposition's: a warm re-solve may stop
+    # at another vertex of a degenerate LP, so it need not match to the bit
+    problem = random_lattice_instance(np.random.default_rng(21), 3, 2, 2)
+    algorithm = "alg1"
+    if form == "tree":
+        problem, algorithm = lattice_to_tree(problem), "alg3"
+    driver = engine._Driver(problem, _cfg(algorithm=algorithm))
+    for k in range(1, 5):
+        driver.iterate(k)
+    assert any(len(pool.optimality) > 1 for pool in driver.pools.opt.values())
+    cold = engine._Driver(problem, _cfg(algorithm=algorithm), warm=False)
+    cold.pools = driver.pools
+    nodes = problem.topology.scenarios()
+    out = cold._forward(nodes, 5, {}, {}, {})
+    assert set(out) == {()} | {node.key for node in nodes}
+    assert out[()][0].shape == (0,)
+    for node in nodes:
+        base = out[node.parent][0]
+        history, ns = out[node.key]
+        assert history.tobytes() == np.concatenate([base, ns.x]).tobytes()
+        ref = engine.solve_node(problem, node.where, base, driver.pools)
+        assert _as_bytes(ns) == _as_bytes(ref), node
+
+
+def _logged(run):
+    """``run()`` and the ordered calls it made to ``_Driver._solve`` and ``_build_cut_at``.
+
+    A solve is logged as its position and history bytes, a cut step as its
+    pool key and anchor bytes.
+    """
+    log = []
+    solve, build = engine._Driver._solve, engine._Driver._build_cut_at
+
+    def logged_solve(self, where, history):
+        log.append(("solve", where, history.tobytes()))
+        return solve(self, where, history)
+
+    def logged_build(self, key, hist, *args):
+        log.append(("cut", key, hist.tobytes()))
+        return build(self, key, hist, *args)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(engine._Driver, "_solve", logged_solve)
+        patched.setattr(engine._Driver, "_build_cut_at", logged_build)
+        result = run()
+    return log, result
+
+
+def _iterations(problem, cfg, iterate, n):
+    """Every field of the first ``n`` reports of a driver run by ``iterate``, then its tally."""
+    driver = engine._Driver(problem, cfg)
+    reports = []
+    for k in range(1, n + 1):
+        report = iterate(driver, k)
+        if report is None:
+            reports.append(None)
+            break
+        reports.append({**vars(report), "x1": report.x1.tobytes(), "wall_ms": None})
+    return reports, dict(driver.tally)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_sweep_makes_the_calls_of_the_old_iteration_loop(data):
+    algorithm = data.draw(st.sampled_from(engine.ALGORITHMS))
+    if algorithm == "alg2":  # instances without relatively complete recourse
+        bound = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+        problem = data.draw(st.sampled_from([make_feasibility_instance, make_chain_instance,
+                                             make_cvar_without_complete_recourse]))(bound)
+    else:
+        risk = data.draw(st.sampled_from([None, RiskSpec(kind="cvar", epsilon=0.5),
+                                          RiskSpec(kind="mixture", lam=0.3, epsilon=0.25)]))
+        problem = random_lattice_instance(
+            np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+            data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)),
+            data.draw(st.integers(1, 2)), risk=risk)
+        if algorithm == "alg3":
+            problem = lattice_to_tree(problem)
+    cfg = _cfg(algorithm=algorithm, seed=data.draw(st.integers(0, 1000)),
+               cut_timing=data.draw(st.sampled_from(engine.CUT_TIMINGS)))
+    sweep = _logged(lambda: _iterations(problem, cfg, engine._Driver.iterate, 12))
+    loop = _logged(lambda: _iterations(problem, cfg, iterate_by_loop, 12))
+    assert sweep == loop
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_nested_decomposition_makes_the_calls_of_its_old_loops(data):
+    problem = random_lattice_instance(
+        np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+        data.draw(st.integers(2, 4)), data.draw(st.integers(2, 3)),
+        data.draw(st.integers(1, 2)),
+        risk=data.draw(st.sampled_from([None, RiskSpec(kind="cvar", epsilon=0.5)])))
+    if data.draw(st.booleans()):
+        problem = lattice_to_tree(problem)
+    sweep = _logged(lambda: oracle.exact_nested_decomposition(problem))
+    loop = _logged(lambda: nested_decomposition_by_loop(problem))
+    assert sweep == loop

@@ -261,8 +261,9 @@ def test_loaded_equality_blocks_get_the_constructors_verdict(tmp_path, written):
 
 
 def test_a_cost_piece_written_as_a_column_is_reported(tmp_path):
-    # its pieces load as a (P, t*n, 1) array: once accepted, the solve then
-    # failed with a numpy traceback and status 1, "proven infeasible"
+    # its pieces once loaded as a (P, t*n, 1) array, the solve then failing
+    # with a numpy traceback and status 1, "proven infeasible"; validation
+    # came to catch it, and now the loader names the field at the wrong depth
     doc = io.problem_to_dict(make_newsvendor())
     piece = _stage2(doc)["cost_pieces"][0]
     piece["c"] = [[v] for v in piece["c"]]
@@ -270,9 +271,70 @@ def test_a_cost_piece_written_as_a_column_is_reported(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(io.IoError) as err:
         io.load_problem(path)
-    assert str(err.value) == ("invalid problem: stage 2 realization 0: cost pieces must have "
-                              "2 coordinates")
+    assert str(err.value) == ("stage 2 realization 0: malformed payload: 'c' must be a list "
+                              "of numbers")
     assert cli.main(["solve", str(path), "--out", str(tmp_path / "run")]) == cli.EXIT_FAILURE
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+OPTIONAL_KEYS = ("A", "b", "G", "h", "lower_value_bound")
+S1 = ("stages", 0, "realizations", 0)  # the newsvendor's stage-1 payload
+S2 = ("stages", 1, "realizations", 0)  # its first stage-2 payload
+
+
+@pytest.mark.parametrize("path, value, what", [
+    # a field of the top level, a vector of a payload, a cost piece's
+    # coefficients and offset, a matrix and a list of matrices, each written
+    # one level shallower and one deeper than the format writes it
+    (("x0",), 0, "malformed problem document: 'x0' must be a list of numbers"),
+    (("x0",), [[0.0]], "malformed problem document: 'x0' must be a list of numbers"),
+    (("lower_value_bound",), 0.0,
+     "malformed problem document: 'lower_value_bound' must be a list, not 0.0"),
+    (("lower_value_bound",), [[0.0]],
+     "malformed problem document: 'lower_value_bound' must be a list of numbers"),
+    (S2 + ("lb",), 0, "stage 2 realization 0: malformed payload: 'lb' must be a list of numbers"),
+    (S2 + ("lb",), [[0.0]],
+     "stage 2 realization 0: malformed payload: 'lb' must be a list of numbers"),
+    (S2 + ("ub",), 5, "stage 2 realization 0: malformed payload: 'ub' must be a list of numbers"),
+    (S2 + ("h",), [[-1.0]],
+     "stage 2 realization 0: malformed payload: 'h' must be a list of numbers"),
+    (S1 + ("cost_pieces", 0, "c"), 0,
+     "stage 1 realization 0: malformed payload: 'c' must be a list of numbers"),
+    (S1 + ("cost_pieces", 0, "c"), [[1.0]],
+     "stage 1 realization 0: malformed payload: 'c' must be a list of numbers"),
+    (S1 + ("cost_pieces", 0, "d"), [0.0],
+     "stage 1 realization 0: malformed payload: 'd' must be a number"),
+    (S2 + ("G",), [0.0, -1.0, -1.0],
+     "stage 2 realization 0: malformed payload: 'G' must be a matrix"),
+    (S2 + ("G",), [[[0.0], [-1.0], [-1.0]]],
+     "stage 2 realization 0: malformed payload: 'G' must be a matrix"),
+    (S2 + ("A",), [[0.0], [1.0], [1.0]],
+     "stage 2 realization 0: malformed payload: 'A' must be a list of matrices"),
+    (S2 + ("A",), [[[[0.0]]], [[[1.0]]], [[[1.0]]]],
+     "stage 2 realization 0: malformed payload: 'A' must be a list of matrices"),
+    # depths that mix within one list, which numpy cannot convert
+    (S2 + ("lb",), [0.0, [1.0]],
+     "stage 2 realization 0: malformed payload: 'lb' must be a list of numbers"),
+    (("x0",), [[0.0], 1.0], "malformed problem document: 'x0' must be a list of numbers"),
+])
+def test_a_number_field_at_another_depth_is_named(path, value, what):
+    # each loaded as a flat array before, and the problem validated
+    doc = json.loads((DEMO_INSTANCES / "newsvendor.json").read_text())
+    if path[-1] == "A":
+        _set(doc, S2 + ("b",), [1.0])
+    _set(doc, path, value)
+    reads = [io.problem_from_dict]
+    if not (path[-1] in OPTIONAL_KEYS and type(value) is not list):
+        reads.append(problem_from_dict_by_walk)  # it reads a falsy one as absent
+    for read in reads:
+        with pytest.raises(io.IoError) as err:
+            read(json.loads(json.dumps(doc)))
+        assert str(err.value) == what
 
 
 def test_load_rejects_invalid_problems():
@@ -586,13 +648,18 @@ BAD_LEAVES = (True, "1", None, float("nan"), float("inf"))  # float("inf") is ho
 
 
 def _damage(draw, doc) -> str:
-    """Damage ``doc`` in place, once: a leaf, a row, a block, a list or a key; return which."""
+    """Damage ``doc`` in place, once: a leaf, a row, a block, a list, a depth or a key; return which."""
     found = list(_paths(doc))[1:]
     spots = {
         "leaf": [path for path, value in found if not isinstance(value, (dict, list))],
         "ragged": [path for path, value in found if _is_matrix(value)],
         "column": [path for path, value in found if _is_matrix(value)],
         "empty": [path for path, value in found if isinstance(value, list) and value],
+        "deeper": [path for path, value in found if isinstance(value, (int, float))
+                   and not isinstance(value, bool) and isinstance(_owner(doc, path), list)],
+        "shallower": [path for path, value in found if isinstance(value, list) and value
+                      and not isinstance(value[0], (dict, list))
+                      and path[-1] not in OPTIONAL_KEYS],
         "drop": [path for path, _value in found if isinstance(_owner(doc, path), dict)],
     }
     damage = draw(st.sampled_from([name for name, paths in spots.items() if paths]))
@@ -610,6 +677,10 @@ def _damage(draw, doc) -> str:
         owner[key] = [list(col) for col in zip(*owner[key])]
     elif damage == "empty":
         owner[key] = []
+    elif damage == "deeper":  # a number in a list of them wrapped in a list of its own
+        owner[key] = [owner[key]]
+    elif damage == "shallower":  # a list of numbers written as its first number
+        owner[key] = owner[key][0]
     else:
         del owner[key]
     return damage
