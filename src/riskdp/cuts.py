@@ -40,6 +40,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,12 +74,16 @@ class OptimalityCut:
     stage: int = 0
 
     def value_at(self, x: np.ndarray) -> float:
-        return self.theta + float(self.beta @ (np.asarray(x, dtype=float) - self.anchor))
+        return self.theta + float(self.beta.dot(np.asarray(x, dtype=float) - self.anchor))
 
-    @property
+    @cached_property
     def rhs_const(self) -> float:
-        """``<beta, anchor> - theta``: the cut's LP row is ``<beta, x> - z <= rhs_const``."""
-        return float(self.beta @ self.anchor) - self.theta
+        """``<beta, anchor> - theta``: the cut's LP row is ``<beta, x> - z <= rhs_const``.
+
+        Formed once, when first read (a pool reads it when the cut is
+        offered), and held: a cut is not changed after it is built.
+        """
+        return float(self.beta.dot(self.anchor)) - self.theta
 
 
 @dataclass
@@ -140,7 +145,7 @@ class CutPool:
         """
         if cut.beta.shape[0] != self.arg_dim or cut.anchor.shape[0] != self.arg_dim:
             raise CutError(f"cut dimension {cut.beta.shape[0]} != pool dimension {self.arg_dim}")
-        if not math.isfinite(cut.theta) or not np.all(np.isfinite(cut.beta)):
+        if not math.isfinite(cut.theta) or not np.isfinite(cut.beta).all():
             raise CutError("non-finite optimality cut")
         check = max(evaluate_pool(self, cut.anchor), cut.theta)
         if abs(check - cut.theta) > ANCHOR_EQ_TOL:
@@ -221,13 +226,13 @@ def build_optimality_cut(child_values, child_pis, probs, risk_spec: RiskSpec,
     values = np.asarray(child_values, dtype=float)
     pis = np.vstack([np.asarray(p, dtype=float).reshape(-1) for p in child_pis])
     anchor = np.asarray(anchor, dtype=float).reshape(-1)
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(pis))):
+    if not (np.isfinite(values).all() and np.isfinite(pis).all()):
         raise CutError("child solves contain non-finite values or subgradients")
     if pis.shape[1] != anchor.shape[0]:
         raise CutError(f"subgradient dimension {pis.shape[1]} != anchor dimension {anchor.shape[0]}")
     theta, density = risk_value_and_density(risk_spec, probs, values)
     weights = density * probs
-    beta = weights @ pis
+    beta = weights.dot(pis)
     return OptimalityCut(theta=theta, beta=beta, anchor=anchor.copy(),
                          iteration=iteration, stage=stage)
 

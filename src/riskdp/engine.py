@@ -19,10 +19,11 @@ halves: the forward half solves each node at its parent's history
 (:meth:`_Driver._forward`), the backward half builds the cut of every inner
 node at the node's history, deepest stage first, and solves stage 1 afresh
 (:meth:`_Driver._backward`).  An iteration sweeps its sampled path, written
-as a chain of nodes; the oracle's nested decomposition sweeps every node of
-the scenario tree with the same two halves.  The drivers differ only in the
-algorithm/form check of :func:`run` and in whether the forward half is
-gated by feasibility cuts.
+as a chain of nodes, built once per distinct walk with its backward order
+(:meth:`_Driver._chain`); the oracle's nested decomposition sweeps every
+node of the scenario tree with the same two halves.  The drivers differ
+only in the algorithm/form check of :func:`run` and in whether the forward
+half is gated by feasibility cuts.
 
 All three share one subproblem layout.  A stage-t solve has variables
 ``[x_t, w, z]`` with objective ``w + z``: ``w`` is the epigraph of the
@@ -106,6 +107,7 @@ STATUS_ITER_LIMIT = "iter_limit"
 STATUS_INFEASIBLE = "infeasible"
 
 MAX_BACKTRACKS_PER_ITERATION = 10_000
+TALLIES = ("lps", "lps_warm", "lps_dual", "lps_reused", "pivots")  # the LP counts of a report
 _UINT64_MASK = (1 << 64) - 1
 
 
@@ -336,15 +338,16 @@ def sample_path(problem: Problem, seed: int, k: int, edges: dict | None = None) 
 # subproblem solves
 # ---------------------------------------------------------------------------
 
-def _opt_rows(beta2: np.ndarray) -> np.ndarray:
-    """Optimality-cut rows over ``[x_t, w, z]``: ``beta2 . x_t - z``."""
-    k = beta2.shape[0]
-    return np.hstack([beta2, np.zeros((k, 1)), np.full((k, 1), -1.0)])
+def _cut_rows(beta2: np.ndarray, z_coef: float) -> np.ndarray:
+    """Cut rows over ``[x_t, w, z]``: ``beta2 . x_t + z_coef z``.
 
-
-def _feas_rows(beta2: np.ndarray) -> np.ndarray:
-    """Feasibility-cut rows over ``[x_t, w, z]``: ``beta2 . x_t``."""
-    return np.hstack([beta2, np.zeros((beta2.shape[0], 2))])
+    ``z_coef`` is -1 for optimality cuts and 0 for feasibility cuts.
+    """
+    k, n = beta2.shape
+    rows = np.zeros((k, n + 2))
+    rows[:, :n] = beta2
+    rows[:, n + 1] = z_coef
+    return rows
 
 
 def build_stage_lp(sub: SubproblemData, view, z_lo: float,
@@ -359,18 +362,29 @@ def build_stage_lp(sub: SubproblemData, view, z_lo: float,
     n = sub.lb.shape[0]
     q = sub.a_cur.shape[0]
     r = sub.g_cur.shape[0]
-    n_p = sub.piece_cur.shape[0]
+    o = r + sub.piece_cur.shape[0]  # the first optimality-cut row of a_ub
+    f = o + view.n_opt  # the first feasibility-cut row
     b0 = np.concatenate([sub.b0, view.opt_rhs_const, view.feas_rhs_const])
-    hist = np.vstack([sub.hist, view.opt_beta1, view.feas_beta1])
-    b = b0 - hist @ history
-    a_ub = np.vstack([np.hstack([sub.g_cur, np.zeros((r, 2))]),
-                      np.hstack([sub.piece_cur, np.full((n_p, 1), -1.0), np.zeros((n_p, 1))]),
-                      _opt_rows(view.opt_beta2), _feas_rows(view.feas_beta2)])
-    prob = lp.LpProblem(c=np.concatenate([np.zeros(n), [1.0, 1.0]]),
-                        a_eq=np.hstack([sub.a_cur, np.zeros((q, 2))]), b_eq=b[:q],
-                        a_ub=a_ub, b_ub=b[q:],
-                        lower=np.concatenate([sub.lb, [-np.inf, z_lo]]),
-                        upper=np.concatenate([sub.ub, [np.inf, np.inf]]))
+    hist = np.concatenate([sub.hist, view.opt_beta1, view.feas_beta1])
+    b = b0 - hist.dot(history)
+    a_eq = np.zeros((q, n + 2))
+    a_eq[:, :n] = sub.a_cur
+    a_ub = np.zeros((f + view.n_feas, n + 2))
+    a_ub[:r, :n] = sub.g_cur
+    a_ub[r:o, :n] = sub.piece_cur
+    a_ub[r:o, n] = -1.0
+    a_ub[o:f, :n] = view.opt_beta2
+    a_ub[o:f, n + 1] = -1.0
+    a_ub[f:, :n] = view.feas_beta2
+    c = np.zeros(n + 2)
+    c[n:] = 1.0
+    lower = np.full(n + 2, -np.inf)
+    lower[:n] = sub.lb
+    lower[n + 1] = z_lo
+    upper = np.full(n + 2, np.inf)
+    upper[:n] = sub.ub
+    prob = lp.LpProblem(c=c, a_eq=a_eq, b_eq=b[:q], a_ub=a_ub, b_ub=b[q:], lower=lower,
+                        upper=upper)
     return prob, b0, hist
 
 
@@ -387,11 +401,11 @@ def _pivot_columns(a: np.ndarray) -> list | None:
     floor = max(lp.PIVOT_TOL, lp.PIVOT_REL_TOL * np.abs(a).max(initial=0.0))
     cols = []
     for _ in range(a.shape[0]):
-        i, j = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+        i, j = divmod(int(np.abs(a).argmax()), a.shape[1])
         if abs(a[i, j]) <= floor:
             return None
-        cols.append(int(j))
-        a -= np.outer(a[:, j] / a[i, j], a[i])
+        cols.append(j)
+        a -= np.multiply.outer(a[:, j] / a[i, j], a[i])
     return cols
 
 
@@ -428,7 +442,7 @@ def epigraph_basis(sub: SubproblemData, view) -> np.ndarray | None:
         grad += view.opt_beta2[-1]
     y = np.linalg.solve(sub.a_cur[:, cols].T, grad[cols]) if cols else np.zeros(0)
     states = np.full(n + 2 + r + n_p + view.n_opt + view.n_feas, lp.BASIC, dtype=np.int8)
-    states[:n] = np.where(grad - y @ sub.a_cur < 0.0, lp.AT_UPPER, lp.AT_LOWER)
+    states[:n] = np.where(grad - y.dot(sub.a_cur) < 0.0, lp.AT_UPPER, lp.AT_LOWER)
     states[cols] = lp.BASIC
     slack = n + 2 + r  # the first cost-piece row's slack
     states[slack] = lp.AT_LOWER
@@ -470,8 +484,9 @@ class StageLp:
     instead.  Each later solve inserts the pool's
     new cut rows, with their map rows, in the layout of
     :func:`build_stage_lp` (new optimality rows after the held ones, before
-    the feasibility rows; new feasibility rows at the end), sets the
-    right-hand side ``b0 - hist @ h`` and re-solves in place; when
+    the feasibility rows; new feasibility rows at the end), hands the held
+    LP the whole right-hand side ``b0 - hist @ h`` in one vector and
+    re-solves in place; when
     :meth:`riskdp.lp.PersistentLp.resolve` declines, the LP is built again
     and solved cold, with no start.  Every solve that leaves a held LP
     records its optimal basis in ``starts``, a record shared by the run's
@@ -494,7 +509,7 @@ class StageLp:
         at = self.b0.shape[0] - before
         self.b0 = np.concatenate([self.b0[:at], b0, self.b0[at:]])
         self.hist = np.concatenate([self.hist[:at], beta1, self.hist[at:]])
-        self.lp.append_rows(rows, b0 - beta1 @ history, at - self.lp.n_eq)
+        self.lp.append_rows(rows, b0 - beta1.dot(history), at - self.lp.n_eq)
 
     def _first_starts(self, shape: tuple, sub: SubproblemData, view):
         """A first solve's starts: the basis held for its ``shape``, then its epigraph basis."""
@@ -508,15 +523,14 @@ class StageLp:
         if held is not None:
             if view.n_opt > self.n_opt:
                 new = slice(self.n_opt, None)
-                self._insert(_opt_rows(view.opt_beta2[new]), view.opt_rhs_const[new],
+                self._insert(_cut_rows(view.opt_beta2[new], -1.0), view.opt_rhs_const[new],
                              view.opt_beta1[new], self.n_feas, history)
             if view.n_feas > self.n_feas:
                 new = slice(self.n_feas, None)
-                self._insert(_feas_rows(view.feas_beta2[new]), view.feas_rhs_const[new],
+                self._insert(_cut_rows(view.feas_beta2[new], 0.0), view.feas_rhs_const[new],
                              view.feas_beta1[new], 0, history)
             self.n_opt, self.n_feas = view.n_opt, view.n_feas
-            b = self.b0 - self.hist @ history
-            held.set_rhs(b[:held.n_eq], b[held.n_eq:])
+            held.set_rhs(self.b0 - self.hist.dot(history))
             sol = held.resolve()
         if sol is None:
             sub = assemble_subproblem(problem, where)
@@ -571,8 +585,17 @@ def solve_node(problem: Problem, where, history, pools: PoolSet,
             f"stage-{t} subproblem unbounded: lower_value_bound for stage "
             f"{t + 1} does not bound the recourse from below")
     pi = assemble_pi(hist, sol)
+    # the norm as np.linalg.norm forms it for a 1-d float array
     return NodeSolution(x=sol.x[:n].copy(), value=sol.objective, duals=sol, pi=pi,
-                        pi_norm=float(np.linalg.norm(pi)))
+                        pi_norm=math.sqrt(pi.dot(pi)))
+
+
+def backward_order(nodes: list[ScenarioNode], horizon: int) -> list[ScenarioNode]:
+    """The inner nodes of ``nodes`` (above the horizon) in backward order.
+
+    Deepest stage first and, within a stage, in the order of ``nodes``.
+    """
+    return sorted((node for node in nodes if node.depth < horizon), key=lambda node: -node.depth)
 
 
 def _count_lp(tally: Counter, sol: lp.LpSolution) -> None:
@@ -653,7 +676,8 @@ class _Driver:
     the pools' cumulative child probabilities, summed once at the start of
     the run for :func:`sample_path`.  ``replays`` holds, per sampled path,
     the record of an iteration that added no cut, emptied whenever a cut
-    enters a pool (:meth:`_replay`).
+    enters a pool (:meth:`_replay`).  ``chains`` holds, per sampled path,
+    its chain of scenario nodes and their backward order (:meth:`_chain`).
     """
 
     def __init__(self, problem: Problem, cfg: RunConfig, warm: bool = True):
@@ -673,6 +697,7 @@ class _Driver:
         self.feas_counter = 0
         self.edges = pool_edges(problem)
         self.replays: dict = {}
+        self.chains: dict = {}
 
     # -- small helpers -----------------------------------------------------
 
@@ -855,22 +880,36 @@ class _Driver:
             i += 1
         return out
 
-    def _backward(self, nodes: list[ScenarioNode], out: dict, k: int, opt: dict,
+    def _backward(self, inner: list[ScenarioNode], out: dict, k: int, opt: dict,
                   skipped: dict) -> None:
         """Build the cuts of a :meth:`_forward` pass, then solve stage 1 afresh into ``stage1``.
 
-        With backward cut timing, every inner node's pool gets the cut of
-        its children at the node's history, deepest stage first and, within
-        a stage, in the order of ``nodes``.  The fresh stage-1 solve is the
-        bound the next sweep starts from.
+        ``inner`` is the pass's inner nodes in backward order
+        (:func:`backward_order`).  With backward cut timing, each of them in
+        turn gets the cut of its children at its history.  The fresh stage-1
+        solve is the bound the next sweep starts from.
         """
         if self.cfg.cut_timing == "backward":
-            horizon = self.problem.horizon
-            for node in sorted(nodes, key=lambda node: -node.depth):
-                if node.depth < horizon:
-                    self._build_cut_at(self.topology.pool(node.where), out[node.key][0], k,
-                                       opt, skipped)
+            for node in inner:
+                self._build_cut_at(self.topology.pool(node.where), out[node.key][0], k,
+                                   opt, skipped)
         self.stage1 = self._solve(self.topology.first, np.zeros(0))
+
+    def _chain(self, walk: tuple) -> tuple[list, list]:
+        """A sampled walk as a chain of scenario nodes, and its :func:`backward_order`.
+
+        Each node is keyed by the walk up to it.  Built once per distinct
+        walk and held in ``chains``.
+        """
+        chain = self.chains.get(walk)
+        if chain is None:
+            nodes, parent = [], ()
+            for depth, where in enumerate(walk, start=1):
+                key = parent + (where,)
+                nodes.append(ScenarioNode(key=key, parent=parent, where=where, depth=depth))
+                parent = key
+            chain = self.chains[walk] = nodes, backward_order(nodes, self.problem.horizon)
+        return chain
 
     # -- one iteration -----------------------------------------------------
 
@@ -906,17 +945,15 @@ class _Driver:
         report = self._replay(k, walk, started)
         if report is not None:
             return report
-        tally_before = self.tally.copy()
+        before = [self.tally[key] for key in TALLIES]
         opt, feas, skipped = {}, {}, {}
-        # the path as a chain of scenario nodes, each keyed by the walk up to it
-        path = [ScenarioNode(key=walk[:t], parent=walk[:t - 1], where=walk[t - 1], depth=t)
-                for t in range(1, len(walk) + 1)]
+        path, inner = self._chain(walk)
         out = self._forward(path, k, opt, feas, skipped)
         if out is None:
             return None
         first = out[path[0].key][1]
-        self._backward(path, out, k, opt, skipped)
-        tally = self.tally - tally_before
+        self._backward(inner, out, k, opt, skipped)
+        tally = {key: self.tally[key] - old for key, old in zip(TALLIES, before)}
         if not (cfg.algorithm == "alg2" or opt or cfg.probe is not None):
             self.replays[walk] = (tally["lps"] + tally["lps_reused"], skipped)
         return IterationReport(k=k, path=walk, lower_bound=first.value, x1=first.x.copy(),

@@ -42,15 +42,29 @@ declines when the basis is not dual
 feasible either, when the LP is primal infeasible or when the dual pivots
 break down, and the caller solves the LP cold with :func:`solve`.
 
-A held LP's re-solve costs what its pivots cost.  Pricing is done once
-per inverse (``_pricing``): the LP holds the duals ``y`` and reduced costs
-``d`` of its last phase-2 pricing until the next exchange, factorization,
-row insert or cost move, so a re-solve that only moved the right-hand side
-and stays primal feasible reads its solution from them.  The dual simplex
-prices on entry and then carries ``d`` along the tableau row of each pivot
-(``d -= (d_j / alpha_j) alpha``, ``d_j = 0``), pricing afresh only after a
-scheduled factorization; phase 2 then factorizes the moved basis once and
-prices it once.
+A held LP's re-solve costs what its pivots cost, on top of a fixed part:
+the right-hand side move (one product through the held inverse), the row
+residual and bound checks (``_fits``) and the solution's arrays.  Pricing
+is done once per inverse (``_pricing``): the LP holds the duals ``y`` and
+reduced costs ``d`` of its last phase-2 pricing until the next exchange,
+factorization, row insert or cost move, so a re-solve that only moved the
+right-hand side and stays primal feasible reads its solution from them.
+The dual simplex prices on entry and then carries ``d`` along the tableau
+row of each pivot (``d -= (d_j / alpha_j) alpha``, ``d_j = 0``), pricing
+afresh only after a scheduled factorization; phase 2 then factorizes the
+moved basis once and prices it once.  Besides its basis, inverse and
+pricing, a held LP keeps the masks of the columns that may rise and fall
+(``moves``, see ``_dual_infeasibility``) and ``|A|`` for the dual ratio
+test's noise floor (``abs_a``, until ``a`` changes).
+
+Every product takes the operands, shapes and memory layouts of its plain
+formula (the whole inverse times a column of ``A``, ``y`` times the whole
+matrix), never a row or column subset of them or a view into a larger
+buffer: BLAS results can differ in the last bits with the operands'
+shape and layout.  So how the arrays are built (a row insert spliced
+into preallocated arrays, the inverse through the LAPACK call of
+``np.linalg.inv`` without its argument checks, ``_inv``) changes no bit
+of a solve; what it saves is allocations, masks and Python calls.
 
 The cold two-phase solve, the in-place primal re-solve and the dual
 re-solve share one set of simplex rules, each stated once in
@@ -84,6 +98,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 logger = logging.getLogger(__name__)
 
@@ -135,6 +150,38 @@ def _as_vector(b, rows: int, name: str) -> np.ndarray:
     if out.shape[0] != rows:
         raise ValueError(f"{name} has {out.shape[0]} entries, expected {rows}")
     return out
+
+
+def _unit_diagonal(block: np.ndarray) -> None:
+    """Set the diagonal of the square view ``block`` to 1 (``np.fill_diagonal``, unchecked)."""
+    block.flat[::block.shape[1] + 1] = 1.0
+
+
+def _spliced(mat: np.ndarray, p: int, s: int, k: int) -> np.ndarray:
+    """``mat`` with ``k`` zero rows before row ``p`` and ``k`` zero columns before column ``s``."""
+    rows, cols = mat.shape
+    out = np.zeros((rows + k, cols + k))
+    out[:p, :s] = mat[:p, :s]
+    out[:p, s + k:] = mat[:p, s:]
+    out[p + k:, :s] = mat[p:, :s]
+    out[p + k:, s + k:] = mat[p:, s:]
+    return out
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv`` of a square float matrix, bit for bit, without its argument checks.
+
+    The same LAPACK call under the same floating-point error state; a
+    singular ``a`` raises ``LinAlgError``.  An ``np.errstate`` cannot be
+    entered twice, so each call makes its own.
+    """
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.inv(a, signature="d->d")
 
 
 @dataclass
@@ -238,24 +285,26 @@ class _Simplex:
         self.n_struct = n
         self.n_eq = q
         self.n_ub = r
-        m = q + r
-        self.m = m
+        self.m = m = q + r
+        self.n_real = self.ncols = k = n + r
         # Columns: [structural n][slack r]; artificials appended in phase 1.
-        a = np.zeros((m, n + r), dtype=float)
+        self.a = a = np.zeros((m, k))
         a[:q, :n] = prob.a_eq
         a[q:, :n] = prob.a_ub
-        a[q:, n:] = np.eye(r)
-        self.a = a
+        _unit_diagonal(a[q:, n:])
+        self.abs_a = None  # |a|, formed on first use (_abs_a)
         self.b = np.concatenate([prob.b_eq, prob.b_ub])
-        self.lower = np.concatenate([prob.lower, np.zeros(r)])
-        self.upper = np.concatenate([prob.upper, np.full(r, np.inf)])
-        self.cost = np.concatenate([prob.c, np.zeros(r)])  # phase 2's, one entry per column
+        self.lower = np.zeros(k)
+        self.lower[:n] = prob.lower
+        self.upper = np.full(k, np.inf)
+        self.upper[:n] = prob.upper
+        self.cost = np.zeros(k)  # phase 2's, one entry per column
+        self.cost[:n] = prob.c
         self.d = None  # the held pricing: phase 2's reduced costs at this inverse (_pricing)
-        self.n_real = self.ncols = n + r
-        self.status_col = np.empty(n + r, dtype=np.int8)
+        self.status_col = np.empty(k, dtype=np.int8)
         self.moves = None  # the held (rise, fall) masks of _dual_infeasibility
-        self.x = np.zeros(n + r)
-        self.allowed = np.ones(n + r, dtype=bool)  # phase 1 may set noise columns aside
+        self.x = np.zeros(k)
+        self.allowed = np.ones(k, dtype=bool)  # phase 1 may set noise columns aside
         self._set_movable()
         self.redundant = np.zeros(m, dtype=bool)  # rows whose artificial stays basic
         self.pivots = 0
@@ -295,9 +344,9 @@ class _Simplex:
     def _remask(self, j: int) -> None:
         """Bring column ``j``'s entries of the held masks of :meth:`_dual_infeasibility` up to date."""
         if self.moves is not None:
-            state, movable = self.status_col[j], self.movable[j]
-            self.moves[0][j] = movable and state in (AT_LOWER, NB_FREE)
-            self.moves[1][j] = movable and state in (AT_UPPER, NB_FREE)
+            state, movable = int(self.status_col[j]), self.movable[j]
+            self.moves[0][j] = movable and (state == AT_LOWER or state == NB_FREE)
+            self.moves[1][j] = movable and (state == AT_UPPER or state == NB_FREE)
 
     def _set_movable(self) -> None:
         """Recompute ``movable``, the columns that may leave their bound: allowed and not fixed.
@@ -320,6 +369,7 @@ class _Simplex:
         extra = np.zeros((m, k), dtype=float)
         extra[art_rows, np.arange(k)] = np.where(resid[art_rows] >= 0.0, 1.0, -1.0)
         self.a = np.hstack([self.a, extra])
+        self.abs_a = None
         self.lower = np.concatenate([self.lower, np.zeros(k)])
         self.upper = np.concatenate([self.upper, np.full(k, np.inf)])
         self.cost = np.concatenate([self.cost, np.zeros(k)])
@@ -336,10 +386,16 @@ class _Simplex:
 
     # -- linear algebra ----------------------------------------------------
 
+    def _abs_a(self) -> np.ndarray:
+        """``|a|``, held until ``a`` changes (a row insert or the artificials reset it to None)."""
+        if self.abs_a is None:
+            self.abs_a = np.abs(self.a)
+        return self.abs_a
+
     def _refactor(self) -> None:
         """Invert the basis matrix afresh and recompute the basic values from it."""
         try:
-            self.b_inv = np.linalg.inv(self.a[:, self.basis])
+            self.b_inv = _inv(self.a[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise SimplexError(f"singular basis {self.basis.tolist()}") from exc
         self.moved = False
@@ -350,7 +406,7 @@ class _Simplex:
     def _recompute_basic_values(self) -> None:
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        self.x[self.basis] = self.b_inv @ (self.b - self.a @ xn)
+        self.x[self.basis] = self.b_inv.dot(self.b - self.a.dot(xn))
 
     def _exchange(self, row: int, j: int, w: np.ndarray) -> None:
         """Column ``j`` (``w = B^-1 A[:, j]``) replaces the basic column of ``row``.
@@ -361,32 +417,40 @@ class _Simplex:
         if abs(piv) <= PIVOT_TOL:  # pragma: no cover - guarded by the noise floors
             raise SimplexError(f"pivot element {piv:.3e} too small")
         self.status_col[j] = BASIC
-        self._remask(j)
+        if self.moves is not None:  # a basic column neither rises nor falls
+            self.moves[0][j] = self.moves[1][j] = False
         self.basis[row] = j
-        self.b_inv[row, :] /= piv
-        other = np.arange(self.m) != row
-        self.b_inv[other, :] -= np.outer(w[other], self.b_inv[row, :])
+        b_inv = self.b_inv
+        pivot_row = b_inv[row] / piv
+        # every row takes w_i times the pivot row off; the pivot row is then set
+        b_inv -= np.multiply.outer(w, pivot_row)
+        b_inv[row] = pivot_row
         self.pivots += 1
         self.moved = True
         self.d = None
 
-    def _noise_floor(self, rows, cols) -> np.ndarray:
-        """Entries of ``B^-1[rows] A[:, cols]`` at or below this are rounding noise, not pivots."""
-        formed = np.abs(self.b_inv[rows]) @ np.abs(self.a[:, cols])
-        return np.maximum(PIVOT_TOL, PIVOT_REL_TOL * formed)
+    def _noise_floor(self, rows, abs_cols: np.ndarray) -> np.ndarray:
+        """Entries of ``B^-1[rows] A[:, cols]`` at or below this are rounding noise, not pivots.
+
+        ``abs_cols`` is ``|A[:, cols]|``: a contiguous array of those columns,
+        or the held ``|A|`` (:meth:`_abs_a`) for all of them.
+        """
+        return np.maximum(PIVOT_TOL, PIVOT_REL_TOL * np.abs(self.b_inv[rows]).dot(abs_cols))
 
     @staticmethod
     def _largest_pivot(cand: np.ndarray, pivots: np.ndarray, index: np.ndarray) -> int:
         """The tie rule: the candidate with the largest ``pivots`` (within 1e-12), then the smallest ``index``."""
+        if cand.shape[0] == 1:
+            return int(cand[0])
         top = pivots >= pivots.max() - 1e-12
-        return int(cand[top][np.argmin(index[top])])
+        return int(cand[top][index[top].argmin()])
 
     # -- pricing -----------------------------------------------------------
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         """Reduced costs ``cost - y A``; keeps the duals ``y = cost_B B^-1`` in ``self.y``."""
-        self.y = cost[self.basis] @ self.b_inv
-        return cost - self.y @ self.a
+        self.y = cost[self.basis].dot(self.b_inv)
+        return cost - self.y.dot(self.a)
 
     def _pricing(self) -> np.ndarray:
         """The reduced costs of the phase-2 cost at this inverse, priced once per inverse.
@@ -426,9 +490,9 @@ class _Simplex:
     def _price(self, d: np.ndarray):
         """Return (entering column, direction) at the reduced costs ``d``, or None when optimal."""
         viol = self._dual_infeasibility(d)[0]
-        if not viol.any():
+        if not np.count_nonzero(viol):
             return None
-        j = int(np.flatnonzero(viol)[0]) if self.bland_mode else int(np.argmax(viol))
+        j = int(viol.nonzero()[0][0]) if self.bland_mode else int(viol.argmax())
         return j, (1.0 if d[j] < 0.0 else -1.0)
 
     # -- ratio test and pivot ---------------------------------------------
@@ -439,7 +503,7 @@ class _Simplex:
         ``kind`` is ``"flip"`` (entering variable runs to its other bound),
         ``"pivot"`` (a basic variable leaves first) or ``"unbounded"``.
         """
-        w = self.b_inv @ self.a[:, j]
+        w = self.b_inv.dot(self.a[:, j])
         dw = direction * w
         bas = self.basis
         xb, lo, up = self.x[bas], self.lower[bas], self.upper[bas]
@@ -447,7 +511,7 @@ class _Simplex:
         # its entry is noise: every entry of a redundant row is
         rows = np.flatnonzero(((dw > 0.0) & np.isfinite(lo) | (dw < 0.0) & np.isfinite(up))
                               & ~self.redundant)
-        rows = rows[np.abs(w[rows]) > self._noise_floor(rows, j)]
+        rows = rows[np.abs(w[rows]) > self._noise_floor(rows, np.abs(self.a[:, j]))]
         dec, inc = rows[dw[rows] > 0.0], rows[dw[rows] < 0.0]  # drop to lower, rise to upper
         limits = np.full(self.m, np.inf)
         limits[dec] = (xb[dec] - lo[dec]) / dw[dec]
@@ -531,7 +595,7 @@ class _Simplex:
             # an entry under the noise floor, or tiny against its own tableau
             # column, is rounding noise of a redundant row, not a pivot
             floor = np.maximum(DRIVE_OUT_REL_TOL * np.abs(tableau).max(axis=0),
-                               self._noise_floor(row, real))
+                               self._noise_floor(row, np.abs(self.a[:, real])))
             size = np.where((tab_row > floor) & (self.status_col[real] != BASIC), tab_row, 0.0)
             if not size.any():
                 # Redundant row: freeze the artificial at zero, basic for good.
@@ -581,15 +645,14 @@ class _Simplex:
                               dual_start=dual)
         # optimality was declared on a fresh inverse, so the basic values are
         # exact and the held pricing's duals are those of this very inverse
-        n, q, y = self.n_struct, self.n_eq, self.y
+        n, q, y, k = self.n_struct, self.n_eq, self.y, self.n_real
         x = self.x[:n].copy()
-        dual_eq = y[:q].copy()
-        dual_ineq = np.maximum(-y[q:], 0.0)
-        basis = (None if (self.basis >= self.n_real).any()
-                 else self.status_col[:self.n_real].copy())
-        return LpSolution(status=OPTIMAL, x=x, objective=float(self.c @ x),
-                          dual_eq=dual_eq, dual_ineq=dual_ineq, pivots=self.pivots,
-                          basis=basis, warm_start=warm, dual_start=dual)
+        # an artificial column left basic (only a cold solve has any) leaves no basis
+        basis = (None if self.ncols > k and (self.basis >= k).any()
+                 else self.status_col[:k].copy())
+        return LpSolution(status=OPTIMAL, x=x, objective=float(self.c.dot(x)),
+                          dual_eq=y[:q].copy(), dual_ineq=np.maximum(-y[q:], 0.0),
+                          pivots=self.pivots, basis=basis, warm_start=warm, dual_start=dual)
 
 
 class PersistentLp(_Simplex):
@@ -624,12 +687,13 @@ class PersistentLp(_Simplex):
             raise SimplexError(f"{basis.size} column states for {self.n_real} columns")
         self._place_all(basis)
         st = self.status_col
-        lo_inf, up_inf = np.isinf(self.lower), np.isinf(self.upper)
-        if (((st == AT_LOWER) & lo_inf) | ((st == AT_UPPER) & up_inf)
-                | ((st == NB_FREE) & ~(lo_inf & up_inf))).any():
+        # a state naming an infinite bound placed its column there
+        free = st == NB_FREE
+        if np.count_nonzero(np.isinf(self.x)) or (np.count_nonzero(free) and np.count_nonzero(
+                free & ~(np.isinf(self.lower) & np.isinf(self.upper)))):
             raise SimplexError("a column state names an infinite bound or parks a bounded "
                                "column as free")
-        self.basis = np.flatnonzero(st == BASIC)
+        self.basis = (st == BASIC).nonzero()[0]
         self._refactor()
 
     def append_rows(self, a_rows: np.ndarray, b_rows: np.ndarray, at: int) -> None:
@@ -639,16 +703,21 @@ class PersistentLp(_Simplex):
         position.  Up to that placement the basis matrix becomes
         ``[[B, 0], [r_B, I]]`` (``r_B``: the new rows at the basic columns),
         so the inverse is bordered in closed form with
-        ``[[B^-1, 0], [-r_B B^-1, I]]``.
+        ``[[B^-1, 0], [-r_B B^-1, I]]``.  ``at`` runs from 0 (before the
+        first inequality row) to ``n_ub`` (after the last); any other value
+        raises ``ValueError``.
         """
+        if not 0 <= at <= self.n_ub:
+            raise ValueError(f"at={at} is outside [0, {self.n_ub}], the inequality rows' "
+                             "insert positions")
         k = a_rows.shape[0]
-        n, m = self.n_struct, self.m
+        n = self.n_struct
         p, s = self.n_eq + at, n + at  # the first new row and its slack column
-        rows = np.zeros((k, self.n_real + k))
+        self.a = a = _spliced(self.a, p, s, k)
+        self.abs_a = None
+        rows = a[p:p + k]
         rows[:, :n] = a_rows
-        rows[:, s:s + k] = np.eye(k)
-        a = np.hstack([self.a[:, :s], np.zeros((m, k)), self.a[:, s:]])
-        self.a = np.vstack([a[:p], rows, a[p:]])
+        _unit_diagonal(rows[:, s:s + k])
         self.b = np.concatenate([self.b[:p], b_rows, self.b[p:]])
         self.lower = np.concatenate([self.lower[:s], np.zeros(k), self.lower[s:]])
         self.upper = np.concatenate([self.upper[:s], np.full(k, np.inf), self.upper[s:]])
@@ -656,13 +725,14 @@ class PersistentLp(_Simplex):
         self.d = None
         basis = np.where(self.basis >= s, self.basis + k, self.basis)
         border = -(rows[:, basis] @ self.b_inv)
-        b_inv = np.hstack([self.b_inv[:, :p], np.zeros((m, k)), self.b_inv[:, p:]])
-        border = np.hstack([border[:, :p], np.eye(k), border[:, p:]])
-        self.b_inv = np.vstack([b_inv[:p], border, b_inv[p:]])
+        self.b_inv = b_inv = _spliced(self.b_inv, p, p, k)
+        b_inv[p:p + k, :p] = border[:, :p]
+        b_inv[p:p + k, p + k:] = border[:, p:]
+        _unit_diagonal(b_inv[p:p + k, p:p + k])
         self.basis = np.concatenate([basis[:p], np.arange(s, s + k), basis[p:]])
         self.status_col = np.concatenate([self.status_col[:s], np.full(k, BASIC, dtype=np.int8),
                                           self.status_col[s:]])
-        self.x = np.concatenate([self.x[:s], b_rows - a_rows @ self.x[:n], self.x[s:]])
+        self.x = np.concatenate([self.x[:s], b_rows - a_rows.dot(self.x[:n]), self.x[s:]])
         self.stale += k
         self.m += k
         self.n_ub += k
@@ -672,11 +742,11 @@ class PersistentLp(_Simplex):
         self._set_movable()
         self.redundant = np.zeros(self.m, dtype=bool)
 
-    def set_rhs(self, b_eq: np.ndarray, b_ub: np.ndarray) -> None:
-        """Move the right-hand side; only the basic values change."""
-        b = np.concatenate([b_eq, b_ub])
-        if b.shape[0] != self.m:
-            raise ValueError(f"right-hand side has {b.shape[0]} entries, the LP {self.m} rows")
+    def set_rhs(self, b: np.ndarray) -> None:
+        """Move the right-hand side to ``b``, equality rows first; only the basic values change."""
+        b = np.array(b, dtype=float)
+        if b.shape != (self.m,):
+            raise ValueError(f"right-hand side has shape {b.shape}, the LP {self.m} rows")
         self.b = b
         self._recompute_basic_values()
 
@@ -730,15 +800,17 @@ class PersistentLp(_Simplex):
         products forming it, ``|A| |x|``: at large basic values the absolute
         tolerance is below the rounding of ``A x``.
         """
-        bas = self.basis
+        bas, m = self.basis, self.m
         xb = self.x[bas]
-        resid = np.abs(self.a @ self.x - self.b)
-        residual_ok = resid.max(initial=0.0) <= PHASE1_TOL
+        # each check counts the rows, or basic columns, that pass it (a NaN fails)
+        resid = np.abs(self.a.dot(self.x) - self.b)
+        residual_ok = np.count_nonzero(resid <= PHASE1_TOL) == m
         if not residual_ok:  # |A| |x| is formed only here, off the common path
-            formed = np.abs(self.a) @ np.abs(self.x)
-            residual_ok = (resid <= np.maximum(PHASE1_TOL, RESIDUAL_REL_TOL * formed)).all()
-        return (bool(residual_ok), bool(((xb >= self.lower[bas] - PHASE1_TOL)
-                                         & (xb <= self.upper[bas] + PHASE1_TOL)).all()))
+            formed = self._abs_a() @ np.abs(self.x)
+            residual_ok = np.count_nonzero(
+                resid <= np.maximum(PHASE1_TOL, RESIDUAL_REL_TOL * formed)) == m
+        return residual_ok, np.count_nonzero((xb >= self.lower[bas] - PHASE1_TOL)
+                                             & (xb <= self.upper[bas] + PHASE1_TOL)) == m
 
     def _dual_simplex(self) -> bool:
         """Dual simplex pivots until the basis is primal feasible; False to decline.
@@ -761,33 +833,34 @@ class PersistentLp(_Simplex):
         """
         d = self._pricing()
         degenerate_run = 0
+        a, lower, upper, abs_a = self.a, self.lower, self.upper, self._abs_a()
         while True:
             bas = self.basis
             xb = self.x[bas]
-            above = xb - self.upper[bas]
-            viol = np.maximum(self.lower[bas] - xb, above)
-            r = int(np.argmax(viol))
+            above = xb - upper[bas]
+            viol = np.maximum(lower[bas] - xb, above)
+            r = int(viol.argmax())
             if viol[r] <= PHASE1_TOL:
                 return True
             if self.pivots >= MAX_PIVOTS or degenerate_run >= STALL_SWITCH:
                 return False
             infeasible, rise, fall = self._dual_infeasibility(d)
-            if infeasible.any():
+            if np.count_nonzero(infeasible):
                 return False
-            sigma = 1.0 if above[r] > 0.0 else -1.0  # +1: x_r leaves for its upper bound
-            alpha = self.b_inv[r] @ self.a
-            s_alpha = sigma * alpha
-            big = np.abs(alpha) > self._noise_floor(r, slice(None))
-            cand = np.flatnonzero(big & ((rise & (s_alpha > 0.0)) | (fall & (s_alpha < 0.0))))
-            if not cand.size:
+            alpha = self.b_inv[r].dot(a)
+            # sigma = +1: x_r leaves for its upper bound; s_alpha = sigma * alpha
+            sigma, s_alpha = (1.0, alpha) if above[r] > 0.0 else (-1.0, -alpha)
+            big = np.abs(alpha) > self._noise_floor(r, abs_a)
+            cand = (big & ((rise & (s_alpha > 0.0)) | (fall & (s_alpha < 0.0)))).nonzero()[0]
+            if not cand.shape[0]:
                 return False
             ratio = np.maximum(d[cand] / s_alpha[cand], 0.0)
-            step_d = float(ratio.min())
+            step_d = float(ratio[ratio.argmin()])
             ties = cand[ratio <= step_d + RATIO_TIE_TOL]
             j = self._largest_pivot(ties, np.abs(alpha[ties]), ties)
-            w = self.b_inv @ self.a[:, j]
+            w = self.b_inv.dot(a[:, j])
             direction = 1.0 if s_alpha[j] > 0.0 else -1.0
-            target = self.upper[bas[r]] if sigma > 0.0 else self.lower[bas[r]]
+            target = upper[bas[r]] if sigma > 0.0 else lower[bas[r]]
             step = (xb[r] - target) / (direction * w[r])
             degenerate_run = degenerate_run + 1 if step_d < STEP_TOL else 0
             self._apply_pivot(j, direction, step, r, AT_UPPER if sigma > 0.0 else AT_LOWER, w)

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EngineError, RunConfig, _Driver
+from .engine import EngineError, RunConfig, _Driver, backward_order
 from .model import (TREE, ModelError, Node, Problem, PwlConvexCost, Realization, fold_rows,
                     history_vector)
 from .risk import RiskSpec
@@ -528,13 +528,14 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
     """
     driver = _Driver(problem, RunConfig(), warm=False)
     nodes = problem.topology.scenarios()
+    inner = backward_order(nodes, problem.horizon)
     value_prev = None
     n_cuts = 0
     for sweep in range(1, max_sweeps + 1):
         counters: dict = {}
         driver.stage1 = None  # solved through the memo, as every node is
         out = driver._forward(nodes, sweep, counters, {}, {})
-        driver._backward(nodes, out, sweep, counters, {})
+        driver._backward(inner, out, sweep, counters, {})
         added = sum(counters.values())
         n_cuts += added
         value = driver.stage1.value

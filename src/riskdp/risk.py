@@ -182,7 +182,7 @@ def risk_value_and_density(spec: RiskSpec, probs, values) -> tuple[float, np.nda
         p = (1.0 - spec.lam) * np.ones_like(probs) + spec.lam * p_tail
     else:  # polytope
         p = _polytope_density(spec, probs, values)
-    value = float((p * probs) @ values)
+    value = float((p * probs).dot(values))
     return value, p
 
 

@@ -33,4 +33,4 @@ def assemble_pi(hist: np.ndarray, sol: LpSolution) -> np.ndarray:
         raise ValueError(f"the LP has {sol.dual_eq.shape[0]}+{mu.shape[0]} rows, "
                          f"its history map {hist.shape[0]}")
     y = np.concatenate([-sol.dual_eq, np.where(mu < MU_ZERO_TOL, 0.0, mu)])
-    return hist.T @ y
+    return hist.T.dot(y)

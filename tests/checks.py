@@ -25,8 +25,12 @@ a dump is parsed row by row.  :func:`iterate_by_loop` and
 :func:`nested_decomposition_by_loop` run the sampled drivers' iteration and
 nested decomposition the way ``riskdp.engine`` and ``riskdp.oracle`` did
 before the driver's one forward and backward sweep, each with a loop of
-its own.  :func:`nodes_at_depth` lists a tree's nodes
-at one depth, and
+its own.  :func:`append_rows_by_stacking`, :func:`exchange_by_mask`,
+:func:`build_stage_lp_by_stacking` and :func:`simplex_arrays_by_stacking`
+insert cut rows into a held LP, update its inverse, build a stage LP and
+lay out a simplex's arrays the way ``riskdp.lp`` and ``riskdp.engine`` did
+before their leaner builds, for byte-for-byte comparisons.
+:func:`nodes_at_depth` lists a tree's nodes at one depth, and
 :func:`n_optimality_cuts` and :func:`n_feasibility_cuts` count the cuts of
 a run's pools.  :func:`run_fresh` runs a snippet in a new interpreter, for
 the tests of what riskdp imports: the test process itself has imported
@@ -46,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from riskdp import engine, io, oracle
+from riskdp import engine, io, lp, oracle
 from riskdp.cli import _history_box
 from riskdp.model import (LATTICE, TREE, ModelError, Node, Problem, PwlConvexCost,
                           Realization, Stage)
@@ -689,6 +693,105 @@ def nested_decomposition_by_loop(problem, max_sweeps: int = oracle.MAX_SWEEPS):
                                    lps_reused=driver.tally["lps_reused"])
         value_prev = value
     raise OracleError(f"nested decomposition did not settle in {max_sweeps} sweeps")
+
+
+def append_rows_by_stacking(held, a_rows: np.ndarray, b_rows: np.ndarray, at: int) -> None:
+    """``riskdp.lp.PersistentLp.append_rows`` as it was before its slice-assigned build.
+
+    Every array is rebuilt by stacking its pieces around the new rows and
+    slack columns; kept as the byte-for-byte reference of the insert.
+    """
+    k = a_rows.shape[0]
+    n, m = held.n_struct, held.m
+    p, s = held.n_eq + at, n + at
+    rows = np.zeros((k, held.n_real + k))
+    rows[:, :n] = a_rows
+    rows[:, s:s + k] = np.eye(k)
+    a = np.hstack([held.a[:, :s], np.zeros((m, k)), held.a[:, s:]])
+    held.a = np.vstack([a[:p], rows, a[p:]])
+    held.abs_a = None
+    held.b = np.concatenate([held.b[:p], b_rows, held.b[p:]])
+    held.lower = np.concatenate([held.lower[:s], np.zeros(k), held.lower[s:]])
+    held.upper = np.concatenate([held.upper[:s], np.full(k, np.inf), held.upper[s:]])
+    held.cost = np.concatenate([held.cost[:s], np.zeros(k), held.cost[s:]])
+    held.d = None
+    basis = np.where(held.basis >= s, held.basis + k, held.basis)
+    border = -(rows[:, basis] @ held.b_inv)
+    b_inv = np.hstack([held.b_inv[:, :p], np.zeros((m, k)), held.b_inv[:, p:]])
+    border = np.hstack([border[:, :p], np.eye(k), border[:, p:]])
+    held.b_inv = np.vstack([b_inv[:p], border, b_inv[p:]])
+    held.basis = np.concatenate([basis[:p], np.arange(s, s + k), basis[p:]])
+    held.status_col = np.concatenate([held.status_col[:s], np.full(k, lp.BASIC, dtype=np.int8),
+                                      held.status_col[s:]])
+    held.x = np.concatenate([held.x[:s], b_rows - a_rows @ held.x[:n], held.x[s:]])
+    held.stale += k
+    held.m += k
+    held.n_ub += k
+    held.n_real += k
+    held.ncols = held.n_real
+    held.allowed = np.ones(held.ncols, dtype=bool)
+    held._set_movable()
+    held.redundant = np.zeros(held.m, dtype=bool)
+
+
+def exchange_by_mask(simplex, row: int, j: int, w: np.ndarray) -> None:
+    """``riskdp.lp._Simplex._exchange`` as it was before it dropped its row mask.
+
+    The pivot row is divided in place, then every other row, gathered and
+    scattered through a boolean mask, takes its multiple off; kept as the
+    byte-for-byte reference of the product-form update.
+    """
+    piv = w[row]
+    if abs(piv) <= lp.PIVOT_TOL:
+        raise lp.SimplexError(f"pivot element {piv:.3e} too small")
+    simplex.status_col[j] = lp.BASIC
+    simplex._remask(j)
+    simplex.basis[row] = j
+    simplex.b_inv[row, :] /= piv
+    other = np.arange(simplex.m) != row
+    simplex.b_inv[other, :] -= np.outer(w[other], simplex.b_inv[row, :])
+    simplex.pivots += 1
+    simplex.moved = True
+    simplex.d = None
+
+
+def build_stage_lp_by_stacking(sub, view, z_lo: float, history: np.ndarray):
+    """``riskdp.engine.build_stage_lp`` as it was before its slice-assigned build.
+
+    The blocks are joined with ``hstack`` and ``vstack``; kept as the
+    byte-for-byte reference of the stage LP and its right-hand side map.
+    """
+    n = sub.lb.shape[0]
+    q = sub.a_cur.shape[0]
+    r = sub.g_cur.shape[0]
+    n_p = sub.piece_cur.shape[0]
+    k_opt, k_feas = view.opt_beta2.shape[0], view.feas_beta2.shape[0]
+    b0 = np.concatenate([sub.b0, view.opt_rhs_const, view.feas_rhs_const])
+    hist = np.vstack([sub.hist, view.opt_beta1, view.feas_beta1])
+    b = b0 - hist @ history
+    a_ub = np.vstack([np.hstack([sub.g_cur, np.zeros((r, 2))]),
+                      np.hstack([sub.piece_cur, np.full((n_p, 1), -1.0), np.zeros((n_p, 1))]),
+                      np.hstack([view.opt_beta2, np.zeros((k_opt, 1)), np.full((k_opt, 1), -1.0)]),
+                      np.hstack([view.feas_beta2, np.zeros((k_feas, 2))])])
+    prob = lp.LpProblem(c=np.concatenate([np.zeros(n), [1.0, 1.0]]),
+                        a_eq=np.hstack([sub.a_cur, np.zeros((q, 2))]), b_eq=b[:q],
+                        a_ub=a_ub, b_ub=b[q:],
+                        lower=np.concatenate([sub.lb, [-np.inf, z_lo]]),
+                        upper=np.concatenate([sub.ub, [np.inf, np.inf]]))
+    return prob, b0, hist
+
+
+def simplex_arrays_by_stacking(prob) -> dict:
+    """The working arrays ``riskdp.lp._Simplex`` built from ``prob`` before its sliced build."""
+    n, q, r = prob.n_vars, prob.a_eq.shape[0], prob.a_ub.shape[0]
+    a = np.zeros((q + r, n + r), dtype=float)
+    a[:q, :n] = prob.a_eq
+    a[q:, :n] = prob.a_ub
+    a[q:, n:] = np.eye(r)
+    return {"a": a, "b": np.concatenate([prob.b_eq, prob.b_ub]),
+            "lower": np.concatenate([prob.lower, np.zeros(r)]),
+            "upper": np.concatenate([prob.upper, np.full(r, np.inf)]),
+            "cost": np.concatenate([prob.c, np.zeros(r)])}
 
 
 def perfbench_module(stem: str):

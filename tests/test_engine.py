@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from checks import (check_subgradient, iterate_by_loop, n_feasibility_cuts,
-                    nested_decomposition_by_loop)
+from checks import (build_stage_lp_by_stacking, check_subgradient, iterate_by_loop,
+                    n_feasibility_cuts, nested_decomposition_by_loop,
+                    simplex_arrays_by_stacking)
 from conftest import (lattice_to_tree, make_chain_instance, make_cvar_without_complete_recourse,
                       make_feasibility_instance, make_newsvendor, random_lattice_instance)
 from riskdp import cuts, engine, io, lp, model, oracle
@@ -927,6 +928,37 @@ def epigraph_stage_lps(draw):
                          opt_rhs_const=ints(n_opt), feas_beta1=np.zeros((n_feas, 0)),
                          feas_beta2=ints(n_feas, n), feas_rhs_const=ints(n_feas, lo=-2, hi=6))
     return sub, view, dependent
+
+
+@settings(max_examples=200, deadline=None)
+@given(epigraph_stage_lps(), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_build_stage_lp_matches_the_stacked_build_byte_for_byte(case, d, seed):
+    # the stage LP, its right-hand side map and the simplex arrays laid out
+    # from it equal the stacked builds' (checks.build_stage_lp_by_stacking,
+    # checks.simplex_arrays_by_stacking) as bytes, at a history of d real
+    # entries mapped through real history columns
+    sub, view, _dependent = case
+    rng = np.random.default_rng(seed)
+    sub = model.SubproblemData(t=sub.t, a_cur=sub.a_cur, g_cur=sub.g_cur,
+                               piece_cur=sub.piece_cur, b0=rng.normal(size=sub.b0.shape),
+                               hist=rng.normal(size=(sub.b0.shape[0], d)), lb=sub.lb, ub=sub.ub)
+    # the pool's columns are split as in CutPool.view: history blocks first
+    width = d + sub.lb.shape[0]
+    opt, feas = rng.normal(size=(view.n_opt, width)), rng.normal(size=(view.n_feas, width))
+    view = cuts.PoolView(opt_beta1=opt[:, :d], opt_beta2=opt[:, d:],
+                         opt_rhs_const=rng.normal(size=view.n_opt), feas_beta1=feas[:, :d],
+                         feas_beta2=feas[:, d:], feas_rhs_const=view.feas_rhs_const)
+    history, z_lo = rng.normal(size=d), float(rng.normal())
+    prob, b0, hist = engine.build_stage_lp(sub, view, z_lo, history)
+    ref, ref_b0, ref_hist = build_stage_lp_by_stacking(sub, view, z_lo, history)
+    assert b0.tobytes() == ref_b0.tobytes() and hist.tobytes() == ref_hist.tobytes()
+    for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub", "lower", "upper"):
+        assert getattr(prob, name).shape == getattr(ref, name).shape
+        assert getattr(prob, name).tobytes() == getattr(ref, name).tobytes(), name
+    simplex = lp._Simplex(prob, bland_always=False)
+    for name, arr in simplex_arrays_by_stacking(ref).items():
+        assert getattr(simplex, name).tobytes() == arr.tobytes(), name
 
 
 @settings(max_examples=300, deadline=None)

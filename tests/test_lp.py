@@ -1,5 +1,6 @@
 """Tests for the bounded-variable simplex solver."""
 
+import copy
 import math
 from collections import Counter
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from checks import check_subgradient
+from checks import append_rows_by_stacking, check_subgradient, exchange_by_mask
 from riskdp import lp
 
 ATOL = 1e-8
@@ -543,7 +544,7 @@ def test_warm_start_agrees_with_cold(seed, n_new, scale, cost_scale):
     nxt = _with_rows(moved, a_new, b_new, at)
     held.c = nxt.c
     held.append_rows(a_new, b_new, at)
-    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    held.set_rhs(np.concatenate([nxt.b_eq, nxt.b_ub]))
     warm = held.resolve()
     cold = lp.solve(nxt)
     if warm is None:  # declined: the held basis really misses a bound of nxt
@@ -579,8 +580,8 @@ def test_bordered_inverse_matches_a_fresh_inverse(seed, steps):
         b_new = a_new @ rng.uniform(prob.lower, prob.upper) + rng.uniform(0.0, 1.0, n_new)
         held.append_rows(a_new, b_new, int(where * held.n_ub))
         q = held.n_eq
-        held.set_rhs(held.b[:q] + 0.1 * rng.normal(size=q),
-                     held.b[q:] + 0.1 * rng.normal(size=held.n_ub))
+        held.set_rhs(np.concatenate([held.b[:q] + 0.1 * rng.normal(size=q),
+                                     held.b[q:] + 0.1 * rng.normal(size=held.n_ub)]))
         fresh = np.linalg.inv(held.a[:, held.basis])
         scale = max(1.0, np.abs(fresh).max(initial=0.0))
         assert np.abs(held.b_inv - fresh).max(initial=0.0) <= 1e-9 * scale
@@ -630,7 +631,7 @@ def test_dual_start_agrees_with_cold_and_highs(start):
     # are a subgradient of the cold value function of the right-hand side
     held, nxt, a_new, b_new, at = start
     held.append_rows(a_new, b_new, at)
-    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    held.set_rhs(np.concatenate([nxt.b_eq, nxt.b_ub]))
     warm = held.resolve()
     cold = lp.solve(nxt)
     ref = _highs(nxt)
@@ -702,7 +703,7 @@ def test_reduced_cost_update_matches_a_fresh_pricing(start):
     # of pricing afresh; the carried vector stays the fresh one to rounding
     held, nxt, a_new, b_new, at = start
     held.append_rows(a_new, b_new, at)
-    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    held.set_rhs(np.concatenate([nxt.b_eq, nxt.b_ub]))
     _resolve_checking_updates(held)
 
 
@@ -717,7 +718,7 @@ def test_reduced_cost_update_survives_a_refactor_mid_dual(monkeypatch):
     held = _held(prob)
     nxt = lp.LpProblem(c=prob.c, a_ub=prob.a_ub, b_ub=np.full(n, 0.5), lower=prob.lower,
                        upper=prob.upper)
-    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    held.set_rhs(np.concatenate([nxt.b_eq, nxt.b_ub]))
     calls = _counting(monkeypatch, "_refactor")
     sol, checked = _resolve_checking_updates(held)
     assert sol.dual_start and sol.pivots == n and checked > n
@@ -734,7 +735,7 @@ def test_no_pivot_resolve_returns_the_held_pricing(seed, monkeypatch):
     prob = _random_problem(seed)
     held = _held(prob)
     assert held.resolve().pivots == 0 and held.d is not None
-    held.set_rhs(held.b[:held.n_eq].copy(), held.b[held.n_eq:].copy())
+    held.set_rhs(held.b.copy())
     calls = _counting(monkeypatch, "_reduced_costs", "_refactor")
     sol = held.resolve()
     assert sol.pivots == 0 and not sol.dual_start and not calls
@@ -768,7 +769,7 @@ def test_rows_pivots_and_refactors_drop_the_held_pricing(monkeypatch):
         dropped.append(self.d is None)
 
     monkeypatch.setattr(lp._Simplex, "_exchange", recording)
-    held.set_rhs(np.zeros(0), np.array([20.0, 2.0, 3.0]))
+    held.set_rhs(np.array([20.0, 2.0, 3.0]))
     sol = held.resolve()
     assert sol.dual_start and dropped and all(dropped)
     _assert_matches_cold(sol, _with_rows(_two_rows(20.0), [[1.0, 1.0]], [3.0], 2))
@@ -800,7 +801,7 @@ def test_held_move_masks_are_those_of_the_column_states(monkeypatch):
         if held is None:
             continue
         held.resolve()
-        held.set_rhs(prob.b_eq, prob.b_ub - 0.5 * np.abs(prob.b_ub))
+        held.set_rhs(np.concatenate([prob.b_eq, prob.b_ub - 0.5 * np.abs(prob.b_ub)]))
         sol = held.resolve()
         dual += sol is not None and sol.dual_start
         x = held.x[:prob.n_vars]
@@ -816,7 +817,7 @@ def test_dual_resolve_after_a_violated_row_refactors_once(monkeypatch):
     held = _held(_two_rows(2.0))
     held.append_rows(np.array([[1.0, 1.0]]), np.array([1.0]), 2)
     nxt = _with_rows(_two_rows(2.0), [[1.0, 1.0]], [1.0], 2)
-    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    held.set_rhs(np.concatenate([nxt.b_eq, nxt.b_ub]))
     calls = _counting(monkeypatch, "_refactor")
     sol = held.resolve()
     assert sol.dual_start and sol.pivots >= 1 and calls["_refactor"] == 1
@@ -835,13 +836,13 @@ def test_start_basis_is_used_while_primal_feasible():
     assert first.basis.tolist() == [lp.BASIC, lp.BASIC, lp.AT_LOWER, lp.AT_LOWER]
     held = lp.PersistentLp(_two_rows(2.0), first.basis)
     # a small move of the right-hand side keeps the basis feasible: zero pivots
-    held.set_rhs(np.zeros(0), np.array([2.1, 2.0]))
+    held.set_rhs(np.array([2.1, 2.0]))
     moved = held.resolve()
     assert moved.warm_start and moved.pivots == 0 and not moved.dual_start
     assert moved.objective == pytest.approx(-4.1 / 3.0, abs=1e-12)
     assert moved.basis.tolist() == first.basis.tolist()
     # with b1 = 20 that basis puts x1 below 0: dual pivots re-solve it in place
-    held.set_rhs(np.zeros(0), np.array([20.0, 2.0]))
+    held.set_rhs(np.array([20.0, 2.0]))
     far = held.resolve()
     assert far.warm_start and far.dual_start and far.pivots >= 1
     _assert_matches_cold(far, _two_rows(20.0))
@@ -864,7 +865,7 @@ def test_start_basis_that_does_not_fit_is_declined(start):
     held = _held(_two_rows(2.0))
     nxt = _with_rows(_two_rows(b1, b2), a_new, b_new, at)
     held.append_rows(a_new, b_new, at)
-    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    held.set_rhs(np.concatenate([nxt.b_eq, nxt.b_ub]))
     sol = held.resolve()
     assert sol.warm_start and sol.dual_start and sol.pivots >= 1
     _assert_matches_cold(sol, nxt)
@@ -875,7 +876,7 @@ def test_start_basis_that_is_neither_primal_nor_dual_feasible_is_declined():
     # b1 = 20 makes it primal infeasible: no simplex runs from it in place
     held = _held(_two_rows(2.0))
     held.c = np.array([1.0, 1.0])
-    held.set_rhs(np.zeros(0), np.array([20.0, 2.0]))
+    held.set_rhs(np.array([20.0, 2.0]))
     assert held.resolve() is None
     moved = lp.LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[20.0, 2.0],
                          lower=[0.0, 0.0], upper=[5.0, 5.0])
@@ -888,7 +889,7 @@ def test_start_basis_of_an_infeasible_lp_is_declined():
     held = _held(_two_rows(2.0))
     nxt = _with_rows(_two_rows(2.0), [[-1.0, -1.0]], [-11.0], 2)
     held.append_rows(np.array([[-1.0, -1.0]]), np.array([-11.0]), 2)
-    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    held.set_rhs(np.concatenate([nxt.b_eq, nxt.b_ub]))
     assert held.resolve() is None
     assert lp.solve(nxt).status == lp.INFEASIBLE
 
@@ -904,7 +905,7 @@ def test_singular_start_basis_is_declined():
     held.status_col = np.array([lp.BASIC, lp.BASIC, lp.AT_LOWER, lp.AT_LOWER], dtype=np.int8)
     held.x[2:] = 0.0
     held.append_rows(np.array([[1.0, 0.0]]), np.array([5.0]), 2)
-    held.set_rhs(np.zeros(0), np.array([3.0, 6.0, 5.0]))
+    held.set_rhs(np.array([3.0, 6.0, 5.0]))
     assert held.resolve() is None
     with pytest.raises(lp.SimplexError):  # declined by the refactorization
         held._refactor()
@@ -990,7 +991,94 @@ def test_failed_check_on_a_bordered_inverse_refactors_before_declining():
     held.append_rows(np.array([[1.0, 1.0]]), np.array([3.0]), 2)
     held.b_inv *= 1.0 + 1e-6
     nxt = _with_rows(_two_rows(2.1), [[1.0, 1.0]], [3.0], 2)
-    held.set_rhs(nxt.b_eq, nxt.b_ub)
+    held.set_rhs(np.concatenate([nxt.b_eq, nxt.b_ub]))
     sol = held.resolve()
     assert sol.warm_start and sol.pivots == 0 and held.stale == 0
     assert sol.objective == pytest.approx(lp.solve(nxt).objective, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# row inserts and exchanges against their references, byte for byte
+# ---------------------------------------------------------------------------
+
+HELD_ARRAYS = ("a", "b", "lower", "upper", "cost", "b_inv", "basis", "status_col", "x")
+
+
+def _held_bytes(held: lp.PersistentLp) -> dict:
+    return {name: getattr(held, name).tobytes() for name in HELD_ARRAYS}
+
+
+@pytest.mark.parametrize("at", [-1, 2, 5])
+def test_append_rows_rejects_an_insert_position_out_of_range(at):
+    # min x1 + x2 with x1 + x2 = 1, x1 <= 0.8 and 0 <= x <= 5: a row put
+    # before inequality row -1 landed in the equality block and shifted a
+    # column, one past the last row lost its slack entry
+    prob = lp.LpProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[1.0, 0.0]],
+                        b_ub=[0.8], lower=[0.0, 0.0], upper=[5.0, 5.0])
+    held = _held(prob)
+    before = _held_bytes(held)
+    with pytest.raises(ValueError, match=f"at={at}"):
+        held.append_rows(np.array([[0.0, 1.0]]), np.array([0.9]), at)
+    assert _held_bytes(held) == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=2),
+       st.sampled_from(["first", "middle", "last"]))
+def test_append_rows_matches_the_stacked_insert_byte_for_byte(seed, n_new, where):
+    # every array of the held LP after an insert equals the stacked build's
+    # (checks.append_rows_by_stacking) as bytes, and so does the re-solve
+    # after a moved right-hand side: inserts before the first inequality
+    # row, among them (where the engine puts new optimality rows ahead of
+    # feasibility rows) and after the last
+    prob = _random_problem(seed)
+    r = prob.a_ub.shape[0]
+    at = {"first": 0, "middle": r // 2, "last": r}[where]
+    assume(where != "middle" or 0 < at < r)
+    held = _held(prob)
+    assume(held is not None)
+    held.resolve()  # hold a pricing and the move masks, which the insert drops
+    rng = np.random.default_rng(seed + 3)
+    a_new = rng.normal(size=(n_new, prob.n_vars))
+    b_new = a_new @ rng.uniform(prob.lower, prob.upper) + rng.uniform(-0.5, 1.0, n_new)
+    ref = copy.deepcopy(held)
+    held.append_rows(a_new, b_new, at)
+    append_rows_by_stacking(ref, a_new, b_new, at)
+    assert _held_bytes(held) == _held_bytes(ref)
+    assert (held.m, held.n_ub, held.n_real, held.stale) == (ref.m, ref.n_ub, ref.n_real, ref.stale)
+    b = held.b + rng.normal(size=held.m)
+    for lp_ in (held, ref):
+        lp_.set_rhs(b)
+    sols = [lp_.resolve() for lp_ in (held, ref)]
+    assert _held_bytes(held) == _held_bytes(ref)
+    if sols[0] is None:
+        assert sols[1] is None
+        return
+    assert sols[0].status == sols[1].status
+    for name in ("x", "dual_eq", "dual_ineq", "basis"):
+        assert getattr(sols[0], name).tobytes() == getattr(sols[1], name).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=10**6))
+def test_exchange_matches_the_masked_update_byte_for_byte(seed, pick):
+    # the product-form update of one exchange leaves the inverse, the basis,
+    # the column states and the held move masks as the masked update
+    # (checks.exchange_by_mask) does, bytes included
+    held = _held(_random_problem(seed))
+    assume(held is not None)
+    held.resolve()
+    held._dual_infeasibility(held._pricing())  # hold the move masks
+    nonbasic = np.flatnonzero(held.status_col != lp.BASIC)
+    assume(nonbasic.size)
+    j = int(nonbasic[pick % nonbasic.size])
+    w = held.b_inv @ held.a[:, j]
+    rows = np.flatnonzero(np.abs(w) > lp.PIVOT_TOL)
+    assume(rows.size)
+    row = int(rows[pick % rows.size])
+    ref = copy.deepcopy(held)
+    held._exchange(row, j, w)
+    exchange_by_mask(ref, row, j, w)
+    assert _held_bytes(held) == _held_bytes(ref)
+    assert [m.tobytes() for m in held.moves] == [m.tobytes() for m in ref.moves]
+    assert (held.pivots, held.moved, held.d) == (ref.pivots, ref.moved, ref.d)
