@@ -145,21 +145,22 @@ def _cmd_oracle(args) -> int:
 
 
 def _history_box(p: Problem, where) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of the history block a pool's cuts are claimed valid on.
+    """Bounds of the histories at which a pool's cuts are checked.
 
-    Stage by stage, the intersection of the boxes of every position on some
-    path into the pool's subproblems: all same-stage realizations on a
-    lattice, whose pools share cuts across them; the one node per stage on
-    a tree's path.
+    Stage by stage, the hull of the boxes of every position on some path
+    into the pool's subproblems (the least ``lb`` and the largest ``ub``):
+    all same-stage realizations on a lattice, whose pools share cuts across
+    them; the one node per stage on a tree's path.  A pool's cuts are LP
+    dual linearizations of a convex recourse function, so they hold at
+    every history, and one of ``+inf`` recourse passes both checks
+    (:func:`_pool_violations`).
     """
     topo = p.topology
     layers = topo.history_positions(where)
-    lo = np.concatenate([np.max([topo.payload(w).lb for w in layer], axis=0)
+    lo = np.concatenate([np.min([topo.payload(w).lb for w in layer], axis=0)
                          for layer in layers])
-    hi = np.concatenate([np.min([topo.payload(w).ub for w in layer], axis=0)
+    hi = np.concatenate([np.max([topo.payload(w).ub for w in layer], axis=0)
                          for layer in layers])
-    if np.any(lo > hi):
-        raise IoError(f"pool {where}: empty history box intersection")
     return lo, hi
 
 

@@ -195,14 +195,6 @@ def evaluate_pool(pool: CutPool, x) -> float:
     return max((cut.value_at(x) for cut in pool.optimality), default=-math.inf)
 
 
-def zero_terminal_pool(arg_dim: int) -> CutPool:
-    """Pool holding the permanent zero cut (the beyond-horizon value is 0)."""
-    pool = CutPool(arg_dim)
-    pool.optimality.append(OptimalityCut(theta=0.0, beta=np.zeros(arg_dim),
-                                         anchor=np.zeros(arg_dim), iteration=0, stage=0))
-    return pool
-
-
 def build_optimality_cut(child_values, child_pis, probs, risk_spec: RiskSpec,
                          anchor, stage: int = 0, iteration: int = 0) -> OptimalityCut:
     """Aggregate one complete set of child solves into a cut.

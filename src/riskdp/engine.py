@@ -31,8 +31,11 @@ piecewise-linear stage cost, ``z`` under-estimates the risk-adjusted recourse
 through the optimality-cut rows.  Its right-hand side is one affine map
 ``b0 - M h`` of the history ``h = x_{1:t-1}`` (:func:`build_stage_lp`), and
 its value's subgradient is ``M^T`` applied to the row duals
-(:mod:`riskdp.valuefn`).  The final stage is handled uniformly through a
-permanent zero cut (the beyond-horizon value is identically zero).
+(:mod:`riskdp.valuefn`).  The value past the horizon is 0 (the paper's
+``Q_{T+1} = 0``), held by ``z``'s lower bound alone
+(:meth:`~riskdp.model.Problem.z_lower`): the terminal pools, which the
+last-stage subproblems read, never gain a cut, so a last-stage LP has no
+cut row and its ``z`` sits at 0.
 
 Cut timing is configurable: the default ``backward`` timing builds cuts in
 the backward half, stage by stage descending (each stage's cut then sees the
@@ -92,8 +95,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import lp
-from .cuts import (PHASE1_THRESHOLD, CutPool, build_feasibility_cut,
-                   build_optimality_cut, zero_terminal_pool)
+from .cuts import PHASE1_THRESHOLD, CutPool, build_feasibility_cut, build_optimality_cut
 from .model import (LATTICE, TREE, Problem, ScenarioNode, SubproblemData, assemble_subproblem,
                     history_vector, validate_problem)
 from .valuefn import assemble_pi
@@ -238,17 +240,15 @@ class PoolSet:
     ``opt`` maps every pool key of the problem's topology to its pool, which
     holds both the optimality and the feasibility cuts of that key: a stage
     on a lattice (key ``t`` holds cuts over ``x_{1:t-1}`` whose rows enter
-    every stage-``(t-1)`` subproblem; key ``T+1`` is the permanent zero pool),
-    a node on a tree (node ``m``'s pool holds cuts over ``x_{1:depth(m)}``
-    aggregating ``m``'s children; leaf pools are permanent zero pools).
+    every stage-``(t-1)`` subproblem), a node on a tree (node ``m``'s pool
+    holds cuts over ``x_{1:depth(m)}`` aggregating ``m``'s children).  The
+    pools of the terminal keys (``T+1`` on a lattice, the leaves of a tree)
+    stay empty.
     """
 
     def __init__(self, problem: Problem):
         self.topology = topo = problem.topology
-        self.opt: dict[object, CutPool] = {}
-        for key in topo.keys:
-            make = zero_terminal_pool if topo.terminal(key) else CutPool
-            self.opt[key] = make(topo.arg_dim(key))
+        self.opt: dict[object, CutPool] = {key: CutPool(topo.arg_dim(key)) for key in topo.keys}
 
     def rows_for(self, where) -> CutPool:
         """The pool whose cuts appear as rows inside the given subproblem."""
@@ -964,7 +964,8 @@ class _Driver:
                                wall_ms=(time.perf_counter() - started) * 1000.0)
 
 
-def _check_config(problem: Problem, cfg: RunConfig) -> None:
+def _check_config(problem: Problem, cfg: RunConfig) -> tuple[str, int]:
+    """Check ``cfg`` against ``problem``; returns the parsed ``oracle_check``."""
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
     if cfg.cut_timing not in CUT_TIMINGS:
@@ -975,7 +976,7 @@ def _check_config(problem: Problem, cfg: RunConfig) -> None:
         raise ConfigError(f"stall_tol must be finite and >= 0, got {cfg.stall_tol}")
     if cfg.stall_window < 1:
         raise ConfigError("stall_window must be >= 1")
-    _parse_oracle_check(cfg.oracle_check)
+    oracle_check = _parse_oracle_check(cfg.oracle_check)
     violations = validate_problem(problem)
     if violations:
         raise ConfigError("invalid problem: " + "; ".join(violations))
@@ -994,6 +995,7 @@ def _check_config(problem: Problem, cfg: RunConfig) -> None:
                     raise ConfigError(
                         "the feasibility-cut algorithm supports the equality-plus-box "
                         f"form only; stage {s} realization {j} carries static inequality rows")
+    return oracle_check
 
 
 def _parse_oracle_check(value: str) -> tuple[str, int]:
@@ -1027,8 +1029,7 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
     post-iteration bound stays at or below ``stall_tol`` for ``stall_window``
     consecutive iterations.
     """
-    _check_config(problem, cfg)
-    mode, every = _parse_oracle_check(cfg.oracle_check)
+    mode, every = _check_config(problem, cfg)
     driver = _Driver(problem, cfg)
     reports: list[IterationReport] = []
     status = STATUS_ITER_LIMIT
@@ -1071,11 +1072,7 @@ def run(problem: Problem, cfg: RunConfig) -> RunResult:
         "pi_norm_max": dict(sorted(driver.pi_norm_max.items())),
         "pi_norm_first5": dict(sorted(driver.pi_norm_first.items())),
         "cuts_skipped": skipped,
-        "lps": driver.tally["lps"],
-        "lps_warm": driver.tally["lps_warm"],
-        "lps_dual": driver.tally["lps_dual"],
-        "lps_reused": driver.tally["lps_reused"],
-        "pivots": driver.tally["pivots"],
+        **{key: driver.tally[key] for key in TALLIES},
         "iterations_replayed": sum(report.replayed for report in reports),
     }
     for t, total in driver.pi_norm_max.items():

@@ -36,8 +36,7 @@ row.  The iteration log carries one row per iteration plus a terminal row
 ``lower_bound`` always equals the last CSV row's value exactly.  The cut
 dump holds one cut per line, ``kind,stage,iter,theta`` followed by the
 ``beta`` coefficients and — for optimality cuts only — the anchor
-coefficients; the permanent zero cuts that close the recursion past the
-horizon are scaffolding, not generated cuts, and are not dumped.
+coefficients.
 """
 
 from __future__ import annotations
@@ -299,15 +298,13 @@ def _read_text(path) -> str:
         raise IoError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def load_problem(source) -> Problem:
-    """Load and validate a problem from a JSON file path or an already-parsed dict."""
-    if isinstance(source, dict):
-        return problem_from_dict(source)
-    text = _read_text(source)
+def load_problem(path) -> Problem:
+    """Load and validate a problem from a JSON file (a parsed one: :func:`problem_from_dict`)."""
+    text = _read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise IoError(f"{source} is not valid JSON: {exc}") from exc
+        raise IoError(f"{path} is not valid JSON: {exc}") from exc
     return problem_from_dict(doc)
 
 
@@ -421,19 +418,10 @@ def write_iterations_csv(path, result, dim: int) -> None:
     Path(path).write_text(iterations_csv_text(result, dim))
 
 
-def _dump_pool_keys(pools) -> list:
-    """Pool keys to dump, ascending, permanent zero pools excluded.
-
-    Feasibility cuts enter only pools that aggregate children, so both
-    sections of the dump read the same keys.
-    """
-    return [k for k in sorted(pools.opt) if not pools.topology.terminal(k)]
-
-
 def cuts_csv_text(pools) -> str:
-    """One generated cut per line: optimality pools first, then feasibility."""
+    """One cut per line: optimality pools first, then feasibility, each by ascending key."""
     lines = [CUTS_CSV_HEADER]
-    keys = _dump_pool_keys(pools)
+    keys = sorted(pools.opt)
     for key in keys:
         for cut in pools.opt[key].optimality:
             lines.append(",".join([CUT_KIND_OPTIMALITY, str(key), str(cut.iteration),

@@ -320,10 +320,12 @@ class Topology:
     subproblems of the positions it is the pool of:
 
     * lattice: key ``t`` aggregates the stage-``t`` realizations and its rows
-      enter every stage-``(t-1)`` subproblem; key ``T+1`` is the terminal
-      zero pool;
+      enter every stage-``(t-1)`` subproblem; key ``T+1`` is terminal;
     * tree: key ``m`` aggregates node ``m``'s children and its rows enter
-      node ``m``'s own subproblem; leaf keys are terminal zero pools.
+      node ``m``'s own subproblem; leaf keys are terminal.
+
+    A terminal key aggregates nothing: the value past the horizon is 0,
+    which :meth:`Problem.z_lower` states.
 
     The root key (``1`` on a lattice, the synthetic root node on a tree)
     aggregates the single stage-1 position and owns no pool.  Every key has
@@ -461,7 +463,7 @@ class Topology:
         return self._stage[self._holders[key][0]] * self.dim
 
     def terminal(self, key) -> bool:
-        """True for keys that aggregate nothing; their pools hold the permanent zero cut."""
+        """True for keys that aggregate nothing: the keys past the horizon, whose value is 0."""
         return not self._kids[key]
 
     def history_positions(self, key) -> list[list]:

@@ -501,7 +501,7 @@ def extensive_form_value(problem: Problem) -> float:
 # exact nested decomposition
 # ---------------------------------------------------------------------------
 
-def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -> NDResult:
+def exact_nested_decomposition(problem: Problem) -> NDResult:
     """Sampling-free nested decomposition to convergence.
 
     Each sweep makes a forward pass visiting every node of the (expanded)
@@ -531,7 +531,7 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
     inner = backward_order(nodes, problem.horizon)
     value_prev = None
     n_cuts = 0
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         counters: dict = {}
         driver.stage1 = None  # solved through the memo, as every node is
         out = driver._forward(nodes, sweep, counters, {}, {})
@@ -547,7 +547,7 @@ def exact_nested_decomposition(problem: Problem, max_sweeps: int = MAX_SWEEPS) -
             return NDResult(value=value, sweeps=sweep, n_cuts=n_cuts, lps=lps,
                             lps_reused=reused)
         value_prev = value
-    raise OracleError(f"nested decomposition did not settle in {max_sweeps} sweeps")
+    raise OracleError(f"nested decomposition did not settle in {MAX_SWEEPS} sweeps")
 
 
 # ---------------------------------------------------------------------------

@@ -197,9 +197,8 @@ def nodes_at_depth(problem, d: int) -> list[int]:
 
 
 def n_optimality_cuts(pools) -> int:
-    """The optimality cuts of an ``engine.PoolSet``, the permanent zero pools left out."""
-    return sum(len(pool.optimality) for key, pool in pools.opt.items()
-               if not pools.topology.terminal(key))
+    """The optimality cuts of an ``engine.PoolSet``."""
+    return sum(len(pool.optimality) for pool in pools.opt.values())
 
 
 def n_feasibility_cuts(pools) -> int:

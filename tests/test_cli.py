@@ -433,6 +433,28 @@ def test_check_cuts_covers_feasibility_rows(tmp_path, capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+def test_check_cuts_audits_a_lattice_with_disjoint_same_stage_boxes(tmp_path, capsys):
+    # the two stage-2 realizations' boxes do not meet; pool 3's cuts, shared
+    # by both, are checked on the hull of the boxes
+    problem = random_lattice_instance(np.random.default_rng(5), 3, 2, 1)
+    low, high = problem.stages[1].realizations
+    hi = low.ub.copy()
+    low.ub = hi / 2
+    high.lb = hi / 2 + 0.1
+    assert model.validate_problem(problem) == []
+    path = tmp_path / "disjoint.json"
+    io.save_problem(problem, path)
+    out = tmp_path / "run"
+    assert _run(["solve", path, "--out", out]) == cli.EXIT_OK
+    lower_bound = json.loads((out / "summary.json").read_text())["lower_bound"]
+    assert lower_bound == pytest.approx(oracle.extensive_form_value(problem), abs=1e-9)
+    lo, hi3 = cli._history_box(problem, 3)
+    assert np.array_equal(lo, [0.0, 0.0])
+    assert np.array_equal(hi3, [problem.stages[0].realizations[0].ub[0], hi[0]])
+    assert _run(["check-cuts", path, out / "cuts.csv", "--points", "30"]) == cli.EXIT_OK
+    assert "0 violations" in capsys.readouterr().out
+
+
 @pytest.fixture(params=["lattice", "tree"])
 def multi_pool_run(request, tmp_path):
     """(problem file, cut dump) of a three-stage solve with several inner pools.

@@ -35,13 +35,20 @@ def test_evaluate_empty_pool():
     assert cuts.evaluate_pool(pool, np.array([0.0])) == -np.inf
 
 
-def test_zero_terminal_pool():
-    pool = cuts.zero_terminal_pool(3)
-    assert len(pool.optimality) == 1
-    assert np.allclose(pool.optimality[0].beta, 0.0)
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        assert cuts.evaluate_pool(pool, rng.normal(size=3)) == pytest.approx(0.0)
+@pytest.mark.parametrize("make, message", [
+    (lambda: cuts.build_optimality_cut([1.0, None], [np.zeros(1), np.zeros(1)],
+                                       [0.5, 0.5], RiskSpec(), np.zeros(1)),
+     "incomplete child set: missing child solve"),
+    (lambda: cuts.build_optimality_cut([1.0, 2.0], [np.zeros(2), np.zeros(2)],
+                                       [0.5, 0.5], RiskSpec(), np.zeros(1)),
+     "subgradient dimension 2 != anchor dimension 1"),
+    (lambda: cuts.CutPool(2).append_feasibility(
+        cuts.FeasibilityCut(theta_tilde=0.0, beta_tilde=np.zeros(3))),
+     "cut dimension 3 != pool dimension 2"),
+], ids=["missing-child", "pi-anchor-dimension", "feasibility-dimension"])
+def test_malformed_cut_inputs_raise(make, message):
+    with pytest.raises(cuts.CutError, match=message):
+        make()
 
 
 def test_anchor_equality_enforced_on_append():

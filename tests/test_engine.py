@@ -251,6 +251,33 @@ def test_tree_driver_matches_lattice_on_equivalent_instance(risk):
     assert res_t.final_lower_bound == pytest.approx(res_l.final_lower_bound, abs=1e-12)
 
 
+@pytest.mark.parametrize("case", ["alg1", "alg2", "alg3"])
+def test_the_last_stage_holds_z_at_zero_by_its_bound_alone(case):
+    # the value past the horizon is 0: no pool past the last stage gains a
+    # cut, and a last-stage LP has no cut row, so z sits at its bound 0
+    problem = {"alg1": _mixture_lattice, "alg2": make_chain_instance, "alg3": _cvar_tree}[case]()
+    res = engine.run(problem, _cfg(algorithm=case))
+    topo = problem.topology
+    terminal = [key for key in topo.keys if topo.terminal(key)]
+    assert terminal and all(not res.pools.opt[key].optimality
+                            and not res.pools.opt[key].feasibility for key in terminal)
+    assert sum(len(pool.optimality) for pool in res.pools.opt.values()) > 0
+    where, history = topo.first, np.zeros(0)
+    for _ in range(1, problem.horizon):
+        ns = engine.solve_node(problem, where, history, res.pools)
+        history = np.concatenate([history, ns.x])
+        where = topo.children(topo.pool(where))[0]
+    sub = model.assemble_subproblem(problem, where)
+    view = res.pools.rows_for(where).view(problem.dim)
+    prob, _b0, _hist = engine.build_stage_lp(sub, view, problem.z_lower(problem.horizon),
+                                             history)
+    assert prob.a_ub.shape[0] == sub.g_cur.shape[0] + sub.piece_cur.shape[0]
+    assert prob.lower[-1] == 0.0
+    ns = engine.solve_node(problem, where, history, res.pools)
+    assert ns.duals.x[-1] == 0.0
+    assert ns.value == ns.duals.x[-2]  # the stage cost alone
+
+
 def test_sample_path_is_pure_and_matches_probabilities():
     problem = _newsvendor()
     first = engine.sample_path(problem, seed=3, k=11)
@@ -402,6 +429,16 @@ def test_config_validation_errors():
                              lower_value_bound=np.array([0.0]))
     with pytest.raises(engine.ConfigError):
         engine.run(problem2, _cfg(algorithm="alg2"))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("stall_window", 0, "stall_window must be >= 1"),
+    ("oracle_check", "every:0", "oracle-check interval must be >= 1"),
+    ("oracle_check", "sometimes", "oracle_check must be off, final or every:K"),
+], ids=["stall-window-0", "every-0", "unknown-oracle-check"])
+def test_run_rejects_a_bad_config(field, value, message):
+    with pytest.raises(engine.ConfigError, match=message):
+        engine.run(_newsvendor(), _cfg(**{field: value}))
 
 
 # ---------------------------------------------------------------------------

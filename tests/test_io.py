@@ -415,7 +415,7 @@ def test_infeasible_run_artifacts():
                        "iters": 1, "seed": 0}
 
 
-def test_cuts_csv_round_trip_and_zero_pool_exclusion(tmp_path):
+def test_cuts_csv_round_trip(tmp_path):
     res = engine.run(make_newsvendor(), _cfg())
     path = tmp_path / "cuts.csv"
     io.write_cuts_csv(path, res.pools)
@@ -423,7 +423,7 @@ def test_cuts_csv_round_trip_and_zero_pool_exclusion(tmp_path):
     assert lines[0] == io.CUTS_CSV_HEADER
     records = io.read_cuts_csv(path)
     pool = res.pools.opt[2]
-    assert len(records) == len(pool.optimality)  # terminal zero pool not dumped
+    assert len(records) == len(pool.optimality)  # the terminal pool holds no cut
     for rec, cut in zip(records, pool.optimality):
         assert rec.kind == io.CUT_KIND_OPTIMALITY
         assert rec.where == 2

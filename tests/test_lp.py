@@ -241,8 +241,12 @@ def test_validation_errors():
     (dict(upper=[1.0, np.nan]), "bounds contain NaN"),
     (dict(lower=[np.nan, 2.0], upper=[1.0, 1.0]), "bounds contain NaN"),
     (dict(lower=[0.0, 2.0], upper=[1.0, 1.0]), "lower bound exceeds upper bound"),
+    (dict(c=[]), "LpProblem needs at least one variable"),
+    (dict(lower=[0.0]), "bound vectors must match the number of variables"),
+    (dict(a_ub=[[1.0, 1.0]], b_ub=[0.0, 1.0]), "b_ub has 2 entries, expected 1"),
 ], ids=["c", "a_eq", "b_eq", "a_ub", "b_ub", "c-before-b_ub", "b_ub-before-bounds",
-        "nan-lower", "nan-upper", "nan-before-crossed", "crossed"])
+        "nan-lower", "nan-upper", "nan-before-crossed", "crossed", "no-variables",
+        "bound-length", "b_ub-length"])
 def test_validation_names_the_first_fault(fields, message):
     # one pass checks every array; a fault is then named as the checks one
     # array at a time name it
@@ -828,6 +832,14 @@ def _two_rows(b1: float, b2: float = 2.0) -> lp.LpProblem:
     # min -x1 - x2  s.t.  x1 + 2 x2 <= b1,  2 x1 + x2 <= b2,  0 <= x <= 5
     return lp.LpProblem(c=[-1.0, -1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[b1, b2],
                         lower=[0.0, 0.0], upper=[5.0, 5.0])
+
+
+@pytest.mark.parametrize("rhs", [np.array([2.0]), np.array([2.0, 2.0, 2.0]),
+                                 np.array([[2.0, 2.0]])], ids=["short", "long", "2-d"])
+def test_set_rhs_rejects_a_right_hand_side_of_the_wrong_shape(rhs):
+    held = _held(_two_rows(2.0))
+    with pytest.raises(ValueError, match=r"right-hand side has shape .*, the LP 2 rows"):
+        held.set_rhs(rhs)
 
 
 def test_start_basis_is_used_while_primal_feasible():

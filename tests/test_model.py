@@ -1,5 +1,7 @@
 """Tests for the problem data model and subproblem assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,13 +284,32 @@ BAD_CVAR = RiskSpec(kind="cvar", epsilon=1.5)
     (lambda: _lattice(_stage(1), model.Stage([None])),
      ["stage 2 realization 0: missing payload"]),
     (lambda: _tiny_tree((4, 2, 1.0, 3), horizon=3), ["node 3: leaf at"]),
+    (lambda: _lattice(_stage(1), horizon=0), ["horizon must be >= 1"]),
+    (lambda: dataclasses.replace(_lattice(_stage(1)), dim=0), ["dim must be >= 1"]),
+    (lambda: dataclasses.replace(_lattice(_stage(1), _stage(2)),
+                                 lower_value_bound=np.array([np.nan])),
+     ["lower_value_bound entries must be finite"]),
+    (lambda: dataclasses.replace(_lattice(_stage(1)), form="ring"), ["unknown form 'ring'"]),
 ], ids=["lattice-too-few-stages", "lattice-too-many-stages", "lattice-empty-stage",
         "lattice-empty-stage-1", "lattice-non-positive-prob", "tree-non-positive-prob",
         "lattice-risk-set", "tree-risk-set", "duplicate-ids", "no-root", "disconnected",
-        "cyclic", "missing-payload", "lattice-missing-payload", "leaf-before-horizon"])
+        "cyclic", "missing-payload", "lattice-missing-payload", "leaf-before-horizon",
+        "horizon-0", "dim-0", "non-finite-value-bound", "unknown-form"])
 def test_validate_rejects_each_defect_on_both_forms(make, parts):
     violations = model.validate_problem(make())
     assert any(all(part in v for part in parts) for v in violations), violations
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: model.history_vector([0.0, 1.0], 2, 1), "history must have 1 coordinates at stage 2"),
+    (lambda: model.PwlConvexCost(np.zeros((0, 1)), np.zeros(0), dim=1),
+     "cost needs at least one piece"),
+    (lambda: model.PwlConvexCost(np.zeros((2, 1)), np.zeros(1), dim=1),
+     "piece coefficient/offset counts differ"),
+], ids=["history-length", "no-cost-piece", "piece-count"])
+def test_model_inputs_of_the_wrong_shape_raise(make, message):
+    with pytest.raises(model.ModelError, match=message):
+        make()
 
 
 def test_nan_probability_fails_both_checks_of_its_key():

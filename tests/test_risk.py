@@ -100,6 +100,23 @@ def test_nan_probabilities_are_rejected(probs):
         risk.validate_risk_set(risk.RiskSpec(kind="cvar", epsilon=0.5), probs)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: risk.RiskSpec(kind="polytope").validate(), "polytope risk needs at least one row"),
+    (lambda: risk.RiskSpec(kind="polytope", rows=[(np.array([np.nan, 1.0]), 1.0)]).validate(),
+     "polytope rows must be finite"),
+    (lambda: risk.RiskSpec(kind="polytope", rows=[(np.ones(2), 1.0)]).validate(n_outcomes=3),
+     "polytope row has 2 entries, expected 3"),
+    (lambda: risk.RiskSpec.from_json_fragment(["cvar", 0.5]),
+     "risk fragment must be an object with a 'type' key"),
+    (lambda: risk.risk_value_and_density(risk.RiskSpec(), QUARTER, VALUES[:3]),
+     "probs and values must have matching shapes"),
+], ids=["polytope-no-rows", "polytope-non-finite-row", "polytope-row-length",
+        "fragment-not-an-object", "value-shape"])
+def test_malformed_risk_inputs_raise(make, message):
+    with pytest.raises(risk.RiskConfigError, match=message):
+        make()
+
+
 def test_json_round_trip():
     frag = {"type": "mixture", "lambda": 0.4, "epsilon": 0.1}
     spec = risk.RiskSpec.from_json_fragment(frag)

@@ -10,7 +10,7 @@ from checks import (check_subgradient, evaluate_cost_and_history_subgradient,
                     subgradient_bound, subgradient_terms)
 from conftest import lattice_to_tree, make_cvar_without_complete_recourse, random_lattice_instance
 from riskdp import engine, lp, model, valuefn
-from riskdp.cuts import OptimalityCut, zero_terminal_pool
+from riskdp.cuts import CutPool, OptimalityCut
 from riskdp.risk import RiskSpec
 
 
@@ -42,8 +42,8 @@ def _solve_second_stage(problem, x1):
 
 def _terms(problem, ns, view=None):
     # the block terms of a second-stage solve; by default against the view it
-    # used (terminal zero pool, no feasibility rows)
-    view = zero_terminal_pool(2).view(1) if view is None else view
+    # used (the empty terminal pool: no cut rows)
+    view = CutPool(2).view(1) if view is None else view
     return subgradient_terms(problem, (2, 0), ns.duals, view)
 
 
@@ -130,7 +130,7 @@ def test_assemble_pi_rejects_non_optimal():
     problem = _two_stage(pay)
     history = np.array([1.0])
     _prob, _b0, hist = engine.build_stage_lp(model.assemble_subproblem(problem, (2, 0)),
-                                             zero_terminal_pool(2).view(1), 0.0, history)
+                                             CutPool(2).view(1), 0.0, history)
     ns = _solve_second_stage(problem, 1.0)
     assert np.array_equal(valuefn.assemble_pi(hist, ns.duals), ns.pi)
     bad = lp.LpSolution(status=lp.INFEASIBLE, x=ns.duals.x,
